@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	spantreed -addr :8080 -workers 8 -stream-workers 8 -max-streams-per-graph 4 -phase-cache-mb 128
+//	spantreed -addr :8080 -workers 8 -stream-workers 8 -max-streams-per-graph 4
 //
 // Concurrent streams share ONE engine-wide worker pool (-stream-workers
 // slots, default -workers) arbitrated by a weighted scheduler: each stream
@@ -28,16 +28,9 @@
 // spec, seed_base, i) at any weight, worker count, queueing, or consumption
 // order.
 //
-// -phase-cache-mb bounds each graph's later-phase state cache (Schur,
-// shortcut, and power-table triples keyed by phase subset; hits skip the
-// per-phase matrix squarings with round charges replayed, so responses are
-// byte-identical either way). 0 keeps the default, negative disables.
-// -phase-cache-total-mb instead bounds ONE cache shared by every registered
-// graph (the serving-grade aggregate budget; overrides -phase-cache-mb).
-// Cache hit/miss/eviction counters, aggregate resident bytes, and the matrix
-// scratch-pool counters are reported under /v1/stats. Stream requests may
-// set "sim_fidelity": "full" to audit the charged simulator fast path —
-// responses are byte-identical to the default charged mode.
+// The matrix scratch-pool counters are reported under /v1/stats. Stream
+// requests may set "sim_fidelity": "full" to audit the charged simulator
+// fast path — responses are byte-identical to the default charged mode.
 //
 // Observability: every request gets a request ID (propagated from an
 // X-Request-ID header when the client sends one, generated otherwise),
@@ -73,7 +66,7 @@
 // snapshotted (write-behind, off the request path) after its first cold
 // build and restored bit-exactly on the next boot, so a restarted server
 // reaches first-sample readiness without re-running the phase-0 matrix
-// squarings; hot phase-cache entries are flushed on graceful shutdown.
+// squarings.
 // Responses are byte-identical with or without -data-dir — restored state
 // samples the same trees AND stats. Empty (the default) keeps the server
 // fully in-memory.
@@ -150,8 +143,6 @@ func run() error {
 		streamWorkers = flag.Int("stream-workers", 0, "engine-wide stream worker pool width shared by all concurrent streams (0: same as -workers)")
 		kernelWorkers = flag.Int("kernel-workers", 0, "goroutines inside each dense kernel call (matrix squarings, Schur solves); outputs are byte-identical for every value (0 or 1: sequential)")
 		maxStreams    = flag.Int("max-streams-per-graph", 0, "max concurrent sampling jobs per graph (streams AND /v1/sample | /v1/audit batches); excess requests get 429 (0: unlimited)")
-		cacheMB       = flag.Int("phase-cache-mb", 0, "per-graph later-phase state cache budget in MB (0: default, negative: disabled)")
-		cacheTotalMB  = flag.Int("phase-cache-total-mb", 0, "global later-phase cache budget in MB shared across all graphs (0: per-graph budgets)")
 		traceEvery    = flag.Int("trace-every", 0, "trace 1 in every N unlabeled requests (0: default 1/64, negative: only X-Request-ID requests)")
 		traceRing     = flag.Int("trace-ring", 0, "recent traces retained for /v1/traces (0: default 64)")
 		pprofEnabled  = flag.Bool("pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/")
@@ -211,8 +202,6 @@ func run() error {
 	}
 
 	eng, err := spantree.NewEngine(*workers,
-		spantree.WithPhaseCacheMB(*cacheMB),
-		spantree.WithPhaseCacheTotalMB(*cacheTotalMB),
 		spantree.WithStreamWorkers(*streamWorkers),
 		spantree.WithKernelWorkers(*kernelWorkers),
 		spantree.WithMaxStreamsPerGraph(*maxStreams),
@@ -289,9 +278,8 @@ func run() error {
 			_ = httpSrv.Close()
 		}
 	}
-	// Graceful drain: flush write-behind snapshots and hot phase-cache
-	// entries to the data dir so the next boot starts warm (no-op without
-	// -data-dir).
+	// Graceful drain: wait out write-behind snapshot saves to the data dir
+	// so the next boot starts warm (no-op without -data-dir).
 	if err := eng.Close(); err != nil {
 		logger.Warn("flushing durable state", "err", err)
 	}
@@ -672,7 +660,7 @@ func (s *server) handleReady(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics serves the Prometheus text exposition: server request
 // counters and per-endpoint latency, engine batch/stream counters, stream
-// pool and per-graph gauges, phase-cache and matrix-pool state, and the
+// pool and per-graph gauges, blobstore state, and the
 // engine's latency histograms — rendered by internal/obs with zero external
 // dependencies.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -730,19 +718,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			p.Value("spantree_graph_queued_streams", float64(gm.QueuedStreams), obs.L{K: "graph", V: key})
 		}
 	}
-
-	p.Header("spantree_phase_cache_hits_total", "Phase-cache lookups served from cache.", "counter")
-	p.Value("spantree_phase_cache_hits_total", float64(m.PhaseCache.Hits))
-	p.Header("spantree_phase_cache_misses_total", "Phase-cache lookups that fell through to a cold build.", "counter")
-	p.Value("spantree_phase_cache_misses_total", float64(m.PhaseCache.Misses))
-	p.Header("spantree_phase_cache_evictions_total", "Phase-cache entries evicted to stay under budget.", "counter")
-	p.Value("spantree_phase_cache_evictions_total", float64(m.PhaseCache.Evictions))
-	p.Header("spantree_phase_cache_bytes", "Resident phase-cache bytes.", "gauge")
-	p.Value("spantree_phase_cache_bytes", float64(m.PhaseCache.Bytes))
-	p.Header("spantree_phase_cache_capacity_bytes", "Configured phase-cache budget.", "gauge")
-	p.Value("spantree_phase_cache_capacity_bytes", float64(m.PhaseCache.CapacityBytes))
-	p.Header("spantree_phase_cache_lookup_seconds", "Phase-cache Get latency.", "histogram")
-	p.Hist("spantree_phase_cache_lookup_seconds", m.PhaseCache.Lookup)
 
 	p.Header("spantree_blobstore_hits_total", "Prepared-state snapshot loads served from the durable store.", "counter")
 	p.Value("spantree_blobstore_hits_total", float64(m.Blobstore.Hits))
@@ -1028,7 +1003,6 @@ type streamRequest struct {
 	SegmentLength int     `json:"segment_length,omitempty"`
 	MaxSteps      int     `json:"max_steps,omitempty"`
 	Root          int     `json:"root,omitempty"`
-	NoPhaseCache  bool    `json:"no_phase_cache,omitempty"`
 	SimFidelity   string  `json:"sim_fidelity,omitempty"`
 	Weight        float64 `json:"weight,omitempty"`
 	MaxWorkers    int     `json:"max_workers,omitempty"`
@@ -1046,7 +1020,6 @@ func (r streamRequest) stream() spantree.StreamRequest {
 			SegmentLength: r.SegmentLength,
 			MaxSteps:      r.MaxSteps,
 			Root:          r.Root,
-			NoPhaseCache:  r.NoPhaseCache,
 			SimFidelity:   r.SimFidelity,
 			Weight:        r.Weight,
 			MaxWorkers:    r.MaxWorkers,

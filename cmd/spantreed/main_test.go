@@ -408,8 +408,8 @@ func TestGraphLifecycleEndpoints(t *testing.T) {
 	}
 }
 
-// TestStatsEndpoint checks the metrics surface: stream counters plus the
-// phase-cache and matrix-pool blocks the cache PR added.
+// TestStatsEndpoint checks the metrics surface: stream counters, the
+// matrix-pool block and the stream-pool gauges.
 func TestStatsEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
 	registerFamily(t, ts, "c", "cycle", 8)
@@ -418,8 +418,8 @@ func TestStatsEndpoint(t *testing.T) {
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 	}
-	// Two identical phase batches: the second replays the first's cached
-	// later-phase state, so the hit counter must surface in /v1/stats.
+	// Two phase batches drive the dense kernels, and with them the matrix
+	// scratch pool.
 	for i := 0; i < 2; i++ {
 		r := postJSON(t, ts.URL+"/v1/sample", map[string]any{"graph": "c", "k": 2, "sampler": "phase", "seed_base": 5})
 		if r.StatusCode != http.StatusOK {
@@ -446,9 +446,6 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if stats.Engine.Aborted != 0 {
 		t.Errorf("fully consumed stream counted as aborted: %+v", stats.Engine)
-	}
-	if pc := stats.Engine.PhaseCache; pc.Hits < 1 || pc.Entries < 1 || pc.CapacityBytes <= 0 {
-		t.Errorf("phase-cache counters missing from metrics: %+v", pc)
 	}
 	if stats.Engine.MatrixPool.Gets < 1 {
 		t.Errorf("matrix-pool counters missing from metrics: %+v", stats.Engine.MatrixPool)

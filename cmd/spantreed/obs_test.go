@@ -56,7 +56,6 @@ func TestMetricsExposition(t *testing.T) {
 		`spantree_sample_duration_seconds_count{sampler="wilson"} 2`,
 		`spantree_sample_duration_seconds_count{sampler="phase"} 2`,
 		"spantree_scheduler_wait_seconds_count 4",
-		"spantree_phase_cache_lookup_seconds_bucket",
 		"spantree_stream_pool_workers 1",
 	} {
 		if !strings.Contains(page, want) {

@@ -41,10 +41,7 @@ func benchSession(b *testing.B, opts ...Option) *Session {
 // call, which rebuilds the per-graph precomputation every time;
 // .../warm draws from an Engine whose registry has the precomputation
 // cached. Same graph, same sampler, same seeds — the gap is exactly the
-// amortized cost the engine exists to eliminate. Seeds differ per iteration,
-// so the later-phase cache contributes little here; see
-// BenchmarkEnginePhaseCache for the repeated-batch serving scenario it
-// targets.
+// amortized cost the engine exists to eliminate.
 func BenchmarkEngineWarmVsCold(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		g := benchEngineGraph(b)
@@ -68,66 +65,6 @@ func BenchmarkEngineWarmVsCold(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	})
-}
-
-// phaseCacheBatch is the repeated batch both arms of BenchmarkEnginePhaseCache
-// run: 64 phase-sampler trees on the n=96 expander from one seed base — the
-// serving shape of an idempotent retry, a replayed request, or an
-// audit-after-sample.
-func phaseCacheBatch(noCache bool) StreamRequest {
-	spec := PhaseSpec()
-	spec.NoPhaseCache = noCache
-	return StreamRequest{K: 64, Spec: spec, SeedBase: 1}
-}
-
-// BenchmarkEnginePhaseCache measures what the later-phase state cache buys on
-// a repeated batch. Both arms run on a warm engine (phase-0 precomputation
-// cached) and draw byte-identical trees; /cold bypasses the phase cache, so
-// every sample rebuilds its later-phase Schur complements, shortcut matrices,
-// and dyadic power tables, while /warm serves them from the cache populated
-// by one priming run. The tree-for-tree (and round-for-round) equality of the
-// two arms is asserted by TestPhaseCacheBenchArmsAgree in spantree_test.go
-// and by the engine's golden tests.
-func BenchmarkEnginePhaseCache(b *testing.B) {
-	b.Run("cold-batch64", func(b *testing.B) {
-		sess := benchSession(b, WithPhaseCacheMB(-1))
-		ctx := context.Background()
-		if _, _, err := sess.Sample(ctx, PhaseSpec(), 0); err != nil {
-			b.Fatal(err) // prime phase-0
-		}
-		req := phaseCacheBatch(true)
-		b.ReportAllocs()
-		b.ResetTimer()
-		var elapsed float64
-		for i := 0; i < b.N; i++ {
-			res, err := sess.Collect(ctx, req)
-			if err != nil {
-				b.Fatal(err)
-			}
-			elapsed += res.Elapsed.Seconds()
-		}
-		b.ReportMetric(float64(req.K*b.N)/elapsed, "trees/s")
-	})
-	b.Run("warm-batch64", func(b *testing.B) {
-		sess := benchSession(b, WithPhaseCacheMB(512))
-		ctx := context.Background()
-		req := phaseCacheBatch(false)
-		// Prime: the first identical batch populates the cache.
-		if _, err := sess.Collect(ctx, req); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		var elapsed float64
-		for i := 0; i < b.N; i++ {
-			res, err := sess.Collect(ctx, req)
-			if err != nil {
-				b.Fatal(err)
-			}
-			elapsed += res.Elapsed.Seconds()
-		}
-		b.ReportMetric(float64(req.K*b.N)/elapsed, "trees/s")
 	})
 }
 

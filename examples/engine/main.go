@@ -31,11 +31,9 @@ func main() {
 
 	// Repeated queries: register the graph in an Engine, open a Session on
 	// it, and stream a batch — results arrive as workers finish, tagged by
-	// index (0 workers = GOMAXPROCS). The phase cache is sized to this
-	// workload's later-phase working set (~k·√n entries, see the README's
-	// performance section) so a repeated batch replays entirely from memory;
-	// the 64 MB default would only hold part of a 100-sample batch at n=64.
-	eng, err := spantree.NewEngine(0, spantree.WithPhaseCacheMB(256))
+	// index (0 workers = GOMAXPROCS). The engine prepares the graph's
+	// phase-0 state once and every sample reuses it.
+	eng, err := spantree.NewEngine(0)
 	if err != nil {
 		panic(err)
 	}
@@ -62,11 +60,9 @@ func main() {
 	fmt.Println(streamed, "trees streamed")
 
 	// Collect is the gather-all form: the same stream reassembled by index
-	// into a summarized batch, byte-identical to the streamed trees. Because
-	// it repeats the stream above seed-for-seed, its later phases replay
-	// from the per-graph phase cache instead of re-squaring Schur
-	// complements — same trees, same simulated round counts, less wall
-	// clock. The metrics show the hits.
+	// into a summarized batch, byte-identical to the streamed trees: it
+	// repeats the stream above seed-for-seed, so it draws the same trees with
+	// the same simulated round counts.
 	res, err := shared.Collect(context.Background(), spantree.StreamRequest{
 		K: 100, Spec: spantree.PhaseSpec(), SeedBase: 1,
 	})
@@ -76,6 +72,5 @@ func main() {
 	fmt.Println(res.Summary.DistinctTrees, "distinct trees,",
 		res.Summary.Rounds.Mean, "mean rounds")
 	m := eng.Metrics()
-	fmt.Println("phase cache:", m.PhaseCache.Hits, "hits,",
-		m.PhaseCache.Misses, "misses,", m.PhaseCache.Entries, "entries")
+	fmt.Println(m.Samples, "samples over", m.Streams, "streams")
 }

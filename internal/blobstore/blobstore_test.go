@@ -159,7 +159,7 @@ func TestWrongKindDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := Key{7}
-	if err := s.Put(key, "phasecache/phase", 1, []byte("x")); err != nil {
+	if err := s.Put(key, "prepared/exact", 1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Get(key, "prepared/phase", 1); !errors.Is(err, ErrNotFound) {

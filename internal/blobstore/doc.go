@@ -2,8 +2,8 @@
 // restarts: a content-addressed, checksummed, file-backed store of the
 // immutable artifacts a serving process is otherwise forced to recompute
 // after every restart — core.Prepared snapshots (phase-0 Schur and shortcut
-// matrices, dyadic power tables) and exported hot phasecache entries — plus
-// a small JSON manifest of the registered graph set.
+// matrices, dyadic power tables) — plus a small JSON manifest of the
+// registered graph set.
 //
 // # Content addressing and the staleness-by-construction rule
 //

@@ -94,24 +94,7 @@ type Config struct {
 	// error. Only the Fast backend consumes it — dataflow backends route
 	// per-machine messages whose schedule is the object of study.
 	KernelWorkers int
-	// PhaseCacheMB bounds the later-phase state cache a Prepared builds: the
-	// memo of (Schur transition, shortcut matrix, dyadic power table) triples
-	// keyed by phase subset, shared by every Sample the Prepared serves
-	// (internal/phasecache). 0 means DefaultPhaseCacheMB; negative disables
-	// the cache. Only the Fast backend consumes it (the dataflow backends
-	// route real words and always take the cold path), and hits replay the
-	// cold path's round charges, so the knob trades memory for throughput
-	// without touching outputs or Stats.
-	PhaseCacheMB int
 }
-
-// DefaultPhaseCacheMB is the default per-Prepared budget of the later-phase
-// state cache. An entry for a k-vertex phase subset of an n-vertex graph
-// costs about (maxExp+2)·k² + n² float64s (~0.5 MB at n = 96 with the
-// default 2^16 walk length), so the default holds on the order of a hundred
-// phases — enough for Las Vegas extension reuse and a few resident batch
-// prefixes without surprising a small host.
-const DefaultPhaseCacheMB = 64
 
 // withDefaults fills unset fields for an n-vertex instance.
 func (c Config) withDefaults(n int) (Config, error) {
@@ -180,9 +163,6 @@ func (c Config) withDefaults(n int) (Config, error) {
 	}
 	if !c.SimFidelity.Valid() {
 		return c, fmt.Errorf("core: unknown sim fidelity %q (want %q or %q)", c.SimFidelity, clique.FidelityCharged, clique.FidelityFull)
-	}
-	if c.PhaseCacheMB == 0 {
-		c.PhaseCacheMB = DefaultPhaseCacheMB
 	}
 	return c, nil
 }

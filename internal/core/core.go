@@ -6,7 +6,6 @@ import (
 	"repro/internal/clique"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/phasecache"
 	"repro/internal/prng"
 	"repro/internal/schur"
 	"repro/internal/spanning"
@@ -37,18 +36,15 @@ func Sample(g *graph.Graph, cfg Config, src *prng.Source) (*spanning.Tree, *Stat
 	if !g.IsConnected() {
 		return nil, nil, fmt.Errorf("core: graph must be connected")
 	}
-	return sampleLoop(g, cfg, src, nil, nil, nil, 0)
+	return sampleLoop(g, cfg, src, nil, nil, 0)
 }
 
 // sampleLoop runs the phase loop on a validated instance (n >= 2, cfg with
 // defaults applied, g connected, src non-nil). A non-nil warm supplies the
 // cached phase-0 state of Prepare; nil recomputes everything in-simulation,
-// the original cold path. A non-nil cache additionally memoizes later-phase
-// state across samples (and across the Las Vegas extension segments of one
-// sample), with hits charge-replayed so Stats stay identical either way. A
-// non-nil tr attaches observation spans (per phase and per superstep, tagged
-// with tag); tracing never feeds back into the run.
-func sampleLoop(g *graph.Graph, cfg Config, src *prng.Source, warm *Prepared, cache *phasecache.Cache, tr *obs.Trace, tag int64) (*spanning.Tree, *Stats, error) {
+// the original cold path. A non-nil tr attaches observation spans (per phase
+// and per superstep, tagged with tag); tracing never feeds back into the run.
+func sampleLoop(g *graph.Graph, cfg Config, src *prng.Source, warm *Prepared, tr *obs.Trace, tag int64) (*spanning.Tree, *Stats, error) {
 	n := g.N()
 	sim := clique.MustNew(n)
 	sim.SetTrace(tr, tag)
@@ -95,13 +91,16 @@ func sampleLoop(g *graph.Graph, cfg Config, src *prng.Source, warm *Prepared, ca
 		var runner *phaseRunner
 		segStart := start
 		for segment := 0; ; segment++ {
-			r, err := newPhaseRunner(sim, g, cfg, sub, segStart, phase, preSeen, phaseSrc.Split(uint64(segment)), stats, warm, cache, sc)
+			r, err := newPhaseRunner(sim, g, cfg, sub, segStart, phase, preSeen, phaseSrc.Split(uint64(segment)), stats, warm, sc)
 			if err != nil {
 				return nil, nil, fmt.Errorf("core: phase %d: %w", phase, err)
 			}
 			segWalk, err := r.run()
 			if err != nil {
 				return nil, nil, fmt.Errorf("core: phase %d: %w", phase, err)
+			}
+			if runner != nil {
+				runner.release()
 			}
 			runner = r
 			if segment == 0 {
@@ -136,6 +135,7 @@ func sampleLoop(g *graph.Graph, cfg Config, src *prng.Source, warm *Prepared, ca
 		stats.WalkSteps += len(walkLocal) - 1
 
 		edges, newGlobal, err := runner.firstVisitEdges(walkLocal)
+		runner.release()
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: phase %d first-visit edges: %w", phase, err)
 		}

@@ -27,8 +27,9 @@
 // safe for any number of concurrent SampleWith calls. The package
 // guarantees that for a fixed (graph, Config, seed stream) the sampled tree
 // AND the reported Stats are byte-identical across every execution
-// variant: cold vs warm (Prepared reuse), phase-cache hit vs miss vs bypass
-// (hits replay the cold path's round charges), and charged vs full
-// simulator fidelity. Warm paths only ever reuse state that is a pure
-// function of (graph, Config), never of sampling history.
+// variant: cold vs warm (Prepared reuse; the phase-0 build's round charges
+// are replayed) and charged vs full simulator fidelity. Warm paths only
+// ever reuse state that is a pure function of (graph, Config), never of
+// sampling history: every later phase walks on a subset that depends on the
+// walk and is built fresh.
 package core

@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/matrix"
 	"repro/internal/mm"
-	"repro/internal/phasecache"
 	"repro/internal/prng"
 	"repro/internal/schur"
 )
@@ -53,6 +52,7 @@ type phaseRunner struct {
 	sub     *schur.Subset
 	pd      *matrix.PowerDyadic
 	q       *matrix.Matrix // shortcut transitions, global indices
+	built   bool           // pd and q were built for this phase, not taken from Prepared
 	leader  int            // global machine id of leader (hosts start vertex)
 	start   int            // local index of phase start vertex
 	rho     int            // distinct-vertex budget this phase
@@ -91,8 +91,8 @@ type phaseRunner struct {
 	// Leader-local slot bookkeeping for the current level: slot j (1-based)
 	// sits between walk[j-1] and walk[j]. The slices are views into the
 	// scratch arena; pairRank is kept as a map for the full-fidelity
-	// protocol and white-box tests, while the charged path indexes the
-	// arena's order tables directly.
+	// protocol only, while the charged path indexes the arena's order tables
+	// directly.
 	slotPair []pairKey
 	slotOcc  []int // occurrence index (1-based) of the slot within its pair
 	slotIdx  []int // pair order index of the slot's pair
@@ -111,12 +111,9 @@ type phaseRunner struct {
 // initial two-vertex partial walk. A non-nil warm carries Prepare's cached
 // phase-0 state: phase 0 always walks the full vertex set, so its shortcut
 // matrix and power table are per-graph constants that only the charging (not
-// the numeric work) needs to be replayed for. A non-nil cache extends the
-// same idea to every later phase, memoized by the phase's vertex subset:
-// hits reuse the triple a previous cold build produced (bit-identical by
-// construction) and replay its round charges; misses build cold and
-// populate the cache.
-func newPhaseRunner(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Subset, startGlobal int, phaseIdx int, preSeen map[int]struct{}, src *prng.Source, stats *Stats, warm *Prepared, cache *phasecache.Cache, sc *phaseScratch) (*phaseRunner, error) {
+// the numeric work) needs to be replayed for. Every later phase walks on a
+// subset that depends on the walk so far and is built fresh.
+func newPhaseRunner(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Subset, startGlobal int, phaseIdx int, preSeen map[int]struct{}, src *prng.Source, stats *Stats, warm *Prepared, sc *phaseScratch) (*phaseRunner, error) {
 	startLocal, err := sub.LocalIndex(startGlobal)
 	if err != nil {
 		return nil, fmt.Errorf("core: phase start vertex: %w", err)
@@ -124,52 +121,25 @@ func newPhaseRunner(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Subs
 	maxExp := int(math.Log2(float64(cfg.WalkLength)) + 0.5)
 	var q *matrix.Matrix
 	var pd *matrix.PowerDyadic
-	// Cached state is usable only under the Fast backend, whose Mul is the
-	// same local matrix.Mul the caches were built with and whose round
-	// charges ReplayDyadicTable and ChargeSchurShortcutBuild reproduce
-	// exactly. The dataflow backends (naive, semiring3d) route real words
-	// through the simulator and may accumulate in a different order, so they
-	// always take the cold path — identical numerics and accounting, no
-	// caching benefit.
-	_, fastBackend := cfg.Backend.(mm.Fast)
-	switch {
-	case warm != nil && fastBackend && phaseIdx == 0 && sub.Size() == g.N():
+	built := false
+	// The phase-0 state is usable only under the Fast backend, whose Mul is
+	// the same local matrix.Mul Prepare built it with and whose round charges
+	// ReplayDyadicTable reproduces exactly. The dataflow backends (naive,
+	// semiring3d) route real words through the simulator and may accumulate
+	// in a different order, so they always build in-simulation — identical
+	// numerics and accounting, no reuse benefit.
+	if _, fast := cfg.Backend.(mm.Fast); warm != nil && fast && phaseIdx == 0 && sub.Size() == g.N() {
 		q = warm.q0
 		pd = warm.pd0
 		if err := mm.ReplayDyadicTable(sim, cfg.Backend, pd); err != nil {
 			return nil, fmt.Errorf("core: replaying dyadic power table: %w", err)
 		}
-	case fastBackend && cache != nil:
-		members := sub.Vertices()
-		var scope uint64
-		if warm != nil { // cache is only ever passed alongside its Prepared
-			scope = warm.cacheScope
-		}
-		// The cache span covers consult plus replay (hit) or cold build plus
-		// insert (miss) — the full latency difference the cache buys.
-		csp := sim.TraceSpan("core/phase_cache")
-		csp.SetInt("phase", int64(phaseIdx))
-		if ent, ok := cache.Get(scope, members); ok {
-			csp.SetInt("hit", 1)
-			q = ent.Shortcut
-			pd = ent.Powers
-			if err := replayPhaseCharges(sim, cfg, g.N(), maxExp, phaseIdx, pd); err != nil {
-				return nil, err
-			}
-		} else {
-			csp.SetInt("hit", 0)
-			q, pd, err = buildPhaseState(sim, g, cfg, sub, phaseIdx, maxExp)
-			if err != nil {
-				return nil, err
-			}
-			cache.Put(&phasecache.Entry{Scope: scope, Members: members, Shortcut: q, Powers: pd})
-		}
-		csp.End()
-	default:
+	} else {
 		q, pd, err = buildPhaseState(sim, g, cfg, sub, phaseIdx, maxExp)
 		if err != nil {
 			return nil, err
 		}
+		built = true
 	}
 
 	rho := cfg.Rho
@@ -190,6 +160,7 @@ func newPhaseRunner(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Subs
 		sub:     sub,
 		pd:      pd,
 		q:       q,
+		built:   built,
 		leader:  startGlobal,
 		start:   startLocal,
 		rho:     rho,
@@ -218,6 +189,17 @@ func newPhaseRunner(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Subs
 	return r, nil
 }
 
+// release returns the phase state this runner built to the matrix scratch
+// pool once the phase is over; the Prepared's phase-0 state is shared and
+// stays. Recycling keeps a sample's allocation, and with it the garbage
+// collector's work, to the walk's own state.
+func (r *phaseRunner) release() {
+	if r.built {
+		r.pd.Release()
+		r.q.Release()
+	}
+}
+
 // rng returns machine id's random stream, splitting it from the segment
 // source on first use. Splitting is a pure function of (source seed, id), so
 // lazy creation yields the exact stream an eager split would.
@@ -233,9 +215,7 @@ func (r *phaseRunner) rng(id int) *prng.Source {
 // buildPhaseState is the cold path of a phase's algebraic setup: the
 // shortcut matrix and the dyadic power table of the Schur transition matrix
 // (which survives as the table's first power), with the round charges the
-// paper's accounting assigns them. It is also the only producer of
-// phase-cache entries, which is what makes cached and cold sampling
-// bit-identical.
+// paper's accounting assigns them.
 func buildPhaseState(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Subset, phaseIdx, maxExp int) (q *matrix.Matrix, pd *matrix.PowerDyadic, err error) {
 	smat, err := schur.TransitionWorkers(g, sub, cfg.KernelWorkers)
 	if err != nil {
@@ -256,25 +236,11 @@ func buildPhaseState(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Sub
 		}
 	}
 	pd, err = mm.DyadicTable(sim, cfg.Backend, smat, maxExp, cfg.TruncDelta, cfg.SimFidelity)
+	smat.Release() // the table holds its own copy as the first power
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: dyadic power table: %w", err)
 	}
 	return q, pd, nil
-}
-
-// replayPhaseCharges charges a phase-cache hit with exactly what the cold
-// build would have charged: the Corollaries 2-3 squarings for later phases,
-// then the dyadic table's squarings and column all-to-alls.
-func replayPhaseCharges(sim *clique.Sim, cfg Config, n, maxExp, phaseIdx int, pd *matrix.PowerDyadic) error {
-	if phaseIdx > 0 {
-		if err := mm.ChargeSchurShortcutBuild(sim, cfg.Backend, n, maxExp); err != nil {
-			return err
-		}
-	}
-	if err := mm.ReplayDyadicTable(sim, cfg.Backend, pd); err != nil {
-		return fmt.Errorf("core: replaying dyadic power table: %w", err)
-	}
-	return nil
 }
 
 // hostOf maps a local subset index to the global machine hosting it. Local
@@ -361,7 +327,6 @@ func (r *phaseRunner) assignPairs() error {
 	sc.slotOcc = growInts(sc.slotOcc, k+1)
 	sc.slotIdx = growInts(sc.slotIdx, k+1)
 	r.slotPair, r.slotOcc, r.slotIdx = sc.slotPair, sc.slotOcc, sc.slotIdx
-	r.pairRank = make(map[pairKey]int, k)
 	for j := 1; j <= k; j++ {
 		p, q := r.walk[j-1], r.walk[j]
 		oi := sc.pairLookup(p, q)
@@ -375,9 +340,8 @@ func (r *phaseRunner) assignPairs() error {
 	}
 	order := sc.pairOrder
 	sc.pairMachine = growInts(sc.pairMachine, len(order))
-	for rank, key := range order {
+	for rank := range order {
 		sc.pairMachine[rank] = rank % n
-		r.pairRank[key] = rank % n
 	}
 
 	if cap(sc.pairs) < n {
@@ -396,6 +360,10 @@ func (r *phaseRunner) assignPairs() error {
 			plan.Add(leader, rank%n, 3)
 		}
 		return r.sim.ChargedSuperstep("core/assign", plan, nil)
+	}
+	r.pairRank = make(map[pairKey]int, len(order))
+	for rank, key := range order {
+		r.pairRank[key] = rank % n
 	}
 	return r.sim.Superstep("core/assign", func(id int, in []clique.Message) ([]clique.Message, error) {
 		if id != leader {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/mm"
 	"repro/internal/obs"
-	"repro/internal/phasecache"
 	"repro/internal/prng"
 	"repro/internal/schur"
 	"repro/internal/spanning"
@@ -41,48 +40,11 @@ type Prepared struct {
 	sub0 *schur.Subset       // full-vertex subset every phase 0 walks on
 	q0   *matrix.Matrix      // phase-0 shortcut transitions
 	pd0  *matrix.PowerDyadic // phase-0 dyadic power table
-
-	// cache memoizes the later-phase (Schur, shortcut, power table) triples
-	// by phase subset, shared by every Sample on this Prepared (nil when
-	// disabled or on non-Fast backends). The Cache itself is concurrency-
-	// safe mutable state, but its entries are immutable and populated only
-	// from cold-path output, so Prepared keeps its read-share-freely
-	// contract: cached and uncached sampling are byte-identical per seed,
-	// rounds included (hits replay the cold path's charges). A Prepared
-	// either owns a private cache (Prepare, budgeted by Config.PhaseCacheMB)
-	// or borrows an externally owned one (PrepareWithCache, e.g. the
-	// engine's global budget shared across graphs), in which case cacheScope
-	// namespaces its entries.
-	cache      *phasecache.Cache
-	cacheScope uint64
 }
 
 // Prepare validates the graph and configuration once and precomputes the
 // phase-0 state shared by every subsequent Sample call on the pair.
 func Prepare(g *graph.Graph, cfg Config) (*Prepared, error) {
-	return prepare(g, cfg, nil, false, 0)
-}
-
-// PrepareWithCache is Prepare with an externally owned later-phase cache in
-// place of the private per-Prepared one Config.PhaseCacheMB would build —
-// the engine's global budget shared across every registered graph uses it.
-// scope namespaces this Prepared's entries inside the shared cache (two
-// Prepareds over different graphs or configs must use distinct scopes). A
-// nil cache disables later-phase caching for this Prepared.
-func PrepareWithCache(g *graph.Graph, cfg Config, cache *phasecache.Cache, scope uint64) (*Prepared, error) {
-	return prepare(g, cfg, cache, true, scope)
-}
-
-// PrepareExactWithCache is PrepareWithCache under SampleExact's
-// configuration overrides.
-func PrepareExactWithCache(g *graph.Graph, cfg Config, cache *phasecache.Cache, scope uint64) (*Prepared, error) {
-	if g == nil {
-		return nil, fmt.Errorf("core: nil graph")
-	}
-	return prepare(g, exactConfig(g.N(), cfg), cache, true, scope)
-}
-
-func prepare(g *graph.Graph, cfg Config, ext *phasecache.Cache, extOwned bool, scope uint64) (*Prepared, error) {
 	if g == nil {
 		return nil, fmt.Errorf("core: nil graph")
 	}
@@ -102,14 +64,9 @@ func prepare(g *graph.Graph, cfg Config, ext *phasecache.Cache, extOwned bool, s
 	}
 	p.cfg = cfg
 	if _, fast := cfg.Backend.(mm.Fast); !fast {
-		// Only the Fast backend can consume the caches (see Sample); skip the
-		// O(n^3 log l) table build the warm path would never read.
+		// Only the Fast backend can consume the phase-0 state (see Sample);
+		// skip the O(n^3 log l) table build the warm path would never read.
 		return p, nil
-	}
-	if extOwned {
-		p.cache, p.cacheScope = ext, scope
-	} else if cfg.PhaseCacheMB > 0 {
-		p.cache = phasecache.New(int64(cfg.PhaseCacheMB) << 20)
 	}
 
 	members := make([]int, n)
@@ -149,29 +106,22 @@ func PrepareExact(g *graph.Graph, cfg Config) (*Prepared, error) {
 
 // SampleOpts adjusts one Prepared draw without touching the prepared state.
 type SampleOpts struct {
-	// NoPhaseCache bypasses the later-phase cache for this draw (neither
-	// read nor populated); the phase-0 precomputation is still reused.
-	NoPhaseCache bool
 	// Fidelity overrides the prepared Config's SimFidelity for this draw
 	// ("" keeps the configured mode). Trees and Stats are byte-identical
 	// across fidelities; the knob exists for per-request audits.
 	Fidelity clique.Fidelity
 	// Trace, when non-nil, receives observation spans for this draw: one per
-	// phase, one per clique superstep (with charged rounds/words attached),
-	// and one per phase-cache consult. TraceTag labels the spans (the engine
-	// passes the sample index). Like the knobs above, tracing never changes
-	// the tree or Stats — observation does not feed back into sampling.
+	// phase and one per clique superstep (with charged rounds/words
+	// attached). TraceTag labels the spans (the engine passes the sample
+	// index). Like Fidelity, tracing never changes the tree or Stats —
+	// observation does not feed back into sampling.
 	Trace    *obs.Trace
 	TraceTag int64
 }
 
 // SampleWith is Sample with per-draw options.
 func (p *Prepared) SampleWith(src *prng.Source, opts SampleOpts) (*spanning.Tree, *Stats, error) {
-	cache := p.cache
-	if opts.NoPhaseCache {
-		cache = nil
-	}
-	return p.sample(src, cache, opts.Fidelity, opts.Trace, opts.TraceTag)
+	return p.sample(src, opts.Fidelity, opts.Trace, opts.TraceTag)
 }
 
 // Graph returns the graph this state was prepared for.
@@ -181,25 +131,14 @@ func (p *Prepared) Graph() *graph.Graph { return p.g }
 func (p *Prepared) Config() Config { return p.cfg }
 
 // Sample draws a spanning tree exactly like the package-level Sample, but
-// reuses the cached phase-0 precomputation — and, when the phase cache is
-// enabled, any memoized later-phase state — instead of rebuilding it. The
+// reuses the cached phase-0 precomputation instead of rebuilding it. The
 // skipped matrix squarings are still charged to the simulated clique (see
-// mm.ReplayDyadicTable and mm.ChargeSchurShortcutBuild), so Stats remains
-// identical to cold runs, hit or miss.
+// mm.ReplayDyadicTable), so Stats remains identical to cold runs.
 func (p *Prepared) Sample(src *prng.Source) (*spanning.Tree, *Stats, error) {
-	return p.sample(src, p.cache, "", nil, 0)
+	return p.sample(src, "", nil, 0)
 }
 
-// SampleUncached is Sample with the later-phase cache bypassed (neither read
-// nor populated); the phase-0 precomputation is still reused. It exists for
-// A/B measurement — engine requests opt in via SamplerSpec.NoPhaseCache —
-// and as a living proof of the cache's contract: its output and Stats are
-// byte-identical to Sample's for every seed.
-func (p *Prepared) SampleUncached(src *prng.Source) (*spanning.Tree, *Stats, error) {
-	return p.sample(src, nil, "", nil, 0)
-}
-
-func (p *Prepared) sample(src *prng.Source, cache *phasecache.Cache, fid clique.Fidelity, tr *obs.Trace, tag int64) (*spanning.Tree, *Stats, error) {
+func (p *Prepared) sample(src *prng.Source, fid clique.Fidelity, tr *obs.Trace, tag int64) (*spanning.Tree, *Stats, error) {
 	if src == nil {
 		return nil, nil, fmt.Errorf("core: nil randomness source")
 	}
@@ -214,9 +153,5 @@ func (p *Prepared) sample(src *prng.Source, cache *phasecache.Cache, fid clique.
 	if fid != "" {
 		cfg.SimFidelity = fid
 	}
-	return sampleLoop(p.g, cfg, src, p, cache, tr, tag)
+	return sampleLoop(p.g, cfg, src, p, tr, tag)
 }
-
-// CacheStats reports the later-phase cache's counters (the zero value when
-// the cache is disabled).
-func (p *Prepared) CacheStats() phasecache.Stats { return p.cache.Stats() }

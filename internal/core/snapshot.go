@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/matrix"
 	"repro/internal/mm"
-	"repro/internal/phasecache"
 	"repro/internal/schur"
 )
 
@@ -34,10 +33,9 @@ var ErrNoSnapshot = errors.New("core: prepared state has no snapshot")
 // across processes.
 //
 // Deliberately excluded: SimFidelity (charged and full execution are
-// byte-identical by the PR 4 contract), PhaseCacheMB (cache sizing trades
-// throughput, never bytes), and KernelWorkers (within-sample parallelism is
-// byte-identical for every worker count, so a snapshot taken at one count
-// serves all others). Backend and Matching contribute their concrete types —
+// byte-identical by the fidelity contract) and KernelWorkers (within-sample
+// parallelism is byte-identical for every worker count, so a snapshot taken
+// at one count serves all others). Backend and Matching contribute their concrete types —
 // each named implementation is deterministic, so the type is the behavior;
 // the %T verb ignores field values, which keeps Fast{Workers} out of the key
 // by construction.
@@ -86,7 +84,7 @@ func (p *Prepared) Snapshot() ([]byte, error) {
 // equivalent (graph, Config) pair, skipping the phase-0 matrix squarings
 // entirely — the zero-warmup restart path. The restored Prepared is
 // indistinguishable from a fresh Prepare: identical artifacts bit-for-bit,
-// identical cache wiring, so every SampleWith draws byte-identical trees AND
+// so every SampleWith draws byte-identical trees AND
 // Stats (the replayed round charges read the same table the cold path would
 // have built).
 //
@@ -96,7 +94,7 @@ func (p *Prepared) Snapshot() ([]byte, error) {
 // different graph or config, or a damaged payload that slipped past outer
 // checksums — fails with an error; callers fall back to a cold Prepare.
 func RestorePrepared(g *graph.Graph, cfg Config, data []byte) (*Prepared, error) {
-	return restore(g, cfg, data, nil, false, 0)
+	return restore(g, cfg, data)
 }
 
 // RestorePreparedExact is RestorePrepared under SampleExact's configuration
@@ -105,27 +103,12 @@ func RestorePreparedExact(g *graph.Graph, cfg Config, data []byte) (*Prepared, e
 	if g == nil {
 		return nil, fmt.Errorf("core: nil graph")
 	}
-	return restore(g, exactConfig(g.N(), cfg), data, nil, false, 0)
-}
-
-// RestorePreparedWithCache is RestorePrepared borrowing an externally owned
-// later-phase cache, matching PrepareWithCache.
-func RestorePreparedWithCache(g *graph.Graph, cfg Config, data []byte, cache *phasecache.Cache, scope uint64) (*Prepared, error) {
-	return restore(g, cfg, data, cache, true, scope)
-}
-
-// RestorePreparedExactWithCache is RestorePreparedExact borrowing an
-// externally owned later-phase cache, matching PrepareExactWithCache.
-func RestorePreparedExactWithCache(g *graph.Graph, cfg Config, data []byte, cache *phasecache.Cache, scope uint64) (*Prepared, error) {
-	if g == nil {
-		return nil, fmt.Errorf("core: nil graph")
-	}
-	return restore(g, exactConfig(g.N(), cfg), data, cache, true, scope)
+	return restore(g, exactConfig(g.N(), cfg), data)
 }
 
 // restore mirrors prepare step for step, decoding the phase-0 artifacts
 // instead of computing them.
-func restore(g *graph.Graph, cfg Config, data []byte, ext *phasecache.Cache, extOwned bool, scope uint64) (*Prepared, error) {
+func restore(g *graph.Graph, cfg Config, data []byte) (*Prepared, error) {
 	if g == nil {
 		return nil, fmt.Errorf("core: nil graph")
 	}
@@ -143,13 +126,6 @@ func restore(g *graph.Graph, cfg Config, data []byte, ext *phasecache.Cache, ext
 	if _, fast := cfg.Backend.(mm.Fast); !fast {
 		return nil, fmt.Errorf("core: restore: snapshots exist only under the fast backend: %w", ErrNoSnapshot)
 	}
-	p := &Prepared{g: g, cfg: cfg, n: n}
-	if extOwned {
-		p.cache, p.cacheScope = ext, scope
-	} else if cfg.PhaseCacheMB > 0 {
-		p.cache = phasecache.New(int64(cfg.PhaseCacheMB) << 20)
-	}
-
 	if len(data) < 20 {
 		return nil, fmt.Errorf("core: restore: truncated snapshot (%d bytes)", len(data))
 	}
@@ -197,22 +173,5 @@ func restore(g *graph.Graph, cfg Config, data []byte, ext *phasecache.Cache, ext
 	if err != nil {
 		return nil, err
 	}
-	p.sub0, p.q0, p.pd0 = sub, q, pd
-	return p, nil
-}
-
-// ExportPhaseCache serializes up to maxBytes (<= 0: unlimited) of this
-// Prepared's resident later-phase cache entries, hottest first — the
-// graceful-drain flush that lets the next process start with a warm cache.
-// A Prepared without a cache exports nothing. See phasecache.Export for the
-// format and determinism contract.
-func (p *Prepared) ExportPhaseCache(maxBytes int64) ([]byte, int, error) {
-	return p.cache.Export(p.cacheScope, maxBytes)
-}
-
-// ImportPhaseCache installs previously exported entries into this Prepared's
-// later-phase cache under its own scope, preserving their hotness order.
-// Returns the number of entries installed (0 without a cache).
-func (p *Prepared) ImportPhaseCache(data []byte) (int, error) {
-	return p.cache.Import(p.cacheScope, data)
+	return &Prepared{g: g, cfg: cfg, n: n, sub0: sub, q0: q, pd0: pd}, nil
 }

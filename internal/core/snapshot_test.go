@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/mm"
-	"repro/internal/phasecache"
 	"repro/internal/prng"
 )
 
@@ -110,35 +109,6 @@ func TestSnapshotRestoreExact(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestoreWithSharedCache(t *testing.T) {
-	g := chordedCycle(t)
-	cfg := Config{WalkLength: 64}
-	cache := phasecache.New(8 << 20)
-	cold, err := PrepareWithCache(g, cfg, cache, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := cold.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := RestorePreparedWithCache(g, cfg, snap, cache, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, cs, err := cold.Sample(prng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wt, ws, err := warm.Sample(prng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct.Encode() != wt.Encode() || !reflect.DeepEqual(cs, ws) {
-		t.Fatal("shared-cache restore diverges from cold prepare")
-	}
-}
-
 func TestSnapshotUnavailable(t *testing.T) {
 	single := graph.MustNew(1)
 	p, err := Prepare(single, Config{})
@@ -209,12 +179,12 @@ func TestFingerprint(t *testing.T) {
 		t.Fatal("fingerprint not deterministic")
 	}
 	// Output-irrelevant knobs do not move the fingerprint.
-	same, err := Config{SimFidelity: "full", PhaseCacheMB: -1}.Fingerprint(9)
+	same, err := Config{SimFidelity: "full", KernelWorkers: 2}.Fingerprint(9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if same != fp {
-		t.Fatal("SimFidelity/PhaseCacheMB moved the fingerprint")
+		t.Fatal("SimFidelity/KernelWorkers moved the fingerprint")
 	}
 	// Output-relevant knobs do.
 	for name, c := range map[string]Config{

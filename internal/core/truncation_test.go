@@ -36,7 +36,7 @@ func TestDistributedTruncationMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim := clique.MustNew(n)
-		r, err := newPhaseRunner(sim, g, cfg, sub, 0, 0, nil, src.Split(7), &Stats{}, nil, nil, nil)
+		r, err := newPhaseRunner(sim, g, cfg, sub, 0, 0, nil, src.Split(7), &Stats{}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func bruteForceTruncation(r *phaseRunner) int64 {
 	occ := make(map[pairKey]int)
 	for j := 1; j <= k; j++ {
 		key := r.slotPair[j]
-		ps := r.findPair(r.pairRank[key], key.p, key.q)
+		ps := r.findPair(r.sc.pairMachine[r.slotIdx[j]], key.p, key.q)
 		filled = append(filled, r.walk[j-1], ps.seq[occ[key]])
 		occ[key]++
 	}
@@ -118,7 +118,7 @@ func TestCheckTruncationMonotone(t *testing.T) {
 	}
 	for trial := 0; trial < 10; trial++ {
 		sim := clique.MustNew(8)
-		r, err := newPhaseRunner(sim, g, cfg, sub, 0, 0, nil, src.Split(uint64(trial)), &Stats{}, nil, nil, nil)
+		r, err := newPhaseRunner(sim, g, cfg, sub, 0, 0, nil, src.Split(uint64(trial)), &Stats{}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

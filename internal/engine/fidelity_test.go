@@ -70,100 +70,6 @@ func TestSimFidelitySpecValidation(t *testing.T) {
 	}
 }
 
-// TestEngineGlobalPhaseCacheBudget exercises the engine-wide cache: one
-// byte budget shared across every registered graph (and the exact variant's
-// scope), reported once in Metrics, with outputs identical to the per-graph
-// cache configuration.
-func TestEngineGlobalPhaseCacheBudget(t *testing.T) {
-	const totalMB = 96
-	shared := New(Options{PhaseCacheTotalMB: totalMB})
-	perGraph := New(Options{})
-	for _, e := range []*Engine{shared, perGraph} {
-		if err := e.RegisterFamily("a", "expander", 20, 3); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.RegisterFamily("b", "er", 18, 5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	req := StreamRequest{K: 4, Spec: SamplerSpec{Name: SamplerPhase}, SeedBase: 11}
-	collect := func(e *Engine, key string) *BatchResult {
-		t.Helper()
-		sess, err := e.Open(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sess.Collect(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	for _, key := range []string{"a", "b"} {
-		got := collect(shared, key)
-		want := collect(perGraph, key)
-		for i := range got.Trees {
-			if got.Trees[i].Encode() != want.Trees[i].Encode() {
-				t.Errorf("graph %q tree %d differs between shared and per-graph caches", key, i)
-			}
-		}
-		if !reflect.DeepEqual(got.Stats, want.Stats) {
-			t.Errorf("graph %q stats differ between shared and per-graph caches", key)
-		}
-	}
-	// Exact sampler on the same shared budget: its scope must not collide
-	// with the phase sampler's.
-	exactReq := StreamRequest{K: 2, Spec: SamplerSpec{Name: SamplerExact}, SeedBase: 11}
-	sess, err := shared.Open("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Collect(context.Background(), exactReq); err != nil {
-		t.Fatal(err)
-	}
-
-	m := shared.Metrics().PhaseCache
-	if m.CapacityBytes != int64(totalMB)<<20 {
-		t.Errorf("shared capacity %d, want %d (one budget, not per graph)", m.CapacityBytes, int64(totalMB)<<20)
-	}
-	if m.Bytes > m.CapacityBytes {
-		t.Errorf("resident bytes %d exceed the global budget %d", m.Bytes, m.CapacityBytes)
-	}
-	if m.Misses == 0 {
-		t.Error("shared cache saw no traffic")
-	}
-
-	// A repeated identical batch on one graph replays from the shared cache.
-	before := shared.Metrics().PhaseCache.Hits
-	collect(shared, "a")
-	if after := shared.Metrics().PhaseCache.Hits; after <= before {
-		t.Errorf("repeat batch did not hit the shared cache (hits %d -> %d)", before, after)
-	}
-}
-
-// TestEngineGlobalBudgetEviction registers more working set than the budget
-// holds and checks the LRU arbitrates instead of growing without bound.
-func TestEngineGlobalBudgetEviction(t *testing.T) {
-	e := New(Options{PhaseCacheTotalMB: 1})
-	if err := e.RegisterFamily("a", "expander", 24, 3); err != nil {
-		t.Fatal(err)
-	}
-	sess, err := e.Open("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Collect(context.Background(), StreamRequest{K: 12, Spec: SamplerSpec{Name: SamplerPhase}, SeedBase: 1}); err != nil {
-		t.Fatal(err)
-	}
-	m := e.Metrics().PhaseCache
-	if m.Bytes > m.CapacityBytes {
-		t.Errorf("resident bytes %d exceed tiny budget %d", m.Bytes, m.CapacityBytes)
-	}
-	if m.Evictions == 0 && m.Rejected == 0 {
-		t.Error("over-budget working set evicted nothing")
-	}
-}
-
 // TestEngineFidelityUnknownGraphStillFirst keeps error precedence intact
 // with the new spec field present.
 func TestEngineFidelityUnknownGraphStillFirst(t *testing.T) {

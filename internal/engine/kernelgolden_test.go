@@ -82,8 +82,8 @@ func TestKernelVariantDeterminismGolden(t *testing.T) {
 
 // TestKernelWorkersCoreLayerGolden exercises the knob below the engine: a
 // direct core.Prepare + SampleWith sweep over worker counts and both kernel
-// variants, against a warm and a cold (cache-bypassed) draw. This is the
-// layer where the parallel squarings and batched Schur solves actually run.
+// variants. This is the layer where the parallel squarings and batched Schur
+// solves actually run.
 func TestKernelWorkersCoreLayerGolden(t *testing.T) {
 	g, err := graph.FromFamily("expander", 20, prng.New(3))
 	if err != nil {
@@ -93,7 +93,7 @@ func TestKernelWorkersCoreLayerGolden(t *testing.T) {
 		tree  string
 		stats core.Stats
 	}
-	sample := func(kw int, opts core.SampleOpts) []draw {
+	sample := func(kw int) []draw {
 		t.Helper()
 		p, err := core.Prepare(g, core.Config{WalkLength: 256, KernelWorkers: kw})
 		if err != nil {
@@ -102,7 +102,7 @@ func TestKernelWorkersCoreLayerGolden(t *testing.T) {
 		out := make([]draw, 4)
 		base := prng.New(13)
 		for i := range out {
-			tree, stats, err := p.SampleWith(base.Split(uint64(i)), opts)
+			tree, stats, err := p.SampleWith(base.Split(uint64(i)), core.SampleOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,15 +111,12 @@ func TestKernelWorkersCoreLayerGolden(t *testing.T) {
 		return out
 	}
 	defer matrix.SetKernel(matrix.KernelBlocked)
-	want := sample(1, core.SampleOpts{})
+	want := sample(1)
 	for _, k := range []matrix.Kernel{matrix.KernelBlocked, matrix.KernelScalar} {
 		matrix.SetKernel(k)
 		for _, kw := range []int{1, 2, runtime.GOMAXPROCS(0), 7} {
-			for _, opts := range []core.SampleOpts{{}, {NoPhaseCache: true}} {
-				got := sample(kw, opts)
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("kernel=%v workers=%d opts=%+v: draws differ from reference", k, kw, opts)
-				}
+			if got := sample(kw); !reflect.DeepEqual(want, got) {
+				t.Errorf("kernel=%v workers=%d: draws differ from reference", k, kw)
 			}
 		}
 	}

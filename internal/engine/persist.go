@@ -3,19 +3,15 @@ package engine
 import (
 	"repro/internal/blobstore"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/graph"
-	"repro/internal/phasecache"
 )
 
 // Artifact kinds in the durable store. The kind is part of the content
-// address, so the four artifact families can never be confused for one
-// another even under identical (graph, config) identities.
+// address, so the two sampler variants' snapshots can never be confused for
+// one another even under identical (graph, config) identities.
 const (
-	kindPreparedPhase   = "prepared/phase"
-	kindPreparedExact   = "prepared/exact"
-	kindPhaseCachePhase = "phasecache/phase"
-	kindPhaseCacheExact = "phasecache/exact"
+	kindPreparedPhase = "prepared/phase"
+	kindPreparedExact = "prepared/exact"
 )
 
 // hydrate rehydrates the registry from the store's manifest at construction.
@@ -93,61 +89,42 @@ func (e *Engine) forgetRegistration(key string) {
 	}
 }
 
-// artifactKeys derives the content addresses of one entry's prepared
-// snapshot and exported phase cache for the given sampler variant. ok is
-// false when the config cannot be fingerprinted at this graph's size (the
-// cold path will surface the same validation error to the caller).
-func (e *Engine) artifactKeys(ent *entry, exact bool) (prepKey, cacheKey blobstore.Key, ok bool) {
+// snapshotKey derives the artifact kind and content address of one entry's
+// prepared snapshot for the given sampler variant. ok is false when the
+// config cannot be fingerprinted at this graph's size (the cold path will
+// surface the same validation error to the caller).
+func (e *Engine) snapshotKey(ent *entry, exact bool) (key blobstore.Key, kind string, ok bool) {
 	var (
 		fp  string
 		err error
 	)
+	kind = kindPreparedPhase
 	if exact {
+		kind = kindPreparedExact
 		fp, err = core.FingerprintExact(e.cfg, ent.g.N())
 	} else {
 		fp, err = e.cfg.Fingerprint(ent.g.N())
 	}
 	if err != nil {
-		return blobstore.Key{}, blobstore.Key{}, false
+		return blobstore.Key{}, "", false
 	}
-	digest := blobstore.GraphDigest(ent.g)
-	pKind, cKind := kindPreparedPhase, kindPhaseCachePhase
-	if exact {
-		pKind, cKind = kindPreparedExact, kindPhaseCacheExact
-	}
-	return blobstore.NewKey(pKind, core.PreparedSnapshotVersion, digest, fp),
-		blobstore.NewKey(cKind, phasecache.ExportVersion, digest, fp),
-		true
+	return blobstore.NewKey(kind, core.PreparedSnapshotVersion, blobstore.GraphDigest(ent.g), fp), kind, true
 }
 
-// coldPrepare is the pre-persistence build path: a full core.Prepare,
-// borrowing the engine-wide phase cache when one exists.
+// coldPrepare is the pre-persistence build path: a full core.Prepare.
 func (e *Engine) coldPrepare(ent *entry, exact bool) (*core.Prepared, error) {
-	switch {
-	case e.sharedCache != nil && exact:
-		return core.PrepareExactWithCache(ent.g, e.cfg, e.sharedCache, e.scopeSeq.Add(1))
-	case e.sharedCache != nil:
-		return core.PrepareWithCache(ent.g, e.cfg, e.sharedCache, e.scopeSeq.Add(1))
-	case exact:
+	if exact {
 		return core.PrepareExact(ent.g, e.cfg)
-	default:
-		return core.Prepare(ent.g, e.cfg)
 	}
+	return core.Prepare(ent.g, e.cfg)
 }
 
-// restorePrepared rebuilds a Prepared from a snapshot payload with exactly
-// the cache wiring coldPrepare would have used.
+// restorePrepared rebuilds a Prepared from a snapshot payload.
 func (e *Engine) restorePrepared(ent *entry, exact bool, payload []byte) (*core.Prepared, error) {
-	switch {
-	case e.sharedCache != nil && exact:
-		return core.RestorePreparedExactWithCache(ent.g, e.cfg, payload, e.sharedCache, e.scopeSeq.Add(1))
-	case e.sharedCache != nil:
-		return core.RestorePreparedWithCache(ent.g, e.cfg, payload, e.sharedCache, e.scopeSeq.Add(1))
-	case exact:
+	if exact {
 		return core.RestorePreparedExact(ent.g, e.cfg, payload)
-	default:
-		return core.RestorePrepared(ent.g, e.cfg, payload)
 	}
+	return core.RestorePrepared(ent.g, e.cfg, payload)
 }
 
 // buildPrepared produces the entry's Prepared for one sampler variant: from
@@ -164,18 +141,13 @@ func (e *Engine) buildPrepared(ent *entry, exact bool) (*core.Prepared, error) {
 	if e.store == nil {
 		return e.coldPrepare(ent, exact)
 	}
-	pKey, cKey, ok := e.artifactKeys(ent, exact)
+	pKey, pKind, ok := e.snapshotKey(ent, exact)
 	if !ok {
 		return e.coldPrepare(ent, exact)
-	}
-	pKind := kindPreparedPhase
-	if exact {
-		pKind = kindPreparedExact
 	}
 	if payload, err := e.store.Get(pKey, pKind, core.PreparedSnapshotVersion); err == nil {
 		p, rerr := e.restorePrepared(ent, exact, payload)
 		if rerr == nil {
-			e.importPhaseCache(p, cKey, exact)
 			return p, nil
 		}
 		// Decoded but contradicts the (graph, config) it is keyed under —
@@ -202,77 +174,11 @@ func (e *Engine) buildPrepared(ent *entry, exact bool) (*core.Prepared, error) {
 	return p, nil
 }
 
-// importPhaseCache warms a restored Prepared's later-phase cache from its
-// exported-cache blob, when one was flushed by a previous graceful drain.
-func (e *Engine) importPhaseCache(p *core.Prepared, key blobstore.Key, exact bool) {
-	kind := kindPhaseCachePhase
-	if exact {
-		kind = kindPhaseCacheExact
-	}
-	data, err := e.store.Get(key, kind, phasecache.ExportVersion)
-	if err != nil {
-		return
-	}
-	// Chaos site: corrupt the export payload between blob verification and
-	// import decode — the import layer's own framing checks are the defense.
-	data = faultinject.MutateBytes(faultinject.PointPhaseImport, data)
-	if _, ierr := p.ImportPhaseCache(data); ierr != nil {
-		// Partial imports are fine (frames already admitted stay warm and are
-		// verified content, not trust-the-blob state); the damaged blob itself
-		// is discarded so the next drain's flush rewrites it cleanly.
-		e.store.Discard(key, ierr)
-	}
-}
-
 // Close drains the engine's persistence: it waits for in-flight write-behind
-// snapshot saves, then flushes every touched Prepared's hot phase-cache
-// entries to the store so the next process starts warm (the graceful-drain
-// flush; a killed process simply loses the cache export, never correctness).
-// Without a durable store Close is a no-op. Close does not stop sampling —
-// callers stop serving first, then Close.
+// snapshot saves. Close does not stop sampling — callers stop serving first,
+// then Close. It returns nil: a failed save was already logged, and the next
+// process's cold build rewrites the snapshot.
 func (e *Engine) Close() error {
 	e.persistWG.Wait()
-	if e.store == nil {
-		return nil
-	}
-	var ents []*entry
-	e.reg.each(func(ent *entry) { ents = append(ents, ent) })
-	var firstErr error
-	for _, ent := range ents {
-		for _, exact := range []bool{false, true} {
-			p := ent.phase.Load()
-			if exact {
-				p = ent.exact.Load()
-			}
-			if p == nil {
-				continue
-			}
-			_, cKey, ok := e.artifactKeys(ent, exact)
-			if !ok {
-				continue
-			}
-			data, _, err := p.ExportPhaseCache(0)
-			if err != nil {
-				e.store.Logger().Warn("engine: exporting phase cache", "graph", ent.key, "err", err)
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			if data == nil {
-				continue // no cache on this Prepared
-			}
-			kind := kindPhaseCachePhase
-			if exact {
-				kind = kindPhaseCacheExact
-			}
-			if err := e.store.Put(cKey, kind, phasecache.ExportVersion, data); err != nil {
-				e.store.Logger().Warn("engine: flushing phase cache", "graph", ent.key, "err", err)
-				if firstErr == nil {
-					firstErr = err
-				}
-			}
-		}
-	}
-	return firstErr
+	return nil
 }

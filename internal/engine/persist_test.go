@@ -51,7 +51,7 @@ func TestKillRestartGolden(t *testing.T) {
 		if m1.Blobstore.Hits != 0 || m1.Blobstore.Misses < 2 {
 			t.Fatalf("w=%d first boot counters: %+v", w, m1.Blobstore)
 		}
-		// Graceful drain: waits out write-behind saves, flushes phase caches.
+		// Graceful drain: waits out write-behind saves.
 		if err := e1.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -222,48 +222,6 @@ func TestDeregisterDropsManifest(t *testing.T) {
 	}
 	if _, err := e2.Graph("a"); !errors.Is(err, ErrUnknownGraph) {
 		t.Fatalf("deregistered graph resurrected: %v", err)
-	}
-}
-
-// TestSharedCacheRestart runs the restart contract under the engine-wide
-// phase-cache budget (the serving configuration spantreed uses with
-// -phase-cache-total-mb), including the flushed-cache warm start.
-func TestSharedCacheRestart(t *testing.T) {
-	dir := t.TempDir()
-	req := StreamRequest{K: 4, Spec: SpecFor(SamplerPhase), SeedBase: 3, Workers: 2}
-	open := func() *Engine {
-		store, err := blobstore.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return New(Options{Workers: 2, Config: core.Config{WalkLength: 256}, PhaseCacheTotalMB: 32, Store: store})
-	}
-	e1 := open()
-	if err := e1.RegisterFamily("g", "expander", 16, 3); err != nil {
-		t.Fatal(err)
-	}
-	cold, err := collectBatch(e1, "g", req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	e2 := open()
-	warm, err := collectBatch(e2, "g", req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(encodeAll(cold), encodeAll(warm)) || !reflect.DeepEqual(cold.Stats, warm.Stats) {
-		t.Fatal("shared-cache restart diverges")
-	}
-	if m := e2.Metrics(); m.Blobstore.Misses != 0 || m.Blobstore.Hits < 1 {
-		t.Fatalf("shared-cache restart counters: %+v", m.Blobstore)
-	}
-	// The flushed phase cache warms the second process: its first batch
-	// already sees hits for the later-phase subsets the first process built.
-	if m := e2.Metrics(); m.PhaseCache.Hits == 0 {
-		t.Fatalf("flushed phase cache not imported: %+v", m.PhaseCache)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/phasecache"
 	"repro/internal/prng"
 	"repro/internal/spanning"
 )
@@ -28,11 +27,11 @@ type entry struct {
 	g   *graph.Graph
 
 	phaseOnce sync.Once
-	phase     atomic.Pointer[core.Prepared] // published for lock-free metrics reads
+	phase     *core.Prepared
 	phaseErr  error
 
 	exactOnce sync.Once
-	exact     atomic.Pointer[core.Prepared] // published for lock-free metrics reads
+	exact     *core.Prepared
 	exactErr  error
 
 	countOnce sync.Once
@@ -58,33 +57,22 @@ func (ent *entry) digest() string {
 
 // prepared returns the entry's cached phase-sampler precomputation,
 // building it on first use: restored from the engine's durable store when a
-// valid snapshot exists, cold otherwise (see Engine.buildPrepared). With an
-// engine-wide phase-cache budget the Prepared borrows the shared cache under
-// a fresh scope instead of building a private one.
+// valid snapshot exists, cold otherwise (see Engine.buildPrepared).
 func (ent *entry) prepared(e *Engine) (*core.Prepared, error) {
 	ent.phaseOnce.Do(func() {
-		p, err := e.buildPrepared(ent, false)
-		ent.phaseErr = err
-		if err == nil {
-			ent.phase.Store(p)
-		}
+		ent.phase, ent.phaseErr = e.buildPrepared(ent, false)
 	})
-	return ent.phase.Load(), ent.phaseErr
+	return ent.phase, ent.phaseErr
 }
 
 // preparedExact is prepared for the appendix's exact variant, which uses a
-// different distinct-vertex budget and therefore its own power table (and,
-// under a shared cache, its own scope — exact and phase entries never
-// alias; in the durable store they live under different artifact kinds).
+// different distinct-vertex budget and therefore its own power table (in the
+// durable store it lives under a different artifact kind).
 func (ent *entry) preparedExact(e *Engine) (*core.Prepared, error) {
 	ent.exactOnce.Do(func() {
-		p, err := e.buildPrepared(ent, true)
-		ent.exactErr = err
-		if err == nil {
-			ent.exact.Store(p)
-		}
+		ent.exact, ent.exactErr = e.buildPrepared(ent, true)
 	})
-	return ent.exact.Load(), ent.exactErr
+	return ent.exact, ent.exactErr
 }
 
 // preparedTraced is prepared wrapped in an "engine/prepare" span: on the
@@ -104,20 +92,6 @@ func (ent *entry) preparedExactTraced(e *Engine, tr *obs.Trace) (*core.Prepared,
 	p, err := ent.preparedExact(e)
 	sp.End()
 	return p, err
-}
-
-// cacheStats folds the entry's phase-sampler and exact-sampler later-phase
-// cache counters (each Prepared owns one cache; either may not exist yet —
-// precomputation is lazy, so only published pointers are read).
-func (ent *entry) cacheStats() phasecache.Stats {
-	var s phasecache.Stats
-	if p := ent.phase.Load(); p != nil {
-		s = s.Add(p.CacheStats())
-	}
-	if p := ent.exact.Load(); p != nil {
-		s = s.Add(p.CacheStats())
-	}
-	return s
 }
 
 // treeCount returns the exact spanning tree count (Matrix-Tree), cached.

@@ -46,13 +46,6 @@ type SamplerSpec struct {
 	// (default 0). Only valid with SamplerAldousBroder and SamplerWilson;
 	// the tree distribution is root-independent, but the per-seed tree is not.
 	Root int `json:"root,omitempty"`
-	// NoPhaseCache bypasses the later-phase state cache for this request
-	// (neither read nor populated); the phase-0 precomputation is still
-	// reused. Outputs and Stats are byte-identical either way — the knob
-	// exists for A/B measurement (warm-vs-cold benchmarks, cache-suspect
-	// debugging), not correctness. Only valid with SamplerPhase and
-	// SamplerExact, the samplers that have later-phase state.
-	NoPhaseCache bool `json:"no_phase_cache,omitempty"`
 	// Weight is the stream's share of the engine-wide worker pool when
 	// concurrent streams contend for slots: over any contended interval a
 	// stream receives slot grants proportional to its weight (0: the fair
@@ -78,8 +71,8 @@ type SamplerSpec struct {
 	// clique samplers: "" or "charged" (the serving default) charges the hot
 	// supersteps analytically from their communication patterns; "full"
 	// materializes every message — the audit mode. Trees and Stats are
-	// byte-identical across modes; like NoPhaseCache, the knob exists for
-	// A/B verification, not correctness. Only valid with SamplerPhase,
+	// byte-identical across modes; the knob exists for A/B verification, not
+	// correctness. Only valid with SamplerPhase,
 	// SamplerExact, and SamplerLowCover, the samplers that run on the
 	// simulated clique.
 	SimFidelity string `json:"sim_fidelity,omitempty"`
@@ -120,9 +113,6 @@ func (s SamplerSpec) normalized() (SamplerSpec, error) {
 	}
 	if s.Root > 0 && s.Name != SamplerAldousBroder && s.Name != SamplerWilson {
 		return s, fmt.Errorf("engine: root only applies to %q and %q, not %q", SamplerAldousBroder, SamplerWilson, s.Name)
-	}
-	if s.NoPhaseCache && s.Name != SamplerPhase && s.Name != SamplerExact {
-		return s, fmt.Errorf("engine: no_phase_cache only applies to %q and %q, not %q", SamplerPhase, SamplerExact, s.Name)
 	}
 	if s.Weight < 0 || math.IsNaN(s.Weight) || math.IsInf(s.Weight, 0) {
 		return s, fmt.Errorf("engine: stream weight must be a finite value >= 0, got %g", s.Weight)

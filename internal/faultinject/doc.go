@@ -2,8 +2,8 @@
 // engine's chaos suite: named injection sites threaded through the layers
 // whose failures the serving stack must degrade through — blobstore I/O
 // (read error, short read, slow read, corruption before and after the
-// checksum window), phase-cache import, scheduler slot grants, and sampler
-// execution (including panics).
+// checksum window), scheduler slot grants, sampler execution (including
+// panics), and the client and router network legs.
 //
 // Contract: the package is nil-safe and effectively free when disarmed —
 // every Hook/MutateBytes call is a single atomic load and return until a

@@ -34,9 +34,6 @@ const (
 	// PointBlobPut fires at the top of blobstore.Put: an Err models a failed
 	// snapshot write (the save is dropped with a warning; serving continues).
 	PointBlobPut Point = "blobstore/put"
-	// PointPhaseImport mutates a phase-cache export payload before
-	// phasecache.Import decodes it on restart.
-	PointPhaseImport Point = "phasecache/import"
 	// PointSchedAcquire fires after a stream sample is granted a worker-pool
 	// slot: an Err fails that sample (the stream aborts with a typed error),
 	// a Delay models a stalled grant.
@@ -63,7 +60,6 @@ var points = map[Point]struct{}{
 	PointBlobReadBytes: {},
 	PointBlobPayload:   {},
 	PointBlobPut:       {},
-	PointPhaseImport:   {},
 	PointSchedAcquire:  {},
 	PointSample:        {},
 	PointClientDo:      {},

@@ -27,16 +27,26 @@ func (g *Graph) Laplacian() *matrix.Matrix {
 // undefined there.
 func (g *Graph) TransitionMatrix() (*matrix.Matrix, error) {
 	p := matrix.MustNew(g.n, g.n)
+	if err := g.TransitionMatrixInto(p); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// TransitionMatrixInto writes P into p, which must be a zeroed n x n matrix:
+// the allocation-free form of TransitionMatrix for callers holding scratch
+// storage.
+func (g *Graph) TransitionMatrixInto(p *matrix.Matrix) error {
 	for u := 0; u < g.n; u++ {
 		if g.degree[u] <= 0 {
-			return nil, fmt.Errorf("graph: vertex %d is isolated; random walk undefined", u)
+			return fmt.Errorf("graph: vertex %d is isolated; random walk undefined", u)
 		}
 		inv := 1 / g.degree[u]
 		for _, h := range g.adj[u] {
 			p.Set(u, h.To, h.Weight*inv)
 		}
 	}
-	return p, nil
+	return nil
 }
 
 // SpanningTreeCount returns the exact number of spanning trees via the

@@ -74,6 +74,12 @@ func (Exact) Sample(w *matrix.Matrix, src *prng.Source) ([]int, error) {
 			sub.Release()
 			return nil, err
 		}
+		// The permanent of a non-negative matrix is non-negative, but Ryser's
+		// inclusion-exclusion can cancel a true 0 to a small negative residue
+		// (scaled by the entries, so Permanent's absolute clamp can miss it).
+		// Clamp here and for each minor below, so a structurally impossible
+		// column gets weight 0 instead of failing the draw.
+		total = max(total, 0)
 		if total <= 0 {
 			sub.Release()
 			return nil, fmt.Errorf("matching: zero permanent — no positive-weight perfect matching remains")
@@ -90,7 +96,7 @@ func (Exact) Sample(w *matrix.Matrix, src *prng.Source) ([]int, error) {
 				sub.Release()
 				return nil, err
 			}
-			stepWeights[cj] = wij * minor
+			stepWeights[cj] = wij * max(minor, 0)
 		}
 		sub.Release()
 		choice, err := src.WeightedIndex(stepWeights)

@@ -189,6 +189,36 @@ func TestForcedMatching(t *testing.T) {
 	}
 }
 
+// TestExactNegativeRyserMinor: column 2 is zero below row 0, so row 0 must
+// take column 2 and the (0,3) minor, which keeps that zero column, is exactly
+// 0. Ryser's inclusion-exclusion rounds it to about -1e-9, below the
+// permanent's own residue clamp; the sampler must treat it as 0 rather than
+// fail on a negative weight.
+func TestExactNegativeRyserMinor(t *testing.T) {
+	w, err := matrix.FromRows([][]float64{
+		{52.8, 85.2, 3.7, 32.3},
+		{68.9, 91.5, 0, 18.7},
+		{97, 97.9, 0, 40.9},
+		{93.7, 91.6, 0, 81.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := matrix.PermanentMinor(w, 0, 3); err != nil || m >= 0 {
+		t.Fatalf("premise: Ryser minor (0,3) = %g, %v; want a negative rounding residue", m, err)
+	}
+	src := prng.New(5)
+	for i := 0; i < 20; i++ {
+		perm, err := (Exact{}).Sample(w, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if perm[0] != 2 {
+			t.Fatalf("sampled %v, row 0 can only take column 2", perm)
+		}
+	}
+}
+
 func TestInfeasibleInstance(t *testing.T) {
 	// A zero row: no perfect matching.
 	w := matrix.MustNew(3, 3)

@@ -16,8 +16,7 @@ import (
 // output element the blocked kernel performs exactly the scalar kernel's
 // operation sequence — terms added in ascending k with the f == 0 skip —
 // only the loop nest around that sequence changes. The scalar kernel stays
-// selectable as the audit oracle and the A/B baseline for
-// `benchcache -mode kernels`; the differential tests in kernels pin the
+// selectable as the audit oracle; the differential tests in kernels pin the
 // bit-exact equivalence against an independent naive reference.
 
 // Kernel names a dense-kernel implementation.
@@ -38,8 +37,8 @@ const (
 var activeKernel atomic.Int32
 
 // SetKernel selects the dense-kernel implementation process-wide. It exists
-// for A/B measurement (benchcache's kernels mode) and differential testing;
-// production code has no reason to leave the default. Safe for concurrent
+// for differential testing; production code has no reason to leave the
+// default. Safe for concurrent
 // use; outputs are byte-identical across variants by contract.
 func SetKernel(k Kernel) { activeKernel.Store(int32(k)) }
 
@@ -99,11 +98,12 @@ func runRows(rows, workers int, flopsPerRow int64, fn func(lo, hi int)) {
 // MulWorkers is Mul with the output rows computed by up to workers
 // goroutines. The product is byte-identical to Mul for every worker count.
 func (m *Matrix) MulWorkers(o *Matrix, workers int) (*Matrix, error) {
-	out, err := New(m.rows, o.cols)
-	if err != nil {
-		return nil, err
-	}
+	// The product comes from the scratch pool so that short-lived products
+	// (a sample's per-phase power tables) can be recycled with Release; a
+	// caller that keeps the product simply never releases it.
+	out := Scratch(m.rows, o.cols)
 	if err := MulIntoWorkers(out, m, o, workers); err != nil {
+		out.Release()
 		return nil, err
 	}
 	return out, nil

@@ -105,6 +105,14 @@ func NewPowerDyadicWorkers(m *Matrix, maxExp int, delta float64, workers int) (*
 	return &PowerDyadic{Pows: pows, Delta: delta}, nil
 }
 
+// Release returns every power's storage to the scratch pool. The table must
+// not be used afterwards.
+func (pd *PowerDyadic) Release() {
+	for _, p := range pd.Pows {
+		p.Release()
+	}
+}
+
 // MaxExp reports the largest exponent e such that Power(1<<e) is available.
 func (pd *PowerDyadic) MaxExp() int { return len(pd.Pows) - 1 }
 

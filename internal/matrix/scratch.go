@@ -1,21 +1,26 @@
 package matrix
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
 
 // The scratch pool recycles the backing arrays of short-lived matrices — the
 // transient intermediates of Schur elimination, absorbing-chain solves, and
-// repeated squaring — so the sampler's per-phase steady state stops paying
-// allocator and GC cost for buffers it discards microseconds later. Long-
-// lived matrices (cached power tables, returned results) must NOT go through
-// the pool; they are owned by their holders.
+// repeated squaring, and a sampler phase's own Schur, shortcut and power
+// matrices — so the sampler's per-phase steady state stops paying allocator
+// and GC cost for buffers it discards soon after. A pooled matrix that is
+// never released is an ordinary matrix, so long-lived holders (a Prepared's
+// phase-0 table) simply keep theirs; the one rule is that a matrix is
+// released only by its last user.
 //
-// The pool stores bare float64 slices and matches by capacity: a request is
-// served by any pooled slice large enough, so the shrinking per-phase
-// dimensions of a sampler run all reuse the first (largest) buffers.
-var scratchPool sync.Pool
+// The pool stores bare float64 slices in power-of-two size classes: class c
+// holds slices with capacity at least 1<<c, and a request for need floats is
+// served from class ceil(log2(need)), so every pooled slice it gets fits.
+// One pool across all sizes would hand a large request the small buffer a
+// previous phase released, over and over, and allocate fresh each time.
+var scratchPools [bits.UintSize]sync.Pool
 
 // Pool counters, exposed via ReadPoolStats for the engine's metrics surface.
 var (
@@ -42,30 +47,22 @@ func ReadPoolStats() PoolStats {
 }
 
 // Scratch returns a zeroed rows x cols matrix whose storage may come from
-// the pool. The caller owns it until Release; it must not be retained past
-// Release, stored in caches, or returned across package boundaries.
+// the pool. The caller owns it until Release and must not use it afterwards;
+// a matrix handed to other code is released only once they are done with it.
 func Scratch(rows, cols int) *Matrix {
 	if rows <= 0 || cols <= 0 {
 		panic("matrix: invalid scratch dimensions")
 	}
 	need := rows * cols
+	class := bits.Len(uint(need - 1))
 	poolGets.Add(1)
-	if v := scratchPool.Get(); v != nil {
-		buf := v.([]float64)
-		if cap(buf) >= need {
-			poolReuses.Add(1)
-			buf = buf[:need]
-			for i := range buf {
-				buf[i] = 0
-			}
-			return &Matrix{rows: rows, cols: cols, data: buf}
-		}
-		// Too small for this request: put it back for smaller callers and
-		// allocate fresh. (Sampler phases shrink over time, so the common
-		// pattern is the reverse — the first, largest buffer serves all.)
-		scratchPool.Put(buf) //nolint:staticcheck // slice, not pointer: sizes vary
+	if v := scratchPools[class].Get(); v != nil {
+		poolReuses.Add(1)
+		buf := v.([]float64)[:need]
+		clear(buf)
+		return &Matrix{rows: rows, cols: cols, data: buf}
 	}
-	return &Matrix{rows: rows, cols: cols, data: make([]float64, need)}
+	return &Matrix{rows: rows, cols: cols, data: make([]float64, need, 1<<class)}
 }
 
 // Release returns the matrix's storage to the scratch pool. The matrix must
@@ -77,7 +74,8 @@ func (m *Matrix) Release() {
 		return
 	}
 	poolPuts.Add(1)
-	scratchPool.Put(m.data[:cap(m.data)]) //nolint:staticcheck // slice, not pointer: sizes vary
+	buf := m.data[:cap(m.data)]
+	scratchPools[bits.Len(uint(len(buf)))-1].Put(buf) //nolint:staticcheck // slice, not pointer: sizes vary
 	m.data = nil
 	m.rows, m.cols = 0, 0
 }

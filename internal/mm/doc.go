@@ -29,8 +29,8 @@
 // is backend-independent; only the round accounting changes (ablation E1).
 // The Fast backend's builds are additionally replayable: ReplayDyadicTable
 // and ChargeSchurShortcutBuild re-apply a build's exact round/word charges
-// without redoing the numeric work, which is what lets the phase cache and
-// the charged simulator keep warm Stats byte-identical to cold. The
-// dataflow backends (Naive, Semiring3D) deliberately bypass both the cache
-// and charged mode: they exist to route real words.
+// without redoing the numeric work, which is what lets Prepared's phase-0
+// state and the charged simulator keep warm Stats byte-identical to cold.
+// The dataflow backends (Naive, Semiring3D) deliberately bypass both the
+// phase-0 reuse and charged mode: they exist to route real words.
 package mm

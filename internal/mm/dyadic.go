@@ -42,13 +42,23 @@ func DyadicTable(sim *clique.Sim, backend Backend, p *matrix.Matrix, maxExp int,
 	if maxExp < 0 {
 		return nil, fmt.Errorf("mm: negative max exponent %d", maxExp)
 	}
+	// Every power is drawn from the scratch pool, so a caller done with the
+	// table can recycle it with PowerDyadic.Release.
+	d := p.Rows()
 	pows := make([]*matrix.Matrix, maxExp+1)
-	cur := p.Clone()
+	cur := matrix.Scratch(d, d)
+	for i := 0; i < d; i++ {
+		copy(cur.Row(i), p.Row(i))
+	}
 	if delta > 0 {
 		cur.TruncateDown(delta)
 	}
 	pows[0] = cur
-	if err := distributeColumns(sim, cur, fid); err != nil {
+	var plan *clique.CostPlan // one charged-mode plan serves every power
+	if fid.Charged() {
+		plan = clique.NewCostPlan(sim.N())
+	}
+	if err := distributeColumns(sim, cur, plan); err != nil {
 		return nil, err
 	}
 	for e := 1; e <= maxExp; e++ {
@@ -61,7 +71,7 @@ func DyadicTable(sim *clique.Sim, backend Backend, p *matrix.Matrix, maxExp int,
 		}
 		pows[e] = next
 		cur = next
-		if err := distributeColumns(sim, cur, fid); err != nil {
+		if err := distributeColumns(sim, cur, plan); err != nil {
 			return nil, err
 		}
 	}
@@ -106,11 +116,10 @@ func ReplayDyadicTable(sim *clique.Sim, backend Backend, pd *matrix.PowerDyadic)
 // ChargeSchurShortcutBuild charges the Corollaries 2-3 cost of producing a
 // later phase's Schur and shortcut transition matrices: maxExp repeated
 // squarings of the 2n-dimensional augmented chain, each at the backend's
-// predicted round cost. The cold path pays this immediately before building
-// its dyadic table; a phase-cache hit replays the same charge (followed by
-// ReplayDyadicTable), so warm and cold runs report identical Stats. Like
-// ReplayDyadicTable, the charge-for-real equivalence holds only for backends
-// whose Mul charges exactly CostRounds (mm.Fast).
+// predicted round cost. The phase build pays this immediately before
+// building its dyadic table. Like ReplayDyadicTable, the charge-for-real
+// equivalence holds only for backends whose Mul charges exactly CostRounds
+// (mm.Fast).
 func ChargeSchurShortcutBuild(sim *clique.Sim, backend Backend, n, maxExp int) error {
 	if backend == nil {
 		return fmt.Errorf("mm: nil backend")
@@ -123,12 +132,13 @@ func ChargeSchurShortcutBuild(sim *clique.Sim, backend Backend, n, maxExp int) e
 // one word per ordered machine pair (1 round). After it, machine j holds
 // column j in addition to row j — the property Algorithm 2 step 4 relies on
 // when machine M_{p,q} asks machine j for P^(δ/2)[p,j] * P^(δ/2)[j,q].
-// Charged mode charges the same exchange from its pattern (the column view
-// already lives in the shared matrix); full mode routes the d² words.
-func distributeColumns(sim *clique.Sim, m *matrix.Matrix, fid clique.Fidelity) error {
+// A non-nil plan selects charged mode, which charges the same exchange from
+// its pattern (the column view already lives in the shared matrix); full
+// mode routes the d² words.
+func distributeColumns(sim *clique.Sim, m *matrix.Matrix, plan *clique.CostPlan) error {
 	d := m.Rows()
-	if fid.Charged() {
-		plan := clique.NewCostPlan(sim.N())
+	if plan != nil {
+		plan.Reset()
 		plan.AllToAll(d, 1)
 		return sim.ChargedSuperstep("mm/column-distribute", plan, nil)
 	}

@@ -6,10 +6,9 @@ import (
 )
 
 // bucketBounds are the histogram's fixed upper bounds in seconds, spanning
-// microsecond-scale cache lookups to minute-scale batch requests. Every
-// Histogram shares them: snapshots from different histograms merge
-// bucket-for-bucket (phasecache aggregates per-graph caches this way), and
-// the Prometheus writer can render any snapshot without carrying bounds
+// microsecond-scale stages to minute-scale batch requests. Every Histogram
+// shares them: snapshots from different histograms merge bucket-for-bucket,
+// and the Prometheus writer can render any snapshot without carrying bounds
 // around. The implicit final bucket is +Inf.
 var bucketBounds = []float64{
 	1e-6, 5e-6, 25e-6, 100e-6, 250e-6, 500e-6,

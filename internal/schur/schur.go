@@ -26,7 +26,8 @@ func Transition(g *graph.Graph, sub *Subset) (*matrix.Matrix, error) {
 // TransitionWorkers is Transition with the dense factorization and solve
 // work inside the absorbing-chain system fanned across up to workers
 // goroutines. The result is byte-identical to Transition's for every worker
-// count.
+// count. It is drawn from the scratch pool: a caller done with it may
+// Release it.
 func TransitionWorkers(g *graph.Graph, sub *Subset, workers int) (*matrix.Matrix, error) {
 	s0, err := withReturns(g, sub, workers)
 	if err != nil {
@@ -37,11 +38,12 @@ func TransitionWorkers(g *graph.Graph, sub *Subset, workers int) (*matrix.Matrix
 	if k == 1 {
 		return nil, fmt.Errorf("schur: transition matrix of a single-vertex subset is empty")
 	}
-	out := matrix.MustNew(k, k)
+	out := matrix.Scratch(k, k)
 	for i := 0; i < k; i++ {
 		self := s0.At(i, i)
 		den := 1 - self
 		if den <= 1e-13 {
+			out.Release()
 			return nil, fmt.Errorf("schur: vertex %d returns to itself with probability ~1; subset unreachable from it", sub.vertices[i])
 		}
 		for j := 0; j < k; j++ {
@@ -64,10 +66,11 @@ func withReturns(g *graph.Graph, sub *Subset, workers int) (*matrix.Matrix, erro
 	if !g.IsConnected() {
 		return nil, fmt.Errorf("schur: graph must be connected")
 	}
-	p, err := g.TransitionMatrix()
+	p, err := transitionScratch(g)
 	if err != nil {
 		return nil, err
 	}
+	defer p.Release()
 	k := sub.Size()
 	comp := sub.complement
 	sv := sub.vertices
@@ -147,6 +150,17 @@ func factorAbsorbing(p *matrix.Matrix, comp []int, workers int) (*matrix.LU, err
 		row[i] += 1
 	}
 	return matrix.FactorScratchWorkers(t, workers)
+}
+
+// transitionScratch is g.TransitionMatrix drawn from the scratch pool; the
+// caller releases it.
+func transitionScratch(g *graph.Graph) (*matrix.Matrix, error) {
+	p := matrix.Scratch(g.N(), g.N())
+	if err := g.TransitionMatrixInto(p); err != nil {
+		p.Release()
+		return nil, err
+	}
+	return p, nil
 }
 
 // ComplementGraph builds the weighted graph H = Schur(G, S) of Definition 1
@@ -233,6 +247,7 @@ func ShortcutTransition(g *graph.Graph, sub *Subset) (*matrix.Matrix, error) {
 // ShortcutTransitionWorkers is ShortcutTransition with the dense
 // factorization and solve work fanned across up to workers goroutines. The
 // result is byte-identical to ShortcutTransition's for every worker count.
+// It is drawn from the scratch pool: a caller done with it may Release it.
 func ShortcutTransitionWorkers(g *graph.Graph, sub *Subset, workers int) (*matrix.Matrix, error) {
 	if sub.N() != g.N() {
 		return nil, fmt.Errorf("schur: subset universe %d does not match graph size %d", sub.N(), g.N())
@@ -240,10 +255,11 @@ func ShortcutTransitionWorkers(g *graph.Graph, sub *Subset, workers int) (*matri
 	if !g.IsConnected() {
 		return nil, fmt.Errorf("schur: graph must be connected")
 	}
-	p, err := g.TransitionMatrix()
+	p, err := transitionScratch(g)
 	if err != nil {
 		return nil, err
 	}
+	defer p.Release()
 	n := g.N()
 	comp := sub.complement
 
@@ -261,7 +277,7 @@ func ShortcutTransitionWorkers(g *graph.Graph, sub *Subset, workers int) (*matri
 		}
 	}
 
-	q := matrix.MustNew(n, n)
+	q := matrix.Scratch(n, n)
 	// Direct entry at time 1: the predecessor is u itself.
 	for u := 0; u < n; u++ {
 		q.Set(u, u, absorb[u])

@@ -110,7 +110,6 @@ type options struct {
 	cfg           core.Config
 	segLen        int
 	treePath      bool
-	cacheTotalMB  int
 	streamWorkers int
 	maxStreams    int
 	admitQueue    int
@@ -202,24 +201,6 @@ func WithMatching(name string) Option {
 	}
 }
 
-// WithPhaseCacheMB bounds the later-phase state cache each prepared graph
-// keeps for the phase and exact samplers: a memo of (Schur transition,
-// shortcut matrix, dyadic power table) triples keyed by phase subset, so
-// repeated batches, Las Vegas extensions, and coinciding walk prefixes skip
-// the per-phase matrix squarings. 0 keeps the default
-// (core.DefaultPhaseCacheMB); negative disables the cache. Outputs and
-// simulated-cost Stats are identical either way — cache hits replay the cold
-// path's round charges — so this knob only trades memory for throughput.
-func WithPhaseCacheMB(mb int) Option {
-	return func(o *options) error {
-		if mb == 0 {
-			mb = core.DefaultPhaseCacheMB
-		}
-		o.cfg.PhaseCacheMB = mb
-		return nil
-	}
-}
-
 // WithKernelWorkers bounds the goroutines used inside each dense kernel
 // call — the matrix squarings and Schur-system solves of Prepare and phase
 // builds — for every sampler built from these options. Parallelism lives in
@@ -236,20 +217,6 @@ func WithKernelWorkers(n int) Option {
 			return fmt.Errorf("spantree: kernel workers must be >= 0, got %d", n)
 		}
 		o.cfg.KernelWorkers = n
-		return nil
-	}
-}
-
-// WithPhaseCacheTotalMB replaces the per-graph later-phase caches of an
-// Engine with ONE byte-budgeted cache shared by every registered graph and
-// sampler variant — the serving-grade budget: total resident phase state is
-// bounded no matter how many graphs are registered, with the LRU arbitrating
-// between them (entries are namespaced per graph, so the budget is shared
-// but the state never is). 0 or negative keeps the per-graph caches.
-// Engine-only; one-shot samplers ignore it.
-func WithPhaseCacheTotalMB(mb int) Option {
-	return func(o *options) error {
-		o.cacheTotalMB = mb
 		return nil
 	}
 }
@@ -337,8 +304,7 @@ func WithTraceRing(n int) Option {
 // registry persists across restarts via an on-disk manifest, each graph's
 // expensive prepared state (phase-0 Schur/shortcut matrices and dyadic power
 // tables) is snapshotted after its first cold build and restored bit-exactly
-// on the next boot — zero-warmup restarts — and hot phase-cache entries are
-// flushed on Engine.Close so the next process starts warm. Persistence never
+// on the next boot — zero-warmup restarts. Persistence never
 // touches the sampling hot path (saves are write-behind) and never changes
 // output bytes: restored state samples byte-identical trees AND Stats.
 // "" (the default) keeps the engine fully in-memory. Engine-only; one-shot
@@ -556,8 +522,7 @@ func TreeWeight(g *Graph, t *Tree) (float64, error) {
 
 // Engine is the concurrent sampling engine: a registry of graphs with
 // cached per-graph precomputation (the phase-0 power table a cold Sample
-// rebuilds on every call, plus a bounded later-phase state cache shared by
-// all of a graph's sessions) and a shared weighted stream scheduler
+// rebuilds on every call) and a shared weighted stream scheduler
 // executing streaming jobs with deterministic per-sample seed derivation
 // (WithStreamWorkers / WithMaxStreamsPerGraph at the engine, Weight /
 // MaxWorkers per request). Construct with NewEngine,
@@ -668,7 +633,6 @@ func NewEngine(workers int, opts ...Option) (*Engine, error) {
 	return engine.New(engine.Options{
 		Workers:             workers,
 		Config:              o.cfg,
-		PhaseCacheTotalMB:   o.cacheTotalMB,
 		StreamWorkers:       o.streamWorkers,
 		MaxStreamsPerGraph:  o.maxStreams,
 		AdmissionQueueDepth: o.admitQueue,

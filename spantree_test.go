@@ -1,58 +1,6 @@
 package spantree
 
-import (
-	"context"
-	"reflect"
-	"testing"
-)
-
-// TestPhaseCacheBenchArmsAgree pins the contract the BenchmarkEnginePhaseCache
-// arms rely on, at a test-friendly size: the cache-bypassing spec and the
-// cached spec produce byte-identical trees and identical simulated-cost stats
-// per index, whether the cache is cold, mid-fill, or fully warm.
-func TestPhaseCacheBenchArmsAgree(t *testing.T) {
-	g, err := Expander(48, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(0, WithWalkLength(1024))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Register("g", g); err != nil {
-		t.Fatal(err)
-	}
-	sess, err := eng.Open("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	uncachedSpec := PhaseSpec()
-	uncachedSpec.NoPhaseCache = true
-	baseline, err := sess.Collect(ctx, StreamRequest{K: 16, Spec: uncachedSpec, SeedBase: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Twice: the first cached run populates, the second replays fully warm.
-	for pass := 0; pass < 2; pass++ {
-		res, err := sess.Collect(ctx, StreamRequest{K: 16, Spec: PhaseSpec(), SeedBase: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range res.Trees {
-			if res.Trees[i].Encode() != baseline.Trees[i].Encode() {
-				t.Fatalf("pass %d sample %d: cached tree differs from uncached", pass, i)
-			}
-			if !reflect.DeepEqual(res.Stats[i], baseline.Stats[i]) {
-				t.Fatalf("pass %d sample %d: cached stats differ from uncached:\n%+v\n%+v", pass, i, res.Stats[i], baseline.Stats[i])
-			}
-		}
-	}
-	m := eng.Metrics()
-	if m.PhaseCache.Hits == 0 {
-		t.Errorf("fully warm replay recorded no phase-cache hits: %+v", m.PhaseCache)
-	}
-}
+import "testing"
 
 func TestPublicAPISample(t *testing.T) {
 	g, err := ErdosRenyi(12, 0.4, 7)
