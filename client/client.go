@@ -74,7 +74,6 @@ type StreamRequest struct {
 	SegmentLength int     `json:"segment_length,omitempty"`
 	MaxSteps      int     `json:"max_steps,omitempty"`
 	Root          int     `json:"root,omitempty"`
-	SimFidelity   string  `json:"sim_fidelity,omitempty"`
 	Weight        float64 `json:"weight,omitempty"`
 	MaxWorkers    int     `json:"max_workers,omitempty"`
 	DeadlineMS    int     `json:"deadline_ms,omitempty"`

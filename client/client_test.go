@@ -225,7 +225,7 @@ func TestRetryAfterFromBodyAloneIsParsed(t *testing.T) {
 	resp := &http.Response{
 		StatusCode: http.StatusTooManyRequests,
 		Header:     http.Header{},
-		Body: http.NoBody,
+		Body:       http.NoBody,
 	}
 	resp.Body = httpBody(`{"error":"stream limit","retry_after_seconds":3}`)
 	err := decodeAPIError(resp)
@@ -500,8 +500,8 @@ func (f *fakeInner) Sample(ctx context.Context, req SampleRequest) (*SampleResul
 func (f *fakeInner) Register(ctx context.Context, req RegisterRequest) (GraphInfo, error) {
 	return GraphInfo{Key: req.Key}, nil
 }
-func (f *fakeInner) Deregister(ctx context.Context, key string) error   { return nil }
-func (f *fakeInner) Graphs(ctx context.Context) ([]GraphInfo, error)    { return nil, nil }
+func (f *fakeInner) Deregister(ctx context.Context, key string) error { return nil }
+func (f *fakeInner) Graphs(ctx context.Context) ([]GraphInfo, error)  { return nil, nil }
 func (f *fakeInner) Stream(ctx context.Context, key string, req StreamRequest) (*Stream, error) {
 	return nil, errors.New("not implemented")
 }

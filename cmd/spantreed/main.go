@@ -28,9 +28,10 @@
 // spec, seed_base, i) at any weight, worker count, queueing, or consumption
 // order.
 //
-// The matrix scratch-pool counters are reported under /v1/stats. Stream
-// requests may set "sim_fidelity": "full" to audit the charged simulator
-// fast path — responses are byte-identical to the default charged mode.
+// The matrix scratch-pool counters are reported under /v1/stats. Samplers
+// run the simulated clique in charged mode on one sequential dense kernel.
+// The simulator-fidelity field that older clients may still send is
+// ignored: full and charged output were byte-identical, so nothing changes.
 //
 // Observability: every request gets a request ID (propagated from an
 // X-Request-ID header when the client sends one, generated otherwise),
@@ -141,7 +142,6 @@ func run() error {
 		peerToken     = flag.String("peer-auth-token", "", "router mode: bearer token sent to replicas (empty: $SPANTREED_PEER_AUTH_TOKEN, else the incoming -auth-token)")
 		workers       = flag.Int("workers", 0, "batch worker pool width (0: GOMAXPROCS)")
 		streamWorkers = flag.Int("stream-workers", 0, "engine-wide stream worker pool width shared by all concurrent streams (0: same as -workers)")
-		kernelWorkers = flag.Int("kernel-workers", 0, "goroutines inside each dense kernel call (matrix squarings, Schur solves); outputs are byte-identical for every value (0 or 1: sequential)")
 		maxStreams    = flag.Int("max-streams-per-graph", 0, "max concurrent sampling jobs per graph (streams AND /v1/sample | /v1/audit batches); excess requests get 429 (0: unlimited)")
 		traceEvery    = flag.Int("trace-every", 0, "trace 1 in every N unlabeled requests (0: default 1/64, negative: only X-Request-ID requests)")
 		traceRing     = flag.Int("trace-ring", 0, "recent traces retained for /v1/traces (0: default 64)")
@@ -203,7 +203,6 @@ func run() error {
 
 	eng, err := spantree.NewEngine(*workers,
 		spantree.WithStreamWorkers(*streamWorkers),
-		spantree.WithKernelWorkers(*kernelWorkers),
 		spantree.WithMaxStreamsPerGraph(*maxStreams),
 		spantree.WithAdmissionQueue(*admitQueue),
 		spantree.WithTraceSampling(*traceEvery),
@@ -1003,7 +1002,6 @@ type streamRequest struct {
 	SegmentLength int     `json:"segment_length,omitempty"`
 	MaxSteps      int     `json:"max_steps,omitempty"`
 	Root          int     `json:"root,omitempty"`
-	SimFidelity   string  `json:"sim_fidelity,omitempty"`
 	Weight        float64 `json:"weight,omitempty"`
 	MaxWorkers    int     `json:"max_workers,omitempty"`
 	DeadlineMS    int     `json:"deadline_ms,omitempty"`
@@ -1020,7 +1018,6 @@ func (r streamRequest) stream() spantree.StreamRequest {
 			SegmentLength: r.SegmentLength,
 			MaxSteps:      r.MaxSteps,
 			Root:          r.Root,
-			SimFidelity:   r.SimFidelity,
 			Weight:        r.Weight,
 			MaxWorkers:    r.MaxWorkers,
 			DeadlineMS:    r.DeadlineMS,

@@ -348,6 +348,29 @@ func TestStreamSchedulingKnobs(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsOverflowingWeights pins the API-boundary check on edge
+// weights: two finite 1e308 edges sharing vertex 1 overflow its weighted
+// degree, which would make every later sample on the graph fail, so the
+// registration itself is a 400 and nothing is registered.
+func TestRegisterRejectsOverflowingWeights(t *testing.T) {
+	ts, _ := newTestServer(t)
+	resp := postJSON(t, ts.URL+"/v1/graphs", map[string]any{
+		"key": "huge", "n": 3, "edges": [][]float64{{0, 1, 1e308}, {1, 2, 1e308}},
+	})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("register: status %d, want 400", resp.StatusCode)
+	}
+	getResp, err := http.Get(ts.URL + "/v1/graphs/huge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	getResp.Body.Close()
+	if getResp.StatusCode != http.StatusNotFound {
+		t.Errorf("rejected graph lookup: status %d, want 404", getResp.StatusCode)
+	}
+}
+
 // TestGraphLifecycleEndpoints exercises register/list/get/delete round trips
 // plus edge-list registration.
 func TestGraphLifecycleEndpoints(t *testing.T) {
@@ -466,11 +489,10 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestStreamSimFidelityAudit runs the same phase batch in the default
-// charged mode and the "full" audit mode over the wire and requires
-// byte-identical result lines (trees and per-sample stats), plus a 400 for
-// an unknown mode.
-func TestStreamSimFidelityAudit(t *testing.T) {
+// TestStreamIgnoresStaleSimFidelity pins the compatibility promise for the
+// retired "sim_fidelity" request field: a request still carrying it, with
+// any value, streams the same bytes as one without it.
+func TestStreamIgnoresStaleSimFidelity(t *testing.T) {
 	ts, _ := newTestServer(t)
 	registerFamily(t, ts, "f", "expander", 16)
 
@@ -503,18 +525,13 @@ func TestStreamSimFidelityAudit(t *testing.T) {
 		return lines
 	}
 
-	charged := collect(map[string]any{"k": 4, "sampler": "phase", "seed_base": 3})
-	full := collect(map[string]any{"k": 4, "sampler": "phase", "seed_base": 3, "sim_fidelity": "full"})
-	for i := range charged {
-		if charged[i] == "" || charged[i] != full[i] {
-			t.Errorf("index %d: charged %q != full %q", i, charged[i], full[i])
+	want := collect(map[string]any{"k": 4, "sampler": "phase", "seed_base": 3})
+	for _, mode := range []string{"full", "warp"} {
+		got := collect(map[string]any{"k": 4, "sampler": "phase", "seed_base": 3, "sim_fidelity": mode})
+		for i := range want {
+			if want[i] == "" || want[i] != got[i] {
+				t.Errorf("sim_fidelity %q, index %d: %q != %q", mode, i, got[i], want[i])
+			}
 		}
-	}
-
-	resp := postJSON(t, ts.URL+"/v1/graphs/f/stream",
-		map[string]any{"k": 1, "sampler": "phase", "seed_base": 3, "sim_fidelity": "warp"})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown sim_fidelity: status %d, want 400", resp.StatusCode)
 	}
 }

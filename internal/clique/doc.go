@@ -29,15 +29,16 @@
 //
 // # Fidelities and their byte-identical obligation
 //
-// The simulator has two execution modes (Fidelity): "full" materializes
-// every Message and routes it through the superstep machinery — the audit
-// mode — while "charged" (the serving default) runs hot supersteps as plain
-// local computation and charges rounds/words analytically from a CostPlan
+// The simulator has two execution modes (Fidelity): "charged", the only
+// mode the serving path uses, runs hot supersteps as plain local
+// computation and charges rounds/words analytically from a CostPlan
 // declaring the communication pattern message-for-message
-// (Sim.ChargedSuperstep, Sim.ChargeBroadcast). The two modes are obligated
-// to agree exactly: trees, Stats, and per-superstep traces (including max
-// send/receive loads) must be byte-identical, which golden tests pin at the
-// clique, core, doubling, engine, and HTTP layers. A charged port that
+// (Sim.ChargedSuperstep, Sim.ChargeBroadcast); "full" materializes every
+// Message and routes it through the superstep machinery, and survives as
+// the test-only reference. The two modes are obligated to agree exactly:
+// trees, Stats, and per-superstep traces (including max send/receive loads)
+// must be byte-identical, which golden tests pin at the clique, core and
+// doubling layers. A charged port that
 // cannot reproduce the full path's loads word-for-word is a bug, not an
 // approximation.
 package clique

@@ -81,18 +81,12 @@ type Config struct {
 	// pattern (clique.ChargedSuperstep). FidelityFull materializes every
 	// message through the simulator, the original audit mode. Trees and
 	// Stats are byte-identical across modes (golden-tested); only wall-clock
-	// and allocation behavior differ.
+	// and allocation behavior differ. Only tests set it: the full mode is
+	// the reference the charged path is checked against.
 	SimFidelity clique.Fidelity
-	// KernelWorkers bounds the goroutines used inside each dense kernel
-	// call — matrix squarings, the Schur-system factorizations and batched
-	// substitutions — during Prepare and phase builds. Parallelism lives in
-	// disjoint row panels with no shared accumulation, so trees and Stats
-	// are byte-identical for every value (golden-tested); the knob trades
-	// CPU for latency within one sample, never output bytes, and is
-	// deliberately excluded from config fingerprints. 0 or 1 means
-	// sequential; values above GOMAXPROCS are clamped. Negative is an
-	// error. Only the Fast backend consumes it — dataflow backends route
-	// per-machine messages whose schedule is the object of study.
+	// KernelWorkers is ignored: the dense kernels are sequential. It stays
+	// only because the frozen benchmark harness (bench/trace.go) still
+	// reads it, and goes with the benchmark's next revision.
 	KernelWorkers int
 }
 
@@ -101,17 +95,8 @@ func (c Config) withDefaults(n int) (Config, error) {
 	if n < 1 {
 		return c, fmt.Errorf("core: empty graph")
 	}
-	if c.KernelWorkers < 0 {
-		return c, fmt.Errorf("core: KernelWorkers must be >= 0, got %d", c.KernelWorkers)
-	}
 	if c.Backend == nil {
 		c.Backend = mm.Fast{}
-	}
-	// Thread the kernel-worker bound into the Fast backend so the dyadic
-	// table squarings it performs share it; an explicitly-configured
-	// Fast{Workers} wins over the knob.
-	if f, ok := c.Backend.(mm.Fast); ok && f.Workers == 0 && c.KernelWorkers > 1 {
-		c.Backend = mm.Fast{Workers: c.KernelWorkers}
 	}
 	if c.Matching == nil {
 		c.Matching = matching.Auto{}

@@ -75,30 +75,36 @@ func TestFidelityGoldenNaiveBackend(t *testing.T) {
 	}
 }
 
-// TestFidelityPreparedWith checks the per-draw override: a Prepared
-// configured charged serves a full-fidelity draw (and vice versa) with
-// identical output, warm cache included.
+// TestFidelityPreparedWith checks the warm path: a Prepared configured with
+// full fidelity serves the same draws as one configured charged, phase-0
+// cache included, and Prepare rejects an unknown mode.
 func TestFidelityPreparedWith(t *testing.T) {
 	g, err := graph.FromFamily("expander", 20, prng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prep, err := Prepare(g, Config{})
+	charged, err := Prepare(g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, bs, err := prep.Sample(prng.New(3))
+	full, err := Prepare(g, Config{SimFidelity: "full"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, fs, err := prep.SampleWith(prng.New(3), SampleOpts{Fidelity: "full"})
-	if err != nil {
-		t.Fatal(err)
+	for seed := uint64(3); seed <= 4; seed++ {
+		tc, sc, err := charged.SampleWith(prng.New(seed), SampleOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tf, sf, err := full.SampleWith(prng.New(seed), SampleOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.Encode() != tf.Encode() || !reflect.DeepEqual(sc, sf) {
+			t.Errorf("seed %d: prepared fidelities drift:\ncharged %+v\nfull    %+v", seed, sc, sf)
+		}
 	}
-	if base.Encode() != full.Encode() || !reflect.DeepEqual(bs, fs) {
-		t.Errorf("per-draw fidelity override drifts:\ncharged %+v\nfull    %+v", bs, fs)
-	}
-	if _, _, err := prep.SampleWith(prng.New(3), SampleOpts{Fidelity: "warp"}); err == nil {
+	if _, err := Prepare(g, Config{SimFidelity: "warp"}); err == nil {
 		t.Error("bogus fidelity accepted")
 	}
 }

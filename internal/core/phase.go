@@ -217,11 +217,11 @@ func (r *phaseRunner) rng(id int) *prng.Source {
 // (which survives as the table's first power), with the round charges the
 // paper's accounting assigns them.
 func buildPhaseState(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Subset, phaseIdx, maxExp int) (q *matrix.Matrix, pd *matrix.PowerDyadic, err error) {
-	smat, err := schur.TransitionWorkers(g, sub, cfg.KernelWorkers)
+	smat, err := schur.Transition(g, sub)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: schur transition: %w", err)
 	}
-	q, err = schur.ShortcutTransitionWorkers(g, sub, cfg.KernelWorkers)
+	q, err = schur.ShortcutTransition(g, sub)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: shortcut transition: %w", err)
 	}

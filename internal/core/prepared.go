@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/clique"
 	"repro/internal/graph"
 	"repro/internal/matrix"
 	"repro/internal/mm"
@@ -77,16 +76,16 @@ func Prepare(g *graph.Graph, cfg Config) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	smat, err := schur.TransitionWorkers(g, sub, cfg.KernelWorkers)
+	smat, err := schur.Transition(g, sub)
 	if err != nil {
 		return nil, fmt.Errorf("core: schur transition: %w", err)
 	}
-	q, err := schur.ShortcutTransitionWorkers(g, sub, cfg.KernelWorkers)
+	q, err := schur.ShortcutTransition(g, sub)
 	if err != nil {
 		return nil, fmt.Errorf("core: shortcut transition: %w", err)
 	}
 	maxExp := int(math.Log2(float64(cfg.WalkLength)) + 0.5)
-	pd, err := matrix.NewPowerDyadicWorkers(smat, maxExp, cfg.TruncDelta, cfg.KernelWorkers)
+	pd, err := matrix.NewPowerDyadic(smat, maxExp, cfg.TruncDelta)
 	if err != nil {
 		return nil, fmt.Errorf("core: dyadic power table: %w", err)
 	}
@@ -106,22 +105,18 @@ func PrepareExact(g *graph.Graph, cfg Config) (*Prepared, error) {
 
 // SampleOpts adjusts one Prepared draw without touching the prepared state.
 type SampleOpts struct {
-	// Fidelity overrides the prepared Config's SimFidelity for this draw
-	// ("" keeps the configured mode). Trees and Stats are byte-identical
-	// across fidelities; the knob exists for per-request audits.
-	Fidelity clique.Fidelity
 	// Trace, when non-nil, receives observation spans for this draw: one per
 	// phase and one per clique superstep (with charged rounds/words
 	// attached). TraceTag labels the spans (the engine passes the sample
-	// index). Like Fidelity, tracing never changes the tree or Stats —
-	// observation does not feed back into sampling.
+	// index). Tracing never changes the tree or Stats — observation does
+	// not feed back into sampling.
 	Trace    *obs.Trace
 	TraceTag int64
 }
 
 // SampleWith is Sample with per-draw options.
 func (p *Prepared) SampleWith(src *prng.Source, opts SampleOpts) (*spanning.Tree, *Stats, error) {
-	return p.sample(src, opts.Fidelity, opts.Trace, opts.TraceTag)
+	return p.sample(src, opts.Trace, opts.TraceTag)
 }
 
 // Graph returns the graph this state was prepared for.
@@ -135,23 +130,16 @@ func (p *Prepared) Config() Config { return p.cfg }
 // skipped matrix squarings are still charged to the simulated clique (see
 // mm.ReplayDyadicTable), so Stats remains identical to cold runs.
 func (p *Prepared) Sample(src *prng.Source) (*spanning.Tree, *Stats, error) {
-	return p.sample(src, "", nil, 0)
+	return p.sample(src, nil, 0)
 }
 
-func (p *Prepared) sample(src *prng.Source, fid clique.Fidelity, tr *obs.Trace, tag int64) (*spanning.Tree, *Stats, error) {
+func (p *Prepared) sample(src *prng.Source, tr *obs.Trace, tag int64) (*spanning.Tree, *Stats, error) {
 	if src == nil {
 		return nil, nil, fmt.Errorf("core: nil randomness source")
-	}
-	if !fid.Valid() {
-		return nil, nil, fmt.Errorf("core: unknown sim fidelity %q", fid)
 	}
 	if p.n == 1 {
 		tree, err := spanning.NewTree(1, nil)
 		return tree, &Stats{}, err
 	}
-	cfg := p.cfg
-	if fid != "" {
-		cfg.SimFidelity = fid
-	}
-	return sampleLoop(p.g, cfg, src, p, tr, tag)
+	return sampleLoop(p.g, p.cfg, src, p, tr, tag)
 }

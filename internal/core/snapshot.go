@@ -33,12 +33,9 @@ var ErrNoSnapshot = errors.New("core: prepared state has no snapshot")
 // across processes.
 //
 // Deliberately excluded: SimFidelity (charged and full execution are
-// byte-identical by the fidelity contract) and KernelWorkers (within-sample
-// parallelism is byte-identical for every worker count, so a snapshot taken
-// at one count serves all others). Backend and Matching contribute their concrete types —
-// each named implementation is deterministic, so the type is the behavior;
-// the %T verb ignores field values, which keeps Fast{Workers} out of the key
-// by construction.
+// byte-identical by the fidelity contract) and the ignored KernelWorkers.
+// Backend and Matching contribute their concrete types — each named
+// implementation is deterministic, so the type is the behavior.
 func (c Config) Fingerprint(n int) (string, error) {
 	cfg, err := c.withDefaults(n)
 	if err != nil {

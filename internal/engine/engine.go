@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/aldous"
 	"repro/internal/blobstore"
-	"repro/internal/clique"
 	"repro/internal/core"
 	"repro/internal/doubling"
 	"repro/internal/faultinject"
@@ -371,32 +370,16 @@ func (e *Engine) sampleOne(ent *entry, spec SamplerSpec, src *prng.Source, tr *o
 		if err != nil {
 			return nil, nil, err
 		}
-		return prep.SampleWith(src, core.SampleOpts{
-			Fidelity: clique.Fidelity(spec.SimFidelity),
-			Trace:    tr,
-			TraceTag: int64(idx),
-		})
+		return prep.SampleWith(src, core.SampleOpts{Trace: tr, TraceTag: int64(idx)})
 	case SamplerExact:
 		prep, err := ent.preparedExactTraced(e, tr)
 		if err != nil {
 			return nil, nil, err
 		}
-		return prep.SampleWith(src, core.SampleOpts{
-			Fidelity: clique.Fidelity(spec.SimFidelity),
-			Trace:    tr,
-			TraceTag: int64(idx),
-		})
+		return prep.SampleWith(src, core.SampleOpts{Trace: tr, TraceTag: int64(idx)})
 	case SamplerLowCover:
-		// Like phase/exact (whose Prepared keeps the engine Config when the
-		// per-request fidelity is empty), an unset spec falls back to the
-		// engine-level SimFidelity.
-		fid := clique.Fidelity(spec.SimFidelity)
-		if fid == "" {
-			fid = e.cfg.SimFidelity
-		}
 		tree, st, err := doubling.SampleTree(ent.g, doubling.TreeConfig{
 			SegmentLength: spec.SegmentLength,
-			Doubling:      doubling.Config{Fidelity: fid},
 		}, src)
 		if err != nil {
 			return nil, nil, err

@@ -45,22 +45,24 @@ func collectBatch(e *Engine, key string, req StreamRequest) (*BatchResult, error
 // workers produce byte-identical trees and stats.
 func TestBatchDeterministicAcrossWorkers(t *testing.T) {
 	e := testEngine(t)
-	for _, sampler := range []Sampler{SamplerPhase, SamplerLowCover, SamplerWilson} {
+	for _, sampler := range []Sampler{SamplerPhase, SamplerExact, SamplerLowCover, SamplerWilson} {
 		req := StreamRequest{K: 8, Spec: SpecFor(sampler), SeedBase: 7, Workers: 1}
 		serial, err := collectBatch(e, "g", req)
 		if err != nil {
 			t.Fatalf("%s serial: %v", sampler, err)
 		}
-		req.Workers = 8
-		parallel, err := collectBatch(e, "g", req)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", sampler, err)
-		}
-		if !reflect.DeepEqual(encodeAll(serial), encodeAll(parallel)) {
-			t.Errorf("%s: trees differ between 1 and 8 workers", sampler)
-		}
-		if !reflect.DeepEqual(serial.Stats, parallel.Stats) {
-			t.Errorf("%s: stats differ between 1 and 8 workers", sampler)
+		for _, workers := range []int{4, 8} {
+			req.Workers = workers
+			parallel, err := collectBatch(e, "g", req)
+			if err != nil {
+				t.Fatalf("%s %d workers: %v", sampler, workers, err)
+			}
+			if !reflect.DeepEqual(encodeAll(serial), encodeAll(parallel)) {
+				t.Errorf("%s: trees differ between 1 and %d workers", sampler, workers)
+			}
+			if !reflect.DeepEqual(serial.Stats, parallel.Stats) {
+				t.Errorf("%s: stats differ between 1 and %d workers", sampler, workers)
+			}
 		}
 		if serial.Summary.Samples != 8 || serial.Summary.DistinctTrees < 1 {
 			t.Errorf("%s: bad summary %+v", sampler, serial.Summary)

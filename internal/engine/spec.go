@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/clique"
 )
 
 // ErrUnknownSampler marks requests naming a sampler the engine does not
@@ -67,15 +65,6 @@ type SamplerSpec struct {
 	// tree an index produces, only whether the request runs to completion.
 	// Valid for every sampler.
 	DeadlineMS int `json:"deadline_ms,omitempty"`
-	// SimFidelity selects the simulator execution mode for the congested
-	// clique samplers: "" or "charged" (the serving default) charges the hot
-	// supersteps analytically from their communication patterns; "full"
-	// materializes every message — the audit mode. Trees and Stats are
-	// byte-identical across modes; the knob exists for A/B verification, not
-	// correctness. Only valid with SamplerPhase,
-	// SamplerExact, and SamplerLowCover, the samplers that run on the
-	// simulated clique.
-	SimFidelity string `json:"sim_fidelity,omitempty"`
 }
 
 // SpecFor returns the spec running the named sampler with default knobs.
@@ -122,12 +111,6 @@ func (s SamplerSpec) normalized() (SamplerSpec, error) {
 	}
 	if s.DeadlineMS < 0 {
 		return s, fmt.Errorf("engine: deadline must be >= 0 ms, got %d", s.DeadlineMS)
-	}
-	if !clique.Fidelity(s.SimFidelity).Valid() {
-		return s, fmt.Errorf("engine: unknown sim fidelity %q (want %q or %q)", s.SimFidelity, clique.FidelityCharged, clique.FidelityFull)
-	}
-	if s.SimFidelity != "" && s.Name != SamplerPhase && s.Name != SamplerExact && s.Name != SamplerLowCover {
-		return s, fmt.Errorf("engine: sim_fidelity only applies to %q, %q and %q, not %q", SamplerPhase, SamplerExact, SamplerLowCover, s.Name)
 	}
 	return s, nil
 }

@@ -259,15 +259,15 @@ func TestConfigureActions(t *testing.T) {
 func TestConfigureRejectsBadSpecs(t *testing.T) {
 	defer Reset()
 	bad := []string{
-		"nonsense",                      // no point=action
-		"no/such/site=error",            // unknown point
-		"engine/sample=zap",             // unknown action
-		"engine/sample=delay:zzz",       // unparseable duration
-		"engine/sample=shortread:-1",    // negative length
-		"engine/sample=shortread:x",     // non-numeric length
-		"engine/sample=flipbit:x",       // non-numeric offset
-		"engine/sample=afterX-error",    // non-numeric after count
-		"engine/sample=after2error",     // missing dash after the count
+		"nonsense",                   // no point=action
+		"no/such/site=error",         // unknown point
+		"engine/sample=zap",          // unknown action
+		"engine/sample=delay:zzz",    // unparseable duration
+		"engine/sample=shortread:-1", // negative length
+		"engine/sample=shortread:x",  // non-numeric length
+		"engine/sample=flipbit:x",    // non-numeric offset
+		"engine/sample=afterX-error", // non-numeric after count
+		"engine/sample=after2error",  // missing dash after the count
 	}
 	for _, spec := range bad {
 		Reset()

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 )
@@ -74,8 +75,9 @@ func (g *Graph) N() int { return g.n }
 func (g *Graph) M() int { return g.m }
 
 // AddEdge inserts the undirected edge {u, v} with weight w. It returns an
-// error for out-of-range endpoints, self-loops, non-positive weights, or a
-// duplicate edge.
+// error for out-of-range endpoints, self-loops, weights that are not
+// positive and finite, a weight that would push either endpoint's weighted
+// degree to infinity, or a duplicate edge.
 func (g *Graph) AddEdge(u, v int, w float64) error {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, g.n)
@@ -83,11 +85,16 @@ func (g *Graph) AddEdge(u, v int, w float64) error {
 	if u == v {
 		return fmt.Errorf("graph: self-loop at vertex %d", u)
 	}
-	if w <= 0 {
-		return fmt.Errorf("graph: non-positive weight %g on edge {%d,%d}", w, u, v)
+	if err := checkWeight(u, v, w); err != nil {
+		return err
 	}
 	if g.HasEdge(u, v) {
 		return fmt.Errorf("graph: duplicate edge {%d,%d}", u, v)
+	}
+	for _, x := range [2]int{u, v} {
+		if err := checkDegree(x, g.degree[x]+w); err != nil {
+			return err
+		}
 	}
 	g.addHalf(u, v, w)
 	g.addHalf(v, u, w)
@@ -129,13 +136,20 @@ func (g *Graph) Weight(u, v int) float64 {
 }
 
 // SetWeight updates the weight of an existing edge. It returns an error if
-// the edge is absent or the weight non-positive.
+// the edge is absent, the weight is not positive and finite, or the new
+// weight would push either endpoint's weighted degree to infinity.
 func (g *Graph) SetWeight(u, v int, w float64) error {
 	if !g.HasEdge(u, v) {
 		return fmt.Errorf("graph: SetWeight on missing edge {%d,%d}", u, v)
 	}
-	if w <= 0 {
-		return fmt.Errorf("graph: non-positive weight %g", w)
+	if err := checkWeight(u, v, w); err != nil {
+		return err
+	}
+	old := g.Weight(u, v)
+	for _, x := range [2]int{u, v} {
+		if err := checkDegree(x, g.degree[x]+(w-old)); err != nil {
+			return err
+		}
 	}
 	for _, pair := range [2][2]int{{u, v}, {v, u}} {
 		a, b := pair[0], pair[1]
@@ -144,6 +158,25 @@ func (g *Graph) SetWeight(u, v int, w float64) error {
 		g.adj[a][i].Weight = w
 	}
 	g.cum.Store(nil)
+	return nil
+}
+
+// checkWeight rejects an edge weight that is not a positive finite number:
+// zero, negative, NaN and ±Inf weights all break the random walk's
+// transition probabilities.
+func checkWeight(u, v int, w float64) error {
+	if !(w > 0) || math.IsInf(w, 1) {
+		return fmt.Errorf("graph: weight %g on edge {%d,%d} is not positive and finite", w, u, v)
+	}
+	return nil
+}
+
+// checkDegree rejects a weighted degree that overflowed to infinity, which
+// would make every transition probability out of vertex x zero.
+func checkDegree(x int, d float64) error {
+	if math.IsInf(d, 0) {
+		return fmt.Errorf("graph: weighted degree of vertex %d overflows", x)
+	}
 	return nil
 }
 

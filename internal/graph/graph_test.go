@@ -20,23 +20,62 @@ func TestNewValidation(t *testing.T) {
 
 func TestAddEdgeValidation(t *testing.T) {
 	g := MustNew(3)
-	if err := g.AddEdge(0, 3, 1); err == nil {
-		t.Error("expected out-of-range error")
+	for _, tc := range []struct {
+		name string
+		u, v int
+		w    float64
+	}{
+		{"out of range", 0, 3, 1},
+		{"negative endpoint", -1, 0, 1},
+		{"self-loop", 1, 1, 1},
+		{"zero weight", 0, 1, 0},
+		{"negative weight", 0, 1, -2},
+		{"NaN weight", 0, 1, math.NaN()},
+		{"+Inf weight", 0, 1, math.Inf(1)},
+		{"-Inf weight", 0, 1, math.Inf(-1)},
+	} {
+		if err := g.AddEdge(tc.u, tc.v, tc.w); err == nil {
+			t.Errorf("%s: AddEdge(%d, %d, %g) accepted", tc.name, tc.u, tc.v, tc.w)
+		}
 	}
-	if err := g.AddEdge(-1, 0, 1); err == nil {
-		t.Error("expected out-of-range error")
-	}
-	if err := g.AddEdge(1, 1, 1); err == nil {
-		t.Error("expected self-loop error")
-	}
-	if err := g.AddEdge(0, 1, 0); err == nil {
-		t.Error("expected non-positive weight error")
+	if g.M() != 0 || g.Degree(0) != 0 || g.Degree(1) != 0 {
+		t.Fatalf("rejected edges mutated the graph: m=%d", g.M())
 	}
 	if err := g.AddEdge(0, 1, 2.5); err != nil {
 		t.Fatalf("AddEdge: %v", err)
 	}
 	if err := g.AddEdge(1, 0, 1); err == nil {
 		t.Error("expected duplicate edge error")
+	}
+}
+
+// TestWeightedDegreeOverflowRejected pins the finite-degree invariant: an
+// edge or reweight whose weight is finite but pushes a weighted degree to
+// +Inf is rejected and leaves the graph unchanged, since an infinite degree
+// zeroes every transition probability out of that vertex.
+func TestWeightedDegreeOverflowRejected(t *testing.T) {
+	g := MustNew(4)
+	if err := g.AddEdge(0, 1, 1e308); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddEdge(1, 2, 1e308); err == nil {
+		t.Error("edge overflowing Degree(1) accepted")
+	}
+	if g.M() != 1 || g.Degree(1) != 1e308 || g.Degree(2) != 0 {
+		t.Errorf("rejected edge mutated the graph: m=%d deg1=%g deg2=%g", g.M(), g.Degree(1), g.Degree(2))
+	}
+	if err := g.AddEdge(1, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetWeight(1, 2, 1e308); err == nil {
+		t.Error("reweight overflowing Degree(1) accepted")
+	}
+	if g.Weight(1, 2) != 1 || math.IsInf(g.Degree(1), 0) {
+		t.Errorf("rejected reweight mutated the graph: w=%g deg1=%g", g.Weight(1, 2), g.Degree(1))
+	}
+	// Lowering a huge weight is always fine.
+	if err := g.SetWeight(0, 1, 1); err != nil {
+		t.Errorf("SetWeight down: %v", err)
 	}
 }
 
@@ -82,8 +121,13 @@ func TestSetWeight(t *testing.T) {
 	if g.Weight(1, 0) != 4 || g.Degree(0) != 4 || g.Degree(1) != 4 {
 		t.Error("SetWeight did not update both directions and degrees")
 	}
-	if err := g.SetWeight(0, 1, -1); err == nil {
-		t.Error("expected error for negative weight")
+	for _, w := range []float64{-1, 0, math.NaN(), math.Inf(1)} {
+		if err := g.SetWeight(0, 1, w); err == nil {
+			t.Errorf("SetWeight(0, 1, %g) accepted", w)
+		}
+	}
+	if g.Weight(0, 1) != 4 || g.Degree(0) != 4 {
+		t.Error("rejected SetWeight mutated the graph")
 	}
 	g2 := MustNew(3)
 	if err := g2.SetWeight(0, 1, 1); err == nil {

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -10,11 +11,12 @@ import (
 
 // Differential kernel harness: an independent naive reference implementation
 // of multiply and factorization (written from the bit-exactness contract, not
-// from the production code), property-tested against both production kernels
+// from the production code), property-tested against the production kernels
 // on awkward shapes — size 1, primes, tile boundaries and their neighbors —
 // and on singular and near-singular inputs. The comparisons are bit-exact
 // (math.Float64bits equality), never epsilon-close: the production kernels'
-// contract is that blocking and worker counts reorder loops, not arithmetic.
+// contract is that register tiling and column panels reorder loops, not
+// arithmetic. refMulInto and refFactor are the only oracle.
 
 // refMulInto is the reference product: per output element (i, j), the terms
 // a[i][k]*b[k][j] are added in ascending k, skipping terms with a[i][k] == 0.
@@ -120,166 +122,126 @@ func requireBitEqual(t *testing.T, label string, got, want *Matrix) {
 	}
 }
 
-// withKernel runs fn under each kernel variant, restoring the default.
-func withKernel(t *testing.T, fn func(t *testing.T, k Kernel)) {
-	t.Helper()
-	defer SetKernel(KernelBlocked)
-	for _, k := range []Kernel{KernelBlocked, KernelScalar} {
-		SetKernel(k)
-		name := "blocked"
-		if k == KernelScalar {
-			name = "scalar"
-		}
-		t.Run(name, func(t *testing.T) { fn(t, k) })
-	}
-	SetKernel(KernelBlocked)
-}
-
-// TestDifferentialMulKernels pins every multiply path — both kernel
-// variants, worker counts 1/2/3/8, and rectangular shapes including odd and
-// prime dimensions — bit-exactly to the naive reference.
+// TestDifferentialMulKernels pins every multiply path on rectangular shapes,
+// including odd and prime dimensions, bit-exactly to the naive reference.
 func TestDifferentialMulKernels(t *testing.T) {
 	src := prng.New(0xd1ff)
-	withKernel(t, func(t *testing.T, k Kernel) {
-		for _, n := range awkwardSizes {
-			// Rectangular: (n x inner) * (inner x cols) with shifted dims so
-			// row-remainder, col-remainder, and inner loops all vary.
-			inner := n + 1
-			cols := n + 2
-			a := randomDense(t, n, inner, src)
-			b := randomDense(t, inner, cols, src)
-			want := MustNew(n, cols)
-			refMulInto(want, a, b)
+	for _, n := range awkwardSizes {
+		// Rectangular: (n x inner) * (inner x cols) with shifted dims so
+		// row-remainder, col-remainder, and inner loops all vary.
+		inner := n + 1
+		cols := n + 2
+		a := randomDense(t, n, inner, src)
+		b := randomDense(t, inner, cols, src)
+		want := MustNew(n, cols)
+		refMulInto(want, a, b)
 
-			got, err := a.Mul(b)
-			if err != nil {
-				t.Fatalf("n=%d: Mul: %v", n, err)
-			}
-			requireBitEqual(t, "Mul", got, want)
-
-			dst := randomDense(t, n, cols, src) // dirty destination
-			if err := MulInto(dst, a, b); err != nil {
-				t.Fatalf("n=%d: MulInto: %v", n, err)
-			}
-			requireBitEqual(t, "MulInto", dst, want)
-
-			for _, workers := range []int{1, 2, 3, 8} {
-				dw := randomDense(t, n, cols, src)
-				if err := MulIntoWorkers(dw, a, b, workers); err != nil {
-					t.Fatalf("n=%d workers=%d: %v", n, workers, err)
-				}
-				requireBitEqual(t, "MulIntoWorkers", dw, want)
-			}
+		got, err := a.Mul(b)
+		if err != nil {
+			t.Fatalf("n=%d: Mul: %v", n, err)
 		}
-	})
+		requireBitEqual(t, "Mul", got, want)
+
+		dst := randomDense(t, n, cols, src) // dirty destination
+		if err := MulInto(dst, a, b); err != nil {
+			t.Fatalf("n=%d: MulInto: %v", n, err)
+		}
+		requireBitEqual(t, "MulInto", dst, want)
+	}
 }
 
-// TestDifferentialFactorKernels pins both factorization variants, at several
-// worker counts, bit-exactly to the reference elimination: identical packed
+// requireFactorEqual checks a factorization against the reference's packed
 // LU values, permutation, and determinant sign.
+func requireFactorEqual(t *testing.T, label string, f *LU, want *Matrix, wantPerm []int, wantSign float64) {
+	t.Helper()
+	requireBitEqual(t, label, f.lu, want)
+	if f.sign != wantSign {
+		t.Fatalf("%s: sign %g, want %g", label, f.sign, wantSign)
+	}
+	for i, p := range wantPerm {
+		if f.perm[i] != p {
+			t.Fatalf("%s: perm[%d] = %d, want %d", label, i, f.perm[i], p)
+		}
+	}
+}
+
+// TestDifferentialFactorKernels pins Factor and FactorScratch bit-exactly to
+// the reference elimination: identical packed LU values, permutation, and
+// determinant sign.
 func TestDifferentialFactorKernels(t *testing.T) {
 	src := prng.New(0xfac7)
-	withKernel(t, func(t *testing.T, k Kernel) {
-		for _, n := range awkwardSizes {
-			a := randomDense(t, n, n, src)
-			// Dominate the diagonal on a copy so the instance is comfortably
-			// nonsingular; keep the raw random one too for pivot churn.
-			for i := 0; i < n; i++ {
-				a.Set(i, i, a.At(i, i)+float64(n))
-			}
-			want, wantPerm, wantSign, ok := refFactor(a)
-			if !ok {
-				t.Fatalf("n=%d: reference factorization unexpectedly singular", n)
-			}
-			for _, workers := range []int{1, 2, 8} {
-				f, err := FactorWorkers(a, workers)
-				if err != nil {
-					t.Fatalf("n=%d workers=%d: %v", n, workers, err)
-				}
-				requireBitEqual(t, "Factor", f.lu, want)
-				if f.sign != wantSign {
-					t.Fatalf("n=%d workers=%d: sign %g, want %g", n, workers, f.sign, wantSign)
-				}
-				for i, p := range wantPerm {
-					if f.perm[i] != p {
-						t.Fatalf("n=%d workers=%d: perm[%d] = %d, want %d", n, workers, i, f.perm[i], p)
-					}
-				}
-				fs, err := FactorScratchWorkers(a, workers)
-				if err != nil {
-					t.Fatalf("n=%d workers=%d: scratch: %v", n, workers, err)
-				}
-				requireBitEqual(t, "FactorScratch", fs.lu, want)
-				fs.Release()
-			}
+	for _, n := range awkwardSizes {
+		a := randomDense(t, n, n, src)
+		// Dominate the diagonal so the instance is comfortably nonsingular.
+		for i := 0; i < n; i++ {
+			a.Set(i, i, a.At(i, i)+float64(n))
 		}
-	})
+		want, wantPerm, wantSign, ok := refFactor(a)
+		if !ok {
+			t.Fatalf("n=%d: reference factorization unexpectedly singular", n)
+		}
+		f, err := Factor(a)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		requireFactorEqual(t, fmt.Sprintf("Factor n=%d", n), f, want, wantPerm, wantSign)
+		fs, err := FactorScratch(a)
+		if err != nil {
+			t.Fatalf("n=%d: scratch: %v", n, err)
+		}
+		requireFactorEqual(t, fmt.Sprintf("FactorScratch n=%d", n), fs, want, wantPerm, wantSign)
+		fs.Release()
+	}
 }
 
-// TestDifferentialFactorSingular checks that every variant rejects exactly
-// singular input, with the error naming the same elimination column.
+// TestDifferentialFactorSingular checks that Factor rejects exactly the
+// input the reference elimination finds singular.
 func TestDifferentialFactorSingular(t *testing.T) {
 	src := prng.New(0x5146)
-	withKernel(t, func(t *testing.T, k Kernel) {
-		for _, n := range []int{1, 2, 5, 33, 65} {
-			for trial := 0; trial < 3; trial++ {
-				a := randomDense(t, n, n, src)
-				switch trial {
-				case 0: // zero column
-					for i := 0; i < n; i++ {
-						a.Set(i, n/2, 0)
-					}
-				case 1: // duplicate row
-					if n > 1 {
-						copy(a.Row(n-1), a.Row(0))
-					} else {
-						a.Set(0, 0, 0)
-					}
-				case 2: // zero row
-					for j := 0; j < n; j++ {
-						a.Set(n/2, j, 0)
-					}
+	for _, n := range []int{1, 2, 5, 33, 65} {
+		for trial := 0; trial < 3; trial++ {
+			a := randomDense(t, n, n, src)
+			switch trial {
+			case 0: // zero column
+				for i := 0; i < n; i++ {
+					a.Set(i, n/2, 0)
 				}
-				_, _, _, ok := refFactor(a)
-				var blockedErr, scalarErr string
-				SetKernel(KernelBlocked)
-				if _, err := Factor(a); err != nil {
-					blockedErr = err.Error()
+			case 1: // duplicate row
+				if n > 1 {
+					copy(a.Row(n-1), a.Row(0))
+				} else {
+					a.Set(0, 0, 0)
 				}
-				SetKernel(KernelScalar)
-				if _, err := Factor(a); err != nil {
-					scalarErr = err.Error()
-				}
-				SetKernel(k)
-				if ok {
-					// Exact duplicate rows can still eliminate to a nonzero
-					// pivot in floating point only when cancellation is
-					// inexact; with identical rows it is exact, so ok here
-					// means the trial did not actually produce singularity
-					// (n == 1 zero case aside). Both variants must agree.
-					if blockedErr != "" || scalarErr != "" {
-						t.Fatalf("n=%d trial=%d: reference factored but kernels errored (%q / %q)", n, trial, blockedErr, scalarErr)
-					}
-					continue
-				}
-				if blockedErr == "" || scalarErr == "" {
-					t.Fatalf("n=%d trial=%d: reference singular but kernel accepted (blocked=%q scalar=%q)", n, trial, blockedErr, scalarErr)
-				}
-				if blockedErr != scalarErr {
-					t.Fatalf("n=%d trial=%d: variant errors differ: %q vs %q", n, trial, blockedErr, scalarErr)
-				}
-				if !strings.Contains(blockedErr, "singular") {
-					t.Fatalf("n=%d trial=%d: unexpected error %q", n, trial, blockedErr)
+			case 2: // zero row
+				for j := 0; j < n; j++ {
+					a.Set(n/2, j, 0)
 				}
 			}
+			_, _, _, ok := refFactor(a)
+			_, err := Factor(a)
+			if ok {
+				// Exact duplicate rows eliminate to an exactly zero pivot,
+				// so ok here means the trial did not actually produce
+				// singularity; the kernel must then factor it too.
+				if err != nil {
+					t.Fatalf("n=%d trial=%d: reference factored but kernel errored: %v", n, trial, err)
+				}
+				continue
+			}
+			if err == nil {
+				t.Fatalf("n=%d trial=%d: reference singular but kernel accepted", n, trial)
+			}
+			if !strings.Contains(err.Error(), "singular") {
+				t.Fatalf("n=%d trial=%d: unexpected error %q", n, trial, err)
+			}
 		}
-	})
+	}
 }
 
 // TestDifferentialFactorNearSingular factors nearly singular matrices (a
 // duplicate row perturbed at one entry by ~1e-13) and requires bit-exact
-// agreement across variants — near-singularity amplifies any reordering of
-// the elimination arithmetic, which is exactly what must not exist.
+// agreement with the reference — near-singularity amplifies any reordering
+// of the elimination arithmetic, which is exactly what must not exist.
 func TestDifferentialFactorNearSingular(t *testing.T) {
 	src := prng.New(0xaea5)
 	for _, n := range []int{2, 3, 17, 33, 64, 97} {
@@ -290,84 +252,67 @@ func TestDifferentialFactorNearSingular(t *testing.T) {
 		if !ok {
 			continue // collapsed to exact singularity; covered above
 		}
-		defer SetKernel(KernelBlocked)
-		for _, k := range []Kernel{KernelBlocked, KernelScalar} {
-			SetKernel(k)
-			f, err := FactorWorkers(a, 3)
-			if err != nil {
-				t.Fatalf("n=%d kernel=%v: %v", n, k, err)
-			}
-			requireBitEqual(t, "near-singular LU", f.lu, want)
-			if f.sign != wantSign {
-				t.Fatalf("n=%d kernel=%v: sign %g, want %g", n, k, f.sign, wantSign)
-			}
-			for i, p := range wantPerm {
-				if f.perm[i] != p {
-					t.Fatalf("n=%d kernel=%v: perm[%d] = %d, want %d", n, k, i, f.perm[i], p)
-				}
-			}
+		f, err := Factor(a)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
 		}
-		SetKernel(KernelBlocked)
+		requireFactorEqual(t, fmt.Sprintf("near-singular LU n=%d", n), f, want, wantPerm, wantSign)
 	}
 }
 
-// TestDifferentialSolveBatch pins SolveBatchInto — all kernel variants and
-// worker counts, aliased and disjoint destinations — bit-exactly to
-// column-by-column SolveInto.
+// TestDifferentialSolveBatch pins SolveBatchInto — aliased and disjoint
+// destinations — bit-exactly to column-by-column SolveInto over a
+// factorization that is itself pinned to the reference.
 func TestDifferentialSolveBatch(t *testing.T) {
 	src := prng.New(0xba7c)
-	withKernel(t, func(t *testing.T, k Kernel) {
-		for _, n := range []int{1, 2, 3, 5, 17, 33, 64, 97} {
-			for _, m := range []int{1, 2, 3, 4, 5, 9, 31} {
-				a := randomDense(t, n, n, src)
+	for _, n := range []int{1, 2, 3, 5, 17, 33, 64, 97} {
+		for _, m := range []int{1, 2, 3, 4, 5, 9, 31} {
+			a := randomDense(t, n, n, src)
+			for i := 0; i < n; i++ {
+				a.Set(i, i, a.At(i, i)+float64(n))
+			}
+			b := randomDense(t, n, m, src)
+			f, err := Factor(a)
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			want := MustNew(n, m)
+			col := make([]float64, n)
+			out := make([]float64, n)
+			for j := 0; j < m; j++ {
 				for i := 0; i < n; i++ {
-					a.Set(i, i, a.At(i, i)+float64(n))
+					col[i] = b.At(i, j)
 				}
-				b := randomDense(t, n, m, src)
-				f, err := Factor(a)
-				if err != nil {
-					t.Fatalf("n=%d: %v", n, err)
+				if err := f.SolveInto(out, col); err != nil {
+					t.Fatalf("n=%d col=%d: %v", n, j, err)
 				}
-				want := MustNew(n, m)
-				col := make([]float64, n)
-				out := make([]float64, n)
-				for j := 0; j < m; j++ {
-					for i := 0; i < n; i++ {
-						col[i] = b.At(i, j)
-					}
-					if err := f.SolveInto(out, col); err != nil {
-						t.Fatalf("n=%d col=%d: %v", n, j, err)
-					}
-					for i := 0; i < n; i++ {
-						want.Set(i, j, out[i])
-					}
-				}
-				for _, workers := range []int{1, 2, 8} {
-					x := MustNew(n, m)
-					if err := f.SolveBatchInto(x, b, workers); err != nil {
-						t.Fatalf("n=%d workers=%d: %v", n, workers, err)
-					}
-					requireBitEqual(t, "SolveBatchInto", x, want)
-					// Aliased in-place batch solve.
-					inPlace := b.Clone()
-					if err := f.SolveBatchInto(inPlace, inPlace, workers); err != nil {
-						t.Fatalf("n=%d workers=%d aliased: %v", n, workers, err)
-					}
-					requireBitEqual(t, "SolveBatchInto aliased", inPlace, want)
+				for i := 0; i < n; i++ {
+					want.Set(i, j, out[i])
 				}
 			}
+			x := MustNew(n, m)
+			if err := f.SolveBatchInto(x, b); err != nil {
+				t.Fatalf("n=%d m=%d: %v", n, m, err)
+			}
+			requireBitEqual(t, "SolveBatchInto", x, want)
+			// Aliased in-place batch solve.
+			inPlace := b.Clone()
+			if err := f.SolveBatchInto(inPlace, inPlace); err != nil {
+				t.Fatalf("n=%d m=%d aliased: %v", n, m, err)
+			}
+			requireBitEqual(t, "SolveBatchInto aliased", inPlace, want)
 		}
-	})
+	}
 }
 
 // TestDifferentialMulSpecialValues drives Inf, NaN, and negative zero
-// through every multiply variant: a branchless blocked kernel would turn
-// skipped 0*Inf terms into NaNs, so this is the contract's sharpest edge.
-// NaN entries are compared as "both NaN" rather than by payload — IEEE
-// addition does not specify which operand's NaN payload propagates, so the
-// payload bits depend on the compiler's operand ordering, not on the
-// kernel's term ordering. Every non-NaN entry (including Inf and the sign
-// of zero) must still match bit for bit.
+// through the multiply kernel: a branchless kernel would turn skipped
+// 0*Inf terms into NaNs, so this is the contract's sharpest edge. NaN
+// entries are compared as "both NaN" rather than by payload — IEEE addition
+// does not specify which operand's NaN payload propagates, so the payload
+// bits depend on the compiler's operand ordering, not on the kernel's term
+// ordering. Every non-NaN entry (including Inf and the sign of zero) must
+// still match bit for bit.
 func TestDifferentialMulSpecialValues(t *testing.T) {
 	a := MustNew(5, 6)
 	b := MustNew(6, 7)
@@ -384,29 +329,22 @@ func TestDifferentialMulSpecialValues(t *testing.T) {
 	}
 	want := MustNew(5, 7)
 	refMulInto(want, a, b)
-	defer SetKernel(KernelBlocked)
-	for _, k := range []Kernel{KernelBlocked, KernelScalar} {
-		SetKernel(k)
-		for _, workers := range []int{1, 2} {
-			got := MustNew(5, 7)
-			if err := MulIntoWorkers(got, a, b, workers); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < want.Rows(); i++ {
-				for j := 0; j < want.Cols(); j++ {
-					g, w := got.At(i, j), want.At(i, j)
-					if math.IsNaN(w) {
-						if !math.IsNaN(g) {
-							t.Fatalf("entry (%d,%d) = %g, want NaN", i, j, g)
-						}
-						continue
-					}
-					if math.Float64bits(g) != math.Float64bits(w) {
-						t.Fatalf("entry (%d,%d) = %x, want %x", i, j, math.Float64bits(g), math.Float64bits(w))
-					}
+	got := MustNew(5, 7)
+	if err := MulInto(got, a, b); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < want.Rows(); i++ {
+		for j := 0; j < want.Cols(); j++ {
+			g, w := got.At(i, j), want.At(i, j)
+			if math.IsNaN(w) {
+				if !math.IsNaN(g) {
+					t.Fatalf("entry (%d,%d) = %g, want NaN", i, j, g)
 				}
+				continue
+			}
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("entry (%d,%d) = %x, want %x", i, j, math.Float64bits(g), math.Float64bits(w))
 			}
 		}
 	}
-	SetKernel(KernelBlocked)
 }

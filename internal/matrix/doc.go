@@ -6,6 +6,8 @@
 // formula (the counting core of weighted perfect matching sampling, §1.8).
 //
 // Matrices are dense, row-major float64. The sizes in this repository are
-// n x n for graphs up to a few hundred vertices, so cache-aware loop ordering
-// is sufficient; no SIMD or blocking heroics are attempted.
+// n x n for graphs up to a few hundred vertices. Each dense kernel has one
+// sequential implementation — a register-tiled multiply and a column-panel
+// LU — that is bit-exact against the naive loops the differential tests
+// keep as their reference; no SIMD is attempted.
 package matrix

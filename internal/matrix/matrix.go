@@ -147,7 +147,7 @@ func (m *Matrix) Mul(o *Matrix) (*Matrix, error) {
 		return nil, fmt.Errorf("matrix: cannot multiply %dx%d by %dx%d", m.rows, m.cols, o.rows, o.cols)
 	}
 	out := MustNew(m.rows, o.cols)
-	mulRows(out, m, o, 0, m.rows)
+	mulRows(out, m, o)
 	return out, nil
 }
 
@@ -158,7 +158,7 @@ func MulInto(dst, a, b *Matrix) error {
 	if err := checkMulInto(dst, a, b); err != nil {
 		return err
 	}
-	mulRows(dst, a, b, 0, a.rows)
+	mulRows(dst, a, b)
 	return nil
 }
 

@@ -17,23 +17,13 @@ type LU struct {
 // matrix. It returns an error if the matrix is not square or is singular to
 // working precision.
 func Factor(a *Matrix) (*LU, error) {
-	return newFactor(a, false, 1)
+	return newFactor(a, false)
 }
 
-// FactorWorkers is Factor with the trailing-block updates of the blocked
-// elimination computed by up to workers goroutines. The factorization is
-// byte-identical to Factor's for every worker count.
-func FactorWorkers(a *Matrix, workers int) (*LU, error) {
-	return newFactor(a, false, workers)
-}
-
-// newFactor is the single entry point behind Factor, FactorScratch, and
-// their worker variants: it validates squareness, materializes the working
-// copy (heap clone or scratch-pool draw), and runs the one shared
-// elimination. Every factorization in this package goes through
-// factorInPlace — there is exactly one elimination implementation per
-// kernel variant.
-func newFactor(a *Matrix, scratch bool, workers int) (*LU, error) {
+// newFactor is the single entry point behind Factor and FactorScratch: it
+// validates squareness, materializes the working copy (heap clone or
+// scratch-pool draw), and runs the one shared elimination, factorInPlace.
+func newFactor(a *Matrix, scratch bool) (*LU, error) {
 	if a.rows != a.cols {
 		return nil, fmt.Errorf("matrix: LU of non-square %dx%d matrix", a.rows, a.cols)
 	}
@@ -44,72 +34,11 @@ func newFactor(a *Matrix, scratch bool, workers int) (*LU, error) {
 	} else {
 		work = a.Clone()
 	}
-	f, err := factorInPlace(work, workers)
+	f, err := factorInPlace(work)
 	if err != nil && scratch {
 		work.Release()
 	}
 	return f, err
-}
-
-// factorInPlace runs the pivoted elimination destructively on lu, which the
-// returned LU takes ownership of. It dispatches on the selected kernel; the
-// two implementations produce byte-identical factorizations (values, perm,
-// and sign) and fail at the same column on singular input.
-func factorInPlace(lu *Matrix, workers int) (*LU, error) {
-	if ActiveKernel() == KernelScalar {
-		return factorInPlaceScalar(lu)
-	}
-	return factorInPlaceBlocked(lu, workers)
-}
-
-// factorInPlaceScalar is the original unblocked right-looking elimination.
-// Its operation order is the factorization's bit-exactness contract: at each
-// column, pivot by first strict maximum of |entry| scanning down, swap full
-// rows, divide to form multipliers, then subtract f*pivotRow from each lower
-// row (skipping f == 0). Per element the updates land in ascending column
-// order; factorInPlaceBlocked reproduces that sequence exactly.
-func factorInPlaceScalar(lu *Matrix) (*LU, error) {
-	n := lu.rows
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	sign := 1.0
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		p := col
-		maxAbs := math.Abs(lu.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if a := math.Abs(lu.At(r, col)); a > maxAbs {
-				maxAbs = a
-				p = r
-			}
-		}
-		if maxAbs == 0 {
-			return nil, fmt.Errorf("matrix: singular matrix in LU at column %d", col)
-		}
-		if p != col {
-			rp, rc := lu.Row(p), lu.Row(col)
-			for j := 0; j < n; j++ {
-				rp[j], rc[j] = rc[j], rp[j]
-			}
-			perm[p], perm[col] = perm[col], perm[p]
-			sign = -sign
-		}
-		pivot := lu.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := lu.At(r, col) / pivot
-			lu.Set(r, col, f)
-			if f == 0 {
-				continue
-			}
-			rr, rc := lu.Row(r), lu.Row(col)
-			for j := col + 1; j < n; j++ {
-				rr[j] -= f * rc[j]
-			}
-		}
-	}
-	return &LU{lu: lu, perm: perm, sign: sign}, nil
 }
 
 // luPanel is the column-panel width of the blocked elimination. 32 columns
@@ -117,18 +46,25 @@ func factorInPlaceScalar(lu *Matrix) (*LU, error) {
 // comfortably inside L1 during the trailing update.
 const luPanel = 32
 
-// factorInPlaceBlocked is the column-panel elimination. Each panel is
-// factored with the scalar algorithm restricted to its own columns
-// (pivoting over full rows, so swaps land at exactly the scalar schedule's
-// points), then the deferred updates are applied to the trailing columns in
-// ascending panel-column order: first the panel rows (the U12 block, a
+// factorInPlace runs the pivoted elimination destructively on lu, which the
+// returned LU takes ownership of. Its operation order is the factorization's
+// bit-exactness contract, the one the differential tests pin against a
+// naive right-looking reference: at each column, pivot by first strict
+// maximum of |entry| scanning down, swap full rows, divide to form
+// multipliers, then subtract f*pivotRow from each lower row (skipping
+// f == 0), so per element the updates land in ascending column order.
+//
+// The elimination is blocked by column panel. Each panel is factored with
+// the unblocked algorithm restricted to its own columns (pivoting over full
+// rows, so swaps land at exactly the unblocked schedule's points), then the
+// deferred updates are applied to the trailing columns in ascending
+// panel-column order: first the panel rows (the U12 block, a
 // forward-substitution sweep), then the remaining rows (the A22 block),
-// register-tiled and partitioned across workers by row. Because every
-// element still receives its update terms in ascending column order with
-// the same multipliers and the same f == 0 skips, the factorization is
-// byte-identical to the scalar one — the deferral only reorders work across
-// elements, never within one.
-func factorInPlaceBlocked(lu *Matrix, workers int) (*LU, error) {
+// register-tiled. Every element still receives its update terms in
+// ascending column order with the same multipliers and the same f == 0
+// skips — the deferral only reorders work across elements, never within
+// one.
+func factorInPlace(lu *Matrix) (*LU, error) {
 	n := lu.rows
 	perm := make([]int, n)
 	for i := range perm {
@@ -140,7 +76,7 @@ func factorInPlaceBlocked(lu *Matrix, workers int) (*LU, error) {
 		if c1 > n {
 			c1 = n
 		}
-		// Panel factorization: scalar elimination restricted to columns
+		// Panel factorization: unblocked elimination restricted to columns
 		// [c0, c1), full-row pivot swaps, updates deferred for j >= c1.
 		for col := c0; col < c1; col++ {
 			p := col
@@ -179,7 +115,7 @@ func factorInPlaceBlocked(lu *Matrix, workers int) (*LU, error) {
 			break
 		}
 		// U12: the panel rows' trailing columns, updates applied in the
-		// ascending column order the scalar schedule used (row r receives
+		// ascending column order the unblocked schedule uses (row r receives
 		// columns c0..r-1).
 		for col := c0; col < c1; col++ {
 			rc := lu.Row(col)
@@ -195,14 +131,10 @@ func factorInPlaceBlocked(lu *Matrix, workers int) (*LU, error) {
 			}
 		}
 		// A22: each remaining row accumulates all panel columns' updates in
-		// registers, rows partitioned across workers (disjoint writes).
-		rows := n - c1
-		flops := 2 * int64(c1-c0) * int64(n-c1)
-		runRows(rows, workers, flops, func(lo, hi int) {
-			for r := c1 + lo; r < c1+hi; r++ {
-				trailingUpdateRow(lu, r, c0, c1, n)
-			}
-		})
+		// registers.
+		for r := c1; r < n; r++ {
+			trailingUpdateRow(lu, r, c0, c1, n)
+		}
 	}
 	return &LU{lu: lu, perm: perm, sign: sign}, nil
 }
@@ -210,7 +142,7 @@ func factorInPlaceBlocked(lu *Matrix, workers int) (*LU, error) {
 // trailingUpdateRow applies the deferred panel updates to row r's trailing
 // columns [c1, n): acc -= f_c * U[c][j] for panel columns c in ascending
 // order, four j-columns per register tile. Per element this is exactly the
-// scalar schedule's update sequence for row r (steps c0..c1-1, f == 0
+// unblocked schedule's update sequence for row r (steps c0..c1-1, f == 0
 // skipped), so the result is bit-identical.
 func trailingUpdateRow(lu *Matrix, r, c0, c1, n int) {
 	rr := lu.Row(r)
@@ -314,13 +246,7 @@ func (f *LU) SolveInto(x, b []float64) error {
 // the scratch pool; pair it with LU.Release when the factorization is
 // transient (one elimination pass, then discarded).
 func FactorScratch(a *Matrix) (*LU, error) {
-	return newFactor(a, true, 1)
-}
-
-// FactorScratchWorkers is FactorScratch with the trailing-block updates
-// computed by up to workers goroutines; byte-identical for every count.
-func FactorScratchWorkers(a *Matrix, workers int) (*LU, error) {
-	return newFactor(a, true, workers)
+	return newFactor(a, true)
 }
 
 // SolveBatchInto solves A*X = B for a whole batch of right-hand sides at
@@ -331,10 +257,8 @@ func FactorScratchWorkers(a *Matrix, workers int) (*LU, error) {
 // bit-identical to column-by-column SolveInto calls — it amortizes the walk
 // over the factorization's rows across the batch instead. x and b must be
 // n x m with n the factored dimension; x may be b itself (in-place) but must
-// not partially overlap it, and must not alias the factorization. Columns
-// are partitioned across up to workers goroutines (disjoint writes, so
-// results are byte-identical for every worker count).
-func (f *LU) SolveBatchInto(x, b *Matrix, workers int) error {
+// not partially overlap it, and must not alias the factorization.
+func (f *LU) SolveBatchInto(x, b *Matrix) error {
 	n := f.lu.rows
 	if b.rows != n {
 		return fmt.Errorf("matrix: batch solve rhs is %dx%d, want %d rows", b.rows, b.cols, n)
@@ -359,22 +283,21 @@ func (f *LU) SolveBatchInto(x, b *Matrix, workers int) error {
 			copy(x.Row(i), b.Row(f.perm[i]))
 		}
 	}
-	runRows(x.cols, workers, 2*int64(n)*int64(n), func(lo, hi int) {
-		solveColumns(f.lu, x, lo, hi)
-	})
+	solveColumns(f.lu, x)
 	return nil
 }
 
-// solveColumns runs forward and back substitution on columns [lo, hi) of the
+// solveColumns runs forward and back substitution on every column of the
 // already row-permuted x, four columns per register tile. Per column the
 // arithmetic matches SolveInto exactly: the dot product accumulates in a
 // register over ascending indices and is applied in one subtraction (forward)
 // or folded into one division (back) — never term-by-term into memory, which
 // would round differently.
-func solveColumns(lu, x *Matrix, lo, hi int) {
+func solveColumns(lu, x *Matrix) {
 	n := lu.rows
-	j := lo
-	for ; j+4 <= hi; j += 4 {
+	cols := x.cols
+	j := 0
+	for ; j+4 <= cols; j += 4 {
 		// Forward substitution with unit-diagonal L.
 		for i := 1; i < n; i++ {
 			row := lu.Row(i)
@@ -413,7 +336,7 @@ func solveColumns(lu, x *Matrix, lo, hi int) {
 			xi[j+3] = s3 / d
 		}
 	}
-	for ; j < hi; j++ {
+	for ; j < cols; j++ {
 		for i := 1; i < n; i++ {
 			row := lu.Row(i)
 			var s float64

@@ -106,14 +106,7 @@ func (Naive) Mul(sim *clique.Sim, a, b *matrix.Matrix) (*matrix.Matrix, error) {
 // distributed algorithm: ceil(n^Alpha) rounds per multiplication. The
 // polylogarithmic factors hidden in the paper's Õ are normalized to 1, like
 // every other constant in the simulator (clique package doc).
-type Fast struct {
-	// Workers bounds the goroutines computing each local product (disjoint
-	// output row panels; byte-identical results for every value). Zero or
-	// one means sequential. The round charging — the quantity the simulator
-	// studies — never depends on it, and Name deliberately ignores it so
-	// snapshot fingerprints stay stable across worker counts.
-	Workers int
-}
+type Fast struct{}
 
 // Name implements Backend.
 func (Fast) Name() string { return "fast" }
@@ -122,7 +115,7 @@ func (Fast) Name() string { return "fast" }
 func (Fast) CostRounds(d int) int { return RoundsFast(d) }
 
 // Mul implements Backend.
-func (f Fast) Mul(sim *clique.Sim, a, b *matrix.Matrix) (*matrix.Matrix, error) {
+func (Fast) Mul(sim *clique.Sim, a, b *matrix.Matrix) (*matrix.Matrix, error) {
 	d, err := checkDims(sim, a, b)
 	if err != nil {
 		return nil, err
@@ -131,7 +124,15 @@ func (f Fast) Mul(sim *clique.Sim, a, b *matrix.Matrix) (*matrix.Matrix, error) 
 	if err := sim.ChargeRounds(rounds, "fast-matmul"); err != nil {
 		return nil, err
 	}
-	return a.MulWorkers(b, f.Workers)
+	// The product comes from the scratch pool so that short-lived products
+	// (a sample's per-phase power tables) can be recycled with Release; a
+	// caller that keeps the product simply never releases it.
+	out := matrix.Scratch(d, d)
+	if err := matrix.MulInto(out, a, b); err != nil {
+		out.Release()
+		return nil, err
+	}
+	return out, nil
 }
 
 // RoundsFast predicts the rounds Fast charges for dimension d.

@@ -12,8 +12,8 @@
 // but nothing in the sampling path ever branches on them — the tree and
 // Stats at index i remain a pure function of (graph, sampler spec, seed
 // base, i) whether tracing is on, off, sampled in, or sampled out. Tracing
-// knobs therefore join Weight, MaxWorkers, and SimFidelity in
-// the set of output-neutral configuration. To keep that contract auditable,
+// knobs therefore join Weight and MaxWorkers in the set of output-neutral
+// configuration. To keep that contract auditable,
 // every Span entry point is nil-safe on its zero value: untraced runs pay
 // one pointer check per instrumentation site and allocate nothing.
 package obs

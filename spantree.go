@@ -30,7 +30,6 @@ import (
 	"math/big"
 
 	"repro/internal/blobstore"
-	"repro/internal/clique"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -201,26 +200,6 @@ func WithMatching(name string) Option {
 	}
 }
 
-// WithKernelWorkers bounds the goroutines used inside each dense kernel
-// call — the matrix squarings and Schur-system solves of Prepare and phase
-// builds — for every sampler built from these options. Parallelism lives in
-// disjoint row panels with no shared accumulation, so trees and Stats are
-// byte-identical for every value; the knob trades CPU for within-sample
-// latency, which matters when a deadline covers one large-n sample rather
-// than many small ones. 0 or 1 means sequential (the default); values above
-// GOMAXPROCS are clamped; negative is rejected. Compose with
-// WithStreamWorkers deliberately: stream workers multiply across samples,
-// kernel workers multiply within one, and their product is the CPU bound.
-func WithKernelWorkers(n int) Option {
-	return func(o *options) error {
-		if n < 0 {
-			return fmt.Errorf("spantree: kernel workers must be >= 0, got %d", n)
-		}
-		o.cfg.KernelWorkers = n
-		return nil
-	}
-}
-
 // WithStreamWorkers sets the width of an Engine's stream worker pool — the
 // maximum number of samples computing at once across ALL concurrent streams
 // (default: the engine's worker count, i.e. GOMAXPROCS unless overridden).
@@ -312,23 +291,6 @@ func WithTraceRing(n int) Option {
 func WithDataDir(dir string) Option {
 	return func(o *options) error {
 		o.dataDir = dir
-		return nil
-	}
-}
-
-// WithSimFidelity selects the simulator execution mode for the congested
-// clique samplers: "charged" (the default) charges the hot protocol
-// supersteps analytically from their communication patterns — no message
-// materialization; "full" routes every message through the simulator, the
-// audit mode. Trees and Stats are byte-identical across modes. Engine
-// requests can override per request via SamplerSpec.SimFidelity.
-func WithSimFidelity(mode string) Option {
-	return func(o *options) error {
-		f := clique.Fidelity(mode)
-		if !f.Valid() {
-			return fmt.Errorf("spantree: unknown sim fidelity %q (want %q or %q)", mode, clique.FidelityCharged, clique.FidelityFull)
-		}
-		o.cfg.SimFidelity = f
 		return nil
 	}
 }
