@@ -103,7 +103,9 @@ func TestSchedulerWeightedGrants(t *testing.T) {
 // consumer stalling on every line, the fast stream must still complete in
 // <= 1.5x its solo wall-clock — the slow stream's slots are yielded, not
 // pinned — and both streams' per-index trees must be byte-identical to the
-// single-stream golden output.
+// single-stream golden output. The wall-clock comparison takes the best of a
+// few interleaved solo and contended runs, so a burst of load from elsewhere
+// on the machine during one measurement does not decide the outcome.
 func TestStreamFairnessSlowConsumer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock fairness test")
@@ -112,6 +114,7 @@ func TestStreamFairnessSlowConsumer(t *testing.T) {
 		k          = 64
 		sampleCost = 5 * time.Millisecond
 		slowEvery  = 30 * time.Millisecond
+		trials     = 3
 	)
 	newEng := func() (*Engine, *Session) {
 		e := New(Options{Config: core.Config{WalkLength: 256}, StreamWorkers: 4})
@@ -143,53 +146,64 @@ func TestStreamFairnessSlowConsumer(t *testing.T) {
 		return trees, time.Since(start)
 	}
 
-	// Golden + solo baseline on a fresh engine.
-	_, solo := newEng()
-	st, err := solo.Stream(context.Background(), req(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden, soloElapsed := consume(st, 0)
+	var golden []string
+	soloElapsed, fastElapsed := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for trial := 0; trial < trials; trial++ {
+		// Golden + solo baseline on a fresh engine.
+		_, solo := newEng()
+		st, err := solo.Stream(context.Background(), req(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		soloTrees, elapsed := consume(st, 0)
+		soloElapsed = min(soloElapsed, elapsed)
+		if golden == nil {
+			golden = soloTrees
+		} else if !reflect.DeepEqual(soloTrees, golden) {
+			t.Errorf("trial %d: solo stream trees differ from the first solo run", trial)
+		}
 
-	// Concurrent run on a fresh engine: a slow consumer (delayed every
-	// line) and a fast consumer at equal weights.
-	_, sess := newEng()
-	slowSt, err := sess.Stream(context.Background(), req(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var slowTrees []string
-	var slowDone atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		slowTrees, _ = consume(slowSt, slowEvery)
-		slowDone.Store(true)
-	}()
-	// Give the slow stream a head start so its lease is active and holding
-	// slots when the fast stream arrives.
-	time.Sleep(2 * sampleCost)
-	fastSt, err := sess.Stream(context.Background(), req(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fastTrees, fastElapsed := consume(fastSt, 0)
-	if slowDone.Load() {
-		t.Error("slow stream finished before the fast stream; the test exercised no contention")
-	}
-	wg.Wait()
+		// Concurrent run on a fresh engine: a slow consumer (delayed every
+		// line) and a fast consumer at equal weights.
+		_, sess := newEng()
+		slowSt, err := sess.Stream(context.Background(), req(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var slowTrees []string
+		var slowDone atomic.Bool
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			slowTrees, _ = consume(slowSt, slowEvery)
+			slowDone.Store(true)
+		}()
+		// Give the slow stream a head start so its lease is active and
+		// holding slots when the fast stream arrives.
+		time.Sleep(2 * sampleCost)
+		fastSt, err := sess.Stream(context.Background(), req(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fastTrees, elapsed := consume(fastSt, 0)
+		fastElapsed = min(fastElapsed, elapsed)
+		if slowDone.Load() {
+			t.Errorf("trial %d: slow stream finished before the fast stream; the test exercised no contention", trial)
+		}
+		wg.Wait()
 
-	if !reflect.DeepEqual(fastTrees, golden) {
-		t.Error("fast stream trees differ from solo golden output")
-	}
-	if !reflect.DeepEqual(slowTrees, golden) {
-		t.Error("slow stream trees differ from solo golden output")
+		if !reflect.DeepEqual(fastTrees, golden) {
+			t.Errorf("trial %d: fast stream trees differ from solo golden output", trial)
+		}
+		if !reflect.DeepEqual(slowTrees, golden) {
+			t.Errorf("trial %d: slow stream trees differ from solo golden output", trial)
+		}
 	}
 	// The slow consumer needs k*slowEvery ~ 2s to drain; the fast stream's
 	// compute is ~k*sampleCost/slots ~ 80ms. If the slow stream pinned its
 	// slots instead of yielding them, the fast stream would be serialized
-	// behind it and blow well past the 1.5x budget.
+	// behind it and blow well past the 1.5x budget in every trial.
 	if limit := soloElapsed + soloElapsed/2; fastElapsed > limit {
 		t.Errorf("fast stream took %v alongside a slow consumer, want <= 1.5x solo (%v, limit %v)",
 			fastElapsed, soloElapsed, limit)

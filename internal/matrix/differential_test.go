@@ -122,32 +122,38 @@ func requireBitEqual(t *testing.T, label string, got, want *Matrix) {
 	}
 }
 
+// blockedKernel names the subtest that runs the production kernel: the
+// register-tiled, column-panelled ("blocked") multiply and factorization.
+const blockedKernel = "blocked"
+
 // TestDifferentialMulKernels pins every multiply path on rectangular shapes,
 // including odd and prime dimensions, bit-exactly to the naive reference.
 func TestDifferentialMulKernels(t *testing.T) {
 	src := prng.New(0xd1ff)
-	for _, n := range awkwardSizes {
-		// Rectangular: (n x inner) * (inner x cols) with shifted dims so
-		// row-remainder, col-remainder, and inner loops all vary.
-		inner := n + 1
-		cols := n + 2
-		a := randomDense(t, n, inner, src)
-		b := randomDense(t, inner, cols, src)
-		want := MustNew(n, cols)
-		refMulInto(want, a, b)
+	t.Run(blockedKernel, func(t *testing.T) {
+		for _, n := range awkwardSizes {
+			// Rectangular: (n x inner) * (inner x cols) with shifted dims so
+			// row-remainder, col-remainder, and inner loops all vary.
+			inner := n + 1
+			cols := n + 2
+			a := randomDense(t, n, inner, src)
+			b := randomDense(t, inner, cols, src)
+			want := MustNew(n, cols)
+			refMulInto(want, a, b)
 
-		got, err := a.Mul(b)
-		if err != nil {
-			t.Fatalf("n=%d: Mul: %v", n, err)
-		}
-		requireBitEqual(t, "Mul", got, want)
+			got, err := a.Mul(b)
+			if err != nil {
+				t.Fatalf("n=%d: Mul: %v", n, err)
+			}
+			requireBitEqual(t, "Mul", got, want)
 
-		dst := randomDense(t, n, cols, src) // dirty destination
-		if err := MulInto(dst, a, b); err != nil {
-			t.Fatalf("n=%d: MulInto: %v", n, err)
+			dst := randomDense(t, n, cols, src) // dirty destination
+			if err := MulInto(dst, a, b); err != nil {
+				t.Fatalf("n=%d: MulInto: %v", n, err)
+			}
+			requireBitEqual(t, "MulInto", dst, want)
 		}
-		requireBitEqual(t, "MulInto", dst, want)
-	}
+	})
 }
 
 // requireFactorEqual checks a factorization against the reference's packed
@@ -170,72 +176,76 @@ func requireFactorEqual(t *testing.T, label string, f *LU, want *Matrix, wantPer
 // determinant sign.
 func TestDifferentialFactorKernels(t *testing.T) {
 	src := prng.New(0xfac7)
-	for _, n := range awkwardSizes {
-		a := randomDense(t, n, n, src)
-		// Dominate the diagonal so the instance is comfortably nonsingular.
-		for i := 0; i < n; i++ {
-			a.Set(i, i, a.At(i, i)+float64(n))
+	t.Run(blockedKernel, func(t *testing.T) {
+		for _, n := range awkwardSizes {
+			a := randomDense(t, n, n, src)
+			// Dominate the diagonal so the instance is comfortably nonsingular.
+			for i := 0; i < n; i++ {
+				a.Set(i, i, a.At(i, i)+float64(n))
+			}
+			want, wantPerm, wantSign, ok := refFactor(a)
+			if !ok {
+				t.Fatalf("n=%d: reference factorization unexpectedly singular", n)
+			}
+			f, err := Factor(a)
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			requireFactorEqual(t, fmt.Sprintf("Factor n=%d", n), f, want, wantPerm, wantSign)
+			fs, err := FactorScratch(a)
+			if err != nil {
+				t.Fatalf("n=%d: scratch: %v", n, err)
+			}
+			requireFactorEqual(t, fmt.Sprintf("FactorScratch n=%d", n), fs, want, wantPerm, wantSign)
+			fs.Release()
 		}
-		want, wantPerm, wantSign, ok := refFactor(a)
-		if !ok {
-			t.Fatalf("n=%d: reference factorization unexpectedly singular", n)
-		}
-		f, err := Factor(a)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		requireFactorEqual(t, fmt.Sprintf("Factor n=%d", n), f, want, wantPerm, wantSign)
-		fs, err := FactorScratch(a)
-		if err != nil {
-			t.Fatalf("n=%d: scratch: %v", n, err)
-		}
-		requireFactorEqual(t, fmt.Sprintf("FactorScratch n=%d", n), fs, want, wantPerm, wantSign)
-		fs.Release()
-	}
+	})
 }
 
 // TestDifferentialFactorSingular checks that Factor rejects exactly the
 // input the reference elimination finds singular.
 func TestDifferentialFactorSingular(t *testing.T) {
 	src := prng.New(0x5146)
-	for _, n := range []int{1, 2, 5, 33, 65} {
-		for trial := 0; trial < 3; trial++ {
-			a := randomDense(t, n, n, src)
-			switch trial {
-			case 0: // zero column
-				for i := 0; i < n; i++ {
-					a.Set(i, n/2, 0)
+	t.Run(blockedKernel, func(t *testing.T) {
+		for _, n := range []int{1, 2, 5, 33, 65} {
+			for trial := 0; trial < 3; trial++ {
+				a := randomDense(t, n, n, src)
+				switch trial {
+				case 0: // zero column
+					for i := 0; i < n; i++ {
+						a.Set(i, n/2, 0)
+					}
+				case 1: // duplicate row
+					if n > 1 {
+						copy(a.Row(n-1), a.Row(0))
+					} else {
+						a.Set(0, 0, 0)
+					}
+				case 2: // zero row
+					for j := 0; j < n; j++ {
+						a.Set(n/2, j, 0)
+					}
 				}
-			case 1: // duplicate row
-				if n > 1 {
-					copy(a.Row(n-1), a.Row(0))
-				} else {
-					a.Set(0, 0, 0)
+				_, _, _, ok := refFactor(a)
+				_, err := Factor(a)
+				if ok {
+					// Exact duplicate rows eliminate to an exactly zero pivot,
+					// so ok here means the trial did not actually produce
+					// singularity; the kernel must then factor it too.
+					if err != nil {
+						t.Fatalf("n=%d trial=%d: reference factored but kernel errored: %v", n, trial, err)
+					}
+					continue
 				}
-			case 2: // zero row
-				for j := 0; j < n; j++ {
-					a.Set(n/2, j, 0)
+				if err == nil {
+					t.Fatalf("n=%d trial=%d: reference singular but kernel accepted", n, trial)
 				}
-			}
-			_, _, _, ok := refFactor(a)
-			_, err := Factor(a)
-			if ok {
-				// Exact duplicate rows eliminate to an exactly zero pivot,
-				// so ok here means the trial did not actually produce
-				// singularity; the kernel must then factor it too.
-				if err != nil {
-					t.Fatalf("n=%d trial=%d: reference factored but kernel errored: %v", n, trial, err)
+				if !strings.Contains(err.Error(), "singular") {
+					t.Fatalf("n=%d trial=%d: unexpected error %q", n, trial, err)
 				}
-				continue
-			}
-			if err == nil {
-				t.Fatalf("n=%d trial=%d: reference singular but kernel accepted", n, trial)
-			}
-			if !strings.Contains(err.Error(), "singular") {
-				t.Fatalf("n=%d trial=%d: unexpected error %q", n, trial, err)
 			}
 		}
-	}
+	})
 }
 
 // TestDifferentialFactorNearSingular factors nearly singular matrices (a
@@ -265,44 +275,46 @@ func TestDifferentialFactorNearSingular(t *testing.T) {
 // factorization that is itself pinned to the reference.
 func TestDifferentialSolveBatch(t *testing.T) {
 	src := prng.New(0xba7c)
-	for _, n := range []int{1, 2, 3, 5, 17, 33, 64, 97} {
-		for _, m := range []int{1, 2, 3, 4, 5, 9, 31} {
-			a := randomDense(t, n, n, src)
-			for i := 0; i < n; i++ {
-				a.Set(i, i, a.At(i, i)+float64(n))
-			}
-			b := randomDense(t, n, m, src)
-			f, err := Factor(a)
-			if err != nil {
-				t.Fatalf("n=%d: %v", n, err)
-			}
-			want := MustNew(n, m)
-			col := make([]float64, n)
-			out := make([]float64, n)
-			for j := 0; j < m; j++ {
+	t.Run(blockedKernel, func(t *testing.T) {
+		for _, n := range []int{1, 2, 3, 5, 17, 33, 64, 97} {
+			for _, m := range []int{1, 2, 3, 4, 5, 9, 31} {
+				a := randomDense(t, n, n, src)
 				for i := 0; i < n; i++ {
-					col[i] = b.At(i, j)
+					a.Set(i, i, a.At(i, i)+float64(n))
 				}
-				if err := f.SolveInto(out, col); err != nil {
-					t.Fatalf("n=%d col=%d: %v", n, j, err)
+				b := randomDense(t, n, m, src)
+				f, err := Factor(a)
+				if err != nil {
+					t.Fatalf("n=%d: %v", n, err)
 				}
-				for i := 0; i < n; i++ {
-					want.Set(i, j, out[i])
+				want := MustNew(n, m)
+				col := make([]float64, n)
+				out := make([]float64, n)
+				for j := 0; j < m; j++ {
+					for i := 0; i < n; i++ {
+						col[i] = b.At(i, j)
+					}
+					if err := f.SolveInto(out, col); err != nil {
+						t.Fatalf("n=%d col=%d: %v", n, j, err)
+					}
+					for i := 0; i < n; i++ {
+						want.Set(i, j, out[i])
+					}
 				}
+				x := MustNew(n, m)
+				if err := f.SolveBatchInto(x, b); err != nil {
+					t.Fatalf("n=%d m=%d: %v", n, m, err)
+				}
+				requireBitEqual(t, "SolveBatchInto", x, want)
+				// Aliased in-place batch solve.
+				inPlace := b.Clone()
+				if err := f.SolveBatchInto(inPlace, inPlace); err != nil {
+					t.Fatalf("n=%d m=%d aliased: %v", n, m, err)
+				}
+				requireBitEqual(t, "SolveBatchInto aliased", inPlace, want)
 			}
-			x := MustNew(n, m)
-			if err := f.SolveBatchInto(x, b); err != nil {
-				t.Fatalf("n=%d m=%d: %v", n, m, err)
-			}
-			requireBitEqual(t, "SolveBatchInto", x, want)
-			// Aliased in-place batch solve.
-			inPlace := b.Clone()
-			if err := f.SolveBatchInto(inPlace, inPlace); err != nil {
-				t.Fatalf("n=%d m=%d aliased: %v", n, m, err)
-			}
-			requireBitEqual(t, "SolveBatchInto aliased", inPlace, want)
 		}
-	}
+	})
 }
 
 // TestDifferentialMulSpecialValues drives Inf, NaN, and negative zero
