@@ -8,24 +8,6 @@ import (
 	"time"
 )
 
-// Client is the operation surface shared by HTTPClient, FailoverClient, and
-// CachingClient. Implementations are safe for concurrent use.
-type Client interface {
-	// Register admits a graph (a named family or an explicit edge list).
-	Register(ctx context.Context, req RegisterRequest) (GraphInfo, error)
-	// Deregister removes the graph under key.
-	Deregister(ctx context.Context, key string) error
-	// Graphs lists registered graphs.
-	Graphs(ctx context.Context) ([]GraphInfo, error)
-	// Info describes one registered graph.
-	Info(ctx context.Context, key string) (GraphInfo, error)
-	// Sample draws a batch and returns the collected response.
-	Sample(ctx context.Context, req SampleRequest) (*SampleResult, error)
-	// Stream draws a batch as a result stream, one Result per sample in
-	// completion order; Result.Index is the determinism key.
-	Stream(ctx context.Context, key string, req StreamRequest) (*Stream, error)
-}
-
 // RegisterRequest is the body of POST /v1/graphs.
 type RegisterRequest struct {
 	Key    string      `json:"key"`
@@ -44,7 +26,8 @@ type GraphInfo struct {
 	TreeCount string `json:"tree_count,omitempty"`
 }
 
-// SampleRequest is the body of POST /v1/sample.
+// SampleRequest is the body of POST /v1/sample and POST /v1/audit. Workers
+// caps the batch's concurrent pool slots (0: no cap beyond the pool width).
 type SampleRequest struct {
 	Graph        string `json:"graph"`
 	K            int    `json:"k"`
@@ -93,6 +76,30 @@ type Result struct {
 	Supersteps int
 	TotalWords int64
 	WalkSteps  int
+}
+
+// Line is one NDJSON line of a stream response: a per-sample result (Index
+// set; lines arrive in completion order and Index is the determinism key),
+// or the terminal line carrying either Done with Samples and ElapsedMS, or
+// Error.
+type Line struct {
+	Index      *int   `json:"index,omitempty"`
+	Tree       string `json:"tree,omitempty"`
+	Rounds     int    `json:"rounds,omitempty"`
+	Supersteps int    `json:"supersteps,omitempty"`
+	TotalWords int64  `json:"total_words,omitempty"`
+	WalkSteps  int    `json:"walk_steps,omitempty"`
+
+	Done      bool    `json:"done,omitempty"`
+	Samples   int     `json:"samples,omitempty"`
+	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
+	Error     string  `json:"error,omitempty"`
+}
+
+// Line returns the result's per-sample stream line.
+func (r Result) Line() Line {
+	i := r.Index
+	return Line{Index: &i, Tree: r.Tree, Rounds: r.Rounds, Supersteps: r.Supersteps, TotalWords: r.TotalWords, WalkSteps: r.WalkSteps}
 }
 
 // APIError is a non-2xx response decoded from the server's JSON error body.

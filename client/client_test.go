@@ -472,92 +472,3 @@ func TestHedgingFiresOnSlowPrimary(t *testing.T) {
 		t.Errorf("metrics = %+v, want hedges > 0", m)
 	}
 }
-
-// fakeInner is a scripted Client for CachingClient tests.
-type fakeInner struct {
-	mu      sync.Mutex
-	digest  map[string]string
-	samples int
-}
-
-func (f *fakeInner) Info(ctx context.Context, key string) (GraphInfo, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	d, ok := f.digest[key]
-	if !ok {
-		return GraphInfo{}, &APIError{Status: 404, Message: "unknown graph"}
-	}
-	return GraphInfo{Key: key, Digest: d}, nil
-}
-
-func (f *fakeInner) Sample(ctx context.Context, req SampleRequest) (*SampleResult, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.samples++
-	return &SampleResult{Graph: req.Graph, SeedBase: req.SeedBase, Summary: json.RawMessage(`{}`)}, nil
-}
-
-func (f *fakeInner) Register(ctx context.Context, req RegisterRequest) (GraphInfo, error) {
-	return GraphInfo{Key: req.Key}, nil
-}
-func (f *fakeInner) Deregister(ctx context.Context, key string) error { return nil }
-func (f *fakeInner) Graphs(ctx context.Context) ([]GraphInfo, error)  { return nil, nil }
-func (f *fakeInner) Stream(ctx context.Context, key string, req StreamRequest) (*Stream, error) {
-	return nil, errors.New("not implemented")
-}
-
-func TestCachingClientDigestKeyedHitsAndEviction(t *testing.T) {
-	inner := &fakeInner{digest: map[string]string{"g": "d1", "h": "hd"}}
-	cc := NewCaching(inner, 2)
-	ctx := context.Background()
-	req := SampleRequest{Graph: "g", K: 4, Sampler: "phase", SeedBase: 1}
-
-	if _, err := cc.Sample(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cc.Sample(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	if inner.samples != 1 {
-		t.Fatalf("inner saw %d samples, want 1 (second should hit)", inner.samples)
-	}
-	// Workers don't change bytes, so they must not change the cache key.
-	reqW := req
-	reqW.Workers = 8
-	cc.Sample(ctx, reqW)
-	if inner.samples != 1 {
-		t.Fatalf("workers changed the cache key (%d inner samples)", inner.samples)
-	}
-	// Different seed base = different bytes = miss.
-	req2 := req
-	req2.SeedBase = 2
-	cc.Sample(ctx, req2)
-	if inner.samples != 2 {
-		t.Fatalf("seed base did not miss (%d inner samples)", inner.samples)
-	}
-	// Re-registering a DIFFERENT graph under the same key must miss: the
-	// digest changed even though the key did not.
-	inner.mu.Lock()
-	inner.digest["g"] = "d2"
-	inner.mu.Unlock()
-	cc.Forget("g")
-	cc.Sample(ctx, req)
-	if inner.samples != 3 {
-		t.Fatalf("stale digest served after Forget (%d inner samples)", inner.samples)
-	}
-	// Capacity 2: filling a third entry evicts the oldest.
-	cc.Sample(ctx, SampleRequest{Graph: "h", K: 1})
-	m := cc.Metrics()
-	if m.Entries != 2 || m.Evictions < 1 {
-		t.Fatalf("cache metrics = %+v", m)
-	}
-}
-
-func TestCachingClientSurfacesInfoErrors(t *testing.T) {
-	cc := NewCaching(&fakeInner{digest: map[string]string{}}, 0)
-	_, err := cc.Sample(context.Background(), SampleRequest{Graph: "missing", K: 1})
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != 404 {
-		t.Fatalf("err = %v", err)
-	}
-}

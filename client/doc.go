@@ -1,10 +1,10 @@
-// Package client is the public Go client for spantreed: a plain
-// single-endpoint HTTPClient, a FailoverClient that spreads work over a
-// replica set, and a CachingClient that memoizes sample batches.
-//
-// All three implement the Client interface, so they stack: wrap a
-// FailoverClient in a CachingClient and callers see one Client that
-// survives replica loss and never recomputes a batch it has seen.
+// Package client is the public Go client for spantreed and the one
+// definition of its wire protocol: the request bodies (RegisterRequest,
+// SampleRequest, StreamRequest) and the NDJSON stream line (Line) that the
+// daemon decodes and encodes in both of its modes. It offers a plain
+// single-endpoint HTTPClient and a FailoverClient that spreads work over a
+// replica set; the router mode of spantreed is a FailoverClient behind an
+// HTTP front.
 //
 // The failover behaviors lean on the serving tier's determinism contract —
 // the tree at index i is a pure function of (graph, sampler spec, seed base,
@@ -21,9 +21,6 @@
 //     are deduplicated by sample index — the consumer sees every index in
 //     the requested window exactly once, byte-identical to an uninterrupted
 //     single-replica stream.
-//   - The cache keys on the graph's content digest (plus spec, seed base,
-//     and index window), never on the registry key, so re-registering a
-//     different graph under a reused key cannot serve stale results.
 //
 // Backoff honors 429 responses: the server's Retry-After header (and the
 // retry_after_seconds field of its JSON body) overrides the client's own

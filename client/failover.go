@@ -90,8 +90,6 @@ type FailoverClient struct {
 	hedgeWins atomic.Int64
 }
 
-var _ Client = (*FailoverClient)(nil)
-
 // NewFailover returns a failover client over the replica endpoints.
 func NewFailover(endpoints []string, opts FailoverOptions) (*FailoverClient, error) {
 	if len(endpoints) == 0 {

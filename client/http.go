@@ -23,8 +23,6 @@ type HTTPClient struct {
 	token string
 }
 
-var _ Client = (*HTTPClient)(nil)
-
 // Option configures an HTTPClient.
 type Option func(*HTTPClient)
 
@@ -213,18 +211,6 @@ func (c *HTTPClient) Ready(ctx context.Context) error {
 	return nil
 }
 
-// wireLine mirrors the server's NDJSON stream line.
-type wireLine struct {
-	Index      *int   `json:"index,omitempty"`
-	Tree       string `json:"tree,omitempty"`
-	Rounds     int    `json:"rounds,omitempty"`
-	Supersteps int    `json:"supersteps,omitempty"`
-	TotalWords int64  `json:"total_words,omitempty"`
-	WalkSteps  int    `json:"walk_steps,omitempty"`
-	Done       bool   `json:"done,omitempty"`
-	Error      string `json:"error,omitempty"`
-}
-
 // errTruncated marks a stream whose transport died before the terminal
 // done/error line — the signature of a killed replica, and the condition the
 // FailoverClient treats as "resume on the next replica".
@@ -263,7 +249,7 @@ func (c *HTTPClient) Stream(ctx context.Context, key string, sreq StreamRequest)
 		sc := bufio.NewScanner(resp.Body)
 		sc.Buffer(make([]byte, 64<<10), 16<<20)
 		for sc.Scan() {
-			var ln wireLine
+			var ln Line
 			if err := json.Unmarshal(sc.Bytes(), &ln); err != nil {
 				st.setErr(fmt.Errorf("%w: undecodable line: %v", errTruncated, err))
 				return

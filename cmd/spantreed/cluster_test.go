@@ -264,11 +264,7 @@ func newTestRouter(t *testing.T, replicas ...*httptest.Server) (*httptest.Server
 	for i, ts := range replicas {
 		peers[i] = ts.URL
 	}
-	rt, err := newRouter(routerConfig{
-		addr:        "unused",
-		peers:       peers,
-		replication: 2,
-	}, testLogger(t))
+	rt, err := newRouter(routerConfig{peers: peers, replication: 2}, testLogger(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,18 +276,18 @@ func newTestRouter(t *testing.T, replicas ...*httptest.Server) (*httptest.Server
 
 // streamViaHTTP reads a raw NDJSON stream the way curl does, returning the
 // data lines by index plus the terminal line.
-func streamViaHTTP(t *testing.T, url, key string, body any) (map[int]streamLine, streamLine) {
+func streamViaHTTP(t *testing.T, url, key string, body any) (map[int]client.Line, client.Line) {
 	t.Helper()
 	resp := postJSON(t, url+"/v1/graphs/"+key+"/stream", body)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stream status %d", resp.StatusCode)
 	}
-	lines := map[int]streamLine{}
-	var terminal streamLine
+	lines := map[int]client.Line{}
+	var terminal client.Line
 	dec := json.NewDecoder(resp.Body)
 	for {
-		var ln streamLine
+		var ln client.Line
 		if err := dec.Decode(&ln); err != nil {
 			t.Fatalf("decoding stream: %v (got %d lines)", err, len(lines))
 		}
@@ -367,8 +363,9 @@ func TestRouterProxiesStreamAcrossReplicaDeath(t *testing.T) {
 
 // TestRouterReplaysRegistrationOn404 models a replica restart that lost its
 // in-memory registry: the graph is deregistered behind the router's back on
-// every replica, and the next sample through the router must transparently
-// re-register from the replay table and succeed.
+// every replica, and the next stream, and after a second wipe the next
+// sample, through the router must transparently re-register from the replay
+// table and succeed.
 func TestRouterReplaysRegistrationOn404(t *testing.T) {
 	tsA, _ := newReplica(t, 1)
 	tsB, _ := newReplica(t, 1)
@@ -383,12 +380,22 @@ func TestRouterReplaysRegistrationOn404(t *testing.T) {
 	}
 
 	// Wipe the graph on every replica directly, as if both restarted.
-	for _, ts := range []*httptest.Server{tsA, tsB} {
-		if err := client.NewHTTP(ts.URL).Deregister(ctx, "amnesia"); err != nil {
-			t.Fatalf("deregister behind router's back: %v", err)
+	wipe := func() {
+		t.Helper()
+		for _, ts := range []*httptest.Server{tsA, tsB} {
+			if err := client.NewHTTP(ts.URL).Deregister(ctx, "amnesia"); err != nil {
+				t.Fatalf("deregister behind router's back: %v", err)
+			}
 		}
 	}
 
+	wipe()
+	lines, term := streamViaHTTP(t, rts.URL, "amnesia", map[string]any{"k": 4, "sampler": "wilson", "seed_base": 1})
+	if !term.Done || term.Error != "" || len(lines) != 4 {
+		t.Fatalf("stream after cluster-wide amnesia: %d lines, terminal %+v; want 4 lines and done via replay", len(lines), term)
+	}
+
+	wipe()
 	resp = postJSON(t, rts.URL+"/v1/sample", client.SampleRequest{Graph: "amnesia", K: 4, Sampler: "wilson", SeedBase: 1})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {

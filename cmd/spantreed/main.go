@@ -5,12 +5,13 @@
 //
 // Usage:
 //
-//	spantreed -addr :8080 -workers 8 -stream-workers 8 -max-streams-per-graph 4
+//	spantreed -addr :8080 -workers 8 -max-streams-per-graph 4
 //
-// Concurrent streams share ONE engine-wide worker pool (-stream-workers
-// slots, default -workers) arbitrated by a weighted scheduler: each stream
+// Concurrent streams share ONE engine-wide worker pool (-workers slots,
+// default GOMAXPROCS) arbitrated by a weighted scheduler: each stream
 // receives slot grants proportional to its "weight" (default 1.0, settable
-// per request), capped by its "max_workers". Slots cover computation only —
+// per request), capped by its "max_workers" ("workers" on /v1/sample and
+// /v1/audit). Slots cover computation only —
 // a stream whose NDJSON consumer reads slowly self-throttles on its bounded
 // result buffer and its slots flow to faster streams instead of being
 // pinned. -max-streams-per-graph bounds concurrent sampling jobs per graph
@@ -46,7 +47,8 @@
 // is pure observation: tracing and metrics never feed back into sampling,
 // so responses are byte-identical at any observability setting.
 //
-// Endpoints:
+// Endpoints (the request bodies and the NDJSON line are the client
+// package's RegisterRequest, SampleRequest, StreamRequest and Line):
 //
 //	GET    /healthz              liveness probe (200 for the process lifetime)
 //	GET    /readyz               readiness: 200 once warm, 503 while loading or draining
@@ -56,10 +58,13 @@
 //	POST   /v1/graphs            register: {"key","family","n","seed"} or {"key","n","edges":[[u,v,w?],...]}
 //	GET    /v1/graphs/{key}        one graph's info
 //	DELETE /v1/graphs/{key}        deregister
-//	POST   /v1/graphs/{key}/stream NDJSON stream: one result line per sample as workers finish
-//	POST   /v1/sample              {"graph","k","sampler","seed_base","workers","include_trees"}
+//	POST   /v1/graphs/{key}/stream {"k","sampler","seed_base","start_index","weight","max_workers","deadline_ms",
+//	                               "segment_length","max_steps","root"}; NDJSON, one line per sample as
+//	                               workers finish, then a terminal done/error line
+//	POST   /v1/sample              {"graph","k","sampler","seed_base","workers","deadline_ms","include_trees"}
 //	POST   /v1/audit               same body; adds the TV audit against the exact tree count
 //	GET    /v1/stats               engine + request metrics
+//	GET    /v1/ring                router mode only: membership, and with ?key= that key's replica order
 //
 // Persistence: -data-dir points the engine at a durable prepared-state
 // directory (internal/blobstore). The graph registry persists across
@@ -102,13 +107,9 @@ package main
 
 import (
 	"context"
-	"crypto/sha256"
-	"crypto/subtle"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -116,11 +117,11 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	spantree "repro"
+	"repro/client"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 )
@@ -140,8 +141,7 @@ func run() error {
 		replication   = flag.Int("replication", 2, "router mode: replicas serving each graph key (R-way consistent-hash replica sets; 0 or >= peer count: every peer)")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "router mode: peer /readyz probe period feeding the per-peer circuit breakers (0: passive marking only)")
 		peerToken     = flag.String("peer-auth-token", "", "router mode: bearer token sent to replicas (empty: $SPANTREED_PEER_AUTH_TOKEN, else the incoming -auth-token)")
-		workers       = flag.Int("workers", 0, "batch worker pool width (0: GOMAXPROCS)")
-		streamWorkers = flag.Int("stream-workers", 0, "engine-wide stream worker pool width shared by all concurrent streams (0: same as -workers)")
+		workers       = flag.Int("workers", 0, "engine-wide stream worker pool width shared by all concurrent streams and batches (0: GOMAXPROCS)")
 		maxStreams    = flag.Int("max-streams-per-graph", 0, "max concurrent sampling jobs per graph (streams AND /v1/sample | /v1/audit batches); excess requests get 429 (0: unlimited)")
 		traceEvery    = flag.Int("trace-every", 0, "trace 1 in every N unlabeled requests (0: default 1/64, negative: only X-Request-ID requests)")
 		traceRing     = flag.Int("trace-ring", 0, "recent traces retained for /v1/traces (0: default 64)")
@@ -172,6 +172,10 @@ func run() error {
 	if token == "" {
 		token = os.Getenv("SPANTREED_AUTH_TOKEN")
 	}
+	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
+	lc := listenConfig{addr: *addr, tlsCert: *tlsCert, tlsKey: *tlsKey, drainTimeout: *drainTimeout}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
 
 	switch *mode {
 	case "serve":
@@ -186,23 +190,24 @@ func run() error {
 		if outbound == "" {
 			outbound = token
 		}
-		return runRouter(routerConfig{
-			addr:          *addr,
+		rt, err := newRouter(routerConfig{
 			peers:         strings.Split(*peers, ","),
 			replication:   *replication,
 			probeInterval: *probeInterval,
 			authToken:     token,
 			peerToken:     outbound,
-			tlsCert:       *tlsCert,
-			tlsKey:        *tlsKey,
-			drainTimeout:  *drainTimeout,
-		})
+		}, logger)
+		if err != nil {
+			return err
+		}
+		defer rt.fc.Close()
+		logger.Info("routing", "addr", *addr, "peers", rt.fc.Endpoints(), "replication", *replication, "probe_interval", *probeInterval, "auth", token != "", "tls", *tlsCert != "")
+		return rt.serve(ctx, lc, rt.routes(), drainHooks{})
 	default:
 		return fmt.Errorf("unknown -mode %q (want serve or router)", *mode)
 	}
 
 	eng, err := spantree.NewEngine(*workers,
-		spantree.WithStreamWorkers(*streamWorkers),
 		spantree.WithMaxStreamsPerGraph(*maxStreams),
 		spantree.WithAdmissionQueue(*admitQueue),
 		spantree.WithTraceSampling(*traceEvery),
@@ -211,20 +216,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	srv := newServer(eng)
 	srv.log = logger
 	srv.pprof = *pprofEnabled
 	srv.reqTimeout = *reqTimeout
 	srv.setAuthToken(token)
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.routes(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 
 	// Readiness: report loading until every registered graph's prepared
 	// state is resolved (restored from -data-dir or built cold), so a router
@@ -239,195 +235,30 @@ func run() error {
 		logger.Info("ready", "graphs", len(eng.Keys()))
 	}()
 
-	errc := make(chan error, 1)
-	go func() {
-		logger.Info("listening", "addr", *addr, "workers", eng.Workers(), "stream_workers", eng.StreamWorkers(), "pprof", *pprofEnabled, "data_dir", *dataDir, "auth", token != "", "tls", *tlsCert != "")
-		var serveErr error
-		if *tlsCert != "" {
-			serveErr = httpSrv.ListenAndServeTLS(*tlsCert, *tlsKey)
-		} else {
-			serveErr = httpSrv.ListenAndServe()
-		}
-		if !errors.Is(serveErr, http.ErrServerClosed) {
-			errc <- serveErr
-		}
-	}()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	// Flip readiness first: routers stop sending new work while the drain
-	// window lets in-flight requests finish.
-	srv.setReady(readyDraining)
-	logger.Info("shutting down", "drain_timeout", *drainTimeout)
-	shutCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		// The drain budget ran out with streams still in flight: cancel them
-		// through the deadline plumbing (clients get a typed 503-mapped
-		// error line) and give the handlers a moment to finish writing.
-		n := eng.AbortStreams(nil)
-		logger.Warn("drain timeout, aborting in-flight streams", "aborted", n, "err", err)
-		graceCtx, graceCancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer graceCancel()
-		if err := httpSrv.Shutdown(graceCtx); err != nil {
-			logger.Warn("closing server after abort", "err", err)
-			_ = httpSrv.Close()
-		}
-	}
-	// Graceful drain: wait out write-behind snapshot saves to the data dir
-	// so the next boot starts warm (no-op without -data-dir).
-	if err := eng.Close(); err != nil {
-		logger.Warn("flushing durable state", "err", err)
-	}
-	return nil
-}
-
-// endpointLabels enumerates the route patterns the per-endpoint latency
-// histograms are keyed by (bounded cardinality: paths with a key segment
-// collapse onto their pattern, anything unrecognized onto "other").
-var endpointLabels = []string{
-	"/healthz",
-	"/readyz",
-	"/metrics",
-	"/v1/traces",
-	"/v1/graphs",
-	"/v1/graphs/{key}",
-	"/v1/graphs/{key}/stream",
-	"/v1/sample",
-	"/v1/audit",
-	"/v1/stats",
-	"other",
-}
-
-// endpointLabel maps a request path onto its route pattern by hand (the
-// toolchain pin predates http.Request.Pattern).
-func endpointLabel(r *http.Request) string {
-	p := r.URL.Path
-	switch p {
-	case "/healthz", "/readyz", "/metrics", "/v1/traces", "/v1/graphs", "/v1/sample", "/v1/audit", "/v1/stats":
-		return p
-	}
-	if rest, ok := strings.CutPrefix(p, "/v1/graphs/"); ok && rest != "" {
-		if strings.HasSuffix(rest, "/stream") {
-			return "/v1/graphs/{key}/stream"
-		}
-		if !strings.Contains(rest, "/") {
-			return "/v1/graphs/{key}"
-		}
-	}
-	return "other"
-}
-
-// readiness is the /readyz state machine: loading (hydrating prepared
-// state) → warm (routable) → draining (shutting down). Liveness (/healthz)
-// stays 200 throughout — the process is alive in every state; only routers
-// and load balancers care about the difference.
-type readiness int32
-
-const (
-	readyLoading readiness = iota
-	readyWarm
-	readyDraining
-)
-
-func (r readiness) String() string {
-	switch r {
-	case readyWarm:
-		return "warm"
-	case readyDraining:
-		return "draining"
-	default:
-		return "loading"
-	}
-}
-
-// server wires the engine to HTTP handlers and tracks request metrics.
-type server struct {
-	eng      *spantree.Engine
-	log      *slog.Logger
-	pprof    bool
-	started  time.Time
-	requests atomic.Int64
-	errors   atomic.Int64
-	// ready is the /readyz state. newServer starts warm (embedded and test
-	// use); the daemon flips it to loading before listening and back to warm
-	// once Engine.Warmup finishes, so a router never routes to a replica
-	// still hydrating prepared state.
-	ready atomic.Int32
-	// reqTimeout, when positive, is the default per-request deadline applied
-	// to sampling requests that don't carry their own deadline_ms.
-	reqTimeout time.Duration
-	// authHash, when non-nil, is the SHA-256 of the bearer token every /v1/*
-	// request must present (hashed so comparisons are constant-time over
-	// fixed-length digests; the raw token is never retained).
-	authHash []byte
-	// latEndpoint holds one request-latency histogram per route pattern,
-	// fully populated at construction so reads are lock-free.
-	latEndpoint map[string]*obs.Histogram
-}
-
-// setAuthToken enables bearer-token auth on the /v1/* API ("" disables).
-// Must be called before the server handles traffic.
-func (s *server) setAuthToken(token string) {
-	if token == "" {
-		s.authHash = nil
-		return
-	}
-	sum := sha256.Sum256([]byte(token))
-	s.authHash = sum[:]
-}
-
-// authorize reports whether r may reach the API: true when auth is disabled
-// or the request bears the configured token. Only /v1/* is gated —
-// /healthz, /metrics, and /debug/pprof stay open for probes and scrapers,
-// which is the conventional split for infrastructure endpoints.
-func (s *server) authorize(r *http.Request) bool {
-	if s.authHash == nil || !strings.HasPrefix(r.URL.Path, "/v1/") {
-		return true
-	}
-	token, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-	if !ok {
-		return false
-	}
-	sum := sha256.Sum256([]byte(token))
-	return subtle.ConstantTimeCompare(sum[:], s.authHash) == 1
-}
-
-// auth is the bearer-token gate in front of the API mux. It sits inside
-// instrument, so rejected requests still get request IDs, log lines, and a
-// place in the error counters and latency histograms.
-func (s *server) auth(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !s.authorize(r) {
-			w.Header().Set("WWW-Authenticate", `Bearer realm="spantreed"`)
-			s.writeError(w, r, http.StatusUnauthorized, errors.New("missing or invalid bearer token"))
-			return
-		}
-		next.ServeHTTP(w, r)
+	logger.Info("listening", "addr", *addr, "workers", eng.Workers(), "pprof", *pprofEnabled, "data_dir", *dataDir, "auth", token != "", "tls", *tlsCert != "")
+	// Past the drain budget the remaining streams are cancelled through the
+	// deadline plumbing; after the listener is down, write-behind snapshot
+	// saves are waited out so the next boot starts warm (no-op without
+	// -data-dir).
+	return srv.serve(ctx, lc, srv.routes(), drainHooks{
+		abort: func() int { return eng.AbortStreams(nil) },
+		close: eng.Close,
 	})
 }
 
-func newServer(eng *spantree.Engine) *server {
-	s := &server{
-		eng:         eng,
-		log:         slog.New(slog.NewTextHandler(io.Discard, nil)),
-		started:     time.Now(),
-		latEndpoint: make(map[string]*obs.Histogram, len(endpointLabels)),
-	}
-	s.ready.Store(int32(readyWarm))
-	for _, ep := range endpointLabels {
-		s.latEndpoint[ep] = obs.NewHistogram()
-	}
-	return s
+// server wires the engine to HTTP handlers behind the shared front.
+type server struct {
+	*front
+	eng   *spantree.Engine
+	pprof bool
+	// reqTimeout, when positive, is the default per-request deadline applied
+	// to sampling requests that don't carry their own deadline_ms.
+	reqTimeout time.Duration
 }
 
-// setReady moves the /readyz state machine.
-func (s *server) setReady(r readiness) { s.ready.Store(int32(r)) }
-
-func (s *server) readyState() readiness { return readiness(s.ready.Load()) }
+func newServer(eng *spantree.Engine) *server {
+	return &server{front: newFront(eng.Tracer()), eng: eng}
+}
 
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
@@ -450,118 +281,7 @@ func (s *server) routes() http.Handler {
 		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-	return s.instrument(s.auth(mux))
-}
-
-// reqInfo is the per-request context record: the request ID plus the graph
-// key and sampler name the handler resolves, folded into the completion log
-// line.
-type reqInfo struct {
-	id      string
-	graph   string
-	sampler string
-}
-
-type reqInfoKey struct{}
-
-// requestInfo returns the request's info record (always present under the
-// instrument middleware; a zero record outside it, so handlers never branch).
-func requestInfo(r *http.Request) *reqInfo {
-	if info, ok := r.Context().Value(reqInfoKey{}).(*reqInfo); ok {
-		return info
-	}
-	return &reqInfo{}
-}
-
-// instrument is the observability middleware: request/error counters, the
-// per-endpoint latency histogram, request-ID assignment (propagated from
-// X-Request-ID, generated otherwise), end-to-end tracing — forced for
-// requests carrying an explicit ID, so a client can always get the trace it
-// asks for — and the structured completion log line.
-func (s *server) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.requests.Add(1)
-		start := time.Now()
-		endpoint := endpointLabel(r)
-		info := &reqInfo{id: r.Header.Get("X-Request-ID")}
-		var tr *spantree.Trace
-		if info.id != "" {
-			tr = s.eng.Tracer().StartForced(r.Method+" "+endpoint, info.id)
-		} else {
-			info.id = s.eng.Tracer().NewID()
-		}
-		w.Header().Set("X-Request-ID", info.id)
-		ctx := context.WithValue(r.Context(), reqInfoKey{}, info)
-		if tr != nil {
-			ctx = spantree.TraceContext(ctx, tr)
-		}
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(rec, r.WithContext(ctx))
-		if tr != nil {
-			tr.Finish()
-		}
-		dur := time.Since(start)
-		s.latEndpoint[endpoint].Observe(dur)
-		if rec.status >= 400 {
-			s.errors.Add(1)
-		}
-		attrs := []any{
-			"id", info.id,
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", rec.status,
-			"duration_ms", float64(dur.Microseconds()) / 1000,
-		}
-		if info.graph != "" {
-			attrs = append(attrs, "graph", info.graph)
-		}
-		if info.sampler != "" {
-			attrs = append(attrs, "sampler", info.sampler)
-		}
-		if rec.status >= 500 {
-			s.log.Error("request", attrs...)
-		} else if rec.status >= 400 {
-			s.log.Warn("request", attrs...)
-		} else {
-			s.log.Info("request", attrs...)
-		}
-	})
-}
-
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards http.Flusher so streaming handlers behind the middleware
-// can push each NDJSON line to the client as it completes; without this the
-// embedded-interface wrapper hides the underlying Flusher and lines leave
-// in transport-buffer-sized bursts instead.
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (s *server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.log.Error("encoding response", "id", requestInfo(r).id, "path", r.URL.Path, "err", err)
-	}
-}
-
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func (s *server) writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
-	s.writeJSON(w, r, status, errorBody{Error: err.Error()})
+	return s.wrap(mux)
 }
 
 // streamRejection is the 429 body: the error plus the graph's current
@@ -663,98 +383,83 @@ func (s *server) handleReady(w http.ResponseWriter, r *http.Request) {
 // engine's latency histograms — rendered by internal/obs with zero external
 // dependencies.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := s.eng.Metrics()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p := obs.NewPromWriter(w)
+	s.writeMetrics(w, r, func(p *obs.PromWriter) {
+		m := s.eng.Metrics()
+		p.Header("spantree_engine_graphs", "Registered graphs.", "gauge")
+		p.Value("spantree_engine_graphs", float64(m.Graphs))
+		p.Header("spantree_engine_samples_total", "Completed tree draws.", "counter")
+		p.Value("spantree_engine_samples_total", float64(m.Samples))
+		p.Header("spantree_engine_batches_total", "Completed collect batches.", "counter")
+		p.Value("spantree_engine_batches_total", float64(m.Batches))
+		p.Header("spantree_engine_streams_total", "Streams opened.", "counter")
+		p.Value("spantree_engine_streams_total", float64(m.Streams))
+		p.Header("spantree_engine_aborted_total", "Streams ended early by cancellation or failure.", "counter")
+		p.Value("spantree_engine_aborted_total", float64(m.Aborted))
+		p.Header("spantree_engine_panics_total", "Sampler panics recovered at the per-sample boundary.", "counter")
+		p.Value("spantree_engine_panics_total", float64(m.Panics))
+		p.Header("spantree_traces_recorded_total", "Request traces recorded by the engine tracer.", "counter")
+		p.Value("spantree_traces_recorded_total", float64(s.eng.Tracer().Recorded()))
 
-	p.Header("spantreed_requests_total", "HTTP requests received.", "counter")
-	p.Value("spantreed_requests_total", float64(s.requests.Load()))
-	p.Header("spantreed_request_errors_total", "HTTP requests answered with status >= 400.", "counter")
-	p.Value("spantreed_request_errors_total", float64(s.errors.Load()))
-	p.Header("spantreed_uptime_seconds", "Seconds since the server started.", "gauge")
-	p.Value("spantreed_uptime_seconds", time.Since(s.started).Seconds())
-	p.Header("spantreed_request_duration_seconds", "Request latency by route pattern.", "histogram")
-	for _, ep := range endpointLabels {
-		p.Hist("spantreed_request_duration_seconds", s.latEndpoint[ep].Snapshot(), obs.L{K: "endpoint", V: ep})
-	}
-
-	p.Header("spantree_engine_graphs", "Registered graphs.", "gauge")
-	p.Value("spantree_engine_graphs", float64(m.Graphs))
-	p.Header("spantree_engine_samples_total", "Completed tree draws.", "counter")
-	p.Value("spantree_engine_samples_total", float64(m.Samples))
-	p.Header("spantree_engine_batches_total", "Completed collect batches.", "counter")
-	p.Value("spantree_engine_batches_total", float64(m.Batches))
-	p.Header("spantree_engine_streams_total", "Streams opened.", "counter")
-	p.Value("spantree_engine_streams_total", float64(m.Streams))
-	p.Header("spantree_engine_aborted_total", "Streams ended early by cancellation or failure.", "counter")
-	p.Value("spantree_engine_aborted_total", float64(m.Aborted))
-	p.Header("spantree_engine_panics_total", "Sampler panics recovered at the per-sample boundary.", "counter")
-	p.Value("spantree_engine_panics_total", float64(m.Panics))
-	p.Header("spantree_traces_recorded_total", "Request traces recorded by the engine tracer.", "counter")
-	p.Value("spantree_traces_recorded_total", float64(s.eng.Tracer().Recorded()))
-
-	p.Header("spantree_stream_pool_workers", "Stream worker pool width.", "gauge")
-	p.Value("spantree_stream_pool_workers", float64(m.StreamPool.Workers))
-	p.Header("spantree_stream_pool_slots_in_use", "Pool slots currently leased to computing samples.", "gauge")
-	p.Value("spantree_stream_pool_slots_in_use", float64(m.StreamPool.SlotsInUse))
-	p.Header("spantree_stream_pool_active_streams", "Streams currently holding leases.", "gauge")
-	p.Value("spantree_stream_pool_active_streams", float64(m.StreamPool.ActiveStreams))
-	p.Header("spantree_stream_pool_waiting_acquires", "In-flight samples parked waiting for a slot.", "gauge")
-	p.Value("spantree_stream_pool_waiting_acquires", float64(m.StreamPool.WaitingAcquires))
-	p.Header("spantree_stream_pool_queued_streams", "Requests parked in admission queues across all graphs.", "gauge")
-	p.Value("spantree_stream_pool_queued_streams", float64(m.StreamPool.QueuedStreams))
-	if len(m.StreamsByGraph) > 0 {
-		p.Header("spantree_graph_active_streams", "Open streams by graph.", "gauge")
-		for key, gm := range m.StreamsByGraph {
-			p.Value("spantree_graph_active_streams", float64(gm.ActiveStreams), obs.L{K: "graph", V: key})
+		p.Header("spantree_stream_pool_workers", "Stream worker pool width.", "gauge")
+		p.Value("spantree_stream_pool_workers", float64(m.StreamPool.Workers))
+		p.Header("spantree_stream_pool_slots_in_use", "Pool slots currently leased to computing samples.", "gauge")
+		p.Value("spantree_stream_pool_slots_in_use", float64(m.StreamPool.SlotsInUse))
+		p.Header("spantree_stream_pool_active_streams", "Streams currently holding leases.", "gauge")
+		p.Value("spantree_stream_pool_active_streams", float64(m.StreamPool.ActiveStreams))
+		p.Header("spantree_stream_pool_waiting_acquires", "In-flight samples parked waiting for a slot.", "gauge")
+		p.Value("spantree_stream_pool_waiting_acquires", float64(m.StreamPool.WaitingAcquires))
+		p.Header("spantree_stream_pool_queued_streams", "Requests parked in admission queues across all graphs.", "gauge")
+		p.Value("spantree_stream_pool_queued_streams", float64(m.StreamPool.QueuedStreams))
+		if len(m.StreamsByGraph) > 0 {
+			p.Header("spantree_graph_active_streams", "Open streams by graph.", "gauge")
+			for key, gm := range m.StreamsByGraph {
+				p.Value("spantree_graph_active_streams", float64(gm.ActiveStreams), obs.L{K: "graph", V: key})
+			}
+			p.Header("spantree_graph_queue_depth", "Computed results awaiting consumers, by graph.", "gauge")
+			for key, gm := range m.StreamsByGraph {
+				p.Value("spantree_graph_queue_depth", float64(gm.QueueDepth), obs.L{K: "graph", V: key})
+			}
+			p.Header("spantree_graph_queued_streams", "Requests waiting in the admission queue, by graph.", "gauge")
+			for key, gm := range m.StreamsByGraph {
+				p.Value("spantree_graph_queued_streams", float64(gm.QueuedStreams), obs.L{K: "graph", V: key})
+			}
 		}
-		p.Header("spantree_graph_queue_depth", "Computed results awaiting consumers, by graph.", "gauge")
-		for key, gm := range m.StreamsByGraph {
-			p.Value("spantree_graph_queue_depth", float64(gm.QueueDepth), obs.L{K: "graph", V: key})
-		}
-		p.Header("spantree_graph_queued_streams", "Requests waiting in the admission queue, by graph.", "gauge")
-		for key, gm := range m.StreamsByGraph {
-			p.Value("spantree_graph_queued_streams", float64(gm.QueuedStreams), obs.L{K: "graph", V: key})
-		}
-	}
 
-	p.Header("spantree_blobstore_hits_total", "Prepared-state snapshot loads served from the durable store.", "counter")
-	p.Value("spantree_blobstore_hits_total", float64(m.Blobstore.Hits))
-	p.Header("spantree_blobstore_misses_total", "Snapshot loads that fell through to a cold prepare.", "counter")
-	p.Value("spantree_blobstore_misses_total", float64(m.Blobstore.Misses))
-	p.Header("spantree_blobstore_puts_total", "Snapshot blobs written.", "counter")
-	p.Value("spantree_blobstore_puts_total", float64(m.Blobstore.Puts))
-	p.Header("spantree_blobstore_corrupt_discards_total", "Blobs discarded after failing verification.", "counter")
-	p.Value("spantree_blobstore_corrupt_discards_total", float64(m.Blobstore.CorruptDiscards))
-	p.Header("spantree_blobstore_read_bytes_total", "Blob payload bytes read.", "counter")
-	p.Value("spantree_blobstore_read_bytes_total", float64(m.Blobstore.BytesRead))
-	p.Header("spantree_blobstore_written_bytes_total", "Blob payload bytes written.", "counter")
-	p.Value("spantree_blobstore_written_bytes_total", float64(m.Blobstore.BytesWritten))
-	p.Header("spantree_blobstore_resident_blobs", "Blobs resident on disk.", "gauge")
-	p.Value("spantree_blobstore_resident_blobs", float64(m.Blobstore.ResidentBlobs))
-	p.Header("spantree_blobstore_resident_bytes", "Bytes resident on disk.", "gauge")
-	p.Value("spantree_blobstore_resident_bytes", float64(m.Blobstore.ResidentBytes))
-	p.Header("spantree_blobstore_load_seconds", "Blob load latency (open, read, verify).", "histogram")
-	p.Hist("spantree_blobstore_load_seconds", m.Blobstore.Load)
+		p.Header("spantree_blobstore_hits_total", "Prepared-state snapshot loads served from the durable store.", "counter")
+		p.Value("spantree_blobstore_hits_total", float64(m.Blobstore.Hits))
+		p.Header("spantree_blobstore_misses_total", "Snapshot loads that fell through to a cold prepare.", "counter")
+		p.Value("spantree_blobstore_misses_total", float64(m.Blobstore.Misses))
+		p.Header("spantree_blobstore_puts_total", "Snapshot blobs written.", "counter")
+		p.Value("spantree_blobstore_puts_total", float64(m.Blobstore.Puts))
+		p.Header("spantree_blobstore_corrupt_discards_total", "Blobs discarded after failing verification.", "counter")
+		p.Value("spantree_blobstore_corrupt_discards_total", float64(m.Blobstore.CorruptDiscards))
+		p.Header("spantree_blobstore_read_bytes_total", "Blob payload bytes read.", "counter")
+		p.Value("spantree_blobstore_read_bytes_total", float64(m.Blobstore.BytesRead))
+		p.Header("spantree_blobstore_written_bytes_total", "Blob payload bytes written.", "counter")
+		p.Value("spantree_blobstore_written_bytes_total", float64(m.Blobstore.BytesWritten))
+		p.Header("spantree_blobstore_resident_blobs", "Blobs resident on disk.", "gauge")
+		p.Value("spantree_blobstore_resident_blobs", float64(m.Blobstore.ResidentBlobs))
+		p.Header("spantree_blobstore_resident_bytes", "Bytes resident on disk.", "gauge")
+		p.Value("spantree_blobstore_resident_bytes", float64(m.Blobstore.ResidentBytes))
+		p.Header("spantree_blobstore_load_seconds", "Blob load latency (open, read, verify).", "histogram")
+		p.Hist("spantree_blobstore_load_seconds", m.Blobstore.Load)
 
-	p.Header("spantree_sample_duration_seconds", "Per-tree compute latency by sampler.", "histogram")
-	for name, snap := range m.Latency.Samplers {
-		p.Hist("spantree_sample_duration_seconds", snap, obs.L{K: "sampler", V: name})
-	}
-	p.Header("spantree_scheduler_wait_seconds", "Stream sample wait for a worker-pool slot.", "histogram")
-	p.Hist("spantree_scheduler_wait_seconds", m.Latency.SchedulerWait)
-	p.Header("spantree_admission_wait_seconds", "Admitted streams' wait in the hold-and-wait admission queue.", "histogram")
-	p.Hist("spantree_admission_wait_seconds", m.Latency.AdmissionWait)
-	if len(m.Latency.DeadlineExceeded) > 0 {
-		p.Header("spantree_deadline_exceeded_seconds", "How far past its deadline a request was at detection, by stage.", "histogram")
-		for stage, snap := range m.Latency.DeadlineExceeded {
-			p.Hist("spantree_deadline_exceeded_seconds", snap, obs.L{K: "stage", V: stage})
+		p.Header("spantree_sample_duration_seconds", "Per-tree compute latency by sampler.", "histogram")
+		for name, snap := range m.Latency.Samplers {
+			p.Hist("spantree_sample_duration_seconds", snap, obs.L{K: "sampler", V: name})
 		}
-	}
+		p.Header("spantree_scheduler_wait_seconds", "Stream sample wait for a worker-pool slot.", "histogram")
+		p.Hist("spantree_scheduler_wait_seconds", m.Latency.SchedulerWait)
+		p.Header("spantree_admission_wait_seconds", "Admitted streams' wait in the hold-and-wait admission queue.", "histogram")
+		p.Hist("spantree_admission_wait_seconds", m.Latency.AdmissionWait)
+		if len(m.Latency.DeadlineExceeded) > 0 {
+			p.Header("spantree_deadline_exceeded_seconds", "How far past its deadline a request was at detection, by stage.", "histogram")
+			for stage, snap := range m.Latency.DeadlineExceeded {
+				p.Hist("spantree_deadline_exceeded_seconds", snap, obs.L{K: "stage", V: stage})
+			}
+		}
 
-	if err := p.Err(); err != nil {
-		s.log.Error("writing metrics", "id", requestInfo(r).id, "err", err)
-	}
+	})
 }
 
 // handleTraces serves the tracer's recent traces, newest first. ?limit=N
@@ -772,20 +477,9 @@ func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusOK, map[string]any{"traces": s.eng.Tracer().Snapshot(limit)})
 }
 
-// registerRequest admits a graph either as a named family or as an explicit
-// edge list (entries [u, v] or [u, v, weight]).
-type registerRequest struct {
-	Key    string      `json:"key"`
-	Family string      `json:"family,omitempty"`
-	N      int         `json:"n"`
-	Seed   uint64      `json:"seed,omitempty"`
-	Edges  [][]float64 `json:"edges,omitempty"`
-}
-
 func (s *server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
-	var req registerRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	var req client.RegisterRequest
+	if !s.decode(w, r, &req) {
 		return
 	}
 	requestInfo(r).graph = req.Key
@@ -820,6 +514,7 @@ func (s *server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusCreated, info)
 }
 
+// graphFromEdges builds a graph from edge entries [u, v] or [u, v, weight].
 func graphFromEdges(n int, edges [][]float64) (*spantree.Graph, error) {
 	g, err := spantree.NewGraph(n)
 	if err != nil {
@@ -876,38 +571,37 @@ func (s *server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusOK, map[string]string{"deleted": key})
 }
 
-// sampleRequest is the body of /v1/sample and /v1/audit: the collect-all
-// endpoints keep their bare sampler-name wire format, converted to a
-// default-knob SamplerSpec internally (the stream endpoint carries the full
-// typed spec).
-type sampleRequest struct {
-	Graph        string `json:"graph"`
-	K            int    `json:"k"`
-	Sampler      string `json:"sampler,omitempty"`
-	SeedBase     uint64 `json:"seed_base"`
-	Workers      int    `json:"workers,omitempty"`
-	DeadlineMS   int    `json:"deadline_ms,omitempty"`
-	IncludeTrees bool   `json:"include_trees,omitempty"`
+// fail answers a sampling request's engine error: ErrStreamLimit is the 429
+// with queue stats, everything else its statusFor status.
+func (s *server) fail(w http.ResponseWriter, r *http.Request, key string, err error) {
+	if errors.Is(err, spantree.ErrStreamLimit) {
+		s.writeStreamRejected(w, r, key, err)
+		return
+	}
+	s.writeError(w, r, statusFor(err), err)
 }
 
-func (r sampleRequest) stream() spantree.StreamRequest {
-	spec := spantree.SpecFor(spantree.Sampler(r.Sampler))
-	spec.DeadlineMS = r.DeadlineMS
+// engineRequest maps a stream body onto the engine's request, applying the
+// default request deadline (the -request-timeout flag) when the body
+// carries no deadline_ms.
+func (s *server) engineRequest(req client.StreamRequest) spantree.StreamRequest {
+	if req.DeadlineMS == 0 && s.reqTimeout > 0 {
+		req.DeadlineMS = int(s.reqTimeout.Milliseconds())
+	}
 	return spantree.StreamRequest{
-		K:        r.K,
-		Spec:     spec,
-		SeedBase: r.SeedBase,
-		Workers:  r.Workers,
+		K: req.K,
+		Spec: spantree.SamplerSpec{
+			Name:          spantree.Sampler(req.Sampler),
+			SegmentLength: req.SegmentLength,
+			MaxSteps:      req.MaxSteps,
+			Root:          req.Root,
+			Weight:        req.Weight,
+			MaxWorkers:    req.MaxWorkers,
+			DeadlineMS:    req.DeadlineMS,
+		},
+		SeedBase:   req.SeedBase,
+		StartIndex: req.StartIndex,
 	}
-}
-
-// withDeadline applies the server's default request deadline (the
-// -request-timeout flag) to requests that don't carry their own deadline_ms.
-func (s *server) withDeadline(req spantree.StreamRequest) spantree.StreamRequest {
-	if req.Spec.DeadlineMS == 0 && s.reqTimeout > 0 {
-		req.Spec.DeadlineMS = int(s.reqTimeout.Milliseconds())
-	}
-	return req
 }
 
 type sampleResponse struct {
@@ -936,125 +630,57 @@ func makeSampleResponse(res *spantree.BatchResult, includeTrees bool) sampleResp
 	return resp
 }
 
-func (s *server) handleSample(w http.ResponseWriter, r *http.Request) {
-	var req sampleRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	info := requestInfo(r)
-	info.graph, info.sampler = req.Graph, req.Sampler
-	sess, err := s.eng.Open(req.Graph)
-	if err != nil {
-		s.writeError(w, r, statusFor(err), err)
-		return
-	}
-	res, err := sess.Collect(r.Context(), s.withDeadline(req.stream()))
-	if err != nil {
-		if errors.Is(err, spantree.ErrStreamLimit) {
-			s.writeStreamRejected(w, r, req.Graph, err)
-			return
-		}
-		s.writeError(w, r, statusFor(err), err)
-		return
-	}
-	s.writeJSON(w, r, http.StatusOK, makeSampleResponse(res, req.IncludeTrees))
-}
-
 type auditResponse struct {
 	sampleResponse
 	Audit spantree.AuditResult `json:"audit"`
 }
 
-func (s *server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	var req sampleRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+func (s *server) handleSample(w http.ResponseWriter, r *http.Request) { s.collect(w, r, false) }
+
+func (s *server) handleAudit(w http.ResponseWriter, r *http.Request) { s.collect(w, r, true) }
+
+// collect serves /v1/sample and, with audit, /v1/audit: a whole batch
+// drawn as one stream and answered as one JSON body. The bare sampler name
+// takes default knobs, and "workers" caps the batch's pool slots.
+func (s *server) collect(w http.ResponseWriter, r *http.Request, audit bool) {
+	var req client.SampleRequest
+	if !s.decode(w, r, &req) {
 		return
 	}
 	info := requestInfo(r)
 	info.graph, info.sampler = req.Graph, req.Sampler
 	sess, err := s.eng.Open(req.Graph)
 	if err != nil {
-		s.writeError(w, r, statusFor(err), err)
+		s.fail(w, r, req.Graph, err)
 		return
 	}
-	res, audit, err := sess.Audit(r.Context(), s.withDeadline(req.stream()))
-	if err != nil {
-		if errors.Is(err, spantree.ErrStreamLimit) {
-			s.writeStreamRejected(w, r, req.Graph, err)
+	sreq := s.engineRequest(client.StreamRequest{
+		K: req.K, Sampler: req.Sampler, SeedBase: req.SeedBase,
+		MaxWorkers: max(req.Workers, 0), DeadlineMS: req.DeadlineMS,
+	})
+	if !audit {
+		res, err := sess.Collect(r.Context(), sreq)
+		if err != nil {
+			s.fail(w, r, req.Graph, err)
 			return
 		}
-		s.writeError(w, r, statusFor(err), err)
+		s.writeJSON(w, r, http.StatusOK, makeSampleResponse(res, req.IncludeTrees))
 		return
 	}
-	s.writeJSON(w, r, http.StatusOK, auditResponse{
-		sampleResponse: makeSampleResponse(res, req.IncludeTrees),
-		Audit:          audit,
-	})
-}
-
-// streamRequest is the body of /v1/graphs/{key}/stream: a typed sampler
-// spec (name + per-sampler knobs) instead of /v1/sample's bare string.
-type streamRequest struct {
-	K             int     `json:"k"`
-	Sampler       string  `json:"sampler,omitempty"`
-	SegmentLength int     `json:"segment_length,omitempty"`
-	MaxSteps      int     `json:"max_steps,omitempty"`
-	Root          int     `json:"root,omitempty"`
-	Weight        float64 `json:"weight,omitempty"`
-	MaxWorkers    int     `json:"max_workers,omitempty"`
-	DeadlineMS    int     `json:"deadline_ms,omitempty"`
-	SeedBase      uint64  `json:"seed_base"`
-	StartIndex    int     `json:"start_index,omitempty"`
-	Workers       int     `json:"workers,omitempty"` // legacy alias for max_workers
-}
-
-func (r streamRequest) stream() spantree.StreamRequest {
-	return spantree.StreamRequest{
-		K: r.K,
-		Spec: spantree.SamplerSpec{
-			Name:          spantree.Sampler(r.Sampler),
-			SegmentLength: r.SegmentLength,
-			MaxSteps:      r.MaxSteps,
-			Root:          r.Root,
-			Weight:        r.Weight,
-			MaxWorkers:    r.MaxWorkers,
-			DeadlineMS:    r.DeadlineMS,
-		},
-		SeedBase:   r.SeedBase,
-		StartIndex: r.StartIndex,
-		Workers:    r.Workers,
+	res, tv, err := sess.Audit(r.Context(), sreq)
+	if err != nil {
+		s.fail(w, r, req.Graph, err)
+		return
 	}
-}
-
-// streamLine is one NDJSON line of a stream response: a per-sample result
-// (lines arrive in completion order; index is the determinism key), or the
-// terminal line carrying either done+summary fields or an error.
-type streamLine struct {
-	Index      *int   `json:"index,omitempty"`
-	Tree       string `json:"tree,omitempty"`
-	Rounds     int    `json:"rounds,omitempty"`
-	Supersteps int    `json:"supersteps,omitempty"`
-	TotalWords int64  `json:"total_words,omitempty"`
-	WalkSteps  int    `json:"walk_steps,omitempty"`
-
-	Done      bool    `json:"done,omitempty"`
-	Samples   int     `json:"samples,omitempty"`
-	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
-	Error     string  `json:"error,omitempty"`
+	s.writeJSON(w, r, http.StatusOK, auditResponse{sampleResponse: makeSampleResponse(res, req.IncludeTrees), Audit: tv})
 }
 
 // handleStream serves a batch as NDJSON, one line per sample as workers
 // finish. The stream runs under the request context, so a client that
-// disconnects mid-batch aborts its remaining work. The 200 status is not
-// committed until the first sample arrives — a stream that fails before
-// producing anything still gets a real error status; failures after the
-// first line arrive as a terminal {"error": ...} line instead.
+// disconnects mid-batch aborts its remaining work.
 func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
-	var req streamRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	var req client.StreamRequest
+	if !s.decode(w, r, &req) {
 		return
 	}
 	key := r.PathValue("key")
@@ -1062,70 +688,35 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	info.graph, info.sampler = key, req.Sampler
 	sess, err := s.eng.Open(key)
 	if err != nil {
-		s.writeError(w, r, statusFor(err), err)
+		s.fail(w, r, key, err)
 		return
 	}
-	st, err := sess.Stream(r.Context(), s.withDeadline(req.stream()))
+	st, err := sess.Stream(r.Context(), s.engineRequest(req))
 	if err != nil {
-		if errors.Is(err, spantree.ErrStreamLimit) {
-			s.writeStreamRejected(w, r, key, err)
-			return
-		}
-		s.writeError(w, r, statusFor(err), err)
+		s.fail(w, r, key, err)
 		return
 	}
+	// After a failed write the request context is already aborting the
+	// stream; draining the channel lets its workers unblock.
+	drain := func() {
+		for range st.Results() {
+		}
+	}
+	if err := writeNDJSON(w, st.Results(), engineLine, drain, st.Err); err != nil {
+		s.writeError(w, r, statusFor(err), err)
+	}
+}
 
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	start := time.Now()
-	delivered := 0
-	headerWritten := false
-	for res := range st.Results() {
-		if !headerWritten {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-			headerWritten = true
-		}
-		i := res.Index
-		line := streamLine{
-			Index:      &i,
-			Tree:       res.Tree.Encode(),
-			Rounds:     res.Stats.Rounds,
-			Supersteps: res.Stats.Supersteps,
-			TotalWords: res.Stats.TotalWords,
-			WalkSteps:  res.Stats.WalkSteps,
-		}
-		if err := enc.Encode(line); err != nil {
-			// The client is gone; r.Context() cancellation is already
-			// aborting the stream. Drain the channel so workers unblock.
-			for range st.Results() {
-			}
-			break
-		}
-		delivered++
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	streamErr := st.Err()
-	if !headerWritten {
-		// Nothing was delivered: the status can still tell the truth.
-		if streamErr != nil {
-			s.writeError(w, r, statusFor(streamErr), streamErr)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-	}
-	final := streamLine{Samples: delivered, ElapsedMS: float64(time.Since(start).Microseconds()) / 1000}
-	if streamErr != nil {
-		final.Error = streamErr.Error()
-	} else {
-		final.Done = true
-	}
-	if err := enc.Encode(final); err == nil && flusher != nil {
-		flusher.Flush()
-	}
+// engineLine is the NDJSON line of one engine result.
+func engineLine(res spantree.SampleResult) client.Line {
+	return client.Result{
+		Index:      res.Index,
+		Tree:       res.Tree.Encode(),
+		Rounds:     res.Stats.Rounds,
+		Supersteps: res.Stats.Supersteps,
+		TotalWords: res.Stats.TotalWords,
+		WalkSteps:  res.Stats.WalkSteps,
+	}.Line()
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {

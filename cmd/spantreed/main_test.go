@@ -118,7 +118,7 @@ func TestStreamEndpointMatchesSample(t *testing.T) {
 	}
 
 	resp := postJSON(t, ts.URL+"/v1/graphs/c/stream",
-		map[string]any{"k": 8, "sampler": "wilson", "seed_base": 5, "workers": 4})
+		map[string]any{"k": 8, "sampler": "wilson", "seed_base": 5, "max_workers": 4})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stream status %d", resp.StatusCode)
@@ -490,8 +490,9 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 // TestStreamIgnoresStaleSimFidelity pins the compatibility promise for the
-// retired "sim_fidelity" request field: a request still carrying it, with
-// any value, streams the same bytes as one without it.
+// stream endpoint's retired request fields, "sim_fidelity" and the
+// "workers" alias of max_workers: a request still carrying one, with any
+// value, streams the same bytes as one without it.
 func TestStreamIgnoresStaleSimFidelity(t *testing.T) {
 	ts, _ := newTestServer(t)
 	registerFamily(t, ts, "f", "expander", 16)
@@ -526,11 +527,14 @@ func TestStreamIgnoresStaleSimFidelity(t *testing.T) {
 	}
 
 	want := collect(map[string]any{"k": 4, "sampler": "phase", "seed_base": 3})
-	for _, mode := range []string{"full", "warp"} {
-		got := collect(map[string]any{"k": 4, "sampler": "phase", "seed_base": 3, "sim_fidelity": mode})
+	for _, stale := range []struct {
+		field string
+		value any
+	}{{"sim_fidelity", "full"}, {"sim_fidelity", "warp"}, {"workers", 1}, {"workers", -3}} {
+		got := collect(map[string]any{"k": 4, "sampler": "phase", "seed_base": 3, stale.field: stale.value})
 		for i := range want {
 			if want[i] == "" || want[i] != got[i] {
-				t.Errorf("sim_fidelity %q, index %d: %q != %q", mode, i, got[i], want[i])
+				t.Errorf("%s %v, index %d: %q != %q", stale.field, stale.value, i, got[i], want[i])
 			}
 		}
 	}

@@ -15,19 +15,14 @@ package main
 
 import (
 	"context"
-	"crypto/sha256"
-	"crypto/subtle"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"os"
-	"os/signal"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/client"
@@ -37,37 +32,25 @@ import (
 
 // routerConfig is the -mode router slice of the flag surface.
 type routerConfig struct {
-	addr          string
 	peers         []string
 	replication   int
 	probeInterval time.Duration
 	authToken     string // required from OUR callers
 	peerToken     string // sent to replicas
-	tlsCert       string
-	tlsKey        string
-	drainTimeout  time.Duration
 }
 
 // router is the coordinator: a FailoverClient doing the actual routing,
-// plus the registration replay table and router-level metrics.
+// plus the registration replay table, behind the shared front (with no
+// tracer: the router assigns no request IDs).
 type router struct {
-	fc      *client.FailoverClient
-	log     *slog.Logger
-	started time.Time
-
-	requests atomic.Int64
-	errors   atomic.Int64
-	ready    atomic.Int32 // readiness; warm once at least one peer answers
-	authHash []byte
+	*front
+	fc *client.FailoverClient
 
 	// regMu guards the registration replay table: every successful POST
 	// /v1/graphs is recorded so recovered replicas can be caught up.
 	regMu         sync.Mutex
 	registrations map[string]client.RegisterRequest
 	replayed      atomic.Int64
-
-	// routed counts proxied requests per peer-visible endpoint label.
-	latEndpoint map[string]*obs.Histogram
 }
 
 func newRouter(cfg routerConfig, logger *slog.Logger) (*router, error) {
@@ -80,19 +63,9 @@ func newRouter(cfg routerConfig, logger *slog.Logger) (*router, error) {
 	if len(eps) == 0 {
 		return nil, errors.New("router mode needs -peers")
 	}
-	rt := &router{
-		log:           logger,
-		started:       time.Now(),
-		registrations: map[string]client.RegisterRequest{},
-		latEndpoint:   make(map[string]*obs.Histogram, len(endpointLabels)),
-	}
-	for _, ep := range endpointLabels {
-		rt.latEndpoint[ep] = obs.NewHistogram()
-	}
-	if cfg.authToken != "" {
-		sum := sha256.Sum256([]byte(cfg.authToken))
-		rt.authHash = sum[:]
-	}
+	rt := &router{front: newFront(nil), registrations: map[string]client.RegisterRequest{}}
+	rt.log = logger
+	rt.setAuthToken(cfg.authToken)
 	fc, err := client.NewFailover(eps, client.FailoverOptions{
 		Replication:   cfg.replication,
 		AuthToken:     cfg.peerToken,
@@ -103,7 +76,6 @@ func newRouter(cfg routerConfig, logger *slog.Logger) (*router, error) {
 		return nil, err
 	}
 	rt.fc = fc
-	rt.ready.Store(int32(readyWarm))
 	return rt, nil
 }
 
@@ -122,14 +94,7 @@ func (rt *router) replayOnto(ep string) {
 		return
 	}
 	for _, reg := range regs {
-		owned := false
-		for _, rep := range rt.fc.Replicas(reg.Key) {
-			if rep == ep {
-				owned = true
-				break
-			}
-		}
-		if !owned {
+		if !slices.Contains(rt.fc.Replicas(reg.Key), ep) {
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -176,7 +141,7 @@ func (rt *router) replayKey(ctx context.Context, key string) bool {
 func (rt *router) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "mode": "router"})
+		rt.writeJSON(w, r, http.StatusOK, map[string]string{"status": "ok", "mode": "router"})
 	})
 	mux.HandleFunc("GET /readyz", rt.handleReady)
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
@@ -190,122 +155,84 @@ func (rt *router) routes() http.Handler {
 	mux.HandleFunc("GET /v1/traces", rt.handleTraces)
 	mux.HandleFunc("GET /v1/stats", rt.handleStats)
 	mux.HandleFunc("GET /v1/ring", rt.handleRing)
-	return rt.instrument(rt.auth(mux))
-}
-
-// instrument mirrors the replica server's middleware in miniature: request
-// and error counters plus the per-endpoint latency histogram.
-func (rt *router) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rt.requests.Add(1)
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(rec, r)
-		rt.latEndpoint[endpointLabel(r)].Observe(time.Since(start))
-		if rec.status >= 400 {
-			rt.errors.Add(1)
-		}
-		attrs := []any{"method", r.Method, "path", r.URL.Path, "status", rec.status,
-			"duration_ms", float64(time.Since(start).Microseconds()) / 1000}
-		if rec.status >= 500 {
-			rt.log.Error("request", attrs...)
-		} else {
-			rt.log.Info("request", attrs...)
-		}
-	})
-}
-
-func (rt *router) auth(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if rt.authHash != nil && strings.HasPrefix(r.URL.Path, "/v1/") {
-			token, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-			sum := sha256.Sum256([]byte(token))
-			if !ok || subtle.ConstantTimeCompare(sum[:], rt.authHash) != 1 {
-				w.Header().Set("WWW-Authenticate", `Bearer realm="spantreed"`)
-				writeJSON(w, http.StatusUnauthorized, errorBody{Error: "missing or invalid bearer token"})
-				return
-			}
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	return rt.wrap(mux)
 }
 
 // writeClientError maps a proxy-leg error onto our response: APIErrors pass
 // the replica's status (and Retry-After) through verbatim; transport
 // failures that survived every replica and retry become 502.
-func (rt *router) writeClientError(w http.ResponseWriter, err error) {
+func (rt *router) writeClientError(w http.ResponseWriter, r *http.Request, err error) {
 	var apiErr *client.APIError
-	if errors.As(err, &apiErr) {
+	switch {
+	case errors.As(err, &apiErr):
 		if apiErr.RetryAfter > 0 {
 			w.Header().Set("Retry-After", fmt.Sprint(int(apiErr.RetryAfter/time.Second)))
 		}
-		writeJSON(w, apiErr.Status, errorBody{Error: apiErr.Message})
-		return
+		rt.writeError(w, r, apiErr.Status, errors.New(apiErr.Message))
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		rt.writeError(w, r, http.StatusGatewayTimeout, err)
+	default:
+		rt.writeError(w, r, http.StatusBadGateway, err)
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusBadGateway, errorBody{Error: err.Error()})
+}
+
+// writeRaw answers 200 with a replica's JSON body, unre-encoded.
+func writeRaw(w http.ResponseWriter, raw []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(raw)
 }
 
 func (rt *router) handleReady(w http.ResponseWriter, r *http.Request) {
-	if readiness(rt.ready.Load()) == readyDraining {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+	if rt.readyState() == readyDraining {
+		rt.writeJSON(w, r, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
 	// The router is ready when at least one peer is routable; with every
 	// breaker open there is nowhere to send work.
 	for _, ep := range rt.fc.Endpoints() {
 		if rt.fc.Healthy(ep) {
-			writeJSON(w, http.StatusOK, map[string]string{"status": "warm"})
+			rt.writeJSON(w, r, http.StatusOK, map[string]string{"status": "warm"})
 			return
 		}
 	}
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no healthy peers"})
+	rt.writeJSON(w, r, http.StatusServiceUnavailable, map[string]string{"status": "no healthy peers"})
 }
 
 func (rt *router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req client.RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "decoding request: " + err.Error()})
+	if !rt.decode(w, r, &req) {
 		return
 	}
 	info, err := rt.fc.Register(r.Context(), req)
 	if err != nil {
-		rt.writeClientError(w, err)
+		rt.writeClientError(w, r, err)
 		return
 	}
 	rt.record(req)
-	writeJSON(w, http.StatusCreated, info)
+	rt.writeJSON(w, r, http.StatusCreated, info)
 }
 
 func (rt *router) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	rt.forget(key)
 	if err := rt.fc.Deregister(r.Context(), key); err != nil {
-		rt.writeClientError(w, err)
+		rt.writeClientError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"deleted": key})
+	rt.writeJSON(w, r, http.StatusOK, map[string]string{"deleted": key})
 }
 
 func (rt *router) handleListGraphs(w http.ResponseWriter, r *http.Request) {
 	gs, err := rt.fc.Graphs(r.Context())
 	if err != nil {
-		rt.writeClientError(w, err)
+		rt.writeClientError(w, r, err)
 		return
 	}
 	if gs == nil {
 		gs = []client.GraphInfo{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"graphs": gs})
+	rt.writeJSON(w, r, http.StatusOK, map[string]any{"graphs": gs})
 }
 
 func (rt *router) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -315,10 +242,10 @@ func (rt *router) handleInfo(w http.ResponseWriter, r *http.Request) {
 		info, err = rt.fc.Info(r.Context(), key)
 	}
 	if err != nil {
-		rt.writeClientError(w, err)
+		rt.writeClientError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	rt.writeJSON(w, r, http.StatusOK, info)
 }
 
 func isUnknownGraph(err error) bool {
@@ -328,12 +255,11 @@ func isUnknownGraph(err error) bool {
 
 func (rt *router) handleSample(w http.ResponseWriter, r *http.Request) {
 	if err := faultinject.Hook(faultinject.PointRouterProxy); err != nil {
-		rt.writeClientError(w, err)
+		rt.writeClientError(w, r, err)
 		return
 	}
 	var req client.SampleRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "decoding request: " + err.Error()})
+	if !rt.decode(w, r, &req) {
 		return
 	}
 	res, err := rt.fc.Sample(r.Context(), req)
@@ -341,20 +267,19 @@ func (rt *router) handleSample(w http.ResponseWriter, r *http.Request) {
 		res, err = rt.fc.Sample(r.Context(), req)
 	}
 	if err != nil {
-		rt.writeClientError(w, err)
+		rt.writeClientError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	rt.writeJSON(w, r, http.StatusOK, res)
 }
 
 func (rt *router) handleAudit(w http.ResponseWriter, r *http.Request) {
 	if err := faultinject.Hook(faultinject.PointRouterProxy); err != nil {
-		rt.writeClientError(w, err)
+		rt.writeClientError(w, r, err)
 		return
 	}
 	var req client.SampleRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "decoding request: " + err.Error()})
+	if !rt.decode(w, r, &req) {
 		return
 	}
 	raw, err := rt.fc.Audit(r.Context(), req)
@@ -362,82 +287,46 @@ func (rt *router) handleAudit(w http.ResponseWriter, r *http.Request) {
 		raw, err = rt.fc.Audit(r.Context(), req)
 	}
 	if err != nil {
-		rt.writeClientError(w, err)
+		rt.writeClientError(w, r, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(raw)
+	writeRaw(w, raw)
 }
 
 // handleStream proxies a stream through the failover client: the caller
 // sees one NDJSON stream with exactly-once indices even if the serving
 // replica dies mid-flight and the window is resumed elsewhere. The terminal
 // done/error line is synthesized by the router (the replicas' own terminal
-// lines are consumed by the splice).
+// lines are consumed by the splice). A stream that fails with 404 before
+// delivering anything is healed like the unary endpoints: the graph is
+// re-registered from the replay table and the stream reopened once.
 func (rt *router) handleStream(w http.ResponseWriter, r *http.Request) {
 	if err := faultinject.Hook(faultinject.PointRouterProxy); err != nil {
-		rt.writeClientError(w, err)
+		rt.writeClientError(w, r, err)
 		return
 	}
 	var req client.StreamRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "decoding request: " + err.Error()})
+	if !rt.decode(w, r, &req) {
 		return
 	}
 	key := r.PathValue("key")
+	err := rt.proxyStream(w, r, key, req)
+	if isUnknownGraph(err) && rt.replayKey(r.Context(), key) {
+		err = rt.proxyStream(w, r, key, req)
+	}
+	if err != nil {
+		rt.writeClientError(w, r, err)
+	}
+}
+
+// proxyStream relays one failover stream to w. It returns an error only
+// when nothing was written, so the caller can still choose the response.
+func (rt *router) proxyStream(w http.ResponseWriter, r *http.Request, key string, req client.StreamRequest) error {
 	st, err := rt.fc.Stream(r.Context(), key, req)
 	if err != nil {
-		rt.writeClientError(w, err)
-		return
+		return err
 	}
-
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	start := time.Now()
-	delivered := 0
-	headerWritten := false
-	for res := range st.Results() {
-		if !headerWritten {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-			headerWritten = true
-		}
-		i := res.Index
-		if err := enc.Encode(streamLine{
-			Index:      &i,
-			Tree:       res.Tree,
-			Rounds:     res.Rounds,
-			Supersteps: res.Supersteps,
-			TotalWords: res.TotalWords,
-			WalkSteps:  res.WalkSteps,
-		}); err != nil {
-			st.Close() // our caller is gone; release the upstream stream
-			return
-		}
-		delivered++
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	streamErr := st.Err()
-	if !headerWritten {
-		if streamErr != nil {
-			rt.writeClientError(w, streamErr)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-	}
-	final := streamLine{Samples: delivered, ElapsedMS: float64(time.Since(start).Microseconds()) / 1000}
-	if streamErr != nil {
-		final.Error = streamErr.Error()
-	} else {
-		final.Done = true
-	}
-	if err := enc.Encode(final); err == nil && flusher != nil {
-		flusher.Flush()
-	}
+	return writeNDJSON(w, st.Results(), client.Result.Line, st.Close, st.Err)
 }
 
 func (rt *router) handleTraces(w http.ResponseWriter, r *http.Request) {
@@ -447,12 +336,10 @@ func (rt *router) handleTraces(w http.ResponseWriter, r *http.Request) {
 	}
 	raw, err := rt.fc.GetRaw(r.Context(), path)
 	if err != nil {
-		rt.writeClientError(w, err)
+		rt.writeClientError(w, r, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(raw)
+	writeRaw(w, raw)
 }
 
 // handleRing is the placement diagnostic: the cluster membership, and with
@@ -464,14 +351,14 @@ func (rt *router) handleRing(w http.ResponseWriter, r *http.Request) {
 		out["key"] = key
 		out["replicas"] = rt.fc.Replicas(key)
 	}
-	writeJSON(w, http.StatusOK, out)
+	rt.writeJSON(w, r, http.StatusOK, out)
 }
 
 func (rt *router) handleStats(w http.ResponseWriter, r *http.Request) {
 	rt.regMu.Lock()
 	regs := len(rt.registrations)
 	rt.regMu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	rt.writeJSON(w, r, http.StatusOK, map[string]any{
 		"mode":           "router",
 		"routing":        rt.fc.Metrics(),
 		"registrations":  regs,
@@ -485,108 +372,45 @@ func (rt *router) handleStats(w http.ResponseWriter, r *http.Request) {
 // handleMetrics is the router's Prometheus surface: request counters and
 // latency like a replica, plus per-peer health and routing counters.
 func (rt *router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := rt.fc.Metrics()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p := obs.NewPromWriter(w)
-
-	p.Header("spantreed_requests_total", "HTTP requests received.", "counter")
-	p.Value("spantreed_requests_total", float64(rt.requests.Load()))
-	p.Header("spantreed_request_errors_total", "HTTP requests answered with status >= 400.", "counter")
-	p.Value("spantreed_request_errors_total", float64(rt.errors.Load()))
-	p.Header("spantreed_uptime_seconds", "Seconds since the server started.", "gauge")
-	p.Value("spantreed_uptime_seconds", time.Since(rt.started).Seconds())
-	p.Header("spantreed_request_duration_seconds", "Request latency by route pattern.", "histogram")
-	for _, ep := range endpointLabels {
-		p.Hist("spantreed_request_duration_seconds", rt.latEndpoint[ep].Snapshot(), obs.L{K: "endpoint", V: ep})
-	}
-
-	p.Header("spantreed_router_peer_healthy", "Peer breaker state (1 closed, 0 open or half-open).", "gauge")
-	healthByEp := map[string]float64{}
-	for _, ep := range rt.fc.Endpoints() {
-		healthByEp[ep] = 0
-	}
-	for _, h := range m.Endpoints {
-		if h.State == "closed" {
-			healthByEp[h.Endpoint] = 1
+	rt.writeMetrics(w, r, func(p *obs.PromWriter) {
+		m := rt.fc.Metrics()
+		p.Header("spantreed_router_peer_healthy", "Peer breaker state (1 closed, 0 open or half-open).", "gauge")
+		healthByEp := map[string]float64{}
+		for _, ep := range rt.fc.Endpoints() {
+			healthByEp[ep] = 0
 		}
-	}
-	for _, ep := range rt.fc.Endpoints() {
-		p.Value("spantreed_router_peer_healthy", healthByEp[ep], obs.L{K: "peer", V: ep})
-	}
-	p.Header("spantreed_router_peer_successes_total", "Successful exchanges by peer.", "counter")
-	for _, h := range m.Endpoints {
-		p.Value("spantreed_router_peer_successes_total", float64(h.Successes), obs.L{K: "peer", V: h.Endpoint})
-	}
-	p.Header("spantreed_router_peer_failures_total", "Failed exchanges by peer.", "counter")
-	for _, h := range m.Endpoints {
-		p.Value("spantreed_router_peer_failures_total", float64(h.Failures), obs.L{K: "peer", V: h.Endpoint})
-	}
-
-	p.Header("spantreed_router_attempts_total", "Proxy attempts across all peers.", "counter")
-	p.Value("spantreed_router_attempts_total", float64(m.Attempts))
-	p.Header("spantreed_router_failovers_total", "Requests moved to another replica after a failure.", "counter")
-	p.Value("spantreed_router_failovers_total", float64(m.Failovers))
-	p.Header("spantreed_router_retries_total", "Backoff retry rounds.", "counter")
-	p.Value("spantreed_router_retries_total", float64(m.Retries))
-	p.Header("spantreed_router_hedges_total", "Hedged duplicate requests fired.", "counter")
-	p.Value("spantreed_router_hedges_total", float64(m.Hedges))
-	p.Header("spantreed_router_registrations", "Graphs in the replay table.", "gauge")
-	rt.regMu.Lock()
-	regs := len(rt.registrations)
-	rt.regMu.Unlock()
-	p.Value("spantreed_router_registrations", float64(regs))
-	p.Header("spantreed_router_replays_total", "Registrations replayed onto recovered peers.", "counter")
-	p.Value("spantreed_router_replays_total", float64(rt.replayed.Load()))
-
-	if err := p.Err(); err != nil {
-		rt.log.Error("writing metrics", "err", err)
-	}
-}
-
-// runRouter is the -mode router main loop: same listener/shutdown shape as
-// the replica path, no engine.
-func runRouter(cfg routerConfig) error {
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	rt, err := newRouter(cfg, logger)
-	if err != nil {
-		return err
-	}
-	defer rt.fc.Close()
-	httpSrv := &http.Server{
-		Addr:              cfg.addr,
-		Handler:           rt.routes(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() {
-		logger.Info("routing", "addr", cfg.addr, "peers", rt.fc.Endpoints(), "replication", cfg.replication, "probe_interval", cfg.probeInterval, "auth", rt.authHash != nil, "tls", cfg.tlsCert != "")
-		var serveErr error
-		if cfg.tlsCert != "" {
-			serveErr = httpSrv.ListenAndServeTLS(cfg.tlsCert, cfg.tlsKey)
-		} else {
-			serveErr = httpSrv.ListenAndServe()
+		for _, h := range m.Endpoints {
+			if h.State == "closed" {
+				healthByEp[h.Endpoint] = 1
+			}
 		}
-		if !errors.Is(serveErr, http.ErrServerClosed) {
-			errc <- serveErr
+		for _, ep := range rt.fc.Endpoints() {
+			p.Value("spantreed_router_peer_healthy", healthByEp[ep], obs.L{K: "peer", V: ep})
 		}
-	}()
+		p.Header("spantreed_router_peer_successes_total", "Successful exchanges by peer.", "counter")
+		for _, h := range m.Endpoints {
+			p.Value("spantreed_router_peer_successes_total", float64(h.Successes), obs.L{K: "peer", V: h.Endpoint})
+		}
+		p.Header("spantreed_router_peer_failures_total", "Failed exchanges by peer.", "counter")
+		for _, h := range m.Endpoints {
+			p.Value("spantreed_router_peer_failures_total", float64(h.Failures), obs.L{K: "peer", V: h.Endpoint})
+		}
 
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	rt.ready.Store(int32(readyDraining))
-	logger.Info("shutting down", "drain_timeout", cfg.drainTimeout)
-	shutCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		logger.Warn("drain timeout, closing", "err", err)
-		_ = httpSrv.Close()
-	}
-	return nil
+		p.Header("spantreed_router_attempts_total", "Proxy attempts across all peers.", "counter")
+		p.Value("spantreed_router_attempts_total", float64(m.Attempts))
+		p.Header("spantreed_router_failovers_total", "Requests moved to another replica after a failure.", "counter")
+		p.Value("spantreed_router_failovers_total", float64(m.Failovers))
+		p.Header("spantreed_router_retries_total", "Backoff retry rounds.", "counter")
+		p.Value("spantreed_router_retries_total", float64(m.Retries))
+		p.Header("spantreed_router_hedges_total", "Hedged duplicate requests fired.", "counter")
+		p.Value("spantreed_router_hedges_total", float64(m.Hedges))
+		p.Header("spantreed_router_registrations", "Graphs in the replay table.", "gauge")
+		rt.regMu.Lock()
+		regs := len(rt.registrations)
+		rt.regMu.Unlock()
+		p.Value("spantreed_router_registrations", float64(regs))
+		p.Header("spantreed_router_replays_total", "Registrations replayed onto recovered peers.", "counter")
+		p.Value("spantreed_router_replays_total", float64(rt.replayed.Load()))
+
+	})
 }

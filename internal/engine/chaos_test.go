@@ -82,7 +82,7 @@ func flipByte(off int) func([]byte) []byte {
 // damaged layer discards and falls back to a cold recompute. Never wrong
 // bytes, never a wedged engine.
 func TestChaosBlobstoreGetFaults(t *testing.T) {
-	req := StreamRequest{K: 4, Spec: SpecFor(SamplerPhase), SeedBase: 11, Workers: 2}
+	req := StreamRequest{K: 4, Spec: SamplerSpec{Name: SamplerPhase, MaxWorkers: 2}, SeedBase: 11}
 	cases := []struct {
 		name  string
 		point faultinject.Point
@@ -152,7 +152,7 @@ func TestChaosBlobstoreGetFaults(t *testing.T) {
 // injected error, and the next boot recomputes cold to the same bytes.
 func TestChaosBlobstorePutFailure(t *testing.T) {
 	chaosCleanup(t)
-	req := StreamRequest{K: 4, Spec: SpecFor(SamplerPhase), SeedBase: 11, Workers: 2}
+	req := StreamRequest{K: 4, Spec: SamplerSpec{Name: SamplerPhase, MaxWorkers: 2}, SeedBase: 11}
 	dir := t.TempDir()
 	if err := faultinject.Set(faultinject.PointBlobPut, faultinject.Fault{Err: faultinject.ErrInjected}); err != nil {
 		t.Fatal(err)
@@ -295,7 +295,7 @@ func TestAdmissionQueueHoldAndWait(t *testing.T) {
 
 	e := New(Options{
 		Config:              core.Config{WalkLength: 256},
-		StreamWorkers:       2,
+		Workers:             2,
 		MaxStreamsPerGraph:  1,
 		AdmissionQueueDepth: 2,
 	})
@@ -407,7 +407,7 @@ func TestAdmissionDeadlineExpiresInQueue(t *testing.T) {
 	chaosCleanup(t)
 	e := New(Options{
 		Config:              core.Config{WalkLength: 256},
-		StreamWorkers:       1,
+		Workers:             1,
 		MaxStreamsPerGraph:  1,
 		AdmissionQueueDepth: 4,
 	})
@@ -467,7 +467,7 @@ func TestStreamDeadlineMidFlight(t *testing.T) {
 	}
 	const k = 1000
 	st, err := sess.Stream(context.Background(), StreamRequest{
-		K: k, Spec: SamplerSpec{Name: SamplerWilson, DeadlineMS: 60}, SeedBase: 1, Workers: 2,
+		K: k, Spec: SamplerSpec{Name: SamplerWilson, DeadlineMS: 60, MaxWorkers: 2}, SeedBase: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -513,7 +513,7 @@ func TestAbortStreamsDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, err := sess.Stream(context.Background(), StreamRequest{
-		K: 1000, Spec: SpecFor(SamplerWilson), SeedBase: 1, Workers: 2,
+		K: 1000, Spec: SamplerSpec{Name: SamplerWilson, MaxWorkers: 2}, SeedBase: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

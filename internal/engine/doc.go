@@ -15,8 +15,8 @@
 //
 // # Scheduling
 //
-// All concurrent streams share ONE worker pool (Options.StreamWorkers
-// slots). Slots are leased to streams by stride scheduling on
+// All concurrent streams share ONE worker pool (Options.Workers slots).
+// Slots are leased to streams by stride scheduling on
 // SamplerSpec.Weight — over any contended interval a stream's slot grants
 // are proportional to its weight, capped by its SamplerSpec.MaxWorkers —
 // and a slot covers computation only: workers return it before delivering

@@ -97,19 +97,15 @@ func Samplers() []Sampler {
 
 // Options configures an Engine.
 type Options struct {
-	// Workers is the engine's default concurrency (default: GOMAXPROCS). It
-	// seeds StreamWorkers when that is unset; requests cap their own share
-	// via SamplerSpec.MaxWorkers (or the legacy StreamRequest.Workers).
+	// Workers is the width of the engine-wide stream worker pool — the
+	// maximum number of samples computing at once across ALL concurrent
+	// streams, arbitrated by weight (default: GOMAXPROCS). Individual
+	// streams cap their own share with SamplerSpec.MaxWorkers but can never
+	// widen the pool.
 	Workers int
 	// Config is the sampler configuration used for the phase and exact
 	// samplers (zero value: the paper's defaults at each graph's size).
 	Config core.Config
-	// StreamWorkers is the width of the engine-wide stream worker pool — the
-	// maximum number of samples computing at once across ALL concurrent
-	// streams, arbitrated by weight (default: Workers). Individual streams
-	// cap their own share with SamplerSpec.MaxWorkers but can never widen
-	// the pool.
-	StreamWorkers int
 	// MaxStreamsPerGraph, when positive, caps how many streams may be in
 	// flight per graph key at once; Session.Stream beyond the cap fails
 	// synchronously with ErrStreamLimit (HTTP 429 at the serving layer).
@@ -148,9 +144,8 @@ type Options struct {
 // scheduler every batch and stream runs on. All methods are safe for
 // concurrent use.
 type Engine struct {
-	reg     registry
-	workers int
-	cfg     core.Config
+	reg registry
+	cfg core.Config
 
 	// sched is the engine-wide weighted stream scheduler: every
 	// Session.Stream leases its compute slots from this one pool.
@@ -197,14 +192,9 @@ func New(opts Options) *Engine {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	sw := opts.StreamWorkers
-	if sw <= 0 {
-		sw = w
-	}
 	e := &Engine{
-		workers:      w,
 		cfg:          opts.Config,
-		sched:        newScheduler(sw, opts.MaxStreamsPerGraph, opts.AdmissionQueueDepth),
+		sched:        newScheduler(w, opts.MaxStreamsPerGraph, opts.AdmissionQueueDepth),
 		tracer:       obs.NewTracer(opts.TraceSampleEvery, opts.TraceRing),
 		latSampler:   make(map[Sampler]*obs.Histogram, len(Samplers())),
 		latSchedWait: obs.NewHistogram(),
@@ -230,11 +220,8 @@ func New(opts Options) *Engine {
 // recent traces.
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 
-// Workers reports the default worker-pool width.
-func (e *Engine) Workers() int { return e.workers }
-
-// StreamWorkers reports the width of the engine-wide stream worker pool.
-func (e *Engine) StreamWorkers() int { return e.sched.slots }
+// Workers reports the width of the engine-wide stream worker pool.
+func (e *Engine) Workers() int { return e.sched.slots }
 
 // Metrics is a snapshot of the engine's cumulative counters. Samples counts
 // individually completed draws (so a canceled stream contributes the work it

@@ -46,13 +46,13 @@ func collectBatch(e *Engine, key string, req StreamRequest) (*BatchResult, error
 func TestBatchDeterministicAcrossWorkers(t *testing.T) {
 	e := testEngine(t)
 	for _, sampler := range []Sampler{SamplerPhase, SamplerExact, SamplerLowCover, SamplerWilson} {
-		req := StreamRequest{K: 8, Spec: SpecFor(sampler), SeedBase: 7, Workers: 1}
+		req := StreamRequest{K: 8, Spec: SamplerSpec{Name: sampler, MaxWorkers: 1}, SeedBase: 7}
 		serial, err := collectBatch(e, "g", req)
 		if err != nil {
 			t.Fatalf("%s serial: %v", sampler, err)
 		}
 		for _, workers := range []int{4, 8} {
-			req.Workers = workers
+			req.Spec.MaxWorkers = workers
 			parallel, err := collectBatch(e, "g", req)
 			if err != nil {
 				t.Fatalf("%s %d workers: %v", sampler, workers, err)

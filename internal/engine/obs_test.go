@@ -25,7 +25,7 @@ func obsEngine(t *testing.T, every int) *Engine {
 // recording is safe under the parallel worker pool.
 func TestTracedMatchesUntraced(t *testing.T) {
 	for _, sampler := range []Sampler{SamplerPhase, SamplerWilson} {
-		req := StreamRequest{K: 6, Spec: SpecFor(sampler), SeedBase: 9, Workers: 4}
+		req := StreamRequest{K: 6, Spec: SamplerSpec{Name: sampler, MaxWorkers: 4}, SeedBase: 9}
 		traced := obsEngine(t, 1) // every stream traced
 		got, err := collectBatch(traced, "g", req)
 		if err != nil {

@@ -32,8 +32,8 @@ func persistEngine(t *testing.T, dir string, w int) *Engine {
 func TestKillRestartGolden(t *testing.T) {
 	for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		dir := t.TempDir()
-		req := StreamRequest{K: 6, Spec: SpecFor(SamplerPhase), SeedBase: 11, Workers: w}
-		exactReq := StreamRequest{K: 3, Spec: SpecFor(SamplerExact), SeedBase: 5, Workers: w}
+		req := StreamRequest{K: 6, Spec: SamplerSpec{Name: SamplerPhase, MaxWorkers: w}, SeedBase: 11}
+		exactReq := StreamRequest{K: 3, Spec: SamplerSpec{Name: SamplerExact, MaxWorkers: w}, SeedBase: 5}
 
 		e1 := persistEngine(t, dir, w)
 		if err := e1.RegisterFamily("g", "expander", 16, 3); err != nil {
@@ -101,7 +101,7 @@ func TestKillRestartGolden(t *testing.T) {
 // restarted persistent engine and a plain in-memory engine produce identical
 // batches.
 func TestRestartMatchesInMemory(t *testing.T) {
-	req := StreamRequest{K: 4, Spec: SpecFor(SamplerPhase), SeedBase: 21, Workers: 2}
+	req := StreamRequest{K: 4, Spec: SamplerSpec{Name: SamplerPhase, MaxWorkers: 2}, SeedBase: 21}
 	mem := testEngine(t)
 	want, err := collectBatch(mem, "g", req)
 	if err != nil {
@@ -134,7 +134,7 @@ func TestRestartMatchesInMemory(t *testing.T) {
 // identical bytes, and rewrites the blobs for the boot after.
 func TestCorruptSnapshotFallsBackToCold(t *testing.T) {
 	dir := t.TempDir()
-	req := StreamRequest{K: 4, Spec: SpecFor(SamplerPhase), SeedBase: 9, Workers: 2}
+	req := StreamRequest{K: 4, Spec: SamplerSpec{Name: SamplerPhase, MaxWorkers: 2}, SeedBase: 9}
 	e1 := persistEngine(t, dir, 2)
 	if err := e1.RegisterFamily("g", "expander", 16, 3); err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestWarmReadinessAt96(t *testing.T) {
 		t.Skip("n=96 prepare is seconds of matrix squarings")
 	}
 	dir := t.TempDir()
-	req := StreamRequest{K: 1, Spec: SpecFor(SamplerPhase), SeedBase: 1, Workers: 1}
+	req := StreamRequest{K: 1, Spec: SamplerSpec{Name: SamplerPhase, MaxWorkers: 1}, SeedBase: 1}
 	e1 := persistEngine(t, dir, 1)
 	if err := e1.RegisterFamily("g", "expander", 96, 7); err != nil {
 		t.Fatal(err)

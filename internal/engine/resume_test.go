@@ -23,7 +23,7 @@ func TestStreamStartIndexResume(t *testing.T) {
 	}
 	const k = 12
 	baseline, err := sess.Collect(context.Background(), StreamRequest{
-		K: k, Spec: SpecFor(SamplerPhase), SeedBase: 9, Workers: 1,
+		K: k, Spec: SamplerSpec{Name: SamplerPhase, MaxWorkers: 1}, SeedBase: 9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,8 +34,8 @@ func TestStreamStartIndexResume(t *testing.T) {
 			stats := make([]core.Stats, k)
 			for _, win := range []struct{ start, k int }{{0, split}, {split, k - split}} {
 				st, err := sess.Stream(context.Background(), StreamRequest{
-					K: win.k, Spec: SpecFor(SamplerPhase), SeedBase: 9,
-					StartIndex: win.start, Workers: workers,
+					K: win.k, Spec: SamplerSpec{Name: SamplerPhase, MaxWorkers: workers}, SeedBase: 9,
+					StartIndex: win.start,
 				})
 				if err != nil {
 					t.Fatalf("window [%d,%d) w=%d: %v", win.start, win.start+win.k, workers, err)
@@ -66,11 +66,11 @@ func TestStreamStartIndexResume(t *testing.T) {
 // element i is absolute index j+i.
 func TestStartIndexCollectWindow(t *testing.T) {
 	e := testEngine(t)
-	full, err := collectBatch(e, "g", StreamRequest{K: 8, SeedBase: 4, Workers: 1})
+	full, err := collectBatch(e, "g", StreamRequest{K: 8, Spec: SamplerSpec{MaxWorkers: 1}, SeedBase: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail, err := collectBatch(e, "g", StreamRequest{K: 3, SeedBase: 4, StartIndex: 5, Workers: 2})
+	tail, err := collectBatch(e, "g", StreamRequest{K: 3, Spec: SamplerSpec{MaxWorkers: 2}, SeedBase: 4, StartIndex: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestInfoDigest(t *testing.T) {
 // never-warmed engine.
 func TestWarmup(t *testing.T) {
 	cold := testEngine(t)
-	baseline, err := collectBatch(cold, "g", StreamRequest{K: 3, SeedBase: 7, Workers: 1})
+	baseline, err := collectBatch(cold, "g", StreamRequest{K: 3, Spec: SamplerSpec{MaxWorkers: 1}, SeedBase: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestWarmup(t *testing.T) {
 	if err := warm.Warmup(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := collectBatch(warm, "g", StreamRequest{K: 3, SeedBase: 7, Workers: 1})
+	got, err := collectBatch(warm, "g", StreamRequest{K: 3, Spec: SamplerSpec{MaxWorkers: 1}, SeedBase: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

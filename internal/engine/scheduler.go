@@ -22,7 +22,7 @@ import (
 var ErrStreamLimit = errors.New("engine: stream limit reached")
 
 // scheduler is the engine-wide worker pool behind every Session.Stream: a
-// fixed number of slots (Options.StreamWorkers) leased to the active streams
+// fixed number of slots (Options.Workers) leased to the active streams
 // by weight. A slot is held only while a sample is computing — workers hand
 // their slot back before delivering the result to the stream's bounded
 // buffer — so a stream whose consumer stalls stops competing for slots
@@ -391,7 +391,7 @@ func (l *streamLease) close() {
 // stream worker pool's width and instantaneous utilization.
 type StreamPoolMetrics struct {
 	// Workers is the pool width — the maximum number of samples computing
-	// at once across ALL streams (Options.StreamWorkers).
+	// at once across ALL streams (Options.Workers).
 	Workers int `json:"workers"`
 	// SlotsInUse is how many slots are currently leased to computing samples.
 	SlotsInUse int `json:"slots_in_use"`

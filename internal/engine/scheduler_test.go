@@ -117,7 +117,7 @@ func TestStreamFairnessSlowConsumer(t *testing.T) {
 		trials     = 3
 	)
 	newEng := func() (*Engine, *Session) {
-		e := New(Options{Config: core.Config{WalkLength: 256}, StreamWorkers: 4})
+		e := New(Options{Config: core.Config{WalkLength: 256}, Workers: 4})
 		if err := e.RegisterFamily("g", "expander", 16, 3); err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +361,7 @@ func TestStreamMetricsGauges(t *testing.T) {
 	m := waitFor("slots leased to the gated stream", func(m Metrics) bool {
 		return m.StreamsByGraph["g"].SlotsInUse >= 1
 	})
-	if m.StreamPool.Workers != e.StreamWorkers() || m.StreamPool.ActiveStreams != 1 {
+	if m.StreamPool.Workers != e.Workers() || m.StreamPool.ActiveStreams != 1 {
 		t.Errorf("pool gauges: %+v", m.StreamPool)
 	}
 	if g := m.StreamsByGraph["g"]; g.ActiveStreams != 1 || g.SlotsInUse > 2 {

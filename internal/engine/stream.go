@@ -40,11 +40,6 @@ type StreamRequest struct {
 	// the byte-identical remainder — zero duplicate or missing indices.
 	// 0 (the default) starts at the beginning.
 	StartIndex int
-	// Workers is the pre-scheduler name for Spec.MaxWorkers, kept for
-	// compatibility: it caps this stream's concurrent slot leases
-	// (0: no cap beyond the pool width). Spec.MaxWorkers wins when both are
-	// set.
-	Workers int
 }
 
 // SampleResult is one completed draw of a stream: the sample's index in the
@@ -96,12 +91,12 @@ func (st *Stream) Err() error {
 // drain.
 //
 // Concurrency is leased, not owned: every in-flight sample holds one slot of
-// the engine-wide stream worker pool (Options.StreamWorkers slots,
+// the engine-wide stream worker pool (Options.Workers slots,
 // arbitrated across concurrent streams by Spec.Weight) and returns it the
 // moment computation finishes, before delivering the result. The per-stream
-// concurrency cap is Spec.MaxWorkers (or the legacy req.Workers alias);
-// unset, a lone stream may use the whole pool. None of this affects output
-// bytes — sample i is a pure function of (graph, Spec, SeedBase, i).
+// concurrency cap is Spec.MaxWorkers; unset, a lone stream may use the
+// whole pool. None of this affects output bytes — sample i is a pure
+// function of (graph, Spec, SeedBase, i).
 func (s *Session) Stream(ctx context.Context, req StreamRequest) (*Stream, error) {
 	if req.K < 1 {
 		return nil, fmt.Errorf("engine: batch size must be >= 1, got %d", req.K)
@@ -134,9 +129,6 @@ func (s *Session) Stream(ctx context.Context, req StreamRequest) (*Stream, error
 			time.Duration(spec.DeadlineMS)*time.Millisecond, ErrDeadlineExceeded)
 	}
 	maxWorkers := spec.MaxWorkers
-	if maxWorkers <= 0 {
-		maxWorkers = req.Workers
-	}
 	if maxWorkers <= 0 || maxWorkers > e.sched.slots {
 		maxWorkers = e.sched.slots
 	}

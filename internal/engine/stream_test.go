@@ -24,14 +24,14 @@ func TestStreamGoldenDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		baseline, err := sess.Collect(context.Background(), StreamRequest{
-			K: 12, Spec: SpecFor(sampler), SeedBase: 9, Workers: 1,
+			K: 12, Spec: SamplerSpec{Name: sampler, MaxWorkers: 1}, SeedBase: 9,
 		})
 		if err != nil {
 			t.Fatalf("%s baseline: %v", sampler, err)
 		}
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 			st, err := sess.Stream(context.Background(), StreamRequest{
-				K: 12, Spec: SpecFor(sampler), SeedBase: 9, Workers: workers,
+				K: 12, Spec: SamplerSpec{Name: sampler, MaxWorkers: workers}, SeedBase: 9,
 			})
 			if err != nil {
 				t.Fatalf("%s stream w=%d: %v", sampler, workers, err)
@@ -75,7 +75,7 @@ func TestStreamCancellation(t *testing.T) {
 	const k = 1000
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	st, err := sess.Stream(ctx, StreamRequest{K: k, Spec: SpecFor(SamplerWilson), SeedBase: 1, Workers: 4})
+	st, err := sess.Stream(ctx, StreamRequest{K: k, Spec: SamplerSpec{Name: SamplerWilson, MaxWorkers: 4}, SeedBase: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,16 +105,15 @@ func Expander(n int, seed uint64) (*Graph, error) {
 
 // options collects the Sample configuration; see the With* constructors.
 type options struct {
-	seed          uint64
-	cfg           core.Config
-	segLen        int
-	treePath      bool
-	streamWorkers int
-	maxStreams    int
-	admitQueue    int
-	traceEvery    int
-	traceRing     int
-	dataDir       string
+	seed       uint64
+	cfg        core.Config
+	segLen     int
+	treePath   bool
+	maxStreams int
+	admitQueue int
+	traceEvery int
+	traceRing  int
+	dataDir    string
 }
 
 // Option configures the samplers.
@@ -196,22 +195,6 @@ func WithMatching(name string) Option {
 		default:
 			return fmt.Errorf("spantree: unknown matching sampler %q (want auto, exact or metropolis)", name)
 		}
-		return nil
-	}
-}
-
-// WithStreamWorkers sets the width of an Engine's stream worker pool — the
-// maximum number of samples computing at once across ALL concurrent streams
-// (default: the engine's worker count, i.e. GOMAXPROCS unless overridden).
-// Slots are leased to active streams by weight (see SamplerSpec.Weight); a
-// single stream may use the whole pool when nothing else is running.
-// Engine-only; one-shot samplers ignore it.
-func WithStreamWorkers(n int) Option {
-	return func(o *options) error {
-		if n < 0 {
-			return fmt.Errorf("spantree: stream workers must be >= 0, got %d", n)
-		}
-		o.streamWorkers = n
 		return nil
 	}
 }
@@ -486,10 +469,9 @@ func TreeWeight(g *Graph, t *Tree) (float64, error) {
 // cached per-graph precomputation (the phase-0 power table a cold Sample
 // rebuilds on every call) and a shared weighted stream scheduler
 // executing streaming jobs with deterministic per-sample seed derivation
-// (WithStreamWorkers / WithMaxStreamsPerGraph at the engine, Weight /
-// MaxWorkers per request). Construct with NewEngine,
-// Register graphs, then Open a Session per graph and Stream/Collect/Audit
-// batches on it; see internal/engine for the full method set (Register,
+// (NewEngine's pool width and WithMaxStreamsPerGraph at the engine, Weight /
+// MaxWorkers per request). Construct with NewEngine, Register graphs, then
+// Open a Session per graph and Stream/Collect/Audit batches on it; see internal/engine for the full method set (Register,
 // RegisterFamily, Open, TreeCount, Metrics, ...). cmd/spantreed serves this
 // engine over HTTP.
 type Engine = engine.Engine
@@ -576,8 +558,9 @@ type GraphStreamMetrics = engine.GraphStreamMetrics
 // and the queued/queue-wait body fields from.
 type QueueStats = engine.QueueStats
 
-// NewEngine returns a batch-sampling engine. workers <= 0 defaults the pool
-// width to GOMAXPROCS. The options configure the phase and exact samplers
+// NewEngine returns a batch-sampling engine. workers is the width of the
+// engine-wide stream worker pool — the most samples computing at once across
+// all concurrent streams, leased by weight (<= 0: GOMAXPROCS). The options configure the phase and exact samplers
 // exactly as they do Sample; WithSeed is ignored — batch requests carry
 // their own seed bases.
 func NewEngine(workers int, opts ...Option) (*Engine, error) {
@@ -595,7 +578,6 @@ func NewEngine(workers int, opts ...Option) (*Engine, error) {
 	return engine.New(engine.Options{
 		Workers:             workers,
 		Config:              o.cfg,
-		StreamWorkers:       o.streamWorkers,
 		MaxStreamsPerGraph:  o.maxStreams,
 		AdmissionQueueDepth: o.admitQueue,
 		TraceSampleEvery:    o.traceEvery,
