@@ -125,9 +125,6 @@ func keyOwnedBy(t *testing.T, fc *FailoverClient, ep string) string {
 
 func newTestFailover(t *testing.T, eps []string, opts FailoverOptions) *FailoverClient {
 	t.Helper()
-	if opts.Backoff == 0 {
-		opts.Backoff = time.Millisecond
-	}
 	fc, err := NewFailover(eps, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -24,17 +24,6 @@ type FailoverOptions struct {
 	Replication int
 	// AuthToken is the bearer token sent to every replica.
 	AuthToken string
-	// MaxRounds bounds how many full passes over a key's replica set a
-	// request makes before giving up (default 3). A pass that delivers new
-	// stream results resets the count — giving up mid-progress would waste
-	// the work.
-	MaxRounds int
-	// Backoff is the base delay between failed rounds, doubled each round
-	// with ±50% jitter (default 50ms). A server 429's Retry-After overrides
-	// the computed delay for that round.
-	Backoff time.Duration
-	// MaxBackoff caps the between-round delay (default 2s).
-	MaxBackoff time.Duration
 	// HedgeQuantile picks the unary-latency quantile whose value becomes the
 	// hedging delay: a Sample not answered within that time fires a duplicate
 	// at the next replica and the first answer wins (default 0.99). Negative
@@ -56,9 +45,19 @@ type FailoverOptions struct {
 	// (whether a probe or live traffic noticed). The router replays graph
 	// registrations onto rejoining replicas here.
 	OnRecover func(endpoint string)
-	// HTTPClient substitutes the shared underlying transport.
-	HTTPClient *http.Client
 }
+
+// Retry schedule. A request makes at most maxRounds full passes over a
+// key's replica set before giving up; a pass that delivers new stream
+// results resets the count, since giving up mid-progress would waste the
+// work. Between failed rounds the client waits backoffBase, doubled each
+// round with ±50% jitter and capped at maxBackoff; a server 429's
+// Retry-After overrides the computed delay for that round.
+const (
+	maxRounds   = 3
+	backoffBase = 50 * time.Millisecond
+	maxBackoff  = 2 * time.Second
+)
 
 // FailoverClient spreads requests over a replica set: consistent-hash
 // routing (the same ring the router uses, so both pick the same owner),
@@ -94,15 +93,6 @@ type FailoverClient struct {
 func NewFailover(endpoints []string, opts FailoverOptions) (*FailoverClient, error) {
 	if len(endpoints) == 0 {
 		return nil, errors.New("client: no endpoints")
-	}
-	if opts.MaxRounds <= 0 {
-		opts.MaxRounds = 3
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 50 * time.Millisecond
-	}
-	if opts.MaxBackoff <= 0 {
-		opts.MaxBackoff = 2 * time.Second
 	}
 	if opts.HedgeQuantile == 0 {
 		opts.HedgeQuantile = 0.99
@@ -151,9 +141,6 @@ func NewFailover(endpoints []string, opts FailoverOptions) (*FailoverClient, err
 		hopts := []Option{}
 		if opts.AuthToken != "" {
 			hopts = append(hopts, WithAuthToken(opts.AuthToken))
-		}
-		if opts.HTTPClient != nil {
-			hopts = append(hopts, WithHTTPClient(opts.HTTPClient))
 		}
 		c.clients[ep] = NewHTTP(ep, hopts...)
 	}
@@ -248,9 +235,9 @@ func (c *FailoverClient) backoffDelay(round int, retryAfter time.Duration) time.
 	if retryAfter > 0 {
 		return retryAfter
 	}
-	d := c.opts.Backoff << uint(round)
-	if d > c.opts.MaxBackoff {
-		d = c.opts.MaxBackoff
+	d := backoffBase << uint(round)
+	if d > maxBackoff {
+		d = maxBackoff
 	}
 	// ±50% jitter decorrelates clients that failed together.
 	c.rngMu.Lock()
@@ -260,7 +247,7 @@ func (c *FailoverClient) backoffDelay(round int, retryAfter time.Duration) time.
 }
 
 // unary runs fn against key's replicas with failover and between-round
-// backoff until it succeeds, fails fatally, or exhausts MaxRounds.
+// backoff until it succeeds, fails fatally, or exhausts maxRounds.
 func (c *FailoverClient) unary(ctx context.Context, key string, fn func(*HTTPClient) error) error {
 	return c.unaryOver(ctx, c.candidates(key), fn)
 }
@@ -463,7 +450,7 @@ func (c *FailoverClient) Sample(ctx context.Context, req SampleRequest) (*Sample
 // unaryOver is unary with an explicit endpoint order (the hedging path).
 func (c *FailoverClient) unaryOver(ctx context.Context, order []string, fn func(*HTTPClient) error) error {
 	var lastErr error
-	for round := 0; round < c.opts.MaxRounds; round++ {
+	for round := 0; round < maxRounds; round++ {
 		if round > 0 {
 			c.retries.Add(1)
 		}
@@ -492,7 +479,7 @@ func (c *FailoverClient) unaryOver(ctx context.Context, order []string, fn func(
 			}
 			lastErr = err
 		}
-		if round < c.opts.MaxRounds-1 {
+		if round < maxRounds-1 {
 			if err := c.sleep(ctx, c.backoffDelay(round, retryAfter)); err != nil {
 				return err
 			}
@@ -523,7 +510,7 @@ func (c *FailoverClient) runStream(ctx context.Context, out *Stream, key string,
 	received := make([]bool, req.K)
 	remaining := req.K
 	var lastErr error
-	for round := 0; round < c.opts.MaxRounds; round++ {
+	for round := 0; round < maxRounds; round++ {
 		if round > 0 {
 			c.retries.Add(1)
 		}
@@ -573,11 +560,11 @@ func (c *FailoverClient) runStream(ctx context.Context, out *Stream, key string,
 		}
 		if progressed {
 			// The window advanced this round: keep going rather than counting
-			// toward MaxRounds — giving up mid-progress wastes delivered work.
+			// toward maxRounds — giving up mid-progress wastes delivered work.
 			round = -1
 			continue
 		}
-		if round < c.opts.MaxRounds-1 {
+		if round < maxRounds-1 {
 			if err := c.sleep(ctx, c.backoffDelay(round, retryAfter)); err != nil {
 				out.setErr(err)
 				return

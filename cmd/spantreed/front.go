@@ -360,23 +360,14 @@ type listenConfig struct {
 	drainTimeout          time.Duration
 }
 
-// drainHooks are a replica's steps around the shared drain; a router leaves
-// them nil.
-type drainHooks struct {
-	// abort cancels in-flight streams once the drain budget is spent and
-	// reports how many it cancelled.
-	abort func() int
-	// close runs after the listener is down (flushing durable state).
-	close func() error
-}
-
 // serve runs h on lc.addr — HTTPS when lc names a certificate pair — until
 // ctx ends (SIGINT/SIGTERM), then drains: readiness flips to draining first,
 // so routers stop sending new work while in-flight requests get
-// lc.drainTimeout to finish. Past that budget a replica aborts its streams
-// (clients get a typed 503-mapped error line) and gets a short grace period
-// to write them; whatever is still open is then closed.
-func (f *front) serve(ctx context.Context, lc listenConfig, h http.Handler, hooks drainHooks) error {
+// lc.drainTimeout to finish. Past that budget a replica calls abort, which
+// cancels its streams (clients get a typed 503-mapped error line) and
+// reports how many, and gets a short grace period to write them; a router
+// passes a nil abort. Whatever is still open is then closed.
+func (f *front) serve(ctx context.Context, lc listenConfig, h http.Handler, abort func() int) error {
 	srv := &http.Server{Addr: lc.addr, Handler: h, ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() {
@@ -400,8 +391,8 @@ func (f *front) serve(ctx context.Context, lc listenConfig, h http.Handler, hook
 	shutCtx, cancel := context.WithTimeout(context.Background(), lc.drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {
-		if hooks.abort != nil {
-			f.log.Warn("drain timeout, aborting in-flight streams", "aborted", hooks.abort(), "err", err)
+		if abort != nil {
+			f.log.Warn("drain timeout, aborting in-flight streams", "aborted", abort(), "err", err)
 			graceCtx, graceCancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer graceCancel()
 			err = srv.Shutdown(graceCtx)
@@ -409,11 +400,6 @@ func (f *front) serve(ctx context.Context, lc listenConfig, h http.Handler, hook
 		if err != nil {
 			f.log.Warn("drain timeout, closing", "err", err)
 			_ = srv.Close()
-		}
-	}
-	if hooks.close != nil {
-		if err := hooks.close(); err != nil {
-			f.log.Warn("flushing durable state", "err", err)
 		}
 	}
 	return nil

@@ -66,16 +66,12 @@
 //	GET    /v1/stats               engine + request metrics
 //	GET    /v1/ring                router mode only: membership, and with ?key= that key's replica order
 //
-// Persistence: -data-dir points the engine at a durable prepared-state
-// directory (internal/blobstore). The graph registry persists across
-// restarts via an on-disk manifest; each graph's expensive prepared state is
-// snapshotted (write-behind, off the request path) after its first cold
-// build and restored bit-exactly on the next boot, so a restarted server
-// reaches first-sample readiness without re-running the phase-0 matrix
-// squarings.
-// Responses are byte-identical with or without -data-dir — restored state
-// samples the same trees AND stats. Empty (the default) keeps the server
-// fully in-memory.
+// Persistence: -data-dir persists the graph registry only, as an on-disk
+// manifest (manifest.json) of the registered graphs. A restarted server
+// re-registers them at boot and rebuilds each one's phase-0 prepared state
+// cold before /readyz turns 200, the same build an in-memory server runs on
+// a graph's first request. Responses are byte-identical with or without
+// -data-dir. Empty (the default) keeps the server fully in-memory.
 //
 // Auth: -auth-token (or $SPANTREED_AUTH_TOKEN) requires "Authorization:
 // Bearer <token>" on every /v1/* endpoint (401 otherwise); /healthz,
@@ -101,8 +97,7 @@
 // a client that disconnects mid-batch aborts its in-flight work instead of
 // burning the pool. The server shuts down gracefully on SIGINT or SIGTERM:
 // it drains in-flight requests up to -drain-timeout, then cancels the
-// remaining streams (clients get a typed 503-mapped error) and flushes
-// durable state.
+// remaining streams (clients get a typed 503-mapped error).
 package main
 
 import (
@@ -123,6 +118,7 @@ import (
 	spantree "repro"
 	"repro/client"
 	"repro/internal/faultinject"
+	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
@@ -146,13 +142,13 @@ func run() error {
 		traceEvery    = flag.Int("trace-every", 0, "trace 1 in every N unlabeled requests (0: default 1/64, negative: only X-Request-ID requests)")
 		traceRing     = flag.Int("trace-ring", 0, "recent traces retained for /v1/traces (0: default 64)")
 		pprofEnabled  = flag.Bool("pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/")
-		dataDir       = flag.String("data-dir", "", "durable prepared-state directory: persists the graph registry and prepared-state snapshots across restarts (empty: in-memory only)")
+		dataDir       = flag.String("data-dir", "", "registry directory: persists the registered graph set across restarts; prepared state is rebuilt on boot (empty: in-memory only)")
 		authToken     = flag.String("auth-token", "", "bearer token required on /v1/* endpoints (empty: $SPANTREED_AUTH_TOKEN; both empty: no auth)")
 		admitQueue    = flag.Int("admission-queue", 0, "per-graph admission queue depth: requests at the -max-streams-per-graph cap wait (hold-and-wait) instead of 429ing until this many are queued (0: reject immediately at the cap)")
 		reqTimeout    = flag.Duration("request-timeout", 0, "default per-request deadline covering admission wait, scheduling, and sampling; requests may set their own deadline_ms (0: no default)")
 		tlsCert       = flag.String("tls-cert", "", "TLS certificate file; with -tls-key, serve HTTPS instead of HTTP")
 		tlsKey        = flag.String("tls-key", "", "TLS private key file")
-		drainTimeout  = flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown budget: SIGTERM waits this long for in-flight requests, then cancels the remaining streams before flushing durable state")
+		drainTimeout  = flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown budget: SIGTERM waits this long for in-flight requests, then cancels the remaining streams")
 	)
 	flag.Parse()
 
@@ -202,7 +198,7 @@ func run() error {
 		}
 		defer rt.fc.Close()
 		logger.Info("routing", "addr", *addr, "peers", rt.fc.Endpoints(), "replication", *replication, "probe_interval", *probeInterval, "auth", token != "", "tls", *tlsCert != "")
-		return rt.serve(ctx, lc, rt.routes(), drainHooks{})
+		return rt.serve(ctx, lc, rt.routes(), nil)
 	default:
 		return fmt.Errorf("unknown -mode %q (want serve or router)", *mode)
 	}
@@ -223,9 +219,9 @@ func run() error {
 	srv.setAuthToken(token)
 
 	// Readiness: report loading until every registered graph's prepared
-	// state is resolved (restored from -data-dir or built cold), so a router
-	// probing /readyz never routes onto a still-hydrating replica. /healthz
-	// is live the whole time.
+	// state is built (graphs rehydrated from -data-dir are prepared cold),
+	// so a router probing /readyz never routes onto a still-preparing
+	// replica. /healthz is live the whole time.
 	srv.setReady(readyLoading)
 	go func() {
 		if err := eng.Warmup(ctx); err != nil {
@@ -237,13 +233,8 @@ func run() error {
 
 	logger.Info("listening", "addr", *addr, "workers", eng.Workers(), "pprof", *pprofEnabled, "data_dir", *dataDir, "auth", token != "", "tls", *tlsCert != "")
 	// Past the drain budget the remaining streams are cancelled through the
-	// deadline plumbing; after the listener is down, write-behind snapshot
-	// saves are waited out so the next boot starts warm (no-op without
-	// -data-dir).
-	return srv.serve(ctx, lc, srv.routes(), drainHooks{
-		abort: func() int { return eng.AbortStreams(nil) },
-		close: eng.Close,
-	})
+	// deadline plumbing.
+	return srv.serve(ctx, lc, srv.routes(), func() int { return eng.AbortStreams(nil) })
 }
 
 // server wires the engine to HTTP handlers behind the shared front.
@@ -379,9 +370,8 @@ func (s *server) handleReady(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics serves the Prometheus text exposition: server request
 // counters and per-endpoint latency, engine batch/stream counters, stream
-// pool and per-graph gauges, blobstore state, and the
-// engine's latency histograms — rendered by internal/obs with zero external
-// dependencies.
+// pool and per-graph gauges, and the engine's latency histograms — rendered
+// by internal/obs with zero external dependencies.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.writeMetrics(w, r, func(p *obs.PromWriter) {
 		m := s.eng.Metrics()
@@ -424,25 +414,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				p.Value("spantree_graph_queued_streams", float64(gm.QueuedStreams), obs.L{K: "graph", V: key})
 			}
 		}
-
-		p.Header("spantree_blobstore_hits_total", "Prepared-state snapshot loads served from the durable store.", "counter")
-		p.Value("spantree_blobstore_hits_total", float64(m.Blobstore.Hits))
-		p.Header("spantree_blobstore_misses_total", "Snapshot loads that fell through to a cold prepare.", "counter")
-		p.Value("spantree_blobstore_misses_total", float64(m.Blobstore.Misses))
-		p.Header("spantree_blobstore_puts_total", "Snapshot blobs written.", "counter")
-		p.Value("spantree_blobstore_puts_total", float64(m.Blobstore.Puts))
-		p.Header("spantree_blobstore_corrupt_discards_total", "Blobs discarded after failing verification.", "counter")
-		p.Value("spantree_blobstore_corrupt_discards_total", float64(m.Blobstore.CorruptDiscards))
-		p.Header("spantree_blobstore_read_bytes_total", "Blob payload bytes read.", "counter")
-		p.Value("spantree_blobstore_read_bytes_total", float64(m.Blobstore.BytesRead))
-		p.Header("spantree_blobstore_written_bytes_total", "Blob payload bytes written.", "counter")
-		p.Value("spantree_blobstore_written_bytes_total", float64(m.Blobstore.BytesWritten))
-		p.Header("spantree_blobstore_resident_blobs", "Blobs resident on disk.", "gauge")
-		p.Value("spantree_blobstore_resident_blobs", float64(m.Blobstore.ResidentBlobs))
-		p.Header("spantree_blobstore_resident_bytes", "Bytes resident on disk.", "gauge")
-		p.Value("spantree_blobstore_resident_bytes", float64(m.Blobstore.ResidentBytes))
-		p.Header("spantree_blobstore_load_seconds", "Blob load latency (open, read, verify).", "histogram")
-		p.Hist("spantree_blobstore_load_seconds", m.Blobstore.Load)
 
 		p.Header("spantree_sample_duration_seconds", "Per-tree compute latency by sampler.", "histogram")
 		for name, snap := range m.Latency.Samplers {
@@ -493,7 +464,7 @@ func (s *server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	case len(req.Edges) > 0:
-		g, err := graphFromEdges(req.N, req.Edges)
+		g, err := graph.FromEdgeList(req.N, req.Edges)
 		if err != nil {
 			s.writeError(w, r, http.StatusBadRequest, err)
 			return
@@ -512,31 +483,6 @@ func (s *server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, r, http.StatusCreated, info)
-}
-
-// graphFromEdges builds a graph from edge entries [u, v] or [u, v, weight].
-func graphFromEdges(n int, edges [][]float64) (*spantree.Graph, error) {
-	g, err := spantree.NewGraph(n)
-	if err != nil {
-		return nil, err
-	}
-	for i, e := range edges {
-		if len(e) != 2 && len(e) != 3 {
-			return nil, fmt.Errorf("edge %d: want [u, v] or [u, v, weight], got %v", i, e)
-		}
-		u, v := int(e[0]), int(e[1])
-		if float64(u) != e[0] || float64(v) != e[1] {
-			return nil, fmt.Errorf("edge %d: non-integer endpoints %v", i, e)
-		}
-		w := 1.0
-		if len(e) == 3 {
-			w = e[2]
-		}
-		if err := g.AddEdge(u, v, w); err != nil {
-			return nil, fmt.Errorf("edge %d: %w", i, err)
-		}
-	}
-	return g, nil
 }
 
 func (s *server) handleListGraphs(w http.ResponseWriter, r *http.Request) {

@@ -124,7 +124,7 @@ func (rt *router) forget(key string) {
 }
 
 // replayKey replays one key's registration onto its whole replica set — the
-// 404-recovery path: a replica that restarted without durable state answers
+// 404-recovery path: a replica that restarted without a -data-dir answers
 // 404 for a graph the cluster knows; re-registering and retrying heals it
 // without surfacing the blip to the caller.
 func (rt *router) replayKey(ctx context.Context, key string) bool {

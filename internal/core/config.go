@@ -37,24 +37,6 @@ type Config struct {
 	// to multiples of TruncDelta (Lemma 7's fixed-point discipline).
 	// Default 0: full float64 precision.
 	TruncDelta float64
-	// MaxPositions caps the partial walk's materialized positions per
-	// level (simulation memory guard; default 1<<20).
-	MaxPositions int
-	// MatchingLimit is the largest perfect-matching instance placed via the
-	// Matching sampler (default 12, the exact sampler's comfortable range). Above it, the leader places midpoints
-	// directly in Π-sequence order, which Lemma 4 (and the appendix's
-	// §5.3 argument) shows yields exactly the same walk distribution: the
-	// matching step exists to compress communication, and the simulator
-	// has already charged the compressed (multiset) communication. Large
-	// instances arise only on periodic Schur complements, where the
-	// partial walk legitimately grows toward its target length before the
-	// final level resolves the other parity class.
-	MatchingLimit int
-	// MaxPhases caps the number of phases (default n + 16). The paper shows
-	// 2√n phases suffice with its Θ̃(n³) walk length; with the simulation's
-	// capped default length a phase may make less progress, but always at
-	// least one new vertex, so n phases always suffice.
-	MaxPhases int
 	// DirectPlacement, when true, always places midpoints from the pair
 	// machines' per-pair multisets in uniformly-shuffled order instead of
 	// sampling a global perfect matching — the appendix's §5.3 mechanism,
@@ -67,11 +49,6 @@ type Config struct {
 	// current endpoint (appendix §5.1), making coverage failures
 	// impossible instead of ε-improbable.
 	LasVegas bool
-	// MaxExtensions caps Las Vegas walk extensions per phase (default 64;
-	// a simulation guard — the true algorithm extends indefinitely, but
-	// each extension succeeds with constant probability, so 64 failures
-	// indicate a bug, not bad luck).
-	MaxExtensions int
 	// SimFidelity selects the simulator execution mode of the protocol's
 	// supersteps. FidelityCharged (the "" default) runs the ported hot
 	// supersteps — pair assignment, midpoint distribution, the binary-search
@@ -128,29 +105,40 @@ func (c Config) withDefaults(n int) (Config, error) {
 	if c.TruncDelta < 0 {
 		return c, fmt.Errorf("core: negative truncation delta %g", c.TruncDelta)
 	}
-	if c.MaxPositions == 0 {
-		c.MaxPositions = 1 << 20
-	}
-	if c.MaxPositions < 4 {
-		return c, fmt.Errorf("core: MaxPositions must be >= 4, got %d", c.MaxPositions)
-	}
-	if c.MaxPhases == 0 {
-		c.MaxPhases = n + 16
-	}
-	if c.MatchingLimit == 0 {
-		c.MatchingLimit = 12
-	}
-	if c.MatchingLimit < 1 {
-		return c, fmt.Errorf("core: MatchingLimit must be >= 1, got %d", c.MatchingLimit)
-	}
-	if c.MaxExtensions == 0 {
-		c.MaxExtensions = 64
-	}
 	if !c.SimFidelity.Valid() {
 		return c, fmt.Errorf("core: unknown sim fidelity %q (want %q or %q)", c.SimFidelity, clique.FidelityCharged, clique.FidelityFull)
 	}
 	return c, nil
 }
+
+// Fixed limits of the simulation.
+const (
+	// maxPositions caps the partial walk's materialized positions per level
+	// (simulation memory guard).
+	maxPositions = 1 << 20
+	// matchingLimit is the largest perfect-matching instance placed via the
+	// Matching sampler (the exact sampler's comfortable range). Above it,
+	// the leader places midpoints directly in Π-sequence order, which
+	// Lemma 4 (and the appendix's §5.3 argument) shows yields exactly the
+	// same walk distribution: the matching step exists to compress
+	// communication, and the simulator has already charged the compressed
+	// (multiset) communication. Large instances arise only on periodic
+	// Schur complements, where the partial walk legitimately grows toward
+	// its target length before the final level resolves the other parity
+	// class.
+	matchingLimit = 12
+	// maxExtensions caps Las Vegas walk extensions per phase (a simulation
+	// guard — the true algorithm extends indefinitely, but each extension
+	// succeeds with constant probability, so 64 failures indicate a bug, not
+	// bad luck).
+	maxExtensions = 64
+)
+
+// maxPhases caps the number of phases on an n-vertex graph. The paper shows
+// 2√n phases suffice with its Θ̃(n³) walk length; with the simulation's
+// capped default length a phase may make less progress, but always at least
+// one new vertex, so n phases always suffice.
+func maxPhases(n int) int { return n + 16 }
 
 // SimWalkCap bounds the default per-phase target walk length. The paper's
 // Theorem 1 choice is Θ̃(n³); on periodic Schur complements the partial walk

@@ -61,8 +61,8 @@ func sampleLoop(g *graph.Graph, cfg Config, src *prng.Source, warm *Prepared, tr
 	firstVisitEdges := make([]graph.Edge, 0, n-1)
 
 	for phase := 0; visitedCount < n; phase++ {
-		if phase >= cfg.MaxPhases {
-			return nil, nil, fmt.Errorf("core: exceeded %d phases with %d of %d vertices visited", cfg.MaxPhases, visitedCount, n)
+		if phase >= maxPhases(n) {
+			return nil, nil, fmt.Errorf("core: exceeded %d phases with %d of %d vertices visited", maxPhases(n), visitedCount, n)
 		}
 		phaseSpan := sim.TraceSpan("core/phase")
 		phaseSpan.SetInt("phase", int64(phase))
@@ -121,8 +121,8 @@ func sampleLoop(g *graph.Graph, cfg Config, src *prng.Source, warm *Prepared, tr
 			if len(distinct) >= rhoPhase {
 				break
 			}
-			if segment+1 >= cfg.MaxExtensions {
-				return nil, nil, fmt.Errorf("core: phase %d needed more than %d Las Vegas extensions", phase, cfg.MaxExtensions)
+			if segment+1 >= maxExtensions {
+				return nil, nil, fmt.Errorf("core: phase %d needed more than %d Las Vegas extensions", phase, maxExtensions)
 			}
 			preSeen = distinct
 			lastLocal := walkLocal[len(walkLocal)-1]

@@ -342,12 +342,6 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Backend == nil || cfg.Matching == nil {
 		t.Error("defaults not filled")
 	}
-	if _, err := (Config{MaxPositions: 2}).withDefaults(4); err == nil {
-		t.Error("expected error for tiny MaxPositions")
-	}
-	if _, err := (Config{MatchingLimit: -1}).withDefaults(4); err == nil {
-		t.Error("expected error for negative MatchingLimit")
-	}
 }
 
 // TestStatsShape sanity-checks the reported statistics.

@@ -281,8 +281,8 @@ func (r *phaseRunner) run() ([]int, error) {
 			return nil, err
 		}
 		r.stats.Levels++
-		if len(r.walk) > r.cfg.MaxPositions {
-			return nil, fmt.Errorf("core: partial walk grew to %d positions (cap %d)", len(r.walk), r.cfg.MaxPositions)
+		if len(r.walk) > maxPositions {
+			return nil, fmt.Errorf("core: partial walk grew to %d positions (cap %d)", len(r.walk), maxPositions)
 		}
 	}
 	return r.walk, nil
@@ -985,7 +985,7 @@ func (r *phaseRunner) placeMidpoints(ellStar int64) error {
 	// exactly that of using the pair machines' Π sequences directly (the
 	// matching only exists to avoid communicating the sequences, and the
 	// simulator has already charged the compressed multiset messages). We
-	// therefore run the matching sampler up to MatchingLimit positions and
+	// therefore run the matching sampler up to matchingLimit positions and
 	// place directly from the Π sequences beyond it — the degenerate
 	// periodic-walk case where the instance grows toward Θ(l).
 	k := lastSlot - 1
@@ -995,7 +995,7 @@ func (r *phaseRunner) placeMidpoints(ellStar int64) error {
 	switch {
 	case k == 0:
 		// Only the final midpoint exists.
-	case k <= r.cfg.MatchingLimit && !r.cfg.DirectPlacement:
+	case k <= matchingLimit && !r.cfg.DirectPlacement:
 		w := matrix.Scratch(k, k)
 		for ri, x := range rows {
 			for j := 1; j <= k; j++ {

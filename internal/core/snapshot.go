@@ -14,8 +14,12 @@ import (
 
 // PreparedSnapshotVersion identifies the Prepared.Snapshot wire format.
 // Bump it whenever the serialized layout or the meaning of any encoded field
-// changes; the blobstore keys snapshots by this version, so old blobs are
-// never addressed (let alone loaded) by a newer binary.
+// changes.
+//
+// Nothing in the serving path snapshots or restores a Prepared: a restarted
+// engine re-runs Prepare. The codec stays only because the frozen benchmark
+// harness (bench/trace.go) times it for core.restore_ms and
+// core.snapshot_kb, and goes with the benchmark's next revision.
 const PreparedSnapshotVersion uint32 = 1
 
 // ErrNoSnapshot reports that a Prepared holds no serializable artifacts:
@@ -23,38 +27,6 @@ const PreparedSnapshotVersion uint32 = 1
 // never build the phase-0 state, so there is nothing worth persisting — a
 // restart re-prepares them as cheaply as a snapshot load would.
 var ErrNoSnapshot = errors.New("core: prepared state has no snapshot")
-
-// Fingerprint returns the canonical identity string of the validated
-// configuration at an n-vertex graph: every knob that can change prepared
-// artifacts or sampled output bytes, with float64 knobs rendered as exact
-// bit patterns. Two configs with equal fingerprints produce byte-identical
-// trees, Stats, and prepared state on the same graph, which is what lets the
-// durable store key snapshots by (graph digest, fingerprint) and reuse them
-// across processes.
-//
-// Deliberately excluded: SimFidelity (charged and full execution are
-// byte-identical by the fidelity contract) and the ignored KernelWorkers.
-// Backend and Matching contribute their concrete types — each named
-// implementation is deterministic, so the type is the behavior.
-func (c Config) Fingerprint(n int) (string, error) {
-	cfg, err := c.withDefaults(n)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf(
-		"v1|backend=%T|matching=%T|eps=%016x|rho=%d|walk=%d|trunc=%016x|maxpos=%d|matchlim=%d|maxphases=%d|direct=%t|lasvegas=%t|maxext=%d",
-		cfg.Backend, cfg.Matching,
-		math.Float64bits(cfg.Epsilon), cfg.Rho, cfg.WalkLength,
-		math.Float64bits(cfg.TruncDelta), cfg.MaxPositions, cfg.MatchingLimit,
-		cfg.MaxPhases, cfg.DirectPlacement, cfg.LasVegas, cfg.MaxExtensions,
-	), nil
-}
-
-// FingerprintExact is Fingerprint under SampleExact's configuration
-// overrides — the identity of the exact variant's prepared state.
-func FingerprintExact(c Config, n int) (string, error) {
-	return exactConfig(n, c).Fingerprint(n)
-}
 
 // Snapshot serializes the Prepared's expensive immutable artifacts — the
 // phase-0 shortcut transition matrix and the phase-0 dyadic power table —

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -163,63 +162,5 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 		if _, err := RestorePrepared(tc.g, tc.cfg, tc.data); err == nil {
 			t.Errorf("%s: restore accepted a mismatched snapshot", tc.name)
 		}
-	}
-}
-
-func TestFingerprint(t *testing.T) {
-	fp, err := Config{}.Fingerprint(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp2, err := Config{}.Fingerprint(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp != fp2 {
-		t.Fatal("fingerprint not deterministic")
-	}
-	// Output-irrelevant knobs do not move the fingerprint.
-	same, err := Config{SimFidelity: "full", KernelWorkers: 2}.Fingerprint(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same != fp {
-		t.Fatal("SimFidelity/KernelWorkers moved the fingerprint")
-	}
-	// Output-relevant knobs do.
-	for name, c := range map[string]Config{
-		"walk":    {WalkLength: 128},
-		"rho":     {Rho: 5},
-		"epsilon": {Epsilon: 0.25},
-		"trunc":   {TruncDelta: 1.0 / 1024},
-		"backend": {Backend: mm.Naive{}},
-		"exact":   {DirectPlacement: true, LasVegas: true},
-	} {
-		got, err := c.Fingerprint(9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got == fp {
-			t.Errorf("%s change did not move the fingerprint", name)
-		}
-	}
-	// Different n moves it too (defaults are n-dependent).
-	big, err := Config{}.Fingerprint(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big == fp {
-		t.Error("vertex count did not move the fingerprint")
-	}
-	// Exact variant differs from the plain one.
-	ex, err := FingerprintExact(Config{}, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex == fp {
-		t.Error("exact fingerprint equals the plain one")
-	}
-	if !strings.HasPrefix(fp, "v1|") {
-		t.Errorf("fingerprint %q lacks version prefix", fp)
 	}
 }

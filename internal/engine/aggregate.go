@@ -2,11 +2,9 @@ package engine
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/spanning"
-	"repro/internal/stats"
 )
 
 // Distribution summarizes one integer cost metric across a batch.
@@ -69,58 +67,9 @@ func Summarize(trees []*spanning.Tree, sts []core.Stats) Summary {
 	return s
 }
 
-// auditCountLimit bounds the tree counts an audit accepts: the TV estimate
-// needs the empirical distribution to resolve individual trees, which is
-// hopeless (and the uniform reference meaningless) once the support dwarfs
-// any feasible sample size.
-const auditCountLimit = 1 << 40
-
-// AuditBatch measures the total variation distance between a batch's
-// empirical tree distribution and the uniform distribution over the graph's
-// exactly counted spanning trees — the engine-level version of
-// spanning.Audit, reusing the batch's already-drawn trees and the registry's
-// cached tree count. Every tree is validated against the graph.
-func (e *Engine) AuditBatch(res *BatchResult) (spanning.AuditResult, error) {
-	if res == nil || len(res.Trees) == 0 {
-		return spanning.AuditResult{}, fmt.Errorf("engine: audit of empty batch")
-	}
-	ent, err := e.reg.get(res.GraphKey)
-	if err != nil {
-		return spanning.AuditResult{}, err
-	}
-	return auditEntryBatch(ent, res)
-}
-
-func auditEntryBatch(ent *entry, res *BatchResult) (spanning.AuditResult, error) {
-	count, err := ent.treeCount()
-	if err != nil {
-		return spanning.AuditResult{}, err
-	}
-	if !count.IsInt64() || count.Int64() <= 0 || count.Int64() > auditCountLimit {
-		return spanning.AuditResult{}, fmt.Errorf("engine: graph %q has %v spanning trees, beyond the audit limit %d", res.GraphKey, count, int64(auditCountLimit))
-	}
-	emp := stats.NewEmpirical()
-	for i, tr := range res.Trees {
-		if tr == nil || !tr.IsSpanningTreeOf(ent.g) {
-			return spanning.AuditResult{}, fmt.Errorf("engine: batch tree %d is not a spanning tree of %q", i, res.GraphKey)
-		}
-		emp.Add(tr.Encode())
-	}
-	tv, err := emp.TVFromUniform(int(count.Int64()))
-	if err != nil {
-		return spanning.AuditResult{}, err
-	}
-	return spanning.AuditResult{
-		Samples:      len(res.Trees),
-		TreeCount:    count.Int64(),
-		DistinctSeen: emp.Support(),
-		TV:           tv,
-		Noise:        stats.UniformTVSamplingNoise(len(res.Trees), int(count.Int64())),
-	}, nil
-}
-
-// Audit runs a batch on the session and audits it in one call — the serving
-// layer's "audit uniformity" endpoint. Unlike Engine.AuditBatch it works on
+// Audit runs a batch on the session and audits it against the uniform
+// distribution over the graph's exactly counted (and cached) spanning trees
+// in one call — the serving layer's "audit uniformity" endpoint. It works on
 // standalone (adhoc) sessions too, since it audits against the session's own
 // pinned graph entry rather than a registry lookup.
 func (s *Session) Audit(ctx context.Context, req StreamRequest) (*BatchResult, spanning.AuditResult, error) {
@@ -128,7 +77,11 @@ func (s *Session) Audit(ctx context.Context, req StreamRequest) (*BatchResult, s
 	if err != nil {
 		return nil, spanning.AuditResult{}, err
 	}
-	audit, err := auditEntryBatch(s.ent, res)
+	count, err := s.ent.treeCount()
+	if err != nil {
+		return nil, spanning.AuditResult{}, err
+	}
+	audit, err := spanning.AuditTrees(s.ent.g, count, res.Trees)
 	if err != nil {
 		return nil, spanning.AuditResult{}, err
 	}

@@ -64,131 +64,6 @@ func drainIndexed(t *testing.T, st *Stream, k int) []string {
 	return trees
 }
 
-func flipByte(off int) func([]byte) []byte {
-	return func(b []byte) []byte {
-		if len(b) == 0 {
-			return b
-		}
-		out := append([]byte(nil), b...)
-		out[off%len(out)] ^= 1
-		return out
-	}
-}
-
-// TestChaosBlobstoreGetFaults is the degradation contract on the snapshot
-// read path: whatever a fault does to a blob read — outright failure, slow
-// I/O, truncation or bit damage before the checksum, payload damage after it
-// — the restarted engine serves byte-identical trees and stats, because every
-// damaged layer discards and falls back to a cold recompute. Never wrong
-// bytes, never a wedged engine.
-func TestChaosBlobstoreGetFaults(t *testing.T) {
-	req := StreamRequest{K: 4, Spec: SamplerSpec{Name: SamplerPhase, MaxWorkers: 2}, SeedBase: 11}
-	cases := []struct {
-		name  string
-		point faultinject.Point
-		fault faultinject.Fault
-	}{
-		{"read error", faultinject.PointBlobRead, faultinject.Fault{Err: faultinject.ErrInjected}},
-		{"slow read", faultinject.PointBlobRead, faultinject.Fault{Delay: 5 * time.Millisecond}},
-		{"short read before checksum", faultinject.PointBlobReadBytes,
-			faultinject.Fault{Mutate: func(b []byte) []byte {
-				if len(b) > 8 {
-					return b[:8]
-				}
-				return b
-			}}},
-		{"bit flip before checksum", faultinject.PointBlobReadBytes,
-			faultinject.Fault{Mutate: flipByte(40)}},
-		// After the checksum window only the restore layer's own content
-		// validation stands between damage and wrong state; byte 0 of the
-		// payload is the snapshot codec's header, so decode must reject it.
-		{"payload damage after checksum", faultinject.PointBlobPayload,
-			faultinject.Fault{Mutate: flipByte(0)}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			chaosCleanup(t)
-			dir := t.TempDir()
-			e1 := persistEngine(t, dir, 2)
-			if err := e1.RegisterFamily("g", "expander", 16, 3); err != nil {
-				t.Fatal(err)
-			}
-			want, err := collectBatch(e1, "g", req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := e1.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			if err := faultinject.Set(tc.point, tc.fault); err != nil {
-				t.Fatal(err)
-			}
-			e2 := persistEngine(t, dir, 2)
-			got, err := collectBatch(e2, "g", req)
-			if err != nil {
-				t.Fatalf("fault leaked out as a request error instead of degrading: %v", err)
-			}
-			if faultinject.Hits(tc.point) == 0 {
-				t.Fatalf("fault at %s never fired — the scenario exercised nothing", tc.point)
-			}
-			if !reflect.DeepEqual(encodeAll(want), encodeAll(got)) {
-				t.Error("trees changed under a blobstore fault — wrong bytes, not degradation")
-			}
-			if !reflect.DeepEqual(want.Stats, got.Stats) {
-				t.Error("stats changed under a blobstore fault")
-			}
-			faultinject.Reset()
-			if err := e2.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestChaosBlobstorePutFailure covers the write side: with every snapshot
-// save failing, the engine keeps serving (persistence is an optimization,
-// never a dependency), the drain neither wedges nor reports anything but the
-// injected error, and the next boot recomputes cold to the same bytes.
-func TestChaosBlobstorePutFailure(t *testing.T) {
-	chaosCleanup(t)
-	req := StreamRequest{K: 4, Spec: SamplerSpec{Name: SamplerPhase, MaxWorkers: 2}, SeedBase: 11}
-	dir := t.TempDir()
-	if err := faultinject.Set(faultinject.PointBlobPut, faultinject.Fault{Err: faultinject.ErrInjected}); err != nil {
-		t.Fatal(err)
-	}
-	e1 := persistEngine(t, dir, 2)
-	if err := e1.RegisterFamily("g", "expander", 16, 3); err != nil {
-		t.Fatal(err)
-	}
-	want, err := collectBatch(e1, "g", req)
-	if err != nil {
-		t.Fatalf("serving depended on snapshot writes: %v", err)
-	}
-	if err := e1.Close(); err != nil && !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("drain error = %v, want the injected fault (or nil)", err)
-	}
-	if faultinject.Hits(faultinject.PointBlobPut) == 0 {
-		t.Fatal("put fault never fired")
-	}
-	faultinject.Reset()
-
-	e2 := persistEngine(t, dir, 2)
-	got, err := collectBatch(e2, "g", req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := e2.Metrics(); m.Blobstore.Misses == 0 {
-		t.Errorf("second boot should have recomputed cold (no snapshots were saved): %+v", m.Blobstore)
-	}
-	if !reflect.DeepEqual(encodeAll(want), encodeAll(got)) {
-		t.Error("trees differ between a persisted and an unpersisted boot")
-	}
-	if err := e2.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestChaosSlotGrantFault fails one scheduler slot grant: the stream must
 // abort with the typed ErrSampleFailed chain (not end silently short), and
 // the engine stays fully reusable.

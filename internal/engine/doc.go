@@ -13,6 +13,15 @@
 // dominates a run's numeric cost) is paid once at registration and shared —
 // read-only — by every concurrent sample thereafter.
 //
+// # Persistence
+//
+// With Options.DataDir the registry itself persists: registrations are
+// written to a versioned JSON manifest (persist.go) and rehydrated at
+// construction, each record checked against its graph digest. Prepared
+// state is never persisted; a restarted engine rebuilds it cold, on a
+// graph's first request or in Warmup, so output bytes never depend on the
+// data dir.
+//
 // # Scheduling
 //
 // All concurrent streams share ONE worker pool (Options.Workers slots).

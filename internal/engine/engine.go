@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/aldous"
-	"repro/internal/blobstore"
 	"repro/internal/core"
 	"repro/internal/doubling"
 	"repro/internal/faultinject"
@@ -132,12 +131,12 @@ type Options struct {
 	// TraceRing sets how many recent traces the tracer retains for
 	// /v1/traces (0: obs.DefaultRingCapacity).
 	TraceRing int
-	// Store, when non-nil, is the durable prepared-state store: the graph
-	// registry is rehydrated from its manifest at construction, prepared
-	// state is restored from snapshots on first touch (write-behind saved
-	// after cold builds). nil (the default) keeps the engine fully
-	// in-memory.
-	Store *blobstore.Store
+	// DataDir, when non-empty, is an existing directory holding the graph
+	// registry's manifest: the registry is rehydrated from it at
+	// construction and every registration change is written back. Prepared
+	// state is never persisted; a restarted engine rebuilds it cold, on first
+	// touch or in Warmup. "" (the default) keeps the engine fully in-memory.
+	DataDir string
 }
 
 // Engine is a registry of graphs plus the engine-wide weighted stream
@@ -176,14 +175,12 @@ type Engine struct {
 	// set before the engine serves traffic.
 	sampleHook func()
 
-	// store, when non-nil, is the durable prepared-state store (see
-	// Options.Store and persist.go); manifest mirrors its on-disk graph
-	// manifest under manMu, and persistWG tracks in-flight write-behind
-	// snapshot saves so Close can drain them.
-	store     *blobstore.Store
-	manifest  *blobstore.Manifest
-	manMu     sync.Mutex
-	persistWG sync.WaitGroup
+	// dataDir, when non-empty, holds the registry manifest (see
+	// Options.DataDir and persist.go); manifest mirrors the on-disk copy
+	// under manMu.
+	dataDir  string
+	manifest *manifest
+	manMu    sync.Mutex
 }
 
 // New returns an Engine with the given options.
@@ -200,6 +197,7 @@ func New(opts Options) *Engine {
 		latSchedWait: obs.NewHistogram(),
 		latDeadline:  make(map[string]*obs.Histogram, len(deadlineStages)),
 		cancels:      make(map[*Stream]context.CancelCauseFunc),
+		dataDir:      opts.DataDir,
 	}
 	for _, s := range Samplers() {
 		e.latSampler[s] = obs.NewHistogram()
@@ -208,8 +206,7 @@ func New(opts Options) *Engine {
 		e.latDeadline[stage] = obs.NewHistogram()
 	}
 	e.reg.init()
-	if opts.Store != nil {
-		e.store = opts.Store
+	if e.dataDir != "" {
 		e.hydrate()
 	}
 	return e
@@ -251,12 +248,7 @@ type Metrics struct {
 	// It stays only because the frozen benchmark harness (bench/trace.go)
 	// still reads it, and goes with the benchmark's next revision.
 	PhaseCache struct{ Hits, Misses int64 } `json:"-"`
-	// Blobstore is the durable prepared-state store's save/load surface
-	// (zero-valued for an in-memory engine): snapshot hits and misses, blob
-	// traffic, corrupt discards, resident gauges, and the blob-load latency
-	// histogram.
-	Blobstore  blobstore.Stats  `json:"blobstore"`
-	MatrixPool matrix.PoolStats `json:"matrix_pool"`
+	MatrixPool matrix.PoolStats             `json:"matrix_pool"`
 	// Latency is the engine's latency-histogram block (per-sampler per-tree
 	// latency and scheduler slot wait); serving layers add their per-endpoint
 	// histograms on top.
@@ -291,7 +283,6 @@ func (e *Engine) Metrics() Metrics {
 		Streams:    e.streams.Load(),
 		Aborted:    e.aborted.Load(),
 		Panics:     e.panics.Load(),
-		Blobstore:  e.store.Stats(),
 		MatrixPool: matrix.ReadPoolStats(),
 	}
 	m.StreamPool, m.StreamsByGraph = e.sched.snapshot()
@@ -430,7 +421,7 @@ func (e *Engine) deregisterCancel(st *Stream) {
 // AbortStreams cancels every in-flight stream with the given cause
 // (nil: ErrDraining) and reports how many it canceled. It is the teeth of a
 // bounded graceful drain: a shutting-down server first waits out its drain
-// budget, then aborts what remains so Close can run promptly. In-flight
+// budget, then aborts what remains so the server can close promptly. In-flight
 // samples finish computing (a slot is held only while computing) but no new
 // samples dispatch, and each aborted stream's Err wraps the cause.
 func (e *Engine) AbortStreams(cause error) int {
@@ -456,13 +447,13 @@ func (e *Engine) QueueStats(graph string) QueueStats {
 	return e.sched.queueStats(graph)
 }
 
-// Warmup eagerly resolves the phase-sampler prepared state of every
-// registered graph: restored from the durable store when a valid snapshot
-// exists, cold-built otherwise — exactly what the first phase request of each
-// graph would have done lazily. It is the readiness hook for replicated
-// serving: a restarted replica calls Warmup in the background and keeps
-// /readyz reporting "loading" until it returns, so a router never routes to
-// a replica still hydrating its blobstore. Warmup changes no output bytes
+// Warmup eagerly builds the phase-sampler prepared state of every registered
+// graph — exactly what the first phase request of each graph would have done
+// lazily. It is the readiness hook for replicated serving: a restarted
+// replica calls Warmup in the background and keeps /readyz reporting
+// "loading" until it returns, so a router never routes to a replica still
+// preparing the graphs it rehydrated from its data dir. Warmup changes no
+// output bytes
 // (each entry's prepared state resolves under its sync.Once either way); it
 // only moves the cost off the first request. ctx cancels between graphs.
 // Per-graph prepare failures don't stop the sweep — they are joined into the

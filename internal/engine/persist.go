@@ -1,41 +1,150 @@
 package engine
 
 import (
-	"repro/internal/blobstore"
-	"repro/internal/core"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io/fs"
+	"log/slog"
+	"os"
+	"path/filepath"
+
 	"repro/internal/graph"
 )
 
-// Artifact kinds in the durable store. The kind is part of the content
-// address, so the two sampler variants' snapshots can never be confused for
-// one another even under identical (graph, config) identities.
-const (
-	kindPreparedPhase = "prepared/phase"
-	kindPreparedExact = "prepared/exact"
-)
+// manifestVersion pins the manifest's JSON schema; a manifest carrying a
+// different version is treated like a corrupt one (renamed aside, the
+// process starts with an empty registry and rebuilds the manifest as graphs
+// are re-registered).
+const manifestVersion = 1
 
-// hydrate rehydrates the registry from the store's manifest at construction.
-// Only the graph set is eager; each graph's prepared state stays on disk
-// until its first touch (buildPrepared), so a restart with many registered
-// graphs pays for exactly the ones that get traffic. Damaged records are
-// logged and skipped — their keys simply come back empty, like any
-// unregistered graph.
-func (e *Engine) hydrate() {
-	man, err := e.store.LoadManifest()
+const manifestName = "manifest.json"
+
+// graphRecord is one registered graph in the manifest: enough to rebuild the
+// exact weighted graph (edge list with float64 weights survives JSON because
+// weights originate from float64s; the digest double-checks the round trip).
+type graphRecord struct {
+	Key string `json:"key"`
+	N   int    `json:"n"`
+	// Edges holds [u, v, weight] triples, sorted by (u, v).
+	Edges [][]float64 `json:"edges"`
+	// Digest is the hex graph digest at registration; build verifies the
+	// rebuilt graph against it.
+	Digest string `json:"digest"`
+}
+
+// recordGraph captures g under key as a manifest record.
+func recordGraph(key string, g *graph.Graph) graphRecord {
+	edges := g.Edges()
+	rec := graphRecord{Key: key, N: g.N(), Edges: make([][]float64, len(edges))}
+	for i, e := range edges {
+		rec.Edges[i] = []float64{float64(e.U), float64(e.V), e.Weight}
+	}
+	d := g.Digest()
+	rec.Digest = hex.EncodeToString(d[:])
+	return rec
+}
+
+// build rebuilds the record's graph and verifies it against the stored
+// digest, so a manifest edited or damaged past the JSON layer can never
+// resurrect a different graph under an old key.
+func (r graphRecord) build() (*graph.Graph, error) {
+	g, err := graph.FromEdgeList(r.N, r.Edges)
 	if err != nil {
-		e.store.Logger().Warn("engine: loading graph manifest, starting empty", "err", err)
-		e.manifest = &blobstore.Manifest{}
+		return nil, fmt.Errorf("engine: manifest graph %q: %w", r.Key, err)
+	}
+	d := g.Digest()
+	if hex.EncodeToString(d[:]) != r.Digest {
+		return nil, fmt.Errorf("engine: manifest graph %q: digest mismatch", r.Key)
+	}
+	return g, nil
+}
+
+// manifest is the registered-graph set a restarted process rehydrates its
+// registry from.
+type manifest struct {
+	Version int           `json:"version"`
+	Graphs  []graphRecord `json:"graphs"`
+}
+
+// saveManifest writes m into dir atomically (temp file + sync + rename),
+// stamping the current manifestVersion.
+func saveManifest(dir string, m *manifest) error {
+	m.Version = manifestVersion
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return fmt.Errorf("engine: encoding manifest: %w", err)
+	}
+	tmp, err := os.CreateTemp(dir, "manifest-*.tmp")
+	if err != nil {
+		return fmt.Errorf("engine: saving manifest: %w", err)
+	}
+	defer os.Remove(tmp.Name())
+	if _, err := tmp.Write(append(data, '\n')); err != nil {
+		tmp.Close()
+		return fmt.Errorf("engine: saving manifest: %w", err)
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("engine: saving manifest: %w", err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("engine: saving manifest: %w", err)
+	}
+	if err := os.Rename(tmp.Name(), filepath.Join(dir, manifestName)); err != nil {
+		return fmt.Errorf("engine: saving manifest: %w", err)
+	}
+	return nil
+}
+
+// loadManifest reads dir's manifest. A missing file yields an empty
+// manifest (a fresh data dir); a corrupt or version-mismatched one is
+// logged, renamed aside to manifest.json.corrupt, and also yields an empty
+// manifest — the registry starts empty and re-registration rebuilds it.
+func loadManifest(dir string) (*manifest, error) {
+	path := filepath.Join(dir, manifestName)
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return &manifest{Version: manifestVersion}, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("engine: loading manifest: %w", err)
+	}
+	var m manifest
+	uerr := json.Unmarshal(data, &m)
+	if uerr == nil && m.Version == manifestVersion {
+		return &m, nil
+	}
+	if uerr == nil {
+		uerr = fmt.Errorf("stale manifest version %d (want %d)", m.Version, manifestVersion)
+	}
+	slog.Warn("engine: discarding corrupt manifest, starting with an empty registry", "path", path, "reason", uerr)
+	_ = os.Rename(path, path+".corrupt")
+	return &manifest{Version: manifestVersion}, nil
+}
+
+// hydrate rehydrates the registry from the data dir's manifest at
+// construction. Only the graph set is restored; each graph's prepared state
+// is rebuilt on first touch (or by Warmup), exactly as for a graph
+// registered in this process. Damaged records are logged and skipped — their
+// keys simply come back empty, like any unregistered graph.
+func (e *Engine) hydrate() {
+	man, err := loadManifest(e.dataDir)
+	if err != nil {
+		slog.Warn("engine: loading graph manifest, starting empty", "err", err)
+		e.manifest = &manifest{Version: manifestVersion}
 		return
 	}
 	e.manifest = man
 	for _, rec := range man.Graphs {
-		g, err := rec.Build()
+		g, err := rec.build()
 		if err != nil {
-			e.store.Logger().Warn("engine: skipping damaged manifest graph", "key", rec.Key, "err", err)
+			slog.Warn("engine: skipping damaged manifest graph", "key", rec.Key, "err", err)
 			continue
 		}
 		if err := e.reg.add(rec.Key, g); err != nil {
-			e.store.Logger().Warn("engine: rehydrating manifest graph", "key", rec.Key, "err", err)
+			slog.Warn("engine: rehydrating manifest graph", "key", rec.Key, "err", err)
 		}
 	}
 }
@@ -43,12 +152,12 @@ func (e *Engine) hydrate() {
 // persistRegistration records a (re-)registered graph in the manifest.
 // Manifest writes are atomic and rare (registration-rate, not sample-rate).
 func (e *Engine) persistRegistration(key string, g *graph.Graph) {
-	if e.store == nil {
+	if e.dataDir == "" {
 		return
 	}
 	e.manMu.Lock()
 	defer e.manMu.Unlock()
-	rec := blobstore.RecordGraph(key, g)
+	rec := recordGraph(key, g)
 	replaced := false
 	for i := range e.manifest.Graphs {
 		if e.manifest.Graphs[i].Key == key {
@@ -60,16 +169,14 @@ func (e *Engine) persistRegistration(key string, g *graph.Graph) {
 	if !replaced {
 		e.manifest.Graphs = append(e.manifest.Graphs, rec)
 	}
-	if err := e.store.SaveManifest(e.manifest); err != nil {
-		e.store.Logger().Warn("engine: persisting graph manifest", "key", key, "err", err)
+	if err := saveManifest(e.dataDir, e.manifest); err != nil {
+		slog.Warn("engine: persisting graph manifest", "key", key, "err", err)
 	}
 }
 
-// forgetRegistration drops a deregistered graph from the manifest. Its blobs
-// stay on disk — content-addressed residue that re-registration of the same
-// graph under any key immediately benefits from.
+// forgetRegistration drops a deregistered graph from the manifest.
 func (e *Engine) forgetRegistration(key string) {
-	if e.store == nil {
+	if e.dataDir == "" {
 		return
 	}
 	e.manMu.Lock()
@@ -84,101 +191,7 @@ func (e *Engine) forgetRegistration(key string) {
 		return
 	}
 	e.manifest.Graphs = kept
-	if err := e.store.SaveManifest(e.manifest); err != nil {
-		e.store.Logger().Warn("engine: persisting graph manifest", "key", key, "err", err)
+	if err := saveManifest(e.dataDir, e.manifest); err != nil {
+		slog.Warn("engine: persisting graph manifest", "key", key, "err", err)
 	}
-}
-
-// snapshotKey derives the artifact kind and content address of one entry's
-// prepared snapshot for the given sampler variant. ok is false when the
-// config cannot be fingerprinted at this graph's size (the cold path will
-// surface the same validation error to the caller).
-func (e *Engine) snapshotKey(ent *entry, exact bool) (key blobstore.Key, kind string, ok bool) {
-	var (
-		fp  string
-		err error
-	)
-	kind = kindPreparedPhase
-	if exact {
-		kind = kindPreparedExact
-		fp, err = core.FingerprintExact(e.cfg, ent.g.N())
-	} else {
-		fp, err = e.cfg.Fingerprint(ent.g.N())
-	}
-	if err != nil {
-		return blobstore.Key{}, "", false
-	}
-	return blobstore.NewKey(kind, core.PreparedSnapshotVersion, blobstore.GraphDigest(ent.g), fp), kind, true
-}
-
-// coldPrepare is the pre-persistence build path: a full core.Prepare.
-func (e *Engine) coldPrepare(ent *entry, exact bool) (*core.Prepared, error) {
-	if exact {
-		return core.PrepareExact(ent.g, e.cfg)
-	}
-	return core.Prepare(ent.g, e.cfg)
-}
-
-// restorePrepared rebuilds a Prepared from a snapshot payload.
-func (e *Engine) restorePrepared(ent *entry, exact bool, payload []byte) (*core.Prepared, error) {
-	if exact {
-		return core.RestorePreparedExact(ent.g, e.cfg, payload)
-	}
-	return core.RestorePrepared(ent.g, e.cfg, payload)
-}
-
-// buildPrepared produces the entry's Prepared for one sampler variant: from
-// the durable store when a valid snapshot exists (zero-warmup — no matrix
-// squarings), cold otherwise, with a write-behind snapshot save after a cold
-// build. Runs under the entry's sync.Once, so each (entry, variant) resolves
-// exactly once per process.
-//
-// The write-behind goroutine keeps persistence off the first request's
-// latency path: Put happens after the caller is already sampling, and
-// Engine.Close waits for in-flight saves. Samples themselves never touch the
-// store — persistence is registration- and prepare-rate only.
-func (e *Engine) buildPrepared(ent *entry, exact bool) (*core.Prepared, error) {
-	if e.store == nil {
-		return e.coldPrepare(ent, exact)
-	}
-	pKey, pKind, ok := e.snapshotKey(ent, exact)
-	if !ok {
-		return e.coldPrepare(ent, exact)
-	}
-	if payload, err := e.store.Get(pKey, pKind, core.PreparedSnapshotVersion); err == nil {
-		p, rerr := e.restorePrepared(ent, exact, payload)
-		if rerr == nil {
-			return p, nil
-		}
-		// Decoded but contradicts the (graph, config) it is keyed under —
-		// discard at the content level and fall through to a cold build,
-		// whose write-behind rewrites the blob.
-		e.store.Discard(pKey, rerr)
-	}
-	p, err := e.coldPrepare(ent, exact)
-	if err != nil {
-		return nil, err
-	}
-	e.persistWG.Add(1)
-	go func() {
-		defer e.persistWG.Done()
-		snap, serr := p.Snapshot()
-		if serr != nil {
-			// ErrNoSnapshot (n = 1, dataflow backends): nothing to persist.
-			return
-		}
-		if perr := e.store.Put(pKey, pKind, core.PreparedSnapshotVersion, snap); perr != nil {
-			e.store.Logger().Warn("engine: persisting prepared snapshot", "graph", ent.key, "err", perr)
-		}
-	}()
-	return p, nil
-}
-
-// Close drains the engine's persistence: it waits for in-flight write-behind
-// snapshot saves. Close does not stop sampling — callers stop serving first,
-// then Close. It returns nil: a failed save was already logged, and the next
-// process's cold build rewrites the snapshot.
-func (e *Engine) Close() error {
-	e.persistWG.Wait()
-	return nil
 }

@@ -2,33 +2,29 @@ package engine
 
 import (
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 
-	"repro/internal/blobstore"
 	"repro/internal/core"
+	"repro/internal/graph"
 )
 
-// persistEngine boots an engine against dir's durable store with a short
+// persistEngine boots an engine over dir's registry manifest with a short
 // walk length (fast phase-0 builds) and w workers.
 func persistEngine(t *testing.T, dir string, w int) *Engine {
 	t.Helper()
-	store, err := blobstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return New(Options{Workers: w, Config: core.Config{WalkLength: 256}, Store: store})
+	return New(Options{Workers: w, Config: core.Config{WalkLength: 256}, DataDir: dir})
 }
 
-// TestKillRestartGolden is the tentpole's golden contract: boot, register,
-// sample; restart against the same data dir; the restarted engine serves
-// byte-identical trees AND Stats, and does so from restored snapshots — no
-// cold core.Prepare (asserted via the blobstore counters). Run at 1, 4, and
-// GOMAXPROCS workers: determinism and restore correctness are worker-count
-// independent.
+// TestKillRestartGolden is the restart contract: boot, register, sample;
+// boot again over the same data dir; the restarted engine comes back with
+// the same registry and serves byte-identical trees AND Stats for both
+// prepared samplers. Run at 1, 4, and GOMAXPROCS workers: determinism is
+// worker-count independent.
 func TestKillRestartGolden(t *testing.T) {
 	for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		dir := t.TempDir()
@@ -47,17 +43,6 @@ func TestKillRestartGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m1 := e1.Metrics()
-		if m1.Blobstore.Hits != 0 || m1.Blobstore.Misses < 2 {
-			t.Fatalf("w=%d first boot counters: %+v", w, m1.Blobstore)
-		}
-		// Graceful drain: waits out write-behind saves.
-		if err := e1.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if got := e1.Metrics().Blobstore; got.Puts < 2 {
-			t.Fatalf("w=%d snapshots not persisted: %+v", w, got)
-		}
 
 		// "Kill": e1 is abandoned; a new process boots on the same dir.
 		e2 := persistEngine(t, dir, w)
@@ -72,13 +57,6 @@ func TestKillRestartGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m2 := e2.Metrics()
-		if m2.Blobstore.Misses != 0 {
-			t.Fatalf("w=%d warm restart recomputed prepared state: %+v", w, m2.Blobstore)
-		}
-		if m2.Blobstore.Hits < 2 {
-			t.Fatalf("w=%d warm restart did not load snapshots: %+v", w, m2.Blobstore)
-		}
 		if !reflect.DeepEqual(encodeAll(cold), encodeAll(warm)) {
 			t.Fatalf("w=%d trees differ across restart", w)
 		}
@@ -90,9 +68,6 @@ func TestKillRestartGolden(t *testing.T) {
 		}
 		if !reflect.DeepEqual(coldExact.Stats, warmExact.Stats) {
 			t.Fatalf("w=%d exact stats differ across restart", w)
-		}
-		if err := e2.Close(); err != nil {
-			t.Fatal(err)
 		}
 	}
 }
@@ -116,86 +91,13 @@ func TestRestartMatchesInMemory(t *testing.T) {
 	if _, err := collectBatch(e1, "g", req); err != nil {
 		t.Fatal(err)
 	}
-	if err := e1.Close(); err != nil {
-		t.Fatal(err)
-	}
 	e2 := persistEngine(t, dir, 2)
 	got, err := collectBatch(e2, "g", req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(encodeAll(want), encodeAll(got)) || !reflect.DeepEqual(want.Stats, got.Stats) {
-		t.Fatal("restored engine diverges from the in-memory engine")
-	}
-}
-
-// TestCorruptSnapshotFallsBackToCold damages every blob on disk between
-// boots: the restarted engine discards them, recomputes cold, still serves
-// identical bytes, and rewrites the blobs for the boot after.
-func TestCorruptSnapshotFallsBackToCold(t *testing.T) {
-	dir := t.TempDir()
-	req := StreamRequest{K: 4, Spec: SamplerSpec{Name: SamplerPhase, MaxWorkers: 2}, SeedBase: 9}
-	e1 := persistEngine(t, dir, 2)
-	if err := e1.RegisterFamily("g", "expander", 16, 3); err != nil {
-		t.Fatal(err)
-	}
-	cold, err := collectBatch(e1, "g", req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Flip a byte in the middle of every blob.
-	var damaged int
-	err = filepath.WalkDir(filepath.Join(dir, "blobs"), func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || filepath.Ext(path) != ".blob" {
-			return err
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		raw[len(raw)/2] ^= 0x20
-		damaged++
-		return os.WriteFile(path, raw, 0o644)
-	})
-	if err != nil || damaged == 0 {
-		t.Fatalf("damaging blobs: %d damaged, err %v", damaged, err)
-	}
-
-	e2 := persistEngine(t, dir, 2)
-	warm, err := collectBatch(e2, "g", req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := e2.Metrics()
-	if m.Blobstore.CorruptDiscards == 0 {
-		t.Fatalf("damaged blobs not discarded: %+v", m.Blobstore)
-	}
-	if m.Blobstore.Hits != 0 {
-		t.Fatalf("damaged blob served: %+v", m.Blobstore)
-	}
-	if !reflect.DeepEqual(encodeAll(cold), encodeAll(warm)) || !reflect.DeepEqual(cold.Stats, warm.Stats) {
-		t.Fatal("cold fallback diverges from original bytes")
-	}
-	if err := e2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Third boot: the rewritten blobs serve again.
-	e3 := persistEngine(t, dir, 2)
-	again, err := collectBatch(e3, "g", req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m3 := e3.Metrics()
-	if m3.Blobstore.Hits == 0 || m3.Blobstore.Misses != 0 {
-		t.Fatalf("rewritten blobs not served: %+v", m3.Blobstore)
-	}
-	if !reflect.DeepEqual(encodeAll(cold), encodeAll(again)) {
-		t.Fatal("rewritten snapshot diverges")
+		t.Fatal("restarted engine diverges from the in-memory engine")
 	}
 }
 
@@ -213,9 +115,6 @@ func TestDeregisterDropsManifest(t *testing.T) {
 	if !e1.Deregister("a") {
 		t.Fatal("deregister failed")
 	}
-	if err := e1.Close(); err != nil {
-		t.Fatal(err)
-	}
 	e2 := persistEngine(t, dir, 1)
 	if got := e2.Keys(); !reflect.DeepEqual(got, []string{"b"}) {
 		t.Fatalf("restarted keys %v, want [b]", got)
@@ -225,52 +124,180 @@ func TestDeregisterDropsManifest(t *testing.T) {
 	}
 }
 
-// TestWarmReadinessAt96 is the ISSUE's acceptance bar: at n = 96, a warm
-// restart reaches first-sample readiness purely from restored state — the
-// blobstore shows hits and zero misses, i.e. core.Prepare never ran.
-func TestWarmReadinessAt96(t *testing.T) {
-	if testing.Short() {
-		t.Skip("n=96 prepare is seconds of matrix squarings")
-	}
-	dir := t.TempDir()
-	req := StreamRequest{K: 1, Spec: SamplerSpec{Name: SamplerPhase, MaxWorkers: 1}, SeedBase: 1}
-	e1 := persistEngine(t, dir, 1)
-	if err := e1.RegisterFamily("g", "expander", 96, 7); err != nil {
-		t.Fatal(err)
-	}
-	cold, err := collectBatch(e1, "g", req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	e2 := persistEngine(t, dir, 1)
-	warm, err := collectBatch(e2, "g", req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := e2.Metrics()
-	if m.Blobstore.Misses != 0 || m.Blobstore.Hits < 1 {
-		t.Fatalf("warm restart at n=96 re-prepared: %+v", m.Blobstore)
-	}
-	if !reflect.DeepEqual(encodeAll(cold), encodeAll(warm)) || !reflect.DeepEqual(cold.Stats, warm.Stats) {
-		t.Fatal("n=96 restart diverges")
-	}
-}
-
-// TestInMemoryEngineUnchanged pins the default path: no store, Close is a
-// no-op, blobstore metrics stay zero.
+// TestInMemoryEngineUnchanged pins the default path: without a data dir
+// registrations keep no manifest.
 func TestInMemoryEngineUnchanged(t *testing.T) {
 	e := testEngine(t)
 	if _, err := collectBatch(e, "g", StreamRequest{K: 2, Spec: SpecFor(SamplerPhase), SeedBase: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Close(); err != nil {
+	if e.manifest != nil {
+		t.Fatalf("in-memory engine keeps a manifest: %+v", e.manifest)
+	}
+}
+
+// TestParentDataDirBoots boots over testdata/datadir-v1, a data dir exactly
+// as an older build left it: a version-1 manifest.json plus a blobs/ tree of
+// prepared-state snapshots this build no longer reads. The engine must
+// rehydrate the graph (digest intact), sample the same bytes as an in-memory
+// engine for both prepared samplers, and leave blobs/ untouched.
+func TestParentDataDirBoots(t *testing.T) {
+	dir := t.TempDir()
+	for rel, data := range readTree(t, "testdata/datadir-v1") {
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blobsBefore := readTree(t, filepath.Join(dir, "blobs"))
+	if len(blobsBefore) == 0 {
+		t.Fatal("fixture has no blobs")
+	}
+
+	e := persistEngine(t, dir, 2)
+	if got := e.Keys(); !reflect.DeepEqual(got, []string{"w6"}) {
+		t.Fatalf("rehydrated keys %v, want [w6]", got)
+	}
+	info, err := e.Info("w6")
+	if err != nil {
 		t.Fatal(err)
 	}
-	m := e.Metrics()
-	if m.Blobstore.Hits != 0 || m.Blobstore.Misses != 0 || m.Blobstore.Puts != 0 {
-		t.Fatalf("in-memory engine touched a store: %+v", m.Blobstore)
+	const wantDigest = "eff17e7a1cb7bfec8a743746e6eb6610565c9c3669eec461b4bcf5775be44b46"
+	if info.Digest != wantDigest {
+		t.Fatalf("digest %s, want %s", info.Digest, wantDigest)
+	}
+	g, err := graph.FromEdgeList(6, [][]float64{{0, 1, 1}, {1, 2, 2}, {2, 3, 1}, {3, 4, 1.5}, {4, 5, 1}, {5, 0, 1}, {0, 3, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := New(Options{Workers: 2, Config: core.Config{WalkLength: 256}})
+	if err := mem.Register("w6", g); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Sampler{SamplerPhase, SamplerExact} {
+		req := StreamRequest{K: 4, Spec: SpecFor(s), SeedBase: 3}
+		want, err := collectBatch(mem, "w6", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := collectBatch(e, "w6", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(encodeAll(want), encodeAll(got)) || !reflect.DeepEqual(want.Stats, got.Stats) {
+			t.Fatalf("%s: data-dir engine diverges from the in-memory engine", s)
+		}
+	}
+	if err := e.RegisterFamily("c", "cycle", 5, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := readTree(t, filepath.Join(dir, "blobs")); !reflect.DeepEqual(got, blobsBefore) {
+		t.Fatal("blobs/ changed")
+	}
+}
+
+// readTree maps every file under root, by path relative to root, to its
+// contents.
+func readTree(t *testing.T, root string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(root, path)
+		out[rel] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func squareGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	g, err := graph.FromEdgeList(4, [][]float64{{0, 1, 1.5}, {1, 2, 1.5}, {2, 3, 1.5}, {3, 0, 1.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func TestManifestRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	g := squareGraph(t)
+	if err := saveManifest(dir, &manifest{Graphs: []graphRecord{recordGraph("ring", g)}}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := loadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Version != manifestVersion || len(got.Graphs) != 1 || got.Graphs[0].Key != "ring" {
+		t.Fatalf("manifest: %+v", got)
+	}
+	rebuilt, err := got.Graphs[0].build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt.Digest() != g.Digest() {
+		t.Fatal("rebuilt graph digests differently")
+	}
+}
+
+func TestManifestMissingIsEmpty(t *testing.T) {
+	m, err := loadManifest(t.TempDir())
+	if err != nil || len(m.Graphs) != 0 {
+		t.Fatalf("fresh manifest: %+v, %v", m, err)
+	}
+}
+
+func TestManifestCorruptIsDiscarded(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, manifestName)
+	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := loadManifest(dir)
+	if err != nil || len(m.Graphs) != 0 {
+		t.Fatalf("corrupt manifest load: %+v, %v", m, err)
+	}
+	if _, err := os.Stat(path + ".corrupt"); err != nil {
+		t.Fatalf("corrupt manifest not renamed aside: %v", err)
+	}
+	// A graph re-registered after the discard saves a fresh manifest.
+	if err := saveManifest(dir, &manifest{Graphs: []graphRecord{recordGraph("g", squareGraph(t))}}); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := loadManifest(dir); err != nil || len(m.Graphs) != 1 {
+		t.Fatalf("rewritten manifest: %+v, %v", m, err)
+	}
+}
+
+func TestManifestStaleVersionDiscarded(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, manifestName)
+	if err := os.WriteFile(path, []byte(`{"version": 99, "graphs": []}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := loadManifest(dir)
+	if err != nil || len(m.Graphs) != 0 {
+		t.Fatalf("stale manifest load: %+v, %v", m, err)
+	}
+	if _, err := os.Stat(path + ".corrupt"); err != nil {
+		t.Fatalf("stale manifest not renamed aside: %v", err)
+	}
+}
+
+func TestManifestBuildRejectsTamper(t *testing.T) {
+	rec := recordGraph("g", squareGraph(t))
+	rec.Edges[0][2] = 9.75
+	if _, err := rec.build(); err == nil {
+		t.Fatal("tampered record rebuilt without error")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/blobstore"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -49,28 +48,26 @@ type entry struct {
 // graph under a reused key can never serve stale entries.
 func (ent *entry) digest() string {
 	ent.digestOnce.Do(func() {
-		d := blobstore.GraphDigest(ent.g)
+		d := ent.g.Digest()
 		ent.digestHex = hex.EncodeToString(d[:])
 	})
 	return ent.digestHex
 }
 
 // prepared returns the entry's cached phase-sampler precomputation,
-// building it on first use: restored from the engine's durable store when a
-// valid snapshot exists, cold otherwise (see Engine.buildPrepared).
+// building it (core.Prepare) on first use.
 func (ent *entry) prepared(e *Engine) (*core.Prepared, error) {
 	ent.phaseOnce.Do(func() {
-		ent.phase, ent.phaseErr = e.buildPrepared(ent, false)
+		ent.phase, ent.phaseErr = core.Prepare(ent.g, e.cfg)
 	})
 	return ent.phase, ent.phaseErr
 }
 
 // preparedExact is prepared for the appendix's exact variant, which uses a
-// different distinct-vertex budget and therefore its own power table (in the
-// durable store it lives under a different artifact kind).
+// different distinct-vertex budget and therefore its own power table.
 func (ent *entry) preparedExact(e *Engine) (*core.Prepared, error) {
 	ent.exactOnce.Do(func() {
-		ent.exact, ent.exactErr = e.buildPrepared(ent, true)
+		ent.exact, ent.exactErr = core.PrepareExact(ent.g, e.cfg)
 	})
 	return ent.exact, ent.exactErr
 }
@@ -184,9 +181,9 @@ func (r *registry) keys() []string {
 // Register admits g under key. The engine takes ownership of g: callers
 // must not mutate it afterwards, since cached precomputation and concurrent
 // samplers alias it. Registration fails for empty keys, nil or disconnected
-// graphs, and duplicate keys. With a durable store the registration is
-// recorded in the on-disk manifest, so a restarted engine comes back with
-// the same registry.
+// graphs, and duplicate keys. With a data dir the registration is recorded
+// in the on-disk manifest, so a restarted engine comes back with the same
+// registry.
 func (e *Engine) Register(key string, g *graph.Graph) error {
 	if err := e.reg.add(key, g); err != nil {
 		return err
@@ -211,9 +208,8 @@ func (e *Engine) RegisterFamily(key, family string, n int, seed uint64) error {
 }
 
 // Deregister removes the graph under key, reporting whether it existed.
-// In-flight batches holding the entry finish unaffected. With a durable
-// store the manifest record is dropped too; the graph's blobs stay on disk
-// as content-addressed residue a re-registration immediately reuses.
+// In-flight batches holding the entry finish unaffected. With a data dir
+// the manifest record is dropped too.
 func (e *Engine) Deregister(key string) bool {
 	if !e.reg.remove(key) {
 		return false

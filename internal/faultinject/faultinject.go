@@ -18,22 +18,6 @@ type Point string
 
 // The injection sites. Each name is `package/operation[/detail]`.
 const (
-	// PointBlobRead fires at the top of blobstore.Get, before the blob file
-	// is read: an Err here models an I/O read failure (the Get misses and the
-	// caller recomputes), a Delay models a slow disk.
-	PointBlobRead Point = "blobstore/get/read"
-	// PointBlobReadBytes mutates the raw blob bytes after the file read but
-	// BEFORE checksum verification: short reads and bit flips injected here
-	// must be caught by the blob checksum (discard + recompute).
-	PointBlobReadBytes Point = "blobstore/get/bytes"
-	// PointBlobPayload mutates the verified payload AFTER the checksum
-	// window: damage injected here reaches the restore layer, whose own
-	// content validation must reject it (discard + recompute) — the blob
-	// checksum can no longer help.
-	PointBlobPayload Point = "blobstore/get/payload"
-	// PointBlobPut fires at the top of blobstore.Put: an Err models a failed
-	// snapshot write (the save is dropped with a warning; serving continues).
-	PointBlobPut Point = "blobstore/put"
 	// PointSchedAcquire fires after a stream sample is granted a worker-pool
 	// slot: an Err fails that sample (the stream aborts with a typed error),
 	// a Delay models a stalled grant.
@@ -56,19 +40,15 @@ const (
 
 // points lists every valid injection site for Set/Configure validation.
 var points = map[Point]struct{}{
-	PointBlobRead:      {},
-	PointBlobReadBytes: {},
-	PointBlobPayload:   {},
-	PointBlobPut:       {},
-	PointSchedAcquire:  {},
-	PointSample:        {},
-	PointClientDo:      {},
-	PointRouterProxy:   {},
+	PointSchedAcquire: {},
+	PointSample:       {},
+	PointClientDo:     {},
+	PointRouterProxy:  {},
 }
 
 // Fault describes what happens when an armed injection site fires. Exactly
 // the set fields apply: Delay sleeps first, then Panic panics, then Err is
-// returned; Mutate only applies at byte-mutating sites (MutateBytes).
+// returned.
 type Fault struct {
 	// Err is returned by Hook at the site (sites document how they treat it).
 	Err error
@@ -76,10 +56,6 @@ type Fault struct {
 	Delay time.Duration
 	// Panic, when non-empty, makes Hook panic with this message.
 	Panic string
-	// Mutate transforms the bytes flowing through a MutateBytes site
-	// (corruption, truncation). It must not modify its argument in place if
-	// the caller may retry; returning a fresh slice is always safe.
-	Mutate func([]byte) []byte
 	// After skips the first After firings of the site (fault the Nth
 	// operation, not the first).
 	After int64
@@ -110,7 +86,7 @@ func (f *armedFault) armed() bool {
 }
 
 // registry is the process-wide fault table. The active flag is the fast
-// path: while no fault is armed every Hook/MutateBytes call is one relaxed
+// path: while no fault is armed every Hook call is one relaxed
 // atomic load and an immediate return, so production binaries pay nothing
 // for carrying the sites.
 var (
@@ -208,23 +184,6 @@ func Hook(p Point) error {
 	return f.Err
 }
 
-// MutateBytes fires the named site on a byte payload: the input is returned
-// untouched when no fault is armed; an armed Mutate transforms it (after
-// any Delay). Sites that also want an error path pair this with Hook.
-func MutateBytes(p Point, b []byte) []byte {
-	f := lookup(p)
-	if f == nil {
-		return b
-	}
-	if f.Delay > 0 {
-		time.Sleep(f.Delay)
-	}
-	if f.Mutate != nil {
-		return f.Mutate(b)
-	}
-	return b
-}
-
 // ErrInjected is the generic error Configure's "error" action injects;
 // layers under test report it like any other I/O failure.
 var ErrInjected = errors.New("faultinject: injected fault")
@@ -247,10 +206,9 @@ func (*timeoutError) Temporary() bool { return true }
 //	point=action[:arg][;point=action...]
 //
 // Actions: "error" (return ErrInjected), "timeout" (return ErrTimeout, a
-// net.Error with Timeout() true), "delay:<duration>", "panic[:msg]",
-// "shortread:<n>" (truncate the payload to n bytes), "flipbit:<offset>"
-// (XOR bit 0 of byte offset, modulo length). An action may be prefixed
-// "after<N>-" to skip the first N firings, e.g. "after2-error".
+// net.Error with Timeout() true), "delay:<duration>", "panic[:msg]". An
+// action may be prefixed "after<N>-" to skip the first N firings, e.g.
+// "after2-error".
 func Configure(spec string) error {
 	for _, part := range strings.Split(spec, ";") {
 		part = strings.TrimSpace(part)
@@ -291,30 +249,6 @@ func Configure(spec string) error {
 				arg = "injected panic"
 			}
 			f.Panic = arg
-		case "shortread":
-			n, err := strconv.Atoi(arg)
-			if err != nil || n < 0 {
-				return fmt.Errorf("faultinject: bad shortread length in %q", part)
-			}
-			f.Mutate = func(b []byte) []byte {
-				if len(b) <= n {
-					return b
-				}
-				return b[:n]
-			}
-		case "flipbit":
-			off, err := strconv.Atoi(arg)
-			if err != nil || off < 0 {
-				return fmt.Errorf("faultinject: bad flipbit offset in %q", part)
-			}
-			f.Mutate = func(b []byte) []byte {
-				if len(b) == 0 {
-					return b
-				}
-				out := append([]byte(nil), b...)
-				out[off%len(out)] ^= 1
-				return out
-			}
 		default:
 			return fmt.Errorf("faultinject: unknown action %q in %q", verb, part)
 		}

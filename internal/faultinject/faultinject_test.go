@@ -1,7 +1,6 @@
 package faultinject
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -23,10 +22,6 @@ func TestDisabledIsInert(t *testing.T) {
 	if err := Hook(PointSample); err != nil {
 		t.Fatalf("disabled Hook returned %v", err)
 	}
-	in := []byte("payload")
-	if got := MutateBytes(PointBlobReadBytes, in); !bytes.Equal(got, in) {
-		t.Fatalf("disabled MutateBytes changed bytes: %q", got)
-	}
 	if Hits(PointSample) != 0 {
 		t.Fatal("hits counted without any armed fault")
 	}
@@ -46,28 +41,28 @@ func TestHookErrorAndHits(t *testing.T) {
 		t.Fatalf("Hits = %d, want 3", got)
 	}
 	// An armed site does not bleed into other sites.
-	if err := Hook(PointBlobPut); err != nil {
+	if err := Hook(PointRouterProxy); err != nil {
 		t.Fatalf("unarmed site injected: %v", err)
 	}
-	if Hits(PointBlobPut) != 0 {
+	if Hits(PointRouterProxy) != 0 {
 		t.Fatal("unarmed site counted a hit")
 	}
 }
 
 func TestAfterWindow(t *testing.T) {
 	defer Reset()
-	if err := Set(PointBlobRead, Fault{Err: ErrInjected, After: 2}); err != nil {
+	if err := Set(PointClientDo, Fault{Err: ErrInjected, After: 2}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := Hook(PointBlobRead); err != nil {
+		if err := Hook(PointClientDo); err != nil {
 			t.Fatalf("firing %d should be skipped, got %v", i, err)
 		}
 	}
-	if err := Hook(PointBlobRead); !errors.Is(err, ErrInjected) {
+	if err := Hook(PointClientDo); !errors.Is(err, ErrInjected) {
 		t.Fatalf("third firing = %v, want ErrInjected", err)
 	}
-	if got := Hits(PointBlobRead); got != 1 {
+	if got := Hits(PointClientDo); got != 1 {
 		t.Fatalf("Hits = %d, want 1 (skipped firings are not hits)", got)
 	}
 }
@@ -121,41 +116,24 @@ func TestDelayAndPanic(t *testing.T) {
 	}()
 }
 
-func TestMutateBytes(t *testing.T) {
-	defer Reset()
-	if err := Set(PointBlobPayload, Fault{Mutate: func(b []byte) []byte { return b[:2] }}); err != nil {
-		t.Fatal(err)
-	}
-	if got := MutateBytes(PointBlobPayload, []byte("abcdef")); string(got) != "ab" {
-		t.Fatalf("mutate = %q, want %q", got, "ab")
-	}
-	if Hits(PointBlobPayload) != 1 {
-		t.Fatal("mutate did not count as a hit")
-	}
-	// A Hook at a mutate-armed site injects no error.
-	if err := Hook(PointBlobPayload); err != nil {
-		t.Fatalf("mutate-only fault returned %v from Hook", err)
-	}
-}
-
 func TestClearDisarmsOneSite(t *testing.T) {
 	defer Reset()
 	if err := Set(PointSample, Fault{Err: ErrInjected}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Set(PointBlobPut, Fault{Err: ErrInjected}); err != nil {
+	if err := Set(PointRouterProxy, Fault{Err: ErrInjected}); err != nil {
 		t.Fatal(err)
 	}
 	Clear(PointSample)
 	if err := Hook(PointSample); err != nil {
 		t.Fatalf("cleared site still injects: %v", err)
 	}
-	if err := Hook(PointBlobPut); !errors.Is(err, ErrInjected) {
+	if err := Hook(PointRouterProxy); !errors.Is(err, ErrInjected) {
 		t.Fatalf("sibling site was disarmed by Clear: %v", err)
 	}
-	Clear(PointBlobPut)
+	Clear(PointRouterProxy)
 	// With every site cleared the package is back on the zero-cost fast path.
-	if err := Hook(PointBlobPut); err != nil {
+	if err := Hook(PointRouterProxy); err != nil {
 		t.Fatalf("fully cleared registry still injects: %v", err)
 	}
 }
@@ -215,34 +193,8 @@ func TestConfigureActions(t *testing.T) {
 	}()
 	Reset()
 
-	// shortread truncates, and leaves already-short payloads alone
-	if err := Configure("blobstore/get/bytes=shortread:3"); err != nil {
-		t.Fatal(err)
-	}
-	if got := MutateBytes(PointBlobReadBytes, []byte("abcdef")); string(got) != "abc" {
-		t.Fatalf("shortread = %q", got)
-	}
-	if got := MutateBytes(PointBlobReadBytes, []byte("ab")); string(got) != "ab" {
-		t.Fatalf("shortread grew a short payload: %q", got)
-	}
-	Reset()
-
-	// flipbit XORs bit 0 of the addressed byte, modulo length
-	if err := Configure("blobstore/get/payload=flipbit:1"); err != nil {
-		t.Fatal(err)
-	}
-	in := []byte{0x10, 0x20, 0x30}
-	got := MutateBytes(PointBlobPayload, in)
-	if got[0] != 0x10 || got[1] != 0x21 || got[2] != 0x30 {
-		t.Fatalf("flipbit = %x", got)
-	}
-	if in[1] != 0x20 {
-		t.Fatal("flipbit mutated the caller's slice in place")
-	}
-	Reset()
-
 	// after prefix + multi-site spec
-	if err := Configure("engine/sample=after1-error; blobstore/put=error"); err != nil {
+	if err := Configure("engine/sample=after1-error; router/proxy=error"); err != nil {
 		t.Fatal(err)
 	}
 	if err := Hook(PointSample); err != nil {
@@ -251,7 +203,7 @@ func TestConfigureActions(t *testing.T) {
 	if err := Hook(PointSample); !errors.Is(err, ErrInjected) {
 		t.Fatalf("after-window second firing = %v", err)
 	}
-	if err := Hook(PointBlobPut); !errors.Is(err, ErrInjected) {
+	if err := Hook(PointRouterProxy); !errors.Is(err, ErrInjected) {
 		t.Fatalf("second spec entry not armed: %v", err)
 	}
 }
@@ -263,9 +215,6 @@ func TestConfigureRejectsBadSpecs(t *testing.T) {
 		"no/such/site=error",         // unknown point
 		"engine/sample=zap",          // unknown action
 		"engine/sample=delay:zzz",    // unparseable duration
-		"engine/sample=shortread:-1", // negative length
-		"engine/sample=shortread:x",  // non-numeric length
-		"engine/sample=flipbit:x",    // non-numeric offset
 		"engine/sample=afterX-error", // non-numeric after count
 		"engine/sample=after2error",  // missing dash after the count
 	}

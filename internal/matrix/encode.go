@@ -6,18 +6,18 @@ import (
 	"math"
 )
 
-// The binary encoding below is the persistence substrate of the durable
-// prepared-state store (internal/blobstore): deterministic — the same matrix
-// always encodes to the same bytes — and bit-exact — float64 entries round-
-// trip through math.Float64bits, so a decoded matrix is indistinguishable
-// from the original in every arithmetic sense, negative zeros and subnormals
-// included. Layout is little-endian: rows uint32, cols uint32, then
-// rows*cols IEEE-754 bit patterns in row-major order.
+// The binary encoding below backs core.Prepared's snapshot codec, which only
+// the frozen benchmark harness (bench/trace.go) still times; it goes with the
+// benchmark's next revision. It is deterministic — the same matrix always
+// encodes to the same bytes — and bit-exact — float64 entries round-trip
+// through math.Float64bits, so a decoded matrix is indistinguishable from the
+// original in every arithmetic sense, negative zeros and subnormals included.
+// Layout is little-endian: rows uint32, cols uint32, then rows*cols IEEE-754
+// bit patterns in row-major order.
 
 // maxEncodedDim bounds decoded dimensions: a guard against corrupt or
-// adversarial headers allocating absurd buffers before the checksum layer
-// above ever sees the payload. 1<<20 rows or cols is far beyond any graph
-// this simulator can hold in memory.
+// adversarial headers allocating absurd buffers. 1<<20 rows or cols is far
+// beyond any graph this simulator can hold in memory.
 const maxEncodedDim = 1 << 20
 
 // AppendBinary appends the deterministic binary encoding of m to buf and

@@ -6,14 +6,14 @@ import (
 	"testing"
 )
 
-// Fuzz targets for the binary codec, the persistence substrate of the
-// durable prepared-state store. The invariants: decoding arbitrary bytes
-// never panics (and never allocates before validating — the dimension and
-// payload-length guards run first); a successful decode re-encodes to
-// exactly the bytes it consumed (decode∘encode is the identity on the
-// consumed prefix); truncated or dimension-damaged inputs error. Payload
-// bit damage is not detectable at this layer by design — any 8 bytes are a
-// valid float64 pattern — the blobstore above carries the checksum.
+// Fuzz targets for the binary codec behind core.Prepared's snapshot codec
+// (kept for the frozen benchmark harness). The invariants: decoding
+// arbitrary bytes never panics (and never allocates before validating — the
+// dimension and payload-length guards run first); a successful decode
+// re-encodes to exactly the bytes it consumed (decode∘encode is the identity
+// on the consumed prefix); truncated or dimension-damaged inputs error.
+// Payload bit damage is not detectable at this layer by design — any 8 bytes
+// are a valid float64 pattern.
 
 func validCodecSeeds() [][]byte {
 	m := MustNew(3, 2)

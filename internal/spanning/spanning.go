@@ -267,9 +267,23 @@ type AuditResult struct {
 // noise floor — the acceptance criterion used throughout the experiments.
 func (r AuditResult) Pass(factor float64) bool { return r.TV <= factor*r.Noise }
 
+// auditCountLimit bounds the tree counts an audit accepts: the TV estimate
+// needs the empirical distribution to resolve individual trees, which is
+// hopeless (and the uniform reference meaningless) once the support dwarfs
+// any feasible sample size.
+const auditCountLimit = 1 << 40
+
+// auditSupport checks that count is a tree count an audit can use.
+func auditSupport(count *big.Int) (int64, error) {
+	if !count.IsInt64() || count.Sign() <= 0 || count.Int64() > auditCountLimit {
+		return 0, fmt.Errorf("spanning: audit needs a positive tree count of at most %d, got %v", int64(auditCountLimit), count)
+	}
+	return count.Int64(), nil
+}
+
 // Audit draws samples trees from sample and compares the empirical
 // distribution to the uniform distribution over all spanning trees of g
-// (counted exactly). Every sampled tree is validated against g.
+// (counted exactly) via AuditTrees. It checks the count before drawing.
 func Audit(g *graph.Graph, samples int, sample func() (*Tree, error)) (AuditResult, error) {
 	if samples < 1 {
 		return AuditResult{}, fmt.Errorf("spanning: audit needs at least 1 sample")
@@ -278,29 +292,45 @@ func Audit(g *graph.Graph, samples int, sample func() (*Tree, error)) (AuditResu
 	if err != nil {
 		return AuditResult{}, err
 	}
-	if !count.IsInt64() || count.Int64() <= 0 {
-		return AuditResult{}, fmt.Errorf("spanning: audit needs a small positive tree count, got %v", count)
+	if _, err := auditSupport(count); err != nil {
+		return AuditResult{}, err
 	}
-	emp := stats.NewEmpirical()
-	for i := 0; i < samples; i++ {
-		tr, err := sample()
-		if err != nil {
+	trees := make([]*Tree, samples)
+	for i := range trees {
+		if trees[i], err = sample(); err != nil {
 			return AuditResult{}, fmt.Errorf("spanning: sampler failed at draw %d: %w", i, err)
 		}
-		if !tr.IsSpanningTreeOf(g) {
-			return AuditResult{}, fmt.Errorf("spanning: draw %d is not a spanning tree of the graph: %s", i, tr.Encode())
+	}
+	return AuditTrees(g, count, trees)
+}
+
+// AuditTrees compares already-drawn trees against the uniform distribution
+// over g's count spanning trees (count must be exact, e.g. from Count).
+// Every tree is validated against g.
+func AuditTrees(g *graph.Graph, count *big.Int, trees []*Tree) (AuditResult, error) {
+	if len(trees) == 0 {
+		return AuditResult{}, fmt.Errorf("spanning: audit needs at least 1 sample")
+	}
+	support, err := auditSupport(count)
+	if err != nil {
+		return AuditResult{}, err
+	}
+	emp := stats.NewEmpirical()
+	for i, tr := range trees {
+		if tr == nil || !tr.IsSpanningTreeOf(g) {
+			return AuditResult{}, fmt.Errorf("spanning: draw %d is not a spanning tree of the graph", i)
 		}
 		emp.Add(tr.Encode())
 	}
-	tv, err := emp.TVFromUniform(int(count.Int64()))
+	tv, err := emp.TVFromUniform(int(support))
 	if err != nil {
 		return AuditResult{}, err
 	}
 	return AuditResult{
-		Samples:      samples,
-		TreeCount:    count.Int64(),
+		Samples:      len(trees),
+		TreeCount:    support,
 		DistinctSeen: emp.Support(),
 		TV:           tv,
-		Noise:        stats.UniformTVSamplingNoise(samples, int(count.Int64())),
+		Noise:        stats.UniformTVSamplingNoise(len(trees), int(support)),
 	}, nil
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/graph"
-	"repro/internal/stats"
 )
 
 // This file implements the weighted-tree audit for the paper's footnote 1:
@@ -43,44 +42,53 @@ func AuditWeighted(g *graph.Graph, samples, enumLimit int, sample func() (*Tree,
 	if err != nil {
 		return AuditResult{}, err
 	}
-	target := make(map[string]float64, len(trees))
+	// Every float sum below runs over the enumerated trees in their fixed
+	// order, so identical audits agree to the last bit.
+	index := make(map[string]int, len(trees))
+	target := make([]float64, len(trees))
 	var total float64
-	for _, t := range trees {
+	for i, t := range trees {
 		w, err := TreeWeight(g, t)
 		if err != nil {
 			return AuditResult{}, err
 		}
-		target[t.Encode()] = w
+		index[t.Encode()] = i
+		target[i] = w
 		total += w
 	}
 	var noise float64
-	for key := range target {
-		target[key] /= total
-		p := target[key]
+	for i := range target {
+		target[i] /= total
+		p := target[i]
 		noise += math.Sqrt(2 * p * (1 - p) / (math.Pi * float64(samples)))
 	}
 	noise /= 2
 
-	emp := stats.NewEmpirical()
+	counts := make([]int, len(trees))
+	distinct := 0
 	for i := 0; i < samples; i++ {
 		tr, err := sample()
 		if err != nil {
 			return AuditResult{}, fmt.Errorf("spanning: sampler failed at draw %d: %w", i, err)
 		}
 		key := tr.Encode()
-		if _, ok := target[key]; !ok {
+		j, ok := index[key]
+		if !ok {
 			return AuditResult{}, fmt.Errorf("spanning: draw %d is not a spanning tree of the graph: %s", i, key)
 		}
-		emp.Add(key)
+		if counts[j] == 0 {
+			distinct++
+		}
+		counts[j]++
 	}
 	var tv float64
-	for key, p := range target {
-		tv += math.Abs(emp.Freq(key) - p)
+	for i, p := range target {
+		tv += math.Abs(float64(counts[i])/float64(samples) - p)
 	}
 	return AuditResult{
 		Samples:      samples,
 		TreeCount:    int64(len(trees)),
-		DistinctSeen: emp.Support(),
+		DistinctSeen: distinct,
 		TV:           tv / 2,
 		Noise:        noise,
 	}, nil

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"sort"
 )
 
@@ -48,7 +49,11 @@ func (e *Empirical) Freq(key string) float64 {
 // supportSize, which must be >= the observed support. Outcomes never
 // observed contribute 1/supportSize each.
 //
-// TV(P, U) = (1/2) * sum_x |P(x) - 1/supportSize|.
+// TV(P, U) = (1/2) * sum_x |P(x) - 1/supportSize|, evaluated exactly as
+// (sum_x |count(x)·S - total| + (S - observed)·total) / (2·total·S) in
+// integers, then rounded once. The integer sum does not depend on the
+// order of the outcome map, so equal distributions always yield the same
+// float64.
 func (e *Empirical) TVFromUniform(supportSize int) (float64, error) {
 	if supportSize <= 0 {
 		return 0, fmt.Errorf("stats: support size must be positive, got %d", supportSize)
@@ -59,13 +64,17 @@ func (e *Empirical) TVFromUniform(supportSize int) (float64, error) {
 	if e.total == 0 {
 		return 0, fmt.Errorf("stats: TV of empty empirical distribution")
 	}
-	u := 1 / float64(supportSize)
-	var sum float64
+	size, total := big.NewInt(int64(supportSize)), big.NewInt(int64(e.total))
+	num := new(big.Int).Mul(big.NewInt(int64(supportSize-len(e.counts))), total)
+	var term big.Int
 	for _, c := range e.counts {
-		sum += math.Abs(float64(c)/float64(e.total) - u)
+		term.Mul(big.NewInt(int64(c)), size)
+		term.Sub(&term, total)
+		num.Add(num, term.Abs(&term))
 	}
-	sum += float64(supportSize-len(e.counts)) * u
-	return sum / 2, nil
+	den := new(big.Int).Mul(size, total)
+	tv, _ := new(big.Rat).SetFrac(num, den.Lsh(den, 1)).Float64()
+	return tv, nil
 }
 
 // TVDistance computes the total variation distance between two empirical

@@ -45,6 +45,28 @@ func TestTVFromUniformExact(t *testing.T) {
 	}
 }
 
+// TestTVFromUniformOrderIndependent pins that the TV does not depend on the
+// outcome map's iteration order: 40 draws over a support of 10 have
+// |P(x) - 1/10| terms that are not exact in binary, so a float sum in map
+// order lands on 0.2 or 0.19999999999999998 depending on the order.
+func TestTVFromUniformOrderIndependent(t *testing.T) {
+	e := NewEmpirical()
+	for i, c := range []int{4, 5, 4, 8, 2, 4, 2, 7, 3, 1} {
+		for j := 0; j < c; j++ {
+			e.Add(fmt.Sprintf("t%d", i))
+		}
+	}
+	for i := 0; i < 300; i++ {
+		tv, err := e.TVFromUniform(10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tv != 0.2 {
+			t.Fatalf("evaluation %d: TV = %v, want exactly 0.2", i, tv)
+		}
+	}
+}
+
 func TestTVFromUniformPerfect(t *testing.T) {
 	e := NewEmpirical()
 	for i := 0; i < 5; i++ {

@@ -28,8 +28,8 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"os"
 
-	"repro/internal/blobstore"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -261,16 +261,13 @@ func WithTraceRing(n int) Option {
 	}
 }
 
-// WithDataDir points an Engine at a durable prepared-state directory (the
-// content-addressed snapshot store of internal/blobstore): the graph
-// registry persists across restarts via an on-disk manifest, each graph's
-// expensive prepared state (phase-0 Schur/shortcut matrices and dyadic power
-// tables) is snapshotted after its first cold build and restored bit-exactly
-// on the next boot — zero-warmup restarts. Persistence never
-// touches the sampling hot path (saves are write-behind) and never changes
-// output bytes: restored state samples byte-identical trees AND Stats.
-// "" (the default) keeps the engine fully in-memory. Engine-only; one-shot
-// samplers ignore it.
+// WithDataDir points an Engine at a directory that persists its graph
+// registry only: registrations are recorded in an on-disk manifest
+// (created if missing), and an Engine started over the same directory comes
+// back with the same graphs. Prepared state is not persisted — a restarted
+// Engine rebuilds each graph's phase-0 state on first use (or in Warmup),
+// so output bytes never depend on the directory. "" (the default) keeps
+// the engine fully in-memory. Engine-only; one-shot samplers ignore it.
 func WithDataDir(dir string) Option {
 	return func(o *options) error {
 		o.dataDir = dir
@@ -446,7 +443,7 @@ func CountSpanningTrees(g *Graph) (*big.Int, error) {
 
 // AuditUniformity draws samples trees from sample and measures the total
 // variation distance of the empirical distribution from uniform over the
-// exactly counted spanning trees of g.
+// exactly counted spanning trees of g (at most 2^40 of them).
 func AuditUniformity(g *Graph, samples int, sample func() (*Tree, error)) (AuditResult, error) {
 	return spanning.Audit(g, samples, sample)
 }
@@ -568,11 +565,9 @@ func NewEngine(workers int, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	var store *blobstore.Store
 	if o.dataDir != "" {
-		store, err = blobstore.Open(o.dataDir)
-		if err != nil {
-			return nil, err
+		if err := os.MkdirAll(o.dataDir, 0o755); err != nil {
+			return nil, fmt.Errorf("spantree: data dir: %w", err)
 		}
 	}
 	return engine.New(engine.Options{
@@ -582,11 +577,6 @@ func NewEngine(workers int, opts ...Option) (*Engine, error) {
 		AdmissionQueueDepth: o.admitQueue,
 		TraceSampleEvery:    o.traceEvery,
 		TraceRing:           o.traceRing,
-		Store:               store,
+		DataDir:             o.dataDir,
 	}), nil
 }
-
-// BlobstoreStats is the durable prepared-state store's counter snapshot
-// (EngineMetrics.Blobstore): snapshot save/load hits and misses, blob
-// traffic, corrupt discards, resident gauges, and blob-load latency.
-type BlobstoreStats = blobstore.Stats
