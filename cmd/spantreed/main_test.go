@@ -401,12 +401,22 @@ func TestGraphLifecycleEndpoints(t *testing.T) {
 		{"key": "x", "family": "cycle", "n": 8, "edges": [][]float64{{0, 1}}}, // both
 		{"key": "x", "n": 2, "edges": [][]float64{{0}}},                       // malformed edge
 		{"key": "tri", "n": 3, "edges": [][]float64{{0, 1}, {1, 2}, {0, 2}}},  // duplicate key
+		{"key": "big", "n": 2000000000, "edges": [][]float64{{0, 1}}},         // n over graph.MaxVertices
+		{"key": "big", "family": "cycle", "n": 2000000000},                    // the same, by family
 	} {
 		resp := postJSON(t, ts.URL+"/v1/graphs", bad)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("register %v: status %d, want 400", bad, resp.StatusCode)
 		}
+	}
+	bigResp, err := http.Get(ts.URL + "/v1/graphs/big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigResp.Body.Close()
+	if bigResp.StatusCode != http.StatusNotFound {
+		t.Errorf("refused huge graph lookup: status %d, want 404", bigResp.StatusCode)
 	}
 
 	delReq, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/graphs/tri", nil)

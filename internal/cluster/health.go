@@ -82,10 +82,10 @@ type endpointState struct {
 	lastErr     string
 }
 
-// NewTracker returns a tracker over the given endpoints (more may join later
-// via Track or implicitly via Report calls). Endpoints start Closed — the
-// optimistic default, so a fresh cluster serves immediately and the first
-// real failure is what opens a breaker.
+// NewTracker returns a tracker over the given endpoints (more join
+// implicitly via Report calls). Endpoints start Closed — the optimistic
+// default, so a fresh cluster serves immediately and the first real
+// failure is what opens a breaker.
 func NewTracker(endpoints []string, opts TrackerOptions) *Tracker {
 	if opts.FailureThreshold <= 0 {
 		opts.FailureThreshold = 3
@@ -104,13 +104,6 @@ func NewTracker(endpoints []string, opts TrackerOptions) *Tracker {
 		t.eps[ep] = &endpointState{}
 	}
 	return t
-}
-
-// Track registers an endpoint (no-op if already tracked).
-func (t *Tracker) Track(endpoint string) {
-	t.mu.Lock()
-	t.get(endpoint)
-	t.mu.Unlock()
 }
 
 // get returns the state for endpoint, creating it Closed. Caller holds mu.

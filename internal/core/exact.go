@@ -39,10 +39,7 @@ func SampleExact(g *graph.Graph, cfg Config, src *prng.Source) (*spanning.Tree, 
 // full precision. Shared by SampleExact and PrepareExact.
 func exactConfig(n int, cfg Config) Config {
 	if cfg.Rho == 0 && n >= 1 {
-		cfg.Rho = int(math.Cbrt(float64(n)) * math.Cbrt(float64(n)))
-		if cfg.Rho < 2 {
-			cfg.Rho = 2
-		}
+		cfg.Rho = ExactRho(n)
 	}
 	cfg.DirectPlacement = true
 	cfg.LasVegas = true
@@ -51,7 +48,7 @@ func exactConfig(n int, cfg Config) Config {
 }
 
 // ExactRho returns the appendix's distinct-vertex budget ⌊n^(2/3)⌋ (at
-// least 2), exposed for experiments comparing the two variants.
+// least 2): the Rho exactConfig applies when cfg sets none.
 func ExactRho(n int) int {
 	r := int(math.Cbrt(float64(n)) * math.Cbrt(float64(n)))
 	if r < 2 {

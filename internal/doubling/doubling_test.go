@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/prng"
 	"repro/internal/spanning"
-	"repro/internal/stats"
 	"repro/internal/walk"
 )
 
@@ -85,8 +84,8 @@ func TestWalkDistribution(t *testing.T) {
 		tau    = 4
 		trials = 30000
 	)
-	emp := stats.NewEmpirical()
-	direct := stats.NewEmpirical()
+	emp := make(map[string]int)
+	direct := make(map[string]int)
 	src := prng.New(3)
 	dsrc := prng.New(4)
 	for i := 0; i < trials; i++ {
@@ -95,14 +94,14 @@ func TestWalkDistribution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		emp.Add(fmt.Sprint(res.Walks[0]))
+		emp[fmt.Sprint(res.Walks[0])]++
 		dw, err := walk.Walk(g, 0, tau, dsrc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct.Add(fmt.Sprint(dw))
+		direct[fmt.Sprint(dw)]++
 	}
-	tv, err := stats.TVDistance(emp, direct)
+	tv, err := tvDistance(emp, direct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +192,8 @@ func TestChainedWalkValidAndDistribution(t *testing.T) {
 		tau    = 6
 		trials = 30000
 	)
-	emp := stats.NewEmpirical()
-	direct := stats.NewEmpirical()
+	emp := make(map[string]int)
+	direct := make(map[string]int)
 	src := prng.New(21)
 	dsrc := prng.New(22)
 	for i := 0; i < trials; i++ {
@@ -211,14 +210,14 @@ func TestChainedWalkValidAndDistribution(t *testing.T) {
 				t.Fatalf("non-edge in chained walk %v", traj)
 			}
 		}
-		emp.Add(fmt.Sprint(traj))
+		emp[fmt.Sprint(traj)]++
 		dw, err := walk.Walk(g, 0, tau, dsrc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct.Add(fmt.Sprint(dw))
+		direct[fmt.Sprint(dw)]++
 	}
-	tv, err := stats.TVDistance(emp, direct)
+	tv, err := tvDistance(emp, direct)
 	if err != nil {
 		t.Fatal(err)
 	}

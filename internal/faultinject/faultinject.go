@@ -116,16 +116,6 @@ func Set(p Point, f Fault) error {
 	return nil
 }
 
-// Clear disarms the named site. Other sites stay armed.
-func Clear(p Point) {
-	mu.Lock()
-	defer mu.Unlock()
-	delete(faults, p)
-	if len(faults) == 0 {
-		active.Store(false)
-	}
-}
-
 // Reset disarms every site and zeroes the hit counters — the test-teardown
 // call. After Reset the package is back to its zero-cost disabled state.
 func Reset() {

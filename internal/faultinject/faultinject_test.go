@@ -116,28 +116,6 @@ func TestDelayAndPanic(t *testing.T) {
 	}()
 }
 
-func TestClearDisarmsOneSite(t *testing.T) {
-	defer Reset()
-	if err := Set(PointSample, Fault{Err: ErrInjected}); err != nil {
-		t.Fatal(err)
-	}
-	if err := Set(PointRouterProxy, Fault{Err: ErrInjected}); err != nil {
-		t.Fatal(err)
-	}
-	Clear(PointSample)
-	if err := Hook(PointSample); err != nil {
-		t.Fatalf("cleared site still injects: %v", err)
-	}
-	if err := Hook(PointRouterProxy); !errors.Is(err, ErrInjected) {
-		t.Fatalf("sibling site was disarmed by Clear: %v", err)
-	}
-	Clear(PointRouterProxy)
-	// With every site cleared the package is back on the zero-cost fast path.
-	if err := Hook(PointRouterProxy); err != nil {
-		t.Fatalf("fully cleared registry still injects: %v", err)
-	}
-}
-
 func TestResetDisarmsEverything(t *testing.T) {
 	if err := Set(PointSample, Fault{Err: ErrInjected}); err != nil {
 		t.Fatal(err)

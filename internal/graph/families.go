@@ -60,8 +60,12 @@ func FamilyNames() []string {
 
 // FromFamily builds the named graph family at (approximately) n vertices.
 // Random families (er, regular, expander) draw from src and are
-// deterministic in its seed; deterministic families ignore src.
+// deterministic in its seed; deterministic families ignore src. It refuses
+// n above MaxVertices.
 func FromFamily(name string, n int, src *prng.Source) (*Graph, error) {
+	if err := checkVertexCount(n); err != nil {
+		return nil, err
+	}
 	build, ok := familyBuilders[name]
 	if !ok {
 		return nil, fmt.Errorf("graph: unknown family %q (known: %v)", name, FamilyNames())

@@ -45,6 +45,21 @@ type cumWeights struct {
 	rows [][]float64
 }
 
+// MaxVertices caps the vertex count of the two constructors that take n
+// from outside the program, FromEdgeList and FromFamily. The largest graph
+// the repo builds is n = 192; at n = 2048 the sampler's phase-0 prepared
+// state is 17 dense n×n float64 matrices, about 570 MB.
+const MaxVertices = 2048
+
+// checkVertexCount refuses an n above MaxVertices before anything is
+// allocated for it.
+func checkVertexCount(n int) error {
+	if n > MaxVertices {
+		return fmt.Errorf("graph: %d vertices exceeds the limit of %d", n, MaxVertices)
+	}
+	return nil
+}
+
 // New returns an edgeless graph on n vertices. It returns an error when
 // n < 1.
 func New(n int) (*Graph, error) {
@@ -321,20 +336,6 @@ func (g *Graph) TotalWeight() float64 {
 		s += d
 	}
 	return s / 2
-}
-
-// MinDegree returns the smallest weighted degree.
-func (g *Graph) MinDegree() float64 {
-	if g.n == 0 {
-		return 0
-	}
-	min := g.degree[0]
-	for _, d := range g.degree[1:] {
-		if d < min {
-			min = d
-		}
-	}
-	return min
 }
 
 // String summarizes the graph.

@@ -460,13 +460,3 @@ func TestFigure2Graph(t *testing.T) {
 		t.Error("Figure 2 center C should have degree 3")
 	}
 }
-
-func TestMinDegree(t *testing.T) {
-	g, err := Lollipop(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.MinDegree() != 1 {
-		t.Errorf("MinDegree = %g, want 1 (path endpoint)", g.MinDegree())
-	}
-}

@@ -9,8 +9,12 @@ import (
 
 // FromEdgeList builds an n-vertex graph from [u, v] or [u, v, weight]
 // entries (weight 1 when omitted) — the edge-list form graphs travel in as
-// JSON. Endpoints arrive as float64s, so each must be an exact integer.
+// JSON. Endpoints arrive as float64s, so each must be an exact integer. It
+// refuses n above MaxVertices.
 func FromEdgeList(n int, edges [][]float64) (*Graph, error) {
+	if err := checkVertexCount(n); err != nil {
+		return nil, err
+	}
 	g, err := New(n)
 	if err != nil {
 		return nil, err

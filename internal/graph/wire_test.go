@@ -70,3 +70,21 @@ func TestFromEdgeList(t *testing.T) {
 		t.Error("FromEdgeList(0, nil) accepted")
 	}
 }
+
+// TestMaxVertices pins the size cap of the two constructors that take n
+// from outside the program: MaxVertices is accepted, one more is refused
+// before any per-vertex storage is allocated.
+func TestMaxVertices(t *testing.T) {
+	if g, err := FromEdgeList(MaxVertices, [][]float64{{0, 1}}); err != nil || g.N() != MaxVertices {
+		t.Errorf("FromEdgeList(MaxVertices): %v", err)
+	}
+	if g, err := FromFamily("cycle", MaxVertices, nil); err != nil || g.N() != MaxVertices {
+		t.Errorf("FromFamily(cycle, MaxVertices): %v", err)
+	}
+	if _, err := FromEdgeList(MaxVertices+1, [][]float64{{0, 1}}); err == nil {
+		t.Error("FromEdgeList(MaxVertices+1) accepted")
+	}
+	if _, err := FromFamily("cycle", MaxVertices+1, nil); err == nil {
+		t.Error("FromFamily(cycle, MaxVertices+1) accepted")
+	}
+}

@@ -224,24 +224,3 @@ func (a Auto) Sample(w *matrix.Matrix, src *prng.Source) ([]int, error) {
 	}
 	return a.Chain.Sample(w, src)
 }
-
-// MatchingWeight returns the weight Π_i w[i, perm[i]] of a matching.
-func MatchingWeight(w *matrix.Matrix, perm []int) (float64, error) {
-	k, err := checkInstance(w)
-	if err != nil {
-		return 0, err
-	}
-	if len(perm) != k {
-		return 0, fmt.Errorf("matching: permutation length %d, want %d", len(perm), k)
-	}
-	seen := make([]bool, k)
-	prod := 1.0
-	for i, j := range perm {
-		if j < 0 || j >= k || seen[j] {
-			return 0, fmt.Errorf("matching: invalid permutation %v", perm)
-		}
-		seen[j] = true
-		prod *= w.At(i, j)
-	}
-	return prod, nil
-}

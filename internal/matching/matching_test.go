@@ -292,24 +292,6 @@ func TestAutoDispatch(t *testing.T) {
 	}
 }
 
-func TestMatchingWeight(t *testing.T) {
-	w := matrix.MustNew(2, 2)
-	w.Set(0, 0, 2)
-	w.Set(0, 1, 3)
-	w.Set(1, 0, 5)
-	w.Set(1, 1, 7)
-	got, err := MatchingWeight(w, []int{1, 0})
-	if err != nil || got != 15 {
-		t.Errorf("weight = %g, %v; want 15", got, err)
-	}
-	if _, err := MatchingWeight(w, []int{0, 0}); err == nil {
-		t.Error("expected error for non-permutation")
-	}
-	if _, err := MatchingWeight(w, []int{0}); err == nil {
-		t.Error("expected error for short permutation")
-	}
-}
-
 func BenchmarkExactSample8(b *testing.B) {
 	src := prng.New(1)
 	w := randomInstance(8, 0, src)

@@ -73,43 +73,14 @@ func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 func (m *Matrix) Add(i, j int, v float64) { m.data[i*m.cols+j] += v }
 
 // Row returns row i as a slice sharing the matrix's backing storage. The
-// caller must not grow it; mutating entries mutates the matrix. Use RowCopy
-// at package boundaries.
+// caller must not grow it; mutating entries mutates the matrix.
 func (m *Matrix) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
-
-// RowCopy returns an independent copy of row i.
-func (m *Matrix) RowCopy(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.Row(i))
-	return out
-}
-
-// Col returns an independent copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
 
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	c := MustNew(m.rows, m.cols)
 	copy(c.data, m.data)
 	return c
-}
-
-// Transpose returns a new transposed matrix.
-func (m *Matrix) Transpose() *Matrix {
-	t := MustNew(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.data[j*t.cols+i] = v
-		}
-	}
-	return t
 }
 
 // Equal reports whether m and o have the same shape and entries within tol.
@@ -180,49 +151,6 @@ func checkMulInto(dst, a, b *Matrix) error {
 // but never across Matrix values), so comparing the first elements suffices.
 func sameBacking(x, y *Matrix) bool {
 	return len(x.data) > 0 && len(y.data) > 0 && &x.data[0] == &y.data[0]
-}
-
-// MulVec returns the matrix-vector product m*v.
-func (m *Matrix) MulVec(v []float64) ([]float64, error) {
-	if m.cols != len(v) {
-		return nil, fmt.Errorf("matrix: cannot multiply %dx%d by vector of length %d", m.rows, m.cols, len(v))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, a := range row {
-			s += a * v[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// VecMul returns the vector-matrix product v*m (v as a row vector).
-func (m *Matrix) VecMul(v []float64) ([]float64, error) {
-	if m.rows != len(v) {
-		return nil, fmt.Errorf("matrix: cannot multiply vector of length %d by %dx%d", len(v), m.rows, m.cols)
-	}
-	out := make([]float64, m.cols)
-	for i, a := range v {
-		if a == 0 {
-			continue
-		}
-		row := m.Row(i)
-		for j, b := range row {
-			out[j] += a * b
-		}
-	}
-	return out, nil
-}
-
-// Scale multiplies every entry by f in place and returns m for chaining.
-func (m *Matrix) Scale(f float64) *Matrix {
-	for i := range m.data {
-		m.data[i] *= f
-	}
-	return m
 }
 
 // Submatrix returns the matrix restricted to the given row and column index

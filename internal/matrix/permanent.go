@@ -2,7 +2,6 @@ package matrix
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sync"
 )
@@ -152,34 +151,4 @@ func PermanentMinor(a *Matrix, i, j int) (float64, error) {
 	sub.Release()
 	permPool.Put(ps)
 	return clampPermanent(total), nil
-}
-
-// LogPermanentLowerBound returns a quick positive lower bound on the
-// permanent via the product of row maxima, used for sanity checks; returns
-// -Inf when some row is all-zero (permanent is then 0).
-func LogPermanentLowerBound(a *Matrix) float64 {
-	if a.rows != a.cols {
-		return math.Inf(-1)
-	}
-	// Greedy diagonal after sorting is harder; a row-max product is an upper
-	// bound, while a greedy matching product is a lower bound. We do greedy.
-	n := a.rows
-	usedCol := make([]bool, n)
-	logProd := 0.0
-	for i := 0; i < n; i++ {
-		best := -1
-		bestV := 0.0
-		for j := 0; j < n; j++ {
-			if !usedCol[j] && a.At(i, j) > bestV {
-				bestV = a.At(i, j)
-				best = j
-			}
-		}
-		if best == -1 {
-			return math.Inf(-1)
-		}
-		usedCol[best] = true
-		logProd += math.Log(bestV)
-	}
-	return logProd
 }

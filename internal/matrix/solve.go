@@ -381,32 +381,6 @@ func Det(a *Matrix) (float64, error) {
 	return f.Det(), nil
 }
 
-// Inverse returns the inverse of a square matrix. It returns an error if the
-// matrix is singular.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.rows
-	inv := MustNew(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := f.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
-}
-
 // Solve solves A*x = b via LU factorization.
 func Solve(a *Matrix, b []float64) ([]float64, error) {
 	f, err := Factor(a)

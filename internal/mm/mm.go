@@ -120,8 +120,7 @@ func (Fast) Mul(sim *clique.Sim, a, b *matrix.Matrix) (*matrix.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	rounds := int(math.Ceil(math.Pow(float64(d), Alpha)))
-	if err := sim.ChargeRounds(rounds, "fast-matmul"); err != nil {
+	if err := sim.ChargeRounds(RoundsFast(d), "fast-matmul"); err != nil {
 		return nil, err
 	}
 	// The product comes from the scratch pool so that short-lived products

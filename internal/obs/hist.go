@@ -26,10 +26,6 @@ var boundsNS = func() []int64 {
 	return out
 }()
 
-// BucketBounds returns the shared upper bounds in seconds (excluding the
-// implicit +Inf bucket). The returned slice is shared; do not mutate.
-func BucketBounds() []float64 { return bucketBounds }
-
 // Histogram is a lock-free fixed-bucket latency histogram: Observe is two
 // atomic adds plus a short scan, cheap enough for per-sample and per-lookup
 // call sites. All methods are safe for concurrent use and safe on a nil
@@ -80,7 +76,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // HistSnapshot is a point-in-time copy of a histogram, JSON-ready and
 // mergeable. Buckets holds per-bucket (non-cumulative) counts aligned with
-// BucketBounds plus a final +Inf bucket; the quantile fields are estimated
+// bucketBounds plus a final +Inf bucket; the quantile fields are estimated
 // by linear interpolation within the landing bucket.
 type HistSnapshot struct {
 	Count      int64   `json:"count"`

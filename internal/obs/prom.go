@@ -52,7 +52,7 @@ func (p *PromWriter) Value(name string, v float64, labels ...L) {
 // Hist emits a histogram snapshot as the conventional cumulative series:
 // one _bucket line per bound (le ascending, +Inf last), then _sum and
 // _count. The snapshot's buckets are per-bucket counts over the shared
-// BucketBounds; a zero snapshot renders as an empty histogram.
+// bucketBounds; a zero snapshot renders as an empty histogram.
 func (p *PromWriter) Hist(name string, s HistSnapshot, labels ...L) {
 	base := labels[:len(labels):len(labels)] // force append below to copy
 	var cum int64

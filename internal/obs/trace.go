@@ -59,14 +59,6 @@ func NewTracer(sampleEvery, ringCapacity int) *Tracer {
 	}
 }
 
-// SampleEvery reports the unforced sampling period (<= 0: disabled).
-func (t *Tracer) SampleEvery() int {
-	if t == nil {
-		return -1
-	}
-	return t.every
-}
-
 // Recorded reports how many traces have been recorded into the ring since
 // construction (sampled and forced alike).
 func (t *Tracer) Recorded() int64 {

@@ -28,11 +28,6 @@ type KWiseHash struct {
 	m     int      // output range [0, m)
 }
 
-// KWiseSeedLen reports the number of uint64 seed words needed for a t-wise
-// independent function, i.e. the length of the broadcast string divided by
-// the word size. It is exactly t.
-func KWiseSeedLen(t int) int { return t }
-
 // NewKWiseHash derives a t-wise independent hash function with output range
 // [0, m) and second-argument range [0, k) from the shared random seed words.
 // Every machine calling NewKWiseHash with identical arguments obtains the

@@ -42,17 +42,11 @@ func (s *Source) Uint64() uint64 { return s.rng.Uint64() }
 // math/rand/v2; callers are expected to validate n at their own API boundary.
 func (s *Source) Intn(n int) int { return s.rng.IntN(n) }
 
-// Int63 returns a uniform non-negative int64.
-func (s *Source) Int63() int64 { return int64(s.rng.Uint64() >> 1) }
-
 // Float64 returns a uniform float64 in [0, 1).
 func (s *Source) Float64() float64 { return s.rng.Float64() }
 
 // Perm returns a uniform random permutation of [0, n).
 func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
 
 // Bool returns a fair coin flip.
 func (s *Source) Bool() bool { return s.rng.Uint64()&1 == 1 }

@@ -10,10 +10,12 @@
 //     walk (re-)enters S. Q is what recovers first-visit edges in G from a
 //     walk taken on Schur(G, S) (Algorithm 4, §2.2).
 //
-// Both graphs are computed two ways: exactly, via block linear algebra on
-// the absorbing chain (the ground-truth implementation used by the sampler),
-// and iteratively, via the repeated squaring of the augmented chain that the
-// paper uses to bound the congested clique cost (Corollaries 2 and 3). The
-// two implementations agree to the iteration's error bound, and the test
-// suite checks that.
+// The package computes both exactly, via block linear algebra on the
+// absorbing chain. The paper's other constructions are test oracles in
+// oracle_test.go, not shipped code: the Laplacian-eliminated complement
+// graph of Definition 1, the iterative build by repeated squaring of the
+// augmented chain (Corollaries 2 and 3, the route the paper uses to bound
+// the congested clique cost), and the Bayes-rule first-visit edge
+// distribution of Algorithm 4. The tests check that the exact solvers agree
+// with each of them.
 package schur

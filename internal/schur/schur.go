@@ -164,78 +164,6 @@ func transitionScratch(g *graph.Graph) (*matrix.Matrix, error) {
 	return p, nil
 }
 
-// ComplementGraph builds the weighted graph H = Schur(G, S) of Definition 1
-// by eliminating V \ S from the Laplacian: L(H) = L_SS - L_SC L_CC^{-1} L_CS.
-// Vertices of H are indexed by the subset's local ordering. Tiny negative
-// off-diagonal residue from floating point is clamped; weights below tol are
-// dropped as numerically-zero.
-func ComplementGraph(g *graph.Graph, sub *Subset) (*graph.Graph, error) {
-	if sub.N() != g.N() {
-		return nil, fmt.Errorf("schur: subset universe %d does not match graph size %d", sub.N(), g.N())
-	}
-	k := sub.Size()
-	if k < 2 {
-		return nil, fmt.Errorf("schur: complement graph needs |S| >= 2, got %d", k)
-	}
-	l := g.Laplacian()
-	sv := sub.vertices
-	comp := sub.complement
-
-	lss, err := l.Submatrix(sv, sv)
-	if err != nil {
-		return nil, err
-	}
-	schurL := lss
-	if len(comp) > 0 {
-		lsc, err := l.Submatrix(sv, comp)
-		if err != nil {
-			return nil, err
-		}
-		lcs, err := l.Submatrix(comp, sv)
-		if err != nil {
-			return nil, err
-		}
-		lcc, err := l.Submatrix(comp, comp)
-		if err != nil {
-			return nil, err
-		}
-		lccInv, err := matrix.Inverse(lcc)
-		if err != nil {
-			return nil, fmt.Errorf("schur: L[V\\S, V\\S] singular: %w", err)
-		}
-		tmp, err := lsc.Mul(lccInv)
-		if err != nil {
-			return nil, err
-		}
-		corr, err := tmp.Mul(lcs)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < k; i++ {
-			for j := 0; j < k; j++ {
-				schurL.Set(i, j, schurL.At(i, j)-corr.At(i, j))
-			}
-		}
-	}
-
-	const tol = 1e-12
-	h := graph.MustNew(k)
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			w := -schurL.At(i, j)
-			if w < -tol {
-				return nil, fmt.Errorf("schur: complement produced negative weight %g on {%d,%d}", w, i, j)
-			}
-			if w > tol {
-				if err := h.AddEdge(i, j, w); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return h, nil
-}
-
 // ShortcutTransition computes Q, the transition matrix of ShortCut(G, S)
 // (Definition 3): Q[u, x] is the probability that x is the vertex visited
 // immediately before the walk from u first visits S at a time >= 1. Rows

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/matrix"
 	"repro/internal/prng"
 	"repro/internal/walk"
 )
@@ -21,7 +20,7 @@ func TestSubsetBasics(t *testing.T) {
 	if got := sub.Vertices(); got[0] != 1 || got[1] != 2 || got[2] != 4 {
 		t.Errorf("vertices not sorted: %v", got)
 	}
-	if got := sub.Complement(); len(got) != 3 || got[0] != 0 || got[1] != 3 || got[2] != 5 {
+	if got := sub.complement; len(got) != 3 || got[0] != 0 || got[1] != 3 || got[2] != 5 {
 		t.Errorf("complement wrong: %v", got)
 	}
 	if !sub.Contains(4) || sub.Contains(3) || sub.Contains(-1) {
@@ -440,49 +439,6 @@ func TestFirstVisitEdgeMatchesSimulation(t *testing.T) {
 				t.Errorf("entry edge (%d->%d): simulated %.4f vs Bayes %.4f", x, v, got, want)
 			}
 		}
-	}
-}
-
-func TestSampleFirstVisitEdgeAgreesWithDistribution(t *testing.T) {
-	g := graph.Figure2Graph()
-	sub, err := NewSubset(4, []int{0, 1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := ShortcutTransition(g, sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// From A (0), first visit to B (1): only possible entry edge is (C,B).
-	src := prng.New(41)
-	for i := 0; i < 50; i++ {
-		x, err := SampleFirstVisitEdge(g, sub, q, 0, 1, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if x != 2 {
-			t.Fatalf("sampled entry %d, want C=2", x)
-		}
-	}
-}
-
-func TestSampleFirstVisitEdgeErrors(t *testing.T) {
-	g := graph.Figure2Graph()
-	sub, err := NewSubset(4, []int{0, 1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := matrix.MustNew(4, 4)
-	src := prng.New(1)
-	if _, err := SampleFirstVisitEdge(g, sub, q, 0, 2, src); err == nil {
-		t.Error("expected error for target not in S")
-	}
-	if _, err := SampleFirstVisitEdge(g, sub, q, 0, 9, src); err == nil {
-		t.Error("expected error for out-of-range vertex")
-	}
-	// All-zero Q row: no mass anywhere.
-	if _, err := SampleFirstVisitEdge(g, sub, q, 0, 1, src); err == nil {
-		t.Error("expected error for zero-mass distribution")
 	}
 }
 

@@ -71,13 +71,6 @@ func (s *Subset) Vertices() []int {
 	return out
 }
 
-// Complement returns the sorted members of V \ S (a copy).
-func (s *Subset) Complement() []int {
-	out := make([]int, len(s.complement))
-	copy(out, s.complement)
-	return out
-}
-
 // Contains reports whether v is in S.
 func (s *Subset) Contains(v int) bool {
 	return v >= 0 && v < s.n && s.localOf[v] != -1

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/graph"
-	"repro/internal/prng"
 	"repro/internal/stats"
 )
 
@@ -203,55 +202,6 @@ func Enumerate(g *graph.Graph, limit int) ([]*Tree, error) {
 		return nil, fmt.Errorf("spanning: enumeration's weighted sum %g disagrees with Matrix-Tree %v", weightedSum, count)
 	}
 	return out, nil
-}
-
-// PruferSample draws a uniformly random labelled tree on n vertices via a
-// random Prüfer sequence — the textbook exact uniform sampler for the
-// complete graph, used as an independent ground truth in audits.
-func PruferSample(n int, src *prng.Source) (*Tree, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("spanning: Prüfer needs n >= 1, got %d", n)
-	}
-	if n == 1 {
-		return NewTree(1, nil)
-	}
-	if n == 2 {
-		return NewTree(2, []graph.Edge{{U: 0, V: 1, Weight: 1}})
-	}
-	seq := make([]int, n-2)
-	degree := make([]int, n)
-	for i := range degree {
-		degree[i] = 1
-	}
-	for i := range seq {
-		seq[i] = src.Intn(n)
-		degree[seq[i]]++
-	}
-	// Standard linear-time decode: repeatedly attach the smallest current
-	// leaf to the next sequence element. Vertex n-1 always survives to the
-	// final edge.
-	edges := make([]graph.Edge, 0, n-1)
-	ptr := 0
-	for degree[ptr] != 1 {
-		ptr++
-	}
-	leaf := ptr
-	for _, v := range seq {
-		edges = append(edges, graph.Edge{U: leaf, V: v, Weight: 1})
-		degree[leaf]--
-		degree[v]--
-		if degree[v] == 1 && v < ptr {
-			leaf = v
-		} else {
-			ptr++
-			for degree[ptr] != 1 {
-				ptr++
-			}
-			leaf = ptr
-		}
-	}
-	edges = append(edges, graph.Edge{U: leaf, V: n - 1, Weight: 1})
-	return NewTree(n, edges)
 }
 
 // AuditResult summarizes a uniformity audit of a tree sampler.

@@ -1,6 +1,7 @@
 package spanning
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -129,6 +130,55 @@ func TestEnumerateLimit(t *testing.T) {
 	if _, err := Enumerate(g, 1000); err == nil {
 		t.Error("expected error beyond enumeration limit")
 	}
+}
+
+// PruferSample draws a uniformly random labelled tree on n vertices via a
+// random Prüfer sequence — the textbook exact uniform sampler for the
+// complete graph: the known-uniform reference the audit tests check against.
+func PruferSample(n int, src *prng.Source) (*Tree, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("spanning: Prüfer needs n >= 1, got %d", n)
+	}
+	if n == 1 {
+		return NewTree(1, nil)
+	}
+	if n == 2 {
+		return NewTree(2, []graph.Edge{{U: 0, V: 1, Weight: 1}})
+	}
+	seq := make([]int, n-2)
+	degree := make([]int, n)
+	for i := range degree {
+		degree[i] = 1
+	}
+	for i := range seq {
+		seq[i] = src.Intn(n)
+		degree[seq[i]]++
+	}
+	// Standard linear-time decode: repeatedly attach the smallest current
+	// leaf to the next sequence element. Vertex n-1 always survives to the
+	// final edge.
+	edges := make([]graph.Edge, 0, n-1)
+	ptr := 0
+	for degree[ptr] != 1 {
+		ptr++
+	}
+	leaf := ptr
+	for _, v := range seq {
+		edges = append(edges, graph.Edge{U: leaf, V: v, Weight: 1})
+		degree[leaf]--
+		degree[v]--
+		if degree[v] == 1 && v < ptr {
+			leaf = v
+		} else {
+			ptr++
+			for degree[ptr] != 1 {
+				ptr++
+			}
+			leaf = ptr
+		}
+	}
+	edges = append(edges, graph.Edge{U: leaf, V: n - 1, Weight: 1})
+	return NewTree(n, edges)
 }
 
 func TestPruferSampleValidTrees(t *testing.T) {

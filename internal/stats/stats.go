@@ -77,47 +77,6 @@ func (e *Empirical) TVFromUniform(supportSize int) (float64, error) {
 	return tv, nil
 }
 
-// TVDistance computes the total variation distance between two empirical
-// distributions over the union of their supports.
-func TVDistance(a, b *Empirical) (float64, error) {
-	if a.total == 0 || b.total == 0 {
-		return 0, fmt.Errorf("stats: TV of empty empirical distribution")
-	}
-	keys := make(map[string]struct{}, len(a.counts)+len(b.counts))
-	for k := range a.counts {
-		keys[k] = struct{}{}
-	}
-	for k := range b.counts {
-		keys[k] = struct{}{}
-	}
-	var sum float64
-	for k := range keys {
-		sum += math.Abs(a.Freq(k) - b.Freq(k))
-	}
-	return sum / 2, nil
-}
-
-// ChiSquareUniform returns the chi-square statistic of the empirical
-// distribution against the uniform distribution on supportSize outcomes.
-func (e *Empirical) ChiSquareUniform(supportSize int) (float64, error) {
-	if supportSize <= 0 {
-		return 0, fmt.Errorf("stats: support size must be positive, got %d", supportSize)
-	}
-	if e.total == 0 {
-		return 0, fmt.Errorf("stats: chi-square of empty distribution")
-	}
-	expected := float64(e.total) / float64(supportSize)
-	var chi float64
-	seen := 0
-	for _, c := range e.counts {
-		d := float64(c) - expected
-		chi += d * d / expected
-		seen++
-	}
-	chi += float64(supportSize-seen) * expected
-	return chi, nil
-}
-
 // UniformTVSamplingNoise estimates the expected TV distance between the
 // empirical distribution of nSamples i.i.d. draws from a T-outcome uniform
 // distribution and that uniform distribution. For multinomial sampling the
@@ -179,21 +138,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Stddev returns the sample standard deviation of xs (0 for fewer than two
-// points).
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
 // Median returns the median of xs (0 for empty input).
 func Median(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -207,18 +151,4 @@ func Median(xs []float64) float64 {
 		return sorted[mid]
 	}
 	return (sorted[mid-1] + sorted[mid]) / 2
-}
-
-// MaxInt returns the maximum of xs (0 for empty input).
-func MaxInt(xs []int) int {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

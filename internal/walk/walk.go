@@ -86,31 +86,6 @@ func CoverWalk(g *graph.Graph, start, maxSteps int, src *prng.Source) ([]int, er
 	return out, nil
 }
 
-// WalkUntilDistinct walks from start until the walk contains `distinct`
-// distinct vertices (counting start), or length maxSteps is reached,
-// whichever is first — the stopping time τ of the paper's §2.1.2 with
-// ρ = distinct and l = maxSteps. It returns the trajectory truncated at the
-// first occurrence of the distinct-th vertex.
-func WalkUntilDistinct(g *graph.Graph, start, distinct, maxSteps int, src *prng.Source) ([]int, error) {
-	if distinct < 1 {
-		return nil, fmt.Errorf("walk: need at least 1 distinct vertex, got %d", distinct)
-	}
-	seen := make(map[int]struct{}, distinct)
-	seen[start] = struct{}{}
-	out := []int{start}
-	cur := start
-	for len(seen) < distinct && len(out) <= maxSteps {
-		next, err := Step(g, cur, src)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, next)
-		seen[next] = struct{}{}
-		cur = next
-	}
-	return out, nil
-}
-
 // EstimateCoverTime returns the mean number of steps of trials independent
 // cover walks from start. maxSteps bounds each walk.
 func EstimateCoverTime(g *graph.Graph, start, trials, maxSteps int, src *prng.Source) (float64, error) {
@@ -126,15 +101,6 @@ func EstimateCoverTime(g *graph.Graph, start, trials, maxSteps int, src *prng.So
 		total += float64(len(w) - 1)
 	}
 	return total / float64(trials), nil
-}
-
-// DistinctCount returns the number of distinct vertices in a trajectory.
-func DistinctCount(traj []int) int {
-	seen := make(map[int]struct{}, len(traj))
-	for _, v := range traj {
-		seen[v] = struct{}{}
-	}
-	return len(seen)
 }
 
 // FirstVisitEdges extracts the Aldous-Broder tree edges from a trajectory:
@@ -176,31 +142,4 @@ func StationaryDistribution(g *graph.Graph) []float64 {
 		out[v] = g.Degree(v) / total
 	}
 	return out
-}
-
-// HittingTimeEstimate returns the mean number of steps for a walk from u to
-// first reach v, over trials runs bounded by maxSteps each.
-func HittingTimeEstimate(g *graph.Graph, u, v, trials, maxSteps int, src *prng.Source) (float64, error) {
-	if trials < 1 {
-		return 0, fmt.Errorf("walk: need at least 1 trial, got %d", trials)
-	}
-	var total float64
-	for i := 0; i < trials; i++ {
-		cur := u
-		steps := 0
-		rng := src.Split(uint64(i))
-		for cur != v {
-			if steps >= maxSteps {
-				return 0, fmt.Errorf("walk: hitting time from %d to %d exceeded %d steps", u, v, maxSteps)
-			}
-			next, err := Step(g, cur, rng)
-			if err != nil {
-				return 0, err
-			}
-			cur = next
-			steps++
-		}
-		total += float64(steps)
-	}
-	return total / float64(trials), nil
 }
