@@ -46,8 +46,8 @@ type cumWeights struct {
 }
 
 // MaxVertices caps the vertex count of the two constructors that take n
-// from outside the program, FromEdgeList and FromFamily. The largest graph
-// the repo builds is n = 192; at n = 2048 the sampler's phase-0 prepared
+// from outside the program, FromEdgeList and FromFamily. The experiments'
+// largest graph has n = 192; at n = 2048 the sampler's phase-0 prepared
 // state is 17 dense n×n float64 matrices, about 570 MB.
 const MaxVertices = 2048
 
