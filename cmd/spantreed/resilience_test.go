@@ -270,3 +270,27 @@ func TestSamplerPanic500DaemonSurvives(t *testing.T) {
 		t.Error("/metrics missing spantree_engine_panics_total 1")
 	}
 }
+
+// TestOverBudgetSegmentLength400DaemonSurvives streams a doubling request
+// whose segment length would need tens of gigabytes of walk state. It must
+// be refused as a 400 before anything is allocated, and the daemon must keep
+// answering /healthz.
+func TestOverBudgetSegmentLength400DaemonSurvives(t *testing.T) {
+	ts, _ := newTestServer(t)
+	registerFamily(t, ts, "c", "cycle", 8)
+
+	body := map[string]any{"k": 1, "sampler": "doubling", "segment_length": 2000000000}
+	resp := postJSON(t, ts.URL+"/v1/graphs/c/stream", body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("over-budget stream: status %d, want 400", resp.StatusCode)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/healthz after over-budget request: status %d, want 200", resp.StatusCode)
+	}
+}

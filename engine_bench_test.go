@@ -8,7 +8,7 @@ import (
 // benchEngineGraph builds the warm-vs-cold benchmark instance: a 96-vertex
 // expander, large enough that the phase-0 precomputation (16 squarings of a
 // 96x96 transition matrix plus their column all-to-alls) is a substantial
-// slice of a cold Sample call, and the later-phase Schur/shortcut/power-table
+// slice of a cold draw, and the later-phase Schur/shortcut/power-table
 // builds are the dominant remainder.
 func benchEngineGraph(b *testing.B) *Graph {
 	b.Helper()
@@ -37,8 +37,8 @@ func benchSession(b *testing.B, opts ...Option) *Session {
 	return sess
 }
 
-// BenchmarkEngineWarmVsCold/cold draws each tree with the public Sample
-// call, which rebuilds the per-graph precomputation every time;
+// BenchmarkEngineWarmVsCold/cold draws each tree from a freshly prepared
+// session, which rebuilds the per-graph precomputation every time;
 // .../warm draws from an Engine whose registry has the precomputation
 // cached. Same graph, same sampler, same seeds — the gap is exactly the
 // amortized cost the engine exists to eliminate.
@@ -47,21 +47,19 @@ func BenchmarkEngineWarmVsCold(b *testing.B) {
 		g := benchEngineGraph(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := Sample(g, WithSeed(uint64(i+1))); err != nil {
-				b.Fatal(err)
-			}
+			sampleCold(b, g, SamplerPhase, uint64(i+1))
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		sess := benchSession(b)
 		ctx := context.Background()
 		// Prime the phase-0 cache so the measured loop is per-sample work.
-		if _, _, err := sess.Sample(ctx, PhaseSpec(), 0); err != nil {
+		if _, _, err := sess.Sample(ctx, SpecFor(SamplerPhase), 0); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := sess.Sample(ctx, PhaseSpec(), uint64(i+1)); err != nil {
+			if _, _, err := sess.Sample(ctx, SpecFor(SamplerPhase), uint64(i+1)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -76,7 +74,7 @@ func BenchmarkEngineBatchThroughput(b *testing.B) {
 	b.ResetTimer()
 	var elapsed float64
 	for i := 0; i < b.N; i++ {
-		res, err := sess.Collect(context.Background(), StreamRequest{K: k, Spec: PhaseSpec(), SeedBase: uint64(i)})
+		res, err := sess.Collect(context.Background(), StreamRequest{K: k, Spec: SpecFor(SamplerPhase), SeedBase: uint64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,8 +13,9 @@ import (
 )
 
 func main() {
-	// One-shot: prepare a session on an expander and draw a tree on the
-	// simulated clique. (spantree.Sample does exactly this internally.)
+	// Standalone: prepare a session on an expander and draw one tree on the
+	// simulated clique. The session keeps the graph's precomputation, so
+	// further draws on it reuse that work.
 	g, err := spantree.Expander(64, 7)
 	if err != nil {
 		panic(err)
@@ -23,7 +24,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	tree, stats, err := sess.Sample(context.Background(), spantree.PhaseSpec(), 42)
+	tree, stats, err := sess.Sample(context.Background(), spantree.SpecFor(spantree.SamplerPhase), 42)
 	if err != nil {
 		panic(err)
 	}
@@ -45,7 +46,7 @@ func main() {
 		panic(err)
 	}
 	st, err := shared.Stream(context.Background(), spantree.StreamRequest{
-		K: 100, Spec: spantree.PhaseSpec(), SeedBase: 1,
+		K: 100, Spec: spantree.SpecFor(spantree.SamplerPhase), SeedBase: 1,
 	})
 	if err != nil {
 		panic(err)
@@ -64,7 +65,7 @@ func main() {
 	// repeats the stream above seed-for-seed, so it draws the same trees with
 	// the same simulated round counts.
 	res, err := shared.Collect(context.Background(), spantree.StreamRequest{
-		K: 100, Spec: spantree.PhaseSpec(), SeedBase: 1,
+		K: 100, Spec: spantree.SpecFor(spantree.SamplerPhase), SeedBase: 1,
 	})
 	if err != nil {
 		panic(err)

@@ -35,7 +35,7 @@ func main() {
 	}
 
 	sim := clique.MustNew(n)
-	traj, err := doubling.ChainedWalk(sim, g, 0, tau, doubling.ChainConfig{}, src)
+	traj, err := doubling.ChainedWalk(sim, g, 0, tau, doubling.Config{}, src)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,8 +25,14 @@ func main() {
 	}
 	fmt.Printf("spanning trees: %s\n", count)
 
-	// Sample one approximately uniformly with the paper's phase algorithm.
-	tree, stats, err := spantree.Sample(g, spantree.WithSeed(7))
+	// Prepare a session on the graph, then sample one tree approximately
+	// uniformly with the paper's phase algorithm.
+	sess, err := spantree.Prepare(g)
+	if err != nil {
+		log.Fatal(err)
+	}
+	phase := spantree.SpecFor(spantree.SamplerPhase)
+	tree, stats, err := sess.Sample(context.Background(), phase, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,7 +41,7 @@ func main() {
 		stats.Rounds, stats.Phases, stats.TotalWords)
 
 	// The same draw is reproducible from the seed.
-	again, _, err := spantree.Sample(g, spantree.WithSeed(7))
+	again, _, err := sess.Sample(context.Background(), phase, 7)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -30,13 +31,17 @@ func main() {
 	fmt.Printf("original graph: n=%d m=%d\n", g.N(), g.M())
 
 	// Overlay k random spanning trees; multi-edges accumulate weight.
+	sess, err := spantree.Prepare(g)
+	if err != nil {
+		log.Fatal(err)
+	}
 	sparse, err := spantree.NewGraph(n)
 	if err != nil {
 		log.Fatal(err)
 	}
 	sparseEdges := 0
 	for i := 0; i < k; i++ {
-		tree, _, err := spantree.Sample(g, spantree.WithSeed(uint64(100+i)))
+		tree, _, err := sess.Sample(context.Background(), spantree.SpecFor(spantree.SamplerPhase), uint64(100+i))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,35 +31,27 @@ func main() {
 	}
 	fmt.Printf("audit graph: C4+chord, %s spanning trees\n\n", count)
 
+	// One session serves every sampler. The short walk length applies only
+	// to the phase and exact samplers; the others ignore it.
+	sess, err := spantree.Prepare(g, spantree.WithWalkLength(256))
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	// The congested clique samplers get a modest sample budget (they are
 	// simulations); the instant baselines and the strawman get a larger one
 	// so the strawman's bias clears the detection threshold.
 	samplers := []struct {
 		name    string
+		sampler spantree.Sampler
 		samples int
-		draw    func(seed uint64) (*spantree.Tree, error)
 	}{
-		{"phase (Theorem 1)", 4000, func(seed uint64) (*spantree.Tree, error) {
-			t, _, err := spantree.Sample(g, spantree.WithSeed(seed), spantree.WithWalkLength(256))
-			return t, err
-		}},
-		{"exact (appendix)", 4000, func(seed uint64) (*spantree.Tree, error) {
-			t, _, err := spantree.SampleExact(g, spantree.WithSeed(seed), spantree.WithWalkLength(256))
-			return t, err
-		}},
-		{"doubling (Cor. 1)", 4000, func(seed uint64) (*spantree.Tree, error) {
-			t, _, err := spantree.SampleLowCoverTime(g, spantree.WithSeed(seed))
-			return t, err
-		}},
-		{"Wilson", 24000, func(seed uint64) (*spantree.Tree, error) {
-			return spantree.SampleWilson(g, seed)
-		}},
-		{"Aldous-Broder", 24000, func(seed uint64) (*spantree.Tree, error) {
-			return spantree.SampleAldousBroder(g, seed)
-		}},
-		{"MST strawman (§1.4)", 24000, func(seed uint64) (*spantree.Tree, error) {
-			return spantree.SampleMSTStrawman(g, seed)
-		}},
+		{"phase (Theorem 1)", spantree.SamplerPhase, 4000},
+		{"exact (appendix)", spantree.SamplerExact, 4000},
+		{"doubling (Cor. 1)", spantree.SamplerLowCover, 4000},
+		{"Wilson", spantree.SamplerWilson, 24000},
+		{"Aldous-Broder", spantree.SamplerAldousBroder, 24000},
+		{"MST strawman (§1.4)", spantree.SamplerMST, 24000},
 	}
 
 	fmt.Printf("%-22s %10s %10s %10s\n", "sampler", "TV", "noise", "verdict")
@@ -66,7 +59,8 @@ func main() {
 		seed := uint64(0)
 		res, err := spantree.AuditUniformity(g, s.samples, func() (*spantree.Tree, error) {
 			seed++
-			return s.draw(seed)
+			t, _, err := sess.Sample(context.Background(), spantree.SpecFor(s.sampler), seed)
+			return t, err
 		})
 		if err != nil {
 			log.Fatalf("%s: %v", s.name, err)

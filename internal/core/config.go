@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/clique"
-	"repro/internal/matching"
 	"repro/internal/mm"
 )
 
@@ -15,12 +14,10 @@ type Config struct {
 	// Backend is the matrix multiplication implementation (default
 	// mm.Fast{}, the Õ(n^α) cost model the headline theorem assumes).
 	Backend mm.Backend
-	// Matching samples the weighted perfect matchings used for midpoint
-	// placement (default matching.Auto{}: exact below 12 positions).
-	Matching matching.Sampler
 	// Epsilon is the total variation target of Theorem 1 (default 1/n).
-	// With the exact matching sampler the realized matching error is 0 and
-	// Epsilon only controls the walk-length safety margin.
+	// Midpoint placement is exact (matching.Exact up to matchingLimit
+	// positions, direct placement beyond), so the realized matching error
+	// is 0 and Epsilon only controls the walk-length safety margin.
 	Epsilon float64
 	// Rho is the distinct-vertex budget per phase (default ⌊√n⌋, the
 	// Theorem 1 setting; the appendix's exact variant uses ⌊n^(2/3)⌋...
@@ -75,9 +72,6 @@ func (c Config) withDefaults(n int) (Config, error) {
 	if c.Backend == nil {
 		c.Backend = mm.Fast{}
 	}
-	if c.Matching == nil {
-		c.Matching = matching.Auto{}
-	}
 	if c.Epsilon == 0 {
 		c.Epsilon = 1 / float64(n)
 	}
@@ -117,7 +111,7 @@ const (
 	// (simulation memory guard).
 	maxPositions = 1 << 20
 	// matchingLimit is the largest perfect-matching instance placed via the
-	// Matching sampler (the exact sampler's comfortable range). Above it,
+	// exact matching sampler (its comfortable range). Above it,
 	// the leader places midpoints directly in Π-sequence order, which
 	// Lemma 4 (and the appendix's §5.3 argument) shows yields exactly the
 	// same walk distribution: the matching step exists to compress

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/matching"
 	"repro/internal/mm"
 	"repro/internal/prng"
 	"repro/internal/spanning"
@@ -247,30 +246,32 @@ func TestNumericTruncationStillUniform(t *testing.T) {
 	}
 }
 
-// TestMatchingSamplerChoiceIrrelevant: with the same seed, the exact and
-// Metropolis matching samplers may give different trees (different RNG
-// consumption), but both must produce valid trees, and on a two-tree graph
-// both must produce both trees.
+// TestMatchingSamplerChoiceIrrelevant: the matching placement path (the
+// exact sampler, on the short walks a triangle produces) must produce valid
+// trees, and over 40 seeds all 3 triangle trees.
 func TestMatchingSamplerChoiceIrrelevant(t *testing.T) {
 	g, err := graph.Cycle(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ms := range []matching.Sampler{matching.Exact{}, matching.Metropolis{}} {
-		seen := map[string]bool{}
-		for i := 0; i < 40; i++ {
-			tree, _, err := Sample(g, Config{Matching: ms, WalkLength: 64}, prng.New(uint64(i)))
-			if err != nil {
-				t.Fatalf("%s: %v", ms.Name(), err)
-			}
-			if !tree.IsSpanningTreeOf(g) {
-				t.Fatalf("%s: invalid tree", ms.Name())
-			}
-			seen[tree.Encode()] = true
+	seen := map[string]bool{}
+	matched := 0
+	for i := 0; i < 40; i++ {
+		tree, st, err := Sample(g, Config{WalkLength: 64}, prng.New(uint64(i)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(seen) != 3 {
-			t.Errorf("%s: saw %d of 3 triangle trees", ms.Name(), len(seen))
+		if !tree.IsSpanningTreeOf(g) {
+			t.Fatal("invalid tree")
 		}
+		seen[tree.Encode()] = true
+		matched = max(matched, st.MaxMatchingSize)
+	}
+	if len(seen) != 3 {
+		t.Errorf("saw %d of 3 triangle trees", len(seen))
+	}
+	if matched == 0 {
+		t.Error("no draw placed midpoints through the matching sampler")
 	}
 }
 
@@ -339,7 +340,7 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.WalkLength > SimWalkCap {
 		t.Errorf("default walk length %d above cap", cfg.WalkLength)
 	}
-	if cfg.Backend == nil || cfg.Matching == nil {
+	if cfg.Backend == nil {
 		t.Error("defaults not filled")
 	}
 }

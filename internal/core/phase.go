@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/clique"
 	"repro/internal/graph"
+	"repro/internal/matching"
 	"repro/internal/matrix"
 	"repro/internal/mm"
 	"repro/internal/prng"
@@ -985,9 +986,9 @@ func (r *phaseRunner) placeMidpoints(ellStar int64) error {
 	// exactly that of using the pair machines' Π sequences directly (the
 	// matching only exists to avoid communicating the sequences, and the
 	// simulator has already charged the compressed multiset messages). We
-	// therefore run the matching sampler up to matchingLimit positions and
-	// place directly from the Π sequences beyond it — the degenerate
-	// periodic-walk case where the instance grows toward Θ(l).
+	// therefore run the exact matching sampler up to matchingLimit
+	// positions and place directly from the Π sequences beyond it — the
+	// degenerate periodic-walk case where the instance grows toward Θ(l).
 	k := lastSlot - 1
 	sc.placedBuf = growInts(sc.placedBuf, lastSlot+1)
 	placed := sc.placedBuf // slot -> midpoint vertex (1-based); every read slot is written below
@@ -1003,7 +1004,7 @@ func (r *phaseRunner) placeMidpoints(ellStar int64) error {
 				w.Set(ri, j-1, sub.at(key.p, x)*sub.at(x, key.q))
 			}
 		}
-		perm, err := r.cfg.Matching.Sample(w, r.rng(r.leader))
+		perm, err := matching.Exact{}.Sample(w, r.rng(r.leader))
 		w.Release()
 		if err != nil {
 			return fmt.Errorf("core: matching placement at level spacing %d: %w", r.spacing, err)

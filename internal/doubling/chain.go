@@ -18,7 +18,7 @@ import (
 // (endpoint, index) hash arguments left, Lemma 10's t-wise independence
 // argument has nothing to randomize — a single machine can receive Θ(n·η)
 // words. ChainedWalk is the natural completion that preserves Theorem 2's
-// round shape: stop the doubling while k >= StopFanout (default Θ(log n)),
+// round shape: stop the doubling while k >= stopFanout(n) = Θ(log n),
 // leaving every machine with k independent length-(τ/k) walks, then stitch
 // the single walk of interest by fetching one unconsumed segment per hop.
 // The stitching moves τ + O(k) words to the leader (≈ τ/n + k rounds) and
@@ -28,41 +28,25 @@ import (
 // tagSegment carries stitched segments to the leader.
 const tagSegment = 16
 
-// ChainConfig parameterizes ChainedWalk.
-type ChainConfig struct {
-	// Doubling configures the doubling iterations.
-	Doubling Config
-	// StopFanout is the walk count per machine at which doubling stops and
-	// stitching begins (default max(4, ceil(log2 n)), rounded up to a
-	// power of two). 1 reproduces the paper's full doubling.
-	StopFanout int
-}
-
-func (c ChainConfig) withDefaults(n int) ChainConfig {
-	c.Doubling = c.Doubling.withDefaults()
-	if c.StopFanout == 0 {
-		f := intLog2Ceil(n)
-		if f < 4 {
-			f = 4
-		}
-		c.StopFanout = f
-	}
-	// Round up to a power of two so it aligns with the doubling's k.
+// stopFanout is the walk count per machine at which ChainedWalk stops
+// doubling and starts stitching on an n-clique: max(4, ⌈log2 n⌉), rounded
+// up to a power of two so it aligns with the doubling's k.
+func stopFanout(n int) int {
+	f := max(intLog2Ceil(n), 4)
 	p := 1
-	for p < c.StopFanout {
+	for p < f {
 		p <<= 1
 	}
-	c.StopFanout = p
-	return c
+	return p
 }
 
 // ChainedWalk builds one length-tau random walk from start on the simulated
-// clique in Õ(tau/n + log n) rounds: doubling down to StopFanout walks per
-// machine, then leader-driven stitching.
-func ChainedWalk(sim *clique.Sim, g *graph.Graph, start, tau int, cfg ChainConfig, src *prng.Source) ([]int, error) {
+// clique in Õ(tau/n + log n) rounds: doubling down to stopFanout(n) walks
+// per machine, then leader-driven stitching.
+func ChainedWalk(sim *clique.Sim, g *graph.Graph, start, tau int, cfg Config, src *prng.Source) ([]int, error) {
 	n := g.N()
-	if !cfg.Doubling.Fidelity.Valid() {
-		return nil, fmt.Errorf("doubling: unknown sim fidelity %q (want %q or %q)", cfg.Doubling.Fidelity, clique.FidelityCharged, clique.FidelityFull)
+	if !cfg.Fidelity.Valid() {
+		return nil, fmt.Errorf("doubling: unknown sim fidelity %q (want %q or %q)", cfg.Fidelity, clique.FidelityCharged, clique.FidelityFull)
 	}
 	if sim.N() != n {
 		return nil, fmt.Errorf("doubling: clique size %d does not match graph size %d", sim.N(), n)
@@ -76,16 +60,11 @@ func ChainedWalk(sim *clique.Sim, g *graph.Graph, start, tau int, cfg ChainConfi
 	if !g.IsConnected() {
 		return nil, fmt.Errorf("doubling: graph must be connected")
 	}
-	cfg = cfg.withDefaults(n)
-
 	k := 1
 	for k < tau {
 		k <<= 1
 	}
-	stop := cfg.StopFanout
-	if stop > k {
-		stop = k
-	}
+	stop := min(stopFanout(n), k)
 
 	// Initialization + doubling down to `stop` walks per machine, exactly
 	// as in Walks.
@@ -104,14 +83,11 @@ func ChainedWalk(sim *clique.Sim, g *graph.Graph, start, tau int, cfg ChainConfi
 			walks[v][i] = []int{v, next}
 		}
 	}
-	t := 8 * cfg.Doubling.C * intLog2Ceil(n)
-	if t < 2 {
-		t = 2
-	}
+	t := independenceParam(n)
 	leaderRng := src.Split(1 << 60)
 	eta := 1
 	for k > stop {
-		if err := iterate(sim, g, walks, rngs, k, eta, t, cfg.Doubling, leaderRng); err != nil {
+		if err := iterate(sim, g, walks, rngs, k, eta, t, cfg, leaderRng); err != nil {
 			return nil, err
 		}
 		k /= 2
@@ -130,7 +106,7 @@ func ChainedWalk(sim *clique.Sim, g *graph.Graph, start, tau int, cfg ChainConfi
 	for hop := 0; hop < stop && len(trajectory) <= tau; hop++ {
 		var segment []int
 		idx := hop
-		if cfg.Doubling.Fidelity.Charged() {
+		if cfg.Fidelity.Charged() {
 			// Charged stitch: the hop's segment moves to the leader as a
 			// shared slice, charged at its word length; the receive step is
 			// computation-only on both paths.

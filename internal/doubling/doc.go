@@ -12,8 +12,9 @@
 // t-wise independent hash (t = 8c·log n), which Lemma 10 shows bounds every
 // machine's received tuples by 16ck·log n with high probability.
 //
-// Both the balanced and the unbalanced routing are implemented; the
-// experiment suite (E3, E5) measures the round counts of Theorem 2 and the
-// per-machine load bound of Lemma 10, and contrasts them with the
-// unbalanced variant on skewed graphs.
+// Both the balanced and the unbalanced routing are implemented; the zero
+// Config runs the paper's balanced routing, and Config.Unbalanced selects
+// the other. The experiment suite (E3, E5) measures the round counts of
+// Theorem 2 and the per-machine load bound of Lemma 10, and contrasts them
+// with the unbalanced variant on skewed graphs.
 package doubling

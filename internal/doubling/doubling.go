@@ -18,15 +18,18 @@ const (
 	tagMerged
 )
 
-// Config parameterizes a doubling run.
+// independenceC is the constant c in the t = 8c·log n independence
+// parameter of the routing hash and in the Lemma 10 bound.
+const independenceC = 1
+
+// Config parameterizes a doubling run. The zero value is the paper's
+// setting: hash-balanced routing in the charged simulator mode.
 type Config struct {
-	// Balanced selects the paper's hash-based load balancing (default
-	// true). False reproduces the unbalanced merging of [7], where walks
-	// meet at the machine of the suffix's origin vertex.
-	Balanced bool
-	// C is the constant in the t = 8c·log n independence parameter and the
-	// Lemma 10 bound (default 1).
-	C int
+	// Unbalanced reproduces the unbalanced merging of [7], where walks meet
+	// at the machine of the suffix's origin vertex, instead of the paper's
+	// hash-based load balancing. Both modes consume the rng identically, so
+	// they build the same walks; only the charged rounds and loads differ.
+	Unbalanced bool
 	// Fidelity selects the simulator execution mode: charged (the ""
 	// default) routes/merges/stores walks as local slice movement with the
 	// communication charged analytically per walk tuple, full materializes
@@ -35,16 +38,6 @@ type Config struct {
 	// either way.
 	Fidelity clique.Fidelity
 }
-
-func (c Config) withDefaults() Config {
-	if c.C == 0 {
-		c.C = 1
-	}
-	return c
-}
-
-// DefaultConfig returns the paper's setting: balanced routing with c = 1.
-func DefaultConfig() Config { return Config{Balanced: true, C: 1} }
 
 // Result holds the walks produced by a doubling run: Walks[v] is a
 // length-tau random walk (tau+1 vertices) starting at vertex v. Walks
@@ -60,7 +53,6 @@ type Result struct {
 // length-tau random walk from every vertex. It returns the walks and
 // charges all communication on sim.
 func Walks(sim *clique.Sim, g *graph.Graph, tau int, cfg Config, src *prng.Source) (*Result, error) {
-	cfg = cfg.withDefaults()
 	if !cfg.Fidelity.Valid() {
 		return nil, fmt.Errorf("doubling: unknown sim fidelity %q (want %q or %q)", cfg.Fidelity, clique.FidelityCharged, clique.FidelityFull)
 	}
@@ -101,10 +93,7 @@ func Walks(sim *clique.Sim, g *graph.Graph, tau int, cfg Config, src *prng.Sourc
 		}
 	}
 
-	t := 8 * cfg.C * intLog2Ceil(n)
-	if t < 2 {
-		t = 2
-	}
+	t := independenceParam(n)
 	leaderRng := src.Split(1 << 60)
 
 	for k > 1 {
@@ -147,11 +136,11 @@ func iterate(sim *clique.Sim, g *graph.Graph, walks [][][]int, rngs []*prng.Sour
 		return err
 	}
 	route := func(vertex, index int) int {
-		if cfg.Balanced {
-			return hash.Eval(vertex, index)
+		if cfg.Unbalanced {
+			// Unbalanced variant of [7]: pairs meet at the suffix origin.
+			return vertex
 		}
-		// Unbalanced variant of [7]: pairs meet at the suffix origin.
-		return vertex
+		return hash.Eval(vertex, index)
 	}
 	if cfg.Fidelity.Charged() {
 		return iterateCharged(sim, walks, route, n, k, eta)
@@ -374,14 +363,16 @@ func intLog2Ceil(n int) int {
 	return l
 }
 
+// independenceParam returns t = 8c·⌈log2 n⌉ (at least 2), the independence
+// of the routing hash on an n-clique.
+func independenceParam(n int) int {
+	return max(8*independenceC*intLog2Ceil(n), 2)
+}
+
 // Lemma10Bound returns the high-probability bound 16·c·k·log n on tuples
 // received by any machine in one routing step (Lemma 10).
-func Lemma10Bound(c, k, n int) int {
-	l := intLog2Ceil(n)
-	if l < 1 {
-		l = 1
-	}
-	return 16 * c * k * l
+func Lemma10Bound(k, n int) int {
+	return 16 * independenceC * k * max(intLog2Ceil(n), 1)
 }
 
 // PredictedRounds returns Theorem 2's round complexity shape for a

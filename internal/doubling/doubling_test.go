@@ -19,7 +19,7 @@ func TestWalksValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := clique.MustNew(24)
-	res, err := Walks(sim, g, 37, DefaultConfig(), src)
+	res, err := Walks(sim, g, 37, Config{}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +51,10 @@ func TestWalksValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := clique.MustNew(4)
-	if _, err := Walks(sim, g, 0, DefaultConfig(), src); err == nil {
+	if _, err := Walks(sim, g, 0, Config{}, src); err == nil {
 		t.Error("expected error for tau=0")
 	}
-	if _, err := Walks(clique.MustNew(5), g, 4, DefaultConfig(), src); err == nil {
+	if _, err := Walks(clique.MustNew(5), g, 4, Config{}, src); err == nil {
 		t.Error("expected error for clique/graph size mismatch")
 	}
 	disc := graph.MustNew(4)
@@ -64,7 +64,7 @@ func TestWalksValidation(t *testing.T) {
 	if err := disc.AddUnitEdge(2, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Walks(clique.MustNew(4), disc, 4, DefaultConfig(), src); err == nil {
+	if _, err := Walks(clique.MustNew(4), disc, 4, Config{}, src); err == nil {
 		t.Error("expected error for disconnected graph")
 	}
 }
@@ -90,7 +90,7 @@ func TestWalkDistribution(t *testing.T) {
 	dsrc := prng.New(4)
 	for i := 0; i < trials; i++ {
 		sim := clique.MustNew(4)
-		res, err := Walks(sim, g, tau, DefaultConfig(), src.Split(uint64(i)))
+		res, err := Walks(sim, g, tau, Config{}, src.Split(uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestLemma10LoadBalance(t *testing.T) {
 	maxTuples := func(balanced bool) int {
 		sim := clique.MustNew(n)
 		sim.EnableTrace()
-		_, err := Walks(sim, g, tau, Config{Balanced: balanced, C: 1}, prng.New(7))
+		_, err := Walks(sim, g, tau, Config{Unbalanced: !balanced}, prng.New(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestLemma10LoadBalance(t *testing.T) {
 	}
 	balanced := maxTuples(true)
 	unbalanced := maxTuples(false)
-	bound := Lemma10Bound(1, tau, n)
+	bound := Lemma10Bound(tau, n)
 	t.Logf("E5: balanced max tuples %d, unbalanced %d, Lemma 10 bound %d", balanced, unbalanced, bound)
 	if balanced > bound {
 		t.Errorf("balanced routing exceeded Lemma 10 bound: %d > %d", balanced, bound)
@@ -160,7 +160,7 @@ func TestTheorem2RoundShape(t *testing.T) {
 	}
 	rounds := func(tau int) int {
 		sim := clique.MustNew(n)
-		if _, err := ChainedWalk(sim, g, 0, tau, ChainConfig{}, src.Split(uint64(tau))); err != nil {
+		if _, err := ChainedWalk(sim, g, 0, tau, Config{}, src.Split(uint64(tau))); err != nil {
 			t.Fatal(err)
 		}
 		return sim.Rounds()
@@ -198,7 +198,7 @@ func TestChainedWalkValidAndDistribution(t *testing.T) {
 	dsrc := prng.New(22)
 	for i := 0; i < trials; i++ {
 		sim := clique.MustNew(4)
-		traj, err := ChainedWalk(sim, g, 0, tau, ChainConfig{}, src.Split(uint64(i)))
+		traj, err := ChainedWalk(sim, g, 0, tau, Config{}, src.Split(uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func TestChainedWalkValidAndDistribution(t *testing.T) {
 	src2 := prng.New(31)
 	for i := 0; i < trials; i++ {
 		sim := clique.MustNew(4)
-		traj, err := ChainedWalk(sim, g, 0, tau, ChainConfig{}, src2.Split(uint64(i)))
+		traj, err := ChainedWalk(sim, g, 0, tau, Config{}, src2.Split(uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,13 +261,13 @@ func TestChainedWalkValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := clique.MustNew(4)
-	if _, err := ChainedWalk(sim, g, -1, 4, ChainConfig{}, src); err == nil {
+	if _, err := ChainedWalk(sim, g, -1, 4, Config{}, src); err == nil {
 		t.Error("expected error for bad start")
 	}
-	if _, err := ChainedWalk(sim, g, 0, 0, ChainConfig{}, src); err == nil {
+	if _, err := ChainedWalk(sim, g, 0, 0, Config{}, src); err == nil {
 		t.Error("expected error for tau=0")
 	}
-	if _, err := ChainedWalk(clique.MustNew(5), g, 0, 4, ChainConfig{}, src); err == nil {
+	if _, err := ChainedWalk(clique.MustNew(5), g, 0, 4, Config{}, src); err == nil {
 		t.Error("expected error for size mismatch")
 	}
 }
@@ -287,6 +287,54 @@ func TestSampleTreeValid(t *testing.T) {
 	}
 	if st.Rounds <= 0 || st.WalkSteps <= 0 || st.Segments < 1 {
 		t.Errorf("degenerate stats %+v", st)
+	}
+}
+
+// TestZeroTreeConfigIsBalanced: the zero TreeConfig must run the paper's
+// hash-balanced routing. On a 64-vertex star (every walk ends at the hub)
+// the zero config must report exactly the Stats explicit balanced routing
+// charged before the routing flag's zero value was made the paper's mode;
+// the unbalanced mode must build the same walk and charge more rounds.
+func TestZeroTreeConfigIsBalanced(t *testing.T) {
+	g, err := graph.Star(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, st, err := SampleTree(g, TreeConfig{}, prng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := TreeStats{Rounds: 2287, Supersteps: 44, TotalWords: 3298310, Segments: 1, WalkSteps: 1536}
+	if *st != want {
+		t.Errorf("zero TreeConfig stats %+v, want balanced routing's %+v", *st, want)
+	}
+	utree, ust, err := SampleTree(g, TreeConfig{Doubling: Config{Unbalanced: true}}, prng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if utree.Encode() != tree.Encode() || ust.WalkSteps != st.WalkSteps {
+		t.Error("unbalanced routing built a different walk")
+	}
+	if ust.Rounds <= st.Rounds {
+		t.Errorf("unbalanced routing charged %d rounds, balanced %d; want more on a star", ust.Rounds, st.Rounds)
+	}
+	// Off the star, where the tree is not forced, the modes still agree.
+	h, err := graph.Expander(20, prng.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(0); seed < 4; seed++ {
+		b, _, err := SampleTree(h, TreeConfig{}, prng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, _, err := SampleTree(h, TreeConfig{Doubling: Config{Unbalanced: true}}, prng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Encode() != u.Encode() {
+			t.Errorf("seed %d: routing modes sampled different trees", seed)
+		}
 	}
 }
 
@@ -359,8 +407,8 @@ func TestPredictedRoundsShape(t *testing.T) {
 }
 
 func TestLemma10Bound(t *testing.T) {
-	if Lemma10Bound(1, 4, 16) != 16*4*4 {
-		t.Errorf("Lemma10Bound(1,4,16) = %d", Lemma10Bound(1, 4, 16))
+	if Lemma10Bound(4, 16) != 16*4*4 {
+		t.Errorf("Lemma10Bound(4,16) = %d", Lemma10Bound(4, 16))
 	}
 }
 
@@ -372,7 +420,7 @@ func TestUnbalancedStillCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := clique.MustNew(8)
-	res, err := Walks(sim, g, 8, Config{Balanced: false}, src)
+	res, err := Walks(sim, g, 8, Config{Unbalanced: true}, src)
 	if err != nil {
 		t.Fatal(err)
 	}

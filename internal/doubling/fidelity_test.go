@@ -23,11 +23,11 @@ func TestDoublingFidelityGolden(t *testing.T) {
 		sf := clique.MustNew(20)
 		sc.EnableTrace()
 		sf.EnableTrace()
-		rc, err := Walks(sc, g, 16, Config{Balanced: balanced, C: 1, Fidelity: "charged"}, prng.New(9))
+		rc, err := Walks(sc, g, 16, Config{Unbalanced: !balanced, Fidelity: "charged"}, prng.New(9))
 		if err != nil {
 			t.Fatalf("balanced=%v charged: %v", balanced, err)
 		}
-		rf, err := Walks(sf, g, 16, Config{Balanced: balanced, C: 1, Fidelity: "full"}, prng.New(9))
+		rf, err := Walks(sf, g, 16, Config{Unbalanced: !balanced, Fidelity: "full"}, prng.New(9))
 		if err != nil {
 			t.Fatalf("balanced=%v full: %v", balanced, err)
 		}

@@ -10,32 +10,24 @@ import (
 	"repro/internal/walk"
 )
 
+// maxSegments caps how many segments SampleTree concatenates while waiting
+// for the walk to cover the graph.
+const maxSegments = 64
+
 // TreeConfig parameterizes the Corollary 1 spanning tree sampler.
 type TreeConfig struct {
 	// Doubling configures the walk construction.
 	Doubling Config
-	// SegmentLength is the walk length built per doubling run (default
-	// 4·n·ceil(log2 n), the O(n log n) cover-time scale of the corollary's
-	// target graph families).
+	// SegmentLength is the walk length built per doubling run (0:
+	// DefaultSegmentLength(n)).
 	SegmentLength int
-	// MaxSegments caps how many segments are concatenated while waiting
-	// for the walk to cover the graph (default 64).
-	MaxSegments int
 }
 
-func (c TreeConfig) withDefaults(n int) TreeConfig {
-	c.Doubling = c.Doubling.withDefaults()
-	if c.SegmentLength == 0 {
-		l := intLog2Ceil(n)
-		if l < 1 {
-			l = 1
-		}
-		c.SegmentLength = 4 * n * l
-	}
-	if c.MaxSegments == 0 {
-		c.MaxSegments = 64
-	}
-	return c
+// DefaultSegmentLength is the segment length SampleTree uses on an n-vertex
+// graph when TreeConfig.SegmentLength is 0: 4·n·⌈log2 n⌉, the O(n log n)
+// cover-time scale of the corollary's target graph families.
+func DefaultSegmentLength(n int) int {
+	return 4 * n * max(intLog2Ceil(n), 1)
 }
 
 // TreeStats reports the cost of a SampleTree run.
@@ -63,7 +55,9 @@ func SampleTree(g *graph.Graph, cfg TreeConfig, src *prng.Source) (*spanning.Tre
 		tree, err := spanning.NewTree(1, nil)
 		return tree, &TreeStats{}, err
 	}
-	cfg = cfg.withDefaults(n)
+	if cfg.SegmentLength == 0 {
+		cfg.SegmentLength = DefaultSegmentLength(n)
+	}
 	sim := clique.MustNew(n)
 
 	cur := 0 // the walk of interest starts at vertex 0
@@ -75,10 +69,10 @@ func SampleTree(g *graph.Graph, cfg TreeConfig, src *prng.Source) (*spanning.Tre
 
 	for seg := 0; remaining > 0; seg++ {
 		segments = seg + 1
-		if seg >= cfg.MaxSegments {
-			return nil, nil, fmt.Errorf("doubling: walk failed to cover the graph within %d segments of length %d; raise SegmentLength", cfg.MaxSegments, cfg.SegmentLength)
+		if seg >= maxSegments {
+			return nil, nil, fmt.Errorf("doubling: walk failed to cover the graph within %d segments of length %d; raise SegmentLength", maxSegments, cfg.SegmentLength)
 		}
-		segment, err := ChainedWalk(sim, g, cur, cfg.SegmentLength, ChainConfig{Doubling: cfg.Doubling}, src.Split(uint64(seg)))
+		segment, err := ChainedWalk(sim, g, cur, cfg.SegmentLength, cfg.Doubling, src.Split(uint64(seg)))
 		if err != nil {
 			return nil, nil, err
 		}

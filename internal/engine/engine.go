@@ -109,7 +109,7 @@ type Options struct {
 	// flight per graph key at once; Session.Stream beyond the cap fails
 	// synchronously with ErrStreamLimit (HTTP 429 at the serving layer).
 	// Collect and Audit run as streams internally, so batch jobs count
-	// toward the same cap (one-shot Session.Sample does not). 0 means
+	// toward the same cap (Session.Sample does not). 0 means
 	// unlimited.
 	MaxStreamsPerGraph int
 	// AdmissionQueueDepth, when positive, turns the hard per-graph stream cap

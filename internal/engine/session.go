@@ -34,8 +34,8 @@ func (e *Engine) Open(key string) (*Session, error) {
 }
 
 // NewSession returns a standalone Session over g, backed by a private
-// single-graph engine — the one-shot path of the spantree facade, where
-// registering under a key would be ceremony. The session takes ownership of
+// single-graph engine — what spantree.Prepare returns, where registering
+// under a key would be ceremony. The session takes ownership of
 // g: callers must not mutate it afterwards.
 func NewSession(g *graph.Graph, opts Options) (*Session, error) {
 	if g == nil {
@@ -73,8 +73,7 @@ func (s *Session) Info() GraphInfo {
 // graph (Matrix-Tree theorem), computed and cached on first use.
 func (s *Session) TreeCount() (*big.Int, error) { return s.ent.treeCount() }
 
-// Sample draws one tree with the spec'd sampler, seeded by seed — the
-// Session-API form of the one-shot spantree.Sample family. Identical
+// Sample draws one tree with the spec'd sampler, seeded by seed. Identical
 // (graph, spec, seed) triples yield identical trees; the phase and exact
 // samplers reuse the session's cached precomputation.
 func (s *Session) Sample(ctx context.Context, spec SamplerSpec, seed uint64) (*spanning.Tree, *core.Stats, error) {
@@ -87,7 +86,7 @@ func (s *Session) Sample(ctx context.Context, spec SamplerSpec, seed uint64) (*s
 			return nil, nil, err
 		}
 	}
-	// A request trace rides in on ctx (spantreed puts it there); one-shot
+	// A request trace rides in on ctx (spantreed puts it there); single
 	// samples carry index 0. Observation only — the draw is byte-identical
 	// traced or not.
 	tree, st, err := s.eng.sampleOne(s.ent, spec, prng.New(seed), obs.FromContext(ctx), 0)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/doubling"
 )
 
 // ErrUnknownSampler marks requests naming a sampler the engine does not
@@ -34,7 +36,8 @@ type SamplerSpec struct {
 	// Name selects the algorithm (empty: SamplerPhase).
 	Name Sampler `json:"name"`
 	// SegmentLength overrides the per-segment walk length of the doubling
-	// sampler (0: 4·n·⌈log2 n⌉). Only valid with SamplerLowCover.
+	// sampler (0: 4·n·⌈log2 n⌉). Only valid with SamplerLowCover, and only
+	// within maxDoublingWalkSlots.
 	SegmentLength int `json:"segment_length,omitempty"`
 	// MaxSteps bounds the Aldous-Broder cover walk (0: aldous.DefaultMaxSteps,
 	// well beyond the O(mn) cover-time bound). Only valid with
@@ -115,9 +118,18 @@ func (s SamplerSpec) normalized() (SamplerSpec, error) {
 	return s, nil
 }
 
-// normalizedFor is normalized plus the graph-dependent check: the walk root
-// must be a vertex. Sessions validate with it before dispatching, so an
-// out-of-range root is a synchronous request error, never a worker panic.
+// maxDoublingWalkSlots bounds the doubling sampler's state: n times the
+// effective segment length rounded up to a power of two, the count of
+// length-1 walks ChainedWalk allocates before it merges them. One draw at
+// the budget peaks at about 440 MB RSS. The default segment length fits
+// for every n up to 256.
+const maxDoublingWalkSlots = 1 << 21
+
+// normalizedFor is normalized plus the graph-dependent checks: the walk root
+// must be a vertex, and the doubling sampler's state must fit
+// maxDoublingWalkSlots. Sessions validate with it before dispatching, so
+// either is a synchronous request error, never a worker panic or an
+// allocation that kills the process.
 func (s SamplerSpec) normalizedFor(n int) (SamplerSpec, error) {
 	s, err := s.normalized()
 	if err != nil {
@@ -125,6 +137,19 @@ func (s SamplerSpec) normalizedFor(n int) (SamplerSpec, error) {
 	}
 	if s.Root >= n {
 		return s, fmt.Errorf("engine: root %d out of range [0,%d)", s.Root, n)
+	}
+	if s.Name == SamplerLowCover {
+		l := s.SegmentLength
+		if l == 0 {
+			l = doubling.DefaultSegmentLength(n)
+		}
+		k := 1
+		for k < l {
+			k <<= 1
+		}
+		if k > maxDoublingWalkSlots/n {
+			return s, fmt.Errorf("engine: segment length %d on %d vertices needs %d·%d doubling walks, over the budget of %d", l, n, n, k, maxDoublingWalkSlots)
+		}
 	}
 	return s, nil
 }

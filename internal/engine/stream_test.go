@@ -220,8 +220,41 @@ func TestStreamValidation(t *testing.T) {
 			t.Errorf("%s: out-of-range root accepted by Sample", name)
 		}
 	}
+	// A doubling segment length whose state exceeds maxDoublingWalkSlots
+	// must be refused before anything is allocated, not kill the process.
+	huge := SamplerSpec{Name: SamplerLowCover, SegmentLength: 2000000000}
+	if _, err := sess.Stream(context.Background(), StreamRequest{K: 1, Spec: huge}); err == nil {
+		t.Error("over-budget segment length accepted")
+	}
+	if _, _, err := sess.Sample(context.Background(), huge, 1); err == nil {
+		t.Error("over-budget segment length accepted by Sample")
+	}
 	if _, err := e.Open("missing"); !errors.Is(err, ErrUnknownGraph) {
 		t.Errorf("Open(missing) = %v, want ErrUnknownGraph", err)
+	}
+}
+
+// TestDoublingBudget: the budget admits the default segment length up to
+// n=256 and the largest power-of-two segment that fits, and refuses the
+// default at n=257 and one step past the largest fit.
+func TestDoublingBudget(t *testing.T) {
+	cases := []struct {
+		n, segLen int
+		ok        bool
+	}{
+		{192, 0, true},
+		{256, 0, true},
+		{257, 0, false},
+		{2048, 0, false},
+		{8, maxDoublingWalkSlots / 8, true},
+		{8, maxDoublingWalkSlots/8 + 1, false},
+		{8, 2000000000, false},
+	}
+	for _, tc := range cases {
+		_, err := SamplerSpec{Name: SamplerLowCover, SegmentLength: tc.segLen}.normalizedFor(tc.n)
+		if (err == nil) != tc.ok {
+			t.Errorf("n=%d segment length %d: err %v, want ok=%v", tc.n, tc.segLen, err, tc.ok)
+		}
 	}
 }
 

@@ -32,7 +32,7 @@ func E3DoublingRounds(w io.Writer, n int, taus []int) (*E3Result, error) {
 	fmt.Fprintf(w, "%10s %10s %14s\n", "tau", "rounds", "paper shape")
 	for i, tau := range taus {
 		sim := clique.MustNew(n)
-		if _, err := doubling.ChainedWalk(sim, g, 0, tau, doubling.ChainConfig{}, prng.New(uint64(baseSeed+i))); err != nil {
+		if _, err := doubling.ChainedWalk(sim, g, 0, tau, doubling.Config{}, prng.New(uint64(baseSeed+i))); err != nil {
 			return nil, err
 		}
 		res.Rounds = append(res.Rounds, sim.Rounds())
@@ -119,7 +119,7 @@ func E5LoadBalance(w io.Writer, n int) (*E5Result, error) {
 	run := func(balanced bool) (maxTuples, maxWords int, err error) {
 		sim := clique.MustNew(n)
 		sim.EnableTrace()
-		if _, err := doubling.Walks(sim, g, tau, doubling.Config{Balanced: balanced, C: 1}, prng.New(baseSeed)); err != nil {
+		if _, err := doubling.Walks(sim, g, tau, doubling.Config{Unbalanced: !balanced}, prng.New(baseSeed)); err != nil {
 			return 0, 0, err
 		}
 		for _, st := range sim.Stats() {
@@ -143,7 +143,7 @@ func E5LoadBalance(w io.Writer, n int) (*E5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	bound := doubling.Lemma10Bound(1, tau, n)
+	bound := doubling.Lemma10Bound(tau, n)
 	fmt.Fprintf(w, "%-24s %12s\n", "variant", "max tuples")
 	fmt.Fprintf(w, "%-24s %12d\n", "balanced (paper)", bal)
 	fmt.Fprintf(w, "%-24s %12d\n", "unbalanced [7]", unbal)

@@ -21,5 +21,7 @@
 //     a practical stand-in for the JSV chain on larger instances whose
 //     accuracy is measured (not assumed) against Exact in the test suite
 //     and experiment E11. See DESIGN.md §5 for the substitution rationale.
-//   - Auto: Exact up to a size threshold, Metropolis beyond it.
+//
+// The phase sampler calls Exact directly: it only builds matching instances
+// of at most 12 positions, and places larger ones directly (Lemma 4).
 package matching

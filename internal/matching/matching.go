@@ -197,30 +197,3 @@ func positiveMatching(w *matrix.Matrix) ([]int, error) {
 	}
 	return perm, nil
 }
-
-// Auto dispatches to Exact for instances up to ExactLimit rows and to
-// Metropolis beyond. The zero value uses sensible defaults.
-type Auto struct {
-	// ExactLimit is the largest instance handled exactly (default 12).
-	ExactLimit int
-	// Chain configures the Metropolis fallback.
-	Chain Metropolis
-}
-
-// Name implements Sampler.
-func (Auto) Name() string { return "auto" }
-
-// Sample implements Sampler.
-func (a Auto) Sample(w *matrix.Matrix, src *prng.Source) ([]int, error) {
-	limit := a.ExactLimit
-	if limit <= 0 {
-		limit = 12
-	}
-	if limit > matrix.MaxPermanentDim {
-		limit = matrix.MaxPermanentDim
-	}
-	if w.Rows() <= limit {
-		return Exact{}.Sample(w, src)
-	}
-	return a.Chain.Sample(w, src)
-}

@@ -175,7 +175,7 @@ func TestForcedMatching(t *testing.T) {
 	w.Set(0, 2, 5)
 	w.Set(1, 0, 1)
 	w.Set(2, 1, 2)
-	for _, s := range []Sampler{Exact{}, Metropolis{}, Auto{}} {
+	for _, s := range []Sampler{Exact{}, Metropolis{}} {
 		src := prng.New(19)
 		for i := 0; i < 20; i++ {
 			perm, err := s.Sample(w, src)
@@ -260,35 +260,11 @@ func TestSingletonAndEmpty(t *testing.T) {
 	src := prng.New(2)
 	one := matrix.MustNew(1, 1)
 	one.Set(0, 0, 3)
-	for _, s := range []Sampler{Exact{}, Metropolis{}, Auto{}} {
+	for _, s := range []Sampler{Exact{}, Metropolis{}} {
 		perm, err := s.Sample(one, src)
 		if err != nil || len(perm) != 1 || perm[0] != 0 {
 			t.Errorf("%s singleton = %v, %v", s.Name(), perm, err)
 		}
-	}
-}
-
-func TestAutoDispatch(t *testing.T) {
-	src := prng.New(31)
-	// Small instance: Auto must be exact (use a forced instance to verify
-	// deterministically).
-	w := matrix.MustNew(2, 2)
-	w.Set(0, 1, 1)
-	w.Set(1, 0, 1)
-	perm, err := (Auto{}).Sample(w, src)
-	if err != nil || perm[0] != 1 {
-		t.Errorf("auto small = %v, %v", perm, err)
-	}
-	// Large instance: must not hit the permanent limit.
-	k := matrix.MaxPermanentDim + 4
-	big := matrix.MustNew(k, k)
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			big.Set(i, j, 1)
-		}
-	}
-	if _, err := (Auto{}).Sample(big, src); err != nil {
-		t.Errorf("auto large: %v", err)
 	}
 }
 

@@ -2,21 +2,27 @@
 // Spanning Trees in the Congested Clique" (Pemmaraju, Roy, Sobel; PODC
 // 2025, arXiv:2411.13334).
 //
-// It provides:
+// Sampling has one entry point: Prepare a Session on a graph (or Register
+// the graph in an Engine and Open one), then draw with Session.Sample,
+// Session.Stream or Session.Collect, naming the algorithm with a
+// SamplerSpec (see SpecFor). The samplers are:
 //
-//   - Sample: the paper's main contribution (Theorem 1) — an approximately
-//     uniform spanning tree sampler running on a simulated congested clique
-//     in Õ(n^(1/2+α)) simulated rounds, built from top-down walk filling,
-//     distributed binary search truncation, multiset compression with
+//   - SamplerPhase: the paper's main contribution (Theorem 1) — an
+//     approximately uniform spanning tree sampler running on a simulated
+//     congested clique in Õ(n^(1/2+α)) simulated rounds, built from
+//     top-down walk filling, distributed binary search truncation, multiset compression with
 //     perfect-matching placement, and Schur-complement walk shortcutting.
-//   - SampleExact: the appendix's exact variant (Õ(n^(2/3+α)) rounds).
-//   - SampleLowCoverTime: the Corollary 1 sampler for graphs with small
+//   - SamplerExact: the appendix's exact variant (Õ(n^(2/3+α)) rounds).
+//   - SamplerLowCover: the Corollary 1 sampler for graphs with small
 //     cover times, built on the Section 3 load-balanced doubling algorithm.
-//   - Baselines: sequential Aldous-Broder, Wilson's algorithm, the naive
-//     one-step-per-round distributed port, and the (biased!) random-weight
-//     MST strawman of §1.4.
-//   - Ground truth: exact spanning tree counts (Matrix-Tree), tree
-//     enumeration, and a uniformity audit harness.
+//     SamplerSpec.SegmentLength sets its per-segment walk length; a
+//     request is refused when n times that length, rounded up to a power
+//     of two, exceeds 2^21 (the doubling state it would allocate).
+//   - Baselines: sequential Aldous-Broder, Wilson's algorithm, and the
+//     (biased!) random-weight MST strawman of §1.4.
+//
+// Ground truth comes from exact spanning tree counts (Matrix-Tree), tree
+// enumeration, and a uniformity audit harness.
 //
 // All samplers are deterministic functions of their seed. Round counts
 // reported in Stats are simulated communication rounds under Lenzen's
@@ -33,7 +39,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/matching"
 	"repro/internal/mm"
 	"repro/internal/obs"
 	"repro/internal/prng"
@@ -103,12 +108,10 @@ func Expander(n int, seed uint64) (*Graph, error) {
 	return graph.Expander(n, prng.New(seed))
 }
 
-// options collects the Sample configuration; see the With* constructors.
+// options collects the Prepare and NewEngine configuration; see the With*
+// constructors.
 type options struct {
-	seed       uint64
 	cfg        core.Config
-	segLen     int
-	treePath   bool
 	maxStreams int
 	admitQueue int
 	traceEvery int
@@ -118,15 +121,6 @@ type options struct {
 
 // Option configures the samplers.
 type Option func(*options) error
-
-// WithSeed fixes the random seed (default 1). Identical seeds yield
-// identical trees and cost profiles.
-func WithSeed(seed uint64) Option {
-	return func(o *options) error {
-		o.seed = seed
-		return nil
-	}
-}
 
 // WithEpsilon sets the total variation target ε of Theorem 1 (default 1/n).
 func WithEpsilon(eps float64) Option {
@@ -181,31 +175,13 @@ func WithBackend(name string) Option {
 	}
 }
 
-// WithMatching selects the perfect matching sampler: "auto" (default,
-// exact up to 12 positions then Metropolis), "exact", or "metropolis".
-func WithMatching(name string) Option {
-	return func(o *options) error {
-		switch name {
-		case "auto":
-			o.cfg.Matching = matching.Auto{}
-		case "exact":
-			o.cfg.Matching = matching.Exact{}
-		case "metropolis":
-			o.cfg.Matching = matching.Metropolis{}
-		default:
-			return fmt.Errorf("spantree: unknown matching sampler %q (want auto, exact or metropolis)", name)
-		}
-		return nil
-	}
-}
-
 // WithMaxStreamsPerGraph caps how many streams may be in flight per
 // registered graph at once; Session.Stream beyond the cap fails
 // synchronously with ErrStreamLimit (HTTP 429 from spantreed). Collect and
 // Audit run as streams internally, so batch jobs — including spantreed's
 // /v1/sample and /v1/audit — count toward the same cap; Session.Sample
-// does not. 0 (the default) means unlimited. Engine-only; one-shot
-// samplers ignore it.
+// does not. 0 (the default) means unlimited. Engine-only; Prepare
+// ignores it.
 func WithMaxStreamsPerGraph(n int) Option {
 	return func(o *options) error {
 		if n < 0 {
@@ -240,8 +216,8 @@ func WithAdmissionQueue(n int) Option {
 // obs.DefaultSampleEvery period, negative disables unforced tracing).
 // Explicitly requested traces — spantreed requests carrying an X-Request-ID
 // header — are always recorded regardless. Tracing is pure observation:
-// trees and Stats are byte-identical at any setting. Engine-only; one-shot
-// samplers ignore it.
+// trees and Stats are byte-identical at any setting. Engine-only; Prepare
+// ignores it.
 func WithTraceSampling(every int) Option {
 	return func(o *options) error {
 		o.traceEvery = every
@@ -267,7 +243,7 @@ func WithTraceRing(n int) Option {
 // back with the same graphs. Prepared state is not persisted — a restarted
 // Engine rebuilds each graph's phase-0 state on first use (or in Warmup),
 // so output bytes never depend on the directory. "" (the default) keeps
-// the engine fully in-memory. Engine-only; one-shot samplers ignore it.
+// the engine fully in-memory. Engine-only; Prepare ignores it.
 func WithDataDir(dir string) Option {
 	return func(o *options) error {
 		o.dataDir = dir
@@ -287,20 +263,8 @@ func WithPrecision(delta float64) Option {
 	}
 }
 
-// WithSegmentLength sets the per-segment walk length of SampleLowCoverTime
-// (default 4·n·⌈log2 n⌉).
-func WithSegmentLength(l int) Option {
-	return func(o *options) error {
-		if l < 1 {
-			return fmt.Errorf("spantree: segment length must be >= 1, got %d", l)
-		}
-		o.segLen = l
-		return nil
-	}
-}
-
 func buildOptions(opts []Option) (*options, error) {
-	o := &options{seed: 1}
+	o := &options{}
 	for _, opt := range opts {
 		if err := opt(o); err != nil {
 			return nil, err
@@ -320,7 +284,7 @@ type Session = engine.Session
 // SamplerSpec is the typed description of a sampling algorithm plus its
 // per-sampler knobs — what Session requests dispatch on, replacing the bare
 // Sampler string constants of the PR-1 API. The zero value runs the phase
-// sampler with defaults; see SpecFor and the Spec constructors below.
+// sampler with defaults; see SpecFor.
 type SamplerSpec = engine.SamplerSpec
 
 // StreamRequest describes a streaming sampling job for Session.Stream and
@@ -341,98 +305,17 @@ type Stream = engine.Stream
 // knobs.
 func SpecFor(name Sampler) SamplerSpec { return engine.SpecFor(name) }
 
-// Spec constructors for each sampler, with the knobs that apply to it.
-func PhaseSpec() SamplerSpec { return SpecFor(SamplerPhase) }
-func ExactSpec() SamplerSpec { return SpecFor(SamplerExact) }
-
-// LowCoverSpec configures the Corollary 1 doubling sampler; segmentLength 0
-// keeps the 4·n·⌈log2 n⌉ default.
-func LowCoverSpec(segmentLength int) SamplerSpec {
-	return SamplerSpec{Name: SamplerLowCover, SegmentLength: segmentLength}
-}
-
-// AldousBroderSpec configures the sequential Aldous-Broder baseline;
-// maxSteps 0 keeps the DefaultMaxSteps cover-walk cap.
-func AldousBroderSpec(maxSteps int) SamplerSpec {
-	return SamplerSpec{Name: SamplerAldousBroder, MaxSteps: maxSteps}
-}
-
-func WilsonSpec() SamplerSpec { return SpecFor(SamplerWilson) }
-func MSTSpec() SamplerSpec    { return SpecFor(SamplerMST) }
-
 // Prepare validates g and the options once and returns a standalone Session
-// over it: the handle one-shot helpers wrap, and the right entry point when
-// the same graph will be sampled repeatedly without an Engine registry. The
-// session takes ownership of g — don't mutate it afterwards. WithSeed is
-// ignored; Session requests carry their own seeds.
+// over it — the entry point for sampling without an Engine registry. The
+// session caches the per-graph precomputation, so repeated draws on it pay
+// that cost once. It takes ownership of g — don't mutate it afterwards.
+// Session requests carry their own seeds.
 func Prepare(g *Graph, opts ...Option) (*Session, error) {
 	o, err := buildOptions(opts)
 	if err != nil {
 		return nil, err
 	}
 	return engine.NewSession(g, engine.Options{Config: o.cfg})
-}
-
-// sampleOneShot runs one draw of spec through an ephemeral Session, so the
-// one-shot helpers and the warm Session path share a single implementation
-// in internal/core.
-func sampleOneShot(g *Graph, spec SamplerSpec, opts []Option) (*Tree, *Stats, error) {
-	o, err := buildOptions(opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if spec.Name == SamplerLowCover && spec.SegmentLength == 0 {
-		spec.SegmentLength = o.segLen
-	}
-	sess, err := engine.NewSession(g, engine.Options{Config: o.cfg})
-	if err != nil {
-		return nil, nil, err
-	}
-	return sess.Sample(context.Background(), spec, o.seed)
-}
-
-// Sample draws an approximately uniform spanning tree of g with the
-// phase-based congested clique algorithm (Theorem 1). It is a thin wrapper
-// over an ephemeral Session; use Prepare to amortize the per-graph
-// precomputation across repeated draws.
-func Sample(g *Graph, opts ...Option) (*Tree, *Stats, error) {
-	return sampleOneShot(g, PhaseSpec(), opts)
-}
-
-// SampleExact draws an exactly uniform spanning tree (up to float64
-// arithmetic) with the appendix's Õ(n^(2/3+α)) variant.
-func SampleExact(g *Graph, opts ...Option) (*Tree, *Stats, error) {
-	return sampleOneShot(g, ExactSpec(), opts)
-}
-
-// SampleLowCoverTime draws an exactly uniform spanning tree with the
-// Corollary 1 sampler (load-balanced doubling walks), efficient for graphs
-// with small cover times. The returned Stats reports only the fields the
-// doubling sampler tracks (Rounds, Supersteps, TotalWords, WalkSteps).
-func SampleLowCoverTime(g *Graph, opts ...Option) (*Tree, *Stats, error) {
-	return sampleOneShot(g, LowCoverSpec(0), opts)
-}
-
-// SampleAldousBroder draws an exactly uniform spanning tree with the
-// sequential Aldous-Broder cover walk (the paper's correctness baseline).
-func SampleAldousBroder(g *Graph, seed uint64) (*Tree, error) {
-	tree, _, err := sampleOneShot(g, AldousBroderSpec(0), []Option{WithSeed(seed)})
-	return tree, err
-}
-
-// SampleWilson draws an exactly uniform spanning tree with Wilson's
-// loop-erased walk algorithm.
-func SampleWilson(g *Graph, seed uint64) (*Tree, error) {
-	tree, _, err := sampleOneShot(g, WilsonSpec(), []Option{WithSeed(seed)})
-	return tree, err
-}
-
-// SampleMSTStrawman draws a spanning tree by the §1.4 strawman: i.i.d.
-// random edge weights + minimum spanning tree. Its distribution is NOT
-// uniform — it exists for bias experiments.
-func SampleMSTStrawman(g *Graph, seed uint64) (*Tree, error) {
-	tree, _, err := sampleOneShot(g, MSTSpec(), []Option{WithSeed(seed)})
-	return tree, err
 }
 
 // CountSpanningTrees returns the exact number of spanning trees of g via
@@ -463,8 +346,7 @@ func TreeWeight(g *Graph, t *Tree) (float64, error) {
 }
 
 // Engine is the concurrent sampling engine: a registry of graphs with
-// cached per-graph precomputation (the phase-0 power table a cold Sample
-// rebuilds on every call) and a shared weighted stream scheduler
+// cached per-graph precomputation (the phase-0 power table) and a shared weighted stream scheduler
 // executing streaming jobs with deterministic per-sample seed derivation
 // (NewEngine's pool width and WithMaxStreamsPerGraph at the engine, Weight /
 // MaxWorkers per request). Construct with NewEngine, Register graphs, then
@@ -557,9 +439,9 @@ type QueueStats = engine.QueueStats
 
 // NewEngine returns a batch-sampling engine. workers is the width of the
 // engine-wide stream worker pool — the most samples computing at once across
-// all concurrent streams, leased by weight (<= 0: GOMAXPROCS). The options configure the phase and exact samplers
-// exactly as they do Sample; WithSeed is ignored — batch requests carry
-// their own seed bases.
+// all concurrent streams, leased by weight (<= 0: GOMAXPROCS). The options
+// configure the phase and exact samplers exactly as they do Prepare; batch
+// requests carry their own seed bases.
 func NewEngine(workers int, opts ...Option) (*Engine, error) {
 	o, err := buildOptions(opts)
 	if err != nil {

@@ -1,13 +1,27 @@
 package spantree
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
+
+// sampleWith prepares a session on g with opts and draws one tree of the
+// named sampler at seed.
+func sampleWith(t *testing.T, g *Graph, name Sampler, seed uint64, opts ...Option) (*Tree, *Stats, error) {
+	t.Helper()
+	sess, err := Prepare(g, opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sess.Sample(context.Background(), SpecFor(name), seed)
+}
 
 func TestPublicAPISample(t *testing.T) {
 	g, err := ErdosRenyi(12, 0.4, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, stats, err := Sample(g, WithSeed(3))
+	tree, stats, err := sampleWith(t, g, SamplerPhase, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,8 +31,9 @@ func TestPublicAPISample(t *testing.T) {
 	if stats.Rounds <= 0 {
 		t.Error("no rounds reported")
 	}
-	// Determinism through the public API.
-	tree2, _, err := Sample(g, WithSeed(3))
+	// Determinism through the public API, across separately prepared
+	// sessions.
+	tree2, _, err := sampleWith(t, g, SamplerPhase, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,20 +47,14 @@ func TestPublicAPIVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := SampleExact(g, WithSeed(1)); err != nil {
-		t.Errorf("SampleExact: %v", err)
+	sess, err := Prepare(g)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := SampleLowCoverTime(g, WithSeed(1)); err != nil {
-		t.Errorf("SampleLowCoverTime: %v", err)
-	}
-	if _, err := SampleAldousBroder(g, 1); err != nil {
-		t.Errorf("SampleAldousBroder: %v", err)
-	}
-	if _, err := SampleWilson(g, 1); err != nil {
-		t.Errorf("SampleWilson: %v", err)
-	}
-	if _, err := SampleMSTStrawman(g, 1); err != nil {
-		t.Errorf("SampleMSTStrawman: %v", err)
+	for _, name := range []Sampler{SamplerExact, SamplerLowCover, SamplerAldousBroder, SamplerWilson, SamplerMST} {
+		if _, _, err := sess.Sample(context.Background(), SpecFor(name), 1); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 
@@ -54,37 +63,32 @@ func TestPublicAPIOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = Sample(g,
-		WithSeed(2),
+	_, _, err = sampleWith(t, g, SamplerPhase, 2,
 		WithEpsilon(0.01),
 		WithRho(3),
 		WithWalkLength(512),
 		WithBackend("semiring3d"),
-		WithMatching("exact"),
 		WithPrecision(1e-9),
 	)
 	if err != nil {
 		t.Fatalf("options: %v", err)
 	}
-	if _, _, err := Sample(g, WithBackend("gpu")); err == nil {
-		t.Error("expected error for unknown backend")
+	for name, opt := range map[string]Option{
+		"unknown backend":              WithBackend("gpu"),
+		"epsilon 0":                    WithEpsilon(0),
+		"rho 1":                        WithRho(1),
+		"non-power-of-two walk length": WithWalkLength(100),
+		"negative precision":           WithPrecision(-1),
+	} {
+		if _, err := Prepare(g, opt); err == nil {
+			t.Errorf("expected error for %s", name)
+		}
 	}
-	if _, _, err := Sample(g, WithMatching("quantum")); err == nil {
-		t.Error("expected error for unknown matching sampler")
+	sess, err := Prepare(g)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := Sample(g, WithEpsilon(0)); err == nil {
-		t.Error("expected error for epsilon 0")
-	}
-	if _, _, err := Sample(g, WithRho(1)); err == nil {
-		t.Error("expected error for rho 1")
-	}
-	if _, _, err := Sample(g, WithWalkLength(100)); err == nil {
-		t.Error("expected error for non-power-of-two walk length")
-	}
-	if _, _, err := Sample(g, WithPrecision(-1)); err == nil {
-		t.Error("expected error for negative precision")
-	}
-	if _, _, err := SampleLowCoverTime(g, WithSegmentLength(-1)); err == nil {
+	if _, _, err := sess.Sample(context.Background(), SamplerSpec{Name: SamplerLowCover, SegmentLength: -1}, 1); err == nil {
 		t.Error("expected error for bad segment length")
 	}
 }
@@ -98,10 +102,15 @@ func TestPublicAPICountAndAudit(t *testing.T) {
 	if err != nil || cnt.Int64() != 16 {
 		t.Errorf("CountSpanningTrees(K4) = %v, %v; want 16", cnt, err)
 	}
+	sess, err := Prepare(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seed := uint64(0)
 	res, err := AuditUniformity(g, 3000, func() (*Tree, error) {
 		seed++
-		return SampleWilson(g, seed)
+		tree, _, err := sess.Sample(context.Background(), SpecFor(SamplerWilson), seed)
+		return tree, err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,10 +149,15 @@ func TestPublicAPIWeighted(t *testing.T) {
 	if err := g.AddEdge(0, 2, 1); err != nil {
 		t.Fatal(err)
 	}
+	sess, err := Prepare(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seed := uint64(0)
 	res, err := AuditWeighted(g, 3000, 100, func() (*Tree, error) {
 		seed++
-		return SampleWilson(g, seed)
+		tree, _, err := sess.Sample(context.Background(), SpecFor(SamplerWilson), seed)
+		return tree, err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +165,7 @@ func TestPublicAPIWeighted(t *testing.T) {
 	if !res.Pass(3) {
 		t.Errorf("weighted audit failed: TV %.4f noise %.4f", res.TV, res.Noise)
 	}
-	tree, err := SampleWilson(g, 1)
+	tree, _, err := sess.Sample(context.Background(), SpecFor(SamplerWilson), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
