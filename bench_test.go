@@ -9,7 +9,6 @@ package spantree
 // miniature; `go run ./cmd/experiments -full` prints the full tables.
 
 import (
-	"context"
 	"io"
 	"testing"
 
@@ -189,19 +188,6 @@ func BenchmarkE12Figure1Pipeline(b *testing.B) {
 	}
 }
 
-// sampleCold draws one tree of the named sampler from a freshly prepared
-// session, so every call pays the per-graph precomputation.
-func sampleCold(b *testing.B, g *Graph, name Sampler, seed uint64) {
-	b.Helper()
-	sess, err := Prepare(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, _, err := sess.Sample(context.Background(), SpecFor(name), seed); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkSamplePhase measures wall-clock simulation throughput of the
 // main sampler (not a paper claim; an implementation health metric).
 func BenchmarkSamplePhase(b *testing.B) {
@@ -211,7 +197,9 @@ func BenchmarkSamplePhase(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sampleCold(b, g, SamplerPhase, uint64(i))
+		if _, _, err := sampleWith(b, g, SamplerPhase, uint64(i)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -224,7 +212,9 @@ func BenchmarkSampleDoubling(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sampleCold(b, g, SamplerLowCover, uint64(i))
+		if _, _, err := sampleWith(b, g, SamplerLowCover, uint64(i)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

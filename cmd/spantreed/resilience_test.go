@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -271,19 +272,21 @@ func TestSamplerPanic500DaemonSurvives(t *testing.T) {
 	}
 }
 
-// TestOverBudgetSegmentLength400DaemonSurvives streams a doubling request
-// whose segment length would need tens of gigabytes of walk state. It must
+// TestOverBudgetSegmentLength400DaemonSurvives sends doubling requests whose
+// segment length would need tens of gigabytes of walk state, or is so close
+// to math.MaxInt that rounding it up to a power of two overflows. Each must
 // be refused as a 400 before anything is allocated, and the daemon must keep
 // answering /healthz.
 func TestOverBudgetSegmentLength400DaemonSurvives(t *testing.T) {
 	ts, _ := newTestServer(t)
 	registerFamily(t, ts, "c", "cycle", 8)
 
-	body := map[string]any{"k": 1, "sampler": "doubling", "segment_length": 2000000000}
-	resp := postJSON(t, ts.URL+"/v1/graphs/c/stream", body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("over-budget stream: status %d, want 400", resp.StatusCode)
+	for _, l := range []int{2000000000, 5000000000000000000, math.MaxInt} {
+		resp := postJSON(t, ts.URL+"/v1/graphs/c/stream", map[string]any{"k": 1, "sampler": "doubling", "segment_length": l})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("segment length %d: status %d, want 400", l, resp.StatusCode)
+		}
 	}
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {

@@ -47,7 +47,9 @@ func BenchmarkEngineWarmVsCold(b *testing.B) {
 		g := benchEngineGraph(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sampleCold(b, g, SamplerPhase, uint64(i+1))
+			if _, _, err := sampleWith(b, g, SamplerPhase, uint64(i+1)); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {

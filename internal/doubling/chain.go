@@ -54,15 +54,12 @@ func ChainedWalk(sim *clique.Sim, g *graph.Graph, start, tau int, cfg Config, sr
 	if start < 0 || start >= n {
 		return nil, fmt.Errorf("doubling: start %d out of range [0,%d)", start, n)
 	}
-	if tau < 1 {
-		return nil, fmt.Errorf("doubling: walk length must be >= 1, got %d", tau)
+	k, err := walkFanout(n, tau)
+	if err != nil {
+		return nil, err
 	}
 	if !g.IsConnected() {
 		return nil, fmt.Errorf("doubling: graph must be connected")
-	}
-	k := 1
-	for k < tau {
-		k <<= 1
 	}
 	stop := min(stopFanout(n), k)
 

@@ -3,6 +3,7 @@ package doubling
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/clique"
 	"repro/internal/graph"
@@ -49,6 +50,27 @@ type Result struct {
 	Tau int
 }
 
+// MaxWalkSlots bounds the doubling state: n times the walk length rounded
+// up to a power of two, the count of length-1 walks Walks and ChainedWalk
+// allocate before they merge them. One SampleTree draw at the budget peaks
+// at about 440 MB RSS; DefaultSegmentLength fits for every n up to 256.
+const MaxWalkSlots = 1 << 21
+
+// walkFanout returns k, the smallest power of two >= tau: the walk count
+// per machine the doubling starts from. It refuses tau < 1 and any n·k over
+// MaxWalkSlots; tau is bounded before it is rounded, so nothing overflows.
+func walkFanout(n, tau int) (int, error) {
+	if tau < 1 {
+		return 0, fmt.Errorf("doubling: walk length must be >= 1, got %d", tau)
+	}
+	if tau <= MaxWalkSlots/n {
+		if k := 1 << bits.Len(uint(tau-1)); k <= MaxWalkSlots/n {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("doubling: walk length %d on %d vertices needs more than the budget of %d walk slots (n times the length rounded up to a power of two)", tau, n, MaxWalkSlots)
+}
+
 // Walks runs the doubling algorithm on the simulated clique, building a
 // length-tau random walk from every vertex. It returns the walks and
 // charges all communication on sim.
@@ -60,16 +82,13 @@ func Walks(sim *clique.Sim, g *graph.Graph, tau int, cfg Config, src *prng.Sourc
 	if sim.N() != n {
 		return nil, fmt.Errorf("doubling: clique size %d does not match graph size %d", sim.N(), n)
 	}
-	if tau < 1 {
-		return nil, fmt.Errorf("doubling: walk length must be >= 1, got %d", tau)
+	// k = smallest power of two >= tau; eta = 1.
+	k, err := walkFanout(n, tau)
+	if err != nil {
+		return nil, err
 	}
 	if !g.IsConnected() {
 		return nil, fmt.Errorf("doubling: graph must be connected")
-	}
-	// k = smallest power of two >= tau; eta = 1.
-	k := 1
-	for k < tau {
-		k <<= 1
 	}
 	eta := 1
 

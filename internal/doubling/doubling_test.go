@@ -272,6 +272,35 @@ func TestChainedWalkValidation(t *testing.T) {
 	}
 }
 
+// TestWalkBudget: a walk whose doubling state exceeds MaxWalkSlots is
+// refused before anything is allocated, including lengths near math.MaxInt
+// whose rounding up to a power of two would overflow.
+func TestWalkBudget(t *testing.T) {
+	g, err := graph.Cycle(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tau := range []int{MaxWalkSlots/8 + 1, 2000000000, 1<<62 + 1, math.MaxInt} {
+		if _, err := ChainedWalk(clique.MustNew(8), g, 0, tau, Config{}, prng.New(1)); err == nil {
+			t.Errorf("ChainedWalk tau=%d: over-budget walk accepted", tau)
+		}
+		if _, err := Walks(clique.MustNew(8), g, tau, Config{}, prng.New(1)); err == nil {
+			t.Errorf("Walks tau=%d: over-budget walk accepted", tau)
+		}
+		if err := CheckSegmentLength(8, tau); err == nil {
+			t.Errorf("CheckSegmentLength(8, %d) accepted", tau)
+		}
+	}
+	for _, tc := range []struct{ n, l int }{{8, MaxWalkSlots / 8}, {8, 1}, {256, 0}} {
+		if err := CheckSegmentLength(tc.n, tc.l); err != nil {
+			t.Errorf("CheckSegmentLength(%d, %d): %v", tc.n, tc.l, err)
+		}
+	}
+	if err := CheckSegmentLength(257, 0); err == nil {
+		t.Error("default segment length at n=257 accepted")
+	}
+}
+
 func TestSampleTreeValid(t *testing.T) {
 	src := prng.New(11)
 	g, err := graph.Expander(20, src)

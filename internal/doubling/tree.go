@@ -30,6 +30,18 @@ func DefaultSegmentLength(n int) int {
 	return 4 * n * max(intLog2Ceil(n), 1)
 }
 
+// CheckSegmentLength reports, without allocating, whether SampleTree can
+// run on an n-vertex graph with segment length l (0:
+// DefaultSegmentLength(n)): l must be >= 1 and its doubling state within
+// MaxWalkSlots.
+func CheckSegmentLength(n, l int) error {
+	if l == 0 {
+		l = DefaultSegmentLength(n)
+	}
+	_, err := walkFanout(n, l)
+	return err
+}
+
 // TreeStats reports the cost of a SampleTree run.
 type TreeStats struct {
 	Rounds     int

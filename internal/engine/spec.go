@@ -37,7 +37,7 @@ type SamplerSpec struct {
 	Name Sampler `json:"name"`
 	// SegmentLength overrides the per-segment walk length of the doubling
 	// sampler (0: 4·n·⌈log2 n⌉). Only valid with SamplerLowCover, and only
-	// within maxDoublingWalkSlots.
+	// within doubling.MaxWalkSlots.
 	SegmentLength int `json:"segment_length,omitempty"`
 	// MaxSteps bounds the Aldous-Broder cover walk (0: aldous.DefaultMaxSteps,
 	// well beyond the O(mn) cover-time bound). Only valid with
@@ -118,16 +118,9 @@ func (s SamplerSpec) normalized() (SamplerSpec, error) {
 	return s, nil
 }
 
-// maxDoublingWalkSlots bounds the doubling sampler's state: n times the
-// effective segment length rounded up to a power of two, the count of
-// length-1 walks ChainedWalk allocates before it merges them. One draw at
-// the budget peaks at about 440 MB RSS. The default segment length fits
-// for every n up to 256.
-const maxDoublingWalkSlots = 1 << 21
-
 // normalizedFor is normalized plus the graph-dependent checks: the walk root
 // must be a vertex, and the doubling sampler's state must fit
-// maxDoublingWalkSlots. Sessions validate with it before dispatching, so
+// doubling.MaxWalkSlots. Sessions validate with it before dispatching, so
 // either is a synchronous request error, never a worker panic or an
 // allocation that kills the process.
 func (s SamplerSpec) normalizedFor(n int) (SamplerSpec, error) {
@@ -139,16 +132,8 @@ func (s SamplerSpec) normalizedFor(n int) (SamplerSpec, error) {
 		return s, fmt.Errorf("engine: root %d out of range [0,%d)", s.Root, n)
 	}
 	if s.Name == SamplerLowCover {
-		l := s.SegmentLength
-		if l == 0 {
-			l = doubling.DefaultSegmentLength(n)
-		}
-		k := 1
-		for k < l {
-			k <<= 1
-		}
-		if k > maxDoublingWalkSlots/n {
-			return s, fmt.Errorf("engine: segment length %d on %d vertices needs %d·%d doubling walks, over the budget of %d", l, n, n, k, maxDoublingWalkSlots)
+		if err := doubling.CheckSegmentLength(n, s.SegmentLength); err != nil {
+			return s, fmt.Errorf("engine: %w", err)
 		}
 	}
 	return s, nil

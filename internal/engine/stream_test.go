@@ -3,12 +3,14 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/doubling"
 	"repro/internal/graph"
 )
 
@@ -220,7 +222,7 @@ func TestStreamValidation(t *testing.T) {
 			t.Errorf("%s: out-of-range root accepted by Sample", name)
 		}
 	}
-	// A doubling segment length whose state exceeds maxDoublingWalkSlots
+	// A doubling segment length whose state exceeds doubling.MaxWalkSlots
 	// must be refused before anything is allocated, not kill the process.
 	huge := SamplerSpec{Name: SamplerLowCover, SegmentLength: 2000000000}
 	if _, err := sess.Stream(context.Background(), StreamRequest{K: 1, Spec: huge}); err == nil {
@@ -236,7 +238,8 @@ func TestStreamValidation(t *testing.T) {
 
 // TestDoublingBudget: the budget admits the default segment length up to
 // n=256 and the largest power-of-two segment that fits, and refuses the
-// default at n=257 and one step past the largest fit.
+// default at n=257, one step past the largest fit, and lengths near
+// math.MaxInt, whose rounding up to a power of two would overflow.
 func TestDoublingBudget(t *testing.T) {
 	cases := []struct {
 		n, segLen int
@@ -246,9 +249,11 @@ func TestDoublingBudget(t *testing.T) {
 		{256, 0, true},
 		{257, 0, false},
 		{2048, 0, false},
-		{8, maxDoublingWalkSlots / 8, true},
-		{8, maxDoublingWalkSlots/8 + 1, false},
+		{8, doubling.MaxWalkSlots / 8, true},
+		{8, doubling.MaxWalkSlots/8 + 1, false},
 		{8, 2000000000, false},
+		{8, 1<<62 + 1, false},
+		{8, math.MaxInt, false},
 	}
 	for _, tc := range cases {
 		_, err := SamplerSpec{Name: SamplerLowCover, SegmentLength: tc.segLen}.normalizedFor(tc.n)

@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// sampleWith prepares a session on g with opts and draws one tree of the
-// named sampler at seed.
-func sampleWith(t *testing.T, g *Graph, name Sampler, seed uint64, opts ...Option) (*Tree, *Stats, error) {
-	t.Helper()
+// sampleWith prepares a fresh session on g with opts and draws one tree of
+// the named sampler at seed, so every call pays the per-graph
+// precomputation.
+func sampleWith(tb testing.TB, g *Graph, name Sampler, seed uint64, opts ...Option) (*Tree, *Stats, error) {
+	tb.Helper()
 	sess, err := Prepare(g, opts...)
 	if err != nil {
 		return nil, nil, err
