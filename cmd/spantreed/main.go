@@ -30,7 +30,9 @@
 // order.
 //
 // The matrix scratch-pool counters are reported under /v1/stats. Samplers
-// run the simulated clique in charged mode on one sequential dense kernel.
+// run the simulated clique in charged mode on sequential dense kernels: AVX
+// tiles where the CPU has AVX, portable Go otherwise, with the same bytes.
+// The startup "listening" log line names the path as matrix_kernel.
 // The simulator-fidelity field that older clients may still send is
 // ignored: full and charged output were byte-identical, so nothing changes.
 //
@@ -119,6 +121,7 @@ import (
 	"repro/client"
 	"repro/internal/faultinject"
 	"repro/internal/graph"
+	"repro/internal/matrix"
 	"repro/internal/obs"
 )
 
@@ -231,7 +234,10 @@ func run() error {
 		logger.Info("ready", "graphs", len(eng.Keys()))
 	}()
 
-	logger.Info("listening", "addr", *addr, "workers", eng.Workers(), "pprof", *pprofEnabled, "data_dir", *dataDir, "auth", token != "", "tls", *tlsCert != "")
+	// matrix_kernel ties a throughput number to the dense-kernel path that
+	// produced it: the AVX tiles and the portable Go kernels differ ~2.5x.
+	logger.Info("listening", "addr", *addr, "workers", eng.Workers(), "matrix_kernel", matrix.Kernel(),
+		"pprof", *pprofEnabled, "data_dir", *dataDir, "auth", token != "", "tls", *tlsCert != "")
 	// Past the drain budget the remaining streams are cancelled through the
 	// deadline plumbing.
 	return srv.serve(ctx, lc, srv.routes(), func() int { return eng.AbortStreams(nil) })

@@ -186,20 +186,29 @@ func (s *Sim) Supersteps() int { return s.supersteps }
 // TotalWords reports the total number of message words transported.
 func (s *Sim) TotalWords() int64 { return s.totalWords }
 
+// Step names for ChargeRounds. They are constants so that a traced charge
+// names its span without building a string: a traced request keeps one span
+// per charge, and a fresh name for each would grow the heap with traffic.
+const (
+	ChargeFastMatmul    = "charge:fast-matmul"
+	ChargeSchurShortcut = "charge:schur+shortcut"
+)
+
 // ChargeRounds adds k rounds to the accounting without moving messages. It
 // models subroutines whose round cost is taken from the literature rather
 // than simulated message-by-message (the fast matrix multiplication backend
-// charges its Õ(n^α) here). why is recorded in the trace when enabled.
-func (s *Sim) ChargeRounds(k int, why string) error {
+// charges its Õ(n^α) here). step (ChargeFastMatmul or ChargeSchurShortcut)
+// names the step in the stats and the trace when enabled.
+func (s *Sim) ChargeRounds(k int, step string) error {
 	if k < 0 {
 		return fmt.Errorf("clique: cannot charge negative rounds (%d)", k)
 	}
 	s.rounds += k
 	if s.traceStats {
-		s.stats = append(s.stats, StepStat{Name: "charge:" + why, Rounds: k})
+		s.stats = append(s.stats, StepStat{Name: step, Rounds: k})
 	}
 	if s.trace != nil {
-		sp := s.TraceSpan("charge:" + why)
+		sp := s.TraceSpan(step)
 		sp.SetInt("rounds", int64(k))
 		sp.End()
 	}

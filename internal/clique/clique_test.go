@@ -270,6 +270,22 @@ func TestTraceStats(t *testing.T) {
 	}
 }
 
+// TestChargeStepName: ChargeRounds records its step under the constant name
+// the caller passes, so a traced charge builds no string.
+func TestChargeStepName(t *testing.T) {
+	if ChargeFastMatmul != "charge:fast-matmul" || ChargeSchurShortcut != "charge:schur+shortcut" {
+		t.Fatalf("charge step names = %q, %q", ChargeFastMatmul, ChargeSchurShortcut)
+	}
+	s := MustNew(2)
+	s.EnableTrace()
+	if err := s.ChargeRounds(3, ChargeFastMatmul); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); len(st) != 1 || st[0].Name != "charge:fast-matmul" || st[0].Rounds != 3 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
 func TestTotalWordsAccounting(t *testing.T) {
 	s := MustNew(2)
 	err := s.Superstep("x", func(id int, in []Message) ([]Message, error) {

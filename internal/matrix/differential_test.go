@@ -82,8 +82,8 @@ func refFactor(a *Matrix) (ref *Matrix, perm []int, sign float64, ok bool) {
 }
 
 // awkwardSizes are the shapes most likely to expose blocking bugs: size 1,
-// primes, the 4-row / 2-col multiply tile and 32-col LU panel boundaries,
-// and their off-by-one neighbors.
+// primes, the multiply tiles' boundaries (4x2 on the Go path, 4x8 on the AVX
+// path), the 32-col LU panel boundary, and their off-by-one neighbors.
 var awkwardSizes = []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 17, 31, 32, 33, 63, 64, 65, 97, 127, 128, 129, 191, 257}
 
 // randomDense fills an r x c matrix with signed values and a sprinkling of
@@ -122,15 +122,40 @@ func requireBitEqual(t *testing.T, label string, got, want *Matrix) {
 	}
 }
 
-// blockedKernel names the subtest that runs the production kernel: the
-// register-tiled, column-panelled ("blocked") multiply and factorization.
-const blockedKernel = "blocked"
+// blockedKernel names the subtest that runs the portable Go kernels: the
+// register-tiled, column-panelled ("blocked") multiply, factorization and
+// batched solve. avxKernel names the one that runs the AVX tiles (the
+// multiply and the batched solve; the factorization has one path).
+const (
+	blockedKernel = "blocked"
+	avxKernel     = "avx"
+)
+
+// forEachKernel runs fn as one subtest per kernel path, selecting the path
+// through useAVX. The AVX subtest skips on a host without AVX.
+func forEachKernel(t *testing.T, fn func(t *testing.T)) {
+	t.Helper()
+	saved := useAVX
+	defer func() { useAVX = saved }()
+	for _, path := range []struct {
+		name string
+		avx  bool
+	}{{blockedKernel, false}, {avxKernel, true}} {
+		t.Run(path.name, func(t *testing.T) {
+			if path.avx && !haveAVX {
+				t.Skip("no AVX on this host")
+			}
+			useAVX = path.avx
+			fn(t)
+		})
+	}
+}
 
 // TestDifferentialMulKernels pins every multiply path on rectangular shapes,
 // including odd and prime dimensions, bit-exactly to the naive reference.
 func TestDifferentialMulKernels(t *testing.T) {
-	src := prng.New(0xd1ff)
-	t.Run(blockedKernel, func(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		src := prng.New(0xd1ff)
 		for _, n := range awkwardSizes {
 			// Rectangular: (n x inner) * (inner x cols) with shifted dims so
 			// row-remainder, col-remainder, and inner loops all vary.
@@ -175,8 +200,8 @@ func requireFactorEqual(t *testing.T, label string, f *LU, want *Matrix, wantPer
 // the reference elimination: identical packed LU values, permutation, and
 // determinant sign.
 func TestDifferentialFactorKernels(t *testing.T) {
-	src := prng.New(0xfac7)
-	t.Run(blockedKernel, func(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		src := prng.New(0xfac7)
 		for _, n := range awkwardSizes {
 			a := randomDense(t, n, n, src)
 			// Dominate the diagonal so the instance is comfortably nonsingular.
@@ -205,8 +230,8 @@ func TestDifferentialFactorKernels(t *testing.T) {
 // TestDifferentialFactorSingular checks that Factor rejects exactly the
 // input the reference elimination finds singular.
 func TestDifferentialFactorSingular(t *testing.T) {
-	src := prng.New(0x5146)
-	t.Run(blockedKernel, func(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		src := prng.New(0x5146)
 		for _, n := range []int{1, 2, 5, 33, 65} {
 			for trial := 0; trial < 3; trial++ {
 				a := randomDense(t, n, n, src)
@@ -253,31 +278,36 @@ func TestDifferentialFactorSingular(t *testing.T) {
 // agreement with the reference — near-singularity amplifies any reordering
 // of the elimination arithmetic, which is exactly what must not exist.
 func TestDifferentialFactorNearSingular(t *testing.T) {
-	src := prng.New(0xaea5)
-	for _, n := range []int{2, 3, 17, 33, 64, 97} {
-		a := randomDense(t, n, n, src)
-		copy(a.Row(n-1), a.Row(0))
-		a.Set(n-1, n/2, a.At(n-1, n/2)+1e-13)
-		want, wantPerm, wantSign, ok := refFactor(a)
-		if !ok {
-			continue // collapsed to exact singularity; covered above
+	forEachKernel(t, func(t *testing.T) {
+		src := prng.New(0xaea5)
+		for _, n := range []int{2, 3, 17, 33, 64, 97} {
+			a := randomDense(t, n, n, src)
+			copy(a.Row(n-1), a.Row(0))
+			a.Set(n-1, n/2, a.At(n-1, n/2)+1e-13)
+			want, wantPerm, wantSign, ok := refFactor(a)
+			if !ok {
+				continue // collapsed to exact singularity; covered above
+			}
+			f, err := Factor(a)
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			requireFactorEqual(t, fmt.Sprintf("near-singular LU n=%d", n), f, want, wantPerm, wantSign)
 		}
-		f, err := Factor(a)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		requireFactorEqual(t, fmt.Sprintf("near-singular LU n=%d", n), f, want, wantPerm, wantSign)
-	}
+	})
 }
 
 // TestDifferentialSolveBatch pins SolveBatchInto — aliased and disjoint
 // destinations — bit-exactly to column-by-column SolveInto over a
 // factorization that is itself pinned to the reference.
 func TestDifferentialSolveBatch(t *testing.T) {
-	src := prng.New(0xba7c)
-	t.Run(blockedKernel, func(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		src := prng.New(0xba7c)
 		for _, n := range []int{1, 2, 3, 5, 17, 33, 64, 97} {
-			for _, m := range []int{1, 2, 3, 4, 5, 9, 31} {
+			// Widths around the Go path's 4-column tile and the AVX path's
+			// 16-column tile: a padded tile alone, full tiles alone, and
+			// full tiles followed by a padded one.
+			for _, m := range []int{1, 2, 3, 4, 5, 9, 15, 16, 17, 31, 32, 33} {
 				a := randomDense(t, n, n, src)
 				for i := 0; i < n; i++ {
 					a.Set(i, i, a.At(i, i)+float64(n))
@@ -317,46 +347,122 @@ func TestDifferentialSolveBatch(t *testing.T) {
 	})
 }
 
-// TestDifferentialMulSpecialValues drives Inf, NaN, and negative zero
-// through the multiply kernel: a branchless kernel would turn skipped
-// 0*Inf terms into NaNs, so this is the contract's sharpest edge. NaN
-// entries are compared as "both NaN" rather than by payload — IEEE addition
-// does not specify which operand's NaN payload propagates, so the payload
-// bits depend on the compiler's operand ordering, not on the kernel's term
-// ordering. Every non-NaN entry (including Inf and the sign of zero) must
-// still match bit for bit.
+// TestDifferentialMulSpecialValues drives Inf, NaN, negative zero and
+// subnormals through the multiply kernel, in three fillings:
+//
+//   - value-cycle: every operand entry cycles through the special values, so
+//     nearly every row of a meets a NaN or an Inf.
+//   - specials-in-b: the specials sit sparsely in b, and a holds exact zeros
+//     (both signs) on a different lattice, so some output entries skip every
+//     non-finite term and stay finite. A kernel that let a zero entry of a
+//     reach b would turn those skipped 0*Inf terms into NaNs.
+//   - specials-in-a: every third row of a holds one Inf, -Inf or NaN and the
+//     other rows are finite, and b has zero columns facing them. A NaN in a
+//     must still count (NaN != 0), Inf in a times 0 in b must give NaN, and
+//     the finite rows, tiled with the special ones, must stay finite.
+//
+// 5x6 * 6x7 never fills a 4x8 AVX tile; 9x13 * 13x17 has full tiles and
+// ragged rows and columns. NaN entries are compared as "both NaN" rather
+// than by payload — IEEE addition does not specify which operand's NaN
+// payload propagates, so the payload bits depend on operand ordering, not on
+// the kernel's term ordering. Every non-NaN entry (including Inf and the
+// sign of zero) must still match bit for bit.
 func TestDifferentialMulSpecialValues(t *testing.T) {
-	a := MustNew(5, 6)
-	b := MustNew(6, 7)
-	vals := []float64{0, 1.5, math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), 2e-308}
-	for i := 0; i < a.Rows(); i++ {
-		for j := 0; j < a.Cols(); j++ {
-			a.Set(i, j, vals[(i*a.Cols()+j)%len(vals)])
-		}
-	}
-	for i := 0; i < b.Rows(); i++ {
-		for j := 0; j < b.Cols(); j++ {
-			b.Set(i, j, vals[(i*b.Cols()+j+3)%len(vals)])
-		}
-	}
-	want := MustNew(5, 7)
-	refMulInto(want, a, b)
-	got := MustNew(5, 7)
-	if err := MulInto(got, a, b); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < want.Rows(); i++ {
-		for j := 0; j < want.Cols(); j++ {
-			g, w := got.At(i, j), want.At(i, j)
-			if math.IsNaN(w) {
-				if !math.IsNaN(g) {
-					t.Fatalf("entry (%d,%d) = %g, want NaN", i, j, g)
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	cycle := []float64{0, 1.5, math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), 2e-308}
+	fillings := []struct {
+		name string
+		a, b func(i, j, cols int) float64
+	}{
+		{
+			name: "value-cycle",
+			a:    func(i, j, cols int) float64 { return cycle[(i*cols+j)%len(cycle)] },
+			b:    func(i, j, cols int) float64 { return cycle[(i*cols+j+3)%len(cycle)] },
+		},
+		{
+			name: "specials-in-b",
+			a: func(i, k, _ int) float64 {
+				switch {
+				case (i+k)%3 == 0:
+					return math.Copysign(0, float64(i%2)-0.5)
+				case (i*k)%7 == 3:
+					return 5e-324
 				}
-				continue
-			}
-			if math.Float64bits(g) != math.Float64bits(w) {
-				t.Fatalf("entry (%d,%d) = %x, want %x", i, j, math.Float64bits(g), math.Float64bits(w))
+				return 1.5 - float64((i+k)%5)
+			},
+			b: func(k, j, _ int) float64 {
+				switch {
+				case (k+2*j)%5 == 0:
+					return specials[j%len(specials)]
+				case (k+j)%4 == 1:
+					return math.Copysign(0, -1)
+				case (k*j)%6 == 5:
+					return 2e-308
+				}
+				return float64(k-j) / 3
+			},
+		},
+		{
+			name: "specials-in-a",
+			a: func(i, k, cols int) float64 {
+				switch {
+				case i%3 == 1 && k == (5*i)%cols:
+					return specials[(i/3)%len(specials)]
+				case (i+k)%4 == 0:
+					return math.Copysign(0, float64(k%2)-0.5)
+				case (i*k)%7 == 3:
+					return 5e-324
+				}
+				return float64(i-k) / 4
+			},
+			b: func(k, j, _ int) float64 {
+				switch {
+				case j%3 == 0:
+					return math.Copysign(0, float64(k%2)-0.5)
+				case (k+j)%5 == 2:
+					return 2e-308
+				}
+				return 0.75 + float64((k*j)%6)
+			},
+		},
+	}
+	forEachKernel(t, func(t *testing.T) {
+		for _, f := range fillings {
+			for _, shape := range [][3]int{{5, 6, 7}, {9, 13, 17}} {
+				rows, inner, cols := shape[0], shape[1], shape[2]
+				a := MustNew(rows, inner)
+				b := MustNew(inner, cols)
+				for i := 0; i < rows; i++ {
+					for k := 0; k < inner; k++ {
+						a.Set(i, k, f.a(i, k, inner))
+					}
+				}
+				for k := 0; k < inner; k++ {
+					for j := 0; j < cols; j++ {
+						b.Set(k, j, f.b(k, j, cols))
+					}
+				}
+				want := MustNew(rows, cols)
+				refMulInto(want, a, b)
+				got := MustNew(rows, cols)
+				if err := MulInto(got, a, b); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < rows; i++ {
+					for j := 0; j < cols; j++ {
+						g, w := got.At(i, j), want.At(i, j)
+						if math.IsNaN(w) {
+							if !math.IsNaN(g) {
+								t.Fatalf("%s %v: entry (%d,%d) = %g, want NaN", f.name, shape, i, j, g)
+							}
+							continue
+						}
+						if math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("%s %v: entry (%d,%d) = %x, want %x", f.name, shape, i, j, math.Float64bits(g), math.Float64bits(w))
+						}
+					}
+				}
 			}
 		}
-	}
+	})
 }

@@ -6,8 +6,22 @@
 // formula (the counting core of weighted perfect matching sampling, §1.8).
 //
 // Matrices are dense, row-major float64. The sizes in this repository are
-// n x n for graphs up to a few hundred vertices. Each dense kernel has one
-// sequential implementation — a register-tiled multiply and a column-panel
-// LU — that is bit-exact against the naive loops the differential tests
-// keep as their reference; no SIMD is attempted.
+// n x n for graphs up to a few hundred vertices. Every dense kernel runs
+// sequentially on the calling goroutine and is bit-exact against the naive
+// loops the differential tests keep as their reference.
+//
+// The multiply and the batched solve have two paths with the same bytes: the
+// portable register-tiled Go kernels, and AVX tiles (4x8 output tiles for
+// the multiply, 16 columns per tile for the solve). The kernel contract
+// both follow:
+//   - one multiply and one add (or subtract) per term, each rounded, in the
+//     reference's order; the AVX tiles never use FMA, whose single rounding
+//     changes bytes;
+//   - a multiply term with a[i][k] == 0 is skipped: the Go kernel branches,
+//     the AVX tile masks the product to +0 (VCMPPD NEQ_UQ, then VANDPD), so
+//     0*Inf never reaches the output;
+//   - the path is chosen once, at package init, from CPUID (OSXSAVE and AVX)
+//     and XGETBV (the OS saves YMM state). There is no flag, env var or
+//     option; off amd64 or without AVX the Go kernels are the only path, and
+//     Kernel reports which one runs. The LU factorization has one path.
 package matrix

@@ -1,22 +1,64 @@
 package matrix
 
+// useAVX selects the AVX tiles for the multiply and the batched solve. It is
+// set once, at package init, from the CPU's feature bits; tests flip it to
+// run the portable Go kernels on the same host.
+var useAVX = haveAVX
+
+// Kernel names the dense-kernel path this process runs: "avx" or "go".
+func Kernel() string {
+	if useAVX {
+		return "avx"
+	}
+	return "go"
+}
+
 // mulRows computes out = a*b, overwriting every row of out. Shapes are
 // already validated and out aliases neither operand.
 //
-// The kernel is register-tiled: 4x2 output tiles held in registers across
-// the whole k loop, so the 16 flops per k cost six loads and no stores. A
-// column pair of b is one stride-w walk per tile row-quad (w*8-byte stride,
-// n cache lines — L1-resident through n=512, and the next three column pairs
-// hit the same lines). Per output element (i, j) the value is the sum of
-// a[i][k]*b[k][j] over ascending k, skipping terms with a[i][k] == 0; this
-// operation sequence is the package's bit-exactness contract, which the
-// differential tests pin against a naive reference. The per-(row, k)
-// `f != 0` branches are what keep zero entries of a from ever touching
-// Inf/NaN in b, which a branchless formulation would get wrong. (The one
-// carve-out: when an input already holds NaN, the output entry is NaN but
-// its payload bits follow the compiler's operand ordering, which IEEE
-// addition leaves unspecified.)
+// Per output element (i, j) the value is the sum of a[i][k]*b[k][j] over
+// ascending k, skipping terms with a[i][k] == 0: one multiply and one add per
+// term, each rounded, never fused. This operation sequence is the package's
+// bit-exactness contract, which the differential tests pin against a naive
+// reference on both paths. The skip is what keeps zero entries of a from
+// ever touching Inf/NaN in b. (The one carve-out: when an input already
+// holds NaN, the output entry is NaN but its payload bits follow operand
+// ordering, which IEEE addition leaves unspecified.)
 func mulRows(out, a, b *Matrix) {
+	if useAVX && a.rows >= 4 && b.cols >= 8 {
+		mulTilesAVX(out, a, b)
+		return
+	}
+	mulRowsGo(out, a, b)
+}
+
+// mulTilesAVX covers out with 4x8 tiles, eight YMM accumulators each, held
+// across the whole k loop. Each lane runs mulRowsGo's sequence: VMULPD, then
+// VADDPD, in ascending k. The a[i][k] != 0 branch becomes a mask (VCMPPD
+// NEQ_UQ, then VANDPD on the product), so a skipped term adds +0; an
+// accumulator starts at +0 and so is never -0, which makes adding +0 leave it
+// bit-identical. A ragged last tile row or column is shifted back to end at
+// the edge: the elements it shares with its neighbour are recomputed to the
+// same bits. The caller guarantees at least 4 rows and 8 columns.
+func mulTilesAVX(out, a, b *Matrix) {
+	n, w, rows := a.cols, b.cols, a.rows
+	for i := 0; i < rows; i += 4 {
+		i = min(i, rows-4)
+		for j := 0; j < w; j += 8 {
+			j = min(j, w-8)
+			mul4x8AVX(&out.data[i*w+j], &a.data[i*n], &b.data[j], n, n, w, w)
+		}
+	}
+}
+
+// mulRowsGo is the portable kernel, the only path off amd64 or without AVX.
+// It is register-tiled: 4x2 output tiles held in registers across the whole
+// k loop, so the 16 flops per k cost six loads and no stores. A column pair
+// of b is one stride-w walk per tile row-quad (w*8-byte stride, n cache
+// lines — L1-resident through n=512, and the next three column pairs hit the
+// same lines). The per-(row, k) `f != 0` branches are the skip of the
+// contract above.
+func mulRowsGo(out, a, b *Matrix) {
 	n := a.cols
 	w := b.cols
 	bd := b.data

@@ -1,0 +1,201 @@
+#include "textflag.h"
+
+// func cpuidECX1() uint32
+TEXT ·cpuidECX1(SB), NOSPLIT, $0-4
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	MOVL CX, ret+0(FP)
+	RET
+
+// func xgetbvLow() uint32
+TEXT ·xgetbvLow(SB), NOSPLIT, $0-4
+	XORL CX, CX
+	XGETBV
+	MOVL AX, ret+0(FP)
+	RET
+
+// One k step of one tile row: broadcast a[row][k] into Y11, mask the two
+// products with (a != 0) and add them to the row's accumulators. A skipped
+// term adds +0, which leaves every accumulator bit unchanged (it starts at
+// +0, so it is never -0).
+#define MULROW(arow, acc0, acc1) \
+	VBROADCASTSD (arow)(BX*8), Y11 \
+	VCMPPD       $4, Y10, Y11, Y12 \
+	VMULPD       Y8, Y11, Y13      \
+	VMULPD       Y9, Y11, Y14      \
+	VANDPD       Y12, Y13, Y13     \
+	VANDPD       Y12, Y14, Y14     \
+	VADDPD       Y13, acc0, acc0   \
+	VADDPD       Y14, acc1, acc1
+
+// func mul4x8AVX(c, a, b *float64, n, lda, ldb, ldc int)
+//
+// c[r][0:8] = sum over k in [0, n) of a[r][k]*b[k][0:8] for r in [0, 4),
+// skipping terms with a[r][k] == 0. Leading dimensions are in elements.
+TEXT ·mul4x8AVX(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
+	MOVQ lda+32(FP), R8
+	MOVQ ldb+40(FP), R9
+	MOVQ ldc+48(FP), R10
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+	LEAQ (SI)(R8*1), R11
+	LEAQ (R11)(R8*1), R12
+	LEAQ (R12)(R8*1), R13
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y10, Y10, Y10
+	XORQ BX, BX
+
+mulloop:
+	VMOVUPD (DX), Y8
+	VMOVUPD 32(DX), Y9
+	MULROW(SI, Y0, Y1)
+	MULROW(R11, Y2, Y3)
+	MULROW(R12, Y4, Y5)
+	MULROW(R13, Y6, Y7)
+	ADDQ R9, DX
+	INCQ BX
+	CMPQ BX, CX
+	JLT  mulloop
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ    R10, DI
+	VMOVUPD Y2, (DI)
+	VMOVUPD Y3, 32(DI)
+	ADDQ    R10, DI
+	VMOVUPD Y4, (DI)
+	VMOVUPD Y5, 32(DI)
+	ADDQ    R10, DI
+	VMOVUPD Y6, (DI)
+	VMOVUPD Y7, 32(DI)
+	VZEROUPPER
+	RET
+
+// Multiply the 16 lanes at (xk) by the broadcast factor Y4 into Y5..Y8.
+#define MUL16(xk) \
+	VMULPD (xk), Y4, Y5   \
+	VMULPD 32(xk), Y4, Y6 \
+	VMULPD 64(xk), Y4, Y7 \
+	VMULPD 96(xk), Y4, Y8
+
+// func solve16AVX(lu, x *float64, n, ldlu, ldx int)
+//
+// Forward then back substitution on the 16 columns starting at x, against
+// the packed unit-lower L and upper U in lu, with SolveInto's per-column
+// operation sequence: forward s = sum_{k<i} L[i][k]*x[k] from +0 in
+// ascending k, then x[i] -= s; back s = x[i], s -= U[i][k]*x[k] for
+// ascending k > i, then x[i] = s / U[i][i].
+TEXT ·solve16AVX(SB), NOSPLIT, $0-40
+	MOVQ lu+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ ldlu+24(FP), R8
+	MOVQ ldx+32(FP), R9
+	SHLQ $3, R8
+	SHLQ $3, R9
+
+	// Forward substitution, rows 1..n-1.
+	MOVQ $1, R10
+	LEAQ (DI)(R8*1), R11 // &L[i][0]
+	LEAQ (SI)(R9*1), R12 // &x[i][0]
+	CMPQ R10, CX
+	JGE  back
+
+fwdrow:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   SI, R13
+	XORQ   BX, BX
+
+fwdk:
+	VBROADCASTSD (R11)(BX*8), Y4
+	MUL16(R13)
+	VADDPD       Y5, Y0, Y0
+	VADDPD       Y6, Y1, Y1
+	VADDPD       Y7, Y2, Y2
+	VADDPD       Y8, Y3, Y3
+	ADDQ         R9, R13
+	INCQ         BX
+	CMPQ         BX, R10
+	JLT          fwdk
+
+	VMOVUPD (R12), Y5
+	VMOVUPD 32(R12), Y6
+	VMOVUPD 64(R12), Y7
+	VMOVUPD 96(R12), Y8
+	VSUBPD  Y0, Y5, Y5
+	VSUBPD  Y1, Y6, Y6
+	VSUBPD  Y2, Y7, Y7
+	VSUBPD  Y3, Y8, Y8
+	VMOVUPD Y5, (R12)
+	VMOVUPD Y6, 32(R12)
+	VMOVUPD Y7, 64(R12)
+	VMOVUPD Y8, 96(R12)
+	ADDQ    R8, R11
+	ADDQ    R9, R12
+	INCQ    R10
+	CMPQ    R10, CX
+	JLT     fwdrow
+
+back:
+	// Back substitution, rows n-1..0. Whether or not the forward loop ran,
+	// R11 and R12 now point at row n of lu and x: step back one row.
+	MOVQ CX, R10
+	DECQ R10
+	SUBQ R8, R11
+	SUBQ R9, R12
+
+backrow:
+	VMOVUPD (R12), Y0
+	VMOVUPD 32(R12), Y1
+	VMOVUPD 64(R12), Y2
+	VMOVUPD 96(R12), Y3
+	LEAQ    (R12)(R9*1), R13
+	LEAQ    1(R10), BX
+	CMPQ    BX, CX
+	JGE     backdiv
+
+backk:
+	VBROADCASTSD (R11)(BX*8), Y4
+	MUL16(R13)
+	VSUBPD       Y5, Y0, Y0
+	VSUBPD       Y6, Y1, Y1
+	VSUBPD       Y7, Y2, Y2
+	VSUBPD       Y8, Y3, Y3
+	ADDQ         R9, R13
+	INCQ         BX
+	CMPQ         BX, CX
+	JLT          backk
+
+backdiv:
+	VBROADCASTSD (R11)(R10*8), Y4
+	VDIVPD       Y4, Y0, Y0
+	VDIVPD       Y4, Y1, Y1
+	VDIVPD       Y4, Y2, Y2
+	VDIVPD       Y4, Y3, Y3
+	VMOVUPD      Y0, (R12)
+	VMOVUPD      Y1, 32(R12)
+	VMOVUPD      Y2, 64(R12)
+	VMOVUPD      Y3, 96(R12)
+	SUBQ         R8, R11
+	SUBQ         R9, R12
+	DECQ         R10
+	JGE          backrow
+
+	VZEROUPPER
+	RET

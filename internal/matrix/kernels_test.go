@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -8,78 +9,95 @@ import (
 	"repro/internal/prng"
 )
 
-// TestMulIntoMatchesMul: the allocation-lean kernel is the same computation
-// as Mul, bit for bit, including on a dirty (reused) destination.
+// TestMulIntoMatchesMul: on each kernel path the allocation-lean kernel is
+// the same computation as Mul and as the naive reference, bit for bit,
+// including on a dirty (reused) destination.
 func TestMulIntoMatchesMul(t *testing.T) {
-	src := prng.New(11)
-	for trial := 0; trial < 20; trial++ {
-		r := 1 + src.Intn(12)
-		k := 1 + src.Intn(12)
-		c := 1 + src.Intn(12)
-		a := randomMatrix(r, k, src)
-		b := randomMatrix(k, c, src)
-		want, err := a.Mul(b)
-		if err != nil {
-			t.Fatal(err)
+	forEachKernel(t, func(t *testing.T) {
+		src := prng.New(11)
+		for trial := 0; trial < 40; trial++ {
+			r := 1 + src.Intn(20)
+			k := 1 + src.Intn(20)
+			c := 1 + src.Intn(20)
+			a := randomMatrix(r, k, src)
+			b := randomMatrix(k, c, src)
+			want, err := a.Mul(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := MustNew(r, c)
+			refMulInto(ref, a, b)
+			requireBitEqual(t, fmt.Sprintf("trial %d: Mul", trial), want, ref)
+			dst := randomMatrix(r, c, src) // dirty on purpose
+			if err := MulInto(dst, a, b); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(dst.data, want.data) {
+				t.Fatalf("trial %d: MulInto differs from Mul", trial)
+			}
 		}
-		dst := randomMatrix(r, c, src) // dirty on purpose
-		if err := MulInto(dst, a, b); err != nil {
-			t.Fatal(err)
+		// Shape and aliasing guards.
+		a := randomMatrix(3, 4, src)
+		b := randomMatrix(4, 2, src)
+		if err := MulInto(MustNew(2, 2), a, b); err == nil {
+			t.Error("wrong-shape dst accepted")
 		}
-		if !reflect.DeepEqual(dst.data, want.data) {
-			t.Fatalf("trial %d: MulInto differs from Mul", trial)
+		sq := randomMatrix(3, 3, src)
+		if err := MulInto(sq, sq, randomMatrix(3, 3, src)); err == nil {
+			t.Error("aliased dst accepted")
 		}
-	}
-	// Shape and aliasing guards.
-	a := randomMatrix(3, 4, src)
-	b := randomMatrix(4, 2, src)
-	if err := MulInto(MustNew(2, 2), a, b); err == nil {
-		t.Error("wrong-shape dst accepted")
-	}
-	sq := randomMatrix(3, 3, src)
-	if err := MulInto(sq, sq, randomMatrix(3, 3, src)); err == nil {
-		t.Error("aliased dst accepted")
-	}
+	})
 }
 
 // TestSolveIntoMatchesSolve covers the in-place solve, including the
-// rhs-aliases-solution mode the Schur column sweeps use.
+// rhs-aliases-solution mode the Schur column sweeps use, and pins a
+// one-column SolveBatchInto on each kernel path to it bit for bit.
 func TestSolveIntoMatchesSolve(t *testing.T) {
-	src := prng.New(7)
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + src.Intn(10)
-		a := randomMatrix(n, n, src)
-		for i := 0; i < n; i++ {
-			a.Add(i, i, float64(n)) // diagonally dominant: never singular
+	forEachKernel(t, func(t *testing.T) {
+		src := prng.New(7)
+		for trial := 0; trial < 20; trial++ {
+			n := 1 + src.Intn(10)
+			a := randomMatrix(n, n, src)
+			for i := 0; i < n; i++ {
+				a.Add(i, i, float64(n)) // diagonally dominant: never singular
+			}
+			f, err := Factor(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := make([]float64, n)
+			for i := range b {
+				b[i] = src.Float64()
+			}
+			want, err := f.Solve(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]float64, n)
+			if err := f.SolveInto(got, b); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: SolveInto differs from Solve", trial)
+			}
+			// Aliased: solve in place on a copy of b.
+			inPlace := append([]float64(nil), b...)
+			if err := f.SolveInto(inPlace, inPlace); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(inPlace, want) {
+				t.Fatalf("trial %d: aliased SolveInto differs from Solve", trial)
+			}
+			batch := MustNew(n, 1)
+			copy(batch.data, b)
+			if err := f.SolveBatchInto(batch, batch); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(batch.data, want) {
+				t.Fatalf("trial %d: one-column SolveBatchInto differs from Solve", trial)
+			}
 		}
-		f, err := Factor(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = src.Float64()
-		}
-		want, err := f.Solve(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]float64, n)
-		if err := f.SolveInto(got, b); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: SolveInto differs from Solve", trial)
-		}
-		// Aliased: solve in place on a copy of b.
-		inPlace := append([]float64(nil), b...)
-		if err := f.SolveInto(inPlace, inPlace); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(inPlace, want) {
-			t.Fatalf("trial %d: aliased SolveInto differs from Solve", trial)
-		}
-	}
+	})
 }
 
 // TestFactorScratchMatchesFactor: pooled factorization is the same

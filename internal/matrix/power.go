@@ -40,9 +40,10 @@ func (m *Matrix) Pow(k int) (*Matrix, error) {
 // exceeding x, i.e. floor(x/delta)*delta. This is the round(.) operation of
 // Lemma 7: it introduces only subtractive (negative additive) error of at
 // most delta per entry, which is the property the paper's error analysis
-// depends on. Negative entries are clamped toward zero magnitude is not
-// needed here because transition matrices are non-negative; TruncateDown
-// still floors them for robustness. It returns m for chaining.
+// depends on. Transition matrices are non-negative, but a negative entry is
+// floored the same way (away from zero, e.g. -0.3 with delta 0.25 becomes
+// -0.5), so the error stays subtractive everywhere. It returns m for
+// chaining.
 func (m *Matrix) TruncateDown(delta float64) *Matrix {
 	if delta <= 0 {
 		return m

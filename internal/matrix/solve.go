@@ -288,12 +288,48 @@ func (f *LU) SolveBatchInto(x, b *Matrix) error {
 }
 
 // solveColumns runs forward and back substitution on every column of the
-// already row-permuted x, four columns per register tile. Per column the
-// arithmetic matches SolveInto exactly: the dot product accumulates in a
-// register over ascending indices and is applied in one subtraction (forward)
-// or folded into one division (back) — never term-by-term into memory, which
-// would round differently.
+// already row-permuted x. Per column the arithmetic matches SolveInto
+// exactly: the dot product accumulates in a register over ascending indices
+// and is applied in one subtraction (forward) or folded into one division
+// (back) — never term-by-term into memory, which would round differently.
 func solveColumns(lu, x *Matrix) {
+	if useAVX {
+		solveColumnsAVX(lu, x)
+		return
+	}
+	solveColumnsGo(lu, x)
+}
+
+// avxSolveTile is the AVX solve's column tile: four YMM registers, one lane
+// per column.
+const avxSolveTile = 16
+
+// solveColumnsAVX substitutes 16 columns per tile, one lane per column,
+// each lane running SolveInto's sequence. The remaining columns go through
+// one tile on a zero-padded scratch copy: the solve is in place, so a tile
+// shifted back over already-solved columns would solve them twice.
+func solveColumnsAVX(lu, x *Matrix) {
+	n, cols := lu.rows, x.cols
+	j := 0
+	for ; j+avxSolveTile <= cols; j += avxSolveTile {
+		solve16AVX(&lu.data[0], &x.data[j], n, n, cols)
+	}
+	if j == cols {
+		return
+	}
+	pad := Scratch(n, avxSolveTile)
+	for i := 0; i < n; i++ {
+		copy(pad.Row(i), x.Row(i)[j:])
+	}
+	solve16AVX(&lu.data[0], &pad.data[0], n, n, avxSolveTile)
+	for i := 0; i < n; i++ {
+		copy(x.Row(i)[j:], pad.Row(i))
+	}
+	pad.Release()
+}
+
+// solveColumnsGo is the portable path: four columns per register tile.
+func solveColumnsGo(lu, x *Matrix) {
 	n := lu.rows
 	cols := x.cols
 	j := 0

@@ -103,7 +103,7 @@ func ReplayDyadicTable(sim *clique.Sim, backend Backend, pd *matrix.PowerDyadic)
 		return err
 	}
 	for e := 1; e < len(pd.Pows); e++ {
-		if err := sim.ChargeRounds(backend.CostRounds(d), "fast-matmul"); err != nil {
+		if err := sim.ChargeRounds(backend.CostRounds(d), clique.ChargeFastMatmul); err != nil {
 			return err
 		}
 		if err := sim.ChargeSuperstep("mm/column-distribute", d, words); err != nil {
@@ -124,7 +124,7 @@ func ChargeSchurShortcutBuild(sim *clique.Sim, backend Backend, n, maxExp int) e
 	if backend == nil {
 		return fmt.Errorf("mm: nil backend")
 	}
-	return sim.ChargeRounds(maxExp*backend.CostRounds(2*n), "schur+shortcut")
+	return sim.ChargeRounds(maxExp*backend.CostRounds(2*n), clique.ChargeSchurShortcut)
 }
 
 // distributeColumns performs the Algorithm 1 step 3 all-to-all for one

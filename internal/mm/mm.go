@@ -120,7 +120,7 @@ func (Fast) Mul(sim *clique.Sim, a, b *matrix.Matrix) (*matrix.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := sim.ChargeRounds(RoundsFast(d), "fast-matmul"); err != nil {
+	if err := sim.ChargeRounds(RoundsFast(d), clique.ChargeFastMatmul); err != nil {
 		return nil, err
 	}
 	// The product comes from the scratch pool so that short-lived products

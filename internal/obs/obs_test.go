@@ -2,10 +2,13 @@ package obs
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestBucketBoundsShape(t *testing.T) {
@@ -109,6 +112,18 @@ func TestTraceSpansAndSnapshot(t *testing.T) {
 	sp.SetInt("rounds", 7)
 	sp.SetInt("words", 900)
 	sp.End()
+	// More than maxAttrs distinct keys across the trace: each span refers to
+	// its own keys in the trace's interned list, and a fifth attribute on
+	// one span is dropped.
+	wide := tr.StartSpan("wide")
+	for i, k := range []string{"a", "b", "words", "c", "d"} {
+		wide.SetInt(k, int64(10+i))
+	}
+	wide.End()
+	tail := tr.StartSpan("tail")
+	tail.SetInt("e", -1)
+	tail.SetInt("rounds", 8)
+	tail.End()
 	tr.Finish()
 
 	snaps := tc.Snapshot(0)
@@ -116,15 +131,53 @@ func TestTraceSpansAndSnapshot(t *testing.T) {
 		t.Fatalf("snapshot returned %d traces, want 1", len(snaps))
 	}
 	s := snaps[0]
-	if s.ID != "req-42" || !s.Complete || len(s.Spans) != 1 {
+	if s.ID != "req-42" || !s.Complete || len(s.Spans) != 3 {
 		t.Fatalf("unexpected trace snapshot: %+v", s)
 	}
-	span := s.Spans[0]
-	if span.Name != "step" || span.Attrs["rounds"] != 7 || span.Attrs["words"] != 900 {
-		t.Errorf("unexpected span: %+v", span)
+	want := []SpanSnapshot{
+		{Name: "step", Attrs: map[string]int64{"rounds": 7, "words": 900}},
+		{Name: "wide", Attrs: map[string]int64{"a": 10, "b": 11, "words": 12, "c": 13}},
+		{Name: "tail", Attrs: map[string]int64{"e": -1, "rounds": 8}},
 	}
-	if span.DurationUS < 0 {
-		t.Errorf("negative span duration %g", span.DurationUS)
+	for i, span := range s.Spans {
+		if span.Name != want[i].Name || !reflect.DeepEqual(span.Attrs, want[i].Attrs) {
+			t.Errorf("span %d = %+v, want name %q attrs %v", i, span, want[i].Name, want[i].Attrs)
+		}
+		if span.DurationUS < 0 {
+			t.Errorf("span %d: negative duration %g", i, span.DurationUS)
+		}
+	}
+}
+
+// TestTraceKeyLimit: a trace interns at most 256 distinct attribute keys;
+// an attribute with a key past that is dropped, while known keys still land.
+func TestTraceKeyLimit(t *testing.T) {
+	tc := NewTracer(1, 1)
+	tr := tc.StartForced("keys", "")
+	for i := 0; i < 300; i++ {
+		sp := tr.StartSpan("s")
+		sp.SetInt(fmt.Sprintf("k%d", i), int64(i))
+		sp.SetInt("k0", -1)
+		sp.End()
+	}
+	tr.Finish()
+	for i, span := range tc.Snapshot(1)[0].Spans {
+		want := map[string]int64{"k0": -1}
+		if i > 0 && i < 256 {
+			want[fmt.Sprintf("k%d", i)] = int64(i)
+		}
+		if !reflect.DeepEqual(span.Attrs, want) {
+			t.Fatalf("span %d attrs = %v, want %v", i, span.Attrs, want)
+		}
+	}
+}
+
+// TestSpanRecSize pins the span record's size: a traced request keeps up to
+// DefaultMaxSpans of them for as long as it stays in the ring, so the record
+// size sets how far the daemon's heap grows with traffic.
+func TestSpanRecSize(t *testing.T) {
+	if got := unsafe.Sizeof(spanRec{}); got > 72 {
+		t.Errorf("spanRec is %d bytes, want at most 72", got)
 	}
 }
 

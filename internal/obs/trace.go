@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -143,23 +144,23 @@ func (t *Tracer) Snapshot(limit int) []TraceSnapshot {
 	return out
 }
 
-// attr is one key/int64 span attribute. Integer-valued attributes cover
-// everything the sampling path reports (rounds, words, indices, hit flags)
-// without interface boxing.
-type attr struct {
-	key string
-	val int64
-}
+// maxAttrs is the number of integer attributes one span can carry.
+// Integer-valued attributes cover everything the sampling path reports
+// (rounds, words, indices, hit flags) without interface boxing.
+const maxAttrs = 4
 
 // spanRec is one recorded span, stored flat in the trace (offsets from the
 // trace start, a fixed attribute array) to keep tracing allocation-lean:
-// appending a span moves no pointers and boxing nothing.
+// appending a span moves no pointers and boxes nothing. An attribute's key
+// is an index into the trace's interned key list, so a record is 72 bytes,
+// and a full trace of DefaultMaxSpans spans about 144 KB of live heap.
 type spanRec struct {
 	name       string
 	start, end time.Duration
+	vals       [maxAttrs]int64
+	keys       [maxAttrs]uint8
+	nattrs     uint8
 	done       bool
-	attrs      [4]attr
-	nattrs     int
 }
 
 // Trace is one sampled request's span collection. Create via Tracer; nil
@@ -177,8 +178,11 @@ type Trace struct {
 	full    atomic.Bool
 	dropped atomic.Int64
 
-	mu       sync.Mutex
-	spans    []spanRec
+	mu    sync.Mutex
+	spans []spanRec
+	// keys interns the attribute keys of every span in the trace; a
+	// spanRec refers to them by index. At most 256 distinct keys fit.
+	keys     []string
 	finished bool
 	dur      time.Duration
 }
@@ -213,8 +217,9 @@ func (tr *Trace) StartSpan(name string) Span {
 	return Span{tr: tr, idx: int32(len(tr.spans))}
 }
 
-// Finish marks the trace complete and freezes its duration. Idempotent;
-// safe on nil.
+// Finish marks the trace complete and freezes its duration, and trims the
+// span slice to its length, so the ring does not hold append's spare
+// capacity for as long as the trace stays in it. Idempotent; safe on nil.
 func (tr *Trace) Finish() {
 	if tr == nil {
 		return
@@ -224,8 +229,26 @@ func (tr *Trace) Finish() {
 	if !tr.finished {
 		tr.finished = true
 		tr.dur = d
+		if cap(tr.spans) > len(tr.spans) {
+			tr.spans = append([]spanRec(nil), tr.spans...)
+		}
 	}
 	tr.mu.Unlock()
+}
+
+// keyIndex returns key's index in the trace's interned key list, adding it
+// if new. ok is false once 256 distinct keys are taken. Callers hold tr.mu.
+func (tr *Trace) keyIndex(key string) (idx uint8, ok bool) {
+	for i, k := range tr.keys {
+		if k == key {
+			return uint8(i), true
+		}
+	}
+	if len(tr.keys) > math.MaxUint8 {
+		return 0, false
+	}
+	tr.keys = append(tr.keys, key)
+	return uint8(len(tr.keys) - 1), true
 }
 
 func (tr *Trace) snapshot() TraceSnapshot {
@@ -257,8 +280,8 @@ func (tr *Trace) snapshot() TraceSnapshot {
 		}
 		if rec.nattrs > 0 {
 			ss.Attrs = make(map[string]int64, rec.nattrs)
-			for _, a := range rec.attrs[:rec.nattrs] {
-				ss.Attrs[a.key] = a.val
+			for a := uint8(0); a < rec.nattrs; a++ {
+				ss.Attrs[tr.keys[rec.keys[a]]] = rec.vals[a]
 			}
 		}
 		s.Spans[i] = ss
@@ -275,16 +298,20 @@ type Span struct {
 }
 
 // SetInt attaches an integer attribute (rounds, words, sample index, ...).
-// Attributes beyond the span's fixed capacity are dropped.
+// Attributes beyond the span's fixed capacity, or past the trace's 256
+// distinct keys, are dropped.
 func (sp Span) SetInt(key string, v int64) {
 	if sp.tr == nil {
 		return
 	}
 	sp.tr.mu.Lock()
 	rec := &sp.tr.spans[sp.idx-1]
-	if rec.nattrs < len(rec.attrs) {
-		rec.attrs[rec.nattrs] = attr{key: key, val: v}
-		rec.nattrs++
+	if rec.nattrs < maxAttrs {
+		if k, ok := sp.tr.keyIndex(key); ok {
+			rec.keys[rec.nattrs] = k
+			rec.vals[rec.nattrs] = v
+			rec.nattrs++
+		}
 	}
 	sp.tr.mu.Unlock()
 }
