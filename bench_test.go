@@ -1,9 +1,9 @@
 package spantree
 
-// One benchmark per experiment in the DESIGN.md index (the paper is a
-// theory contribution with no measured tables; the experiments reproduce
-// its theorems, lemmas, corollaries and worked figures — see DESIGN.md §3
-// and EXPERIMENTS.md). Each benchmark reports the headline quantity of its
+// One benchmark per experiment of the evaluation suite in
+// internal/experiments (the paper is a theory contribution with no measured
+// tables; the experiments reproduce its theorems, lemmas, corollaries and
+// worked figures, one runner each). Each benchmark reports the headline quantity of its
 // experiment via b.ReportMetric (simulated rounds, TV distances, load
 // bounds), so `go test -bench=.` regenerates the whole evaluation in
 // miniature; `go run ./cmd/experiments -full` prints the full tables.

@@ -8,7 +8,10 @@
 //     that exist, so the docs cannot silently rot as files move;
 //   - every internal package must appear in ARCHITECTURE.md's layer map
 //     (as "internal/<name>"), so a new subsystem cannot land without a
-//     place in the documented architecture.
+//     place in the documented architecture;
+//   - every upper-case doc name (README.md and the like) a Go file mentions must exist
+//     at the repo root or next to that file, so comments cannot point
+//     readers at documents that are not there.
 //
 // Usage:
 //
@@ -34,6 +37,7 @@ func main() {
 	failures = append(failures, checkDocFiles(*root)...)
 	failures = append(failures, checkMarkdownLinks(*root)...)
 	failures = append(failures, checkLayerMap(*root)...)
+	failures = append(failures, checkGoDocNames(*root)...)
 	if len(failures) > 0 {
 		for _, f := range failures {
 			fmt.Fprintln(os.Stderr, "docslint:", f)
@@ -91,6 +95,53 @@ func checkLayerMap(root string) []string {
 		}
 	}
 	return failures
+}
+
+// docName matches an upper-case markdown doc name such as README.md.
+var docName = regexp.MustCompile(`\b[A-Z][A-Z0-9_]*\.md\b`)
+
+// checkGoDocNames resolves every doc name mentioned in a Go file (comments,
+// strings and flag help alike) against the repo root and the file's own
+// directory. Hidden directories (build caches, VCS metadata) are skipped.
+func checkGoDocNames(root string) []string {
+	var failures []string
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, name := range docName.FindAllString(line, -1) {
+				if exists(filepath.Join(root, name)) || exists(filepath.Join(filepath.Dir(path), name)) {
+					continue
+				}
+				rel, _ := filepath.Rel(root, path)
+				failures = append(failures, fmt.Sprintf("%s:%d: dangling doc name %s (no such file at the repo root or next to the file)", rel, i+1, name))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		failures = append(failures, fmt.Sprintf("walking Go files: %v", err))
+	}
+	return failures
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 // mdLink matches [text](target); target is captured up to the closing paren.

@@ -119,7 +119,6 @@ import (
 
 	spantree "repro"
 	"repro/client"
-	"repro/internal/faultinject"
 	"repro/internal/graph"
 	"repro/internal/matrix"
 	"repro/internal/obs"
@@ -157,14 +156,6 @@ func run() error {
 
 	if (*tlsCert == "") != (*tlsKey == "") {
 		return errors.New("-tls-cert and -tls-key must be set together")
-	}
-	if spec := os.Getenv("SPANTREED_FAULT"); spec != "" {
-		// Chaos-smoke hook: arm fault-injection points from the environment
-		// (internal/faultinject syntax). Test harness only — injection is
-		// zero-cost when the variable is unset.
-		if err := faultinject.Configure(spec); err != nil {
-			return err
-		}
 	}
 
 	token := *authToken

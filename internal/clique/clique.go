@@ -1,7 +1,6 @@
 package clique
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -215,37 +214,6 @@ func (s *Sim) ChargeRounds(k int, step string) error {
 	return nil
 }
 
-// ChargeSuperstep records the accounting of a superstep whose dataflow is
-// known without being re-executed, for replaying cached computations (see
-// mm.ReplayDyadicTable): rounds are charged from the per-machine word load
-// exactly as Superstep charges them, the superstep and word counters advance
-// identically, and inboxes are cleared just as a real superstep emitting no
-// forward messages would leave them. The trace entry (when enabled) records
-// maxLoad as both send and receive load.
-func (s *Sim) ChargeSuperstep(name string, maxLoad int, totalWords int64) error {
-	if maxLoad < 0 || totalWords < 0 {
-		return fmt.Errorf("clique: negative superstep charge (%d load, %d words)", maxLoad, totalWords)
-	}
-	rounds := roundsFor(maxLoad, s.n)
-	s.clearInboxes()
-	s.rounds += rounds
-	s.supersteps++
-	s.totalWords += totalWords
-	if s.traceStats {
-		s.stats = append(s.stats, StepStat{
-			Name:       name,
-			Rounds:     rounds,
-			MaxSend:    maxLoad,
-			MaxRecv:    maxLoad,
-			TotalWords: int(totalWords),
-		})
-	}
-	if s.trace != nil {
-		endStepSpan(s.TraceSpan(name), rounds, totalWords)
-	}
-	return nil
-}
-
 // Superstep runs one bulk-synchronous step: every machine's fn consumes its
 // inbox and produces outgoing messages; the simulator validates
 // destinations, charges rounds from the maximum per-machine send/receive
@@ -368,26 +336,6 @@ func (s *Sim) clearInboxes() {
 		s.inboxes[i] = nil
 	}
 	s.inboxDirty = false
-}
-
-// ErrStopped is returned by RunUntil's body to terminate iteration without
-// error.
-var ErrStopped = errors.New("clique: iteration stopped")
-
-// RunUntil repeatedly invokes body (which typically performs one or more
-// supersteps) until it returns ErrStopped (converted to nil), another error,
-// or maxIters is exhausted (an error).
-func (s *Sim) RunUntil(maxIters int, body func(iter int) error) error {
-	for iter := 0; iter < maxIters; iter++ {
-		err := body(iter)
-		if errors.Is(err, ErrStopped) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return fmt.Errorf("clique: RunUntil did not converge within %d iterations", maxIters)
 }
 
 // Broadcast delivers the same words from machine `from` to every machine

@@ -222,30 +222,6 @@ func TestBroadcastLarge(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	s := MustNew(2)
-	count := 0
-	err := s.RunUntil(10, func(iter int) error {
-		count++
-		if iter == 3 {
-			return ErrStopped
-		}
-		return nil
-	})
-	if err != nil || count != 4 {
-		t.Errorf("RunUntil = %v after %d iters, want nil after 4", err, count)
-	}
-	err = s.RunUntil(2, func(iter int) error { return nil })
-	if err == nil {
-		t.Error("expected non-convergence error")
-	}
-	sentinel := errors.New("inner")
-	err = s.RunUntil(5, func(iter int) error { return sentinel })
-	if !errors.Is(err, sentinel) {
-		t.Errorf("inner error not propagated: %v", err)
-	}
-}
-
 func TestTraceStats(t *testing.T) {
 	s := MustNew(3)
 	s.EnableTrace()

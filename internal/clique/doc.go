@@ -14,8 +14,8 @@
 // rounds — a superstep that moves at most L words in or out of any single
 // machine is charged ceil(L/n) rounds (minimum 1). Constant factors are
 // deliberately normalized to 1 so that scaling experiments expose exponents
-// rather than implementation constants; EXPERIMENTS.md compares shapes, not
-// absolute round counts.
+// rather than implementation constants; the experiments (internal/experiments)
+// compare shapes, not absolute round counts.
 //
 // # Execution model
 //

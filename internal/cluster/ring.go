@@ -103,15 +103,6 @@ func (r *Ring) Endpoints() []string { return r.endpoints }
 // Len returns the number of member endpoints.
 func (r *Ring) Len() int { return len(r.endpoints) }
 
-// Owner returns the endpoint owning key, or "" on an empty ring.
-func (r *Ring) Owner(key string) string {
-	eps := r.Replicas(key, 1)
-	if len(eps) == 0 {
-		return ""
-	}
-	return eps[0]
-}
-
 // Replicas returns up to n distinct endpoints for key in failover order: the
 // owner first, then each next distinct endpoint clockwise. Every member of
 // the cluster computes the same list, which is what lets a client fail over
@@ -134,18 +125,6 @@ func (r *Ring) Replicas(key string, n int) []string {
 		}
 		seen[ep] = struct{}{}
 		out = append(out, ep)
-	}
-	return out
-}
-
-// Distribution counts keys[i]'s owners — a balance diagnostic for tests and
-// the router's /metrics (exposed as keys-per-peer).
-func (r *Ring) Distribution(keys []string) map[string]int {
-	out := make(map[string]int, len(r.endpoints))
-	for _, k := range keys {
-		if ep := r.Owner(k); ep != "" {
-			out[ep]++
-		}
 	}
 	return out
 }

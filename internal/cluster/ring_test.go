@@ -14,7 +14,7 @@ func TestRingOrderIndependent(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("graph-%d", i)
-		if a.Owner(key) != b.Owner(key) {
+		if !reflect.DeepEqual(a.Replicas(key, 1), b.Replicas(key, 1)) {
 			t.Fatalf("owner(%q) differs across construction orders", key)
 		}
 		if !reflect.DeepEqual(a.Replicas(key, 2), b.Replicas(key, 2)) {
@@ -32,8 +32,8 @@ func TestRingReplicasDistinctAndOwnerFirst(t *testing.T) {
 		if len(reps) != 3 {
 			t.Fatalf("replicas(%q, 3) = %v", key, reps)
 		}
-		if reps[0] != r.Owner(key) {
-			t.Fatalf("replicas(%q)[0] = %q, owner = %q", key, reps[0], r.Owner(key))
+		if owner := r.Replicas(key, 1); reps[0] != owner[0] {
+			t.Fatalf("replicas(%q)[0] = %q, owner = %q", key, reps[0], owner[0])
 		}
 		seen := map[string]bool{}
 		for _, ep := range reps {
@@ -57,7 +57,7 @@ func TestRingStability(t *testing.T) {
 	moved := 0
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("graph-%d", i)
-		was, is := before.Owner(key), after.Owner(key)
+		was, is := before.Replicas(key, 1)[0], after.Replicas(key, 1)[0]
 		if was != "http://c:3" && was != is {
 			t.Fatalf("key %q moved from surviving endpoint %q to %q", key, was, is)
 		}
@@ -72,13 +72,14 @@ func TestRingStability(t *testing.T) {
 
 func TestRingBalance(t *testing.T) {
 	r := NewRing([]string{"http://a:1", "http://b:2", "http://c:3"}, 0)
-	keys := make([]string, 3000)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("graph-%d", i)
+	owned := map[string]int{}
+	for i := 0; i < 3000; i++ {
+		owned[r.Replicas(fmt.Sprintf("graph-%d", i), 1)[0]]++
 	}
-	dist := r.Distribution(keys)
-	for ep, n := range dist {
-		if n < 500 || n > 1500 {
+	// Range over the members, not the counts, so an endpoint that owns no
+	// key at all is reported too.
+	for _, ep := range r.Endpoints() {
+		if n := owned[ep]; n < 500 || n > 1500 {
 			t.Errorf("endpoint %s owns %d/3000 keys — badly unbalanced", ep, n)
 		}
 	}
@@ -86,12 +87,12 @@ func TestRingBalance(t *testing.T) {
 
 func TestRingEmptyAndSingle(t *testing.T) {
 	empty := NewRing(nil, 0)
-	if empty.Owner("k") != "" || empty.Replicas("k", 2) != nil || empty.Len() != 0 {
+	if empty.Replicas("k", 1) != nil || empty.Replicas("k", 2) != nil || empty.Len() != 0 {
 		t.Error("empty ring should resolve nothing")
 	}
 	solo := NewRing([]string{"http://a:1"}, 0)
-	if solo.Owner("k") != "http://a:1" {
-		t.Errorf("single-endpoint ring owner = %q", solo.Owner("k"))
+	if got := solo.Replicas("k", 1); len(got) != 1 || got[0] != "http://a:1" {
+		t.Errorf("single-endpoint ring owner = %v", got)
 	}
 	if got := solo.Replicas("k", 3); len(got) != 1 {
 		t.Errorf("single-endpoint ring replicas = %v", got)

@@ -288,7 +288,7 @@ func (r *phaseRunner) firstVisitEdgesFull(visits []fvVisit) (map[int]int, error)
 			if degS <= 0 {
 				return nil, fmt.Errorf("machine %d adjacent to S-vertex %d has degS=0", id, v)
 			}
-			weight := r.q.At(prev, id) * r.g.Weight(id, v) / degS
+			weight := r.shortcut(prev, id) * r.g.Weight(id, v) / degS
 			msgs = append(msgs, clique.Message{
 				To:    v,
 				Tag:   tagFveReply,
@@ -351,7 +351,7 @@ func (r *phaseRunner) firstVisitEdgesFull(visits []fvVisit) (map[int]int, error)
 // protocol: the same five supersteps with identical per-message charges —
 // one notify word per visit, a 2-word request and reply per (visit,
 // neighbor) edge, a 2-word report per visit — with the Bayes weights read
-// straight from the shared shortcut matrix. Each visited vertex's entry
+// straight from the phase's shortcut transitions. Each visited vertex's entry
 // distribution lists its neighbors in ascending id order, exactly the
 // sorted-inbox order the full path samples from, and draws from the same
 // per-machine rng stream, so the sampled edges are byte-identical.
@@ -417,7 +417,7 @@ func (r *phaseRunner) firstVisitEdgesCharged(visits []fvVisit) (map[int]int, err
 					return
 				}
 				plan.Add(u, v, 2)
-				nbrs = append(nbrs, entry{u: u, w: r.q.At(vis.prev, u) * h.Weight / d})
+				nbrs = append(nbrs, entry{u: u, w: r.shortcut(vis.prev, u) * h.Weight / d})
 			})
 			if stepErr != nil {
 				return stepErr

@@ -22,9 +22,12 @@
 // # Contract: precomputation split and byte-identical outputs
 //
 // Prepare/PrepareExact split the per-graph, sample-independent work (the
-// normalized adjacency, the phase-0 Schur state and dyadic power table)
-// from the per-sample work; a Prepared is immutable after construction and
-// safe for any number of concurrent SampleWith calls. The package
+// phase-0 dyadic power table of the walk on G) from the per-sample work; a
+// Prepared is immutable after construction and safe for any number of
+// concurrent SampleWith calls. The exact variant changes ρ, Las Vegas
+// extension and placement but not that table, so Prepared.Exact derives it
+// from a phase Prepared without a second table. Phase 0 walks on G itself
+// and holds no shortcut matrix: its first-visit weights read the identity. The package
 // guarantees that for a fixed (graph, Config, seed stream) the sampled tree
 // AND the reported Stats are byte-identical across every execution
 // variant: cold vs warm (Prepared reuse; the phase-0 build's round charges

@@ -32,32 +32,47 @@ func TestPinnedDigestGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prepare := Prepare
+		// The exact digests must come out both from a standalone exact
+		// Prepared and from the exact variant that shares a phase Prepared's
+		// table.
+		prepares := []func(*graph.Graph, Config) (*Prepared, error){Prepare}
 		if tc.sampler == "exact" {
-			prepare = PrepareExact
+			prepares = []func(*graph.Graph, Config) (*Prepared, error){PrepareExact, prepareViaPhase}
 		}
-		prep, err := prepare(g, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := sha256.New()
-		src := prng.New(7)
-		for i := 0; i < 64; i++ {
-			tree, st, err := prep.SampleWith(src.Split(uint64(i)), SampleOpts{})
-			if err != nil {
-				t.Fatalf("%s n=%d draw %d: %v", tc.sampler, tc.n, i, err)
-			}
-			js, err := json.Marshal(st)
+		for pi, prepare := range prepares {
+			prep, err := prepare(g, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			h.Write([]byte(tree.Encode()))
-			h.Write([]byte{'\n'})
-			h.Write(js)
-			h.Write([]byte{'\n'})
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
-			t.Errorf("%s n=%d: digest %s, want %s", tc.sampler, tc.n, got, tc.want)
+			h := sha256.New()
+			src := prng.New(7)
+			for i := 0; i < 64; i++ {
+				tree, st, err := prep.SampleWith(src.Split(uint64(i)), SampleOpts{})
+				if err != nil {
+					t.Fatalf("%s n=%d draw %d: %v", tc.sampler, tc.n, i, err)
+				}
+				js, err := json.Marshal(st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.Write([]byte(tree.Encode()))
+				h.Write([]byte{'\n'})
+				h.Write(js)
+				h.Write([]byte{'\n'})
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Errorf("%s n=%d (preparer %d): digest %s, want %s", tc.sampler, tc.n, pi, got, tc.want)
+			}
 		}
 	}
+}
+
+// prepareViaPhase builds the exact sampler the way the engine does: a phase
+// Prepared first, then its Exact variant.
+func prepareViaPhase(g *graph.Graph, cfg Config) (*Prepared, error) {
+	p, err := Prepare(g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.Exact()
 }

@@ -52,7 +52,7 @@ type phaseRunner struct {
 
 	sub     *schur.Subset
 	pd      *matrix.PowerDyadic
-	q       *matrix.Matrix // shortcut transitions, global indices
+	q       *matrix.Matrix // shortcut transitions, global indices; nil in phase 0 (see shortcut)
 	built   bool           // pd and q were built for this phase, not taken from Prepared
 	leader  int            // global machine id of leader (hosts start vertex)
 	start   int            // local index of phase start vertex
@@ -108,11 +108,11 @@ type phaseRunner struct {
 }
 
 // newPhaseRunner prepares a phase: transition matrix of Schur(G, S),
-// shortcut matrix, dyadic power table (with round charging), and the
-// initial two-vertex partial walk. A non-nil warm carries Prepare's cached
-// phase-0 state: phase 0 always walks the full vertex set, so its shortcut
-// matrix and power table are per-graph constants that only the charging (not
-// the numeric work) needs to be replayed for. Every later phase walks on a
+// shortcut matrix (later phases only), dyadic power table (with round
+// charging), and the initial two-vertex partial walk. A non-nil warm carries
+// Prepare's cached phase-0 table: phase 0 always walks the full vertex set,
+// so its power table is a per-graph constant that only the charging (not the
+// numeric work) needs to be replayed for. Every later phase walks on a
 // subset that depends on the walk so far and is built fresh.
 func newPhaseRunner(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Subset, startGlobal int, phaseIdx int, preSeen map[int]struct{}, src *prng.Source, stats *Stats, warm *Prepared, sc *phaseScratch) (*phaseRunner, error) {
 	startLocal, err := sub.LocalIndex(startGlobal)
@@ -130,7 +130,6 @@ func newPhaseRunner(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Subs
 	// in a different order, so they always build in-simulation — identical
 	// numerics and accounting, no reuse benefit.
 	if _, fast := cfg.Backend.(mm.Fast); warm != nil && fast && phaseIdx == 0 && sub.Size() == g.N() {
-		q = warm.q0
 		pd = warm.pd0
 		if err := mm.ReplayDyadicTable(sim, cfg.Backend, pd); err != nil {
 			return nil, fmt.Errorf("core: replaying dyadic power table: %w", err)
@@ -191,7 +190,8 @@ func newPhaseRunner(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Subs
 }
 
 // release returns the phase state this runner built to the matrix scratch
-// pool once the phase is over; the Prepared's phase-0 state is shared and
+// pool once the phase is over (phase 0 has no shortcut matrix, and releasing
+// a nil matrix is a no-op); the Prepared's phase-0 table is shared and
 // stays. Recycling keeps a sample's allocation, and with it the garbage
 // collector's work, to the walk's own state.
 func (r *phaseRunner) release() {
@@ -199,6 +199,21 @@ func (r *phaseRunner) release() {
 		r.pd.Release()
 		r.q.Release()
 	}
+}
+
+// shortcut returns Q[prev, u], the probability that u is the vertex the
+// G-walk from prev visits immediately before it first enters S (the shortcut
+// factor of Algorithm 4's Bayes weight). Phase 0 walks on G itself, with S
+// the whole vertex set, so that vertex is always prev: Q is the identity
+// there and the phase holds no matrix for it.
+func (r *phaseRunner) shortcut(prev, u int) float64 {
+	if r.q != nil {
+		return r.q.At(prev, u)
+	}
+	if u == prev {
+		return 1
+	}
+	return 0
 }
 
 // rng returns machine id's random stream, splitting it from the segment
@@ -214,17 +229,13 @@ func (r *phaseRunner) rng(id int) *prng.Source {
 }
 
 // buildPhaseState is the cold path of a phase's algebraic setup: the
-// shortcut matrix and the dyadic power table of the Schur transition matrix
-// (which survives as the table's first power), with the round charges the
-// paper's accounting assigns them.
+// shortcut matrix (nil in phase 0) and the dyadic power table of the Schur
+// transition matrix (which survives as the table's first power), with the
+// round charges the paper's accounting assigns them.
 func buildPhaseState(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Subset, phaseIdx, maxExp int) (q *matrix.Matrix, pd *matrix.PowerDyadic, err error) {
 	smat, err := schur.Transition(g, sub)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: schur transition: %w", err)
-	}
-	q, err = schur.ShortcutTransition(g, sub)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: shortcut transition: %w", err)
 	}
 	if phaseIdx > 0 {
 		// Corollaries 2-3: the Schur and shortcut matrices are computed by
@@ -232,6 +243,10 @@ func buildPhaseState(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Sub
 		// chain; charge the backend's cost for them. Phase 1 walks on G
 		// itself and needs neither (§2.2: "short-cutting applies only
 		// after the first phase").
+		q, err = schur.ShortcutTransition(g, sub)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: shortcut transition: %w", err)
+		}
 		if err := mm.ChargeSchurShortcutBuild(sim, cfg.Backend, g.N(), maxExp); err != nil {
 			return nil, nil, err
 		}

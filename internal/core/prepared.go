@@ -15,10 +15,11 @@ import (
 
 // Prepared holds the per-(graph, config) state that is identical across
 // Sample runs and therefore wasteful to rebuild per call: the validated
-// configuration, the phase-0 subset (every phase-0 walk runs on the full
-// vertex set), its shortcut transition matrix, and the phase-0 dyadic power
-// table — the numeric bulk of a run, since phase 0 squares a full n×n
-// transition matrix while later phases work on shrinking Schur complements.
+// configuration and the phase-0 dyadic power table — the numeric bulk of a
+// run, since phase 0 walks on G itself and squares its full n×n transition
+// matrix, while later phases work on shrinking Schur complements. Walking on
+// G, phase 0 needs no shortcut matrix (§2.2: "short-cutting applies only
+// after the first phase").
 //
 // A Prepared is immutable after Prepare returns and safe for concurrent use
 // by any number of Sample calls; each call still simulates its own clique, so
@@ -33,12 +34,11 @@ import (
 // same results and stats as Sample, no caching benefit.
 type Prepared struct {
 	g   *graph.Graph
-	cfg Config
+	req Config // the Config passed to Prepare, before defaults
+	cfg Config // req with defaults applied
 	n   int
 
-	sub0 *schur.Subset       // full-vertex subset every phase 0 walks on
-	q0   *matrix.Matrix      // phase-0 shortcut transitions
-	pd0  *matrix.PowerDyadic // phase-0 dyadic power table
+	pd0 *matrix.PowerDyadic // phase-0 dyadic power table
 }
 
 // Prepare validates the graph and configuration once and precomputes the
@@ -48,7 +48,7 @@ func Prepare(g *graph.Graph, cfg Config) (*Prepared, error) {
 		return nil, fmt.Errorf("core: nil graph")
 	}
 	n := g.N()
-	p := &Prepared{g: g, cfg: cfg, n: n}
+	p := &Prepared{g: g, req: cfg, cfg: cfg, n: n}
 	if n == 1 {
 		// Single-vertex graphs short-circuit before config validation, like
 		// Sample (the 1/n default epsilon is out of range at n = 1).
@@ -80,16 +80,12 @@ func Prepare(g *graph.Graph, cfg Config) (*Prepared, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: schur transition: %w", err)
 	}
-	q, err := schur.ShortcutTransition(g, sub)
-	if err != nil {
-		return nil, fmt.Errorf("core: shortcut transition: %w", err)
-	}
 	maxExp := int(math.Log2(float64(cfg.WalkLength)) + 0.5)
 	pd, err := matrix.NewPowerDyadic(smat, maxExp, cfg.TruncDelta)
 	if err != nil {
 		return nil, fmt.Errorf("core: dyadic power table: %w", err)
 	}
-	p.sub0, p.q0, p.pd0 = sub, q, pd
+	p.pd0 = pd
 	return p, nil
 }
 
@@ -101,6 +97,28 @@ func PrepareExact(g *graph.Graph, cfg Config) (*Prepared, error) {
 		return nil, fmt.Errorf("core: nil graph")
 	}
 	return Prepare(g, exactConfig(g.N(), cfg))
+}
+
+// Exact returns the appendix's exact variant over the same graph, under the
+// Config passed to Prepare — what PrepareExact(g, cfg) returns, down to the
+// sampled bytes. The exact variant changes ρ, Las Vegas extension and
+// placement, not the phase-0 table, so when the two configurations square
+// the same table (the same walk length and truncation unit, which holds
+// whenever TruncDelta is 0) the result shares this Prepared's table instead
+// of building a second one. Otherwise, and when there is no table to share
+// (n = 1, non-Fast backends), it is PrepareExact.
+func (p *Prepared) Exact() (*Prepared, error) {
+	if p.pd0 != nil {
+		req := exactConfig(p.n, p.req)
+		cfg, err := req.withDefaults(p.n)
+		if err != nil {
+			return nil, err
+		}
+		if cfg.WalkLength == p.cfg.WalkLength && cfg.TruncDelta == p.cfg.TruncDelta {
+			return &Prepared{g: p.g, req: req, cfg: cfg, n: p.n, pd0: p.pd0}, nil
+		}
+	}
+	return PrepareExact(p.g, p.req)
 }
 
 // SampleOpts adjusts one Prepared draw without touching the prepared state.

@@ -60,3 +60,72 @@ func TestPreparedCacheGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestExactSharesPhaseTable pins one phase-0 table per graph: the exact
+// variant of a phase Prepared reuses its *PowerDyadic whenever the two
+// configurations square the same table, and in every case draws the bytes
+// PrepareExact draws under the same caller Config — including an explicit
+// Rho, which must survive, and a truncation unit, which the exact variant
+// drops and therefore cannot share. Comparing configs also pins the default
+// exact ρ = ⌊n^(2/3)⌋: deriving it from the phase Prepared's defaulted
+// ⌊√n⌋ would differ at n = 24.
+func TestExactSharesPhaseTable(t *testing.T) {
+	g, err := graph.Expander(24, prng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		cfg   Config
+		share bool
+	}{
+		{"default", Config{WalkLength: 512}, true},
+		{"explicit-rho", Config{WalkLength: 512, Rho: 3}, true},
+		{"trunc-delta", Config{WalkLength: 512, TruncDelta: 1e-12}, false},
+	}
+	for _, tc := range cases {
+		phase, err := Prepare(g, tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		viaPhase, err := phase.Exact()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		alone, err := PrepareExact(g, tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if shared := viaPhase.pd0 == phase.pd0; shared != tc.share {
+			t.Errorf("%s: Exact shares the phase table = %v, want %v", tc.name, shared, tc.share)
+		}
+		if !reflect.DeepEqual(viaPhase.Config(), alone.Config()) {
+			t.Errorf("%s: Exact config %+v, PrepareExact config %+v", tc.name, viaPhase.Config(), alone.Config())
+		}
+		for _, seed := range []uint64{40, 41} {
+			aTree, aStats, err := viaPhase.Sample(prng.New(seed))
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", tc.name, seed, err)
+			}
+			bTree, bStats, err := alone.Sample(prng.New(seed))
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", tc.name, seed, err)
+			}
+			if aTree.Encode() != bTree.Encode() || !reflect.DeepEqual(aStats, bStats) {
+				t.Errorf("%s seed %d: Exact and PrepareExact draw different bytes", tc.name, seed)
+			}
+		}
+	}
+	// n = 1 builds no table, so there is nothing to share.
+	solo, err := graph.New(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Prepare(solo, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Exact(); err != nil {
+		t.Errorf("n=1 Exact: %v", err)
+	}
+}

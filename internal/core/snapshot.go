@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/matrix"
 	"repro/internal/mm"
-	"repro/internal/schur"
 )
 
 // PreparedSnapshotVersion identifies the Prepared.Snapshot wire format.
@@ -20,7 +19,7 @@ import (
 // engine re-runs Prepare. The codec stays only because the frozen benchmark
 // harness (bench/trace.go) times it for core.restore_ms and
 // core.snapshot_kb, and goes with the benchmark's next revision.
-const PreparedSnapshotVersion uint32 = 1
+const PreparedSnapshotVersion uint32 = 2
 
 // ErrNoSnapshot reports that a Prepared holds no serializable artifacts:
 // single-vertex graphs and the message-dataflow backends (naive, semiring3d)
@@ -28,24 +27,21 @@ const PreparedSnapshotVersion uint32 = 1
 // restart re-prepares them as cheaply as a snapshot load would.
 var ErrNoSnapshot = errors.New("core: prepared state has no snapshot")
 
-// Snapshot serializes the Prepared's expensive immutable artifacts — the
-// phase-0 shortcut transition matrix and the phase-0 dyadic power table —
-// bit-exactly (float64s as IEEE bit patterns). The phase-0 subset is not
-// stored: it is always the full vertex set and is rebuilt in O(n) on
-// restore. The encoding is deterministic: the same Prepared always snapshots
-// to the same bytes.
+// Snapshot serializes the Prepared's expensive immutable artifact — the
+// phase-0 dyadic power table — bit-exactly (float64s as IEEE bit patterns).
+// The encoding is deterministic: the same Prepared always snapshots to the
+// same bytes.
 //
 // Prepareds with nothing to persist (n = 1, non-Fast backends) return
 // ErrNoSnapshot.
 func (p *Prepared) Snapshot() ([]byte, error) {
-	if p.sub0 == nil || p.q0 == nil || p.pd0 == nil {
+	if p.pd0 == nil {
 		return nil, ErrNoSnapshot
 	}
-	buf := make([]byte, 0, 24+p.q0.EncodedSize()+12+(p.pd0.MaxExp()+1)*p.q0.EncodedSize())
+	buf := make([]byte, 0, 32+(p.pd0.MaxExp()+1)*p.pd0.Pows[0].EncodedSize())
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.n))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(p.cfg.WalkLength))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.cfg.TruncDelta))
-	buf = p.q0.AppendBinary(buf)
 	return p.pd0.AppendBinary(buf)
 }
 
@@ -77,7 +73,7 @@ func RestorePreparedExact(g *graph.Graph, cfg Config, data []byte) (*Prepared, e
 
 // restore mirrors prepare step for step, decoding the phase-0 artifacts
 // instead of computing them.
-func restore(g *graph.Graph, cfg Config, data []byte) (*Prepared, error) {
+func restore(g *graph.Graph, req Config, data []byte) (*Prepared, error) {
 	if g == nil {
 		return nil, fmt.Errorf("core: nil graph")
 	}
@@ -85,7 +81,7 @@ func restore(g *graph.Graph, cfg Config, data []byte) (*Prepared, error) {
 	if n == 1 {
 		return nil, fmt.Errorf("core: restore: %w", ErrNoSnapshot)
 	}
-	cfg, err := cfg.withDefaults(n)
+	cfg, err := req.withDefaults(n)
 	if err != nil {
 		return nil, err
 	}
@@ -107,19 +103,12 @@ func restore(g *graph.Graph, cfg Config, data []byte) (*Prepared, error) {
 	if got := math.Float64frombits(binary.LittleEndian.Uint64(data[12:])); got != cfg.TruncDelta {
 		return nil, fmt.Errorf("core: restore: snapshot truncation delta %g, config wants %g", got, cfg.TruncDelta)
 	}
-	q, rest, err := matrix.DecodeBinary(data[20:])
-	if err != nil {
-		return nil, fmt.Errorf("core: restore: shortcut matrix: %w", err)
-	}
-	pd, rest, err := matrix.DecodePowerDyadic(rest)
+	pd, rest, err := matrix.DecodePowerDyadic(data[20:])
 	if err != nil {
 		return nil, fmt.Errorf("core: restore: dyadic power table: %w", err)
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("core: restore: %d trailing bytes", len(rest))
-	}
-	if q.Rows() != n || q.Cols() != n {
-		return nil, fmt.Errorf("core: restore: shortcut matrix is %dx%d, want %dx%d", q.Rows(), q.Cols(), n, n)
 	}
 	maxExp := int(math.Log2(float64(cfg.WalkLength)) + 0.5)
 	if pd.MaxExp() != maxExp {
@@ -133,14 +122,5 @@ func restore(g *graph.Graph, cfg Config, data []byte) (*Prepared, error) {
 	if pd.Delta != cfg.TruncDelta {
 		return nil, fmt.Errorf("core: restore: power table delta %g, config wants %g", pd.Delta, cfg.TruncDelta)
 	}
-
-	members := make([]int, n)
-	for i := range members {
-		members[i] = i
-	}
-	sub, err := schur.NewSubset(n, members)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{g: g, cfg: cfg, n: n, sub0: sub, q0: q, pd0: pd}, nil
+	return &Prepared{g: g, req: req, cfg: cfg, n: n, pd0: pd}, nil
 }

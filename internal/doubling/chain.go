@@ -9,7 +9,7 @@ import (
 	"repro/internal/walk"
 )
 
-// Reproduction finding (documented in EXPERIMENTS.md): running the doubling
+// Reproduction finding (experiment E5 measures it): running the doubling
 // all the way to k = 1 concentrates receive load in the late iterations.
 // Once two prefix walks with the same index end at the same vertex they are
 // merged with the *same* suffix walk, so their endpoints coincide at every

@@ -10,17 +10,19 @@
 // sparsification, random-walk estimation, and uniformity audits all draw
 // many trees from the same graph, so the per-graph work (adjacency
 // normalization, transition tables, the phase-0 dyadic power table that
-// dominates a run's numeric cost) is paid once at registration and shared —
-// read-only — by every concurrent sample thereafter.
+// dominates a run's numeric cost) is paid once per graph and shared —
+// read-only — by every concurrent sample thereafter. One build serves both
+// Theorem 1 samplers: the exact sampler's prepared state reads the phase
+// sampler's table.
 //
 // # Persistence
 //
 // With Options.DataDir the registry itself persists: registrations are
 // written to a versioned JSON manifest (persist.go) and rehydrated at
 // construction, each record checked against its graph digest. Prepared
-// state is never persisted; a restarted engine rebuilds it cold, on a
-// graph's first request or in Warmup, so output bytes never depend on the
-// data dir.
+// state is never persisted; a restarted engine rebuilds it cold, for both
+// the phase and the exact sampler, on a graph's first request or in
+// Warmup, so output bytes never depend on the data dir.
 //
 // # Scheduling
 //

@@ -343,16 +343,13 @@ func (e *Engine) sampleOne(ent *entry, spec SamplerSpec, src *prng.Source, tr *o
 		return nil, nil, ferr
 	}
 	switch spec.Name {
-	case SamplerPhase:
-		prep, err := ent.preparedTraced(e, tr)
+	case SamplerPhase, SamplerExact:
+		prep, exact, err := ent.prepared(e, tr)
 		if err != nil {
 			return nil, nil, err
 		}
-		return prep.SampleWith(src, core.SampleOpts{Trace: tr, TraceTag: int64(idx)})
-	case SamplerExact:
-		prep, err := ent.preparedExactTraced(e, tr)
-		if err != nil {
-			return nil, nil, err
+		if spec.Name == SamplerExact {
+			prep = exact
 		}
 		return prep.SampleWith(src, core.SampleOpts{Trace: tr, TraceTag: int64(idx)})
 	case SamplerLowCover:
@@ -447,18 +444,17 @@ func (e *Engine) QueueStats(graph string) QueueStats {
 	return e.sched.queueStats(graph)
 }
 
-// Warmup eagerly builds the phase-sampler prepared state of every registered
-// graph — exactly what the first phase request of each graph would have done
-// lazily. It is the readiness hook for replicated serving: a restarted
-// replica calls Warmup in the background and keeps /readyz reporting
-// "loading" until it returns, so a router never routes to a replica still
-// preparing the graphs it rehydrated from its data dir. Warmup changes no
-// output bytes
-// (each entry's prepared state resolves under its sync.Once either way); it
-// only moves the cost off the first request. ctx cancels between graphs.
-// Per-graph prepare failures don't stop the sweep — they are joined into the
-// returned error (the same error those graphs' requests will report) while
-// every other graph still warms.
+// Warmup eagerly builds the phase- and exact-sampler prepared state of every
+// registered graph — exactly what the first phase or exact request of each
+// graph would have done lazily. It is the readiness hook for replicated
+// serving: a restarted replica calls Warmup in the background and keeps
+// /readyz reporting "loading" until it returns, so a router never routes to
+// a replica still preparing the graphs it rehydrated from its data dir.
+// Warmup changes no output bytes (each entry's prepared state resolves under
+// its sync.Once either way); it only moves the cost off the first request.
+// ctx cancels between graphs. Per-graph prepare failures don't stop the
+// sweep — they are joined into the returned error (the same error those
+// graphs' requests will report) while every other graph still warms.
 func (e *Engine) Warmup(ctx context.Context) error {
 	var errs []error
 	for _, key := range e.reg.keys() {
@@ -469,7 +465,7 @@ func (e *Engine) Warmup(ctx context.Context) error {
 		if err != nil {
 			continue // deregistered mid-sweep
 		}
-		if _, err := ent.prepared(e); err != nil {
+		if _, _, err := ent.prepared(e, nil); err != nil {
 			errs = append(errs, fmt.Errorf("warming %q: %w", key, err))
 		}
 	}

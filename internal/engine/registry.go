@@ -25,13 +25,12 @@ type entry struct {
 	key string
 	g   *graph.Graph
 
-	phaseOnce sync.Once
-	phase     *core.Prepared
-	phaseErr  error
-
-	exactOnce sync.Once
-	exact     *core.Prepared
-	exactErr  error
+	// The phase and exact samplers' prepared states, built together: the
+	// exact variant shares the phase state's phase-0 power table.
+	prepOnce sync.Once
+	phase    *core.Prepared
+	exact    *core.Prepared
+	prepErr  error
 
 	countOnce sync.Once
 	count     atomic.Pointer[big.Int] // published by treeCount for lock-free Info reads
@@ -54,41 +53,22 @@ func (ent *entry) digest() string {
 	return ent.digestHex
 }
 
-// prepared returns the entry's cached phase-sampler precomputation,
-// building it (core.Prepare) on first use.
-func (ent *entry) prepared(e *Engine) (*core.Prepared, error) {
-	ent.phaseOnce.Do(func() {
-		ent.phase, ent.phaseErr = core.Prepare(ent.g, e.cfg)
-	})
-	return ent.phase, ent.phaseErr
-}
-
-// preparedExact is prepared for the appendix's exact variant, which uses a
-// different distinct-vertex budget and therefore its own power table.
-func (ent *entry) preparedExact(e *Engine) (*core.Prepared, error) {
-	ent.exactOnce.Do(func() {
-		ent.exact, ent.exactErr = core.PrepareExact(ent.g, e.cfg)
-	})
-	return ent.exact, ent.exactErr
-}
-
-// preparedTraced is prepared wrapped in an "engine/prepare" span: on the
-// first draw of a graph it captures the full core.Prepare cost (phase-0
+// prepared returns the entry's phase-sampler and exact-sampler prepared
+// state, building both on first use: core.Prepare, then its Exact variant,
+// which reads the same phase-0 table. The call runs in an "engine/prepare"
+// span: on the first draw of a graph it captures the full build (phase-0
 // matrix squarings); on warm entries it is near-zero, documenting that the
 // precomputation was reused. The inert zero Span makes untraced calls free.
-func (ent *entry) preparedTraced(e *Engine, tr *obs.Trace) (*core.Prepared, error) {
+func (ent *entry) prepared(e *Engine, tr *obs.Trace) (phase, exact *core.Prepared, err error) {
 	sp := tr.StartSpan("engine/prepare")
-	p, err := ent.prepared(e)
+	ent.prepOnce.Do(func() {
+		ent.phase, ent.prepErr = core.Prepare(ent.g, e.cfg)
+		if ent.prepErr == nil {
+			ent.exact, ent.prepErr = ent.phase.Exact()
+		}
+	})
 	sp.End()
-	return p, err
-}
-
-// preparedExactTraced is preparedTraced for the exact variant.
-func (ent *entry) preparedExactTraced(e *Engine, tr *obs.Trace) (*core.Prepared, error) {
-	sp := tr.StartSpan("engine/prepare")
-	p, err := ent.preparedExact(e)
-	sp.End()
-	return p, err
+	return ent.phase, ent.exact, ent.prepErr
 }
 
 // treeCount returns the exact spanning tree count (Matrix-Tree), cached.

@@ -135,33 +135,58 @@ func TestInfoDigest(t *testing.T) {
 	}
 }
 
-// TestWarmup touches every registered graph's phase prepared state so the
-// first request after readiness finds it resolved; a second Warmup is a
-// cheap no-op (sync.Once), and sampling after Warmup is byte-identical to a
-// never-warmed engine.
+// TestWarmup touches every registered graph's prepared state, for the phase
+// and the exact sampler alike, so the first request of either after
+// readiness finds it resolved: the exact state is built without any exact
+// request and shares the phase state's phase-0 power table (one table per
+// graph). A second Warmup is a cheap no-op (sync.Once), and sampling after
+// Warmup is byte-identical to a never-warmed engine.
 func TestWarmup(t *testing.T) {
+	samplers := []Sampler{SamplerPhase, SamplerExact}
 	cold := testEngine(t)
-	baseline, err := collectBatch(cold, "g", StreamRequest{K: 3, Spec: SamplerSpec{MaxWorkers: 1}, SeedBase: 7})
-	if err != nil {
-		t.Fatal(err)
+	baseline := map[Sampler]*BatchResult{}
+	for _, name := range samplers {
+		res, err := collectBatch(cold, "g", StreamRequest{K: 3, Spec: SamplerSpec{Name: name, MaxWorkers: 1}, SeedBase: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseline[name] = res
 	}
 	warm := testEngine(t)
 	if err := warm.Warmup(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := warm.Warmup(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := collectBatch(warm, "g", StreamRequest{K: 3, Spec: SamplerSpec{MaxWorkers: 1}, SeedBase: 7})
+	ent, err := warm.reg.get("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(encodeAll(got), encodeAll(baseline)) {
-		t.Error("warmed engine trees differ from cold engine")
+	if ent.phase == nil || ent.exact == nil {
+		t.Fatalf("after Warmup: phase state %v, exact state %v; want both built", ent.phase, ent.exact)
+	}
+	if a, b := powerTable(ent.phase), powerTable(ent.exact); a == 0 || a != b {
+		t.Errorf("exact state's power table %#x is not the phase state's %#x", b, a)
+	}
+	if err := warm.Warmup(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range samplers {
+		got, err := collectBatch(warm, "g", StreamRequest{K: 3, Spec: SamplerSpec{Name: name, MaxWorkers: 1}, SeedBase: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(encodeAll(got), encodeAll(baseline[name])) || !reflect.DeepEqual(got.Summary, baseline[name].Summary) {
+			t.Errorf("%s: warmed engine draws differ from cold engine", name)
+		}
 	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := warm.Warmup(canceled); err == nil {
 		t.Error("canceled warmup reported nil")
 	}
+}
+
+// powerTable is the address of a Prepared's phase-0 power table (0 if it
+// holds none). core exports no accessor for it; the test reads the field.
+func powerTable(p *core.Prepared) uintptr {
+	return reflect.ValueOf(p).Elem().FieldByName("pd0").Pointer()
 }

@@ -10,7 +10,8 @@ import (
 
 // The experiment runners are exercised here at miniature scale: assertions
 // target the claims' direction (orderings, bounds, matches) rather than
-// asymptotic magnitudes, which EXPERIMENTS.md records from the full runs.
+// asymptotic magnitudes, which only the full runs (experiments -full)
+// resolve.
 
 func TestE1SmallSweep(t *testing.T) {
 	var sb strings.Builder

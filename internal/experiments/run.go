@@ -18,7 +18,7 @@ func coreSampleForE12(g *graph.Graph) (*spanning.Tree, *core.Stats, error) {
 }
 
 // Suite runs every experiment with CI-sized parameters, writing all tables
-// to w. Set full for the larger EXPERIMENTS.md parameterization.
+// to w. Set full for the larger, full-scale parameterization.
 func Suite(w io.Writer, full bool) error {
 	e1Sizes := []int{16, 24, 32, 48, 64}
 	e1Reps := 2

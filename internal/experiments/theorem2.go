@@ -107,8 +107,8 @@ type E5Result struct {
 // E5LoadBalance measures the maximum tuples any machine receives during
 // doubling's routing steps on a star graph (the adversarial case for the
 // unbalanced algorithm), compares against Lemma 10's 16ck·log n bound, and
-// also records the late-iteration load collapse of full doubling (see
-// EXPERIMENTS.md, finding F1).
+// also records the late-iteration load collapse of full doubling (finding
+// F1, explained at the top of internal/doubling/chain.go).
 func E5LoadBalance(w io.Writer, n int) (*E5Result, error) {
 	header(w, "E5", fmt.Sprintf("Lemma 10: routing load balance on a star (n=%d)", n))
 	g, err := graph.Star(n)

@@ -5,8 +5,8 @@
 // network legs.
 //
 // Contract: the package is nil-safe and effectively free when disarmed —
-// every Hook call is a single atomic load and return until a test (or the
-// SPANTREED_FAULT env spec) arms a fault with Set/Configure.
+// every Hook call is a single atomic load and return until a test arms a
+// fault with Set.
 // Production code therefore threads the sites unconditionally; nothing is
 // build-tagged.
 //

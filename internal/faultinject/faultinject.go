@@ -3,8 +3,6 @@ package faultinject
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,8 +10,7 @@ import (
 
 // Point names one injection site. The constants below are the complete set
 // of sites threaded through the codebase; Set rejects unknown names so a
-// typo in a test or a SPANTREED_FAULT spec fails loudly instead of silently
-// injecting nothing.
+// typo in a test fails loudly instead of silently injecting nothing.
 type Point string
 
 // The injection sites. Each name is `package/operation[/detail]`.
@@ -28,8 +25,8 @@ const (
 	PointSample Point = "engine/sample"
 	// PointClientDo fires before every outbound request the client package
 	// issues: an Err models a connect failure (the failover client must move
-	// to the next replica), ErrTimeout a dial/response timeout, a Delay a slow
-	// replica (which should trip the hedging path).
+	// to the next replica), a Delay a slow replica (which should trip the
+	// hedging path).
 	PointClientDo Point = "client/do"
 	// PointRouterProxy fires before the router forwards a request to the
 	// owning replica: an Err models the proxy leg failing so the router's own
@@ -38,7 +35,7 @@ const (
 	PointRouterProxy Point = "router/proxy"
 )
 
-// points lists every valid injection site for Set/Configure validation.
+// points lists every valid injection site for Set validation.
 var points = map[Point]struct{}{
 	PointSchedAcquire: {},
 	PointSample:       {},
@@ -174,77 +171,6 @@ func Hook(p Point) error {
 	return f.Err
 }
 
-// ErrInjected is the generic error Configure's "error" action injects;
+// ErrInjected is a generic error for tests to arm at a site (Fault.Err);
 // layers under test report it like any other I/O failure.
 var ErrInjected = errors.New("faultinject: injected fault")
-
-// ErrTimeout is the error the "timeout" action injects. It satisfies the
-// net.Error interface (Timeout() reports true), so transport code under test
-// classifies it exactly like a real dial or response-header deadline expiry
-// — the retryable-timeout path, not the generic-failure path.
-var ErrTimeout error = &timeoutError{}
-
-type timeoutError struct{}
-
-func (*timeoutError) Error() string   { return "faultinject: injected timeout" }
-func (*timeoutError) Timeout() bool   { return true }
-func (*timeoutError) Temporary() bool { return true }
-
-// Configure arms faults from a compact spec string — the SPANTREED_FAULT
-// surface for daemon-level chaos smoke tests:
-//
-//	point=action[:arg][;point=action...]
-//
-// Actions: "error" (return ErrInjected), "timeout" (return ErrTimeout, a
-// net.Error with Timeout() true), "delay:<duration>", "panic[:msg]". An
-// action may be prefixed "after<N>-" to skip the first N firings, e.g.
-// "after2-error".
-func Configure(spec string) error {
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, action, ok := strings.Cut(part, "=")
-		if !ok {
-			return fmt.Errorf("faultinject: bad spec %q (want point=action)", part)
-		}
-		var f Fault
-		if rest, found := strings.CutPrefix(action, "after"); found {
-			numStr, tail, ok2 := strings.Cut(rest, "-")
-			if !ok2 {
-				return fmt.Errorf("faultinject: bad after prefix in %q", part)
-			}
-			n, err := strconv.ParseInt(numStr, 10, 64)
-			if err != nil || n < 0 {
-				return fmt.Errorf("faultinject: bad after count in %q", part)
-			}
-			f.After = n
-			action = tail
-		}
-		verb, arg, _ := strings.Cut(action, ":")
-		switch verb {
-		case "error":
-			f.Err = ErrInjected
-		case "timeout":
-			f.Err = ErrTimeout
-		case "delay":
-			d, err := time.ParseDuration(arg)
-			if err != nil {
-				return fmt.Errorf("faultinject: bad delay in %q: %w", part, err)
-			}
-			f.Delay = d
-		case "panic":
-			if arg == "" {
-				arg = "injected panic"
-			}
-			f.Panic = arg
-		default:
-			return fmt.Errorf("faultinject: unknown action %q in %q", verb, part)
-		}
-		if err := Set(Point(name), f); err != nil {
-			return err
-		}
-	}
-	return nil
-}

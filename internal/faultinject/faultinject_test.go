@@ -132,101 +132,6 @@ func TestResetDisarmsEverything(t *testing.T) {
 	}
 }
 
-func TestConfigureActions(t *testing.T) {
-	defer Reset()
-
-	// error
-	if err := Configure("engine/sample=error"); err != nil {
-		t.Fatal(err)
-	}
-	if err := Hook(PointSample); !errors.Is(err, ErrInjected) {
-		t.Fatalf("configured error fault = %v", err)
-	}
-	Reset()
-
-	// delay
-	if err := Configure("scheduler/acquire=delay:20ms"); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if err := Hook(PointSchedAcquire); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Fatalf("configured delay slept %v", elapsed)
-	}
-	Reset()
-
-	// panic with default message
-	if err := Configure("engine/sample=panic"); err != nil {
-		t.Fatal(err)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("configured panic did not panic")
-			}
-		}()
-		Hook(PointSample)
-	}()
-	Reset()
-
-	// after prefix + multi-site spec
-	if err := Configure("engine/sample=after1-error; router/proxy=error"); err != nil {
-		t.Fatal(err)
-	}
-	if err := Hook(PointSample); err != nil {
-		t.Fatalf("after-window firing injected early: %v", err)
-	}
-	if err := Hook(PointSample); !errors.Is(err, ErrInjected) {
-		t.Fatalf("after-window second firing = %v", err)
-	}
-	if err := Hook(PointRouterProxy); !errors.Is(err, ErrInjected) {
-		t.Fatalf("second spec entry not armed: %v", err)
-	}
-}
-
-func TestConfigureRejectsBadSpecs(t *testing.T) {
-	defer Reset()
-	bad := []string{
-		"nonsense",                   // no point=action
-		"no/such/site=error",         // unknown point
-		"engine/sample=zap",          // unknown action
-		"engine/sample=delay:zzz",    // unparseable duration
-		"engine/sample=afterX-error", // non-numeric after count
-		"engine/sample=after2error",  // missing dash after the count
-	}
-	for _, spec := range bad {
-		Reset()
-		if err := Configure(spec); err == nil {
-			t.Errorf("Configure(%q) accepted", spec)
-		}
-	}
-	// Empty segments are tolerated (trailing semicolons from shell quoting).
-	Reset()
-	if err := Configure(" ; engine/sample=error ; "); err != nil {
-		t.Errorf("spec with empty segments rejected: %v", err)
-	}
-}
-
-func TestTimeoutActionLooksLikeNetError(t *testing.T) {
-	defer Reset()
-	if err := Configure("client/do=timeout"); err != nil {
-		t.Fatal(err)
-	}
-	err := Hook(PointClientDo)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("configured timeout fault = %v", err)
-	}
-	var ne interface{ Timeout() bool }
-	if !errors.As(err, &ne) || !ne.Timeout() {
-		t.Fatalf("injected timeout does not satisfy net.Error Timeout(): %v", err)
-	}
-	if Hits(PointClientDo) != 1 {
-		t.Fatalf("hits = %d, want 1", Hits(PointClientDo))
-	}
-}
-
 func TestTransportPointsRegistered(t *testing.T) {
 	defer Reset()
 	for _, p := range []Point{PointClientDo, PointRouterProxy} {

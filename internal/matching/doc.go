@@ -20,7 +20,8 @@
 //   - Metropolis: a transposition-walk Metropolis chain over permutations,
 //     a practical stand-in for the JSV chain on larger instances whose
 //     accuracy is measured (not assumed) against Exact in the test suite
-//     and experiment E11. See DESIGN.md §5 for the substitution rationale.
+//     and experiment E11. It replaces the JSV chain, whose polynomial
+//     mixing bound is far too large to run at simulated sizes.
 //
 // The phase sampler calls Exact directly: it only builds matching instances
 // of at most 12 positions, and places larger ones directly (Lemma 4).

@@ -19,7 +19,7 @@
 //     cost (alpha = 0.157) of the fast bilinear algorithm of [17] + [72].
 //     Reimplementing Strassen-style bilinear algorithms over the clique is
 //     outside the paper's own scope (it cites them as a black box), so this
-//     backend reproduces their cost, not their dataflow; see DESIGN.md §5.
+//     backend reproduces their cost, not their dataflow.
 //
 // # Contract: backend-independent products, replayable charges
 //

@@ -82,9 +82,9 @@ func DyadicTable(sim *clique.Sim, backend Backend, p *matrix.Matrix, maxExp int,
 // table that was already computed offline (core.Prepare caches the phase-0
 // table per graph so repeated samples skip the numeric squarings). Each
 // skipped squaring is charged at the backend's predicted cost and each
-// per-power column redistribution as an accounting-only superstep with the
-// exact word loads the real all-to-all moves (every machine sends and
-// receives one row/column of d words).
+// per-power column redistribution through the same charged all-to-all
+// DyadicTable's charged mode uses, so rounds, words and per-step stats come
+// out exactly as if the table had been built.
 //
 // The replay is charge-exact only for the Fast backend, whose Mul charges
 // precisely CostRounds(d) and computes locally; the dataflow backends run
@@ -98,15 +98,15 @@ func ReplayDyadicTable(sim *clique.Sim, backend Backend, pd *matrix.PowerDyadic)
 		return fmt.Errorf("mm: replay of empty dyadic table")
 	}
 	d := pd.Pows[0].Rows()
-	words := int64(d) * int64(d)
-	if err := sim.ChargeSuperstep("mm/column-distribute", d, words); err != nil {
+	plan := clique.NewCostPlan(sim.N())
+	if err := distributeColumns(sim, pd.Pows[0], plan); err != nil {
 		return err
 	}
 	for e := 1; e < len(pd.Pows); e++ {
 		if err := sim.ChargeRounds(backend.CostRounds(d), clique.ChargeFastMatmul); err != nil {
 			return err
 		}
-		if err := sim.ChargeSuperstep("mm/column-distribute", d, words); err != nil {
+		if err := distributeColumns(sim, pd.Pows[e], plan); err != nil {
 			return err
 		}
 	}

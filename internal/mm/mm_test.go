@@ -2,6 +2,7 @@ package mm
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/clique"
@@ -168,6 +169,44 @@ func TestDyadicTableMatchesSequential(t *testing.T) {
 	}
 	if sim.Rounds() == 0 {
 		t.Error("dyadic table charged no rounds")
+	}
+}
+
+// TestReplayMatchesBuiltTable pins the replay contract per step: charging a
+// cached table with ReplayDyadicTable leaves the same per-superstep trace
+// (names, rounds, loads, words, message counts) and totals as building it
+// with DyadicTable, in either simulator fidelity, including on a clique
+// with more machines than the matrix has rows.
+func TestReplayMatchesBuiltTable(t *testing.T) {
+	g, err := graph.Lollipop(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := g.TransitionMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, machines := range []int{g.N(), g.N() + 3} {
+		for _, fid := range []clique.Fidelity{clique.FidelityCharged, clique.FidelityFull} {
+			built := clique.MustNew(machines)
+			built.EnableTrace()
+			table, err := DyadicTable(built, Fast{}, p, 5, 0, fid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayed := clique.MustNew(machines)
+			replayed.EnableTrace()
+			if err := ReplayDyadicTable(replayed, Fast{}, table); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(replayed.Stats(), built.Stats()) {
+				t.Errorf("%d machines, %q: replayed steps\n%+v\nbuilt steps\n%+v", machines, fid, replayed.Stats(), built.Stats())
+			}
+			if replayed.Rounds() != built.Rounds() || replayed.Supersteps() != built.Supersteps() || replayed.TotalWords() != built.TotalWords() {
+				t.Errorf("%d machines, %q: replay totals (%d, %d, %d), built (%d, %d, %d)", machines, fid,
+					replayed.Rounds(), replayed.Supersteps(), replayed.TotalWords(), built.Rounds(), built.Supersteps(), built.TotalWords())
+			}
+		}
 	}
 }
 
