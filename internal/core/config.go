@@ -111,7 +111,8 @@ const (
 	// (simulation memory guard).
 	maxPositions = 1 << 20
 	// matchingLimit is the largest perfect-matching instance placed via the
-	// exact matching sampler (its comfortable range). Above it,
+	// exact matching sampler, whose subset table holds 2^k floats (32 KB
+	// at 12). Above it,
 	// the leader places midpoints directly in Π-sequence order, which
 	// Lemma 4 (and the appendix's §5.3 argument) shows yields exactly the
 	// same walk distribution: the matching step exists to compress

@@ -13,10 +13,12 @@
 // the Jerrum–Valiant–Vazirani sampling-from-counting reduction as a
 // polynomial-time black box. This package provides:
 //
-//   - Exact: the JVV self-reduction run against an exact permanent oracle
-//     (Ryser's formula). Exponential in k but exact; the default for the
-//     instance sizes the simulator actually meets, and the ground truth for
-//     every distribution test.
+//   - Exact: the JVV self-reduction with exact counts. It draws row by row,
+//     in order, from conditionals read off one table of the permanents of
+//     every row suffix against every column subset, filled bottom-up in
+//     O(k·2^k) with non-negative terms only. Exponential in k but exact; the
+//     default for the instance sizes the simulator actually meets, and the
+//     ground truth for every distribution test.
 //   - Metropolis: a transposition-walk Metropolis chain over permutations,
 //     a practical stand-in for the JSV chain on larger instances whose
 //     accuracy is measured (not assumed) against Exact in the test suite

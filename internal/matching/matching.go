@@ -3,6 +3,8 @@ package matching
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
 
 	"repro/internal/matrix"
 	"repro/internal/prng"
@@ -34,10 +36,27 @@ func checkInstance(w *matrix.Matrix) (int, error) {
 }
 
 // Exact is the Jerrum–Valiant–Vazirani exact sampler: it fixes the matching
-// one row at a time, choosing column j for row i with the exact conditional
-// probability W[i,j] * per(W minor i,j) / per(W remaining). Permanents come
-// from Ryser's formula, so instances are limited to matrix.MaxPermanentDim.
+// one row at a time, choosing column j for row r with the exact conditional
+// probability W[r,j] * per(rows r+1.. x remaining columns minus j) /
+// per(rows r.. x remaining columns). Every one of those permanents is an
+// entry of one table over column subsets (see fillSuffixPermanents), so an
+// instance costs O(k * 2^k) and is limited to maxExactDim rows.
 type Exact struct{}
+
+// maxExactDim bounds Exact's instances: the table holds 2^k floats, 8 MB at
+// k = 20.
+const maxExactDim = 20
+
+// exactScratch is one draw's pooled working set: the 2^k permanent table,
+// the step weights and the remaining columns, all three sized for the
+// largest k the scratch has served.
+type exactScratch struct {
+	g       []float64
+	weights []float64
+	cols    []int
+}
+
+var exactPool = sync.Pool{New: func() any { return new(exactScratch) }}
 
 // Name implements Sampler.
 func (Exact) Name() string { return "exact-jvv" }
@@ -51,63 +70,70 @@ func (Exact) Sample(w *matrix.Matrix, src *prng.Source) ([]int, error) {
 	if k == 0 {
 		return []int{}, nil
 	}
-	if k > matrix.MaxPermanentDim {
-		return nil, fmt.Errorf("matching: exact sampler limited to %d rows, got %d (use Metropolis)", matrix.MaxPermanentDim, k)
+	if k > maxExactDim {
+		return nil, fmt.Errorf("matching: exact sampler limited to %d rows, got %d (use Metropolis)", maxExactDim, k)
+	}
+
+	sc := exactPool.Get().(*exactScratch)
+	defer exactPool.Put(sc)
+	if cap(sc.g) < 1<<k {
+		sc.g = make([]float64, 1<<k)
+		sc.weights = make([]float64, k)
+		sc.cols = make([]int, k)
+	}
+	g := sc.g[:1<<k]
+	fillSuffixPermanents(w, g)
+	set := len(g) - 1
+	if !(g[set] > 0) {
+		return nil, fmt.Errorf("matching: zero permanent — no positive-weight perfect matching remains")
 	}
 
 	perm := make([]int, k)
-	remRows := make([]int, k)
-	remCols := make([]int, k)
-	weights := make([]float64, k)
-	for i := range remRows {
-		remRows[i] = i
-		remCols[i] = i
+	cols := sc.cols[:k]
+	for j := range cols {
+		cols[j] = j
 	}
-	for len(remRows) > 0 {
-		row := remRows[0]
-		sub, err := w.SubmatrixScratch(remRows, remCols)
-		if err != nil {
-			return nil, err
-		}
-		total, err := matrix.Permanent(sub)
-		if err != nil {
-			sub.Release()
-			return nil, err
-		}
-		// The permanent of a non-negative matrix is non-negative, but Ryser's
-		// inclusion-exclusion can cancel a true 0 to a small negative residue
-		// (scaled by the entries, so Permanent's absolute clamp can miss it).
-		// Clamp here and for each minor below, so a structurally impossible
-		// column gets weight 0 instead of failing the draw.
-		total = max(total, 0)
-		if total <= 0 {
-			sub.Release()
-			return nil, fmt.Errorf("matching: zero permanent — no positive-weight perfect matching remains")
-		}
-		stepWeights := weights[:len(remCols)]
-		clear(stepWeights)
-		for cj := range remCols {
-			wij := sub.At(0, cj)
-			if wij == 0 {
-				continue
+	for r := 0; r < k; r++ {
+		row := w.Row(r)
+		stepWeights := sc.weights[:len(cols)]
+		for cj, j := range cols {
+			stepWeights[cj] = 0
+			if x := row[j]; x != 0 {
+				stepWeights[cj] = x * g[set&^(1<<j)]
 			}
-			minor, err := matrix.PermanentMinor(sub, 0, cj)
-			if err != nil {
-				sub.Release()
-				return nil, err
-			}
-			stepWeights[cj] = wij * max(minor, 0)
 		}
-		sub.Release()
 		choice, err := src.WeightedIndex(stepWeights)
 		if err != nil {
-			return nil, fmt.Errorf("matching: conditional distribution empty at row %d: %w", row, err)
+			return nil, fmt.Errorf("matching: conditional distribution empty at row %d: %w", r, err)
 		}
-		perm[row] = remCols[choice]
-		remRows = remRows[1:]
-		remCols = append(remCols[:choice], remCols[choice+1:]...)
+		perm[r] = cols[choice]
+		set &^= 1 << cols[choice]
+		cols = append(cols[:choice], cols[choice+1:]...)
 	}
 	return perm, nil
+}
+
+// fillSuffixPermanents sets g[S] to the permanent of W's last |S| rows
+// restricted to the columns in the bit set S: g[∅] = 1 and
+// g[S] = Σ_{j∈S} W[k−|S|, j] · g[S∖{j}], the expansion along the block's
+// first row. Each S∖{j} is numerically smaller than S, so one ascending pass
+// fills the table. Every term is non-negative, so nothing cancels: a block
+// with no positive-weight perfect matching gets exactly 0, never a residue of
+// either sign.
+func fillSuffixPermanents(w *matrix.Matrix, g []float64) {
+	k := w.Rows()
+	g[0] = 1
+	for set := 1; set < len(g); set++ {
+		row := w.Row(k - bits.OnesCount(uint(set)))
+		var sum float64
+		for rest := set; rest != 0; rest &= rest - 1 {
+			j := bits.TrailingZeros(uint(rest))
+			if x := row[j]; x != 0 {
+				sum += x * g[set&^(1<<j)]
+			}
+		}
+		g[set] = sum
+	}
 }
 
 // Metropolis samples by running a transposition Metropolis chain over

@@ -192,8 +192,8 @@ func TestForcedMatching(t *testing.T) {
 // TestExactNegativeRyserMinor: column 2 is zero below row 0, so row 0 must
 // take column 2 and the (0,3) minor, which keeps that zero column, is exactly
 // 0. Ryser's inclusion-exclusion rounds it to about -1e-9, below the
-// permanent's own residue clamp; the sampler must treat it as 0 rather than
-// fail on a negative weight.
+// oracle's own residue clamp; the sampler must give that column weight 0
+// rather than fail on a negative weight.
 func TestExactNegativeRyserMinor(t *testing.T) {
 	w, err := matrix.FromRows([][]float64{
 		{52.8, 85.2, 3.7, 32.3},
@@ -204,7 +204,7 @@ func TestExactNegativeRyserMinor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m, err := matrix.PermanentMinor(w, 0, 3); err != nil || m >= 0 {
+	if m, err := permanentMinor(w, 0, 3); err != nil || m >= 0 {
 		t.Fatalf("premise: Ryser minor (0,3) = %g, %v; want a negative rounding residue", m, err)
 	}
 	src := prng.New(5)
@@ -250,7 +250,7 @@ func TestInstanceValidation(t *testing.T) {
 	if _, err := (Exact{}).Sample(nan, src); err == nil {
 		t.Error("expected error for NaN weight")
 	}
-	big := matrix.MustNew(matrix.MaxPermanentDim+1, matrix.MaxPermanentDim+1)
+	big := matrix.MustNew(maxExactDim+1, maxExactDim+1)
 	if _, err := (Exact{}).Sample(big, src); err == nil {
 		t.Error("expected error for oversized exact instance")
 	}
@@ -268,9 +268,113 @@ func TestSingletonAndEmpty(t *testing.T) {
 	}
 }
 
+// zeroPatterned fills a k x k instance with weights in [0.1, 10], each
+// entry zero with probability zeroFrac.
+func zeroPatterned(k int, zeroFrac float64, src *prng.Source) *matrix.Matrix {
+	w := matrix.MustNew(k, k)
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			if src.Float64() >= zeroFrac {
+				w.Set(i, j, 0.1+9.9*src.Float64())
+			}
+		}
+	}
+	return w
+}
+
+// TestExactMatchesRyserOracle: the subset table feeds WeightedIndex the
+// same conditionals, in the same column order, as the JVV self-reduction
+// over Ryser permanents, so from one seed both draw the same permutations
+// and leave the source in the same state.
+func TestExactMatchesRyserOracle(t *testing.T) {
+	gen := prng.New(29)
+	for k := 1; k <= 12; k++ {
+		for trial := 0; trial < 100; trial++ {
+			w := zeroPatterned(k, 0.3, gen)
+			if _, err := positiveMatching(w); err != nil {
+				continue
+			}
+			seed := gen.Uint64()
+			got, want := prng.New(seed), prng.New(seed)
+			for draw := 0; draw < 2; draw++ {
+				p, err := (Exact{}).Sample(w, got)
+				if err != nil {
+					t.Fatalf("k=%d trial %d: %v", k, trial, err)
+				}
+				q, err := (ryserJVV{}).Sample(w, want)
+				if err != nil {
+					t.Fatalf("k=%d trial %d: oracle: %v", k, trial, err)
+				}
+				if fmt.Sprint(p) != fmt.Sprint(q) {
+					t.Fatalf("k=%d trial %d draw %d: table %v, oracle %v", k, trial, draw, p, q)
+				}
+			}
+		}
+	}
+}
+
+// TestSuffixPermanentZeros: every table entry g[S] is the permanent of the
+// last |S| rows over columns S, and is exactly 0 precisely when that block
+// has no positive-weight perfect matching. The table has no cancellation, so
+// no residue of either sign survives where Ryser's formula can leave one.
+func TestSuffixPermanentZeros(t *testing.T) {
+	gen := prng.New(31)
+	var zeros, blocks int
+	for trial := 0; trial < 60; trial++ {
+		k := 1 + trial%6
+		w := zeroPatterned(k, 0.5, gen)
+		g := make([]float64, 1<<k)
+		fillSuffixPermanents(w, g)
+		if g[0] != 1 {
+			t.Fatalf("trial %d: g[∅] = %g, want 1", trial, g[0])
+		}
+		for set := 1; set < len(g); set++ {
+			var cols []int
+			for j := 0; j < k; j++ {
+				if set&(1<<j) != 0 {
+					cols = append(cols, j)
+				}
+			}
+			rows := make([]int, len(cols))
+			for i := range rows {
+				rows[i] = k - len(cols) + i
+			}
+			sub, err := w.Submatrix(rows, cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, noMatching := positiveMatching(sub)
+			if (g[set] == 0) != (noMatching != nil) {
+				t.Fatalf("trial %d set %b: g = %g, positive matching: %v", trial, set, g[set], noMatching == nil)
+			}
+			if want := bruteForcePermanent(sub); math.Abs(g[set]-want) > 1e-12*want {
+				t.Fatalf("trial %d set %b: g = %g, permanent %g", trial, set, g[set], want)
+			}
+			blocks++
+			if g[set] == 0 {
+				zeros++
+			}
+		}
+	}
+	if zeros == 0 || zeros == blocks {
+		t.Fatalf("%d of %d blocks have no matching; the instances must mix both", zeros, blocks)
+	}
+}
+
 func BenchmarkExactSample8(b *testing.B) {
 	src := prng.New(1)
 	w := randomInstance(8, 0, src)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (Exact{}).Sample(w, src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkExactSample12(b *testing.B) {
+	src := prng.New(1)
+	w := randomInstance(12, 0, src)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := (Exact{}).Sample(w, src); err != nil {

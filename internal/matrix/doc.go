@@ -1,9 +1,8 @@
 // Package matrix implements the dense linear algebra substrate of the
 // reproduction: matrix products and powers (with the bounded-precision
 // truncation of the paper's Lemma 7), Gaussian elimination and Schur-style
-// block solves, determinants (floating point and exact big-integer, the
-// latter powering Matrix-Tree ground truth), and the permanent via Ryser's
-// formula (the counting core of weighted perfect matching sampling, §1.8).
+// block solves, and determinants (floating point and exact big-integer, the
+// latter powering Matrix-Tree ground truth).
 //
 // Matrices are dense, row-major float64. The sizes in this repository are
 // n x n for graphs up to a few hundred vertices. Every dense kernel runs
@@ -22,6 +21,7 @@
 //     0*Inf never reaches the output;
 //   - the path is chosen once, at package init, from CPUID (OSXSAVE and AVX)
 //     and XGETBV (the OS saves YMM state). There is no flag, env var or
-//     option; off amd64 or without AVX the Go kernels are the only path, and
-//     Kernel reports which one runs. The LU factorization has one path.
+//     option; off amd64, without AVX, or built with the purego tag the Go
+//     kernels are the only path, and Kernel reports which one runs. The LU
+//     factorization has one path.
 package matrix

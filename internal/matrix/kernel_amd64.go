@@ -1,3 +1,5 @@
+//go:build !purego
+
 package matrix
 
 // haveAVX reports whether the CPU and the operating system both support

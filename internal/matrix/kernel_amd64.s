@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // func cpuidECX1() uint32

@@ -1,10 +1,11 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package matrix
 
-// haveAVX is false off amd64: the portable Go kernels are the only path.
+// haveAVX is false off amd64 and under the purego build tag: the portable Go
+// kernels are the only path.
 const haveAVX = false
 
-func mul4x8AVX(c, a, b *float64, n, lda, ldb, ldc int) { panic("matrix: AVX kernel off amd64") }
+func mul4x8AVX(c, a, b *float64, n, lda, ldb, ldc int) { panic("matrix: AVX kernel not built") }
 
-func solve16AVX(lu, x *float64, n, ldlu, ldx int) { panic("matrix: AVX kernel off amd64") }
+func solve16AVX(lu, x *float64, n, ldlu, ldx int) { panic("matrix: AVX kernel not built") }

@@ -444,108 +444,6 @@ func TestBigDetMatchesFloatDet(t *testing.T) {
 	}
 }
 
-// bruteForcePermanent enumerates all permutations. Only for tiny n.
-func bruteForcePermanent(a *Matrix) float64 {
-	n := a.Rows()
-	perm := make([]int, n)
-	used := make([]bool, n)
-	var rec func(i int, prod float64) float64
-	rec = func(i int, prod float64) float64 {
-		if i == n {
-			return prod
-		}
-		var s float64
-		for j := 0; j < n; j++ {
-			if !used[j] {
-				used[j] = true
-				perm[i] = j
-				s += rec(i+1, prod*a.At(i, j))
-				used[j] = false
-			}
-		}
-		return s
-	}
-	return rec(0, 1)
-}
-
-func TestPermanentKnown(t *testing.T) {
-	// Permanent of the all-ones n x n matrix is n!.
-	for n, want := range map[int]float64{1: 1, 2: 2, 3: 6, 4: 24, 5: 120} {
-		m := MustNew(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				m.Set(i, j, 1)
-			}
-		}
-		p, err := Permanent(m)
-		if err != nil {
-			t.Fatalf("Permanent: %v", err)
-		}
-		if math.Abs(p-want) > 1e-9*want {
-			t.Errorf("per(J_%d) = %g, want %g", n, p, want)
-		}
-	}
-}
-
-func TestPermanentMatchesBruteForce(t *testing.T) {
-	src := prng.New(33)
-	for trial := 0; trial < 15; trial++ {
-		n := 1 + src.Intn(6)
-		m := MustNew(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				m.Set(i, j, src.Float64())
-			}
-		}
-		want := bruteForcePermanent(m)
-		got, err := Permanent(m)
-		if err != nil {
-			t.Fatalf("Permanent: %v", err)
-		}
-		if math.Abs(got-want) > 1e-9*math.Max(1, want) {
-			t.Fatalf("trial %d (n=%d): Ryser %g vs brute force %g", trial, n, got, want)
-		}
-	}
-}
-
-func TestPermanentValidation(t *testing.T) {
-	if _, err := Permanent(MustNew(2, 3)); err == nil {
-		t.Error("expected error for non-square")
-	}
-	big := MustNew(MaxPermanentDim+1, MaxPermanentDim+1)
-	if _, err := Permanent(big); err == nil {
-		t.Error("expected error beyond size limit")
-	}
-}
-
-func TestPermanentMinorExpansion(t *testing.T) {
-	// per(A) = sum_j a[0][j] * per(A_{0,j}) — the Laplace-style expansion
-	// underpinning JVV sampling.
-	src := prng.New(44)
-	n := 5
-	m := MustNew(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			m.Set(i, j, src.Float64())
-		}
-	}
-	full, err := Permanent(m)
-	if err != nil {
-		t.Fatalf("Permanent: %v", err)
-	}
-	var expanded float64
-	for j := 0; j < n; j++ {
-		minor, err := PermanentMinor(m, 0, j)
-		if err != nil {
-			t.Fatalf("PermanentMinor: %v", err)
-		}
-		expanded += m.At(0, j) * minor
-	}
-	if math.Abs(full-expanded) > 1e-9*math.Max(1, full) {
-		t.Errorf("expansion %g vs permanent %g", expanded, full)
-	}
-}
-
 func TestRowColAccessors(t *testing.T) {
 	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
 	m.Row(1)[0] = 5
@@ -591,22 +489,6 @@ func BenchmarkMul64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Mul(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPermanent12(b *testing.B) {
-	src := prng.New(2)
-	m := MustNew(12, 12)
-	for i := 0; i < 12; i++ {
-		for j := 0; j < 12; j++ {
-			m.Set(i, j, src.Float64())
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Permanent(m); err != nil {
 			b.Fatal(err)
 		}
 	}
