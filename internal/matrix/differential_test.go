@@ -82,21 +82,31 @@ func refFactor(a *Matrix) (ref *Matrix, perm []int, sign float64, ok bool) {
 }
 
 // awkwardSizes are the shapes most likely to expose blocking bugs: size 1,
-// primes, the multiply tiles' boundaries (4x2 on the Go path, 4x8 on the AVX
-// path), the 32-col LU panel boundary, and their off-by-one neighbors.
+// primes, the multiply tiles' boundaries (4x2 on the Go path, 4x8 and 4x16
+// on the AVX paths), the 32-col LU panel boundary, and their off-by-one
+// neighbors.
 var awkwardSizes = []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 17, 31, 32, 33, 63, 64, 65, 97, 127, 128, 129, 191, 257}
 
 // randomDense fills an r x c matrix with signed values and a sprinkling of
-// exact zeros, so the f == 0 skip path is exercised on every size.
+// exact zeros of both signs and tiny values (the smallest subnormal and a
+// value near the normal boundary, whose products underflow to signed zeros),
+// all finite. So on every size the Go kernel's f == 0 branch runs, and the
+// AVX tiles add the ±0 terms the finiteness rule lets them add unmasked.
 func randomDense(t *testing.T, rows, cols int, src *prng.Source) *Matrix {
 	t.Helper()
 	m := MustNew(rows, cols)
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
-			switch src.Uint64() % 8 {
-			case 0:
+			switch src.Uint64() % 16 {
+			case 0, 1:
 				m.Set(i, j, 0)
-			case 1:
+			case 2:
+				m.Set(i, j, math.Copysign(0, -1))
+			case 3:
+				m.Set(i, j, 5e-324)
+			case 4:
+				m.Set(i, j, 2e-308)
+			case 5, 6:
 				m.Set(i, j, -src.Float64())
 			default:
 				m.Set(i, j, src.Float64())
@@ -122,32 +132,69 @@ func requireBitEqual(t *testing.T, label string, got, want *Matrix) {
 	}
 }
 
-// blockedKernel names the subtest that runs the portable Go kernels: the
-// register-tiled, column-panelled ("blocked") multiply, factorization and
-// batched solve. avxKernel names the one that runs the AVX tiles (the
-// multiply and the batched solve; the factorization has one path).
+// The kernel paths, named as Kernel names them except for the Go one:
+// blockedKernel runs the portable Go kernels, the register-tiled,
+// column-panelled ("blocked") multiply, factorization and batched solve;
+// avxKernel the AVX tiles (the 4x8 YMM multiply and the batched solve; the
+// factorization has one path); avx512Kernel the same with the 4x16 ZMM
+// multiply tile.
 const (
 	blockedKernel = "blocked"
 	avxKernel     = "avx"
+	avx512Kernel  = "avx512"
 )
 
-// forEachKernel runs fn as one subtest per kernel path, selecting the path
-// through useAVX. The AVX subtest skips on a host without AVX.
+// kernelPaths lists the kernel paths with the useAVX and useAVX512 settings
+// that select each, and whether this host supports it.
+var kernelPaths = []struct {
+	name        string
+	avx, avx512 bool
+	supported   bool
+}{
+	{blockedKernel, false, false, true},
+	{avxKernel, true, false, haveAVX},
+	{avx512Kernel, true, true, haveAVX512},
+}
+
+// forEachKernel runs fn as one subtest per kernel path. A subtest skips on a
+// host without the CPU and OS support for its path.
 func forEachKernel(t *testing.T, fn func(t *testing.T)) {
 	t.Helper()
-	saved := useAVX
-	defer func() { useAVX = saved }()
-	for _, path := range []struct {
-		name string
-		avx  bool
-	}{{blockedKernel, false}, {avxKernel, true}} {
+	savedAVX, savedAVX512 := useAVX, useAVX512
+	defer func() { useAVX, useAVX512 = savedAVX, savedAVX512 }()
+	for _, path := range kernelPaths {
 		t.Run(path.name, func(t *testing.T) {
-			if path.avx && !haveAVX {
-				t.Skip("no AVX on this host")
+			if !path.supported {
+				t.Skipf("no %s on this host", path.name)
 			}
-			useAVX = path.avx
+			useAVX, useAVX512 = path.avx, path.avx512
 			fn(t)
 		})
+	}
+}
+
+// TestAllFinite pins the finiteness scan that decides whether the AVX tiles
+// may run: any Inf or NaN, wherever it sits, sends the product to the Go
+// kernel; every finite value, however large or small, does not.
+func TestAllFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		x    []float64
+		want bool
+	}{
+		{"empty", nil, true},
+		{"ordinary", []float64{0, 1, -2.5}, true},
+		{"NaN", []float64{1, math.NaN(), 2}, false},
+		{"+Inf", []float64{math.Inf(1)}, false},
+		{"-Inf", []float64{3, math.Inf(-1)}, false},
+		{"MaxFloat64", []float64{math.MaxFloat64, -math.MaxFloat64}, true},
+		{"negative zero", []float64{math.Copysign(0, -1)}, true},
+		{"smallest subnormal", []float64{5e-324, -5e-324}, true},
+		{"Inf in the last element only", append(make([]float64, 99), math.Inf(1)), false},
+	} {
+		if got := allFinite(tc.x); got != tc.want {
+			t.Errorf("%s: allFinite = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -361,8 +408,13 @@ func TestDifferentialSolveBatch(t *testing.T) {
 //     must still count (NaN != 0), Inf in a times 0 in b must give NaN, and
 //     the finite rows, tiled with the special ones, must stay finite.
 //
-// 5x6 * 6x7 never fills a 4x8 AVX tile; 9x13 * 13x17 has full tiles and
-// ragged rows and columns. NaN entries are compared as "both NaN" rather
+// 5x6 * 6x7 never fills a 4x8 AVX tile; 9x13 * 13x17 has full 4x8 tiles,
+// two 4x16 tiles per row quad (the second shifted back to column 1), and
+// ragged rows. The AVX tiles rely on the finiteness rule (see mulRows), so
+// the test also checks the routing: a b holding Inf or NaN (value-cycle,
+// specials-in-b) must reach the Go kernel, while specials-in-a, whose b is
+// finite, runs the path's own tile with Inf and NaN in a and must still
+// match the reference. NaN entries are compared as "both NaN" rather
 // than by payload — IEEE addition does not specify which operand's NaN
 // payload propagates, so the payload bits depend on operand ordering, not on
 // the kernel's term ordering. Every non-NaN entry (including Inf and the
@@ -441,6 +493,22 @@ func TestDifferentialMulSpecialValues(t *testing.T) {
 					for j := 0; j < cols; j++ {
 						b.Set(k, j, f.b(k, j, cols))
 					}
+				}
+				finiteB := true
+				for _, v := range b.data {
+					if math.IsInf(v, 0) || math.IsNaN(v) {
+						finiteB = false
+					}
+				}
+				wantPath := Kernel()
+				switch {
+				case !finiteB || !useAVX || cols < 8:
+					wantPath = "go"
+				case cols < 16:
+					wantPath = avxKernel
+				}
+				if p := mulPath(a, b); p != wantPath {
+					t.Fatalf("%s %v: product runs the %s kernel, want %s", f.name, shape, p, wantPath)
 				}
 				want := MustNew(rows, cols)
 				refMulInto(want, a, b)

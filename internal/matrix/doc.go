@@ -9,19 +9,22 @@
 // sequentially on the calling goroutine and is bit-exact against the naive
 // loops the differential tests keep as their reference.
 //
-// The multiply and the batched solve have two paths with the same bytes: the
-// portable register-tiled Go kernels, and AVX tiles (4x8 output tiles for
-// the multiply, 16 columns per tile for the solve). The kernel contract
-// both follow:
+// The multiply and the batched solve have three paths with the same bytes:
+// the portable register-tiled Go kernels ("go"); AVX tiles ("avx": 4x8
+// output tiles for the multiply, 16 columns per tile for the solve); and,
+// on AVX-512 hosts, 4x16 ZMM tiles for the multiply ("avx512", with the AVX
+// solve). The kernel contract all follow:
 //   - one multiply and one add (or subtract) per term, each rounded, in the
-//     reference's order; the AVX tiles never use FMA, whose single rounding
-//     changes bytes;
-//   - a multiply term with a[i][k] == 0 is skipped: the Go kernel branches,
-//     the AVX tile masks the product to +0 (VCMPPD NEQ_UQ, then VANDPD), so
-//     0*Inf never reaches the output;
-//   - the path is chosen once, at package init, from CPUID (OSXSAVE and AVX)
-//     and XGETBV (the OS saves YMM state). There is no flag, env var or
-//     option; off amd64, without AVX, or built with the purego tag the Go
-//     kernels are the only path, and Kernel reports which one runs. The LU
-//     factorization has one path.
+//     reference's order; the assembly tiles never use FMA, whose single
+//     rounding changes bytes;
+//   - a multiply term with a[i][k] == 0 is skipped, so 0*Inf never reaches
+//     the output. The Go kernel branches; the tiles add every term and rely
+//     on the finiteness rule: over a finite b a skipped term's product is
+//     ±0, which leaves an accumulator that starts at +0 bit-identical. A b
+//     holding Inf or NaN is found by one scan and runs on the Go kernel;
+//   - the path is chosen once, at package init, from CPUID (OSXSAVE, AVX,
+//     AVX512F) and XGETBV (the OS saves YMM and ZMM state). There is no
+//     flag, env var or option; off amd64, without AVX, or built with the
+//     purego tag the Go kernels are the only path, and Kernel reports which
+//     one runs. The LU factorization has one path.
 package matrix

@@ -1,13 +1,23 @@
 package matrix
 
-// useAVX selects the AVX tiles for the multiply and the batched solve. It is
-// set once, at package init, from the CPU's feature bits; tests flip it to
-// run the portable Go kernels on the same host.
-var useAVX = haveAVX
+import "math"
 
-// Kernel names the dense-kernel path this process runs: "avx" or "go".
+// useAVX selects the AVX tiles for the multiply and the batched solve, and
+// useAVX512 the 4x16 ZMM multiply tile over the 4x8 YMM one. Both are set
+// once, at package init, from the CPU's feature bits; tests flip them to run
+// every path on the same host.
+var (
+	useAVX    = haveAVX
+	useAVX512 = haveAVX512
+)
+
+// Kernel names the dense-kernel path this process runs: "avx512", "avx" or
+// "go".
 func Kernel() string {
-	if useAVX {
+	switch {
+	case useAVX && useAVX512:
+		return "avx512"
+	case useAVX:
 		return "avx"
 	}
 	return "go"
@@ -20,38 +30,72 @@ func Kernel() string {
 // ascending k, skipping terms with a[i][k] == 0: one multiply and one add per
 // term, each rounded, never fused. This operation sequence is the package's
 // bit-exactness contract, which the differential tests pin against a naive
-// reference on both paths. The skip is what keeps zero entries of a from
+// reference on every path. The skip is what keeps zero entries of a from
 // ever touching Inf/NaN in b. (The one carve-out: when an input already
 // holds NaN, the output entry is NaN but its payload bits follow operand
 // ordering, which IEEE addition leaves unspecified.)
+//
+// The AVX tiles add every term, skipped or not, and rely on the finiteness
+// rule instead: when every entry of b is finite, a skipped term's product
+// 0*b is ±0, and adding ±0 to an accumulator that starts at +0, and so is
+// never -0, leaves its bits unchanged. So b is scanned once (O(inner*cols)
+// against the product's O(rows*inner*cols)), and a non-finite b goes to the
+// Go kernel, whose explicit branch keeps 0*Inf out of the output.
 func mulRows(out, a, b *Matrix) {
-	if useAVX && a.rows >= 4 && b.cols >= 8 {
-		mulTilesAVX(out, a, b)
-		return
+	switch mulPath(a, b) {
+	case "avx512":
+		mulTiles(out, a, b, 16, mul4x16AVX512)
+	case "avx":
+		mulTiles(out, a, b, 8, mul4x8AVX)
+	default:
+		mulRowsGo(out, a, b)
 	}
-	mulRowsGo(out, a, b)
 }
 
-// mulTilesAVX covers out with 4x8 tiles, eight YMM accumulators each, held
-// across the whole k loop. Each lane runs mulRowsGo's sequence: VMULPD, then
-// VADDPD, in ascending k. The a[i][k] != 0 branch becomes a mask (VCMPPD
-// NEQ_UQ, then VANDPD on the product), so a skipped term adds +0; an
-// accumulator starts at +0 and so is never -0, which makes adding +0 leave it
-// bit-identical. A ragged last tile row or column is shifted back to end at
-// the edge: the elements it shares with its neighbour are recomputed to the
-// same bits. The caller guarantees at least 4 rows and 8 columns.
-func mulTilesAVX(out, a, b *Matrix) {
+// mulPath names the kernel mulRows runs for a*b: the process's Kernel,
+// narrowed by the tiles' minimum shapes and by the finiteness of b.
+func mulPath(a, b *Matrix) string {
+	switch {
+	case !useAVX || a.rows < 4 || b.cols < 8 || !allFinite(b.data):
+		return "go"
+	case useAVX512 && b.cols >= 16:
+		return "avx512"
+	}
+	return "avx"
+}
+
+// allFinite reports whether x holds no Inf and no NaN: an all-ones exponent
+// marks both.
+func allFinite(x []float64) bool {
+	const exp = 0x7ff << 52
+	for _, v := range x {
+		if math.Float64bits(v)&exp == exp {
+			return false
+		}
+	}
+	return true
+}
+
+// mulTiles covers out with 4-row tiles of the given width: 4x8 with eight
+// YMM accumulators (mul4x8AVX) or 4x16 with eight ZMM accumulators
+// (mul4x16AVX512), held across the whole k loop. Each lane runs mulRowsGo's
+// sequence: VMULPD, then VADDPD, in ascending k, never FMA. A ragged last
+// tile row or column is shifted back to end at the edge: the elements it
+// shares with its neighbour are recomputed to the same bits. The caller
+// guarantees at least 4 rows and width columns.
+func mulTiles(out, a, b *Matrix, width int, tile func(c, a, b *float64, n, lda, ldb, ldc int)) {
 	n, w, rows := a.cols, b.cols, a.rows
 	for i := 0; i < rows; i += 4 {
 		i = min(i, rows-4)
-		for j := 0; j < w; j += 8 {
-			j = min(j, w-8)
-			mul4x8AVX(&out.data[i*w+j], &a.data[i*n], &b.data[j], n, n, w, w)
+		for j := 0; j < w; j += width {
+			j = min(j, w-width)
+			tile(&out.data[i*w+j], &a.data[i*n], &b.data[j], n, n, w, w)
 		}
 	}
 }
 
-// mulRowsGo is the portable kernel, the only path off amd64 or without AVX.
+// mulRowsGo is the portable kernel: the only path off amd64 or without AVX,
+// and the path for a b that holds Inf or NaN.
 // It is register-tiled: 4x2 output tiles held in registers across the whole
 // k loop, so the 16 flops per k cost six loads and no stores. A column pair
 // of b is one stride-w walk per tile row-quad (w*8-byte stride, n cache

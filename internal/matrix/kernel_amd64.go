@@ -14,16 +14,32 @@ var haveAVX = func() bool {
 	return xgetbvLow()&6 == 6
 }()
 
+// haveAVX512 reports whether the CPU and the operating system both support
+// AVX-512F on top of AVX: CPUID.(7,0):EBX has AVX512F (bit 16), and XCR0
+// also has the opmask and ZMM state bits (5, 6 and 7) set.
+var haveAVX512 = func() bool {
+	const avx512f = 1 << 16
+	return haveAVX && cpuidEBX7()&avx512f != 0 && xgetbvLow()&0xe6 == 0xe6
+}()
+
 // cpuidECX1 returns ECX of CPUID leaf 1.
 func cpuidECX1() uint32
+
+// cpuidEBX7 returns EBX of CPUID leaf 7, subleaf 0.
+func cpuidEBX7() uint32
 
 // xgetbvLow returns the low 32 bits of XCR0.
 func xgetbvLow() uint32
 
-// mul4x8AVX computes one 4x8 tile of a product; see mulTilesAVX.
+// mul4x8AVX computes one 4x8 tile of a product; see mulTiles.
 //
 //go:noescape
 func mul4x8AVX(c, a, b *float64, n, lda, ldb, ldc int)
+
+// mul4x16AVX512 computes one 4x16 tile of a product; see mulTiles.
+//
+//go:noescape
+func mul4x16AVX512(c, a, b *float64, n, lda, ldb, ldc int)
 
 // solve16AVX substitutes 16 columns in place; see solveColumnsAVX.
 //

@@ -10,6 +10,14 @@ TEXT ·cpuidECX1(SB), NOSPLIT, $0-4
 	MOVL CX, ret+0(FP)
 	RET
 
+// func cpuidEBX7() uint32
+TEXT ·cpuidEBX7(SB), NOSPLIT, $0-4
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	MOVL BX, ret+0(FP)
+	RET
+
 // func xgetbvLow() uint32
 TEXT ·xgetbvLow(SB), NOSPLIT, $0-4
 	XORL CX, CX
@@ -17,24 +25,22 @@ TEXT ·xgetbvLow(SB), NOSPLIT, $0-4
 	MOVL AX, ret+0(FP)
 	RET
 
-// One k step of one tile row: broadcast a[row][k] into Y11, mask the two
-// products with (a != 0) and add them to the row's accumulators. A skipped
-// term adds +0, which leaves every accumulator bit unchanged (it starts at
-// +0, so it is never -0).
+// One k step of one YMM tile row: broadcast a[row][k] into Y10, multiply it
+// by the row of b in Y8:Y9 and add the two products to the row's
+// accumulators. No mask: the caller guarantees b is finite, so a term with
+// a[row][k] == 0 adds ±0, which leaves an accumulator bit-identical (it
+// starts at +0 and so is never -0).
 #define MULROW(arow, acc0, acc1) \
-	VBROADCASTSD (arow)(BX*8), Y11 \
-	VCMPPD       $4, Y10, Y11, Y12 \
-	VMULPD       Y8, Y11, Y13      \
-	VMULPD       Y9, Y11, Y14      \
-	VANDPD       Y12, Y13, Y13     \
-	VANDPD       Y12, Y14, Y14     \
-	VADDPD       Y13, acc0, acc0   \
-	VADDPD       Y14, acc1, acc1
+	VBROADCASTSD (arow)(BX*8), Y10 \
+	VMULPD       Y8, Y10, Y11      \
+	VMULPD       Y9, Y10, Y12      \
+	VADDPD       Y11, acc0, acc0   \
+	VADDPD       Y12, acc1, acc1
 
 // func mul4x8AVX(c, a, b *float64, n, lda, ldb, ldc int)
 //
-// c[r][0:8] = sum over k in [0, n) of a[r][k]*b[k][0:8] for r in [0, 4),
-// skipping terms with a[r][k] == 0. Leading dimensions are in elements.
+// c[r][0:8] = sum over k in [0, n) of a[r][k]*b[k][0:8] for r in [0, 4), in
+// ascending k. Leading dimensions are in elements.
 TEXT ·mul4x8AVX(SB), NOSPLIT, $0-56
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -57,7 +63,6 @@ TEXT ·mul4x8AVX(SB), NOSPLIT, $0-56
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
-	VXORPD Y10, Y10, Y10
 	XORQ BX, BX
 
 mulloop:
@@ -83,6 +88,69 @@ mulloop:
 	ADDQ    R10, DI
 	VMOVUPD Y6, (DI)
 	VMOVUPD Y7, 32(DI)
+	VZEROUPPER
+	RET
+
+// MULROW with ZMM registers: eight lanes per register, so one tile row is
+// 16 columns. AVX-512F instructions only.
+#define MULROWZ(arow, acc0, acc1) \
+	VBROADCASTSD (arow)(BX*8), Z10 \
+	VMULPD       Z8, Z10, Z11      \
+	VMULPD       Z9, Z10, Z12      \
+	VADDPD       Z11, acc0, acc0   \
+	VADDPD       Z12, acc1, acc1
+
+// func mul4x16AVX512(c, a, b *float64, n, lda, ldb, ldc int)
+//
+// mul4x8AVX on a 4x16 tile: c[r][0:16] = sum over k in [0, n) of
+// a[r][k]*b[k][0:16] for r in [0, 4), in ascending k.
+TEXT ·mul4x16AVX512(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
+	MOVQ lda+32(FP), R8
+	MOVQ ldb+40(FP), R9
+	MOVQ ldc+48(FP), R10
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+	LEAQ (SI)(R8*1), R11
+	LEAQ (R11)(R8*1), R12
+	LEAQ (R12)(R8*1), R13
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	XORQ BX, BX
+
+mulloopz:
+	VMOVUPD (DX), Z8
+	VMOVUPD 64(DX), Z9
+	MULROWZ(SI, Z0, Z1)
+	MULROWZ(R11, Z2, Z3)
+	MULROWZ(R12, Z4, Z5)
+	MULROWZ(R13, Z6, Z7)
+	ADDQ R9, DX
+	INCQ BX
+	CMPQ BX, CX
+	JLT  mulloopz
+
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	ADDQ    R10, DI
+	VMOVUPD Z2, (DI)
+	VMOVUPD Z3, 64(DI)
+	ADDQ    R10, DI
+	VMOVUPD Z4, (DI)
+	VMOVUPD Z5, 64(DI)
+	ADDQ    R10, DI
+	VMOVUPD Z6, (DI)
+	VMOVUPD Z7, 64(DI)
 	VZEROUPPER
 	RET
 

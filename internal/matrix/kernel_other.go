@@ -2,10 +2,15 @@
 
 package matrix
 
-// haveAVX is false off amd64 and under the purego build tag: the portable Go
-// kernels are the only path.
-const haveAVX = false
+// haveAVX and haveAVX512 are false off amd64 and under the purego build
+// tag: the portable Go kernels are the only path.
+const (
+	haveAVX    = false
+	haveAVX512 = false
+)
 
 func mul4x8AVX(c, a, b *float64, n, lda, ldb, ldc int) { panic("matrix: AVX kernel not built") }
+
+func mul4x16AVX512(c, a, b *float64, n, lda, ldb, ldc int) { panic("matrix: AVX kernel not built") }
 
 func solve16AVX(lu, x *float64, n, ldlu, ldx int) { panic("matrix: AVX kernel not built") }

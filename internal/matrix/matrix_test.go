@@ -483,13 +483,26 @@ func TestMaxAbsDiff(t *testing.T) {
 	}
 }
 
-func BenchmarkMul64(b *testing.B) {
-	src := prng.New(1)
-	m := randomStochastic(64, src)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Mul(m); err != nil {
-			b.Fatal(err)
+// BenchmarkMul squares an n x n stochastic matrix, as one power-table step
+// does, on every kernel path this host supports.
+func BenchmarkMul(b *testing.B) {
+	savedAVX, savedAVX512 := useAVX, useAVX512
+	defer func() { useAVX, useAVX512 = savedAVX, savedAVX512 }()
+	for _, n := range []int{64, 96, 192} {
+		m := randomStochastic(n, prng.New(1))
+		out := MustNew(n, n)
+		for _, path := range kernelPaths {
+			b.Run(fmt.Sprintf("n=%d/%s", n, path.name), func(b *testing.B) {
+				if !path.supported {
+					b.Skipf("no %s on this host", path.name)
+				}
+				useAVX, useAVX512 = path.avx, path.avx512
+				for i := 0; i < b.N; i++ {
+					if err := MulInto(out, m, m); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }
