@@ -30,12 +30,13 @@
 // order.
 //
 // The matrix scratch-pool counters are reported under /v1/stats. Samplers
-// run the simulated clique in charged mode on sequential dense kernels:
+// run the simulated clique on its charged executor and sequential dense
+// kernels:
 // AVX-512 or AVX tiles where the CPU has them, portable Go otherwise, with
 // the same bytes. The startup "listening" log line names the path as
 // matrix_kernel (avx512, avx or go).
 // The simulator-fidelity field that older clients may still send is
-// ignored: full and charged output were byte-identical, so nothing changes.
+// ignored: it never changed the output, and no request selects an executor.
 //
 // Observability: every request gets a request ID (propagated from an
 // X-Request-ID header when the client sends one, generated otherwise),

@@ -2,124 +2,84 @@ package clique
 
 import "fmt"
 
-// Fidelity selects how an algorithm's supersteps execute on the simulator.
-//
-// The paper charges rounds via Lenzen's routing theorem from the
-// communication pattern alone — the cost of a superstep is a function of the
-// per-machine word loads, not of the message payloads. Whenever a protocol
-// step's pattern is known analytically and all machine state lives in one
-// address space anyway, the step can therefore run as plain local
-// computation with its communication charged from the declared pattern
-// (ChargedSuperstep) instead of materializing Message structs, packing word
-// slices, and sorting inboxes. Both modes are maintained side by side:
-// charged is the serving default, full is the audit mode that proves the
-// charged plans honest — outputs and accounting are byte-identical between
-// them by construction, which golden tests pin.
-type Fidelity string
-
-const (
-	// FidelityCharged runs ported supersteps as local computation over flat
-	// buffers with analytically charged rounds/words — no Message allocation,
-	// no inbox sort, no goroutine fan-out. The default ("" resolves here).
-	FidelityCharged Fidelity = "charged"
-	// FidelityFull materializes every message through the simulator — the
-	// original execution mode, kept for audits of the charged plans.
-	FidelityFull Fidelity = "full"
-)
-
-// Charged reports whether this fidelity takes the charged fast path
-// (the empty value defaults to charged).
-func (f Fidelity) Charged() bool { return f == "" || f == FidelityCharged }
-
-// Valid reports whether f is one of "", "charged", "full".
-func (f Fidelity) Valid() bool {
-	return f == "" || f == FidelityCharged || f == FidelityFull
-}
-
-// CostPlan declares the communication pattern of one charged superstep: the
-// multiset of messages the full-fidelity implementation would send, recorded
-// as per-machine word and message loads. ChargedSuperstep charges rounds
-// from it exactly as Superstep charges them from materialized traffic, so a
-// plan that mirrors the full path message-for-message yields byte-identical
-// Stats and traces (MaxRecvMsg included).
+// CostPlan records the communication pattern of one charged superstep as
+// per-machine word and message loads. ChargedSuperstep charges rounds from
+// it exactly as Superstep charges them from delivered traffic, so a plan
+// that counts the same messages yields identical Stats and traces
+// (MaxRecvMsg included). The charged executor fills one from a declared
+// superstep's sends (exec.go).
 //
 // A plan is single-use state for one superstep; Reset recycles it across
 // consecutive supersteps of the same protocol to avoid reallocation.
 type CostPlan struct {
-	n        int
-	send     []int
-	recv     []int
-	recvMsgs []int
-	total    int64
-	err      error
-	// Running maxima over send/recv/recvMsgs, maintained incrementally so
+	n     int
+	loads []load // by machine
+	total int64
+	err   error
+	// bad is the last message Add refused. Every refused message has an
+	// out-of-range machine or a negative width, so the zero triple means
+	// none; recording it without a call keeps Add small enough to inline,
+	// and it is called once per message the charged executor sends.
+	bad [3]int
+	// Running maxima over the loads, maintained incrementally so
 	// ChargedSuperstep reads the per-machine load extremes in O(1) instead of
-	// rescanning three n-length arrays per superstep. Sums are order-free, so
-	// the incremental maxima equal what a final scan would compute.
+	// rescanning the n loads per superstep. Sums are order-free, so the
+	// incremental maxima equal what a final scan would compute.
 	maxSend    int
 	maxRecv    int
 	maxRecvMsg int
 }
 
+// load is one machine's words sent, words received and messages received.
+type load struct{ send, recv, msgs int }
+
 // NewCostPlan returns an empty plan for an n-machine clique.
 func NewCostPlan(n int) *CostPlan {
-	return &CostPlan{
-		n:        n,
-		send:     make([]int, n),
-		recv:     make([]int, n),
-		recvMsgs: make([]int, n),
-	}
+	return &CostPlan{n: n, loads: make([]load, n)}
 }
 
 // Reset clears the plan for reuse in a subsequent superstep.
 func (p *CostPlan) Reset() {
-	clear(p.send)
-	clear(p.recv)
-	clear(p.recvMsgs)
+	clear(p.loads)
 	p.total = 0
 	p.err = nil
+	p.bad = [3]int{}
 	p.maxSend, p.maxRecv, p.maxRecvMsg = 0, 0, 0
 }
 
 // Add records one message of `words` words from machine `from` to machine
-// `to`. Out-of-range machines poison the plan; ChargedSuperstep surfaces the
-// error, mirroring Superstep's invalid-destination check.
+// `to`. An out-of-range machine or a negative width poisons the plan;
+// ChargedSuperstep surfaces the error, mirroring Superstep's
+// invalid-destination check.
 func (p *CostPlan) Add(from, to, words int) {
-	p.AddN(from, to, words, 1)
+	if max(uint(from), uint(to)) >= uint(len(p.loads)) || words < 0 {
+		p.bad = [3]int{from, to, words}
+		return
+	}
+	f, t := &p.loads[from], &p.loads[to]
+	f.send += words
+	t.recv += words
+	t.msgs++
+	p.total += int64(words)
+	p.maxSend = max(p.maxSend, f.send)
+	p.maxRecv = max(p.maxRecv, t.recv)
+	p.maxRecvMsg = max(p.maxRecvMsg, t.msgs)
 }
 
-// AddN records msgs identical messages of wordsPer words each from `from`
-// to `to`.
-func (p *CostPlan) AddN(from, to, wordsPer, msgs int) {
-	if p.err != nil {
-		return
+// check reports the plan's first error, or the message Add refused.
+func (p *CostPlan) check() error {
+	from, to, words := p.bad[0], p.bad[1], p.bad[2]
+	switch {
+	case p.err != nil:
+		return p.err
+	case uint(from) >= uint(p.n):
+		return fmt.Errorf("clique: plan message from invalid machine %d", from)
+	case uint(to) >= uint(p.n):
+		return fmt.Errorf("clique: plan message to invalid machine %d", to)
+	case words < 0:
+		return fmt.Errorf("clique: negative plan charge (%d words)", words)
 	}
-	if from < 0 || from >= p.n {
-		p.err = fmt.Errorf("clique: plan message from invalid machine %d", from)
-		return
-	}
-	if to < 0 || to >= p.n {
-		p.err = fmt.Errorf("clique: plan message to invalid machine %d", to)
-		return
-	}
-	if wordsPer < 0 || msgs < 0 {
-		p.err = fmt.Errorf("clique: negative plan charge (%d words x %d msgs)", wordsPer, msgs)
-		return
-	}
-	w := wordsPer * msgs
-	p.send[from] += w
-	p.recv[to] += w
-	p.recvMsgs[to] += msgs
-	p.total += int64(w)
-	if p.send[from] > p.maxSend {
-		p.maxSend = p.send[from]
-	}
-	if p.recv[to] > p.maxRecv {
-		p.maxRecv = p.recv[to]
-	}
-	if p.recvMsgs[to] > p.maxRecvMsg {
-		p.maxRecvMsg = p.recvMsgs[to]
-	}
+	return nil
 }
 
 // Exchange records the dense bipartite pattern where every machine in froms
@@ -136,50 +96,27 @@ func (p *CostPlan) Exchange(froms, tos []int, wordsPer int) {
 		p.err = fmt.Errorf("clique: negative plan charge (%d words)", wordsPer)
 		return
 	}
-	if len(froms) == 0 || len(tos) == 0 {
-		return
-	}
 	for _, from := range froms {
 		if from < 0 || from >= p.n {
 			p.err = fmt.Errorf("clique: plan message from invalid machine %d", from)
 			return
 		}
-		p.send[from] += wordsPer * len(tos)
-		if p.send[from] > p.maxSend {
-			p.maxSend = p.send[from]
-		}
+		f := &p.loads[from]
+		f.send += wordsPer * len(tos)
+		p.maxSend = max(p.maxSend, f.send)
 	}
 	for _, to := range tos {
 		if to < 0 || to >= p.n {
 			p.err = fmt.Errorf("clique: plan message to invalid machine %d", to)
 			return
 		}
-		p.recv[to] += wordsPer * len(froms)
-		p.recvMsgs[to] += len(froms)
-		if p.recv[to] > p.maxRecv {
-			p.maxRecv = p.recv[to]
-		}
-		if p.recvMsgs[to] > p.maxRecvMsg {
-			p.maxRecvMsg = p.recvMsgs[to]
-		}
+		t := &p.loads[to]
+		t.recv += wordsPer * len(froms)
+		t.msgs += len(froms)
+		p.maxRecv = max(p.maxRecv, t.recv)
+		p.maxRecvMsg = max(p.maxRecvMsg, t.msgs)
 	}
 	p.total += int64(wordsPer) * int64(len(froms)) * int64(len(tos))
-}
-
-// Scatter records the leader-scatters pattern: one wordsPer-word message
-// from `from` to every machine in `to`.
-func (p *CostPlan) Scatter(from int, to []int, wordsPer int) {
-	for _, t := range to {
-		p.Add(from, t, wordsPer)
-	}
-}
-
-// Gather records the leader-gathers pattern: one wordsPer-word message from
-// every machine in `from` to `to`.
-func (p *CostPlan) Gather(from []int, to int, wordsPer int) {
-	for _, f := range from {
-		p.Add(f, to, wordsPer)
-	}
 }
 
 // AllToAll records the balanced pairwise-exchange pattern of machines
@@ -198,36 +135,32 @@ func (p *CostPlan) AllToAll(d, wordsPer int) {
 		p.err = fmt.Errorf("clique: negative plan charge (%d words)", wordsPer)
 		return
 	}
-	for id := 0; id < d; id++ {
-		p.send[id] += wordsPer * d
-		p.recv[id] += wordsPer * d
-		p.recvMsgs[id] += d
-		if p.send[id] > p.maxSend {
-			p.maxSend = p.send[id]
-		}
-		if p.recv[id] > p.maxRecv {
-			p.maxRecv = p.recv[id]
-		}
-		if p.recvMsgs[id] > p.maxRecvMsg {
-			p.maxRecvMsg = p.recvMsgs[id]
-		}
+	for id := range p.loads[:d] {
+		l := &p.loads[id]
+		l.send += wordsPer * d
+		l.recv += wordsPer * d
+		l.msgs += d
+		p.maxSend = max(p.maxSend, l.send)
+		p.maxRecv = max(p.maxRecv, l.recv)
+		p.maxRecvMsg = max(p.maxRecvMsg, l.msgs)
 	}
 	p.total += int64(wordsPer) * int64(d) * int64(d)
 }
 
-// ChargedSuperstep runs one bulk-synchronous step in charged mode: the
-// machines' combined logic executes as plain sequential computation (local;
-// nil for steps whose work was folded into a neighboring step) and the
-// communication is charged analytically from plan — rounds from the maximum
-// per-machine load exactly as Superstep computes it, word and superstep
-// counters advanced identically, inboxes cleared just as a full superstep
-// would leave them for a protocol that consumes every message it routes. A
-// nil plan declares a computation-only superstep (zero traffic, 1 round).
+// ChargedSuperstep runs one bulk-synchronous step without delivering
+// messages: the machines' combined logic executes as plain sequential
+// computation (local; nil for steps whose work was folded into a
+// neighboring step) and the communication is charged from plan — rounds
+// from the maximum per-machine load exactly as Superstep computes it, word
+// and superstep counters advanced identically, inboxes cleared just as a
+// delivered superstep would leave them for a protocol that consumes every
+// message it routes. A nil plan declares a computation-only superstep (zero
+// traffic, 1 round).
 //
-// With a plan that mirrors the full-fidelity implementation's messages
-// one-for-one, a charged run reports the same Rounds, Supersteps,
-// TotalWords, and per-step trace (MaxSend/MaxRecv/TotalWords/MaxRecvMsg) as
-// the full run — the property core's fidelity golden tests pin.
+// With a plan that counts a superstep's messages one-for-one, a charged run
+// reports the same Rounds, Supersteps, TotalWords, and per-step trace
+// (MaxSend/MaxRecv/TotalWords/MaxRecvMsg) as routing them through Superstep
+// — the property the executor goldens pin.
 func (s *Sim) ChargedSuperstep(name string, plan *CostPlan, local func() error) error {
 	sp := s.TraceSpan(name) // spans the local compute AND the charge
 	// local runs before the plan is read, so a step may declare its pattern
@@ -240,9 +173,9 @@ func (s *Sim) ChargedSuperstep(name string, plan *CostPlan, local func() error) 
 		}
 	}
 	if plan != nil {
-		if plan.err != nil {
+		if err := plan.check(); err != nil {
 			s.clearInboxes()
-			return fmt.Errorf("clique: superstep %q: %w", name, plan.err)
+			return fmt.Errorf("clique: superstep %q: %w", name, err)
 		}
 		if plan.n != s.n {
 			s.clearInboxes()
@@ -280,8 +213,8 @@ func (s *Sim) ChargedSuperstep(name string, plan *CostPlan, local func() error) 
 
 // ChargeBroadcast charges exactly what Broadcast charges for a w-word
 // broadcast — 2·ceil(w/n) rounds, w·n words, the same trace entry — without
-// delivering messages, for charged-mode protocols whose next superstep reads
-// the broadcast payload from shared memory instead of its inbox.
+// delivering messages: the charged executor's broadcast, whose receivers
+// read the payload from shared memory instead of an inbox.
 func (s *Sim) ChargeBroadcast(w int) error {
 	if w < 0 {
 		return fmt.Errorf("clique: negative broadcast size %d", w)

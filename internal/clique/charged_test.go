@@ -6,96 +6,119 @@ import (
 	"testing"
 )
 
-// chargedProgram runs the same three-superstep protocol (leader scatter,
-// skewed gather, all-to-all) in full fidelity via Superstep and returns the
-// simulator; the charged twin below declares the identical pattern through
-// CostPlans. The two must agree on every counter and trace field.
-func fullProgram(t *testing.T, n int) *Sim {
-	t.Helper()
-	s := MustNew(n)
-	s.EnableTrace()
-	// Leader scatters 3 words to every machine.
-	err := s.Superstep("scatter", func(id int, in []Message) ([]Message, error) {
-		if id != 0 {
-			return nil, nil
-		}
-		msgs := make([]Message, 0, n)
-		for to := 0; to < n; to++ {
-			msgs = append(msgs, Message{To: to, Words: []Word{1, 2, 3}})
-		}
-		return msgs, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Skewed gather: machine i sends i+1 words to the leader — machine n-1's
-	// n words push the leader's receive load to n(n+1)/2 > n, charging
-	// multiple rounds.
-	err = s.Superstep("gather", func(id int, in []Message) ([]Message, error) {
-		words := make([]Word, id+1)
-		return []Message{{To: 0, Words: words}}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Balanced all-to-all of 2 words per ordered pair.
-	err = s.Superstep("alltoall", func(id int, in []Message) ([]Message, error) {
-		msgs := make([]Message, 0, n)
-		for to := 0; to < n; to++ {
-			msgs = append(msgs, Message{To: to, Words: []Word{7, 8}})
-		}
-		return msgs, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+// encodeInts is the codec of the test program's steps.
+func encodeInts(dst []Word, p []int) []Word { return AppendInts(dst, p...) }
+
+// program is one declared protocol: a leader scatter, a skewed gather, an
+// all-to-all, a dense exchange with repeated units and a broadcast. Every
+// receiver adds what it gets into sums (an order-free fold, as the executor
+// rules require) and the dense receivers fill rows.
+type program struct {
+	sums []int
+	rows [][]float64
 }
 
-func chargedProgram(t *testing.T, n int) *Sim {
+func runProgram(t *testing.T, s *Sim) *program {
 	t.Helper()
-	s := MustNew(n)
-	s.EnableTrace()
-	plan := NewCostPlan(n)
-	dests := make([]int, n)
-	for i := range dests {
-		dests[i] = i
+	n := s.N()
+	pr := &program{sums: make([]int, n)}
+	add := func(to int, p []int) {
+		for _, v := range p {
+			pr.sums[to] += v
+		}
 	}
-	plan.Scatter(0, dests, 3)
-	if err := s.ChargedSuperstep("scatter", plan, nil); err != nil {
+	steps := []*Step[[]int]{
+		// Leader scatters 3 words to every machine.
+		{Name: "scatter", Send: func(o *Out[[]int]) error {
+			o.From(0)
+			for to := 0; to < n; to++ {
+				o.Send(to, 3, []int{1, 2, to})
+			}
+			return nil
+		}},
+		// Skewed gather: machine i sends i+1 words to the leader — machine
+		// n-1's n words push the leader's receive load to n(n+1)/2 > n,
+		// charging multiple rounds.
+		{Name: "gather", Send: func(o *Out[[]int]) error {
+			for u := 0; u < n; u++ {
+				o.From(u)
+				p := make([]int, u+1)
+				for i := range p {
+					p[i] = u
+				}
+				o.Send(0, u+1, p)
+			}
+			return nil
+		}},
+		// Balanced all-to-all of 2 words per ordered pair.
+		{Name: "alltoall", Send: func(o *Out[[]int]) error {
+			for u := 0; u < n; u++ {
+				o.From(u)
+				for to := 0; to < n; to++ {
+					o.Send(to, 2, []int{u, to})
+				}
+			}
+			return nil
+		}},
+	}
+	for _, st := range steps {
+		st.Recv, st.Encode, st.Decode = add, encodeInts, Ints
+		if err := Run(s, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Dense exchange: machine 1 hosts two sending units and machine 0 two
+	// receiving units.
+	from := []int{1, 1, 2, 3}
+	to := []int{0, 0, 5, n - 1}
+	pr.rows = make([][]float64, len(to))
+	for b := range pr.rows {
+		pr.rows[b] = make([]float64, len(from))
+	}
+	err := RunDense(s, &Dense{
+		Name: "dense", From: from, To: to, Words: 4,
+		Values: func(b int, row []float64) {
+			for a := range row {
+				row[a] = float64(a*100+b) + 0.5
+			}
+		},
+		Into: func(b int) []float64 { return pr.rows[b] },
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	plan.Reset()
-	for id := 0; id < n; id++ {
-		plan.Add(id, 0, id+1)
-	}
-	if err := s.ChargedSuperstep("gather", plan, nil); err != nil {
+	if err := RunBroadcast(s, 2, n+3, func(dst []Word) []Word { return append(dst, make([]Word, n+3)...) }); err != nil {
 		t.Fatal(err)
 	}
-	plan.Reset()
-	plan.AllToAll(n, 2)
-	if err := s.ChargedSuperstep("alltoall", plan, nil); err != nil {
+	if err := Local(s, "local", nil); err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return pr
 }
 
-// TestChargedMatchesFullStats runs the same communication pattern through
-// the full message-materializing path and the charged analytic path — the
-// full arm on both the sequential and the goroutine execution modes (run
-// with -race to verify the latter) — and requires every counter and every
-// per-superstep trace field, MaxRecvMsg included, to agree.
+// TestChargedMatchesFullStats runs one declared program on the charged
+// executor and on the materializing executor — the latter on both the
+// sequential and the goroutine arms of Superstep (run with -race to check
+// the goroutine arm) — and requires the same receiver state, counters and
+// per-superstep trace, MaxRecvMsg included.
 func TestChargedMatchesFullStats(t *testing.T) {
 	const n = 16
-	charged := chargedProgram(t, n)
+	charged := MustNew(n)
+	charged.EnableTrace()
+	want := runProgram(t, charged)
 	for _, parallel := range []bool{false, true} {
 		prev := forceParallel
 		forceParallel = parallel
-		full := fullProgram(t, n)
+		full := NewMaterializing(n)
+		full.EnableTrace()
+		got := runProgram(t, full)
 		forceParallel = prev
 
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("parallel=%v: receiver state differs:\nmaterializing %+v\ncharged       %+v", parallel, got, want)
+		}
 		if full.Rounds() != charged.Rounds() {
-			t.Errorf("parallel=%v: rounds %d (full) vs %d (charged)", parallel, full.Rounds(), charged.Rounds())
+			t.Errorf("parallel=%v: rounds %d (materializing) vs %d (charged)", parallel, full.Rounds(), charged.Rounds())
 		}
 		if full.Supersteps() != charged.Supersteps() {
 			t.Errorf("parallel=%v: supersteps %d vs %d", parallel, full.Supersteps(), charged.Supersteps())
@@ -104,8 +127,38 @@ func TestChargedMatchesFullStats(t *testing.T) {
 			t.Errorf("parallel=%v: total words %d vs %d", parallel, full.TotalWords(), charged.TotalWords())
 		}
 		if !reflect.DeepEqual(full.Stats(), charged.Stats()) {
-			t.Errorf("parallel=%v: traces differ:\nfull    %+v\ncharged %+v", parallel, full.Stats(), charged.Stats())
+			t.Errorf("parallel=%v: traces differ:\nmaterializing %+v\ncharged       %+v", parallel, full.Stats(), charged.Stats())
 		}
+	}
+	if want.sums[0] == 0 || want.rows[1][1] != 101.5 {
+		t.Errorf("program delivered nothing: %+v", want)
+	}
+}
+
+// TestMaterializingChecksWidth requires the materializing executor to refuse
+// a payload that packs to a different width than the step charges — the
+// check that keeps a declaration's charges honest.
+func TestMaterializingChecksWidth(t *testing.T) {
+	st := &Step[[]int]{
+		Name: "wide",
+		Send: func(o *Out[[]int]) error {
+			o.From(0)
+			o.Send(1, 2, []int{1, 2, 3})
+			return nil
+		},
+		Encode: encodeInts, Decode: Ints,
+	}
+	if err := Run(MustNew(4), st); err != nil {
+		t.Fatalf("charged executor: %v", err)
+	}
+	err := Run(NewMaterializing(4), st)
+	if err == nil || !strings.Contains(err.Error(), "charged as 2 words") {
+		t.Errorf("materializing executor: got %v, want a width error", err)
+	}
+	err = RunDense(NewMaterializing(4), &Dense{Name: "narrow", From: []int{0}, To: []int{1}, Words: 2,
+		Values: func(int, []float64) {}, Into: func(int) []float64 { return make([]float64, 1) }})
+	if err == nil {
+		t.Error("materializing executor accepted a 3-word dense frame charged as 2 words")
 	}
 }
 
@@ -190,15 +243,5 @@ func TestCostPlanValidation(t *testing.T) {
 	}
 	if err := s.ChargeBroadcast(-1); err == nil {
 		t.Error("negative broadcast accepted")
-	}
-}
-
-// TestChargedFidelityValues pins the Fidelity helpers.
-func TestChargedFidelityValues(t *testing.T) {
-	if !Fidelity("").Charged() || !FidelityCharged.Charged() || FidelityFull.Charged() {
-		t.Error("Charged() resolution wrong")
-	}
-	if !Fidelity("").Valid() || !FidelityCharged.Valid() || !FidelityFull.Valid() || Fidelity("turbo").Valid() {
-		t.Error("Valid() resolution wrong")
 	}
 }

@@ -21,8 +21,8 @@ var forceParallel = false
 
 // roundsFor is the Lenzen-routing charge shared by every superstep variant:
 // a pattern whose maximum per-machine send/receive load is maxLoad words
-// costs ceil(maxLoad/n) rounds, minimum 1. Full and charged execution both
-// charge through it, so the two modes cannot drift.
+// costs ceil(maxLoad/n) rounds, minimum 1. Delivered and charged
+// supersteps both charge through it, so the two executors cannot drift.
 func roundsFor(maxLoad, n int) int {
 	if maxLoad > n {
 		return (maxLoad + n - 1) / n
@@ -48,6 +48,23 @@ func IntWord(v int) Word { return Word(v) }
 
 // Int unpacks an integer word.
 func (w Word) Int() int { return int(w) }
+
+// AppendInts packs integers into words appended to dst.
+func AppendInts(dst []Word, vs ...int) []Word {
+	for _, v := range vs {
+		dst = append(dst, IntWord(v))
+	}
+	return dst
+}
+
+// Ints unpacks integer words.
+func Ints(words []Word) []int {
+	vs := make([]int, len(words))
+	for i, w := range words {
+		vs[i] = w.Int()
+	}
+	return vs
+}
 
 // FloatWord packs a float64 into a word. The paper's algorithms only ever
 // communicate probabilities with O(log n)-bit fixed-point representations
@@ -96,7 +113,14 @@ type Sim struct {
 	// them instead of an O(n) sweep a few thousand times per sample.
 	inboxDirty bool
 	stats      []StepStat
-	traceStats bool
+
+	// materialize selects the executor of declared supersteps (exec.go):
+	// false, the charged executor, for every Sim from New; true only for a
+	// Sim from NewMaterializing. plan is the charged executor's reusable
+	// cost plan.
+	materialize bool
+	plan        *CostPlan
+	traceStats  bool
 
 	// trace, when non-nil, receives one span per superstep/broadcast/charge
 	// with the charged rounds and words attached, tagged with traceTag (the

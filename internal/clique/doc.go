@@ -27,18 +27,33 @@
 // — but all cross-machine dataflow goes through the simulator, and inboxes
 // are delivered in a deterministic order so runs are reproducible.
 //
-// # Fidelities and their byte-identical obligation
+// # One declaration, two executors
 //
-// The simulator has two execution modes (Fidelity): "charged", the only
-// mode the serving path uses, runs hot supersteps as plain local
-// computation and charges rounds/words analytically from a CostPlan
-// declaring the communication pattern message-for-message
-// (Sim.ChargedSuperstep, Sim.ChargeBroadcast); "full" materializes every
-// Message and routes it through the superstep machinery, and survives as
-// the test-only reference. The two modes are obligated to agree exactly:
-// trees, Stats, and per-superstep traces (including max send/receive loads)
-// must be byte-identical, which golden tests pin at the clique, core and
-// doubling layers. A charged port that
-// cannot reproduce the full path's loads word-for-word is a bug, not an
-// approximation.
+// A protocol declares each superstep once — a Step (a send function that
+// names each sending machine and emits its messages, a receive function per
+// message, and a codec), a Dense
+// exchange, a broadcast or a Local computation — and the Sim it runs on
+// picks the executor:
+//
+//   - charged, for every Sim from New and the only one serving uses: each
+//     send is counted into a CostPlan as it is emitted and its payload is
+//     handed to the receiver in memory. No Message is built, no Word
+//     packed, no inbox sorted, no goroutine started.
+//   - materializing, for a Sim from NewMaterializing (a test helper
+//     protocol tests reach through an unexported constructor hook, core's
+//     and doubling's newSim): every payload is packed into Words, routed
+//     through Superstep or Broadcast and decoded at its receiver. The
+//     declaration's functions still run on the calling goroutine; only
+//     Superstep's routing of the packed words fans out.
+//
+// Both charge through roundsFor, and the materializing executor refuses a
+// payload that packs to a different width than its send charged, so trees,
+// Stats and per-superstep traces must come out identical on both; the
+// executor goldens in clique, core and doubling pin this. A declaration
+// keeps two rules for that: no send reads state a receive of the same
+// superstep writes (the charged executor delivers as it sends, the
+// materializing one after all units have sent), and no receiver's state
+// depends on the order of different senders' messages (the charged
+// executor delivers in send order, the materializing one by sending
+// machine; one sender's messages arrive in send order on both).
 package clique

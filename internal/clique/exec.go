@@ -1,0 +1,237 @@
+package clique
+
+import "fmt"
+
+// NewMaterializing returns a simulator of n machines whose declared
+// supersteps run on the materializing executor. It is a shared test helper:
+// protocol tests reach it through an unexported constructor hook and check
+// that it agrees with the charged executor; no serving path builds one.
+func NewMaterializing(n int) *Sim {
+	s := MustNew(n)
+	s.materialize = true
+	return s
+}
+
+// costPlan returns the simulator's reusable plan, reset for one superstep.
+func (s *Sim) costPlan() *CostPlan {
+	if s.plan == nil {
+		s.plan = NewCostPlan(s.n)
+	}
+	s.plan.Reset()
+	return s.plan
+}
+
+// Step declares one sparse superstep. Send runs its sending units in
+// order: each names its machine with Out.From and then emits its messages
+// through Out.Send. A unit is a machine or one of several pieces of state a
+// machine holds (a pair machine's pairs); Send is one function rather than
+// one per unit because a call per unit would cost about as much as the
+// unit's own work. Recv, if not nil, consumes one delivered payload at
+// machine to.
+// Encode appends a payload's words to dst and Decode reads them back; only
+// the materializing executor calls them. A Step value is reused across runs
+// of the same superstep.
+type Step[P any] struct {
+	Name   string
+	Send   func(out *Out[P]) error
+	Recv   func(to int, p P)
+	Encode func(dst []Word, p P) []Word
+	Decode func(words []Word) P
+
+	out Out[P]
+}
+
+// Out is a sending unit's outbox during one run of a Step.
+type Out[P any] struct {
+	from int
+	plan *CostPlan
+	recv func(to int, p P)
+
+	// Materializing executor only: packed messages by sending machine, and
+	// the first payload whose packed width differed from its charge.
+	outs   [][]Message
+	encode func(dst []Word, p P) []Word
+	err    error
+}
+
+// From makes machine m the sender of the messages that follow.
+func (o *Out[P]) From(m int) { o.from = m }
+
+// Send emits one words-word message carrying p to machine to.
+func (o *Out[P]) Send(to, words int, p P) {
+	if o.outs != nil {
+		o.pack(to, words, p)
+		return
+	}
+	o.plan.Add(o.from, to, words)
+	if o.recv != nil && uint(to) < uint(o.plan.n) {
+		o.recv(to, p)
+	}
+}
+
+// pack is Send on the materializing executor.
+func (o *Out[P]) pack(to, words int, p P) {
+	if o.err != nil {
+		return
+	}
+	if o.from < 0 || o.from >= len(o.outs) {
+		o.err = fmt.Errorf("message from invalid machine %d", o.from)
+		return
+	}
+	ws := o.encode(nil, p)
+	if len(ws) != words {
+		o.err = fmt.Errorf("machine %d packed a %d-word payload charged as %d words", o.from, len(ws), words)
+	}
+	o.outs[o.from] = append(o.outs[o.from], Message{To: to, Words: ws})
+}
+
+// send runs the step's Send on its outbox.
+func (st *Step[P]) send() error { return st.Send(&st.out) }
+
+// Run executes one declared superstep on s.
+func Run[P any](s *Sim, st *Step[P]) error {
+	if !s.materialize {
+		plan := s.costPlan()
+		st.out = Out[P]{plan: plan, recv: st.Recv}
+		return s.ChargedSuperstep(st.Name, plan, st.send)
+	}
+	outs := make([][]Message, s.n)
+	st.out = Out[P]{outs: outs, encode: st.Encode}
+	err := st.send()
+	if err == nil {
+		err = st.out.err
+	}
+	st.out = Out[P]{}
+	if err != nil {
+		s.clearInboxes()
+		return fmt.Errorf("clique: superstep %q: %w", st.Name, err)
+	}
+	return s.route(st.Name, outs, func(to int, m Message) {
+		if st.Recv != nil {
+			st.Recv(to, st.Decode(m.Words))
+		}
+	})
+}
+
+// route sends pre-packed messages through Superstep, then hands every
+// delivered message to recv in inbox order (receiving machine, then sending
+// machine, then send order) and empties the inboxes.
+func (s *Sim) route(name string, outs [][]Message, recv func(to int, m Message)) error {
+	err := s.Superstep(name, func(id int, _ []Message) ([]Message, error) {
+		return outs[id], nil
+	})
+	if err != nil {
+		return err
+	}
+	for id, in := range s.inboxes {
+		for _, m := range in {
+			recv(id, m)
+		}
+	}
+	s.clearInboxes()
+	return nil
+}
+
+// Dense declares the dense bipartite superstep: every unit of From sends
+// one Words-word message to every unit of To. Entries are the units'
+// machines; a machine listed twice hosts two units. Values(b, row) fills
+// row[a] with the float unit From[a] sends unit To[b], and Into(b) is unit
+// b's receive row, indexed by a. With Into nil, no receiver stores a
+// payload (a request whose content the pattern itself implies) and Values
+// may be nil.
+//
+// The charged executor charges the pattern in O(|From|+|To|) and has Values
+// fill each receiver's row in place: the value function is stated per
+// receiving row because a function call per entry would cost more than the
+// entry itself. The materializing executor evaluates the rows, sends
+// |From|·|To| messages framed as (a, b, value) and padded with zero words to
+// the declared width, and stores each decoded value at its receiver.
+type Dense struct {
+	Name     string
+	From, To []int
+	Words    int
+	Values   func(b int, row []float64)
+	Into     func(b int) []float64
+}
+
+// RunDense executes one declared dense superstep on s.
+func RunDense(s *Sim, d *Dense) error {
+	if !s.materialize {
+		plan := s.costPlan()
+		plan.Exchange(d.From, d.To, d.Words)
+		return s.ChargedSuperstep(d.Name, plan, func() error {
+			if d.Into != nil {
+				for b := range d.To {
+					d.Values(b, d.Into(b)[:len(d.From)])
+				}
+			}
+			return nil
+		})
+	}
+	frame := 2
+	if d.Into != nil {
+		frame = 3
+	}
+	if d.Words < frame {
+		s.clearInboxes()
+		return fmt.Errorf("clique: superstep %q: a %d-word frame charged as %d words", d.Name, frame, d.Words)
+	}
+	rows := make([][]float64, len(d.To))
+	for b := range rows {
+		rows[b] = make([]float64, len(d.From))
+		if d.Into != nil {
+			d.Values(b, rows[b])
+		}
+	}
+	outs := make([][]Message, s.n)
+	for a, from := range d.From {
+		if from < 0 || from >= s.n {
+			s.clearInboxes()
+			return fmt.Errorf("clique: superstep %q: message from invalid machine %d", d.Name, from)
+		}
+		for b, to := range d.To {
+			ws := make([]Word, d.Words)
+			ws[0], ws[1] = IntWord(a), IntWord(b)
+			if d.Into != nil {
+				ws[2] = FloatWord(rows[b][a])
+			}
+			outs[from] = append(outs[from], Message{To: to, Words: ws})
+		}
+	}
+	return s.route(d.Name, outs, func(_ int, m Message) {
+		if d.Into != nil {
+			d.Into(m.Words[1].Int())[m.Words[0].Int()] = m.Words[2].Float()
+		}
+	})
+}
+
+// RunBroadcast executes a declared broadcast: machine from sends a w-word
+// payload to every machine, in the two-phase pattern that costs
+// 2·ceil(w/n) rounds. The receivers read the payload from shared state,
+// read-only, as Broadcast's receivers share its words. pack appends the
+// payload's words to dst; only the materializing executor calls it, to
+// check the width and route the words.
+func RunBroadcast(s *Sim, from, w int, pack func(dst []Word) []Word) error {
+	if !s.materialize {
+		if from < 0 || from >= s.n {
+			return fmt.Errorf("clique: broadcast from invalid machine %d", from)
+		}
+		return s.ChargeBroadcast(w)
+	}
+	ws := pack(nil)
+	if len(ws) != w {
+		return fmt.Errorf("clique: broadcast packed a %d-word payload charged as %d words", len(ws), w)
+	}
+	if err := s.Broadcast(from, 0, ws); err != nil {
+		return err
+	}
+	s.clearInboxes()
+	return nil
+}
+
+// Local declares a superstep with no traffic: fn is the machines' local
+// computation (nil when there is none), charged one round on either
+// executor.
+func Local(s *Sim, name string, fn func() error) error {
+	return s.ChargedSuperstep(name, nil, fn)
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/clique"
 	"repro/internal/mm"
 )
 
@@ -46,18 +45,6 @@ type Config struct {
 	// current endpoint (appendix §5.1), making coverage failures
 	// impossible instead of ε-improbable.
 	LasVegas bool
-	// SimFidelity selects the simulator execution mode of the protocol's
-	// supersteps. FidelityCharged (the "" default) runs the ported hot
-	// supersteps — pair assignment, midpoint distribution, the binary-search
-	// count protocol, submatrix fetch, first-visit edge recovery, column
-	// redistribution — as plain local computation over the shared state with
-	// rounds and words charged analytically from the declared communication
-	// pattern (clique.ChargedSuperstep). FidelityFull materializes every
-	// message through the simulator, the original audit mode. Trees and
-	// Stats are byte-identical across modes (golden-tested); only wall-clock
-	// and allocation behavior differ. Only tests set it: the full mode is
-	// the reference the charged path is checked against.
-	SimFidelity clique.Fidelity
 	// KernelWorkers is ignored: the dense kernels are sequential. It stays
 	// only because the frozen benchmark harness (bench/trace.go) still
 	// reads it, and goes with the benchmark's next revision.
@@ -98,9 +85,6 @@ func (c Config) withDefaults(n int) (Config, error) {
 	}
 	if c.TruncDelta < 0 {
 		return c, fmt.Errorf("core: negative truncation delta %g", c.TruncDelta)
-	}
-	if !c.SimFidelity.Valid() {
-		return c, fmt.Errorf("core: unknown sim fidelity %q (want %q or %q)", c.SimFidelity, clique.FidelityCharged, clique.FidelityFull)
 	}
 	return c, nil
 }

@@ -11,6 +11,11 @@ import (
 	"repro/internal/spanning"
 )
 
+// newSim builds each sample's simulator. Tests swap in
+// clique.NewMaterializing to run the same protocol declarations on the
+// materializing executor.
+var newSim = clique.MustNew
+
 // Sample draws an approximately uniform spanning tree of g on the simulated
 // congested clique (Theorem 1). It returns the tree, the cost statistics of
 // the run, and the simulator (for callers that want the superstep trace).
@@ -46,7 +51,7 @@ func Sample(g *graph.Graph, cfg Config, src *prng.Source) (*spanning.Tree, *Stat
 // and per superstep, tagged with tag); tracing never feeds back into the run.
 func sampleLoop(g *graph.Graph, cfg Config, src *prng.Source, warm *Prepared, tr *obs.Trace, tag int64) (*spanning.Tree, *Stats, error) {
 	n := g.N()
-	sim := clique.MustNew(n)
+	sim := newSim(n)
 	sim.SetTrace(tr, tag)
 	stats := &Stats{}
 
@@ -178,37 +183,48 @@ func sampleLoop(g *graph.Graph, cfg Config, src *prng.Source, warm *Prepared, tr
 // entered v. It returns the sampled edges and the newly visited global
 // vertices in first-visit order.
 func (r *phaseRunner) firstVisitEdges(walkLocal []int) ([]graph.Edge, []int, error) {
-	seen := &r.sc.seen
+	sc := r.sc
+	sc.readyFirstVisits()
+	seen := &sc.seen
 	seen.reset()
 	seen.mark(walkLocal[0])
-	visits := r.sc.visits[:0]
+	visits := sc.visits[:0]
 	for i := 1; i < len(walkLocal); i++ {
 		lv := walkLocal[i]
 		if !seen.mark(lv) {
 			continue
 		}
-		visits = append(visits, fvVisit{prev: r.hostOf(walkLocal[i-1]), v: r.hostOf(lv)})
+		v := r.hostOf(lv)
+		visits = append(visits, fvVisit{prev: r.hostOf(walkLocal[i-1]), v: v})
+		sc.fvEdge[v] = -1
 	}
-	r.sc.visits = visits
+	sc.visits = visits
 	if len(visits) == 0 {
 		return nil, nil, nil
 	}
-	var edgeOf map[int]int
-	var err error
-	if r.charged {
-		edgeOf, err = r.firstVisitEdgesCharged(visits)
-	} else {
-		edgeOf, err = r.firstVisitEdgesFull(visits)
+	p := sc.proto
+	if err := clique.Run(r.sim, &p.notify); err != nil {
+		return nil, nil, err
 	}
-	if err != nil {
+	if err := clique.Run(r.sim, &p.request); err != nil {
+		return nil, nil, err
+	}
+	if err := clique.Run(r.sim, &p.reply); err != nil {
+		return nil, nil, err
+	}
+	if err := clique.Run(r.sim, &p.sample); err != nil {
+		return nil, nil, err
+	}
+	// The leader absorbed the edges as they arrived.
+	if err := clique.Local(r.sim, "core/fve/absorb", nil); err != nil {
 		return nil, nil, err
 	}
 
 	edges := make([]graph.Edge, 0, len(visits))
 	order := make([]int, 0, len(visits))
 	for _, vis := range visits {
-		u, ok := edgeOf[vis.v]
-		if !ok {
+		u := sc.fvEdge[vis.v]
+		if u < 0 {
 			return nil, nil, fmt.Errorf("core: no entry edge reported for vertex %d", vis.v)
 		}
 		edges = append(edges, graph.Edge{U: min(u, vis.v), V: max(u, vis.v), Weight: 1})
@@ -220,256 +236,3 @@ func (r *phaseRunner) firstVisitEdges(walkLocal []int) ([]graph.Edge, []int, err
 // fvVisit is one first visit of the phase walk: the visited vertex and its
 // Schur-walk predecessor, in global ids.
 type fvVisit struct{ prev, v int }
-
-// firstVisitEdgesFull runs the Algorithm 4 protocol with full message
-// dataflow, returning each visited vertex's sampled entry neighbor.
-func (r *phaseRunner) firstVisitEdgesFull(visits []fvVisit) (map[int]int, error) {
-	leader := r.leader
-
-	// Superstep 1: leader tells each newly visited vertex its predecessor
-	// in the Schur walk (Algorithm 4 step 4).
-	err := r.sim.Superstep("core/fve/notify", func(id int, in []clique.Message) ([]clique.Message, error) {
-		if id != leader {
-			return nil, nil
-		}
-		msgs := make([]clique.Message, 0, len(visits))
-		for _, vis := range visits {
-			msgs = append(msgs, clique.Message{
-				To:    vis.v,
-				Tag:   tagFveNotify,
-				Words: []clique.Word{clique.IntWord(vis.prev)},
-			})
-		}
-		return msgs, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Superstep 2: each notified vertex asks its G-neighbors for the Bayes
-	// weight (Algorithm 4 steps 5-6).
-	err = r.sim.Superstep("core/fve/request", func(id int, in []clique.Message) ([]clique.Message, error) {
-		var msgs []clique.Message
-		for _, m := range in {
-			if m.Tag != tagFveNotify {
-				continue
-			}
-			prev := m.Words[0].Int()
-			r.g.VisitNeighbors(id, func(h graph.Half) {
-				msgs = append(msgs, clique.Message{
-					To:    h.To,
-					Tag:   tagFveReq,
-					Words: []clique.Word{clique.IntWord(id), clique.IntWord(prev)},
-				})
-			})
-		}
-		return msgs, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Superstep 3: neighbor u answers with Q[prev, u] * w(u,v)/degS(u).
-	err = r.sim.Superstep("core/fve/reply", func(id int, in []clique.Message) ([]clique.Message, error) {
-		var msgs []clique.Message
-		var degS float64
-		degKnown := false
-		for _, m := range in {
-			if m.Tag != tagFveReq {
-				continue
-			}
-			v, prev := m.Words[0].Int(), m.Words[1].Int()
-			if !degKnown {
-				r.g.VisitNeighbors(id, func(h graph.Half) {
-					if r.sub.Contains(h.To) {
-						degS += h.Weight
-					}
-				})
-				degKnown = true
-			}
-			if degS <= 0 {
-				return nil, fmt.Errorf("machine %d adjacent to S-vertex %d has degS=0", id, v)
-			}
-			weight := r.shortcut(prev, id) * r.g.Weight(id, v) / degS
-			msgs = append(msgs, clique.Message{
-				To:    v,
-				Tag:   tagFveReply,
-				Words: []clique.Word{clique.IntWord(id), clique.FloatWord(weight)},
-			})
-		}
-		return msgs, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Superstep 4: each vertex samples its entry edge and reports it to the
-	// leader (Algorithm 4 step 7).
-	err = r.sim.Superstep("core/fve/sample", func(id int, in []clique.Message) ([]clique.Message, error) {
-		var nbrs []int
-		var weights []float64
-		for _, m := range in {
-			if m.Tag != tagFveReply {
-				continue
-			}
-			nbrs = append(nbrs, m.Words[0].Int())
-			weights = append(weights, m.Words[1].Float())
-		}
-		if len(nbrs) == 0 {
-			return nil, nil
-		}
-		choice, err := r.rng(id).WeightedIndex(weights)
-		if err != nil {
-			return nil, fmt.Errorf("vertex %d has no mass on any entry edge: %w", id, err)
-		}
-		return []clique.Message{{
-			To:    leader,
-			Tag:   tagFveEdge,
-			Words: []clique.Word{clique.IntWord(nbrs[choice]), clique.IntWord(id)},
-		}}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Superstep 5: leader absorbs the edges.
-	edgeOf := make(map[int]int, len(visits)) // v -> sampled entry neighbor
-	err = r.sim.Superstep("core/fve/absorb", func(id int, in []clique.Message) ([]clique.Message, error) {
-		if id != leader {
-			return nil, nil
-		}
-		for _, m := range in {
-			if m.Tag == tagFveEdge {
-				edgeOf[m.Words[1].Int()] = m.Words[0].Int()
-			}
-		}
-		return nil, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return edgeOf, nil
-}
-
-// firstVisitEdgesCharged is the charged-mode port of the Algorithm 4
-// protocol: the same five supersteps with identical per-message charges —
-// one notify word per visit, a 2-word request and reply per (visit,
-// neighbor) edge, a 2-word report per visit — with the Bayes weights read
-// straight from the phase's shortcut transitions. Each visited vertex's entry
-// distribution lists its neighbors in ascending id order, exactly the
-// sorted-inbox order the full path samples from, and draws from the same
-// per-machine rng stream, so the sampled edges are byte-identical.
-func (r *phaseRunner) firstVisitEdgesCharged(visits []fvVisit) (map[int]int, error) {
-	leader := r.leader
-	plan := r.sc.plan
-	plan.Reset()
-
-	// Superstep 1 (core/fve/notify): leader tells each newly visited vertex
-	// its predecessor.
-	for _, vis := range visits {
-		plan.Add(leader, vis.v, 1)
-	}
-	if err := r.sim.ChargedSuperstep("core/fve/notify", plan, nil); err != nil {
-		return nil, err
-	}
-
-	// Superstep 2 (core/fve/request): each visited vertex asks its
-	// G-neighbors for the Bayes weight.
-	plan.Reset()
-	for _, vis := range visits {
-		v := vis.v
-		r.g.VisitNeighbors(v, func(h graph.Half) {
-			plan.Add(v, h.To, 2)
-		})
-	}
-	if err := r.sim.ChargedSuperstep("core/fve/request", plan, nil); err != nil {
-		return nil, err
-	}
-
-	// Superstep 3 (core/fve/reply): neighbor u answers with
-	// Q[prev, u] * w(u,v)/degS(u); entries are kept per visit in ascending
-	// neighbor order (the full path's sorted-inbox order). degS is computed
-	// once per responding neighbor, as each machine does for itself.
-	type entry struct {
-		u int
-		w float64
-	}
-	entries := make([][]entry, len(visits))
-	degS := make(map[int]float64)
-	plan.Reset()
-	err := r.sim.ChargedSuperstep("core/fve/reply", plan, func() error {
-		for vi, vis := range visits {
-			v := vis.v
-			nbrs := make([]entry, 0, r.g.NeighborCount(v))
-			var stepErr error
-			r.g.VisitNeighbors(v, func(h graph.Half) {
-				if stepErr != nil {
-					return
-				}
-				u := h.To
-				d, ok := degS[u]
-				if !ok {
-					r.g.VisitNeighbors(u, func(hh graph.Half) {
-						if r.sub.Contains(hh.To) {
-							d += hh.Weight
-						}
-					})
-					degS[u] = d
-				}
-				if d <= 0 {
-					stepErr = fmt.Errorf("machine %d adjacent to S-vertex %d has degS=0", u, v)
-					return
-				}
-				plan.Add(u, v, 2)
-				nbrs = append(nbrs, entry{u: u, w: r.shortcut(vis.prev, u) * h.Weight / d})
-			})
-			if stepErr != nil {
-				return stepErr
-			}
-			// Neighbor ids are distinct, so this insertion sort produces
-			// exactly sort.Slice's ascending order without its closure and
-			// swapper allocations.
-			for i := 1; i < len(nbrs); i++ {
-				for j := i; j > 0 && nbrs[j].u < nbrs[j-1].u; j-- {
-					nbrs[j], nbrs[j-1] = nbrs[j-1], nbrs[j]
-				}
-			}
-			entries[vi] = nbrs
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Superstep 4 (core/fve/sample): each visited vertex samples its entry
-	// edge and reports it to the leader (2 words per visit).
-	plan.Reset()
-	froms := make([]int, len(visits))
-	for i, vis := range visits {
-		froms[i] = vis.v
-	}
-	plan.Gather(froms, leader, 2)
-	edgeOf := make(map[int]int, len(visits))
-	err = r.sim.ChargedSuperstep("core/fve/sample", plan, func() error {
-		for vi, vis := range visits {
-			es := entries[vi]
-			weights := growFloats(r.sc.weights, len(es))
-			r.sc.weights = weights
-			for i, e := range es {
-				weights[i] = e.w
-			}
-			choice, err := r.rng(vis.v).WeightedIndex(weights)
-			if err != nil {
-				return fmt.Errorf("vertex %d has no mass on any entry edge: %w", vis.v, err)
-			}
-			edgeOf[vis.v] = es[choice].u
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Superstep 5 (core/fve/absorb): leader absorbs — computation only.
-	if err := r.sim.ChargedSuperstep("core/fve/absorb", nil, nil); err != nil {
-		return nil, err
-	}
-	return edgeOf, nil
-}

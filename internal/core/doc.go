@@ -13,11 +13,12 @@
 // (Lemma 3). First-visit edges in G are recovered from the shortcut graph
 // by Bayes' rule (Algorithm 4).
 //
-// Every protocol message flows through the clique simulator (or, in the
-// default charged fidelity, is charged analytically from the identical
-// communication pattern), so the reported round counts are the loads the
-// paper's accounting charges; see the clique package documentation for the
-// cost model.
+// Each protocol superstep is declared once (protocol.go) and runs on the
+// clique simulator's charged executor, which counts every declared message
+// into the round accounting as it is sent, so the reported round counts are
+// the loads the paper's accounting charges; see the clique package
+// documentation for the cost model and for the materializing executor the
+// tests check it against (through the newSim hook).
 //
 // # Contract: precomputation split and byte-identical outputs
 //
@@ -27,12 +28,12 @@
 // concurrent SampleWith calls. The exact variant changes ρ, Las Vegas
 // extension and placement but not that table, so Prepared.Exact derives it
 // from a phase Prepared without a second table. Phase 0 walks on G itself
-// and holds no shortcut matrix: its first-visit weights read the identity. The package
-// guarantees that for a fixed (graph, Config, seed stream) the sampled tree
-// AND the reported Stats are byte-identical across every execution
-// variant: cold vs warm (Prepared reuse; the phase-0 build's round charges
-// are replayed) and charged vs full simulator fidelity. Warm paths only
-// ever reuse state that is a pure function of (graph, Config), never of
-// sampling history: every later phase walks on a subset that depends on the
-// walk and is built fresh.
+// and holds no shortcut matrix: its first-visit weights read the identity.
+// The package guarantees that for a fixed (graph, Config, seed stream) the
+// sampled tree AND the reported Stats are byte-identical across every
+// execution variant: cold vs warm (Prepared reuse; the phase-0 build's
+// round charges are replayed) and the charged vs the materializing clique
+// executor. Warm paths only ever reuse state that is a pure function of
+// (graph, Config), never of sampling history: every later phase walks on a
+// subset that depends on the walk and is built fresh.
 package core

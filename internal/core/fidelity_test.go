@@ -4,118 +4,131 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/clique"
 	"repro/internal/graph"
 	"repro/internal/mm"
 	"repro/internal/prng"
+	"repro/internal/spanning"
 )
 
-// TestFidelityGolden is the charged-mode contract: for every (family, seed,
-// sampler variant), the charged execution mode must produce the same tree
-// and the same full Stats — rounds, supersteps, total words, phase shape —
-// as the full message-materializing mode. The charged plans mirror the full
-// path's messages one-for-one, so any drift here is a bug in a plan.
-func TestFidelityGolden(t *testing.T) {
-	for _, fam := range []string{"expander", "er", "lollipop", "complete"} {
-		g, err := graph.FromFamily(fam, 24, prng.New(7))
+// traced runs fn with every sample's simulator built by build and tracing
+// its per-superstep stats, and returns the simulator of the last sample.
+func traced(build func(int) *clique.Sim, fn func()) *clique.Sim {
+	var last *clique.Sim
+	prev := newSim
+	newSim = func(n int) *clique.Sim {
+		last = build(n)
+		last.EnableTrace()
+		return last
+	}
+	defer func() { newSim = prev }()
+	fn()
+	return last
+}
+
+// executorRun is one sample's outputs on one executor.
+type executorRun struct {
+	tree  string
+	stats *Stats
+	steps []clique.StepStat
+}
+
+// onBothExecutors draws one sample with draw on the charged and on the
+// materializing executor.
+func onBothExecutors(t *testing.T, draw func() (*spanning.Tree, *Stats, error)) (charged, full executorRun) {
+	t.Helper()
+	run := func(build func(int) *clique.Sim) executorRun {
+		var tree *spanning.Tree
+		var stats *Stats
+		var err error
+		sim := traced(build, func() { tree, stats, err = draw() })
 		if err != nil {
 			t.Fatal(err)
 		}
-		for seed := uint64(1); seed <= 3; seed++ {
-			tc, sc, err := Sample(g, Config{SimFidelity: "charged"}, prng.New(seed))
-			if err != nil {
-				t.Fatalf("%s seed %d charged: %v", fam, seed, err)
-			}
-			tf, sf, err := Sample(g, Config{SimFidelity: "full"}, prng.New(seed))
-			if err != nil {
-				t.Fatalf("%s seed %d full: %v", fam, seed, err)
-			}
-			if tc.Encode() != tf.Encode() {
-				t.Errorf("%s seed %d: trees differ across fidelities", fam, seed)
-			}
-			if !reflect.DeepEqual(sc, sf) {
-				t.Errorf("%s seed %d: stats differ:\ncharged %+v\nfull    %+v", fam, seed, sc, sf)
-			}
+		return executorRun{tree.Encode(), stats, sim.Stats()}
+	}
+	return run(clique.MustNew), run(clique.NewMaterializing)
+}
 
-			te, se, err := SampleExact(g, Config{SimFidelity: "charged"}, prng.New(seed))
-			if err != nil {
-				t.Fatalf("%s seed %d exact charged: %v", fam, seed, err)
-			}
-			tef, sef, err := SampleExact(g, Config{SimFidelity: "full"}, prng.New(seed))
-			if err != nil {
-				t.Fatalf("%s seed %d exact full: %v", fam, seed, err)
-			}
-			if te.Encode() != tef.Encode() {
-				t.Errorf("%s seed %d: exact trees differ across fidelities", fam, seed)
-			}
-			if !reflect.DeepEqual(se, sef) {
-				t.Errorf("%s seed %d: exact stats differ:\ncharged %+v\nfull    %+v", fam, seed, se, sef)
-			}
+// checkExecutorsAgree requires the same tree, Stats and per-superstep
+// trace from both executors.
+func checkExecutorsAgree(t *testing.T, what string, charged, full executorRun) {
+	t.Helper()
+	if charged.tree != full.tree {
+		t.Errorf("%s: trees differ across executors", what)
+	}
+	if !reflect.DeepEqual(charged.stats, full.stats) {
+		t.Errorf("%s: stats differ:\ncharged       %+v\nmaterializing %+v", what, charged.stats, full.stats)
+	}
+	if !reflect.DeepEqual(charged.steps, full.steps) {
+		t.Errorf("%s: per-superstep traces differ (%d vs %d steps)", what, len(charged.steps), len(full.steps))
+	}
+}
+
+// TestFidelityGolden is the executor contract: for every (family, seed,
+// sampler variant), the charged executor must produce the same tree, the
+// same Stats — rounds, supersteps, total words, phase shape — and the same
+// per-superstep trace as the materializing executor running the same
+// protocol declarations. The n = 40 cases cross parallelThreshold, so on a
+// multi-core host the materializing executor routes through Superstep's
+// goroutines (run with -race).
+func TestFidelityGolden(t *testing.T) {
+	cases := []struct {
+		fam   string
+		n     int
+		seeds uint64
+	}{
+		{"expander", 24, 3}, {"er", 24, 3}, {"lollipop", 24, 3}, {"complete", 24, 3},
+		{"expander", 40, 1}, {"lollipop", 40, 1},
+	}
+	for _, c := range cases {
+		g, err := graph.FromFamily(c.fam, c.n, prng.New(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := uint64(1); seed <= c.seeds; seed++ {
+			charged, full := onBothExecutors(t, func() (*spanning.Tree, *Stats, error) {
+				return Sample(g, Config{}, prng.New(seed))
+			})
+			checkExecutorsAgree(t, c.fam+" phase", charged, full)
+			charged, full = onBothExecutors(t, func() (*spanning.Tree, *Stats, error) {
+				return SampleExact(g, Config{}, prng.New(seed))
+			})
+			checkExecutorsAgree(t, c.fam+" exact", charged, full)
 		}
 	}
 }
 
-// TestFidelityGoldenNaiveBackend checks the modes also agree under a
-// dataflow matmul backend: fidelity only governs the protocol supersteps,
-// while Naive's row broadcasts route real words in both modes.
+// TestFidelityGoldenNaiveBackend checks the executors also agree under a
+// dataflow matmul backend: the executor only governs the protocol's
+// declared supersteps, while Naive's row broadcasts route real words on
+// both.
 func TestFidelityGoldenNaiveBackend(t *testing.T) {
 	g, err := graph.FromFamily("expander", 16, prng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc, sc, err := Sample(g, Config{Backend: mm.Naive{}, SimFidelity: "charged"}, prng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tf, sf, err := Sample(g, Config{Backend: mm.Naive{}, SimFidelity: "full"}, prng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tc.Encode() != tf.Encode() || !reflect.DeepEqual(sc, sf) {
-		t.Errorf("naive backend: fidelities disagree:\ncharged %+v\nfull    %+v", sc, sf)
-	}
+	charged, full := onBothExecutors(t, func() (*spanning.Tree, *Stats, error) {
+		return Sample(g, Config{Backend: mm.Naive{}}, prng.New(2))
+	})
+	checkExecutorsAgree(t, "naive backend", charged, full)
 }
 
-// TestFidelityPreparedWith checks the warm path: a Prepared configured with
-// full fidelity serves the same draws as one configured charged, phase-0
-// cache included, and Prepare rejects an unknown mode.
+// TestFidelityPreparedWith checks the warm path: one Prepared serves the
+// same draws, phase-0 table included, on either executor.
 func TestFidelityPreparedWith(t *testing.T) {
 	g, err := graph.FromFamily("expander", 20, prng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	charged, err := Prepare(g, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := Prepare(g, Config{SimFidelity: "full"})
+	p, err := Prepare(g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := uint64(3); seed <= 4; seed++ {
-		tc, sc, err := charged.SampleWith(prng.New(seed), SampleOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tf, sf, err := full.SampleWith(prng.New(seed), SampleOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tc.Encode() != tf.Encode() || !reflect.DeepEqual(sc, sf) {
-			t.Errorf("seed %d: prepared fidelities drift:\ncharged %+v\nfull    %+v", seed, sc, sf)
-		}
-	}
-	if _, err := Prepare(g, Config{SimFidelity: "warp"}); err == nil {
-		t.Error("bogus fidelity accepted")
-	}
-}
-
-// TestFidelityConfigValidation rejects unknown modes at config time.
-func TestFidelityConfigValidation(t *testing.T) {
-	g, err := graph.FromFamily("complete", 8, prng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Sample(g, Config{SimFidelity: "half"}, prng.New(1)); err == nil {
-		t.Error("unknown fidelity accepted")
+		charged, full := onBothExecutors(t, func() (*spanning.Tree, *Stats, error) {
+			return p.SampleWith(prng.New(seed), SampleOpts{})
+		})
+		checkExecutorsAgree(t, "prepared", charged, full)
 	}
 }

@@ -14,22 +14,6 @@ import (
 	"repro/internal/schur"
 )
 
-// Message tags for the per-level protocol.
-const (
-	tagAssign    = iota // leader -> pair machine: (p, q, count)
-	tagDistReq          // pair machine -> vertex machine: (p, q)
-	tagDistReply        // vertex machine -> pair machine: (j, weight)
-	tagBSCount          // leader -> pair machine: (prefix count, mf occurrence or -1)
-	tagBSTally          // pair machine -> vertex machine: (j, count)
-	tagBSMf             // pair machine -> leader: (mf value)
-	tagBSReport         // vertex machine -> leader: (j, count)
-	tagSubEntry         // vertex machine -> leader: (a, b, value)
-	tagFveNotify        // leader -> first-visit vertex: (prev)
-	tagFveReq           // first-visit vertex -> neighbor: (v)
-	tagFveReply         // neighbor -> first-visit vertex: (u, weight)
-	tagFveEdge          // first-visit vertex -> leader: (u, v)
-)
-
 // pairKey is a (start, end) pair of consecutive walk vertices, in local
 // subset indices.
 type pairKey struct{ p, q int }
@@ -38,9 +22,8 @@ type pairKey struct{ p, q int }
 // during one level (Algorithm 2).
 type pairState struct {
 	key     pairKey
-	count   int       // c_{p,q}: midpoints requested
 	weights []float64 // midpoint distribution over local indices
-	seq     []int     // Π_{p,q}: sampled midpoints, in occurrence order
+	seq     []int     // Π_{p,q}: the c_{p,q} sampled midpoints, in occurrence order
 }
 
 // phaseRunner executes one phase of the sampler: a truncated top-down walk
@@ -50,14 +33,13 @@ type phaseRunner struct {
 	g   *graph.Graph
 	cfg Config
 
-	sub     *schur.Subset
-	pd      *matrix.PowerDyadic
-	q       *matrix.Matrix // shortcut transitions, global indices; nil in phase 0 (see shortcut)
-	built   bool           // pd and q were built for this phase, not taken from Prepared
-	leader  int            // global machine id of leader (hosts start vertex)
-	start   int            // local index of phase start vertex
-	rho     int            // distinct-vertex budget this phase
-	charged bool           // SimFidelity: charged supersteps vs full message dataflow
+	sub    *schur.Subset
+	pd     *matrix.PowerDyadic
+	q      *matrix.Matrix // shortcut transitions, global indices; nil in phase 0 (see shortcut)
+	built  bool           // pd and q were built for this phase, not taken from Prepared
+	leader int            // global machine id of leader (hosts start vertex)
+	start  int            // local index of phase start vertex
+	rho    int            // distinct-vertex budget this phase
 	// preSeen holds local indices already visited by earlier Las Vegas
 	// segments of the same phase; they count toward the rho budget but a
 	// reappearance is never a "first occurrence" (appendix §5.1).
@@ -83,21 +65,16 @@ type phaseRunner struct {
 	walk    []int
 	spacing int64
 
-	// Per-machine pair state for the current level. A machine may own
-	// several pairs when the level has more distinct pairs than machines
-	// (the paper's main setting has at most n pairs per the ρ = √n budget;
-	// the appendix's exact variant exceeds it, and the simulator then
-	// charges the extra per-machine bandwidth automatically).
-	pairs [][]*pairState
 	// Leader-local slot bookkeeping for the current level: slot j (1-based)
 	// sits between walk[j-1] and walk[j]. The slices are views into the
-	// scratch arena; pairRank is kept as a map for the full-fidelity
-	// protocol only, while the charged path indexes the arena's order tables
-	// directly.
+	// scratch arena.
 	slotPair []pairKey
 	slotOcc  []int // occurrence index (1-based) of the slot within its pair
 	slotIdx  []int // pair order index of the slot's pair
-	pairRank map[pairKey]int
+
+	// half is P^(δ/2) at the current level's spacing δ, the power the
+	// midpoint weights and the leader's submatrix read.
+	half *matrix.Matrix
 
 	// Leader-local result of the most recent count collection: the midpoint
 	// multiset lives in sc.counts; bsMf is the midpoint value at the queried
@@ -164,7 +141,6 @@ func newPhaseRunner(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Subs
 		leader:  startGlobal,
 		start:   startLocal,
 		rho:     rho,
-		charged: cfg.SimFidelity.Charged(),
 		preSeen: preSeen,
 		hosts:   sub.Vertices(),
 		src:     src,
@@ -172,6 +148,7 @@ func newPhaseRunner(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Subs
 		sc:      sc,
 	}
 	r.stats = stats
+	sc.r = r // the protocol's declarations act on the newest runner
 
 	// Outline 3 steps 3-4: sample the endpoint from S^l[start, *]. The
 	// leader holds its own row of every power, so this is a local draw.
@@ -251,7 +228,7 @@ func buildPhaseState(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Sub
 			return nil, nil, err
 		}
 	}
-	pd, err = mm.DyadicTable(sim, cfg.Backend, smat, maxExp, cfg.TruncDelta, cfg.SimFidelity)
+	pd, err = mm.DyadicTable(sim, cfg.Backend, smat, maxExp, cfg.TruncDelta)
 	smat.Release() // the table holds its own copy as the first power
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: dyadic power table: %w", err)
@@ -360,213 +337,36 @@ func (r *phaseRunner) assignPairs() error {
 		sc.pairMachine[rank] = rank % n
 	}
 
-	if cap(sc.pairs) < n {
-		sc.pairs = make([][]*pairState, n)
-	}
-	sc.pairs = sc.pairs[:n]
-	for i := range sc.pairs {
-		sc.pairs[i] = sc.pairs[i][:0]
-	}
-	r.pairs = sc.pairs
-	leader := r.leader
-	if r.charged {
-		plan := sc.plan
-		plan.Reset()
-		for rank := range order {
-			plan.Add(leader, rank%n, 3)
-		}
-		return r.sim.ChargedSuperstep("core/assign", plan, nil)
-	}
-	r.pairRank = make(map[pairKey]int, len(order))
-	for rank, key := range order {
-		r.pairRank[key] = rank % n
-	}
-	return r.sim.Superstep("core/assign", func(id int, in []clique.Message) ([]clique.Message, error) {
-		if id != leader {
-			return nil, nil
-		}
-		msgs := make([]clique.Message, 0, len(order))
-		for rank, key := range order {
-			msgs = append(msgs, clique.Message{
-				To:  rank % n,
-				Tag: tagAssign,
-				Words: []clique.Word{
-					clique.IntWord(key.p),
-					clique.IntWord(key.q),
-					clique.IntWord(sc.pairCounts[rank]),
-				},
-			})
-		}
-		return msgs, nil
-	})
-}
-
-// findPair locates the pair state for (p, q) on machine id.
-func (r *phaseRunner) findPair(id, p, q int) *pairState {
-	for _, ps := range r.pairs[id] {
-		if ps.key.p == p && ps.key.q == q {
-			return ps
-		}
-	}
-	return nil
+	sc.readyPairs()
+	return clique.Run(r.sim, &sc.proto.assign)
 }
 
 // generateMidpoints implements Algorithm 2 steps 4-5: each pair machine
 // acquires its midpoint distribution from the vertex machines and samples
 // its sequence Π_{p,q}.
 func (r *phaseRunner) generateMidpoints() error {
-	if r.charged {
-		return r.generateMidpointsCharged()
-	}
-	size := r.sub.Size()
-	// Superstep 1: pair machines store their assignments and broadcast the
-	// distribution requests to every vertex machine of the subset.
-	err := r.sim.Superstep("core/distreq", func(id int, in []clique.Message) ([]clique.Message, error) {
-		var msgs []clique.Message
-		for _, m := range in {
-			if m.Tag != tagAssign {
-				continue
-			}
-			ps := &pairState{
-				key:     pairKey{p: m.Words[0].Int(), q: m.Words[1].Int()},
-				count:   m.Words[2].Int(),
-				weights: make([]float64, size),
-			}
-			r.pairs[id] = append(r.pairs[id], ps)
-			for j := 0; j < size; j++ {
-				msgs = append(msgs, clique.Message{
-					To:    r.hostOf(j),
-					Tag:   tagDistReq,
-					Words: []clique.Word{clique.IntWord(ps.key.p), clique.IntWord(ps.key.q), clique.IntWord(j)},
-				})
-			}
-		}
-		return msgs, nil
-	})
-	if err != nil {
-		return err
-	}
-	// Superstep 2: vertex machine j answers with the unnormalized midpoint
-	// probability P^(δ/2)[p,j] * P^(δ/2)[j,q] (Formula 1). Machine j holds
-	// row j and column j of every power (Algorithm 1 step 3), so both
-	// factors are local.
-	half, err := r.pd.Power(int(r.spacing / 2))
-	if err != nil {
-		return err
-	}
-	err = r.sim.Superstep("core/distreply", func(id int, in []clique.Message) ([]clique.Message, error) {
-		var msgs []clique.Message
-		for _, m := range in {
-			if m.Tag != tagDistReq {
-				continue
-			}
-			p, q, j := m.Words[0].Int(), m.Words[1].Int(), m.Words[2].Int()
-			w := half.At(p, j) * half.At(j, q)
-			msgs = append(msgs, clique.Message{
-				To:    m.From,
-				Tag:   tagDistReply,
-				Words: []clique.Word{clique.IntWord(p), clique.IntWord(q), clique.IntWord(j), clique.FloatWord(w)},
-			})
-		}
-		return msgs, nil
-	})
-	if err != nil {
-		return err
-	}
-	// Superstep 3: pair machines assemble their distributions and sample
-	// each Π_{p,q} (alias table: O(1) per midpoint).
-	return r.sim.Superstep("core/generate", func(id int, in []clique.Message) ([]clique.Message, error) {
-		if len(r.pairs[id]) == 0 {
-			return nil, nil
-		}
-		got := make(map[pairKey]int, len(r.pairs[id]))
-		for _, m := range in {
-			if m.Tag != tagDistReply {
-				continue
-			}
-			p, q, j := m.Words[0].Int(), m.Words[1].Int(), m.Words[2].Int()
-			ps := r.findPair(id, p, q)
-			if ps == nil {
-				return nil, fmt.Errorf("machine %d received weight for unassigned pair (%d,%d)", id, p, q)
-			}
-			ps.weights[j] = m.Words[3].Float()
-			got[ps.key]++
-		}
-		for _, ps := range r.pairs[id] {
-			if got[ps.key] != size {
-				return nil, fmt.Errorf("pair machine %d received %d of %d weights for (%d,%d)", id, got[ps.key], size, ps.key.p, ps.key.q)
-			}
-			alias, err := prng.NewAlias(ps.weights)
-			if err != nil {
-				return nil, fmt.Errorf("pair (%d,%d) at gap %d has empty midpoint distribution: %w", ps.key.p, ps.key.q, r.spacing, err)
-			}
-			ps.seq = make([]int, ps.count)
-			src := r.rng(id)
-			for i := range ps.seq {
-				ps.seq[i] = alias.Sample(src)
-			}
-		}
-		return nil, nil
-	})
-}
-
-// generateMidpointsCharged is the charged-mode port of generateMidpoints:
-// the same three supersteps (distribution request, reply, local sampling)
-// with identical per-message charges, but the distributions are assembled
-// directly from the shared power table instead of routed word-by-word. Pair
-// state is created in the leader's assignment order — exactly the arrival
-// order the full path sees, since inboxes deliver one sender's messages in
-// emission order — and each machine's sampling consumes its rng stream in
-// the same per-machine order as the full path, so trees are byte-identical.
-func (r *phaseRunner) generateMidpointsCharged() error {
 	sc := r.sc
-	size := r.sub.Size()
-	hosts := r.hosts[:size]
+	hosts := r.hosts[:r.sub.Size()]
 	machines := sc.pairMachine[:len(sc.pairOrder)]
-	plan := sc.plan
-	// Superstep 1 (core/distreq): pair machines store their assignments and
-	// broadcast distribution requests (3 words) to every subset vertex
-	// machine — the dense pairs x hosts pattern, charged in bulk.
-	plan.Reset()
-	plan.Exchange(machines, hosts, 3)
-	err := r.sim.ChargedSuperstep("core/distreq", plan, func() error {
-		for oi, key := range sc.pairOrder {
-			ps := sc.getPS(key, sc.pairCounts[oi], size)
-			r.pairs[machines[oi]] = append(r.pairs[machines[oi]], ps)
-			sc.orderedPS = append(sc.orderedPS, ps)
-		}
-		return nil
-	})
-	if err != nil {
+	req := &sc.proto.distreq
+	req.From, req.To = machines, hosts
+	if err := clique.RunDense(r.sim, req); err != nil {
 		return err
 	}
-	// Superstep 2 (core/distreply): vertex machine j answers each request
-	// with the unnormalized midpoint probability (4 words).
 	half, err := r.pd.Power(int(r.spacing / 2))
 	if err != nil {
 		return err
 	}
-	plan.Reset()
-	plan.Exchange(hosts, machines, 4)
-	err = r.sim.ChargedSuperstep("core/distreply", plan, func() error {
-		for _, ps := range sc.orderedPS {
-			rowP := half.Row(ps.key.p)
-			q := ps.key.q
-			for j := range ps.weights {
-				ps.weights[j] = rowP[j] * half.At(j, q)
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	r.half = half
+	reply := &sc.proto.distreply
+	reply.From, reply.To = hosts, machines
+	if err := clique.RunDense(r.sim, reply); err != nil {
 		return err
 	}
-	// Superstep 3 (core/generate): pair machines sample their sequences
-	// locally — no traffic in either mode. Iterating pairs in assignment
-	// order consumes each machine's stream in the same per-machine order as
-	// the full path's per-machine loops (streams are independent across
-	// machines, so interleaving between machines is immaterial).
-	return r.sim.ChargedSuperstep("core/generate", nil, func() error {
+	// Pair machines sample their sequences locally (alias table: O(1) per
+	// midpoint). Iterating pairs in order index consumes each machine's
+	// stream in its own pair order.
+	return clique.Local(r.sim, "core/generate", func() error {
 		for oi, ps := range sc.orderedPS {
 			alias, err := sc.aliasB.Build(ps.weights)
 			if err != nil {
@@ -586,246 +386,36 @@ func (r *phaseRunner) generateMidpointsCharged() error {
 func slotsInPrefix(ellPrime int64) int { return int((ellPrime + 1) / 2) }
 
 // collectCounts runs the count/tally/report protocol of Algorithm 3 for the
-// truncation candidate ellPrime, filling the leader's count multiset (midpoint multiset of
-// the prefix, by vertex) and r.bsMf (the midpoint value at the last slot of
-// the prefix, or -1 when the prefix has no midpoint slots).
+// truncation candidate ellPrime, filling the leader's count multiset
+// (midpoint multiset of the prefix, by vertex) and r.bsMf (the midpoint
+// value at the last slot of the prefix, or -1 when the prefix has no
+// midpoint slots).
 func (r *phaseRunner) collectCounts(ellPrime int64) error {
-	if r.charged {
-		return r.collectCountsCharged(ellPrime)
-	}
-	sPrefix := slotsInPrefix(ellPrime)
 	// Leader-local: per-pair prefix counts and the mf slot's owner.
-	prefixCount := make(map[pairKey]int, len(r.pairRank))
-	for j := 1; j <= sPrefix; j++ {
-		prefixCount[r.slotPair[j]]++
-	}
-	mfPair := pairKey{-1, -1}
-	mfOcc := -1
-	if sPrefix >= 1 {
-		mfPair = r.slotPair[sPrefix]
-		mfOcc = r.slotOcc[sPrefix]
-	}
-	leader := r.leader
-
-	// Superstep A: leader sends each pair machine its prefix count, plus
-	// the mf occurrence query for the owner of the final slot.
-	err := r.sim.Superstep("core/bs/count", func(id int, in []clique.Message) ([]clique.Message, error) {
-		if id != leader {
-			return nil, nil
-		}
-		r.sc.counts.reset()
-		r.bsMf = -1
-		msgs := make([]clique.Message, 0, len(r.pairRank))
-		for key, machine := range r.pairRank {
-			occQ := -1
-			if key == mfPair {
-				occQ = mfOcc
-			}
-			c := prefixCount[key]
-			msgs = append(msgs, clique.Message{
-				To:  machine,
-				Tag: tagBSCount,
-				Words: []clique.Word{
-					clique.IntWord(key.p),
-					clique.IntWord(key.q),
-					clique.IntWord(c),
-					clique.IntWord(occQ + 1), // +1: keep words non-negative
-				},
-			})
-		}
-		return msgs, nil
-	})
-	if err != nil {
-		return err
-	}
-	// Superstep B: pair machines tally Count(p,q,j,ellPrime) over their
-	// sequence prefix and send per-vertex counts to the vertex machines;
-	// the mf owner answers the leader directly.
-	err = r.sim.Superstep("core/bs/tally", func(id int, in []clique.Message) ([]clique.Message, error) {
-		if len(r.pairs[id]) == 0 {
-			return nil, nil
-		}
-		var msgs []clique.Message
-		for _, m := range in {
-			if m.Tag != tagBSCount {
-				continue
-			}
-			p, q := m.Words[0].Int(), m.Words[1].Int()
-			c := m.Words[2].Int()
-			occQ := m.Words[3].Int() - 1
-			ps := r.findPair(id, p, q)
-			if ps == nil {
-				return nil, fmt.Errorf("machine %d asked about unassigned pair (%d,%d)", id, p, q)
-			}
-			if c > len(ps.seq) {
-				return nil, fmt.Errorf("pair machine %d asked for prefix %d of %d midpoints", id, c, len(ps.seq))
-			}
-			local := make(map[int]int)
-			for _, v := range ps.seq[:c] {
-				local[v]++
-			}
-			for v, cnt := range local {
-				msgs = append(msgs, clique.Message{
-					To:    r.hostOf(v),
-					Tag:   tagBSTally,
-					Words: []clique.Word{clique.IntWord(v), clique.IntWord(cnt)},
-				})
-			}
-			if occQ >= 1 {
-				if occQ > len(ps.seq) {
-					return nil, fmt.Errorf("pair machine %d mf query %d beyond %d midpoints", id, occQ, len(ps.seq))
-				}
-				msgs = append(msgs, clique.Message{
-					To:    leader,
-					Tag:   tagBSMf,
-					Words: []clique.Word{clique.IntWord(ps.seq[occQ-1])},
-				})
-			}
-		}
-		return msgs, nil
-	})
-	if err != nil {
-		return err
-	}
-	// Superstep C: vertex machines aggregate and report to the leader. The
-	// pair machines' direct mf answers also land here; the leader stashes
-	// them now because inboxes do not persist to the next superstep.
-	err = r.sim.Superstep("core/bs/report", func(id int, in []clique.Message) ([]clique.Message, error) {
-		totals := make(map[int]int)
-		for _, m := range in {
-			if m.Tag == tagBSTally {
-				totals[m.Words[0].Int()] += m.Words[1].Int()
-			}
-			if m.Tag == tagBSMf && id == leader {
-				r.bsMf = m.Words[0].Int()
-			}
-		}
-		msgs := make([]clique.Message, 0, len(totals))
-		for v, cnt := range totals {
-			msgs = append(msgs, clique.Message{
-				To:    leader,
-				Tag:   tagBSReport,
-				Words: []clique.Word{clique.IntWord(v), clique.IntWord(cnt)},
-			})
-		}
-		return msgs, nil
-	})
-	if err != nil {
-		return err
-	}
-	// Superstep D: leader absorbs the per-vertex counts.
-	return r.sim.Superstep("core/bs/absorb", func(id int, in []clique.Message) ([]clique.Message, error) {
-		if id != leader {
-			return nil, nil
-		}
-		for _, m := range in {
-			if m.Tag == tagBSReport {
-				r.sc.counts.add(m.Words[0].Int(), m.Words[1].Int())
-			}
-		}
-		return nil, nil
-	})
-}
-
-// collectCountsCharged is the charged-mode port of collectCounts: the same
-// four supersteps (count scatter, tally, report, absorb) with identical
-// per-message charges, but the per-vertex counts flow into the leader's maps
-// directly instead of being routed as tagged words. The tally step declares
-// its pattern while computing — one 2-word message per (pair, distinct
-// prefix vertex), exactly the compressed multiset the full path ships.
-func (r *phaseRunner) collectCountsCharged(ellPrime int64) error {
 	sc := r.sc
 	sPrefix := slotsInPrefix(ellPrime)
 	pairs := len(sc.pairOrder)
-	prefixCount := growInts(sc.prefixCount, pairs)
-	sc.prefixCount = prefixCount
-	clear(prefixCount)
+	sc.prefixCount = growInts(sc.prefixCount, pairs)
+	clear(sc.prefixCount)
 	for j := 1; j <= sPrefix; j++ {
-		prefixCount[r.slotIdx[j]]++
+		sc.prefixCount[r.slotIdx[j]]++
 	}
-	mfIdx := -1
-	mfOcc := -1
+	sc.mfIdx, sc.mfOcc = -1, -1
 	if sPrefix >= 1 {
-		mfIdx = r.slotIdx[sPrefix]
-		mfOcc = r.slotOcc[sPrefix]
+		sc.mfIdx, sc.mfOcc = r.slotIdx[sPrefix], r.slotOcc[sPrefix]
 	}
-	leader := r.leader
-
-	// Superstep A (core/bs/count): leader sends each pair machine its
-	// prefix count plus the mf occurrence query (4 words per pair).
-	plan := sc.plan
-	plan.Reset()
-	for _, machine := range sc.pairMachine[:pairs] {
-		plan.Add(leader, machine, 4)
-	}
-	err := r.sim.ChargedSuperstep("core/bs/count", plan, func() error {
-		sc.counts.reset()
-		r.bsMf = -1
-		return nil
-	})
-	if err != nil {
+	sc.totals.reset()
+	if err := clique.Run(r.sim, &sc.proto.count); err != nil {
 		return err
 	}
-
-	// Superstep B (core/bs/tally): pair machines tally their sequence
-	// prefixes toward the vertex machines; the mf owner answers the leader.
-	plan.Reset()
-	totals := &sc.totals
-	totals.reset()
-	mfVal := -1
-	err = r.sim.ChargedSuperstep("core/bs/tally", plan, func() error {
-		for oi := 0; oi < pairs; oi++ {
-			machine := sc.pairMachine[oi]
-			ps := sc.orderedPS[oi]
-			c := prefixCount[oi]
-			if c > len(ps.seq) {
-				return fmt.Errorf("pair machine %d asked for prefix %d of %d midpoints", machine, c, len(ps.seq))
-			}
-			local := &sc.local
-			local.reset()
-			for _, v := range ps.seq[:c] {
-				local.add(v, 1)
-			}
-			for _, v := range local.touched {
-				plan.Add(machine, r.hosts[v], 2)
-				totals.add(v, local.val[v])
-			}
-			if oi == mfIdx && mfOcc >= 1 {
-				if mfOcc > len(ps.seq) {
-					return fmt.Errorf("pair machine %d mf query %d beyond %d midpoints", machine, mfOcc, len(ps.seq))
-				}
-				mfVal = ps.seq[mfOcc-1]
-				plan.Add(machine, leader, 1)
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := clique.Run(r.sim, &sc.proto.tally); err != nil {
 		return err
 	}
-
-	// Superstep C (core/bs/report): vertex machines report their aggregates
-	// to the leader (2 words per distinct vertex), which also stashes the mf
-	// answer now, exactly when the full path's leader reads it.
-	plan.Reset()
-	err = r.sim.ChargedSuperstep("core/bs/report", plan, func() error {
-		for _, v := range totals.touched {
-			plan.Add(r.hosts[v], leader, 2)
-		}
-		r.bsMf = mfVal
-		return nil
-	})
-	if err != nil {
+	if err := clique.Run(r.sim, &sc.proto.report); err != nil {
 		return err
 	}
-
-	// Superstep D (core/bs/absorb): leader absorbs — computation only.
-	return r.sim.ChargedSuperstep("core/bs/absorb", nil, func() error {
-		for _, v := range totals.touched {
-			sc.counts.add(v, totals.val[v])
-		}
-		return nil
-	})
+	// The leader absorbed the reports as they arrived.
+	return clique.Local(r.sim, "core/bs/absorb", nil)
 }
 
 // checkTruncation implements Algorithm 3's predicate: whether ellPrime is
@@ -990,7 +580,7 @@ func (r *phaseRunner) placeMidpoints(ellStar int64) error {
 	}
 	sc.needList = need
 	sort.Ints(need)
-	sub, err := r.fetchSubmatrix(need)
+	sub, err := r.fetchSubmatrix()
 	if err != nil {
 		return err
 	}
@@ -1033,16 +623,7 @@ func (r *phaseRunner) placeMidpoints(ellStar int64) error {
 	default:
 		// Direct Π-order placement (§5.3 equivalence).
 		for j := 1; j <= k; j++ {
-			var ps *pairState
-			if r.charged {
-				ps = sc.orderedPS[r.slotIdx[j]]
-			} else {
-				key := r.slotPair[j]
-				ps = r.findPair(r.pairRank[key], key.p, key.q)
-			}
-			if ps == nil {
-				return fmt.Errorf("core: missing pair machine state for slot %d", j)
-			}
+			ps := sc.orderedPS[r.slotIdx[j]]
 			occ := r.slotOcc[j]
 			if occ > len(ps.seq) {
 				return fmt.Errorf("core: slot %d occurrence %d beyond sequence of %d", j, occ, len(ps.seq))
@@ -1072,149 +653,53 @@ func (r *phaseRunner) placeMidpoints(ellStar int64) error {
 	return nil
 }
 
-// submat is the leader's fetched submatrix view keyed by local indices. The
-// full-fidelity path keys it by map; the charged path reuses the scratch
-// arena's seen stamp (still marking exactly the needed set from the caller's
-// need-list construction) with the dense subIdx table.
+// submat is the leader's fetched block of P^(δ/2) over the needed vertices,
+// keyed by local indices: the scratch arena's seen stamp (still marking
+// exactly the needed set from the caller's need-list construction) is the
+// membership test and subIdx the position. The block is stored transposed,
+// row b holding what every needed vertex sent for b.
 type submat struct {
-	idx  map[int]int
 	sc   *phaseScratch
 	data *matrix.Matrix
 }
 
 func (s *submat) at(a, b int) float64 {
-	if s.idx != nil {
-		ia, ok := s.idx[a]
-		if !ok {
-			return 0
-		}
-		ib, ok := s.idx[b]
-		if !ok {
-			return 0
-		}
-		return s.data.At(ia, ib)
-	}
 	if !s.sc.seen.has(a) || !s.sc.seen.has(b) {
 		return 0
 	}
-	return s.data.At(s.sc.subIdx[a], s.sc.subIdx[b])
+	return s.data.At(s.sc.subIdx[b], s.sc.subIdx[a])
 }
 
-// fetchSubmatrix broadcasts the needed vertex set and collects the
-// corresponding block of P^(δ/2) at the leader.
-func (r *phaseRunner) fetchSubmatrix(need []int) (*submat, error) {
-	if r.charged {
-		return r.fetchSubmatrixCharged(need)
-	}
-	words := make([]clique.Word, len(need))
-	for i, v := range need {
-		words[i] = clique.IntWord(v)
-	}
-	if err := r.sim.Broadcast(r.leader, tagSubEntry, words); err != nil {
+// fetchSubmatrix broadcasts the needed vertex set (sc.needList) and collects
+// the corresponding block of P^(δ/2) at the leader.
+func (r *phaseRunner) fetchSubmatrix() (*submat, error) {
+	sc := r.sc
+	need := sc.needList
+	err := clique.RunBroadcast(r.sim, r.leader, len(need), func(dst []clique.Word) []clique.Word { return clique.AppendInts(dst, need...) })
+	if err != nil {
 		return nil, err
 	}
 	half, err := r.pd.Power(int(r.spacing / 2))
 	if err != nil {
 		return nil, err
 	}
-	idx := make(map[int]int, len(need))
+	r.half = half
+	k := len(need)
+	sc.needHosts = growInts(sc.needHosts, k)
+	sc.leaderTo = growInts(sc.leaderTo, k)
 	for i, v := range need {
-		idx[v] = i
+		sc.subIdx[v] = i
+		sc.needHosts[i] = r.hostOf(v)
+		sc.leaderTo[i] = r.leader
 	}
-	data := matrix.MustNew(len(need), len(need))
-	leader := r.leader
-	// Each machine hosting a needed vertex sends its row restricted to the
-	// needed set to the leader.
-	err = r.sim.Superstep("core/submatrix", func(id int, in []clique.Message) ([]clique.Message, error) {
-		var needList []clique.Word
-		for _, m := range in {
-			if m.Tag == tagSubEntry {
-				needList = m.Words
-			}
-		}
-		if needList == nil {
-			return nil, fmt.Errorf("machine %d missed the submatrix broadcast", id)
-		}
-		// Which local vertex does this machine host (if any)?
-		la, err := r.sub.LocalIndex(id)
-		if err != nil {
-			return nil, nil // not hosting a subset vertex
-		}
-		if _, needed := idx[la]; !needed {
-			return nil, nil
-		}
-		msgs := make([]clique.Message, 0, len(needList))
-		for _, bw := range needList {
-			b := bw.Int()
-			msgs = append(msgs, clique.Message{
-				To:  leader,
-				Tag: tagSubEntry,
-				Words: []clique.Word{
-					clique.IntWord(la),
-					clique.IntWord(b),
-					clique.FloatWord(half.At(la, b)),
-				},
-			})
-		}
-		return msgs, nil
-	})
-	if err != nil {
+	sc.block = matrix.Scratch(k, k)
+	d := &sc.proto.submatrix
+	d.From, d.To = sc.needHosts, sc.leaderTo
+	if err := clique.RunDense(r.sim, d); err != nil {
 		return nil, err
 	}
-	err = r.sim.Superstep("core/submatrix-absorb", func(id int, in []clique.Message) ([]clique.Message, error) {
-		if id != leader {
-			return nil, nil
-		}
-		for _, m := range in {
-			if m.Tag != tagSubEntry {
-				continue
-			}
-			a, b := m.Words[0].Int(), m.Words[1].Int()
-			data.Set(idx[a], idx[b], m.Words[2].Float())
-		}
-		return nil, nil
-	})
-	if err != nil {
+	if err := clique.Local(r.sim, "core/submatrix-absorb", nil); err != nil {
 		return nil, err
 	}
-	return &submat{idx: idx, data: data}, nil
-}
-
-// fetchSubmatrixCharged is the charged-mode port of fetchSubmatrix: the
-// broadcast of the needed set and the hosts' 3-word row replies are charged
-// from the pattern while the leader reads the block straight out of the
-// shared power table.
-func (r *phaseRunner) fetchSubmatrixCharged(need []int) (*submat, error) {
-	if err := r.sim.ChargeBroadcast(len(need)); err != nil {
-		return nil, err
-	}
-	half, err := r.pd.Power(int(r.spacing / 2))
-	if err != nil {
-		return nil, err
-	}
-	// The caller built need under the current seen epoch (every member is
-	// marked, nothing else is), so the stamp doubles as the membership test
-	// for subIdx.
-	for i, v := range need {
-		r.sc.subIdx[v] = i
-	}
-	data := matrix.Scratch(len(need), len(need))
-	plan := r.sc.plan
-	plan.Reset()
-	err = r.sim.ChargedSuperstep("core/submatrix", plan, func() error {
-		for ai, a := range need {
-			plan.AddN(r.hostOf(a), r.leader, 3, len(need))
-			for bi, b := range need {
-				data.Set(ai, bi, half.At(a, b))
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := r.sim.ChargedSuperstep("core/submatrix-absorb", nil, nil); err != nil {
-		return nil, err
-	}
-	return &submat{sc: r.sc, data: data}, nil
+	return &submat{sc: sc, data: sc.block}, nil
 }

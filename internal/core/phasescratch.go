@@ -1,7 +1,7 @@
 package core
 
 import (
-	"repro/internal/clique"
+	"repro/internal/matrix"
 	"repro/internal/prng"
 )
 
@@ -14,12 +14,14 @@ import (
 // tree. Everything here is bookkeeping whose values are recomputed each use;
 // nothing observable (trees, Stats, traces) depends on the reuse.
 //
-// The arena is single-goroutine state, like the runner itself: full-fidelity
-// supersteps may run machine closures concurrently, but every buffer here is
-// only touched by one machine's closure (the leader's) or outside supersteps.
+// The arena is single-goroutine state, like the runner itself: both clique
+// executors call a declaration's send and receive functions from the
+// calling goroutine. It also holds the protocol's declarations, which act
+// on the current runner r.
 type phaseScratch struct {
-	n    int // machine count; local indices and pair codes are < n and n²
-	plan *clique.CostPlan
+	n     int // machine count; local indices and pair codes are < n and n²
+	r     *phaseRunner
+	proto *protocol
 
 	// Pair bookkeeping for the current level. pairIdx maps the dense pair
 	// code p*n+q to the pair's first-appearance index, epoch-stamped so a new
@@ -32,13 +34,26 @@ type phaseScratch struct {
 	slotIdx      []int // slot -> pair order index
 	pairOrder    []pairKey
 	pairCounts   []int // by order index
-	pairMachine  []int // by order index
-	orderedPS    []*pairState
-	pairs        [][]*pairState
-	psPool       []*pairState
-	psUsed       int
+	// pairMachine maps an order index k to its pair machine, k mod n. A
+	// machine owns several pairs when a level has more distinct pairs than
+	// machines (the appendix's exact variant does; the paper's main setting
+	// has at most n per the ρ = √n budget), and the simulator charges the
+	// extra per-machine bandwidth.
+	pairMachine []int
+	orderedPS   []*pairState
+	pairsOn     []int // by machine: pairs assigned to it so far this level
+	// The pair machines' current truncation candidate, by order index: the
+	// sequence prefix to tally and the mf occurrence to report (-1: none).
+	pairPrefix []int
+	pairOcc    []int
+	psPool     []*pairState
 
-	prefixCount []int // by order index, one truncation candidate at a time
+	// The leader's current truncation candidate: prefix count by order
+	// index, and the mf slot's pair and occurrence (-1 when the prefix has
+	// no midpoint slot).
+	prefixCount []int
+	mfIdx       int
+	mfOcc       int
 
 	counts dense // the leader's collected midpoint multiset (bsCounts)
 	totals dense // per-collection tally aggregate
@@ -49,20 +64,29 @@ type phaseScratch struct {
 	rowsBuf   []int
 	needList  []int
 	subIdx    []int // needed vertex -> submatrix index, valid under seen's epoch
+	needHosts []int // machine hosting each needed vertex
+	leaderTo  []int // the leader once per needed vertex: the block's receiving units
+	block     *matrix.Matrix
 	placedBuf []int // slot -> placed midpoint, one placement at a time
 	walkBuf   []int // spare walk buffer; swaps with the live walk each level
 
 	rngs   []*prng.Source
 	aliasB prng.AliasBuilder
 
-	visits  []fvVisit
-	weights []float64
+	// First-visit recovery (Algorithm 4): the phase's visits, and per
+	// machine (global id) the predecessor it was told, the requests it got,
+	// the replies it got, and the entry neighbor reported for it (-1: none).
+	visits    []fvVisit
+	fvPrev    []int
+	fvReqs    [][]fvReq
+	fvEntries [][]fvReply
+	fvEdge    []int
+	weights   []float64
 }
 
 func newPhaseScratch(n int) *phaseScratch {
-	return &phaseScratch{
+	sc := &phaseScratch{
 		n:            n,
-		plan:         clique.NewCostPlan(n),
 		pairIdx:      make([]int32, n*n),
 		pairIdxepoch: make([]uint32, n*n),
 		counts:       newDense(n),
@@ -71,7 +95,14 @@ func newPhaseScratch(n int) *phaseScratch {
 		seen:         newStamp(n),
 		subIdx:       make([]int, n),
 		rngs:         make([]*prng.Source, n),
+		pairsOn:      make([]int, n),
+		fvPrev:       make([]int, n),
+		fvReqs:       make([][]fvReq, n),
+		fvEntries:    make([][]fvReply, n),
+		fvEdge:       make([]int, n),
 	}
+	sc.proto = newProtocol(sc)
+	return sc
 }
 
 // resetLevel prepares the pair tables for a new level's assignment.
@@ -84,8 +115,6 @@ func (sc *phaseScratch) resetLevel() {
 	sc.pairOrder = sc.pairOrder[:0]
 	sc.pairCounts = sc.pairCounts[:0]
 	sc.pairMachine = sc.pairMachine[:0]
-	sc.orderedPS = sc.orderedPS[:0]
-	sc.psUsed = 0
 }
 
 // pairLookup returns the order index of (p, q) this level, or -1.
@@ -108,20 +137,30 @@ func (sc *phaseScratch) pairInsert(p, q int) int {
 	return oi
 }
 
-// getPS hands out a pooled pair state with weights sized to n floats and seq
-// sized to count ints, both uninitialized (their producers overwrite every
-// element before any read).
-func (sc *phaseScratch) getPS(key pairKey, count, n int) *pairState {
-	if sc.psUsed == len(sc.psPool) {
+// readyFirstVisits empties every machine's first-visit request and reply
+// lists.
+func (sc *phaseScratch) readyFirstVisits() {
+	for u := range sc.fvReqs {
+		sc.fvReqs[u] = sc.fvReqs[u][:0]
+		sc.fvEntries[u] = sc.fvEntries[u][:0]
+	}
+}
+
+// readyPairs sizes the pair tables for the level's pairs before the
+// assignment runs: one pooled pair state per pair, filed by order index as
+// the assignments arrive, and no machine holding one yet.
+func (sc *phaseScratch) readyPairs() {
+	k := len(sc.pairOrder)
+	for len(sc.psPool) < k {
 		sc.psPool = append(sc.psPool, &pairState{})
 	}
-	ps := sc.psPool[sc.psUsed]
-	sc.psUsed++
-	ps.key = key
-	ps.count = count
-	ps.weights = growFloats(ps.weights, n)
-	ps.seq = growInts(ps.seq, count)
-	return ps
+	if cap(sc.orderedPS) < k {
+		sc.orderedPS = make([]*pairState, k)
+	}
+	sc.orderedPS = sc.orderedPS[:k]
+	sc.pairPrefix = growInts(sc.pairPrefix, k)
+	sc.pairOcc = growInts(sc.pairOcc, k)
+	clear(sc.pairsOn)
 }
 
 // dense is an epoch-stamped sparse-to-dense integer counter over local

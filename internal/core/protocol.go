@@ -1,0 +1,300 @@
+package core
+
+import (
+	"fmt"
+
+	"repro/internal/clique"
+	"repro/internal/graph"
+)
+
+// protocol holds the declaration of every superstep the phase runner runs
+// on the clique (Algorithms 2-4), each written once: a sending function that
+// names each sending unit's machine and emits its messages, and a receiving
+// function per message, which the simulator runs on its charged or its
+// materializing executor (clique/exec.go). The declarations are built once
+// per sample arena and act on the runner that is current
+// (phaseScratch.r); the runner sets a dense superstep's unit lists before
+// it runs it.
+type protocol struct {
+	assign    clique.Step[assignMsg]
+	distreq   clique.Dense
+	distreply clique.Dense
+	count     clique.Step[countMsg]
+	tally     clique.Step[tallyMsg]
+	report    clique.Step[tallyMsg]
+	submatrix clique.Dense
+	notify    clique.Step[int]
+	request   clique.Step[fvReq]
+	reply     clique.Step[fvReply]
+	sample    clique.Step[fvEdge]
+}
+
+// Payloads, one per message shape. Each packs into exactly the words its
+// superstep charges.
+type (
+	// assignMsg: leader -> pair machine, the pair and its midpoint count.
+	assignMsg struct{ p, q, count int }
+	// countMsg: leader -> pair machine oi, the pair's prefix count and the
+	// mf occurrence query (-1: none). It packs as (p, q, c, occ+1).
+	countMsg struct{ oi, c, occ int }
+	// tallyMsg: a count of vertex v (pair machine -> vertex machine, and
+	// vertex machine -> leader), or with cnt < 0 the one-word mf answer v.
+	tallyMsg struct{ v, cnt int }
+	// fvReq: first-visit vertex v -> neighbor, with v's Schur-walk
+	// predecessor.
+	fvReq struct{ v, prev int }
+	// fvReply: neighbor u -> first-visit vertex, u's Bayes weight.
+	fvReply struct {
+		u int
+		w float64
+	}
+	// fvEdge: first-visit vertex v -> leader, its sampled entry neighbor u.
+	fvEdge struct{ u, v int }
+)
+
+func newProtocol(sc *phaseScratch) *protocol {
+	return &protocol{
+		// Algorithm 2 steps 2-3: the leader designates machine k mod n for
+		// the k-th distinct pair and sends it the pair's count. Machine m's
+		// j-th assignment is therefore pair j·n+m, so it files its state by
+		// arrival alone.
+		assign: clique.Step[assignMsg]{
+			Name: "core/assign",
+			Send: func(o *clique.Out[assignMsg]) error {
+				o.From(sc.r.leader)
+				for oi, key := range sc.pairOrder {
+					o.Send(sc.pairMachine[oi], 3, assignMsg{key.p, key.q, sc.pairCounts[oi]})
+				}
+				return nil
+			},
+			Recv: func(m int, a assignMsg) {
+				oi := sc.pairsOn[m]*sc.n + m
+				sc.pairsOn[m]++
+				ps := sc.psPool[oi]
+				ps.key = pairKey{p: a.p, q: a.q}
+				ps.weights = growFloats(ps.weights, sc.r.sub.Size())
+				ps.seq = growInts(ps.seq, a.count)
+				sc.orderedPS[oi] = ps
+			},
+			Encode: func(dst []clique.Word, a assignMsg) []clique.Word { return clique.AppendInts(dst, a.p, a.q, a.count) },
+			Decode: func(w []clique.Word) assignMsg { return assignMsg{w[0].Int(), w[1].Int(), w[2].Int()} },
+		},
+		// Algorithm 2 step 4: every pair machine asks every subset vertex
+		// machine j for its midpoint weight; the request names the pair and
+		// j, which the pattern itself implies.
+		distreq: clique.Dense{Name: "core/distreq", Words: 3},
+		// Formula 1: vertex machine j answers pair (p,q) with the
+		// unnormalized midpoint weight P^(δ/2)[p,j]·P^(δ/2)[j,q]. Machine j
+		// holds row j and column j of every power (Algorithm 1 step 3), so
+		// both factors are local.
+		distreply: clique.Dense{
+			Name: "core/distreply", Words: 4,
+			Values: func(oi int, row []float64) {
+				key, half := sc.pairOrder[oi], sc.r.half
+				rowP := half.Row(key.p)
+				for j := range row {
+					row[j] = rowP[j] * half.At(j, key.q)
+				}
+			},
+			Into: func(oi int) []float64 { return sc.orderedPS[oi].weights },
+		},
+		// Algorithm 3, one truncation candidate: the leader sends each pair
+		// machine its prefix count, plus the mf occurrence query for the
+		// owner of the prefix's last slot.
+		count: clique.Step[countMsg]{
+			Name: "core/bs/count",
+			Send: func(o *clique.Out[countMsg]) error {
+				o.From(sc.r.leader)
+				sc.counts.reset()
+				sc.r.bsMf = -1
+				for oi, c := range sc.prefixCount {
+					occ := -1
+					if oi == sc.mfIdx {
+						occ = sc.mfOcc
+					}
+					o.Send(sc.pairMachine[oi], 4, countMsg{oi, c, occ})
+				}
+				return nil
+			},
+			Recv: func(_ int, c countMsg) { sc.pairPrefix[c.oi], sc.pairOcc[c.oi] = c.c, c.occ },
+			// The receiving machine finds its pair (p, q) through the pair
+			// code table, which stands in for a search of its own pairs.
+			Encode: func(dst []clique.Word, c countMsg) []clique.Word {
+				key := sc.pairOrder[c.oi]
+				return clique.AppendInts(dst, key.p, key.q, c.c, c.occ+1)
+			},
+			Decode: func(w []clique.Word) countMsg {
+				return countMsg{sc.pairLookup(w[0].Int(), w[1].Int()), w[2].Int(), w[3].Int() - 1}
+			},
+		},
+		// Each pair machine tallies its sequence prefix and sends every
+		// vertex machine its count — the compressed multiset; the mf owner
+		// answers the leader.
+		tally: clique.Step[tallyMsg]{
+			Name: "core/bs/tally",
+			Send: func(o *clique.Out[tallyMsg]) error {
+				r := sc.r
+				for oi, ps := range sc.orderedPS {
+					machine := sc.pairMachine[oi]
+					o.From(machine)
+					prefix, occ := sc.pairPrefix[oi], sc.pairOcc[oi]
+					if prefix > len(ps.seq) {
+						return fmt.Errorf("pair machine %d asked for prefix %d of %d midpoints", machine, prefix, len(ps.seq))
+					}
+					local := &sc.local
+					local.reset()
+					for _, v := range ps.seq[:prefix] {
+						local.add(v, 1)
+					}
+					for _, v := range local.touched {
+						o.Send(r.hosts[v], 2, tallyMsg{v, local.val[v]})
+					}
+					if occ >= 1 {
+						if occ > len(ps.seq) {
+							return fmt.Errorf("pair machine %d mf query %d beyond %d midpoints", machine, occ, len(ps.seq))
+						}
+						o.Send(r.leader, 1, tallyMsg{ps.seq[occ-1], -1})
+					}
+				}
+				return nil
+			},
+			Recv: func(_ int, t tallyMsg) {
+				if t.cnt < 0 {
+					sc.r.bsMf = t.v
+					return
+				}
+				sc.totals.add(t.v, t.cnt)
+			},
+			Encode: func(dst []clique.Word, t tallyMsg) []clique.Word {
+				if t.cnt < 0 {
+					return clique.AppendInts(dst, t.v)
+				}
+				return clique.AppendInts(dst, t.v, t.cnt)
+			},
+			Decode: func(w []clique.Word) tallyMsg {
+				if len(w) == 1 {
+					return tallyMsg{w[0].Int(), -1}
+				}
+				return tallyMsg{w[0].Int(), w[1].Int()}
+			},
+		},
+		// Every vertex machine with a nonzero tally reports it to the leader.
+		report: clique.Step[tallyMsg]{
+			Name: "core/bs/report",
+			Send: func(o *clique.Out[tallyMsg]) error {
+				for _, v := range sc.totals.touched {
+					o.From(sc.r.hosts[v])
+					o.Send(sc.r.leader, 2, tallyMsg{v, sc.totals.val[v]})
+				}
+				return nil
+			},
+			Recv:   func(_ int, t tallyMsg) { sc.counts.add(t.v, t.cnt) },
+			Encode: func(dst []clique.Word, t tallyMsg) []clique.Word { return clique.AppendInts(dst, t.v, t.cnt) },
+			Decode: func(w []clique.Word) tallyMsg { return tallyMsg{w[0].Int(), w[1].Int()} },
+		},
+		// §2.1.3: after the leader broadcasts the vertex set it needs
+		// (sc.needList), each machine hosting one sends its row restricted
+		// to the set. Machine a's entry for b is received into row b of the
+		// leader's block.
+		submatrix: clique.Dense{
+			Name: "core/submatrix", Words: 3,
+			Values: func(b int, row []float64) {
+				half, vb := sc.r.half, sc.needList[b]
+				for a, va := range sc.needList {
+					row[a] = half.At(va, vb)
+				}
+			},
+			Into: func(b int) []float64 { return sc.block.Row(b) },
+		},
+		// Algorithm 4 step 4: the leader tells each newly visited vertex its
+		// predecessor in the Schur walk.
+		notify: clique.Step[int]{
+			Name: "core/fve/notify",
+			Send: func(o *clique.Out[int]) error {
+				o.From(sc.r.leader)
+				for _, vis := range sc.visits {
+					o.Send(vis.v, 1, vis.prev)
+				}
+				return nil
+			},
+			Recv:   func(v, prev int) { sc.fvPrev[v] = prev },
+			Encode: func(dst []clique.Word, prev int) []clique.Word { return clique.AppendInts(dst, prev) },
+			Decode: func(w []clique.Word) int { return w[0].Int() },
+		},
+		// Algorithm 4 steps 5-6: each notified vertex asks its G-neighbors
+		// for the Bayes weight.
+		request: clique.Step[fvReq]{
+			Name: "core/fve/request",
+			Send: func(o *clique.Out[fvReq]) error {
+				for _, vis := range sc.visits {
+					o.From(vis.v)
+					req := fvReq{vis.v, sc.fvPrev[vis.v]}
+					sc.r.g.VisitNeighbors(vis.v, func(h graph.Half) { o.Send(h.To, 2, req) })
+				}
+				return nil
+			},
+			Recv:   func(u int, q fvReq) { sc.fvReqs[u] = append(sc.fvReqs[u], q) },
+			Encode: func(dst []clique.Word, q fvReq) []clique.Word { return clique.AppendInts(dst, q.v, q.prev) },
+			Decode: func(w []clique.Word) fvReq { return fvReq{w[0].Int(), w[1].Int()} },
+		},
+		// Neighbor u answers each request with Q[prev,u]·w(u,v)/degS(u).
+		// Replies reach v in ascending u on both executors, the order v
+		// samples in.
+		reply: clique.Step[fvReply]{
+			Name: "core/fve/reply",
+			Send: func(o *clique.Out[fvReply]) error {
+				r := sc.r
+				for u, reqs := range sc.fvReqs {
+					if len(reqs) == 0 {
+						continue
+					}
+					o.From(u)
+					var degS float64
+					r.g.VisitNeighbors(u, func(h graph.Half) {
+						if r.sub.Contains(h.To) {
+							degS += h.Weight
+						}
+					})
+					if degS <= 0 {
+						return fmt.Errorf("machine %d adjacent to S-vertex %d has degS=0", u, reqs[0].v)
+					}
+					for _, q := range reqs {
+						o.Send(q.v, 2, fvReply{u, r.shortcut(q.prev, u) * r.g.Weight(u, q.v) / degS})
+					}
+				}
+				return nil
+			},
+			Recv: func(v int, a fvReply) { sc.fvEntries[v] = append(sc.fvEntries[v], a) },
+			Encode: func(dst []clique.Word, a fvReply) []clique.Word {
+				return append(clique.AppendInts(dst, a.u), clique.FloatWord(a.w))
+			},
+			Decode: func(w []clique.Word) fvReply { return fvReply{w[0].Int(), w[1].Float()} },
+		},
+		// Algorithm 4 step 7: each visited vertex samples its entry edge and
+		// reports it to the leader.
+		sample: clique.Step[fvEdge]{
+			Name: "core/fve/sample",
+			Send: func(o *clique.Out[fvEdge]) error {
+				for _, vis := range sc.visits {
+					v := vis.v
+					o.From(v)
+					es := sc.fvEntries[v]
+					weights := growFloats(sc.weights, len(es))
+					sc.weights = weights
+					for k, e := range es {
+						weights[k] = e.w
+					}
+					choice, err := sc.r.rng(v).WeightedIndex(weights)
+					if err != nil {
+						return fmt.Errorf("vertex %d has no mass on any entry edge: %w", v, err)
+					}
+					o.Send(sc.r.leader, 2, fvEdge{es[choice].u, v})
+				}
+				return nil
+			},
+			Recv:   func(_ int, e fvEdge) { sc.fvEdge[e.v] = e.u },
+			Encode: func(dst []clique.Word, e fvEdge) []clique.Word { return clique.AppendInts(dst, e.u, e.v) },
+			Decode: func(w []clique.Word) fvEdge { return fvEdge{w[0].Int(), w[1].Int()} },
+		},
+	}
+}

@@ -78,7 +78,7 @@ func bruteForceTruncation(r *phaseRunner) int64 {
 	occ := make(map[pairKey]int)
 	for j := 1; j <= k; j++ {
 		key := r.slotPair[j]
-		ps := r.findPair(r.sc.pairMachine[r.slotIdx[j]], key.p, key.q)
+		ps := r.sc.orderedPS[r.slotIdx[j]]
 		filled = append(filled, r.walk[j-1], ps.seq[occ[key]])
 		occ[key]++
 	}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/clique"
 	"repro/internal/graph"
 	"repro/internal/prng"
-	"repro/internal/walk"
 )
 
 // Reproduction finding (experiment E5 measures it): running the doubling
@@ -25,9 +24,6 @@ import (
 // the segments consumed at each machine have disjoint index trees, so the
 // chained walk is a true random walk by the strong Markov property.
 
-// tagSegment carries stitched segments to the leader.
-const tagSegment = 16
-
 // stopFanout is the walk count per machine at which ChainedWalk stops
 // doubling and starts stitching on an n-clique: max(4, ⌈log2 n⌉), rounded
 // up to a power of two so it aligns with the doubling's k.
@@ -45,9 +41,6 @@ func stopFanout(n int) int {
 // per machine, then leader-driven stitching.
 func ChainedWalk(sim *clique.Sim, g *graph.Graph, start, tau int, cfg Config, src *prng.Source) ([]int, error) {
 	n := g.N()
-	if !cfg.Fidelity.Valid() {
-		return nil, fmt.Errorf("doubling: unknown sim fidelity %q (want %q or %q)", cfg.Fidelity, clique.FidelityCharged, clique.FidelityFull)
-	}
 	if sim.N() != n {
 		return nil, fmt.Errorf("doubling: clique size %d does not match graph size %d", sim.N(), n)
 	}
@@ -63,32 +56,9 @@ func ChainedWalk(sim *clique.Sim, g *graph.Graph, start, tau int, cfg Config, sr
 	}
 	stop := min(stopFanout(n), k)
 
-	// Initialization + doubling down to `stop` walks per machine, exactly
-	// as in Walks.
-	walks := make([][][]int, n)
-	rngs := make([]*prng.Source, n)
-	for v := 0; v < n; v++ {
-		rngs[v] = src.Split(uint64(v))
-	}
-	for v := 0; v < n; v++ {
-		walks[v] = make([][]int, k)
-		for i := 0; i < k; i++ {
-			next, err := walk.Step(g, v, rngs[v])
-			if err != nil {
-				return nil, fmt.Errorf("doubling: %w", err)
-			}
-			walks[v][i] = []int{v, next}
-		}
-	}
-	t := independenceParam(n)
-	leaderRng := src.Split(1 << 60)
-	eta := 1
-	for k > stop {
-		if err := iterate(sim, g, walks, rngs, k, eta, t, cfg, leaderRng); err != nil {
-			return nil, err
-		}
-		k /= 2
-		eta *= 2
+	walks, err := double(sim, g, k, stop, cfg, src)
+	if err != nil {
+		return nil, err
 	}
 
 	// Stitch: the leader (machine `start`) consumes one segment per hop.
@@ -99,67 +69,30 @@ func ChainedWalk(sim *clique.Sim, g *graph.Graph, start, tau int, cfg Config, sr
 	// sequential consumption would not guarantee, because same-index walks
 	// at different machines can share suffixes.
 	trajectory := []int{start}
-	cur := start
-	for hop := 0; hop < stop && len(trajectory) <= tau; hop++ {
-		var segment []int
-		idx := hop
-		if cfg.Fidelity.Charged() {
-			// Charged stitch: the hop's segment moves to the leader as a
-			// shared slice, charged at its word length; the receive step is
-			// computation-only on both paths.
-			if idx >= len(walks[cur]) {
-				return nil, fmt.Errorf("machine %d exhausted its %d segments", cur, len(walks[cur]))
+	cur, hop := start, 0
+	var segment []int
+	stitch := &clique.Step[[]int]{
+		Name: "doubling/stitch",
+		Send: func(o *clique.Out[[]int]) error {
+			o.From(cur)
+			if hop >= len(walks[cur]) {
+				return fmt.Errorf("machine %d exhausted its %d segments", cur, len(walks[cur]))
 			}
-			w := walks[cur][idx]
-			plan := clique.NewCostPlan(n)
-			plan.Add(cur, start, len(w))
-			if err := sim.ChargedSuperstep("doubling/stitch", plan, nil); err != nil {
-				return nil, err
-			}
-			if err := sim.ChargedSuperstep("doubling/stitch-recv", nil, nil); err != nil {
-				return nil, err
-			}
-			segment = w
-			if segment[0] != cur {
-				return nil, fmt.Errorf("doubling: stitch segment starts at %d, want %d", segment[0], cur)
-			}
-			trajectory = append(trajectory, segment[1:]...)
-			cur = trajectory[len(trajectory)-1]
-			continue
-		}
-		err := sim.Superstep("doubling/stitch", func(id int, in []clique.Message) ([]clique.Message, error) {
-			if id != cur {
-				return nil, nil
-			}
-			if idx >= len(walks[id]) {
-				return nil, fmt.Errorf("machine %d exhausted its %d segments", id, len(walks[id]))
-			}
-			w := walks[id][idx]
-			words := make([]clique.Word, 0, len(w))
-			for _, v := range w {
-				words = append(words, clique.IntWord(v))
-			}
-			return []clique.Message{{To: start, Tag: tagSegment, Words: words}}, nil
-		})
-		if err != nil {
+			w := walks[cur][hop]
+			o.Send(start, len(w), w)
+			return nil
+		},
+		Recv:   func(_ int, w []int) { segment = w },
+		Encode: func(dst []clique.Word, w []int) []clique.Word { return clique.AppendInts(dst, w...) },
+		Decode: clique.Ints,
+	}
+	for ; hop < stop && len(trajectory) <= tau; hop++ {
+		segment = nil
+		if err := clique.Run(sim, stitch); err != nil {
 			return nil, err
 		}
-		err = sim.Superstep("doubling/stitch-recv", func(id int, in []clique.Message) ([]clique.Message, error) {
-			if id != start {
-				return nil, nil
-			}
-			for _, m := range in {
-				if m.Tag != tagSegment {
-					continue
-				}
-				segment = make([]int, len(m.Words))
-				for i, w := range m.Words {
-					segment[i] = w.Int()
-				}
-			}
-			return nil, nil
-		})
-		if err != nil {
+		// The leader stored the segment as it arrived.
+		if err := clique.Local(sim, "doubling/stitch-recv", nil); err != nil {
 			return nil, err
 		}
 		if segment == nil {

@@ -11,33 +11,18 @@ import (
 	"repro/internal/walk"
 )
 
-// Message tags.
-const (
-	tagSeed = iota
-	tagPrefix
-	tagSuffix
-	tagMerged
-)
-
 // independenceC is the constant c in the t = 8c·log n independence
 // parameter of the routing hash and in the Lemma 10 bound.
 const independenceC = 1
 
 // Config parameterizes a doubling run. The zero value is the paper's
-// setting: hash-balanced routing in the charged simulator mode.
+// setting: hash-balanced routing.
 type Config struct {
 	// Unbalanced reproduces the unbalanced merging of [7], where walks meet
 	// at the machine of the suffix's origin vertex, instead of the paper's
 	// hash-based load balancing. Both modes consume the rng identically, so
 	// they build the same walks; only the charged rounds and loads differ.
 	Unbalanced bool
-	// Fidelity selects the simulator execution mode: charged (the ""
-	// default) routes/merges/stores walks as local slice movement with the
-	// communication charged analytically per walk tuple, full materializes
-	// every encoded walk through the simulator. Walks, round charges, and
-	// traces (including the Lemma 10 MaxRecvMsg profile) are identical
-	// either way.
-	Fidelity clique.Fidelity
 }
 
 // Result holds the walks produced by a doubling run: Walks[v] is a
@@ -75,9 +60,6 @@ func walkFanout(n, tau int) (int, error) {
 // length-tau random walk from every vertex. It returns the walks and
 // charges all communication on sim.
 func Walks(sim *clique.Sim, g *graph.Graph, tau int, cfg Config, src *prng.Source) (*Result, error) {
-	if !cfg.Fidelity.Valid() {
-		return nil, fmt.Errorf("doubling: unknown sim fidelity %q (want %q or %q)", cfg.Fidelity, clique.FidelityCharged, clique.FidelityFull)
-	}
 	n := g.N()
 	if sim.N() != n {
 		return nil, fmt.Errorf("doubling: clique size %d does not match graph size %d", sim.N(), n)
@@ -90,37 +72,9 @@ func Walks(sim *clique.Sim, g *graph.Graph, tau int, cfg Config, src *prng.Sourc
 	if !g.IsConnected() {
 		return nil, fmt.Errorf("doubling: graph must be connected")
 	}
-	eta := 1
-
-	// Per-machine state: walks[v][i] is W^{i+1}_v (0-indexed internally).
-	walks := make([][][]int, n)
-	rngs := make([]*prng.Source, n)
-	for v := 0; v < n; v++ {
-		rngs[v] = src.Split(uint64(v))
-	}
-
-	// Initialization: every vertex samples k length-1 walks (random
-	// incident edges) locally — no communication.
-	for v := 0; v < n; v++ {
-		walks[v] = make([][]int, k)
-		for i := 0; i < k; i++ {
-			next, err := walk.Step(g, v, rngs[v])
-			if err != nil {
-				return nil, fmt.Errorf("doubling: %w", err)
-			}
-			walks[v][i] = []int{v, next}
-		}
-	}
-
-	t := independenceParam(n)
-	leaderRng := src.Split(1 << 60)
-
-	for k > 1 {
-		if err := iterate(sim, g, walks, rngs, k, eta, t, cfg, leaderRng); err != nil {
-			return nil, err
-		}
-		k /= 2
-		eta *= 2
+	walks, err := double(sim, g, k, 1, cfg, src)
+	if err != nil {
+		return nil, err
 	}
 
 	out := &Result{Walks: make([][]int, n), Tau: tau}
@@ -134,20 +88,66 @@ func Walks(sim *clique.Sim, g *graph.Graph, tau int, cfg Config, src *prng.Sourc
 	return out, nil
 }
 
+// double runs the doubling on a validated instance: every machine starts
+// from k length-1 walks and each iteration halves the walk count per
+// machine and doubles the walk length, until stop walks per machine
+// remain. walks[v][i] is W^{i+1}_v (0-indexed internally).
+func double(sim *clique.Sim, g *graph.Graph, k, stop int, cfg Config, src *prng.Source) ([][][]int, error) {
+	n := g.N()
+	// Initialization: every vertex samples k length-1 walks (random
+	// incident edges) locally — no communication.
+	walks := make([][][]int, n)
+	for v := 0; v < n; v++ {
+		rng := src.Split(uint64(v))
+		walks[v] = make([][]int, k)
+		for i := 0; i < k; i++ {
+			next, err := walk.Step(g, v, rng)
+			if err != nil {
+				return nil, fmt.Errorf("doubling: %w", err)
+			}
+			walks[v][i] = []int{v, next}
+		}
+	}
+	t := independenceParam(n)
+	leaderRng := src.Split(1 << 60)
+	for eta := 1; k > stop; k, eta = k/2, eta*2 {
+		if err := iterate(sim, g, walks, k, eta, t, cfg, leaderRng); err != nil {
+			return nil, err
+		}
+	}
+	return walks, nil
+}
+
+// routedWalk is a walk tuple in flight between machines: the origin
+// machine, the paper's 1-based walk index, and the trajectory. It packs
+// into len(w)+2 words.
+type routedWalk struct {
+	origin, index int
+	w             []int
+}
+
+func encodeWalk(dst []clique.Word, rw routedWalk) []clique.Word {
+	return clique.AppendInts(dst, append([]int{rw.origin, rw.index}, rw.w...)...)
+}
+
+func decodeWalk(words []clique.Word) routedWalk {
+	return routedWalk{origin: words[0].Int(), index: words[1].Int(), w: clique.Ints(words[2:])}
+}
+
 // iterate performs one doubling iteration (steps 1-5 of the load-balanced
 // algorithm in §3).
-func iterate(sim *clique.Sim, g *graph.Graph, walks [][][]int, rngs []*prng.Source, k, eta, t int, cfg Config, leaderRng *prng.Source) error {
+func iterate(sim *clique.Sim, g *graph.Graph, walks [][][]int, k, eta, t int, cfg Config, leaderRng *prng.Source) error {
 	n := g.N()
 	// Step 1: machine 1 samples and broadcasts the hash seed (O(log² n)
-	// bits = t words); every machine derives the same function. In charged
-	// mode the broadcast is charged without delivery — the hash is derived
-	// from the shared seed either way.
+	// bits = t words); every machine derives the same function from it.
 	seed := prng.SampleKWiseSeed(t, leaderRng)
-	if cfg.Fidelity.Charged() {
-		if err := sim.ChargeBroadcast(len(seed)); err != nil {
-			return err
+	err := clique.RunBroadcast(sim, 0, len(seed), func(dst []clique.Word) []clique.Word {
+		for _, x := range seed {
+			dst = append(dst, clique.Word(x))
 		}
-	} else if err := sim.Broadcast(0, tagSeed, seedToWords(seed)); err != nil {
+		return dst
+	})
+	if err != nil {
 		return err
 	}
 	hash, err := prng.NewKWiseHash(t, k+1, n, seed)
@@ -161,30 +161,39 @@ func iterate(sim *clique.Sim, g *graph.Graph, walks [][][]int, rngs []*prng.Sour
 		}
 		return hash.Eval(vertex, index)
 	}
-	if cfg.Fidelity.Charged() {
-		return iterateCharged(sim, walks, route, n, k, eta)
-	}
 
 	// Steps 2-3: route prefixes (i <= k/2) by their endpoint and suffixes
 	// (i > k/2) by their origin, so that W^i_u (ending at z) and
 	// W^{k-i+1}_z land on the same machine.
-	err = sim.Superstep("doubling/route", func(id int, in []clique.Message) ([]clique.Message, error) {
-		msgs := make([]clique.Message, 0, k)
-		for i := 0; i < k; i++ {
-			w := walks[id][i]
-			index1 := i + 1 // the paper's 1-based walk index
-			var to, tag int
-			if index1 <= k/2 {
-				to = route(w[len(w)-1], k-index1+1)
-				tag = tagPrefix
-			} else {
-				to = route(id, index1)
-				tag = tagSuffix
+	prefixes := make([][]routedWalk, n)
+	suffixes := make([][]routedWalk, n)
+	err = clique.Run(sim, &clique.Step[routedWalk]{
+		Name: "doubling/route",
+		Send: func(o *clique.Out[routedWalk]) error {
+			for id := range walks {
+				o.From(id)
+				for i, w := range walks[id] {
+					index1 := i + 1 // the paper's 1-based walk index
+					var to int
+					if index1 <= k/2 {
+						to = route(w[len(w)-1], k-index1+1)
+					} else {
+						to = route(id, index1)
+					}
+					o.Send(to, len(w)+2, routedWalk{origin: id, index: index1, w: w})
+				}
+				walks[id] = nil // all walks shipped out
 			}
-			msgs = append(msgs, clique.Message{To: to, Tag: tag, Words: encodeWalk(id, index1, w)})
-		}
-		walks[id] = nil // all walks shipped out
-		return msgs, nil
+			return nil
+		},
+		Recv: func(m int, rw routedWalk) {
+			if rw.index <= k/2 {
+				prefixes[m] = append(prefixes[m], rw)
+			} else {
+				suffixes[m] = append(suffixes[m], rw)
+			}
+		},
+		Encode: encodeWalk, Decode: decodeWalk,
 	})
 	if err != nil {
 		return err
@@ -193,140 +202,46 @@ func iterate(sim *clique.Sim, g *graph.Graph, walks [][][]int, rngs []*prng.Sour
 	// Step 4: merge. A suffix W^j_z serves every prefix W^i_u with
 	// i = k-j+1 that ends at z; the merged walk returns to the prefix
 	// origin u tagged with index i.
-	err = sim.Superstep("doubling/merge", func(id int, in []clique.Message) ([]clique.Message, error) {
-		type key struct{ origin, index int }
-		suffixes := make(map[key][]int)
-		for _, m := range in {
-			if m.Tag != tagSuffix {
-				continue
+	type key struct{ origin, index int }
+	mergedAt := make([][]routedWalk, n)
+	err = clique.Run(sim, &clique.Step[routedWalk]{
+		Name: "doubling/merge",
+		Send: func(o *clique.Out[routedWalk]) error {
+			for m := 0; m < n; m++ {
+				o.From(m)
+				sufs := make(map[key][]int, len(suffixes[m]))
+				for _, s := range suffixes[m] {
+					sufs[key{s.origin, s.index}] = s.w
+				}
+				for _, p := range prefixes[m] {
+					end := p.w[len(p.w)-1]
+					suffix, ok := sufs[key{end, k - p.index + 1}]
+					if !ok {
+						return fmt.Errorf("machine %d: no suffix W^%d_%d for prefix W^%d_%d", m, k-p.index+1, end, p.index, p.origin)
+					}
+					merged := make([]int, 0, len(p.w)+len(suffix)-1)
+					merged = append(merged, p.w...)
+					merged = append(merged, suffix[1:]...)
+					o.Send(p.origin, len(merged)+2, routedWalk{origin: p.origin, index: p.index, w: merged})
+				}
 			}
-			origin, index, w := decodeWalk(m.Words)
-			suffixes[key{origin, index}] = w
-		}
-		var msgs []clique.Message
-		for _, m := range in {
-			if m.Tag != tagPrefix {
-				continue
-			}
-			origin, index, w := decodeWalk(m.Words)
-			end := w[len(w)-1]
-			suffix, ok := suffixes[key{end, k - index + 1}]
-			if !ok {
-				return nil, fmt.Errorf("machine %d: no suffix W^%d_%d for prefix W^%d_%d", id, k-index+1, end, index, origin)
-			}
-			merged := make([]int, 0, len(w)+len(suffix)-1)
-			merged = append(merged, w...)
-			merged = append(merged, suffix[1:]...)
-			msgs = append(msgs, clique.Message{To: origin, Tag: tagMerged, Words: encodeWalk(origin, index, merged)})
-		}
-		return msgs, nil
+			return nil
+		},
+		Recv:   func(m int, rw routedWalk) { mergedAt[m] = append(mergedAt[m], rw) },
+		Encode: encodeWalk, Decode: decodeWalk,
 	})
 	if err != nil {
 		return err
 	}
 
 	// Step 5: machines store their merged walks.
-	return sim.Superstep("doubling/store", func(id int, in []clique.Message) ([]clique.Message, error) {
-		walks[id] = make([][]int, k/2)
-		for _, m := range in {
-			if m.Tag != tagMerged {
-				continue
-			}
-			origin, index, w := decodeWalk(m.Words)
-			if origin != id {
-				return nil, fmt.Errorf("machine %d received walk for %d", id, origin)
-			}
-			if index < 1 || index > k/2 {
-				return nil, fmt.Errorf("machine %d received out-of-range walk index %d", id, index)
-			}
-			if len(w) != 2*eta+1 {
-				return nil, fmt.Errorf("machine %d received %d-step walk, want %d", id, len(w)-1, 2*eta)
-			}
-			walks[id][index-1] = w
-		}
-		for i, w := range walks[id] {
-			if w == nil {
-				return nil, fmt.Errorf("machine %d missing merged walk %d", id, i+1)
-			}
-		}
-		return nil, nil
-	})
-}
-
-// routedWalk is a walk in flight between machines during a charged
-// iteration: the origin machine, the paper's 1-based walk index, and the
-// trajectory — what encodeWalk packs into words on the full path.
-type routedWalk struct {
-	origin, index int
-	w             []int
-}
-
-// iterateCharged is the charged-mode port of one doubling iteration: the
-// same route/merge/store supersteps with identical per-tuple charges
-// (len(walk)+2 words per routed walk, the encodeWalk framing), but walks
-// move between machines as shared slices instead of packed word messages.
-func iterateCharged(sim *clique.Sim, walks [][][]int, route func(vertex, index int) int, n, k, eta int) error {
-	// Steps 2-3: route prefixes by endpoint and suffixes by origin.
-	prefixes := make([][]routedWalk, n)
-	suffixes := make([][]routedWalk, n)
-	plan := clique.NewCostPlan(n)
-	err := sim.ChargedSuperstep("doubling/route", plan, func() error {
-		for id := 0; id < n; id++ {
-			for i := 0; i < k; i++ {
-				w := walks[id][i]
-				index1 := i + 1
-				if index1 <= k/2 {
-					to := route(w[len(w)-1], k-index1+1)
-					plan.Add(id, to, len(w)+2)
-					prefixes[to] = append(prefixes[to], routedWalk{origin: id, index: index1, w: w})
-				} else {
-					to := route(id, index1)
-					plan.Add(id, to, len(w)+2)
-					suffixes[to] = append(suffixes[to], routedWalk{origin: id, index: index1, w: w})
-				}
-			}
-			walks[id] = nil // all walks shipped out
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	// Step 4: merge prefix/suffix pairs where they met.
-	type key struct{ origin, index int }
-	mergedAt := make([][]routedWalk, n)
-	plan.Reset()
-	err = sim.ChargedSuperstep("doubling/merge", plan, func() error {
-		for m := 0; m < n; m++ {
-			sufs := make(map[key][]int, len(suffixes[m]))
-			for _, s := range suffixes[m] {
-				sufs[key{s.origin, s.index}] = s.w
-			}
-			for _, p := range prefixes[m] {
-				end := p.w[len(p.w)-1]
-				suffix, ok := sufs[key{end, k - p.index + 1}]
-				if !ok {
-					return fmt.Errorf("machine %d: no suffix W^%d_%d for prefix W^%d_%d", m, k-p.index+1, end, p.index, p.origin)
-				}
-				merged := make([]int, 0, len(p.w)+len(suffix)-1)
-				merged = append(merged, p.w...)
-				merged = append(merged, suffix[1:]...)
-				plan.Add(m, p.origin, len(merged)+2)
-				mergedAt[p.origin] = append(mergedAt[p.origin], routedWalk{origin: p.origin, index: p.index, w: merged})
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	// Step 5: machines store their merged walks — computation only.
-	return sim.ChargedSuperstep("doubling/store", nil, func() error {
+	return clique.Local(sim, "doubling/store", func() error {
 		for id := 0; id < n; id++ {
 			walks[id] = make([][]int, k/2)
 			for _, m := range mergedAt[id] {
+				if m.origin != id {
+					return fmt.Errorf("machine %d received walk for %d", id, m.origin)
+				}
 				if m.index < 1 || m.index > k/2 {
 					return fmt.Errorf("machine %d received out-of-range walk index %d", id, m.index)
 				}
@@ -343,35 +258,6 @@ func iterateCharged(sim *clique.Sim, walks [][][]int, route func(vertex, index i
 		}
 		return nil
 	})
-}
-
-// encodeWalk packs (origin, index, trajectory) into words.
-func encodeWalk(origin, index int, w []int) []clique.Word {
-	words := make([]clique.Word, 0, len(w)+2)
-	words = append(words, clique.IntWord(origin), clique.IntWord(index))
-	for _, v := range w {
-		words = append(words, clique.IntWord(v))
-	}
-	return words
-}
-
-// decodeWalk unpacks an encoded walk tuple.
-func decodeWalk(words []clique.Word) (origin, index int, w []int) {
-	origin = words[0].Int()
-	index = words[1].Int()
-	w = make([]int, len(words)-2)
-	for i := range w {
-		w[i] = words[i+2].Int()
-	}
-	return origin, index, w
-}
-
-func seedToWords(seed []uint64) []clique.Word {
-	words := make([]clique.Word, len(seed))
-	for i, s := range seed {
-		words[i] = clique.Word(s)
-	}
-	return words
 }
 
 func intLog2Ceil(n int) int {

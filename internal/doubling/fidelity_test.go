@@ -9,10 +9,11 @@ import (
 	"repro/internal/prng"
 )
 
-// TestDoublingFidelityGolden requires charged and full executions of the
-// doubling algorithm to agree on the walks, every simulator counter, and the
-// full per-superstep trace — including the MaxRecvMsg profile Lemma 10
-// bounds, which the E5 experiment reads — for both routing variants.
+// TestDoublingFidelityGolden requires the charged and the materializing
+// executor, running the same declarations, to agree on the walks, every
+// simulator counter, and the full per-superstep trace — including the
+// MaxRecvMsg profile Lemma 10 bounds, which the E5 experiment reads — for
+// both routing variants.
 func TestDoublingFidelityGolden(t *testing.T) {
 	g, err := graph.FromFamily("expander", 20, prng.New(3))
 	if err != nil {
@@ -20,65 +21,67 @@ func TestDoublingFidelityGolden(t *testing.T) {
 	}
 	for _, balanced := range []bool{true, false} {
 		sc := clique.MustNew(20)
-		sf := clique.MustNew(20)
+		sf := clique.NewMaterializing(20)
 		sc.EnableTrace()
 		sf.EnableTrace()
-		rc, err := Walks(sc, g, 16, Config{Unbalanced: !balanced, Fidelity: "charged"}, prng.New(9))
+		rc, err := Walks(sc, g, 16, Config{Unbalanced: !balanced}, prng.New(9))
 		if err != nil {
 			t.Fatalf("balanced=%v charged: %v", balanced, err)
 		}
-		rf, err := Walks(sf, g, 16, Config{Unbalanced: !balanced, Fidelity: "full"}, prng.New(9))
+		rf, err := Walks(sf, g, 16, Config{Unbalanced: !balanced}, prng.New(9))
 		if err != nil {
-			t.Fatalf("balanced=%v full: %v", balanced, err)
+			t.Fatalf("balanced=%v materializing: %v", balanced, err)
 		}
 		if !reflect.DeepEqual(rc.Walks, rf.Walks) {
-			t.Errorf("balanced=%v: walks differ across fidelities", balanced)
+			t.Errorf("balanced=%v: walks differ across executors", balanced)
 		}
 		if sc.Rounds() != sf.Rounds() || sc.Supersteps() != sf.Supersteps() || sc.TotalWords() != sf.TotalWords() {
-			t.Errorf("balanced=%v: counters differ: charged (%d,%d,%d) vs full (%d,%d,%d)", balanced,
+			t.Errorf("balanced=%v: counters differ: charged (%d,%d,%d) vs materializing (%d,%d,%d)", balanced,
 				sc.Rounds(), sc.Supersteps(), sc.TotalWords(), sf.Rounds(), sf.Supersteps(), sf.TotalWords())
 		}
 		if !reflect.DeepEqual(sc.Stats(), sf.Stats()) {
-			t.Errorf("balanced=%v: traces differ:\ncharged %+v\nfull    %+v", balanced, sc.Stats(), sf.Stats())
+			t.Errorf("balanced=%v: traces differ:\ncharged       %+v\nmaterializing %+v", balanced, sc.Stats(), sf.Stats())
 		}
 	}
 }
 
 // TestSampleTreeFidelityGolden covers the chained-walk path (doubling
-// iterations plus the leader-driven stitch supersteps) end to end.
+// iterations plus the leader-driven stitch supersteps) end to end, on both
+// executors: trees, TreeStats and per-superstep traces. The n = 40 case
+// crosses parallelThreshold, so on a multi-core host the materializing
+// executor routes through Superstep's goroutines (run with -race).
 func TestSampleTreeFidelityGolden(t *testing.T) {
-	g, err := graph.FromFamily("expander", 20, prng.New(3))
-	if err != nil {
-		t.Fatal(err)
+	run := func(g *graph.Graph, build func(int) *clique.Sim) (string, *TreeStats, []clique.StepStat) {
+		t.Helper()
+		prev := newSim
+		defer func() { newSim = prev }()
+		var sim *clique.Sim
+		newSim = func(n int) *clique.Sim {
+			sim = build(n)
+			sim.EnableTrace()
+			return sim
+		}
+		tree, st, err := SampleTree(g, TreeConfig{}, prng.New(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree.Encode(), st, sim.Stats()
 	}
-	tc, stc, err := SampleTree(g, TreeConfig{Doubling: Config{Fidelity: "charged"}}, prng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tf, stf, err := SampleTree(g, TreeConfig{Doubling: Config{Fidelity: "full"}}, prng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tc.Encode() != tf.Encode() {
-		t.Error("trees differ across fidelities")
-	}
-	if !reflect.DeepEqual(stc, stf) {
-		t.Errorf("stats differ:\ncharged %+v\nfull    %+v", stc, stf)
-	}
-}
-
-// TestDoublingFidelityValidation rejects typo'd modes instead of silently
-// selecting a fidelity, matching core.Config's behavior.
-func TestDoublingFidelityValidation(t *testing.T) {
-	g, err := graph.FromFamily("cycle", 8, prng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := clique.MustNew(8)
-	if _, err := Walks(sim, g, 4, Config{Fidelity: "chargd"}, prng.New(1)); err == nil {
-		t.Error("Walks accepted an unknown fidelity")
-	}
-	if _, _, err := SampleTree(g, TreeConfig{Doubling: Config{Fidelity: "chargd"}}, prng.New(1)); err == nil {
-		t.Error("SampleTree accepted an unknown fidelity")
+	for _, n := range []int{20, 40} {
+		g, err := graph.FromFamily("expander", n, prng.New(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc, stc, trc := run(g, clique.MustNew)
+		tf, stf, trf := run(g, clique.NewMaterializing)
+		if tc != tf {
+			t.Errorf("n=%d: trees differ across executors", n)
+		}
+		if !reflect.DeepEqual(stc, stf) {
+			t.Errorf("n=%d: stats differ:\ncharged       %+v\nmaterializing %+v", n, stc, stf)
+		}
+		if !reflect.DeepEqual(trc, trf) {
+			t.Errorf("n=%d: per-superstep traces differ (%d vs %d steps)", n, len(trc), len(trf))
+		}
 	}
 }

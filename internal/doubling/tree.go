@@ -14,6 +14,11 @@ import (
 // for the walk to cover the graph.
 const maxSegments = 64
 
+// newSim builds SampleTree's simulator. Tests swap in
+// clique.NewMaterializing to run the same declarations on the materializing
+// executor.
+var newSim = clique.MustNew
+
 // TreeConfig parameterizes the Corollary 1 spanning tree sampler.
 type TreeConfig struct {
 	// Doubling configures the walk construction.
@@ -70,7 +75,7 @@ func SampleTree(g *graph.Graph, cfg TreeConfig, src *prng.Source) (*spanning.Tre
 	if cfg.SegmentLength == 0 {
 		cfg.SegmentLength = DefaultSegmentLength(n)
 	}
-	sim := clique.MustNew(n)
+	sim := newSim(n)
 
 	cur := 0 // the walk of interest starts at vertex 0
 	visited := make([]bool, n)

@@ -30,7 +30,7 @@
 // The Fast backend's builds are additionally replayable: ReplayDyadicTable
 // and ChargeSchurShortcutBuild re-apply a build's exact round/word charges
 // without redoing the numeric work, which is what lets Prepared's phase-0
-// state and the charged simulator keep warm Stats byte-identical to cold.
-// The dataflow backends (Naive, Semiring3D) deliberately bypass both the
-// phase-0 reuse and charged mode: they exist to route real words.
+// state keep warm Stats byte-identical to cold. The dataflow backends
+// (Naive, Semiring3D) deliberately bypass the phase-0 reuse and route real
+// words through Sim.Superstep on every simulator: they exist to route them.
 package mm

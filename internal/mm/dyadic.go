@@ -18,21 +18,18 @@ import (
 // Each squaring is delegated to the backend (which charges its rounds), and
 // each computed power is followed by the step-3 column redistribution, a
 // perfectly balanced all-to-all (every machine sends and receives exactly
-// one row/column worth of words) charged via a real superstep.
+// one row/column worth of words) charged from its pattern.
 //
 // If delta > 0 every product is truncated down to multiples of delta,
 // exactly the round(.) fixed-point discipline of Lemma 7; the returned
 // matrices then under-approximate the true powers entrywise by at most the
 // lemma's E(k) bound.
 //
-// fid selects the execution mode of the per-power column redistribution:
-// charged (the default) charges the balanced all-to-all analytically, full
-// materializes its d² single-word messages. The matrices, the round charges,
-// and the trace are identical either way — machine j's "column" is a view
-// into the same shared matrix in both modes. The backend's own Mul is not
-// affected: the dataflow backends (naive, semiring3d) route real words by
-// design regardless of fid.
-func DyadicTable(sim *clique.Sim, backend Backend, p *matrix.Matrix, maxExp int, delta float64, fid clique.Fidelity) (*matrix.PowerDyadic, error) {
+// The redistribution is a CostPlan.AllToAll charge on every simulator:
+// machine j's "column" is a view into the shared matrix, so no receiver
+// reads a routed payload. The backend's own Mul is unaffected: the dataflow
+// backends (naive, semiring3d) route real words by design.
+func DyadicTable(sim *clique.Sim, backend Backend, p *matrix.Matrix, maxExp int, delta float64) (*matrix.PowerDyadic, error) {
 	if backend == nil {
 		return nil, fmt.Errorf("mm: nil backend")
 	}
@@ -54,10 +51,7 @@ func DyadicTable(sim *clique.Sim, backend Backend, p *matrix.Matrix, maxExp int,
 		cur.TruncateDown(delta)
 	}
 	pows[0] = cur
-	var plan *clique.CostPlan // one charged-mode plan serves every power
-	if fid.Charged() {
-		plan = clique.NewCostPlan(sim.N())
-	}
+	plan := clique.NewCostPlan(sim.N()) // one plan serves every power
 	if err := distributeColumns(sim, cur, plan); err != nil {
 		return nil, err
 	}
@@ -82,8 +76,8 @@ func DyadicTable(sim *clique.Sim, backend Backend, p *matrix.Matrix, maxExp int,
 // table that was already computed offline (core.Prepare caches the phase-0
 // table per graph so repeated samples skip the numeric squarings). Each
 // skipped squaring is charged at the backend's predicted cost and each
-// per-power column redistribution through the same charged all-to-all
-// DyadicTable's charged mode uses, so rounds, words and per-step stats come
+// per-power column redistribution through the same all-to-all charge
+// DyadicTable uses, so rounds, words and per-step stats come
 // out exactly as if the table had been built.
 //
 // The replay is charge-exact only for the Fast backend, whose Mul charges
@@ -127,30 +121,15 @@ func ChargeSchurShortcutBuild(sim *clique.Sim, backend Backend, n, maxExp int) e
 	return sim.ChargeRounds(maxExp*backend.CostRounds(2*n), clique.ChargeSchurShortcut)
 }
 
-// distributeColumns performs the Algorithm 1 step 3 all-to-all for one
+// distributeColumns charges the Algorithm 1 step 3 all-to-all for one
 // matrix: machine i sends entry [i,j] to machine j, a balanced exchange of
 // one word per ordered machine pair (1 round). After it, machine j holds
 // column j in addition to row j — the property Algorithm 2 step 4 relies on
-// when machine M_{p,q} asks machine j for P^(δ/2)[p,j] * P^(δ/2)[j,q].
-// A non-nil plan selects charged mode, which charges the same exchange from
-// its pattern (the column view already lives in the shared matrix); full
-// mode routes the d² words.
+// when machine M_{p,q} asks machine j for P^(δ/2)[p,j] * P^(δ/2)[j,q]. The
+// column is a view into the shared matrix, so the exchange is charged from
+// its pattern and nothing is routed.
 func distributeColumns(sim *clique.Sim, m *matrix.Matrix, plan *clique.CostPlan) error {
-	d := m.Rows()
-	if plan != nil {
-		plan.Reset()
-		plan.AllToAll(d, 1)
-		return sim.ChargedSuperstep("mm/column-distribute", plan, nil)
-	}
-	return sim.Superstep("mm/column-distribute", func(id int, in []clique.Message) ([]clique.Message, error) {
-		if id >= d {
-			return nil, nil
-		}
-		row := m.Row(id)
-		msgs := make([]clique.Message, 0, d)
-		for j := 0; j < d; j++ {
-			msgs = append(msgs, clique.Message{To: j, Words: []clique.Word{clique.FloatWord(row[j])}})
-		}
-		return msgs, nil
-	})
+	plan.Reset()
+	plan.AllToAll(m.Rows(), 1)
+	return sim.ChargedSuperstep("mm/column-distribute", plan, nil)
 }

@@ -154,7 +154,7 @@ func TestDyadicTableMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := clique.MustNew(g.N())
-	table, err := DyadicTable(sim, Fast{}, p, 5, 0, "")
+	table, err := DyadicTable(sim, Fast{}, p, 5, 0)
 	if err != nil {
 		t.Fatalf("DyadicTable: %v", err)
 	}
@@ -175,8 +175,8 @@ func TestDyadicTableMatchesSequential(t *testing.T) {
 // TestReplayMatchesBuiltTable pins the replay contract per step: charging a
 // cached table with ReplayDyadicTable leaves the same per-superstep trace
 // (names, rounds, loads, words, message counts) and totals as building it
-// with DyadicTable, in either simulator fidelity, including on a clique
-// with more machines than the matrix has rows.
+// with DyadicTable, including on a clique with more machines than the
+// matrix has rows.
 func TestReplayMatchesBuiltTable(t *testing.T) {
 	g, err := graph.Lollipop(4, 4)
 	if err != nil {
@@ -187,25 +187,23 @@ func TestReplayMatchesBuiltTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, machines := range []int{g.N(), g.N() + 3} {
-		for _, fid := range []clique.Fidelity{clique.FidelityCharged, clique.FidelityFull} {
-			built := clique.MustNew(machines)
-			built.EnableTrace()
-			table, err := DyadicTable(built, Fast{}, p, 5, 0, fid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			replayed := clique.MustNew(machines)
-			replayed.EnableTrace()
-			if err := ReplayDyadicTable(replayed, Fast{}, table); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(replayed.Stats(), built.Stats()) {
-				t.Errorf("%d machines, %q: replayed steps\n%+v\nbuilt steps\n%+v", machines, fid, replayed.Stats(), built.Stats())
-			}
-			if replayed.Rounds() != built.Rounds() || replayed.Supersteps() != built.Supersteps() || replayed.TotalWords() != built.TotalWords() {
-				t.Errorf("%d machines, %q: replay totals (%d, %d, %d), built (%d, %d, %d)", machines, fid,
-					replayed.Rounds(), replayed.Supersteps(), replayed.TotalWords(), built.Rounds(), built.Supersteps(), built.TotalWords())
-			}
+		built := clique.MustNew(machines)
+		built.EnableTrace()
+		table, err := DyadicTable(built, Fast{}, p, 5, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed := clique.MustNew(machines)
+		replayed.EnableTrace()
+		if err := ReplayDyadicTable(replayed, Fast{}, table); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(replayed.Stats(), built.Stats()) {
+			t.Errorf("%d machines: replayed steps\n%+v\nbuilt steps\n%+v", machines, replayed.Stats(), built.Stats())
+		}
+		if replayed.Rounds() != built.Rounds() || replayed.Supersteps() != built.Supersteps() || replayed.TotalWords() != built.TotalWords() {
+			t.Errorf("%d machines: replay totals (%d, %d, %d), built (%d, %d, %d)", machines,
+				replayed.Rounds(), replayed.Supersteps(), replayed.TotalWords(), built.Rounds(), built.Supersteps(), built.TotalWords())
 		}
 	}
 }
@@ -215,7 +213,7 @@ func TestDyadicTableTruncation(t *testing.T) {
 	p := randomStochastic(8, src)
 	sim := clique.MustNew(8)
 	const delta = 1e-6
-	table, err := DyadicTable(sim, Fast{}, p, 4, delta, "")
+	table, err := DyadicTable(sim, Fast{}, p, 4, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,14 +233,14 @@ func TestDyadicTableTruncation(t *testing.T) {
 func TestDyadicTableValidation(t *testing.T) {
 	sim := clique.MustNew(4)
 	p := matrix.MustNew(2, 3)
-	if _, err := DyadicTable(sim, Fast{}, p, 2, 0, ""); err == nil {
+	if _, err := DyadicTable(sim, Fast{}, p, 2, 0); err == nil {
 		t.Error("expected error for non-square matrix")
 	}
 	sq := matrix.Identity(2)
-	if _, err := DyadicTable(sim, Fast{}, sq, -1, 0, ""); err == nil {
+	if _, err := DyadicTable(sim, Fast{}, sq, -1, 0); err == nil {
 		t.Error("expected error for negative exponent")
 	}
-	if _, err := DyadicTable(sim, nil, sq, 1, 0, ""); err == nil {
+	if _, err := DyadicTable(sim, nil, sq, 1, 0); err == nil {
 		t.Error("expected error for nil backend")
 	}
 }
