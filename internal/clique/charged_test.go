@@ -245,3 +245,64 @@ func TestCostPlanValidation(t *testing.T) {
 		t.Error("negative broadcast accepted")
 	}
 }
+
+// TestCostPlanReuseMatchesFresh charges a run of supersteps over disjoint
+// and overlapping machine sets twice: through one plan Reset between steps,
+// and through a fresh plan per step. A load or a maximum the reset left
+// behind would raise a later step's charge, so the traces and counters must
+// agree exactly.
+func TestCostPlanReuseMatchesFresh(t *testing.T) {
+	const n = 16
+	steps := []struct {
+		name string
+		fill func(p *CostPlan)
+	}{
+		{"sparse-low", func(p *CostPlan) {
+			p.Add(0, 1, 5)
+			p.Add(2, 1, 7)
+			p.Add(3, 3, 2)
+		}},
+		{"dense", func(p *CostPlan) { p.Exchange([]int{4, 5, 5}, []int{6, 7}, 3) }},
+		{"zero-width", func(p *CostPlan) {
+			p.Add(8, 9, 0)
+			p.Add(8, 9, 0)
+			p.Add(10, 11, 1)
+		}},
+		{"alltoall", func(p *CostPlan) { p.AllToAll(3, 2) }},
+		{"heavy", func(p *CostPlan) {
+			for id := 12; id < n; id++ {
+				p.Add(id, 12, 40)
+			}
+		}},
+		{"light-after-heavy", func(p *CostPlan) {
+			p.Add(13, 14, 1)
+			p.Add(1, 2, 1)
+		}},
+		{"empty", func(*CostPlan) {}},
+		{"exchange-after-empty", func(p *CostPlan) { p.Exchange([]int{15}, []int{0, 1, 2, 3}, 1) }},
+	}
+	reused, fresh := MustNew(n), MustNew(n)
+	reused.EnableTrace()
+	fresh.EnableTrace()
+	plan := NewCostPlan(n)
+	for _, st := range steps {
+		plan.Reset()
+		st.fill(plan)
+		if err := reused.ChargedSuperstep(st.name, plan, nil); err != nil {
+			t.Fatal(err)
+		}
+		p := NewCostPlan(n)
+		st.fill(p)
+		if err := fresh.ChargedSuperstep(st.name, p, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(reused.Stats(), fresh.Stats()) {
+		t.Errorf("reused plan's trace differs:\n%+v\nfresh plans:\n%+v", reused.Stats(), fresh.Stats())
+	}
+	if reused.Rounds() != fresh.Rounds() || reused.Supersteps() != fresh.Supersteps() || reused.TotalWords() != fresh.TotalWords() {
+		t.Errorf("counters differ: reused (%d,%d,%d) vs fresh (%d,%d,%d)",
+			reused.Rounds(), reused.Supersteps(), reused.TotalWords(),
+			fresh.Rounds(), fresh.Supersteps(), fresh.TotalWords())
+	}
+}

@@ -202,6 +202,9 @@ func (r *phaseRunner) firstVisitEdges(walkLocal []int) ([]graph.Edge, []int, err
 	if len(visits) == 0 {
 		return nil, nil, nil
 	}
+	if err := r.buildShortcutRows(); err != nil {
+		return nil, nil, err
+	}
 	p := sc.proto
 	if err := clique.Run(r.sim, &p.notify); err != nil {
 		return nil, nil, err

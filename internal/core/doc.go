@@ -29,6 +29,10 @@
 // extension and placement but not that table, so Prepared.Exact derives it
 // from a phase Prepared without a second table. Phase 0 walks on G itself
 // and holds no shortcut matrix: its first-visit weights read the identity.
+// A later phase solves only the shortcut rows its first-visit step reads,
+// one per distinct Schur-walk predecessor of a first visit, once the phase
+// walk (every Las Vegas segment of it) is known; the round charge for the
+// shortcut build stays at the phase build, so Stats do not move.
 // The package guarantees that for a fixed (graph, Config, seed stream) the
 // sampled tree AND the reported Stats are byte-identical across every
 // execution variant: cold vs warm (Prepared reuse; the phase-0 build's

@@ -34,12 +34,17 @@ type phaseRunner struct {
 	cfg Config
 
 	sub    *schur.Subset
+	phase  int // phase index; phase 0 walks on G itself (see shortcut)
 	pd     *matrix.PowerDyadic
-	q      *matrix.Matrix // shortcut transitions, global indices; nil in phase 0 (see shortcut)
-	built  bool           // pd and q were built for this phase, not taken from Prepared
-	leader int            // global machine id of leader (hosts start vertex)
-	start  int            // local index of phase start vertex
-	rho    int            // distinct-vertex budget this phase
+	built  bool // pd was built for this phase, not taken from Prepared
+	leader int  // global machine id of leader (hosts start vertex)
+	start  int  // local index of phase start vertex
+	rho    int  // distinct-vertex budget this phase
+	// q holds the shortcut rows the first-visit step reads, one per
+	// distinct Schur-walk predecessor of a first visit (sc.qRow maps a
+	// global vertex to its row). firstVisitEdges builds them once the
+	// phase walk is known; nil before that and in phase 0.
+	q *matrix.Matrix
 	// preSeen holds local indices already visited by earlier Las Vegas
 	// segments of the same phase; they count toward the rho budget but a
 	// reappearance is never a "first occurrence" (appendix §5.1).
@@ -84,20 +89,20 @@ type phaseRunner struct {
 	stats *Stats
 }
 
-// newPhaseRunner prepares a phase: transition matrix of Schur(G, S),
-// shortcut matrix (later phases only), dyadic power table (with round
-// charging), and the initial two-vertex partial walk. A non-nil warm carries
-// Prepare's cached phase-0 table: phase 0 always walks the full vertex set,
-// so its power table is a per-graph constant that only the charging (not the
-// numeric work) needs to be replayed for. Every later phase walks on a
-// subset that depends on the walk so far and is built fresh.
+// newPhaseRunner prepares a phase: transition matrix of Schur(G, S), the
+// shortcut build's round charge (later phases only), dyadic power table
+// (with round charging), and the initial two-vertex partial walk. A non-nil
+// warm carries Prepare's cached phase-0 table: phase 0 always walks the full
+// vertex set, so its power table is a per-graph constant that only the
+// charging (not the numeric work) needs to be replayed for. Every later
+// phase walks on a subset that depends on the walk so far and is built
+// fresh.
 func newPhaseRunner(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Subset, startGlobal int, phaseIdx int, preSeen map[int]struct{}, src *prng.Source, stats *Stats, warm *Prepared, sc *phaseScratch) (*phaseRunner, error) {
 	startLocal, err := sub.LocalIndex(startGlobal)
 	if err != nil {
 		return nil, fmt.Errorf("core: phase start vertex: %w", err)
 	}
 	maxExp := int(math.Log2(float64(cfg.WalkLength)) + 0.5)
-	var q *matrix.Matrix
 	var pd *matrix.PowerDyadic
 	built := false
 	// The phase-0 state is usable only under the Fast backend, whose Mul is
@@ -112,7 +117,7 @@ func newPhaseRunner(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Subs
 			return nil, fmt.Errorf("core: replaying dyadic power table: %w", err)
 		}
 	} else {
-		q, pd, err = buildPhaseState(sim, g, cfg, sub, phaseIdx, maxExp)
+		pd, err = buildPhaseState(sim, g, cfg, sub, phaseIdx, maxExp)
 		if err != nil {
 			return nil, err
 		}
@@ -135,8 +140,8 @@ func newPhaseRunner(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Subs
 		g:       g,
 		cfg:     cfg,
 		sub:     sub,
+		phase:   phaseIdx,
 		pd:      pd,
-		q:       q,
 		built:   built,
 		leader:  startGlobal,
 		start:   startLocal,
@@ -167,25 +172,58 @@ func newPhaseRunner(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Subs
 }
 
 // release returns the phase state this runner built to the matrix scratch
-// pool once the phase is over (phase 0 has no shortcut matrix, and releasing
-// a nil matrix is a no-op); the Prepared's phase-0 table is shared and
-// stays. Recycling keeps a sample's allocation, and with it the garbage
-// collector's work, to the walk's own state.
+// pool once the phase is over (releasing a nil matrix is a no-op, and only
+// the runner that ran the first visits holds shortcut rows); the Prepared's
+// phase-0 table is shared and stays. Recycling keeps a sample's allocation,
+// and with it the garbage collector's work, to the walk's own state.
 func (r *phaseRunner) release() {
 	if r.built {
 		r.pd.Release()
-		r.q.Release()
 	}
+	if r.q != nil {
+		r.q.Release()
+		r.q = nil
+		r.sc.resetShortcutRows()
+	}
+}
+
+// buildShortcutRows solves the shortcut rows the first-visit step reads:
+// Q[prev, *] for each distinct predecessor prev of the phase's first visits
+// (sc.visits), in first-appearance order. Phase 0 reads the identity and
+// builds none. A Las Vegas phase builds them once, on its last segment's
+// runner, over the whole extended walk: every segment walks the same
+// subset, so their rows are the same.
+func (r *phaseRunner) buildShortcutRows() error {
+	if r.phase == 0 {
+		return nil
+	}
+	sc := r.sc
+	from := sc.qFrom[:0]
+	for _, vis := range sc.visits {
+		if sc.qRow[vis.prev] < 0 {
+			sc.qRow[vis.prev] = len(from)
+			from = append(from, vis.prev)
+		}
+	}
+	sc.qFrom = from
+	q, err := schur.ShortcutRows(r.g, r.sub, from)
+	if err != nil {
+		sc.resetShortcutRows()
+		return fmt.Errorf("core: shortcut rows: %w", err)
+	}
+	r.q = q
+	return nil
 }
 
 // shortcut returns Q[prev, u], the probability that u is the vertex the
 // G-walk from prev visits immediately before it first enters S (the shortcut
-// factor of Algorithm 4's Bayes weight). Phase 0 walks on G itself, with S
-// the whole vertex set, so that vertex is always prev: Q is the identity
-// there and the phase holds no matrix for it.
+// factor of Algorithm 4's Bayes weight), from the rows buildShortcutRows
+// solved. Phase 0 walks on G itself, with S the whole vertex set, so that
+// vertex is always prev: Q is the identity there and the phase holds no
+// rows for it.
 func (r *phaseRunner) shortcut(prev, u int) float64 {
 	if r.q != nil {
-		return r.q.At(prev, u)
+		return r.q.At(r.sc.qRow[prev], u)
 	}
 	if u == prev {
 		return 1
@@ -206,13 +244,14 @@ func (r *phaseRunner) rng(id int) *prng.Source {
 }
 
 // buildPhaseState is the cold path of a phase's algebraic setup: the
-// shortcut matrix (nil in phase 0) and the dyadic power table of the Schur
-// transition matrix (which survives as the table's first power), with the
-// round charges the paper's accounting assigns them.
-func buildPhaseState(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Subset, phaseIdx, maxExp int) (q *matrix.Matrix, pd *matrix.PowerDyadic, err error) {
+// dyadic power table of the Schur transition matrix (which survives as the
+// table's first power), with the round charges the paper's accounting
+// assigns it and the shortcut matrix. The shortcut rows themselves are
+// solved after the walk, for the rows it reads (buildShortcutRows).
+func buildPhaseState(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Subset, phaseIdx, maxExp int) (*matrix.PowerDyadic, error) {
 	smat, err := schur.Transition(g, sub)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: schur transition: %w", err)
+		return nil, fmt.Errorf("core: schur transition: %w", err)
 	}
 	if phaseIdx > 0 {
 		// Corollaries 2-3: the Schur and shortcut matrices are computed by
@@ -220,20 +259,17 @@ func buildPhaseState(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Sub
 		// chain; charge the backend's cost for them. Phase 1 walks on G
 		// itself and needs neither (§2.2: "short-cutting applies only
 		// after the first phase").
-		q, err = schur.ShortcutTransition(g, sub)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: shortcut transition: %w", err)
-		}
 		if err := mm.ChargeSchurShortcutBuild(sim, cfg.Backend, g.N(), maxExp); err != nil {
-			return nil, nil, err
+			smat.Release()
+			return nil, err
 		}
 	}
-	pd, err = mm.DyadicTable(sim, cfg.Backend, smat, maxExp, cfg.TruncDelta)
+	pd, err := mm.DyadicTable(sim, cfg.Backend, smat, maxExp, cfg.TruncDelta)
 	smat.Release() // the table holds its own copy as the first power
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: dyadic power table: %w", err)
+		return nil, fmt.Errorf("core: dyadic power table: %w", err)
 	}
-	return q, pd, nil
+	return pd, nil
 }
 
 // hostOf maps a local subset index to the global machine hosting it. Local

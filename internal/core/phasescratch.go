@@ -82,6 +82,10 @@ type phaseScratch struct {
 	fvEntries [][]fvReply
 	fvEdge    []int
 	weights   []float64
+	// The phase's shortcut rows: qFrom lists their start vertices, and
+	// qRow maps a global vertex to its row (-1: none).
+	qFrom []int
+	qRow  []int
 }
 
 func newPhaseScratch(n int) *phaseScratch {
@@ -100,9 +104,21 @@ func newPhaseScratch(n int) *phaseScratch {
 		fvReqs:       make([][]fvReq, n),
 		fvEntries:    make([][]fvReply, n),
 		fvEdge:       make([]int, n),
+		qRow:         make([]int, n),
+	}
+	for v := range sc.qRow {
+		sc.qRow[v] = -1
 	}
 	sc.proto = newProtocol(sc)
 	return sc
+}
+
+// resetShortcutRows unmaps the phase's shortcut rows.
+func (sc *phaseScratch) resetShortcutRows() {
+	for _, v := range sc.qFrom {
+		sc.qRow[v] = -1
+	}
+	sc.qFrom = sc.qFrom[:0]
 }
 
 // resetLevel prepares the pair tables for a new level's assignment.

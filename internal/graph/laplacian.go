@@ -41,12 +41,20 @@ func (g *Graph) TransitionMatrixInto(p *matrix.Matrix) error {
 		if g.degree[u] <= 0 {
 			return fmt.Errorf("graph: vertex %d is isolated; random walk undefined", u)
 		}
-		inv := 1 / g.degree[u]
-		for _, h := range g.adj[u] {
-			p.Set(u, h.To, h.Weight*inv)
-		}
+		g.VisitTransitions(u, func(v int, puv float64) { p.Set(u, v, puv) })
 	}
 	return nil
+}
+
+// VisitTransitions calls fn(v, P[u][v]) for each neighbor v of u, with the
+// bits TransitionMatrix stores there: w({u,v})·(1/degree(u)). It is the row
+// of P without the n x n matrix, for callers that read only a few entries.
+// u must not be isolated.
+func (g *Graph) VisitTransitions(u int, fn func(v int, puv float64)) {
+	inv := 1 / g.degree[u]
+	for _, h := range g.adj[u] {
+		fn(h.To, h.Weight*inv)
+	}
 }
 
 // SpanningTreeCount returns the exact number of spanning trees via the

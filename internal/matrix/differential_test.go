@@ -175,8 +175,13 @@ func forEachKernel(t *testing.T, fn func(t *testing.T)) {
 
 // TestAllFinite pins the finiteness scan that decides whether the AVX tiles
 // may run: any Inf or NaN, wherever it sits, sends the product to the Go
-// kernel; every finite value, however large or small, does not.
+// kernel; every finite value, however large or small, does not. It runs on
+// every kernel path: the AVX ones scan through finite4AVX.
 func TestAllFinite(t *testing.T) {
+	forEachKernel(t, testAllFinite)
+}
+
+func testAllFinite(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		x    []float64
@@ -196,6 +201,39 @@ func TestAllFinite(t *testing.T) {
 			t.Errorf("%s: allFinite = %v, want %v", tc.name, got, tc.want)
 		}
 	}
+}
+
+// TestAllFiniteSweep puts +Inf, -Inf or NaN at every position of every
+// length up to 40 — the vector scan's 16- and 4-element blocks and the Go
+// tail — on every kernel path. Each slice sits in a backing array whose
+// elements past its end are NaN, so a scan that reads beyond its length
+// reports a finite slice as non-finite.
+func TestAllFiniteSweep(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		for n := 0; n <= 40; n++ {
+			backing := make([]float64, n+16)
+			for i := range backing {
+				backing[i] = math.NaN()
+			}
+			x := backing[:n]
+			for i := range x {
+				x[i] = float64(i) - 3.5
+			}
+			if !allFinite(x) {
+				t.Fatalf("n=%d: finite slice reported non-finite", n)
+			}
+			for i := range x {
+				for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+					saved := x[i]
+					x[i] = bad
+					if allFinite(x) {
+						t.Fatalf("n=%d: %v at %d not found", n, bad, i)
+					}
+					x[i] = saved
+				}
+			}
+		}
+	})
 }
 
 // TestDifferentialMulKernels pins every multiply path on rectangular shapes,
@@ -270,6 +308,47 @@ func TestDifferentialFactorKernels(t *testing.T) {
 			}
 			requireFactorEqual(t, fmt.Sprintf("FactorScratch n=%d", n), fs, want, wantPerm, wantSign)
 			fs.Release()
+		}
+	})
+}
+
+// TestDifferentialFactorSparse pins the factorization on sparse input, the
+// shape of a sparse graph's absorbing-chain systems: seven of eight entries
+// are zeros of either sign, so most multipliers are zero, many rows of a
+// trailing update have no term at all, and a zero entry's multiplier is
+// formed without a division. The diagonal dominates with a random sign, so
+// pivots of both signs turn those zeros into zeros of both signs.
+func TestDifferentialFactorSparse(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		src := prng.New(0x5ba45e)
+		for _, n := range awkwardSizes {
+			a := MustNew(n, n)
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					switch src.Uint64() % 16 {
+					case 0:
+						a.Set(i, j, src.Float64())
+					case 1:
+						a.Set(i, j, -src.Float64())
+					case 2, 3, 4, 5, 6, 7:
+						a.Set(i, j, math.Copysign(0, -1))
+					}
+				}
+				d := a.At(i, i) + float64(n)
+				if src.Bool() {
+					d = -d
+				}
+				a.Set(i, i, d)
+			}
+			want, wantPerm, wantSign, ok := refFactor(a)
+			if !ok {
+				t.Fatalf("n=%d: reference factorization unexpectedly singular", n)
+			}
+			f, err := Factor(a)
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			requireFactorEqual(t, fmt.Sprintf("sparse Factor n=%d", n), f, want, wantPerm, wantSign)
 		}
 	})
 }

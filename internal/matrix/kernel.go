@@ -65,8 +65,16 @@ func mulPath(a, b *Matrix) string {
 }
 
 // allFinite reports whether x holds no Inf and no NaN: an all-ones exponent
-// marks both.
+// marks both. With AVX the whole groups of four go through the vector scan
+// (finite4AVX) and the Go loop takes the rest; without it, the Go loop takes
+// everything.
 func allFinite(x []float64) bool {
+	if m := len(x) &^ 3; useAVX && m > 0 {
+		if !finite4AVX(&x[0], m) {
+			return false
+		}
+		x = x[m:]
+	}
 	const exp = 0x7ff << 52
 	for _, v := range x {
 		if math.Float64bits(v)&exp == exp {

@@ -45,3 +45,15 @@ func mul4x16AVX512(c, a, b *float64, n, lda, ldb, ldc int)
 //
 //go:noescape
 func solve16AVX(lu, x *float64, n, ldlu, ldx int)
+
+// finite4AVX reports whether n elements at x, n a multiple of 4, hold no Inf
+// and no NaN; see allFinite.
+//
+//go:noescape
+func finite4AVX(x *float64, n int) bool
+
+// updateAVX applies a row's m deferred elimination updates to w columns, w
+// a multiple of 4; see trailingUpdateRow.
+//
+//go:noescape
+func updateAVX(x, f, u *float64, off *int, m, w int)

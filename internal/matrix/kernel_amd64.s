@@ -269,3 +269,129 @@ backdiv:
 
 	VZEROUPPER
 	RET
+
+DATA expmask<>+0(SB)/8, $0x7ff0000000000000
+GLOBL expmask<>(SB), RODATA|NOPTR, $8
+
+// func finite4AVX(x *float64, n int) bool
+//
+// Reports whether none of the n elements at x, n a multiple of 4, has an
+// all-ones exponent (Inf or NaN). Each element is ANDed with the exponent
+// mask, and a lane whose masked bits equal the mask (+Inf as a float) is
+// all ones after the compare; the compares are ORed together and tested
+// once, after the last element. AVX only: every step is a float op.
+TEXT ·finite4AVX(SB), NOSPLIT, $0-17
+	MOVQ         x+0(FP), SI
+	MOVQ         n+8(FP), CX
+	VBROADCASTSD expmask<>(SB), Y15
+	VXORPD       Y4, Y4, Y4
+	VXORPD       Y5, Y5, Y5
+	SHLQ         $3, CX
+	ADDQ         SI, CX // end of x
+	LEAQ         -128(CX), DX // last start of a whole 16-element block
+
+loop16:
+	CMPQ    SI, DX
+	JGT     loop4
+	VANDPD  (SI), Y15, Y0
+	VANDPD  32(SI), Y15, Y1
+	VANDPD  64(SI), Y15, Y2
+	VANDPD  96(SI), Y15, Y3
+	VCMPPD  $0, Y15, Y0, Y0
+	VCMPPD  $0, Y15, Y1, Y1
+	VCMPPD  $0, Y15, Y2, Y2
+	VCMPPD  $0, Y15, Y3, Y3
+	VORPD   Y0, Y4, Y4
+	VORPD   Y1, Y5, Y5
+	VORPD   Y2, Y4, Y4
+	VORPD   Y3, Y5, Y5
+	ADDQ    $128, SI
+	JMP     loop16
+
+loop4:
+	CMPQ    SI, CX
+	JGE     done
+	VANDPD  (SI), Y15, Y0
+	VCMPPD  $0, Y15, Y0, Y0
+	VORPD   Y0, Y4, Y4
+	ADDQ    $32, SI
+	JMP     loop4
+
+done:
+	VORPD     Y5, Y4, Y4
+	VMOVMSKPD Y4, AX
+	TESTL     AX, AX
+	SETEQ     ret+16(FP)
+	VZEROUPPER
+	RET
+
+// func updateAVX(x, f, u *float64, off *int, m, w int)
+//
+// x[j] = x[j] - f[t]*u[off[t]+j] for t in [0, m) ascending, j in [0, w), w
+// a multiple of 4 and m at least 1: the elimination's deferred row update
+// over the terms with a nonzero multiplier, one multiply and one
+// subtraction per term, each rounded, in 16-column then 4-column register
+// tiles.
+TEXT ·updateAVX(SB), NOSPLIT, $0-48
+	MOVQ x+0(FP), DI
+	MOVQ f+8(FP), SI
+	MOVQ u+16(FP), DX
+	MOVQ off+24(FP), R8
+	MOVQ m+32(FP), CX
+	MOVQ w+40(FP), R9
+
+block16:
+	CMPQ    R9, $16
+	JLT     block4
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	XORQ    BX, BX
+
+term16:
+	MOVQ         (R8)(BX*8), AX
+	LEAQ         (DX)(AX*8), R10
+	VBROADCASTSD (SI)(BX*8), Y4
+	MUL16(R10)
+	VSUBPD       Y5, Y0, Y0
+	VSUBPD       Y6, Y1, Y1
+	VSUBPD       Y7, Y2, Y2
+	VSUBPD       Y8, Y3, Y3
+	INCQ         BX
+	CMPQ         BX, CX
+	JLT          term16
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, DX
+	SUBQ    $16, R9
+	JMP     block16
+
+block4:
+	CMPQ    R9, $4
+	JLT     done4
+	VMOVUPD (DI), Y0
+	XORQ    BX, BX
+
+term4:
+	MOVQ         (R8)(BX*8), AX
+	VBROADCASTSD (SI)(BX*8), Y4
+	VMULPD       (DX)(AX*8), Y4, Y5
+	VSUBPD       Y5, Y0, Y0
+	INCQ         BX
+	CMPQ         BX, CX
+	JLT          term4
+
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, DX
+	SUBQ    $4, R9
+	JMP     block4
+
+done4:
+	VZEROUPPER
+	RET

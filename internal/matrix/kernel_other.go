@@ -14,3 +14,7 @@ func mul4x8AVX(c, a, b *float64, n, lda, ldb, ldc int) { panic("matrix: AVX kern
 func mul4x16AVX512(c, a, b *float64, n, lda, ldb, ldc int) { panic("matrix: AVX kernel not built") }
 
 func solve16AVX(lu, x *float64, n, ldlu, ldx int) { panic("matrix: AVX kernel not built") }
+
+func finite4AVX(x *float64, n int) bool { panic("matrix: AVX kernel not built") }
+
+func updateAVX(x, f, u *float64, off *int, m, w int) { panic("matrix: AVX kernel not built") }

@@ -191,3 +191,55 @@ func TestSubmatrixScratchMatchesSubmatrix(t *testing.T) {
 		t.Error("unexpected NaN") // keep math import honest
 	}
 }
+
+// poisonPool releases count buffers of rows x cols matrices' size class to
+// the scratch pool with every element, up to capacity, set to NaN.
+func poisonPool(rows, cols, count int) {
+	bufs := make([]*Matrix, count)
+	for i := range bufs {
+		bufs[i] = Scratch(rows, cols)
+		full := bufs[i].data[:cap(bufs[i].data)]
+		for j := range full {
+			full[j] = math.NaN()
+		}
+	}
+	for _, m := range bufs {
+		m.Release()
+	}
+}
+
+// TestUnclearedScratchPoisoned fills the pool with NaN-poisoned buffers
+// before every ScratchUncleared draw and checks that a product MulInto
+// writes into it, and a full copy, are bit-identical to the reference
+// product and the source on every kernel path: both overwrite every entry,
+// so nothing the last user left can leak into a power table.
+func TestUnclearedScratchPoisoned(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		src := prng.New(0x9015)
+		before := ReadPoolStats()
+		for _, n := range awkwardSizes {
+			a := randomDense(t, n, n+1, src)
+			b := randomDense(t, n+1, n+2, src)
+			want := MustNew(n, n+2)
+			refMulInto(want, a, b)
+			poisonPool(n, n+2, 4)
+			got := ScratchUncleared(n, n+2)
+			if err := MulInto(got, a, b); err != nil {
+				t.Fatalf("n=%d: MulInto: %v", n, err)
+			}
+			requireBitEqual(t, fmt.Sprintf("product n=%d", n), got, want)
+			got.Release()
+
+			poisonPool(n, n+1, 4)
+			clone := ScratchUncleared(n, n+1)
+			for i := 0; i < n; i++ {
+				copy(clone.Row(i), a.Row(i))
+			}
+			requireBitEqual(t, fmt.Sprintf("copy n=%d", n), clone, a)
+			clone.Release()
+		}
+		if after := ReadPoolStats(); after.Reuses == before.Reuses {
+			t.Error("no draw reused a poisoned buffer")
+		}
+	})
+}

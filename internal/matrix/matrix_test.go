@@ -506,3 +506,26 @@ func BenchmarkMul(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAllFinite scans an n x n finite matrix, as the multiply does
+// before it picks a tile, on every kernel path this host supports.
+func BenchmarkAllFinite(b *testing.B) {
+	savedAVX, savedAVX512 := useAVX, useAVX512
+	defer func() { useAVX, useAVX512 = savedAVX, savedAVX512 }()
+	for _, n := range []int{64, 96, 192} {
+		m := randomStochastic(n, prng.New(1))
+		for _, path := range kernelPaths {
+			b.Run(fmt.Sprintf("n=%d/%s", n, path.name), func(b *testing.B) {
+				if !path.supported {
+					b.Skipf("no %s on this host", path.name)
+				}
+				useAVX, useAVX512 = path.avx, path.avx512
+				for i := 0; i < b.N; i++ {
+					if !allFinite(m.data) {
+						b.Fatal("finite matrix reported non-finite")
+					}
+				}
+			})
+		}
+	}
+}

@@ -50,6 +50,25 @@ func ReadPoolStats() PoolStats {
 // the pool. The caller owns it until Release and must not use it afterwards;
 // a matrix handed to other code is released only once they are done with it.
 func Scratch(rows, cols int) *Matrix {
+	m, reused := scratch(rows, cols)
+	if reused {
+		clear(m.data)
+	}
+	return m
+}
+
+// ScratchUncleared is Scratch without the clear: a reused buffer holds
+// whatever its last user left. It is for a caller that writes every entry
+// before it reads any, such as the destination of MulInto or of a full
+// copy; the power tables' products and copies are drawn this way.
+func ScratchUncleared(rows, cols int) *Matrix {
+	m, _ := scratch(rows, cols)
+	return m
+}
+
+// scratch draws a rows x cols matrix from the pool, or allocates a zeroed
+// one; reused says which.
+func scratch(rows, cols int) (m *Matrix, reused bool) {
 	if rows <= 0 || cols <= 0 {
 		panic("matrix: invalid scratch dimensions")
 	}
@@ -58,11 +77,9 @@ func Scratch(rows, cols int) *Matrix {
 	poolGets.Add(1)
 	if v := scratchPools[class].Get(); v != nil {
 		poolReuses.Add(1)
-		buf := v.([]float64)[:need]
-		clear(buf)
-		return &Matrix{rows: rows, cols: cols, data: buf}
+		return &Matrix{rows: rows, cols: cols, data: v.([]float64)[:need]}, true
 	}
-	return &Matrix{rows: rows, cols: cols, data: make([]float64, need, 1<<class)}
+	return &Matrix{rows: rows, cols: cols, data: make([]float64, need, 1<<class)}, false
 }
 
 // Release returns the matrix's storage to the scratch pool. The matrix must

@@ -81,8 +81,8 @@ func factorInPlace(lu *Matrix) (*LU, error) {
 		for col := c0; col < c1; col++ {
 			p := col
 			maxAbs := math.Abs(lu.At(col, col))
-			for r := col + 1; r < n; r++ {
-				if a := math.Abs(lu.At(r, col)); a > maxAbs {
+			for r, i := col+1, (col+1)*n+col; r < n; r, i = r+1, i+n {
+				if a := math.Abs(lu.data[i]); a > maxAbs {
 					maxAbs = a
 					p = r
 				}
@@ -99,15 +99,28 @@ func factorInPlace(lu *Matrix) (*LU, error) {
 				sign = -sign
 			}
 			pivot := lu.At(col, col)
-			for r := col + 1; r < n; r++ {
-				f := lu.At(r, col) / pivot
-				lu.Set(r, col, f)
+			nanPivot := math.IsNaN(pivot)
+			rc := lu.Row(col)[col+1 : c1]
+			// Walk column col down from row col+1: i indexes (r, col).
+			for i := (col+1)*n + col; i < len(lu.data); i += n {
+				a := lu.data[i]
+				if a == 0 && !nanPivot {
+					// A zero over any pivot but NaN divides to the zero
+					// whose sign is the product of the two signs, and a
+					// zero multiplier updates nothing; skip the division.
+					if pivot < 0 {
+						lu.data[i] = -a
+					}
+					continue
+				}
+				f := a / pivot
+				lu.data[i] = f
 				if f == 0 {
 					continue
 				}
-				rr, rc := lu.Row(r), lu.Row(col)
-				for j := col + 1; j < c1; j++ {
-					rr[j] -= f * rc[j]
+				x := lu.data[i+1 : i+1+len(rc)]
+				for j, u := range rc {
+					x[j] -= f * u
 				}
 			}
 		}
@@ -116,62 +129,67 @@ func factorInPlace(lu *Matrix) (*LU, error) {
 		}
 		// U12: the panel rows' trailing columns, updates applied in the
 		// ascending column order the unblocked schedule uses (row r receives
-		// columns c0..r-1).
-		for col := c0; col < c1; col++ {
-			rc := lu.Row(col)
-			for r := col + 1; r < c1; r++ {
-				f := lu.At(r, col)
-				if f == 0 {
-					continue
-				}
-				rr := lu.Row(r)
-				for j := c1; j < n; j++ {
-					rr[j] -= f * rc[j]
-				}
-			}
+		// columns c0..r-1, whose rows are final by the time r is reached).
+		for r := c0 + 1; r < c1; r++ {
+			trailingUpdateRow(lu, r, c0, r, c1)
 		}
 		// A22: each remaining row accumulates all panel columns' updates in
 		// registers.
 		for r := c1; r < n; r++ {
-			trailingUpdateRow(lu, r, c0, c1, n)
+			trailingUpdateRow(lu, r, c0, c1, c1)
 		}
 	}
 	return &LU{lu: lu, perm: perm, sign: sign}, nil
 }
 
-// trailingUpdateRow applies the deferred panel updates to row r's trailing
-// columns [c1, n): acc -= f_c * U[c][j] for panel columns c in ascending
-// order, four j-columns per register tile. Per element this is exactly the
+// trailingUpdateRow applies the deferred updates of panel columns [c0, c1)
+// to row r's trailing columns [j0, n): acc -= f_c * U[c][j] for c in
+// ascending order, with f_c = lu[r][c]. Per element this is exactly the
 // unblocked schedule's update sequence for row r (steps c0..c1-1, f == 0
-// skipped), so the result is bit-identical.
-func trailingUpdateRow(lu *Matrix, r, c0, c1, n int) {
+// skipped), so the result is bit-identical. The terms with a nonzero
+// multiplier are listed first: the absorbing-chain systems of a sparse
+// graph leave most multipliers zero, and a row with none is done. With AVX
+// the columns go through updateAVX in 16- and 4-column register tiles, each
+// lane running that sequence; the Go loop takes the rest, four columns per
+// register tile.
+func trailingUpdateRow(lu *Matrix, r, c0, c1, j0 int) {
+	n := lu.cols
 	rr := lu.Row(r)
-	j := c1
-	for ; j+4 <= n; j += 4 {
-		acc0, acc1, acc2, acc3 := rr[j], rr[j+1], rr[j+2], rr[j+3]
-		for c := c0; c < c1; c++ {
-			f := rr[c]
-			if f == 0 {
-				continue
-			}
-			uc := lu.Row(c)
-			acc0 -= f * uc[j]
-			acc1 -= f * uc[j+1]
-			acc2 -= f * uc[j+2]
-			acc3 -= f * uc[j+3]
+	var fs [luPanel]float64
+	var offs [luPanel]int // U[c][j0]'s index in lu.data
+	m := 0
+	for c := c0; c < c1; c++ {
+		if f := rr[c]; f != 0 {
+			fs[m], offs[m] = f, c*n+j0
+			m++
 		}
-		rr[j], rr[j+1], rr[j+2], rr[j+3] = acc0, acc1, acc2, acc3
 	}
-	for ; j < n; j++ {
-		acc := rr[j]
-		for c := c0; c < c1; c++ {
-			f := rr[c]
-			if f == 0 {
-				continue
-			}
-			acc -= f * lu.At(c, j)
+	if m == 0 {
+		return
+	}
+	x := rr[j0:]
+	j := 0
+	if w := len(x) &^ 3; useAVX && w > 0 {
+		updateAVX(&x[0], &fs[0], &lu.data[0], &offs[0], m, w)
+		j = w
+	}
+	for ; j+4 <= len(x); j += 4 {
+		acc0, acc1, acc2, acc3 := x[j], x[j+1], x[j+2], x[j+3]
+		for t, f := range fs[:m] {
+			u := lu.data[offs[t]+j : offs[t]+j+4]
+			acc0 -= f * u[0]
+			acc1 -= f * u[1]
+			acc2 -= f * u[2]
+			acc3 -= f * u[3]
 		}
-		rr[j] = acc
+		x[j], x[j+1], x[j+2], x[j+3] = acc0, acc1, acc2, acc3
+	}
+	for ; j < len(x); j++ {
+		acc := x[j]
+		for t, f := range fs[:m] {
+			acc -= f * lu.data[offs[t]+j]
+		}
+		x[j] = acc
 	}
 }
 

@@ -43,7 +43,7 @@ func DyadicTable(sim *clique.Sim, backend Backend, p *matrix.Matrix, maxExp int,
 	// table can recycle it with PowerDyadic.Release.
 	d := p.Rows()
 	pows := make([]*matrix.Matrix, maxExp+1)
-	cur := matrix.Scratch(d, d)
+	cur := matrix.ScratchUncleared(d, d) // the copy writes every entry
 	for i := 0; i < d; i++ {
 		copy(cur.Row(i), p.Row(i))
 	}

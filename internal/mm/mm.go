@@ -125,8 +125,9 @@ func (Fast) Mul(sim *clique.Sim, a, b *matrix.Matrix) (*matrix.Matrix, error) {
 	}
 	// The product comes from the scratch pool so that short-lived products
 	// (a sample's per-phase power tables) can be recycled with Release; a
-	// caller that keeps the product simply never releases it.
-	out := matrix.Scratch(d, d)
+	// caller that keeps the product simply never releases it. MulInto
+	// writes every entry, so the pooled storage is not cleared first.
+	out := matrix.ScratchUncleared(d, d)
 	if err := matrix.MulInto(out, a, b); err != nil {
 		out.Release()
 		return nil, err

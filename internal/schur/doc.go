@@ -8,7 +8,10 @@
 //   - ShortCut(G, S): the shortcut graph (Definition 3), whose transition
 //     matrix Q gives the distribution of the last vertex visited before the
 //     walk (re-)enters S. Q is what recovers first-visit edges in G from a
-//     walk taken on Schur(G, S) (Algorithm 4, §2.2).
+//     walk taken on Schur(G, S) (Algorithm 4, §2.2). Algorithm 4 reads Q
+//     only at the walk's predecessors of first visits, so ShortcutRows
+//     solves just the requested rows, each a column of one batched solve
+//     and bit-identical to that row of ShortcutTransition.
 //
 // The package computes both exactly, via block linear algebra on the
 // absorbing chain. The paper's other constructions are test oracles in

@@ -2,6 +2,7 @@ package schur
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/matrix"
@@ -168,23 +169,44 @@ func transitionScratch(g *graph.Graph) (*matrix.Matrix, error) {
 // (Definition 3): Q[u, x] is the probability that x is the vertex visited
 // immediately before the walk from u first visits S at a time >= 1. Rows
 // range over all of V; the column support is {u} ∪ (V \ S) (only those can
-// precede an S-entry).
+// precede an S-entry). It is ShortcutRows over every start vertex.
 //
 // The result is drawn from the scratch pool: a caller done with it may
 // Release it.
 func ShortcutTransition(g *graph.Graph, sub *Subset) (*matrix.Matrix, error) {
+	all := make([]int, g.N())
+	for u := range all {
+		all[u] = u
+	}
+	return ShortcutRows(g, sub, all)
+}
+
+// ShortcutRows computes the rows of Q = ShortCut(G, S) (see
+// ShortcutTransition) for the start vertices in from: row i of the
+// len(from) x n result is Q[from[i], *]. Each start vertex is one column of
+// a single batched solve over the shared factorization, and a batched
+// column is bit-identical to solving it alone, so every entry has the bits
+// ShortcutTransition gives it, whichever other rows are requested and in
+// whatever order.
+//
+// The result is drawn from the scratch pool: a caller done with it may
+// Release it.
+func ShortcutRows(g *graph.Graph, sub *Subset, from []int) (*matrix.Matrix, error) {
 	if sub.N() != g.N() {
 		return nil, fmt.Errorf("schur: subset universe %d does not match graph size %d", sub.N(), g.N())
 	}
 	if !g.IsConnected() {
 		return nil, fmt.Errorf("schur: graph must be connected")
 	}
-	p, err := transitionScratch(g)
-	if err != nil {
-		return nil, err
-	}
-	defer p.Release()
 	n := g.N()
+	if len(from) == 0 {
+		return nil, fmt.Errorf("schur: no shortcut rows requested")
+	}
+	for _, u := range from {
+		if u < 0 || u >= n {
+			return nil, fmt.Errorf("schur: shortcut row %d out of range [0,%d)", u, n)
+		}
+	}
 	comp := sub.complement
 
 	// absorb[x] = probability of stepping from x directly into S.
@@ -201,10 +223,10 @@ func ShortcutTransition(g *graph.Graph, sub *Subset) (*matrix.Matrix, error) {
 		}
 	}
 
-	q := matrix.Scratch(n, n)
+	q := matrix.Scratch(len(from), n)
 	// Direct entry at time 1: the predecessor is u itself.
-	for u := 0; u < n; u++ {
-		q.Set(u, u, absorb[u])
+	for i, u := range from {
+		q.Set(i, u, absorb[u])
 	}
 	if len(comp) == 0 {
 		return q, nil
@@ -215,17 +237,30 @@ func ShortcutTransition(g *graph.Graph, sub *Subset) (*matrix.Matrix, error) {
 	// Then Q[u][x] += G[u][x] * absorb[x].
 	// visits = (I - T^T)^{-1} applied per start row: solve transposed
 	// systems so we can reuse one factorization: G = Pcomp * Inv, i.e.
-	// G^T = Inv^T * Pcomp^T. All n start vertices are columns of one batched
-	// solve over the shared factorization — byte-identical to solving each
-	// start's system alone, without re-walking the factor n times.
+	// G^T = Inv^T * Pcomp^T. The requested start vertices are the columns
+	// of one batched solve over the shared factorization.
+	//
+	// The entries of P come from graph.VisitTransitions, so no n x n P is
+	// built. The system (I - T)^T = I - T^T holds -P[comp[j], comp[i]] at
+	// (i, j): -0 where P has a zero, then 1 added to the diagonal.
 	c := len(comp)
 	system := matrix.Scratch(c, c)
+	negZero := system.Row(0)
+	for j := range negZero {
+		negZero[j] = math.Copysign(0, -1)
+	}
+	for i := 1; i < c; i++ {
+		copy(system.Row(i), negZero)
+	}
+	for j, u := range comp {
+		g.VisitTransitions(u, func(v int, puv float64) {
+			if i := sub.coLocalOf[v]; i >= 0 {
+				system.Set(i, j, -puv)
+			}
+		})
+	}
 	for i := 0; i < c; i++ {
-		row := system.Row(i)
-		for j := range row {
-			row[j] = -p.At(comp[j], comp[i]) // (I - T)^T = I - T^T
-		}
-		row[i] += 1
+		system.Add(i, i, 1)
 	}
 	lu, err := matrix.FactorScratch(system)
 	system.Release()
@@ -233,23 +268,25 @@ func ShortcutTransition(g *graph.Graph, sub *Subset) (*matrix.Matrix, error) {
 		return nil, fmt.Errorf("schur: shortcut system singular: %w", err)
 	}
 	defer lu.Release()
-	// rhs column u is P[u, comp] — the transposed system's right-hand side
-	// for start vertex u; after the solve gt[wi][u] = G[u][comp[wi]].
-	gt := matrix.Scratch(c, n)
+	// rhs column i is P[from[i], comp] — the transposed system's right-hand
+	// side for start vertex from[i]; after the solve
+	// gt[wi][i] = G[from[i]][comp[wi]].
+	gt := matrix.Scratch(c, len(from))
 	defer gt.Release()
-	for wi, w := range comp {
-		row := gt.Row(wi)
-		for u := 0; u < n; u++ {
-			row[u] = p.At(u, w)
-		}
+	for i, u := range from {
+		g.VisitTransitions(u, func(v int, puv float64) {
+			if wi := sub.coLocalOf[v]; wi >= 0 {
+				gt.Set(wi, i, puv)
+			}
+		})
 	}
 	if err := lu.SolveBatchInto(gt, gt); err != nil {
 		return nil, err
 	}
-	for u := 0; u < n; u++ {
+	for i := range from {
 		for wi, w := range comp {
-			if v := gt.At(wi, u); v != 0 {
-				q.Add(u, w, v*absorb[w])
+			if v := gt.At(wi, i); v != 0 {
+				q.Add(i, w, v*absorb[w])
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/matrix"
 	"repro/internal/prng"
 	"repro/internal/walk"
 )
@@ -475,4 +476,253 @@ func TestIterativeValidation(t *testing.T) {
 	if _, err := IterativeShortcutTransition(g, sub, -1); err == nil {
 		t.Error("expected error for negative squarings")
 	}
+}
+
+// TestShortcutRowsBitIdentical checks that every row ShortcutRows solves
+// carries exactly the bits of the same row of ShortcutTransition, whichever
+// rows are requested and in whatever order: the first-visit step solves only
+// the rows its walk reads, and the sampled trees must not move. It covers
+// every graph family with random subsets, |S| = 2, S = V, and the nested
+// subsets a sampler's phases walk on.
+func TestShortcutRowsBitIdentical(t *testing.T) {
+	for _, name := range graph.FamilyNames() {
+		for _, size := range []int{12, 48} {
+			src := prng.New(uint64(41 + size))
+			g, err := graph.FromFamily(name, size, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := g.N()
+			if n > 48 {
+				continue // the shaped families round some sizes up
+			}
+			perm := src.Perm(n)
+			subsets := [][]int{perm[:2], perm}
+			for i := 0; i < 3; i++ {
+				subsets = append(subsets, src.Perm(n)[:1+src.Intn(n)])
+			}
+			subsets = append(subsets, phaseSubsets(t, g, src)...)
+			for _, members := range subsets {
+				sub, err := NewSubset(n, members)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkShortcutRows(t, name, g, sub, src)
+			}
+		}
+	}
+}
+
+// checkShortcutRows compares ShortcutTransition against the reference
+// build, then ShortcutRows against ShortcutTransition on one subset, over
+// the rows in ascending order, shuffled, a random subset of them, and each
+// singleton.
+func checkShortcutRows(t *testing.T, name string, g *graph.Graph, sub *Subset, src *prng.Source) {
+	t.Helper()
+	n := g.N()
+	full, err := ShortcutTransition(g, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Release()
+	ref := refShortcutTransition(t, g, sub)
+	for u := 0; u < n; u++ {
+		for x := 0; x < n; x++ {
+			if got, want := full.At(u, x), ref.At(u, x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s n=%d |S|=%d: Q[%d,%d] = %v (%#x), reference build has %v (%#x)",
+					name, n, sub.Size(), u, x, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+	ascending := make([]int, n)
+	for u := range ascending {
+		ascending[u] = u
+	}
+	shuffled := src.Perm(n)
+	froms := [][]int{ascending, shuffled, shuffled[:1+src.Intn(n)]}
+	for u := 0; u < n; u++ {
+		froms = append(froms, []int{u})
+	}
+	for _, from := range froms {
+		rows, err := ShortcutRows(g, sub, from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows.Rows() != len(from) || rows.Cols() != n {
+			t.Fatalf("%s n=%d: ShortcutRows over %d rows is %dx%d", name, n, len(from), rows.Rows(), rows.Cols())
+		}
+		for i, u := range from {
+			for x := 0; x < n; x++ {
+				if got, want := rows.At(i, x), full.At(u, x); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s n=%d |S|=%d rows %v: Q[%d,%d] = %v (%#x), ShortcutTransition has %v (%#x)",
+						name, n, sub.Size(), from, u, x, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+		rows.Release()
+	}
+}
+
+// refShortcutTransition is the all-rows shortcut build the samplers'
+// trees were pinned with: the n x n transition matrix P, the transposed
+// absorbing system gathered from it, and one batched solve over every start
+// vertex. ShortcutTransition and ShortcutRows must reproduce its bits.
+func refShortcutTransition(t *testing.T, g *graph.Graph, sub *Subset) *matrix.Matrix {
+	t.Helper()
+	n := g.N()
+	p, err := g.TransitionMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	absorb := make([]float64, n)
+	for x := 0; x < n; x++ {
+		var a float64
+		g.VisitNeighbors(x, func(h graph.Half) {
+			if sub.Contains(h.To) {
+				a += h.Weight
+			}
+		})
+		if d := g.Degree(x); d > 0 {
+			absorb[x] = a / d
+		}
+	}
+	q := matrix.MustNew(n, n)
+	for u := 0; u < n; u++ {
+		q.Set(u, u, absorb[u])
+	}
+	comp := sub.complement
+	if len(comp) == 0 {
+		return q
+	}
+	c := len(comp)
+	system := matrix.MustNew(c, c)
+	for i := 0; i < c; i++ {
+		row := system.Row(i)
+		for j := range row {
+			row[j] = -p.At(comp[j], comp[i])
+		}
+		row[i] += 1
+	}
+	lu, err := matrix.Factor(system)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt := matrix.MustNew(c, n)
+	for wi, w := range comp {
+		row := gt.Row(wi)
+		for u := 0; u < n; u++ {
+			row[u] = p.At(u, w)
+		}
+	}
+	if err := lu.SolveBatchInto(gt, gt); err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < n; u++ {
+		for wi, w := range comp {
+			if v := gt.At(wi, u); v != 0 {
+				q.Add(u, w, v*absorb[w])
+			}
+		}
+	}
+	return q
+}
+
+// phaseSubsets returns the subsets of a sampler's later phases: a random
+// walk on g from vertex 0 is cut into phases of ⌈√n⌉ new vertices each, and
+// phase j walks on its start vertex plus every vertex not yet visited.
+func phaseSubsets(t testing.TB, g *graph.Graph, src *prng.Source) [][]int {
+	t.Helper()
+	n := g.N()
+	rho := int(math.Ceil(math.Sqrt(float64(n))))
+	visited := make([]bool, n)
+	visited[0] = true
+	count, cur := 1, 0
+	var out [][]int
+	for count < n {
+		for fresh := 0; fresh < rho && count < n; {
+			next, err := walk.Step(g, cur, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur = next
+			if !visited[cur] {
+				visited[cur] = true
+				count++
+				fresh++
+			}
+		}
+		members := []int{cur}
+		for v := 0; v < n; v++ {
+			if !visited[v] {
+				members = append(members, v)
+			}
+		}
+		out = append(out, members)
+	}
+	return out
+}
+
+func TestShortcutRowsValidation(t *testing.T) {
+	g, err := graph.Cycle(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := NewSubset(6, []int{0, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, from := range [][]int{nil, {6}, {-1}, {0, 7}} {
+		if _, err := ShortcutRows(g, sub, from); err == nil {
+			t.Errorf("ShortcutRows over rows %v: expected an error", from)
+		}
+	}
+}
+
+// BenchmarkShortcut times the shortcut build over the later-phase subsets of
+// one sample on a 3-regular n = 96 graph: every row (ShortcutTransition)
+// against the ⌈√n⌉ rows a phase's first visits read (ShortcutRows).
+func BenchmarkShortcut(b *testing.B) {
+	const n = 96
+	g, err := graph.RandomRegular(n, 3, prng.New(11).Split(n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := prng.New(1)
+	var subs []*Subset
+	var froms [][]int
+	for _, members := range phaseSubsets(b, g, src) {
+		sub, err := NewSubset(n, members)
+		if err != nil {
+			b.Fatal(err)
+		}
+		subs = append(subs, sub)
+		from := append([]int(nil), sub.Vertices()...)
+		for i := range from {
+			j := i + src.Intn(len(from)-i)
+			from[i], from[j] = from[j], from[i]
+		}
+		froms = append(froms, from[:min(len(from), 10)])
+	}
+	b.Run("transition", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, sub := range subs {
+				q, err := ShortcutTransition(g, sub)
+				if err != nil {
+					b.Fatal(err)
+				}
+				q.Release()
+			}
+		}
+	})
+	b.Run("rows", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k, sub := range subs {
+				q, err := ShortcutRows(g, sub, froms[k])
+				if err != nil {
+					b.Fatal(err)
+				}
+				q.Release()
+			}
+		}
+	})
 }
