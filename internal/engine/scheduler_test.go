@@ -17,8 +17,10 @@ import (
 // TestSchedulerWeightedGrants drives the raw scheduler with two
 // always-demanding leases on a single slot and counts grants: stride
 // scheduling must split them close to the 3:1 weight ratio. Each lease runs
-// two workers so that at every release BOTH leases have a registered waiter
-// — the contended regime where weights decide.
+// two workers, and a worker holds its grant until the test goroutine acks
+// it, which it does only once the other three workers are parked in
+// acquire. So at every release BOTH leases have a registered waiter — the
+// contended regime where weights decide — whatever the goroutine schedule.
 func TestSchedulerWeightedGrants(t *testing.T) {
 	s := newScheduler(1, 0, 0)
 	heavy, err := s.open(context.Background(), "g", 3, 1, nil)
@@ -33,6 +35,7 @@ func TestSchedulerWeightedGrants(t *testing.T) {
 	const total = 240
 	var heavyGrants, lightGrants atomic.Int64
 	granted := make(chan struct{})
+	ack := make(chan struct{})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, l := range []*streamLease{heavy, light} {
@@ -58,27 +61,32 @@ func TestSchedulerWeightedGrants(t *testing.T) {
 						l.release()
 						return
 					}
+					select {
+					case <-ack:
+					case <-stop:
+						l.release()
+						return
+					}
 					l.release()
 				}
 			}(l, counter)
 		}
 	}
-	// Wait until every worker has registered demand with the scheduler (one
-	// holds the slot, three park in acquire) before counting: without this,
-	// the first pair of goroutines scheduled can ping-pong through the whole
-	// run before the other lease's workers ever express demand — stride
-	// fairness only arbitrates between streams that are actually waiting.
-	for {
+	// Ack a grant only once the other three workers are parked: without
+	// this, the holder's lease can be granted again before the other lease's
+	// workers express demand, and stride fairness only arbitrates between
+	// streams that are actually waiting.
+	parked := func() bool {
 		s.mu.Lock()
-		demand := heavy.want + heavy.granted + light.want + light.granted
-		s.mu.Unlock()
-		if demand == 4 {
-			break
-		}
-		time.Sleep(50 * time.Microsecond)
+		defer s.mu.Unlock()
+		return heavy.want+light.want == 3
 	}
 	for i := 0; i < total; i++ {
 		<-granted
+		for !parked() {
+			time.Sleep(50 * time.Microsecond)
+		}
+		ack <- struct{}{}
 	}
 	close(stop)
 	wg.Wait()

@@ -27,23 +27,13 @@ func (g *Graph) Laplacian() *matrix.Matrix {
 // undefined there.
 func (g *Graph) TransitionMatrix() (*matrix.Matrix, error) {
 	p := matrix.MustNew(g.n, g.n)
-	if err := g.TransitionMatrixInto(p); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// TransitionMatrixInto writes P into p, which must be a zeroed n x n matrix:
-// the allocation-free form of TransitionMatrix for callers holding scratch
-// storage.
-func (g *Graph) TransitionMatrixInto(p *matrix.Matrix) error {
 	for u := 0; u < g.n; u++ {
 		if g.degree[u] <= 0 {
-			return fmt.Errorf("graph: vertex %d is isolated; random walk undefined", u)
+			return nil, fmt.Errorf("graph: vertex %d is isolated; random walk undefined", u)
 		}
 		g.VisitTransitions(u, func(v int, puv float64) { p.Set(u, v, puv) })
 	}
-	return nil
+	return p, nil
 }
 
 // VisitTransitions calls fn(v, P[u][v]) for each neighbor v of u, with the

@@ -136,13 +136,12 @@ func permanentMinor(a *matrix.Matrix, i, j int) (float64, error) {
 		}
 	}
 	ps.rows, ps.cols = rows, cols
-	sub, err := a.SubmatrixScratch(rows, cols)
+	sub, err := a.Submatrix(rows, cols)
 	if err != nil {
 		permPool.Put(ps)
 		return 0, err
 	}
 	total := ryserDirect(sub, n-1, ps.sums(n-1))
-	sub.Release()
 	permPool.Put(ps)
 	return clampPermanent(total), nil
 }
@@ -171,20 +170,18 @@ func (ryserJVV) Sample(w *matrix.Matrix, src *prng.Source) ([]int, error) {
 	}
 	for len(remRows) > 0 {
 		row := remRows[0]
-		sub, err := w.SubmatrixScratch(remRows, remCols)
+		sub, err := w.Submatrix(remRows, remCols)
 		if err != nil {
 			return nil, err
 		}
 		total, err := permanent(sub)
 		if err != nil {
-			sub.Release()
 			return nil, err
 		}
 		// Ryser's inclusion-exclusion can cancel a true 0 to a small negative
 		// residue, scaled by the entries, so clamp the block and each minor.
 		total = max(total, 0)
 		if total <= 0 {
-			sub.Release()
 			return nil, fmt.Errorf("zero permanent at row %d", row)
 		}
 		stepWeights := weights[:len(remCols)]
@@ -196,12 +193,10 @@ func (ryserJVV) Sample(w *matrix.Matrix, src *prng.Source) ([]int, error) {
 			}
 			minor, err := permanentMinor(sub, 0, cj)
 			if err != nil {
-				sub.Release()
 				return nil, err
 			}
 			stepWeights[cj] = wij * max(minor, 0)
 		}
-		sub.Release()
 		choice, err := src.WeightedIndex(stepWeights)
 		if err != nil {
 			return nil, fmt.Errorf("conditional distribution empty at row %d: %w", row, err)

@@ -165,33 +165,6 @@ func TestScratchPoolReuse(t *testing.T) {
 	}
 }
 
-// TestSubmatrixScratchMatchesSubmatrix pins the pooled variant to the
-// allocating one.
-func TestSubmatrixScratchMatchesSubmatrix(t *testing.T) {
-	src := prng.New(5)
-	m := randomMatrix(6, 6, src)
-	rows := []int{0, 2, 5}
-	cols := []int{1, 3}
-	want, err := m.Submatrix(rows, cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.SubmatrixScratch(rows, cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer got.Release()
-	if !reflect.DeepEqual(got.data[:len(want.data)], want.data) {
-		t.Fatal("SubmatrixScratch differs from Submatrix")
-	}
-	if _, err := m.SubmatrixScratch([]int{9}, cols); err == nil {
-		t.Error("out-of-range row accepted")
-	}
-	if math.IsNaN(want.At(0, 0)) {
-		t.Error("unexpected NaN") // keep math import honest
-	}
-}
-
 // poisonPool releases count buffers of rows x cols matrices' size class to
 // the scratch pool with every element, up to capacity, set to NaN.
 func poisonPool(rows, cols, count int) {

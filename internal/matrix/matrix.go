@@ -160,24 +160,7 @@ func (m *Matrix) Submatrix(rowIdx, colIdx []int) (*Matrix, error) {
 	if len(rowIdx) == 0 || len(colIdx) == 0 {
 		return nil, fmt.Errorf("matrix: empty submatrix index set")
 	}
-	return m.submatrixInto(MustNew(len(rowIdx), len(colIdx)), rowIdx, colIdx)
-}
-
-// SubmatrixScratch is Submatrix with the output drawn from the scratch pool;
-// the caller must Release it.
-func (m *Matrix) SubmatrixScratch(rowIdx, colIdx []int) (*Matrix, error) {
-	if len(rowIdx) == 0 || len(colIdx) == 0 {
-		return nil, fmt.Errorf("matrix: empty submatrix index set")
-	}
-	out := Scratch(len(rowIdx), len(colIdx))
-	if _, err := m.submatrixInto(out, rowIdx, colIdx); err != nil {
-		out.Release()
-		return nil, err
-	}
-	return out, nil
-}
-
-func (m *Matrix) submatrixInto(out *Matrix, rowIdx, colIdx []int) (*Matrix, error) {
+	out := MustNew(len(rowIdx), len(colIdx))
 	for i, r := range rowIdx {
 		if r < 0 || r >= m.rows {
 			return nil, fmt.Errorf("matrix: row index %d out of range [0,%d)", r, m.rows)

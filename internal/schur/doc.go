@@ -14,7 +14,10 @@
 //     and bit-identical to that row of ShortcutTransition.
 //
 // The package computes both exactly, via block linear algebra on the
-// absorbing chain. The paper's other constructions are test oracles in
+// absorbing chain. Both solvers read the transition probabilities from the
+// graph's adjacency (graph.VisitTransitions) and build the absorbing-chain
+// system I - T, or its transpose, through one builder, factorAbsorbing; no
+// n x n transition matrix is formed. The paper's other constructions are test oracles in
 // oracle_test.go, not shipped code: the Laplacian-eliminated complement
 // graph of Definition 1, the iterative build by repeated squaring of the
 // augmented chain (Corollaries 2 and 3, the route the paper uses to bound

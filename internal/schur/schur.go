@@ -1,8 +1,10 @@
 package schur
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/matrix"
@@ -19,36 +21,92 @@ import (
 // blocks over (S̄, S): T = P[S̄,S̄], B = P[S̄,S]. Then F = (I-T)^{-1} B gives
 // first-hit probabilities from outside S, the with-returns matrix is
 // S0[u,v] = P[u,v] + sum_w P[u,w] F[w,v], and S = rownormalize(S0 with the
-// diagonal removed).
+// diagonal removed). Every entry of P is read from the graph's adjacency;
+// no n x n P is built.
 //
 // The result is drawn from the scratch pool: a caller done with it may
 // Release it.
 func Transition(g *graph.Graph, sub *Subset) (*matrix.Matrix, error) {
-	s0, err := withReturns(g, sub)
-	if err != nil {
+	if err := checkGraph(g, sub); err != nil {
 		return nil, err
 	}
-	defer s0.Release()
 	k := sub.Size()
 	if k == 1 {
 		return nil, fmt.Errorf("schur: transition matrix of a single-vertex subset is empty")
 	}
-	out := matrix.Scratch(k, k)
-	for i := 0; i < k; i++ {
-		self := s0.At(i, i)
-		den := 1 - self
-		if den <= 1e-13 {
-			out.Release()
-			return nil, fmt.Errorf("schur: vertex %d returns to itself with probability ~1; subset unreachable from it", sub.vertices[i])
+	comp := sub.complement
+
+	// F[w][v]: first-hit probability from w in S̄ to v in S, solved in place
+	// over B. All right-hand sides go through one batched substitution over
+	// the shared factorization, byte-identical to solving column by column.
+	var f *matrix.Matrix
+	if len(comp) > 0 {
+		lu, err := factorAbsorbing(g, sub, false)
+		if err != nil {
+			return nil, err
 		}
-		for j := 0; j < k; j++ {
-			if i == j {
-				continue
-			}
-			out.Set(i, j, s0.At(i, j)/den)
+		f = matrix.Scratch(len(comp), k)
+		defer f.Release()
+		for wi, w := range comp {
+			g.VisitTransitions(w, func(v int, pwv float64) {
+				if j := sub.localOf[v]; j >= 0 {
+					f.Set(wi, j, pwv)
+				}
+			})
+		}
+		err = lu.SolveBatchInto(f, f)
+		lu.Release()
+		if err != nil {
+			return nil, err
 		}
 	}
-	return out, nil
+
+	// S0[u,v]: the probability that the first vertex of S visited at time
+	// >= 1 by a walk from u in S is v (v = u allowed). The P[u,w] F[w,v]
+	// terms are added in ascending w, whatever order the adjacency lists
+	// u's neighbours in, so each sum rounds the same way on every graph. The
+	// term buffer starts on the stack, large enough for a sparse graph.
+	type term struct {
+		wi  int
+		puw float64
+	}
+	terms := make([]term, 0, 16)
+	s0 := matrix.Scratch(k, k)
+	for i, u := range sub.vertices {
+		row := s0.Row(i)
+		terms = terms[:0]
+		g.VisitTransitions(u, func(v int, puv float64) {
+			if j := sub.localOf[v]; j >= 0 {
+				row[j] = puv
+			} else if puv != 0 {
+				terms = append(terms, term{sub.coLocalOf[v], puv})
+			}
+		})
+		slices.SortFunc(terms, func(a, b term) int { return cmp.Compare(a.wi, b.wi) })
+		for _, t := range terms {
+			fr := f.Row(t.wi)
+			for j := range row {
+				row[j] += t.puw * fr[j]
+			}
+		}
+	}
+
+	// Remove the self-returns and renormalize each row in place.
+	for i := 0; i < k; i++ {
+		row := s0.Row(i)
+		den := 1 - row[i]
+		if den <= 1e-13 {
+			s0.Release()
+			return nil, fmt.Errorf("schur: vertex %d returns to itself with probability ~1; subset unreachable from it", sub.vertices[i])
+		}
+		row[i] = 0
+		for j := range row {
+			if j != i {
+				row[j] /= den
+			}
+		}
+	}
+	return s0, nil
 }
 
 // TransitionWorkers is Transition; the worker count is ignored. It stays
@@ -58,111 +116,54 @@ func TransitionWorkers(g *graph.Graph, sub *Subset, _ int) (*matrix.Matrix, erro
 	return Transition(g, sub)
 }
 
-// withReturns computes S0[u,v]: the probability that the first vertex of S
-// visited at time >= 1 by a walk from u in S is v (v = u allowed). The
-// returned matrix is drawn from the scratch pool; the caller releases it.
-func withReturns(g *graph.Graph, sub *Subset) (*matrix.Matrix, error) {
+// checkGraph refuses a subset of another universe and a disconnected graph,
+// on which the absorbing chain need not be absorbed.
+func checkGraph(g *graph.Graph, sub *Subset) error {
 	if sub.N() != g.N() {
-		return nil, fmt.Errorf("schur: subset universe %d does not match graph size %d", sub.N(), g.N())
+		return fmt.Errorf("schur: subset universe %d does not match graph size %d", sub.N(), g.N())
 	}
 	if !g.IsConnected() {
-		return nil, fmt.Errorf("schur: graph must be connected")
+		return fmt.Errorf("schur: graph must be connected")
 	}
-	p, err := transitionScratch(g)
-	if err != nil {
-		return nil, err
-	}
-	defer p.Release()
-	k := sub.Size()
-	comp := sub.complement
-	sv := sub.vertices
-
-	// F[w][v]: first-hit probability from w in S̄ to v in S.
-	var f *matrix.Matrix
-	if len(comp) > 0 {
-		f, err = firstHit(p, comp, sv)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Release()
-	}
-
-	s0 := matrix.Scratch(k, k)
-	for i, u := range sv {
-		row := s0.Row(i)
-		for j, v := range sv {
-			row[j] = p.At(u, v)
-		}
-		if f != nil {
-			for wi, w := range comp {
-				puw := p.At(u, w)
-				if puw == 0 {
-					continue
-				}
-				fr := f.Row(wi)
-				for j := range row {
-					row[j] += puw * fr[j]
-				}
-			}
-		}
-	}
-	return s0, nil
+	return nil
 }
 
-// firstHit solves the absorbing-chain system: F = (I - T)^{-1} B where
-// T = P[comp, comp] and B = P[comp, sv]. All right-hand sides go through one
-// batched substitution over the shared factorization — byte-identical to
-// solving column by column, without re-walking the factor per column. The
-// returned matrix is drawn from the scratch pool; the caller releases it.
-// Every intermediate lives in the pool too, so repeated phase builds run
-// allocation-lean.
-func firstHit(p *matrix.Matrix, comp, sv []int) (*matrix.Matrix, error) {
-	b, err := p.SubmatrixScratch(comp, sv)
-	if err != nil {
-		return nil, err
+// factorAbsorbing builds and factors the absorbing-chain system I - T, with
+// T = P[S̄,S̄], or its transpose I - T^T, in scratch-pooled storage. The
+// entries of P come from graph.VisitTransitions: the system holds -0 where
+// P has a zero and -P on an edge, and then 1 is added to the diagonal. The
+// caller releases the returned LU; S̄ must not be empty.
+func factorAbsorbing(g *graph.Graph, sub *Subset, transpose bool) (*matrix.LU, error) {
+	comp := sub.complement
+	c := len(comp)
+	system := matrix.Scratch(c, c)
+	negZero := system.Row(0)
+	for j := range negZero {
+		negZero[j] = math.Copysign(0, -1)
 	}
-	defer b.Release()
-	lu, err := factorAbsorbing(p, comp)
+	for i := 1; i < c; i++ {
+		copy(system.Row(i), negZero)
+	}
+	for i, u := range comp {
+		g.VisitTransitions(u, func(v int, puv float64) {
+			if j := sub.coLocalOf[v]; j >= 0 {
+				if transpose {
+					system.Set(j, i, -puv)
+				} else {
+					system.Set(i, j, -puv)
+				}
+			}
+		})
+	}
+	for i := 0; i < c; i++ {
+		system.Add(i, i, 1)
+	}
+	lu, err := matrix.FactorScratch(system)
+	system.Release()
 	if err != nil {
 		return nil, fmt.Errorf("schur: absorbing chain system singular (is S reachable from all of V\\S?): %w", err)
 	}
-	defer lu.Release()
-	f := matrix.Scratch(len(comp), len(sv))
-	if err := lu.SolveBatchInto(f, b); err != nil {
-		f.Release()
-		return nil, err
-	}
-	return f, nil
-}
-
-// factorAbsorbing builds and factors the absorbing-chain system I - P[comp,
-// comp] with scratch-pooled storage. The caller releases the returned LU.
-func factorAbsorbing(p *matrix.Matrix, comp []int) (*matrix.LU, error) {
-	t, err := p.SubmatrixScratch(comp, comp)
-	if err != nil {
-		return nil, err
-	}
-	defer t.Release()
-	c := len(comp)
-	for i := 0; i < c; i++ {
-		row := t.Row(i)
-		for j := range row {
-			row[j] = -row[j]
-		}
-		row[i] += 1
-	}
-	return matrix.FactorScratch(t)
-}
-
-// transitionScratch is g.TransitionMatrix drawn from the scratch pool; the
-// caller releases it.
-func transitionScratch(g *graph.Graph) (*matrix.Matrix, error) {
-	p := matrix.Scratch(g.N(), g.N())
-	if err := g.TransitionMatrixInto(p); err != nil {
-		p.Release()
-		return nil, err
-	}
-	return p, nil
+	return lu, nil
 }
 
 // ShortcutTransition computes Q, the transition matrix of ShortCut(G, S)
@@ -192,11 +193,8 @@ func ShortcutTransition(g *graph.Graph, sub *Subset) (*matrix.Matrix, error) {
 // The result is drawn from the scratch pool: a caller done with it may
 // Release it.
 func ShortcutRows(g *graph.Graph, sub *Subset, from []int) (*matrix.Matrix, error) {
-	if sub.N() != g.N() {
-		return nil, fmt.Errorf("schur: subset universe %d does not match graph size %d", sub.N(), g.N())
-	}
-	if !g.IsConnected() {
-		return nil, fmt.Errorf("schur: graph must be connected")
+	if err := checkGraph(g, sub); err != nil {
+		return nil, err
 	}
 	n := g.N()
 	if len(from) == 0 {
@@ -239,39 +237,16 @@ func ShortcutRows(g *graph.Graph, sub *Subset, from []int) (*matrix.Matrix, erro
 	// systems so we can reuse one factorization: G = Pcomp * Inv, i.e.
 	// G^T = Inv^T * Pcomp^T. The requested start vertices are the columns
 	// of one batched solve over the shared factorization.
-	//
-	// The entries of P come from graph.VisitTransitions, so no n x n P is
-	// built. The system (I - T)^T = I - T^T holds -P[comp[j], comp[i]] at
-	// (i, j): -0 where P has a zero, then 1 added to the diagonal.
-	c := len(comp)
-	system := matrix.Scratch(c, c)
-	negZero := system.Row(0)
-	for j := range negZero {
-		negZero[j] = math.Copysign(0, -1)
-	}
-	for i := 1; i < c; i++ {
-		copy(system.Row(i), negZero)
-	}
-	for j, u := range comp {
-		g.VisitTransitions(u, func(v int, puv float64) {
-			if i := sub.coLocalOf[v]; i >= 0 {
-				system.Set(i, j, -puv)
-			}
-		})
-	}
-	for i := 0; i < c; i++ {
-		system.Add(i, i, 1)
-	}
-	lu, err := matrix.FactorScratch(system)
-	system.Release()
+	lu, err := factorAbsorbing(g, sub, true)
 	if err != nil {
-		return nil, fmt.Errorf("schur: shortcut system singular: %w", err)
+		q.Release()
+		return nil, err
 	}
 	defer lu.Release()
 	// rhs column i is P[from[i], comp] — the transposed system's right-hand
 	// side for start vertex from[i]; after the solve
 	// gt[wi][i] = G[from[i]][comp[wi]].
-	gt := matrix.Scratch(c, len(from))
+	gt := matrix.Scratch(len(comp), len(from))
 	defer gt.Release()
 	for i, u := range from {
 		g.VisitTransitions(u, func(v int, puv float64) {
@@ -281,6 +256,7 @@ func ShortcutRows(g *graph.Graph, sub *Subset, from []int) (*matrix.Matrix, erro
 		})
 	}
 	if err := lu.SolveBatchInto(gt, gt); err != nil {
+		q.Release()
 		return nil, err
 	}
 	for i := range from {

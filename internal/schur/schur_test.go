@@ -627,6 +627,148 @@ func refShortcutTransition(t *testing.T, g *graph.Graph, sub *Subset) *matrix.Ma
 	return q
 }
 
+// TestTransitionBitIdentical checks that Transition, which reads P from the
+// graph's adjacency, carries exactly the bits of refTransition, the build
+// from an n x n P the samplers' trees were pinned with. It covers every
+// graph family with random subsets, |S| = 2, S = V and the subsets a
+// sampler's phases walk on, each on the family graph and on a copy whose
+// edges are inserted in shuffled order with random weights in [0.5, 3.5]:
+// adjacency order then differs from vertex order, and only the ascending
+// sum over S̄ keeps the bits.
+func TestTransitionBitIdentical(t *testing.T) {
+	for _, name := range graph.FamilyNames() {
+		for _, size := range []int{12, 48} {
+			src := prng.New(uint64(43 + size))
+			g, err := graph.FromFamily(name, size, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := g.N()
+			if n > 48 {
+				continue // the shaped families round some sizes up
+			}
+			for shuffled, h := range []*graph.Graph{g, shuffledWeighted(t, g, src)} {
+				perm := src.Perm(n)
+				subsets := [][]int{perm[:2], perm}
+				for i := 0; i < 3; i++ {
+					subsets = append(subsets, src.Perm(n)[:2+src.Intn(n-1)])
+				}
+				for _, members := range phaseSubsets(t, h, src) {
+					if len(members) > 1 {
+						subsets = append(subsets, members)
+					}
+				}
+				for _, members := range subsets {
+					sub, err := NewSubset(n, members)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := Transition(h, sub)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := refTransition(t, h, sub)
+					k := sub.Size()
+					for i := 0; i < k; i++ {
+						for j := 0; j < k; j++ {
+							if a, b := got.At(i, j), want.At(i, j); math.Float64bits(a) != math.Float64bits(b) {
+								t.Fatalf("%s n=%d shuffled=%d |S|=%d: S[%d,%d] = %v (%#x), reference build has %v (%#x)",
+									name, n, shuffled, k, i, j, a, math.Float64bits(a), b, math.Float64bits(b))
+							}
+						}
+					}
+					got.Release()
+				}
+			}
+		}
+	}
+}
+
+// shuffledWeighted returns g's edges inserted in a random order, each with
+// a random weight in [0.5, 3.5].
+func shuffledWeighted(t *testing.T, g *graph.Graph, src *prng.Source) *graph.Graph {
+	t.Helper()
+	edges := g.Edges()
+	h := graph.MustNew(g.N())
+	for _, i := range src.Perm(len(edges)) {
+		if err := h.AddEdge(edges[i].U, edges[i].V, 0.5+3*src.Float64()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return h
+}
+
+// refTransition is the Schur transition build the samplers' trees were
+// pinned with: the n x n transition matrix P, T = P[S̄,S̄] and B = P[S̄,S]
+// gathered from it, F = (I - T)^{-1} B in one batched solve, the P[u,S̄] F
+// terms added in ascending S̄ order, and each row renormalized into a second
+// matrix. Transition must reproduce its bits.
+func refTransition(t *testing.T, g *graph.Graph, sub *Subset) *matrix.Matrix {
+	t.Helper()
+	p, err := g.TransitionMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := sub.Size()
+	comp, sv := sub.complement, sub.vertices
+	var f *matrix.Matrix
+	if len(comp) > 0 {
+		b, err := p.Submatrix(comp, sv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		system, err := p.Submatrix(comp, comp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range comp {
+			row := system.Row(i)
+			for j := range row {
+				row[j] = -row[j]
+			}
+			row[i] += 1
+		}
+		lu, err := matrix.Factor(system)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f = matrix.MustNew(len(comp), k)
+		if err := lu.SolveBatchInto(f, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s0 := matrix.MustNew(k, k)
+	for i, u := range sv {
+		row := s0.Row(i)
+		for j, v := range sv {
+			row[j] = p.At(u, v)
+		}
+		for wi, w := range comp {
+			puw := p.At(u, w)
+			if puw == 0 {
+				continue
+			}
+			fr := f.Row(wi)
+			for j := range row {
+				row[j] += puw * fr[j]
+			}
+		}
+	}
+	out := matrix.MustNew(k, k)
+	for i := 0; i < k; i++ {
+		den := 1 - s0.At(i, i)
+		if den <= 1e-13 {
+			t.Fatalf("reference build: vertex %d returns to itself with probability ~1", sv[i])
+		}
+		for j := 0; j < k; j++ {
+			if i != j {
+				out.Set(i, j, s0.At(i, j)/den)
+			}
+		}
+	}
+	return out
+}
+
 // phaseSubsets returns the subsets of a sampler's later phases: a random
 // walk on g from vertex 0 is cut into phases of ⌈√n⌉ new vertices each, and
 // phase j walks on its start vertex plus every vertex not yet visited.
@@ -725,4 +867,47 @@ func BenchmarkShortcut(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkTransition times the Schur transition build on a 3-regular
+// n = 96 graph: over S = V, and over the later-phase subsets of one sample
+// (a one-vertex subset, which has no transition matrix, is left out).
+func BenchmarkTransition(b *testing.B) {
+	const n = 96
+	g, err := graph.RandomRegular(n, 3, prng.New(11).Split(n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	all, err := NewSubset(n, prng.New(1).Perm(n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var phases []*Subset
+	for _, members := range phaseSubsets(b, g, prng.New(1)) {
+		if len(members) < 2 {
+			continue
+		}
+		sub, err := NewSubset(n, members)
+		if err != nil {
+			b.Fatal(err)
+		}
+		phases = append(phases, sub)
+	}
+	for _, bc := range []struct {
+		name string
+		subs []*Subset
+	}{{"all", []*Subset{all}}, {"phases", phases}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, sub := range bc.subs {
+					s, err := Transition(g, sub)
+					if err != nil {
+						b.Fatal(err)
+					}
+					s.Release()
+				}
+			}
+		})
+	}
 }
