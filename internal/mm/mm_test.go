@@ -256,3 +256,24 @@ func BenchmarkSemiring3D64(b *testing.B) {
 		}
 	}
 }
+
+// TestCostRoundsMatchesMeasured pins each backend's predicted rounds for
+// one d = n multiplication to the rounds Mul charges. The prediction is
+// what ChargeSchurShortcutBuild charges for a build it does not route.
+// Semiring3D is left out: its CostRounds under-predicts its routed rounds
+// (at n = 48, 11 against 23).
+func TestCostRoundsMatchesMeasured(t *testing.T) {
+	src := prng.New(19)
+	for _, n := range []int{1, 2, 8, 27, 48, 64} {
+		a := randomStochastic(n, src)
+		for _, be := range []Backend{Naive{}, Fast{}} {
+			sim := clique.MustNew(n)
+			if _, err := be.Mul(sim, a, a); err != nil {
+				t.Fatal(err)
+			}
+			if got := be.CostRounds(n); got != sim.Rounds() {
+				t.Errorf("%s n=%d: CostRounds %d, Mul charged %d", be.Name(), n, got, sim.Rounds())
+			}
+		}
+	}
+}
