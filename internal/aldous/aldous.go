@@ -98,44 +98,46 @@ func NaiveCongestedClique(g *graph.Graph, start, maxSteps int, src *prng.Source)
 	}
 	sim := clique.MustNew(n)
 
-	// Machine-local state: firstVisit[v] set when machine v first receives
-	// the token; perMachine RNG for the neighbor choice.
+	// Machine-local state: firstVisit[v] is set when machine v first
+	// receives the token.
 	firstVisit := make([]int, n) // incoming first-visit neighbor, -1 until visited
 	for i := range firstVisit {
 		firstVisit[i] = -1
 	}
 	firstVisit[start] = start // start needs no entry edge
 	visited := 1
-	holder := start
-	prev := start
-
+	holder, next := start, start
+	// One superstep: the holder machine samples a neighbor and sends it the
+	// token (1 word: the predecessor's id).
+	step := &clique.Step[int]{
+		Name: "naive/step",
+		Send: func(o *clique.Out[int]) error {
+			o.From(holder)
+			to, err := walk.Step(g, holder, src)
+			if err != nil {
+				return err
+			}
+			o.Send(to, 1, holder)
+			return nil
+		},
+		Recv: func(to, prev int) {
+			next = to
+			if firstVisit[to] == -1 {
+				firstVisit[to] = prev
+				visited++
+			}
+		},
+		Encode: func(dst []clique.Word, prev int) []clique.Word { return clique.AppendInts(dst, prev) },
+		Decode: func(_ int, ws []clique.Word) int { return ws[0].Int() },
+	}
 	for visited < n {
 		if sim.Rounds() > maxSteps {
 			return nil, nil, fmt.Errorf("aldous: naive walk exceeded %d rounds with %d vertices unvisited", maxSteps, n-visited)
 		}
-		// One superstep: the holder machine samples a neighbor and sends the
-		// token (1 word: predecessor id).
-		nextHolder := -1
-		err := sim.Superstep("naive/step", func(id int, in []clique.Message) ([]clique.Message, error) {
-			if id != holder {
-				return nil, nil
-			}
-			to, err := walk.Step(g, id, src)
-			if err != nil {
-				return nil, err
-			}
-			nextHolder = to
-			return []clique.Message{{To: to, Words: []clique.Word{clique.IntWord(id)}}}, nil
-		})
-		if err != nil {
+		if err := clique.Run(sim, step); err != nil {
 			return nil, nil, err
 		}
-		prev = holder
-		holder = nextHolder
-		if firstVisit[holder] == -1 {
-			firstVisit[holder] = prev
-			visited++
-		}
+		holder = next
 	}
 	edges := make([]graph.Edge, 0, n-1)
 	for v := 0; v < n; v++ {

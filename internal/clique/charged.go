@@ -2,12 +2,12 @@ package clique
 
 import "fmt"
 
-// CostPlan records the communication pattern of one charged superstep as
-// per-machine word and message loads. ChargedSuperstep charges rounds from
-// it exactly as Superstep charges them from delivered traffic, so a plan
-// that counts the same messages yields identical Stats and traces
-// (MaxRecvMsg included). The charged executor fills one from a declared
-// superstep's sends (exec.go).
+// CostPlan records the communication pattern of one superstep as
+// per-machine word and message loads, and ChargedSuperstep charges rounds
+// from it, so two plans that count the same messages yield identical Stats
+// and traces (MaxRecvMsg included). The charged executor fills one from a
+// declared superstep's sends as they are emitted, the materializing
+// executor from the packed messages (exec.go).
 //
 // A plan is single-use state for one superstep; Reset recycles it across
 // consecutive supersteps of the same protocol to avoid reallocation.
@@ -49,8 +49,7 @@ func (p *CostPlan) Reset() {
 
 // Add records one message of `words` words from machine `from` to machine
 // `to`. An out-of-range machine or a negative width poisons the plan;
-// ChargedSuperstep surfaces the error, mirroring Superstep's
-// invalid-destination check.
+// ChargedSuperstep surfaces the error.
 func (p *CostPlan) Add(from, to, words int) {
 	if max(uint(from), uint(to)) >= uint(len(p.loads)) || words < 0 {
 		p.bad = [3]int{from, to, words}
@@ -151,16 +150,12 @@ func (p *CostPlan) AllToAll(d, wordsPer int) {
 // messages: the machines' combined logic executes as plain sequential
 // computation (local; nil for steps whose work was folded into a
 // neighboring step) and the communication is charged from plan — rounds
-// from the maximum per-machine load exactly as Superstep computes it, word
-// and superstep counters advanced identically, inboxes cleared just as a
-// delivered superstep would leave them for a protocol that consumes every
-// message it routes. A nil plan declares a computation-only superstep (zero
-// traffic, 1 round).
-//
-// With a plan that counts a superstep's messages one-for-one, a charged run
-// reports the same Rounds, Supersteps, TotalWords, and per-step trace
-// (MaxSend/MaxRecv/TotalWords/MaxRecvMsg) as routing them through Superstep
-// — the property the executor goldens pin.
+// from the maximum per-machine load (roundsFor), and the word and
+// superstep counters and the per-step trace
+// (MaxSend/MaxRecv/TotalWords/MaxRecvMsg) advanced from its loads. A nil
+// plan declares a computation-only superstep (zero traffic, 1 round). Both
+// executors charge every declared superstep but a broadcast here, which is
+// what the executor goldens rely on.
 func (s *Sim) ChargedSuperstep(name string, plan *CostPlan, local func() error) error {
 	sp := s.TraceSpan(name) // spans the local compute AND the charge
 	// local runs before the plan is read, so a step may declare its pattern
@@ -168,17 +163,14 @@ func (s *Sim) ChargedSuperstep(name string, plan *CostPlan, local func() error) 
 	// in a prefix is what both the messages and the result depend on).
 	if local != nil {
 		if err := local(); err != nil {
-			s.clearInboxes()
 			return fmt.Errorf("clique: superstep %q: %w", name, err)
 		}
 	}
 	if plan != nil {
 		if err := plan.check(); err != nil {
-			s.clearInboxes()
 			return fmt.Errorf("clique: superstep %q: %w", name, err)
 		}
 		if plan.n != s.n {
-			s.clearInboxes()
 			return fmt.Errorf("clique: superstep %q plan sized for %d machines, clique has %d", name, plan.n, s.n)
 		}
 	}
@@ -188,12 +180,7 @@ func (s *Sim) ChargedSuperstep(name string, plan *CostPlan, local func() error) 
 		maxSend, maxRecv, maxRecvMsg = plan.maxSend, plan.maxRecv, plan.maxRecvMsg
 		total = plan.total
 	}
-	maxLoad := maxSend
-	if maxRecv > maxLoad {
-		maxLoad = maxRecv
-	}
-	rounds := roundsFor(maxLoad, s.n)
-	s.clearInboxes()
+	rounds := roundsFor(max(maxSend, maxRecv), s.n)
 	s.rounds += rounds
 	s.supersteps++
 	s.totalWords += total
@@ -211,15 +198,21 @@ func (s *Sim) ChargedSuperstep(name string, plan *CostPlan, local func() error) 
 	return nil
 }
 
-// ChargeBroadcast charges exactly what Broadcast charges for a w-word
-// broadcast — 2·ceil(w/n) rounds, w·n words, the same trace entry — without
-// delivering messages: the charged executor's broadcast, whose receivers
-// read the payload from shared memory instead of an inbox.
+// ChargeBroadcast charges a w-word broadcast from one machine to every
+// machine (itself included) in the standard two-phase congested clique
+// pattern: the source spreads distinct words across the machines, one round
+// per ceil(w/n) words, and every machine re-broadcasts its share. That is
+// 2·ceil(w/n) rounds and w·n words. The paper uses exactly this primitive
+// when the leader broadcasts the vertex set S with |S| = O(sqrt(n)) "in two
+// rounds" (§2.1.3). The receivers read the payload from shared memory.
 func (s *Sim) ChargeBroadcast(w int) error {
 	if w < 0 {
 		return fmt.Errorf("clique: negative broadcast size %d", w)
 	}
-	rounds := broadcastRounds(w, s.n)
+	rounds := 2
+	if w > s.n {
+		rounds = 2 * ((w + s.n - 1) / s.n)
+	}
 	s.rounds += rounds
 	s.supersteps++
 	s.totalWords += int64(w * s.n)

@@ -3,40 +3,18 @@ package clique
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
-	"sync"
 
 	"repro/internal/obs"
 )
 
-// parallelThreshold is the machine count below which supersteps run
-// sequentially even on multi-core hosts (goroutine dispatch would dominate
-// the tiny per-machine work).
-const parallelThreshold = 32
-
-// forceParallel makes Superstep always take the goroutine path; tests use
-// it to exercise the concurrent execution mode on single-core hosts.
-var forceParallel = false
-
-// roundsFor is the Lenzen-routing charge shared by every superstep variant:
-// a pattern whose maximum per-machine send/receive load is maxLoad words
-// costs ceil(maxLoad/n) rounds, minimum 1. Delivered and charged
-// supersteps both charge through it, so the two executors cannot drift.
+// roundsFor is the Lenzen-routing charge: a pattern whose maximum
+// per-machine send/receive load is maxLoad words costs ceil(maxLoad/n)
+// rounds, minimum 1.
 func roundsFor(maxLoad, n int) int {
 	if maxLoad > n {
 		return (maxLoad + n - 1) / n
 	}
 	return 1
-}
-
-// broadcastRounds is the two-phase broadcast charge shared by Broadcast and
-// ChargeBroadcast: 2*ceil(w/n) rounds for w words.
-func broadcastRounds(w, n int) int {
-	if w > n {
-		return 2 * ((w + n - 1) / n)
-	}
-	return 2
 }
 
 // Word is one O(log n)-bit message word: a vertex id, a count, or a
@@ -75,21 +53,6 @@ func FloatWord(f float64) Word { return Word(math.Float64bits(f)) }
 // Float unpacks a float word.
 func (w Word) Float() float64 { return math.Float64frombits(uint64(w)) }
 
-// Message is a tagged bundle of words from one machine to another. A bundle
-// of k words counts as k words of load (a real implementation would split it
-// into k messages; bundling is only a simulation convenience).
-type Message struct {
-	From, To int
-	Tag      int
-	Words    []Word
-}
-
-// StepFunc is one machine's computation during a superstep: it consumes the
-// machine's inbox and returns outgoing messages. Implementations must not
-// share mutable state across machines except through messages; step
-// functions for different machines run concurrently.
-type StepFunc func(id int, inbox []Message) ([]Message, error)
-
 // StepStat records the communication profile of one superstep.
 type StepStat struct {
 	Name       string
@@ -107,17 +70,12 @@ type Sim struct {
 	rounds     int
 	supersteps int
 	totalWords int64
-	inboxes    [][]Message
-	// inboxDirty tracks whether any inbox may hold messages; charged-mode
-	// supersteps never deliver any, so clearInboxes becomes a no-op between
-	// them instead of an O(n) sweep a few thousand times per sample.
-	inboxDirty bool
 	stats      []StepStat
 
 	// materialize selects the executor of declared supersteps (exec.go):
 	// false, the charged executor, for every Sim from New; true only for a
-	// Sim from NewMaterializing. plan is the charged executor's reusable
-	// cost plan.
+	// Sim from NewMaterializing. plan is the reusable cost plan both
+	// executors charge a declared superstep from.
 	materialize bool
 	plan        *CostPlan
 	traceStats  bool
@@ -136,10 +94,7 @@ func New(n int) (*Sim, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("clique: need at least 1 machine, got %d", n)
 	}
-	return &Sim{
-		n:       n,
-		inboxes: make([][]Message, n),
-	}, nil
+	return &Sim{n: n}, nil
 }
 
 // MustNew is New for sizes known valid at the call site.
@@ -234,165 +189,6 @@ func (s *Sim) ChargeRounds(k int, step string) error {
 		sp := s.TraceSpan(step)
 		sp.SetInt("rounds", int64(k))
 		sp.End()
-	}
-	return nil
-}
-
-// Superstep runs one bulk-synchronous step: every machine's fn consumes its
-// inbox and produces outgoing messages; the simulator validates
-// destinations, charges rounds from the maximum per-machine send/receive
-// load, and delivers messages into the next inboxes sorted by (From, Tag).
-//
-// It returns the first error returned by any machine, in machine order, and
-// leaves the simulator's inboxes empty in that case.
-func (s *Sim) Superstep(name string, fn StepFunc) error {
-	sp := s.TraceSpan(name) // spans the compute AND the routing accounting
-	outs := make([][]Message, s.n)
-	errs := make([]error, s.n)
-
-	// Machines compute independently between rounds; on multi-core hosts
-	// they run as goroutines (the natural Go model of the machines' local
-	// computation), while on a single core the scheduler overhead buys
-	// nothing and a sequential sweep is semantically identical.
-	if forceParallel || (runtime.NumCPU() > 1 && s.n >= parallelThreshold) {
-		var wg sync.WaitGroup
-		wg.Add(s.n)
-		for id := 0; id < s.n; id++ {
-			go func(id int) {
-				defer wg.Done()
-				out, err := fn(id, s.inboxes[id])
-				outs[id], errs[id] = out, err
-			}(id)
-		}
-		wg.Wait()
-	} else {
-		for id := 0; id < s.n; id++ {
-			outs[id], errs[id] = fn(id, s.inboxes[id])
-		}
-	}
-
-	for id, err := range errs {
-		if err != nil {
-			s.clearInboxes()
-			return fmt.Errorf("clique: superstep %q machine %d: %w", name, id, err)
-		}
-	}
-
-	send := make([]int, s.n)
-	recv := make([]int, s.n)
-	recvMsgs := make([]int, s.n)
-	next := make([][]Message, s.n)
-	var total int
-	for from := 0; from < s.n; from++ {
-		for _, m := range outs[from] {
-			if m.To < 0 || m.To >= s.n {
-				s.clearInboxes()
-				return fmt.Errorf("clique: superstep %q machine %d sent to invalid machine %d", name, from, m.To)
-			}
-			m.From = from
-			w := len(m.Words)
-			send[from] += w
-			recv[m.To] += w
-			recvMsgs[m.To]++
-			total += w
-			next[m.To] = append(next[m.To], m)
-		}
-	}
-
-	maxLoad := 0
-	maxSend, maxRecv, maxRecvMsg := 0, 0, 0
-	for id := 0; id < s.n; id++ {
-		if send[id] > maxSend {
-			maxSend = send[id]
-		}
-		if recv[id] > maxRecv {
-			maxRecv = recv[id]
-		}
-		if recvMsgs[id] > maxRecvMsg {
-			maxRecvMsg = recvMsgs[id]
-		}
-	}
-	if maxSend > maxLoad {
-		maxLoad = maxSend
-	}
-	if maxRecv > maxLoad {
-		maxLoad = maxRecv
-	}
-	rounds := roundsFor(maxLoad, s.n)
-
-	// Deterministic inbox order regardless of goroutine scheduling.
-	for id := 0; id < s.n; id++ {
-		msgs := next[id]
-		sort.SliceStable(msgs, func(i, j int) bool {
-			if msgs[i].From != msgs[j].From {
-				return msgs[i].From < msgs[j].From
-			}
-			return msgs[i].Tag < msgs[j].Tag
-		})
-		s.inboxes[id] = msgs
-		if len(msgs) > 0 {
-			s.inboxDirty = true
-		}
-	}
-
-	s.rounds += rounds
-	s.supersteps++
-	s.totalWords += int64(total)
-	if s.traceStats {
-		s.stats = append(s.stats, StepStat{
-			Name:       name,
-			Rounds:     rounds,
-			MaxSend:    maxSend,
-			MaxRecv:    maxRecv,
-			TotalWords: total,
-			MaxRecvMsg: maxRecvMsg,
-		})
-	}
-	endStepSpan(sp, rounds, int64(total))
-	return nil
-}
-
-func (s *Sim) clearInboxes() {
-	if !s.inboxDirty {
-		return
-	}
-	for i := range s.inboxes {
-		s.inboxes[i] = nil
-	}
-	s.inboxDirty = false
-}
-
-// Broadcast delivers the same words from machine `from` to every machine
-// (including itself) as a Tag-tagged message, charging the cost of the
-// standard two-phase congested clique broadcast: the source spreads distinct
-// words across machines (one round per ceil(w/n) words) and every machine
-// re-broadcasts its share (each machine then sends and receives at most
-// ceil(w/n)*n words). Total charge: 2*ceil(w/n) rounds.
-//
-// The paper uses exactly this primitive when the leader broadcasts the
-// vertex set S with |S| = O(sqrt(n)) "in two rounds" (§2.1.3).
-func (s *Sim) Broadcast(from, tag int, words []Word) error {
-	if from < 0 || from >= s.n {
-		return fmt.Errorf("clique: broadcast from invalid machine %d", from)
-	}
-	w := len(words)
-	rounds := broadcastRounds(w, s.n)
-	msg := Message{From: from, Tag: tag, Words: words}
-	for id := 0; id < s.n; id++ {
-		m := msg
-		m.To = id
-		// Words are shared read-only; receivers must not mutate them.
-		s.inboxes[id] = append(s.inboxes[id], m)
-	}
-	s.inboxDirty = true
-	s.rounds += rounds
-	s.supersteps++
-	s.totalWords += int64(w * s.n)
-	if s.traceStats {
-		s.stats = append(s.stats, StepStat{Name: "broadcast", Rounds: rounds, MaxSend: w * s.n, MaxRecv: w, TotalWords: w * s.n})
-	}
-	if s.trace != nil {
-		endStepSpan(s.TraceSpan("broadcast"), rounds, int64(w*s.n))
 	}
 	return nil
 }

@@ -2,7 +2,7 @@ package clique
 
 import (
 	"errors"
-	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -26,148 +26,170 @@ func TestWordRoundTrip(t *testing.T) {
 	}
 }
 
+// executors are the two executors of a declared superstep.
+var executors = []struct {
+	name string
+	new  func(int) *Sim
+}{{"charged", MustNew}, {"materializing", NewMaterializing}}
+
+// msg is a test payload: vals, one word each, and its sender, which costs
+// no word (Decode reads it from the link).
+type msg struct {
+	from int
+	vals []int
+}
+
+// testStep declares a superstep of msg payloads.
+func testStep(name string, send func(o *Out[msg]) error, recv func(to int, m msg)) *Step[msg] {
+	return &Step[msg]{
+		Name:   name,
+		Send:   send,
+		Recv:   recv,
+		Encode: func(dst []Word, m msg) []Word { return AppendInts(dst, m.vals...) },
+		Decode: func(from int, ws []Word) msg { return msg{from, Ints(ws)} },
+	}
+}
+
+// send emits vals from machine from to machine to.
+func send(o *Out[msg], from, to int, vals ...int) {
+	o.From(from)
+	o.Send(to, len(vals), msg{from, vals})
+}
+
+// TestSuperstepDelivery: every machine sends its id to the next one, and
+// each receiver gets the payload and its sender.
 func TestSuperstepDelivery(t *testing.T) {
-	s := MustNew(3)
-	// Every machine sends its id to machine (id+1)%3.
-	err := s.Superstep("send", func(id int, in []Message) ([]Message, error) {
-		if len(in) != 0 {
-			return nil, fmt.Errorf("unexpected inbox of size %d", len(in))
+	for _, ex := range executors {
+		s := ex.new(3)
+		got := make([]msg, 3)
+		st := testStep("send", func(o *Out[msg]) error {
+			for id := 0; id < 3; id++ {
+				send(o, id, (id+1)%3, 10+id)
+			}
+			return nil
+		}, func(to int, m msg) { got[to] = m })
+		if err := Run(s, st); err != nil {
+			t.Fatalf("%s: %v", ex.name, err)
 		}
-		return []Message{{To: (id + 1) % 3, Tag: 7, Words: []Word{IntWord(id)}}}, nil
-	})
-	if err != nil {
-		t.Fatalf("superstep 1: %v", err)
+		for id, m := range got {
+			want := (id + 2) % 3
+			if m.from != want || len(m.vals) != 1 || m.vals[0] != 10+want {
+				t.Errorf("%s: machine %d got %+v, want from %d value %d", ex.name, id, m, want, 10+want)
+			}
+		}
+		if s.Rounds() != 1 {
+			t.Errorf("%s: rounds = %d, want 1", ex.name, s.Rounds())
+		}
 	}
-	if s.Rounds() != 1 {
-		t.Errorf("rounds = %d, want 1", s.Rounds())
-	}
-	err = s.Superstep("check", func(id int, in []Message) ([]Message, error) {
-		if len(in) != 1 {
-			return nil, fmt.Errorf("machine %d inbox size %d, want 1", id, len(in))
+}
+
+// runRounds runs one step of msg payloads on a fresh n-clique of each
+// executor and requires the given round charge.
+func runRounds(t *testing.T, n, want int, sendAll func(o *Out[msg])) {
+	t.Helper()
+	for _, ex := range executors {
+		s := ex.new(n)
+		st := testStep("x", func(o *Out[msg]) error { sendAll(o); return nil }, nil)
+		if err := Run(s, st); err != nil {
+			t.Fatalf("%s: %v", ex.name, err)
 		}
-		want := (id + 2) % 3
-		if got := in[0].Words[0].Int(); got != want {
-			return nil, fmt.Errorf("machine %d got %d, want %d", id, got, want)
+		if s.Rounds() != want {
+			t.Errorf("%s: rounds = %d, want %d", ex.name, s.Rounds(), want)
 		}
-		if in[0].From != want || in[0].Tag != 7 {
-			return nil, fmt.Errorf("metadata wrong: %+v", in[0])
-		}
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatalf("superstep 2: %v", err)
 	}
 }
 
 func TestSuperstepRoundCharging(t *testing.T) {
-	s := MustNew(4)
 	// Machine 0 sends 4*3=12 words to machine 1: load 12, n=4 => 3 rounds.
-	err := s.Superstep("heavy", func(id int, in []Message) ([]Message, error) {
-		if id != 0 {
-			return nil, nil
-		}
-		return []Message{{To: 1, Words: make([]Word, 12)}}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Rounds() != 3 {
-		t.Errorf("rounds = %d, want 3 (12 words / 4 machines)", s.Rounds())
-	}
+	runRounds(t, 4, 3, func(o *Out[msg]) { send(o, 0, 1, make([]int, 12)...) })
 }
 
 func TestSuperstepReceiveLoadCharged(t *testing.T) {
-	s := MustNew(4)
 	// All 4 machines send 4 words to machine 0: recv load 16 => 4 rounds.
-	err := s.Superstep("fanin", func(id int, in []Message) ([]Message, error) {
-		return []Message{{To: 0, Words: make([]Word, 4)}}, nil
+	runRounds(t, 4, 4, func(o *Out[msg]) {
+		for id := 0; id < 4; id++ {
+			send(o, id, 0, make([]int, 4)...)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Rounds() != 4 {
-		t.Errorf("rounds = %d, want 4 (16 words into one machine / 4)", s.Rounds())
-	}
 }
 
 func TestSuperstepBalancedIsOneRound(t *testing.T) {
-	s := MustNew(8)
 	// Every machine sends 1 word to every machine: send=recv=8=n => 1 round.
-	err := s.Superstep("alltoall", func(id int, in []Message) ([]Message, error) {
-		out := make([]Message, 0, 8)
-		for to := 0; to < 8; to++ {
-			out = append(out, Message{To: to, Words: []Word{IntWord(id)}})
+	runRounds(t, 8, 1, func(o *Out[msg]) {
+		for id := 0; id < 8; id++ {
+			for to := 0; to < 8; to++ {
+				send(o, id, to, id)
+			}
 		}
-		return out, nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Rounds() != 1 {
-		t.Errorf("rounds = %d, want 1 for a perfectly balanced all-to-all", s.Rounds())
-	}
 }
 
+// TestSuperstepErrorPropagation: a Send error is the superstep's error, and
+// the failed superstep charges nothing.
 func TestSuperstepErrorPropagation(t *testing.T) {
-	s := MustNew(3)
 	sentinel := errors.New("boom")
-	err := s.Superstep("fail", func(id int, in []Message) ([]Message, error) {
-		if id == 1 {
-			return nil, sentinel
+	for _, ex := range executors {
+		s := ex.new(3)
+		st := testStep("fail", func(o *Out[msg]) error {
+			send(o, 0, 0, 1)
+			return sentinel
+		}, nil)
+		if err := Run(s, st); !errors.Is(err, sentinel) {
+			t.Errorf("%s: error not propagated: %v", ex.name, err)
 		}
-		return []Message{{To: 0, Words: []Word{IntWord(1)}}}, nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("error not propagated: %v", err)
-	}
-	// Inboxes must be cleared after failure.
-	err = s.Superstep("after", func(id int, in []Message) ([]Message, error) {
-		if len(in) != 0 {
-			return nil, fmt.Errorf("stale inbox after error")
+		if s.Rounds() != 0 || s.Supersteps() != 0 || s.TotalWords() != 0 {
+			t.Errorf("%s: failed superstep charged (%d rounds, %d steps, %d words)", ex.name, s.Rounds(), s.Supersteps(), s.TotalWords())
 		}
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestSuperstepInvalidDestination(t *testing.T) {
-	s := MustNew(2)
-	err := s.Superstep("bad", func(id int, in []Message) ([]Message, error) {
-		return []Message{{To: 5}}, nil
-	})
-	if err == nil {
-		t.Error("expected error for invalid destination")
+	for _, ex := range executors {
+		st := testStep("bad", func(o *Out[msg]) error {
+			send(o, 0, 5)
+			return nil
+		}, nil)
+		if err := Run(ex.new(2), st); err == nil {
+			t.Errorf("%s: expected error for invalid destination", ex.name)
+		}
 	}
 }
 
+// TestInboxDeterministicOrder pins the delivery order: the charged executor
+// delivers in send order, the materializing one by receiving machine, then
+// sending machine, then send order. Senders run in descending order here,
+// so the two differ; that is why no receiver's state may depend on the
+// order of different senders' messages.
 func TestInboxDeterministicOrder(t *testing.T) {
-	for trial := 0; trial < 10; trial++ {
-		s := MustNew(16)
-		err := s.Superstep("fanin", func(id int, in []Message) ([]Message, error) {
-			return []Message{
-				{To: 0, Tag: 1, Words: []Word{IntWord(id)}},
-				{To: 0, Tag: 0, Words: []Word{IntWord(id)}},
-			}, nil
+	const n = 16
+	for _, ex := range executors {
+		var log [][2]int // (from, seq) at machine 0
+		st := testStep("fanin", func(o *Out[msg]) error {
+			for id := n - 1; id >= 0; id-- {
+				send(o, id, 0, 0)
+				send(o, id, 1, 0)
+				send(o, id, 0, 1)
+			}
+			return nil
+		}, func(to int, m msg) {
+			if to == 0 {
+				log = append(log, [2]int{m.from, m.vals[0]})
+			}
 		})
-		if err != nil {
+		if err := Run(ex.new(n), st); err != nil {
 			t.Fatal(err)
 		}
-		err = s.Superstep("check", func(id int, in []Message) ([]Message, error) {
-			if id != 0 {
-				return nil, nil
+		for i, got := range log {
+			from := i / 2
+			if ex.name == "charged" {
+				from = n - 1 - i/2
 			}
-			for i, m := range in {
-				wantFrom, wantTag := i/2, i%2
-				if m.From != wantFrom || m.Tag != wantTag {
-					return nil, fmt.Errorf("inbox[%d] = from %d tag %d, want from %d tag %d", i, m.From, m.Tag, wantFrom, wantTag)
-				}
+			if want := [2]int{from, i % 2}; got != want {
+				t.Errorf("%s: delivery %d = (from, seq) %v, want %v", ex.name, i, got, want)
 			}
-			return nil, nil
-		})
-		if err != nil {
-			t.Fatal(err)
+		}
+		if len(log) != 2*n {
+			t.Errorf("%s: %d deliveries at machine 0, want %d", ex.name, len(log), 2*n)
 		}
 	}
 }
@@ -185,64 +207,68 @@ func TestChargeRounds(t *testing.T) {
 	}
 }
 
+// TestBroadcast: a 3-word broadcast on 5 machines costs 2 rounds and 15
+// words on both executors; only the materializing one packs the payload,
+// and it refuses a payload of the wrong width.
 func TestBroadcast(t *testing.T) {
-	s := MustNew(5)
-	words := []Word{IntWord(7), IntWord(8), IntWord(9)}
-	if err := s.Broadcast(2, 4, words); err != nil {
-		t.Fatal(err)
-	}
-	if s.Rounds() != 2 {
-		t.Errorf("rounds = %d, want 2 for w <= n broadcast", s.Rounds())
-	}
-	err := s.Superstep("check", func(id int, in []Message) ([]Message, error) {
-		if len(in) != 1 || in[0].From != 2 || in[0].Tag != 4 || len(in[0].Words) != 3 {
-			return nil, fmt.Errorf("machine %d bad broadcast inbox %+v", id, in)
+	for _, ex := range executors {
+		s := ex.new(5)
+		s.EnableTrace()
+		packs := 0
+		pack := func(dst []Word) []Word {
+			packs++
+			return AppendInts(dst, 7, 8, 9)
 		}
-		if in[0].Words[1].Int() != 8 {
-			return nil, fmt.Errorf("payload corrupted")
+		if err := RunBroadcast(s, 2, 3, pack); err != nil {
+			t.Fatalf("%s: %v", ex.name, err)
 		}
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		want := []StepStat{{Name: "broadcast", Rounds: 2, MaxSend: 15, MaxRecv: 3, TotalWords: 15}}
+		if !reflect.DeepEqual(s.Stats(), want) || s.Rounds() != 2 || s.Supersteps() != 1 || s.TotalWords() != 15 {
+			t.Errorf("%s: stats %+v, counters (%d, %d, %d)", ex.name, s.Stats(), s.Rounds(), s.Supersteps(), s.TotalWords())
+		}
+		if wantPacks := map[string]int{"charged": 0, "materializing": 1}[ex.name]; packs != wantPacks {
+			t.Errorf("%s: payload packed %d times, want %d", ex.name, packs, wantPacks)
+		}
+		err := RunBroadcast(s, 2, 4, pack)
+		if (err != nil) != (ex.name == "materializing") {
+			t.Errorf("%s: 3-word payload charged as 4 words: error %v", ex.name, err)
+		}
 	}
 }
 
 func TestBroadcastLarge(t *testing.T) {
-	s := MustNew(4)
-	if err := s.Broadcast(0, 0, make([]Word, 10)); err != nil {
-		t.Fatal(err)
-	}
-	// ceil(10/4) = 3 phases of 2 rounds.
-	if s.Rounds() != 6 {
-		t.Errorf("rounds = %d, want 6", s.Rounds())
-	}
-	if err := s.Broadcast(9, 0, nil); err == nil {
-		t.Error("expected error for invalid source")
+	for _, ex := range executors {
+		s := ex.new(4)
+		pack := func(dst []Word) []Word { return append(dst, make([]Word, 10)...) }
+		if err := RunBroadcast(s, 0, 10, pack); err != nil {
+			t.Fatal(err)
+		}
+		// ceil(10/4) = 3 phases of 2 rounds.
+		if s.Rounds() != 6 {
+			t.Errorf("%s: rounds = %d, want 6", ex.name, s.Rounds())
+		}
+		if err := RunBroadcast(s, 9, 0, func(dst []Word) []Word { return dst }); err == nil {
+			t.Errorf("%s: expected error for invalid source", ex.name)
+		}
 	}
 }
 
 func TestTraceStats(t *testing.T) {
-	s := MustNew(3)
-	s.EnableTrace()
-	err := s.Superstep("a", func(id int, in []Message) ([]Message, error) {
-		if id == 0 {
-			return []Message{{To: 1, Words: make([]Word, 5)}, {To: 2, Words: make([]Word, 1)}}, nil
+	for _, ex := range executors {
+		s := ex.new(3)
+		s.EnableTrace()
+		st := testStep("a", func(o *Out[msg]) error {
+			send(o, 0, 1, make([]int, 5)...)
+			send(o, 0, 2, 0)
+			return nil
+		}, nil)
+		if err := Run(s, st); err != nil {
+			t.Fatal(err)
 		}
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if len(st) != 1 {
-		t.Fatalf("stats len = %d, want 1", len(st))
-	}
-	if st[0].Name != "a" || st[0].MaxSend != 6 || st[0].MaxRecv != 5 || st[0].TotalWords != 6 || st[0].Rounds != 2 {
-		t.Errorf("stats = %+v", st[0])
-	}
-	if st[0].MaxRecvMsg != 1 {
-		t.Errorf("MaxRecvMsg = %d, want 1", st[0].MaxRecvMsg)
+		want := []StepStat{{Name: "a", Rounds: 2, MaxSend: 6, MaxRecv: 5, TotalWords: 6, MaxRecvMsg: 1}}
+		if got := s.Stats(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: stats = %+v, want %+v", ex.name, got, want)
+		}
 	}
 }
 
@@ -263,17 +289,22 @@ func TestChargeStepName(t *testing.T) {
 }
 
 func TestTotalWordsAccounting(t *testing.T) {
-	s := MustNew(2)
-	err := s.Superstep("x", func(id int, in []Message) ([]Message, error) {
-		return []Message{{To: 0, Words: make([]Word, 3)}}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.TotalWords() != 6 {
-		t.Errorf("TotalWords = %d, want 6", s.TotalWords())
-	}
-	if s.Supersteps() != 1 {
-		t.Errorf("Supersteps = %d, want 1", s.Supersteps())
+	for _, ex := range executors {
+		s := ex.new(2)
+		st := testStep("x", func(o *Out[msg]) error {
+			for id := 0; id < 2; id++ {
+				send(o, id, 0, 1, 2, 3)
+			}
+			return nil
+		}, nil)
+		if err := Run(s, st); err != nil {
+			t.Fatal(err)
+		}
+		if s.TotalWords() != 6 {
+			t.Errorf("%s: TotalWords = %d, want 6", ex.name, s.TotalWords())
+		}
+		if s.Supersteps() != 1 {
+			t.Errorf("%s: Supersteps = %d, want 1", ex.name, s.Supersteps())
+		}
 	}
 }

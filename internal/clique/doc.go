@@ -20,12 +20,12 @@
 // # Execution model
 //
 // Algorithms run as a sequence of bulk-synchronous supersteps. In each
-// superstep every machine observes its inbox (messages delivered at the end
-// of the previous superstep) and emits messages for the next one. Machine
-// step functions execute concurrently on goroutines — the natural Go
-// analogue of machines computing independently between communication rounds
-// — but all cross-machine dataflow goes through the simulator, and inboxes
-// are delivered in a deterministic order so runs are reproducible.
+// superstep the sending machines emit their messages and the receiving
+// machines consume them; the next superstep sees every message of this
+// one. The machines' local computation runs as plain sequential code on
+// the calling goroutine, and the package starts no goroutine: a superstep
+// is charged from its communication pattern alone, so running the
+// machines concurrently would change nothing it reports.
 //
 // # One declaration, two executors
 //
@@ -37,23 +37,26 @@
 //
 //   - charged, for every Sim from New and the only one serving uses: each
 //     send is counted into a CostPlan as it is emitted and its payload is
-//     handed to the receiver in memory. No Message is built, no Word
-//     packed, no inbox sorted, no goroutine started.
+//     handed to the receiver in memory. No Word is packed.
 //   - materializing, for a Sim from NewMaterializing (a test helper
 //     protocol tests reach through an unexported constructor hook, core's
-//     and doubling's newSim): every payload is packed into Words, routed
-//     through Superstep or Broadcast and decoded at its receiver. The
-//     declaration's functions still run on the calling goroutine; only
-//     Superstep's routing of the packed words fans out.
+//     and doubling's newSim): every payload is packed into Words, the
+//     packed messages are counted into a CostPlan at their packed widths,
+//     and each is decoded at its receiver, which the codec tells the
+//     sending machine, as a clique link would. A broadcast's payload is
+//     packed only to check its width.
 //
-// Both charge through roundsFor, and the materializing executor refuses a
-// payload that packs to a different width than its send charged, so trees,
-// Stats and per-superstep traces must come out identical on both; the
-// executor goldens in clique, core and doubling pin this. A declaration
-// keeps two rules for that: no send reads state a receive of the same
-// superstep writes (the charged executor delivers as it sends, the
-// materializing one after all units have sent), and no receiver's state
-// depends on the order of different senders' messages (the charged
-// executor delivers in send order, the materializing one by sending
-// machine; one sender's messages arrive in send order on both).
+// Both charge through ChargedSuperstep (a broadcast through
+// ChargeBroadcast), and the materializing executor
+// refuses a payload that packs to a different width than its send charged,
+// so trees, Stats and per-superstep traces must come out identical on
+// both; the executor goldens in clique, mm, core and doubling pin this. A
+// declaration keeps two rules for that: no send reads state a receive of
+// the same superstep writes (the charged executor delivers as it sends,
+// the materializing one after all units have sent), and no receiver's
+// state depends on the order of different senders' messages (the charged
+// executor delivers in send order, the materializing one by receiving
+// machine, then sending machine; one sender's messages arrive in send order
+// on both). A receiver that must combine several senders' messages stores
+// each in a slot of its own and combines the slots in a fixed order.
 package clique

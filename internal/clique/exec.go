@@ -1,6 +1,9 @@
 package clique
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // NewMaterializing returns a simulator of n machines whose declared
 // supersteps run on the materializing executor. It is a shared test helper:
@@ -28,15 +31,16 @@ func (s *Sim) costPlan() *CostPlan {
 // one per unit because a call per unit would cost about as much as the
 // unit's own work. Recv, if not nil, consumes one delivered payload at
 // machine to.
-// Encode appends a payload's words to dst and Decode reads them back; only
-// the materializing executor calls them. A Step value is reused across runs
-// of the same superstep.
+// Encode appends a payload's words to dst. Decode reads them back at the
+// receiver and is told the sending machine from, which a clique link
+// carries at no cost in words. Only the materializing executor calls them.
+// A Step value is reused across runs of the same superstep.
 type Step[P any] struct {
 	Name   string
 	Send   func(out *Out[P]) error
 	Recv   func(to int, p P)
 	Encode func(dst []Word, p P) []Word
-	Decode func(words []Word) P
+	Decode func(from int, words []Word) P
 
 	out Out[P]
 }
@@ -47,11 +51,18 @@ type Out[P any] struct {
 	plan *CostPlan
 	recv func(to int, p P)
 
-	// Materializing executor only: packed messages by sending machine, and
+	// Materializing executor only: the packed messages in send order, and
 	// the first payload whose packed width differed from its charge.
-	outs   [][]Message
+	msgs   []packed
 	encode func(dst []Word, p P) []Word
 	err    error
+}
+
+// packed is one message on the materializing executor, its payload packed
+// into words.
+type packed struct {
+	from, to int
+	words    []Word
 }
 
 // From makes machine m the sender of the messages that follow.
@@ -59,7 +70,7 @@ func (o *Out[P]) From(m int) { o.from = m }
 
 // Send emits one words-word message carrying p to machine to.
 func (o *Out[P]) Send(to, words int, p P) {
-	if o.outs != nil {
+	if o.encode != nil {
 		o.pack(to, words, p)
 		return
 	}
@@ -74,15 +85,11 @@ func (o *Out[P]) pack(to, words int, p P) {
 	if o.err != nil {
 		return
 	}
-	if o.from < 0 || o.from >= len(o.outs) {
-		o.err = fmt.Errorf("message from invalid machine %d", o.from)
-		return
-	}
 	ws := o.encode(nil, p)
 	if len(ws) != words {
 		o.err = fmt.Errorf("machine %d packed a %d-word payload charged as %d words", o.from, len(ws), words)
 	}
-	o.outs[o.from] = append(o.outs[o.from], Message{To: to, Words: ws})
+	o.msgs = append(o.msgs, packed{o.from, to, ws})
 }
 
 // send runs the step's Send on its outbox.
@@ -95,40 +102,44 @@ func Run[P any](s *Sim, st *Step[P]) error {
 		st.out = Out[P]{plan: plan, recv: st.Recv}
 		return s.ChargedSuperstep(st.Name, plan, st.send)
 	}
-	outs := make([][]Message, s.n)
-	st.out = Out[P]{outs: outs, encode: st.Encode}
+	st.out = Out[P]{encode: st.Encode}
 	err := st.send()
 	if err == nil {
 		err = st.out.err
 	}
+	msgs := st.out.msgs
 	st.out = Out[P]{}
 	if err != nil {
-		s.clearInboxes()
 		return fmt.Errorf("clique: superstep %q: %w", st.Name, err)
 	}
-	return s.route(st.Name, outs, func(to int, m Message) {
+	return s.route(st.Name, msgs, func(m packed) {
 		if st.Recv != nil {
-			st.Recv(to, st.Decode(m.Words))
+			st.Recv(m.to, st.Decode(m.from, m.words))
 		}
 	})
 }
 
-// route sends pre-packed messages through Superstep, then hands every
-// delivered message to recv in inbox order (receiving machine, then sending
-// machine, then send order) and empties the inboxes.
-func (s *Sim) route(name string, outs [][]Message, recv func(to int, m Message)) error {
-	err := s.Superstep(name, func(id int, _ []Message) ([]Message, error) {
-		return outs[id], nil
-	})
-	if err != nil {
+// route charges packed messages at their packed widths, then hands each
+// one to recv in delivery order: by receiving machine, then sending
+// machine, then send order. A message from or to an invalid machine is the
+// superstep's error, before anything is delivered.
+func (s *Sim) route(name string, msgs []packed, recv func(m packed)) error {
+	plan := s.costPlan()
+	for _, m := range msgs {
+		plan.Add(m.from, m.to, len(m.words))
+	}
+	if err := s.ChargedSuperstep(name, plan, nil); err != nil {
 		return err
 	}
-	for id, in := range s.inboxes {
-		for _, m := range in {
-			recv(id, m)
+	sort.SliceStable(msgs, func(i, j int) bool {
+		if msgs[i].to != msgs[j].to {
+			return msgs[i].to < msgs[j].to
 		}
+		return msgs[i].from < msgs[j].from
+	})
+	for _, m := range msgs {
+		recv(m)
 	}
-	s.clearInboxes()
 	return nil
 }
 
@@ -173,7 +184,6 @@ func RunDense(s *Sim, d *Dense) error {
 		frame = 3
 	}
 	if d.Words < frame {
-		s.clearInboxes()
 		return fmt.Errorf("clique: superstep %q: a %d-word frame charged as %d words", d.Name, frame, d.Words)
 	}
 	rows := make([][]float64, len(d.To))
@@ -183,50 +193,39 @@ func RunDense(s *Sim, d *Dense) error {
 			d.Values(b, rows[b])
 		}
 	}
-	outs := make([][]Message, s.n)
+	msgs := make([]packed, 0, len(d.From)*len(d.To))
 	for a, from := range d.From {
-		if from < 0 || from >= s.n {
-			s.clearInboxes()
-			return fmt.Errorf("clique: superstep %q: message from invalid machine %d", d.Name, from)
-		}
 		for b, to := range d.To {
 			ws := make([]Word, d.Words)
 			ws[0], ws[1] = IntWord(a), IntWord(b)
 			if d.Into != nil {
 				ws[2] = FloatWord(rows[b][a])
 			}
-			outs[from] = append(outs[from], Message{To: to, Words: ws})
+			msgs = append(msgs, packed{from, to, ws})
 		}
 	}
-	return s.route(d.Name, outs, func(_ int, m Message) {
+	return s.route(d.Name, msgs, func(m packed) {
 		if d.Into != nil {
-			d.Into(m.Words[1].Int())[m.Words[0].Int()] = m.Words[2].Float()
+			d.Into(m.words[1].Int())[m.words[0].Int()] = m.words[2].Float()
 		}
 	})
 }
 
 // RunBroadcast executes a declared broadcast: machine from sends a w-word
-// payload to every machine, in the two-phase pattern that costs
-// 2·ceil(w/n) rounds. The receivers read the payload from shared state,
-// read-only, as Broadcast's receivers share its words. pack appends the
-// payload's words to dst; only the materializing executor calls it, to
-// check the width and route the words.
+// payload to every machine, in the two-phase pattern ChargeBroadcast
+// charges. The receivers read the payload from shared state, read-only.
+// pack appends the payload's words to dst; only the materializing executor
+// calls it, to check the width.
 func RunBroadcast(s *Sim, from, w int, pack func(dst []Word) []Word) error {
-	if !s.materialize {
-		if from < 0 || from >= s.n {
-			return fmt.Errorf("clique: broadcast from invalid machine %d", from)
+	if from < 0 || from >= s.n {
+		return fmt.Errorf("clique: broadcast from invalid machine %d", from)
+	}
+	if s.materialize {
+		if ws := pack(nil); len(ws) != w {
+			return fmt.Errorf("clique: broadcast packed a %d-word payload charged as %d words", len(ws), w)
 		}
-		return s.ChargeBroadcast(w)
 	}
-	ws := pack(nil)
-	if len(ws) != w {
-		return fmt.Errorf("clique: broadcast packed a %d-word payload charged as %d words", len(ws), w)
-	}
-	if err := s.Broadcast(from, 0, ws); err != nil {
-		return err
-	}
-	s.clearInboxes()
-	return nil
+	return s.ChargeBroadcast(w)
 }
 
 // Local declares a superstep with no traffic: fn is the machines' local

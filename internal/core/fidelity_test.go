@@ -69,9 +69,7 @@ func checkExecutorsAgree(t *testing.T, what string, charged, full executorRun) {
 // sampler variant), the charged executor must produce the same tree, the
 // same Stats — rounds, supersteps, total words, phase shape — and the same
 // per-superstep trace as the materializing executor running the same
-// protocol declarations. The n = 40 cases cross parallelThreshold, so on a
-// multi-core host the materializing executor routes through Superstep's
-// goroutines (run with -race).
+// protocol declarations.
 func TestFidelityGolden(t *testing.T) {
 	cases := []struct {
 		fam   string
@@ -99,19 +97,24 @@ func TestFidelityGolden(t *testing.T) {
 	}
 }
 
-// TestFidelityGoldenNaiveBackend checks the executors also agree under a
-// dataflow matmul backend: the executor only governs the protocol's
-// declared supersteps, while Naive's row broadcasts route real words on
-// both.
+// TestFidelityGoldenNaiveBackend checks the executors also agree under the
+// dataflow matmul backends, whose supersteps run on the Sim's own executor
+// like the protocol's: Naive's row broadcasts, and Semiring3D's block
+// routing on a 3×3×3 cube (n = 27).
 func TestFidelityGoldenNaiveBackend(t *testing.T) {
-	g, err := graph.FromFamily("expander", 16, prng.New(5))
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		backend mm.Backend
+		n       int
+	}{{mm.Naive{}, 16}, {mm.Semiring3D{}, 27}} {
+		g, err := graph.FromFamily("expander", c.n, prng.New(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		charged, full := onBothExecutors(t, func() (*spanning.Tree, *Stats, error) {
+			return Sample(g, Config{Backend: c.backend}, prng.New(2))
+		})
+		checkExecutorsAgree(t, c.backend.Name()+" backend", charged, full)
 	}
-	charged, full := onBothExecutors(t, func() (*spanning.Tree, *Stats, error) {
-		return Sample(g, Config{Backend: mm.Naive{}}, prng.New(2))
-	})
-	checkExecutorsAgree(t, "naive backend", charged, full)
 }
 
 // TestFidelityPreparedWith checks the warm path: one Prepared serves the

@@ -77,7 +77,7 @@ func newProtocol(sc *phaseScratch) *protocol {
 				sc.orderedPS[oi] = ps
 			},
 			Encode: func(dst []clique.Word, a assignMsg) []clique.Word { return clique.AppendInts(dst, a.p, a.q, a.count) },
-			Decode: func(w []clique.Word) assignMsg { return assignMsg{w[0].Int(), w[1].Int(), w[2].Int()} },
+			Decode: func(_ int, w []clique.Word) assignMsg { return assignMsg{w[0].Int(), w[1].Int(), w[2].Int()} },
 		},
 		// Algorithm 2 step 4: every pair machine asks every subset vertex
 		// machine j for its midpoint weight; the request names the pair and
@@ -123,7 +123,7 @@ func newProtocol(sc *phaseScratch) *protocol {
 				key := sc.pairOrder[c.oi]
 				return clique.AppendInts(dst, key.p, key.q, c.c, c.occ+1)
 			},
-			Decode: func(w []clique.Word) countMsg {
+			Decode: func(_ int, w []clique.Word) countMsg {
 				return countMsg{sc.pairLookup(w[0].Int(), w[1].Int()), w[2].Int(), w[3].Int() - 1}
 			},
 		},
@@ -171,7 +171,7 @@ func newProtocol(sc *phaseScratch) *protocol {
 				}
 				return clique.AppendInts(dst, t.v, t.cnt)
 			},
-			Decode: func(w []clique.Word) tallyMsg {
+			Decode: func(_ int, w []clique.Word) tallyMsg {
 				if len(w) == 1 {
 					return tallyMsg{w[0].Int(), -1}
 				}
@@ -190,7 +190,7 @@ func newProtocol(sc *phaseScratch) *protocol {
 			},
 			Recv:   func(_ int, t tallyMsg) { sc.counts.add(t.v, t.cnt) },
 			Encode: func(dst []clique.Word, t tallyMsg) []clique.Word { return clique.AppendInts(dst, t.v, t.cnt) },
-			Decode: func(w []clique.Word) tallyMsg { return tallyMsg{w[0].Int(), w[1].Int()} },
+			Decode: func(_ int, w []clique.Word) tallyMsg { return tallyMsg{w[0].Int(), w[1].Int()} },
 		},
 		// §2.1.3: after the leader broadcasts the vertex set it needs
 		// (sc.needList), each machine hosting one sends its row restricted
@@ -219,7 +219,7 @@ func newProtocol(sc *phaseScratch) *protocol {
 			},
 			Recv:   func(v, prev int) { sc.fvPrev[v] = prev },
 			Encode: func(dst []clique.Word, prev int) []clique.Word { return clique.AppendInts(dst, prev) },
-			Decode: func(w []clique.Word) int { return w[0].Int() },
+			Decode: func(_ int, w []clique.Word) int { return w[0].Int() },
 		},
 		// Algorithm 4 steps 5-6: each notified vertex asks its G-neighbors
 		// for the Bayes weight.
@@ -235,7 +235,7 @@ func newProtocol(sc *phaseScratch) *protocol {
 			},
 			Recv:   func(u int, q fvReq) { sc.fvReqs[u] = append(sc.fvReqs[u], q) },
 			Encode: func(dst []clique.Word, q fvReq) []clique.Word { return clique.AppendInts(dst, q.v, q.prev) },
-			Decode: func(w []clique.Word) fvReq { return fvReq{w[0].Int(), w[1].Int()} },
+			Decode: func(_ int, w []clique.Word) fvReq { return fvReq{w[0].Int(), w[1].Int()} },
 		},
 		// Neighbor u answers each request with Q[prev,u]·w(u,v)/degS(u).
 		// Replies reach v in ascending u on both executors, the order v
@@ -268,7 +268,7 @@ func newProtocol(sc *phaseScratch) *protocol {
 			Encode: func(dst []clique.Word, a fvReply) []clique.Word {
 				return append(clique.AppendInts(dst, a.u), clique.FloatWord(a.w))
 			},
-			Decode: func(w []clique.Word) fvReply { return fvReply{w[0].Int(), w[1].Float()} },
+			Decode: func(_ int, w []clique.Word) fvReply { return fvReply{w[0].Int(), w[1].Float()} },
 		},
 		// Algorithm 4 step 7: each visited vertex samples its entry edge and
 		// reports it to the leader.
@@ -294,7 +294,7 @@ func newProtocol(sc *phaseScratch) *protocol {
 			},
 			Recv:   func(_ int, e fvEdge) { sc.fvEdge[e.v] = e.u },
 			Encode: func(dst []clique.Word, e fvEdge) []clique.Word { return clique.AppendInts(dst, e.u, e.v) },
-			Decode: func(w []clique.Word) fvEdge { return fvEdge{w[0].Int(), w[1].Int()} },
+			Decode: func(_ int, w []clique.Word) fvEdge { return fvEdge{w[0].Int(), w[1].Int()} },
 		},
 	}
 }

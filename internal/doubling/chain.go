@@ -84,7 +84,7 @@ func ChainedWalk(sim *clique.Sim, g *graph.Graph, start, tau int, cfg Config, sr
 		},
 		Recv:   func(_ int, w []int) { segment = w },
 		Encode: func(dst []clique.Word, w []int) []clique.Word { return clique.AppendInts(dst, w...) },
-		Decode: clique.Ints,
+		Decode: func(_ int, w []clique.Word) []int { return clique.Ints(w) },
 	}
 	for ; hop < stop && len(trajectory) <= tau; hop++ {
 		segment = nil

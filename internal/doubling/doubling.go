@@ -130,7 +130,7 @@ func encodeWalk(dst []clique.Word, rw routedWalk) []clique.Word {
 	return clique.AppendInts(dst, append([]int{rw.origin, rw.index}, rw.w...)...)
 }
 
-func decodeWalk(words []clique.Word) routedWalk {
+func decodeWalk(_ int, words []clique.Word) routedWalk {
 	return routedWalk{origin: words[0].Int(), index: words[1].Int(), w: clique.Ints(words[2:])}
 }
 

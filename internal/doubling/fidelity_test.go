@@ -47,9 +47,7 @@ func TestDoublingFidelityGolden(t *testing.T) {
 
 // TestSampleTreeFidelityGolden covers the chained-walk path (doubling
 // iterations plus the leader-driven stitch supersteps) end to end, on both
-// executors: trees, TreeStats and per-superstep traces. The n = 40 case
-// crosses parallelThreshold, so on a multi-core host the materializing
-// executor routes through Superstep's goroutines (run with -race).
+// executors: trees, TreeStats and per-superstep traces.
 func TestSampleTreeFidelityGolden(t *testing.T) {
 	run := func(g *graph.Graph, build func(int) *clique.Sim) (string, *TreeStats, []clique.StepStat) {
 		t.Helper()

@@ -11,8 +11,8 @@
 //   - Naive: every machine broadcasts its row of B and computes its row of
 //     the product locally; Theta(n) rounds. The baseline a straightforward
 //     port would use.
-//   - Semiring3D: the communication-faithful 3D block algorithm that routes
-//     actual words through the simulator in Theta(n^(1/3)) rounds — the
+//   - Semiring3D: the communication-faithful 3D block algorithm whose
+//     messages the simulator charges in Theta(n^(1/3)) rounds — the
 //     semiring bound of Censor-Hillel et al. [17], whose message flow we
 //     reproduce superstep by superstep.
 //   - Fast: computes the product locally and charges the Õ(n^alpha) round
@@ -31,6 +31,9 @@
 // and ChargeSchurShortcutBuild re-apply a build's exact round/word charges
 // without redoing the numeric work, which is what lets Prepared's phase-0
 // state keep warm Stats byte-identical to cold. The dataflow backends
-// (Naive, Semiring3D) deliberately bypass the phase-0 reuse and route real
-// words through Sim.Superstep on every simulator: they exist to route them.
+// (Naive, Semiring3D) deliberately bypass the phase-0 reuse: they declare
+// their real messages as clique Steps, which run on the simulator's own
+// executor like the protocol's supersteps. Each receiver stores a message
+// in its own slot and sums the slots in a fixed order, so the product's
+// bits do not depend on the executor's delivery order.
 package mm

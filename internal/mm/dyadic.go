@@ -28,7 +28,7 @@ import (
 // The redistribution is a CostPlan.AllToAll charge on every simulator:
 // machine j's "column" is a view into the shared matrix, so no receiver
 // reads a routed payload. The backend's own Mul is unaffected: the dataflow
-// backends (naive, semiring3d) route real words by design.
+// backends (naive, semiring3d) declare their real messages by design.
 func DyadicTable(sim *clique.Sim, backend Backend, p *matrix.Matrix, maxExp int, delta float64) (*matrix.PowerDyadic, error) {
 	if backend == nil {
 		return nil, fmt.Errorf("mm: nil backend")

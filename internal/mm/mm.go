@@ -57,49 +57,74 @@ func (Naive) Mul(sim *clique.Sim, a, b *matrix.Matrix) (*matrix.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := matrix.MustNew(d, d)
-	// Superstep 1: machine r broadcasts row B[r] to machines 0..d-1.
-	err = sim.Superstep("mm/naive/rows", func(id int, in []clique.Message) ([]clique.Message, error) {
-		if id >= d {
-			return nil, nil
-		}
-		row := b.Row(id)
-		words := make([]clique.Word, d)
-		for j, v := range row {
-			words[j] = clique.FloatWord(v)
-		}
-		msgs := make([]clique.Message, 0, d)
-		for to := 0; to < d; to++ {
-			msgs = append(msgs, clique.Message{To: to, Tag: id, Words: words})
-		}
-		return msgs, nil
+	// Machine i keeps the row of B that machine k sent in slot k, so the
+	// compute step sums in k order whatever order the rows arrive in.
+	rows := make([][]float64, d*d)
+	err = clique.Run(sim, &clique.Step[rowMsg]{
+		Name: "mm/naive/rows",
+		// Machine k sends row B[k] to machines 0..d-1.
+		Send: func(o *clique.Out[rowMsg]) error {
+			for k := 0; k < d; k++ {
+				o.From(k)
+				for to := 0; to < d; to++ {
+					o.Send(to, d, rowMsg{k, b.Row(k)})
+				}
+			}
+			return nil
+		},
+		Recv:   func(to int, m rowMsg) { rows[to*d+m.k] = m.row },
+		Encode: func(dst []clique.Word, m rowMsg) []clique.Word { return appendFloats(dst, m.row) },
+		Decode: func(from int, ws []clique.Word) rowMsg { return rowMsg{from, floats(ws)} },
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Superstep 2: machine i reassembles B and computes C[i] = A[i] * B.
-	err = sim.Superstep("mm/naive/compute", func(id int, in []clique.Message) ([]clique.Message, error) {
-		if id >= d {
-			return nil, nil
-		}
-		ai := a.Row(id)
-		ci := out.Row(id)
-		for _, m := range in {
-			k := m.Tag
-			aik := ai[k]
-			if aik == 0 {
-				continue
-			}
-			for j, w := range m.Words {
-				ci[j] += aik * w.Float()
+	// Machine i computes C[i] = A[i] * B.
+	out := matrix.MustNew(d, d)
+	err = clique.Local(sim, "mm/naive/compute", func() error {
+		for i := 0; i < d; i++ {
+			ai, ci := a.Row(i), out.Row(i)
+			for k, bk := range rows[i*d : (i+1)*d] {
+				aik := ai[k]
+				if aik == 0 {
+					continue
+				}
+				for j, v := range bk {
+					ci[j] += aik * v
+				}
 			}
 		}
-		return nil, nil
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// rowMsg is row k of a matrix in flight. The row index costs no word: a
+// row holder sends only its own row, so the receiver knows k from the
+// sending machine.
+type rowMsg struct {
+	k   int
+	row []float64
+}
+
+// appendFloats packs floats into words appended to dst.
+func appendFloats(dst []clique.Word, vs []float64) []clique.Word {
+	for _, v := range vs {
+		dst = append(dst, clique.FloatWord(v))
+	}
+	return dst
+}
+
+// floats unpacks float words.
+func floats(ws []clique.Word) []float64 {
+	vs := make([]float64, len(ws))
+	for i, w := range ws {
+		vs[i] = w.Float()
+	}
+	return vs
 }
 
 // Fast computes the product locally and charges the round cost of the fast

@@ -8,14 +8,6 @@ import (
 	"repro/internal/matrix"
 )
 
-// Message tags used by the 3D algorithm's supersteps.
-const (
-	tagA = iota
-	tagB
-	tagPart
-	tagC
-)
-
 // Semiring3D is the communication-faithful Theta(n^(1/3))-round semiring
 // matrix multiplication of Censor-Hillel et al. [17]. Machines are arranged
 // as a q x q x q cube (q = floor(N^(1/3))); matrices are split into q x q
@@ -23,9 +15,9 @@ const (
 // A_{i,k} and block B_{k,j} (each machine ships O(q^2 b) = O(n^(4/3)) words,
 // i.e. O(n^(1/3)) rounds), computes the partial product A_{i,k}*B_{k,j},
 // and the k-dimension is reduced by splitting each partial block into q row
-// slices so that no machine receives more than O(n^(4/3)) words. The
-// words are actually routed through the simulator, so the charged rounds
-// are the algorithm's real load, not a formula.
+// slices so that no machine receives more than O(n^(4/3)) words. Each
+// superstep declares the algorithm's real messages, so the charged rounds
+// are its real load, not a formula.
 type Semiring3D struct{}
 
 // Name implements Backend.
@@ -56,204 +48,206 @@ func (Semiring3D) Mul(sim *clique.Sim, a, b *matrix.Matrix) (*matrix.Matrix, err
 	}
 	bs := (d + q - 1) / q // block size
 	rowsPerSlice := (bs + q - 1) / q
+	q3 := q * q * q
 	cube := func(i, j, k int) int { return (i*q+j)*q + k }
+	// A receiver records the first stray row or slice it is sent; Mul
+	// returns it after the superstep.
+	var stray error
 
-	// Superstep 1: row holders scatter block segments to cube machines.
-	err = sim.Superstep("mm/3d/distribute", func(id int, in []clique.Message) ([]clique.Message, error) {
-		if id >= d {
-			return nil, nil
-		}
-		r := id
-		var msgs []clique.Message
-		ar, br := a.Row(r), b.Row(r)
-		blockOf := r / bs
-		for seg := 0; seg < q; seg++ {
-			lo := seg * bs
-			if lo >= d {
-				break
+	// Superstep 1: row holders scatter block segments to cube machines,
+	// which store each row of A_{i,k} and B_{k,j} at its place in the block.
+	ablk := make([]float64, q3*bs*bs)
+	bblk := make([]float64, q3*bs*bs)
+	err = clique.Run(sim, &clique.Step[segMsg]{
+		Name: "mm/3d/distribute",
+		Send: func(o *clique.Out[segMsg]) error {
+			for r := 0; r < d; r++ {
+				o.From(r)
+				blockOf := r / bs
+				for seg := 0; seg < q; seg++ {
+					lo := seg * bs
+					if lo >= d {
+						break
+					}
+					hi := min(lo+bs, d)
+					// A[r][lo:hi] is part of block A_{blockOf, seg}; needed by
+					// machines (blockOf, j, seg) for every j.
+					for j := 0; j < q; j++ {
+						o.Send(cube(blockOf, j, seg), 1+hi-lo, segMsg{r, false, a.Row(r)[lo:hi]})
+					}
+					// B[r][lo:hi] is part of block B_{blockOf, seg}; needed by
+					// machines (i, seg, blockOf) for every i.
+					for i := 0; i < q; i++ {
+						o.Send(cube(i, seg, blockOf), 1+hi-lo, segMsg{r, true, b.Row(r)[lo:hi]})
+					}
+				}
 			}
-			hi := lo + bs
-			if hi > d {
-				hi = d
+			return nil
+		},
+		Recv: func(to int, m segMsg) {
+			blk, lr := ablk, m.row-(to/(q*q))*bs
+			if m.isB {
+				blk, lr = bblk, m.row-(to%q)*bs
 			}
-			// A[r][lo:hi] is part of block A_{blockOf, seg}; needed by
-			// machines (blockOf, j, seg) for every j.
-			wordsA := make([]clique.Word, 0, hi-lo+1)
-			wordsA = append(wordsA, clique.IntWord(r))
-			for _, v := range ar[lo:hi] {
-				wordsA = append(wordsA, clique.FloatWord(v))
+			if lr < 0 || lr >= bs {
+				if stray == nil {
+					stray = fmt.Errorf("mm: stray row %d (B: %v) at cube machine %d", m.row, m.isB, to)
+				}
+				return
 			}
-			for j := 0; j < q; j++ {
-				msgs = append(msgs, clique.Message{To: cube(blockOf, j, seg), Tag: tagA, Words: wordsA})
+			copy(blk[(to*bs+lr)*bs:], m.vals)
+		},
+		Encode: func(dst []clique.Word, m segMsg) []clique.Word {
+			h := m.row << 1
+			if m.isB {
+				h |= 1
 			}
-			// B[r][lo:hi] is part of block B_{blockOf, seg}; needed by
-			// machines (i, seg, blockOf) for every i.
-			wordsB := make([]clique.Word, 0, hi-lo+1)
-			wordsB = append(wordsB, clique.IntWord(r))
-			for _, v := range br[lo:hi] {
-				wordsB = append(wordsB, clique.FloatWord(v))
-			}
-			for i := 0; i < q; i++ {
-				msgs = append(msgs, clique.Message{To: cube(i, seg, blockOf), Tag: tagB, Words: wordsB})
-			}
-		}
-		return msgs, nil
+			return appendFloats(append(dst, clique.IntWord(h)), m.vals)
+		},
+		Decode: func(_ int, ws []clique.Word) segMsg {
+			h := ws[0].Int()
+			return segMsg{h >> 1, h&1 == 1, floats(ws[1:])}
+		},
 	})
+	if err == nil {
+		err = stray
+	}
 	if err != nil {
 		return nil, err
 	}
 
-	// Superstep 2: cube machines assemble their blocks, multiply, and
-	// scatter row slices of the partial product along the k dimension.
-	err = sim.Superstep("mm/3d/multiply", func(id int, in []clique.Message) ([]clique.Message, error) {
-		if id >= q*q*q {
-			return nil, nil
-		}
-		i := id / (q * q)
-		j := (id / q) % q
-		k := id % q
-		ablk := make([]float64, bs*bs)
-		bblk := make([]float64, bs*bs)
-		for _, m := range in {
-			r := m.Words[0].Int()
-			switch m.Tag {
-			case tagA:
-				lr := r - i*bs
-				if lr < 0 || lr >= bs {
-					return nil, fmt.Errorf("mm: stray A row %d at cube (%d,%d,%d)", r, i, j, k)
+	// Superstep 2: cube machines multiply their blocks and scatter row
+	// slices of the partial product along the k dimension. Cube machine
+	// (i,j,s) keeps the slice from depth k in slot k of its parts.
+	parts := make([][]float64, q3*q)
+	err = clique.Run(sim, &clique.Step[sliceMsg]{
+		Name: "mm/3d/multiply",
+		Send: func(o *clique.Out[sliceMsg]) error {
+			for id := 0; id < q3; id++ {
+				o.From(id)
+				i, j := id/(q*q), (id/q)%q
+				ab, bb := ablk[id*bs*bs:(id+1)*bs*bs], bblk[id*bs*bs:(id+1)*bs*bs]
+				// part = ab * bb, (bs x bs), ikj order.
+				part := make([]float64, bs*bs)
+				for r := 0; r < bs; r++ {
+					for kk := 0; kk < bs; kk++ {
+						av := ab[r*bs+kk]
+						if av == 0 {
+							continue
+						}
+						bRow := bb[kk*bs:]
+						pRow := part[r*bs:]
+						for c := 0; c < bs; c++ {
+							pRow[c] += av * bRow[c]
+						}
+					}
 				}
-				for c, w := range m.Words[1:] {
-					ablk[lr*bs+c] = w.Float()
+				// Slice s holds local rows [s*rowsPerSlice, ...).
+				for s := 0; s < q; s++ {
+					lo := s * rowsPerSlice
+					if lo >= bs {
+						break
+					}
+					hi := min(lo+rowsPerSlice, bs)
+					o.Send(cube(i, j, s), 1+(hi-lo)*bs, sliceMsg{id % q, lo, part[lo*bs : hi*bs]})
 				}
-			case tagB:
-				lr := r - k*bs
-				if lr < 0 || lr >= bs {
-					return nil, fmt.Errorf("mm: stray B row %d at cube (%d,%d,%d)", r, i, j, k)
-				}
-				for c, w := range m.Words[1:] {
-					bblk[lr*bs+c] = w.Float()
-				}
-			default:
-				return nil, fmt.Errorf("mm: unexpected tag %d in multiply step", m.Tag)
 			}
-		}
-		// part = ablk * bblk, (bs x bs), ikj order.
-		part := make([]float64, bs*bs)
-		for r := 0; r < bs; r++ {
-			for kk := 0; kk < bs; kk++ {
-				av := ablk[r*bs+kk]
-				if av == 0 {
+			return nil
+		},
+		Recv: func(to int, m sliceMsg) {
+			if lo := (to % q) * rowsPerSlice; m.lo != lo {
+				if stray == nil {
+					stray = fmt.Errorf("mm: slice offset mismatch %d vs %d", m.lo, lo)
+				}
+				return
+			}
+			parts[to*q+m.depth] = m.vals
+		},
+		Encode: func(dst []clique.Word, m sliceMsg) []clique.Word {
+			return appendFloats(append(dst, clique.IntWord(m.lo)), m.vals)
+		},
+		Decode: func(from int, ws []clique.Word) sliceMsg {
+			return sliceMsg{from % q, ws[0].Int(), floats(ws[1:])}
+		},
+	})
+	if err == nil {
+		err = stray
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	// Superstep 3: sum the q partial slices in depth order and forward
+	// finished rows to their global row holders, which store them.
+	out := matrix.MustNew(d, d)
+	err = clique.Run(sim, &clique.Step[rowSeg]{
+		Name: "mm/3d/reduce",
+		Send: func(o *clique.Out[rowSeg]) error {
+			for id := 0; id < q3; id++ {
+				o.From(id)
+				i, j, s := id/(q*q), (id/q)%q, id%q
+				lo := s * rowsPerSlice
+				if lo >= bs {
 					continue
 				}
-				bRow := bblk[kk*bs:]
-				pRow := part[r*bs:]
-				for c := 0; c < bs; c++ {
-					pRow[c] += av * bRow[c]
+				hi := min(lo+rowsPerSlice, bs)
+				sum := make([]float64, (hi-lo)*bs)
+				for _, p := range parts[id*q : (id+1)*q] {
+					for x, v := range p {
+						sum[x] += v
+					}
+				}
+				// Local row lr in [lo, hi) is global row i*bs + lr; its
+				// column range is [j*bs, j*bs+bs) clipped to d.
+				cLo := j * bs
+				for lr := lo; lr < hi && cLo < d; lr++ {
+					gr := i*bs + lr
+					if gr >= d {
+						break
+					}
+					cHi := min(cLo+bs, d)
+					o.Send(gr, 1+cHi-cLo, rowSeg{cLo, sum[(lr-lo)*bs : (lr-lo)*bs+cHi-cLo]})
 				}
 			}
-		}
-		// Scatter slice s (local rows [s*rowsPerSlice, ...)) to cube(i,j,s).
-		var msgs []clique.Message
-		for s := 0; s < q; s++ {
-			lo := s * rowsPerSlice
-			if lo >= bs {
-				break
-			}
-			hi := lo + rowsPerSlice
-			if hi > bs {
-				hi = bs
-			}
-			words := make([]clique.Word, 0, (hi-lo)*bs+1)
-			words = append(words, clique.IntWord(lo))
-			for _, v := range part[lo*bs : hi*bs] {
-				words = append(words, clique.FloatWord(v))
-			}
-			msgs = append(msgs, clique.Message{To: cube(i, j, s), Tag: tagPart, Words: words})
-		}
-		return msgs, nil
+			return nil
+		},
+		Recv: func(to int, m rowSeg) { copy(out.Row(to)[m.cLo:], m.vals) },
+		Encode: func(dst []clique.Word, m rowSeg) []clique.Word {
+			return appendFloats(append(dst, clique.IntWord(m.cLo)), m.vals)
+		},
+		Decode: func(_ int, ws []clique.Word) rowSeg { return rowSeg{ws[0].Int(), floats(ws[1:])} },
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Superstep 3: sum the q partial slices and forward finished rows to
-	// their global row holders.
-	err = sim.Superstep("mm/3d/reduce", func(id int, in []clique.Message) ([]clique.Message, error) {
-		if id >= q*q*q {
-			return nil, nil
-		}
-		i := id / (q * q)
-		j := (id / q) % q
-		s := id % q
-		lo := s * rowsPerSlice
-		if lo >= bs {
-			return nil, nil
-		}
-		hi := lo + rowsPerSlice
-		if hi > bs {
-			hi = bs
-		}
-		sum := make([]float64, (hi-lo)*bs)
-		for _, m := range in {
-			if m.Tag != tagPart {
-				return nil, fmt.Errorf("mm: unexpected tag %d in reduce step", m.Tag)
-			}
-			if m.Words[0].Int() != lo {
-				return nil, fmt.Errorf("mm: slice offset mismatch %d vs %d", m.Words[0].Int(), lo)
-			}
-			for x, w := range m.Words[1:] {
-				sum[x] += w.Float()
-			}
-		}
-		// Local row lr in [lo, hi) is global row i*bs + lr; its column range
-		// is [j*bs, j*bs+bs) clipped to d.
-		var msgs []clique.Message
-		for lr := lo; lr < hi; lr++ {
-			gr := i*bs + lr
-			if gr >= d {
-				break
-			}
-			cLo := j * bs
-			if cLo >= d {
-				continue
-			}
-			cHi := cLo + bs
-			if cHi > d {
-				cHi = d
-			}
-			words := make([]clique.Word, 0, cHi-cLo+1)
-			words = append(words, clique.IntWord(cLo))
-			for c := cLo; c < cHi; c++ {
-				words = append(words, clique.FloatWord(sum[(lr-lo)*bs+(c-cLo)]))
-			}
-			msgs = append(msgs, clique.Message{To: gr, Tag: tagC, Words: words})
-		}
-		return msgs, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Superstep 4: row holders assemble their row of the product.
-	out := matrix.MustNew(d, d)
-	err = sim.Superstep("mm/3d/collect", func(id int, in []clique.Message) ([]clique.Message, error) {
-		if id >= d {
-			return nil, nil
-		}
-		row := out.Row(id)
-		for _, m := range in {
-			if m.Tag != tagC {
-				return nil, fmt.Errorf("mm: unexpected tag %d in collect step", m.Tag)
-			}
-			cLo := m.Words[0].Int()
-			for x, w := range m.Words[1:] {
-				row[cLo+x] = w.Float()
-			}
-		}
-		return nil, nil
-	})
-	if err != nil {
+	// Superstep 4: row holders assemble their row of the product; the
+	// reduce step's receivers already stored each segment in place.
+	if err := clique.Local(sim, "mm/3d/collect", nil); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// segMsg is a segment of row `row` of A or (isB) of B in flight. Its header
+// word packs the row index and the A/B bit.
+type segMsg struct {
+	row  int
+	isB  bool
+	vals []float64
+}
+
+// sliceMsg is a row slice of a partial product in flight, from depth
+// `depth` of the cube, starting at local row lo. The depth costs no word:
+// the receiver knows it from the sending machine.
+type sliceMsg struct {
+	depth, lo int
+	vals      []float64
+}
+
+// rowSeg is a finished product row segment in flight, starting at column
+// cLo.
+type rowSeg struct {
+	cLo  int
+	vals []float64
 }
