@@ -54,26 +54,24 @@ func sampleLoop(g *graph.Graph, cfg Config, src *prng.Source, warm *Prepared, tr
 	sim := newSim(n)
 	sim.SetTrace(tr, tag)
 	stats := &Stats{}
+	// One sampler state serves every phase and Las Vegas segment of this
+	// draw; see phaseRunner.
+	r := newPhaseRunner(sim, g, cfg, warm, stats)
 
 	visited := make([]bool, n)
-	// One scratch arena serves every phase runner (and Las Vegas segment) of
-	// this sample; see phaseScratch.
-	sc := newPhaseScratch(n)
 	// Machine 1 (index 0) hosts the start vertex (Algorithm 1 step 1).
 	start := 0
 	visited[start] = true
 	visitedCount := 1
 	firstVisitEdges := make([]graph.Edge, 0, n-1)
+	members := make([]int, 0, n)
 
 	for phase := 0; visitedCount < n; phase++ {
 		if phase >= maxPhases(n) {
 			return nil, nil, fmt.Errorf("core: exceeded %d phases with %d of %d vertices visited", maxPhases(n), visitedCount, n)
 		}
-		phaseSpan := sim.TraceSpan("core/phase")
-		phaseSpan.SetInt("phase", int64(phase))
 		// S = unvisited vertices plus the walk's current endpoint (§2.2).
-		members := make([]int, 0, n-visitedCount+1)
-		members = append(members, start)
+		members = append(members[:0], start)
 		for v := 0; v < n; v++ {
 			if !visited[v] {
 				members = append(members, v)
@@ -83,66 +81,13 @@ func sampleLoop(g *graph.Graph, cfg Config, src *prng.Source, warm *Prepared, tr
 		if err != nil {
 			return nil, nil, err
 		}
-		rhoPhase := cfg.Rho
-		if rhoPhase > sub.Size() {
-			rhoPhase = sub.Size()
-		}
-		// Build the phase walk; under LasVegas (appendix §5.1) the walk is
-		// extended segment by segment from its endpoint until the distinct
-		// budget is met, so coverage failures cannot occur.
-		phaseSrc := src.Split(uint64(1000 + phase))
-		preSeen := map[int]struct{}{}
-		var walkLocal []int
-		var runner *phaseRunner
-		segStart := start
-		for segment := 0; ; segment++ {
-			r, err := newPhaseRunner(sim, g, cfg, sub, segStart, phase, preSeen, phaseSrc.Split(uint64(segment)), stats, warm, sc)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: phase %d: %w", phase, err)
-			}
-			segWalk, err := r.run()
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: phase %d: %w", phase, err)
-			}
-			if runner != nil {
-				runner.release()
-			}
-			runner = r
-			if segment == 0 {
-				walkLocal = segWalk
-			} else {
-				// The segment starts at the previous endpoint; drop the
-				// duplicated join vertex.
-				walkLocal = append(walkLocal, segWalk[1:]...)
-				stats.Extensions++
-			}
-			if !cfg.LasVegas {
-				break
-			}
-			distinct := map[int]struct{}{}
-			for _, v := range walkLocal {
-				distinct[v] = struct{}{}
-			}
-			if len(distinct) >= rhoPhase {
-				break
-			}
-			if segment+1 >= maxExtensions {
-				return nil, nil, fmt.Errorf("core: phase %d needed more than %d Las Vegas extensions", phase, maxExtensions)
-			}
-			preSeen = distinct
-			lastLocal := walkLocal[len(walkLocal)-1]
-			segGlobal, err := sub.VertexAt(lastLocal)
-			if err != nil {
-				return nil, nil, err
-			}
-			segStart = segGlobal
-		}
-		stats.WalkSteps += len(walkLocal) - 1
-
-		edges, newGlobal, err := runner.firstVisitEdges(walkLocal)
-		runner.release()
+		phaseSpan := sim.TraceSpan("core/phase")
+		phaseSpan.SetInt("phase", int64(phase))
+		edges, newGlobal, last, err := r.runPhase(sub, phase, start, src.Split(uint64(1000+phase)))
+		phaseSpan.SetInt("new_vertices", int64(len(newGlobal)))
+		phaseSpan.End()
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: phase %d first-visit edges: %w", phase, err)
+			return nil, nil, err
 		}
 		firstVisitEdges = append(firstVisitEdges, edges...)
 		for _, v := range newGlobal {
@@ -158,13 +103,7 @@ func sampleLoop(g *graph.Graph, cfg Config, src *prng.Source, warm *Prepared, tr
 			return nil, nil, fmt.Errorf("core: phase %d made no progress", phase)
 		}
 		// Next phase continues from the final vertex of this phase's walk.
-		last, err := sub.VertexAt(walkLocal[len(walkLocal)-1])
-		if err != nil {
-			return nil, nil, err
-		}
 		start = last
-		phaseSpan.SetInt("new_vertices", int64(len(newGlobal)))
-		phaseSpan.End()
 	}
 
 	stats.Rounds = sim.Rounds()
@@ -177,18 +116,69 @@ func sampleLoop(g *graph.Graph, cfg Config, src *prng.Source, warm *Prepared, tr
 	return tree, stats, nil
 }
 
+// runPhase runs one phase over sub from the global vertex start, with its
+// randomness split from src: the walk on Schur(G, S), then first-visit edge
+// recovery. Under LasVegas (appendix §5.1) the walk is extended segment by
+// segment from its endpoint until it has seen rho distinct vertices, so
+// coverage failures cannot occur. It returns the sampled edges, the newly
+// visited global vertices in first-visit order, and the walk's final global
+// vertex.
+func (r *phaseRunner) runPhase(sub *schur.Subset, phase, start int, src *prng.Source) ([]graph.Edge, []int, int, error) {
+	r.beginPhase(sub, phase)
+	defer r.endPhase()
+	from, err := sub.LocalIndex(start)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("core: phase %d start vertex: %w", phase, err)
+	}
+	var walk []int
+	for segment := 0; ; segment++ {
+		if err := r.beginSegment(from, src.Split(uint64(segment))); err != nil {
+			return nil, nil, 0, fmt.Errorf("core: phase %d: %w", phase, err)
+		}
+		segWalk, err := r.run()
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("core: phase %d: %w", phase, err)
+		}
+		if segment == 0 {
+			walk = segWalk
+		} else {
+			// The segment starts at the previous endpoint; drop the
+			// duplicated join vertex.
+			walk = append(walk, segWalk[1:]...)
+			r.stats.Extensions++
+		}
+		if !r.cfg.LasVegas {
+			break
+		}
+		r.markWalked(segWalk)
+		if r.walkedN >= r.rho {
+			break
+		}
+		if segment+1 >= maxExtensions {
+			return nil, nil, 0, fmt.Errorf("core: phase %d needed more than %d Las Vegas extensions", phase, maxExtensions)
+		}
+		from = walk[len(walk)-1]
+	}
+	r.stats.WalkSteps += len(walk) - 1
+
+	edges, newGlobal, err := r.firstVisitEdges(walk)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("core: phase %d first-visit edges: %w", phase, err)
+	}
+	return edges, newGlobal, r.hostOf(walk[len(walk)-1]), nil
+}
+
 // firstVisitEdges runs the Algorithm 4 protocol for one phase walk: for
 // every distinct vertex v (other than the phase start) of the walk on
 // Schur(G, S), sample the G-edge by which the underlying G-walk first
 // entered v. It returns the sampled edges and the newly visited global
 // vertices in first-visit order.
 func (r *phaseRunner) firstVisitEdges(walkLocal []int) ([]graph.Edge, []int, error) {
-	sc := r.sc
-	sc.readyFirstVisits()
-	seen := &sc.seen
+	r.readyFirstVisits()
+	seen := &r.seen
 	seen.reset()
 	seen.mark(walkLocal[0])
-	visits := sc.visits[:0]
+	visits := r.visits[:0]
 	for i := 1; i < len(walkLocal); i++ {
 		lv := walkLocal[i]
 		if !seen.mark(lv) {
@@ -196,16 +186,16 @@ func (r *phaseRunner) firstVisitEdges(walkLocal []int) ([]graph.Edge, []int, err
 		}
 		v := r.hostOf(lv)
 		visits = append(visits, fvVisit{prev: r.hostOf(walkLocal[i-1]), v: v})
-		sc.fvEdge[v] = -1
+		r.fvEdge[v] = -1
 	}
-	sc.visits = visits
+	r.visits = visits
 	if len(visits) == 0 {
 		return nil, nil, nil
 	}
 	if err := r.buildShortcutRows(); err != nil {
 		return nil, nil, err
 	}
-	p := sc.proto
+	p := r.proto
 	if err := clique.Run(r.sim, &p.notify); err != nil {
 		return nil, nil, err
 	}
@@ -226,7 +216,7 @@ func (r *phaseRunner) firstVisitEdges(walkLocal []int) ([]graph.Edge, []int, err
 	edges := make([]graph.Edge, 0, len(visits))
 	order := make([]int, 0, len(visits))
 	for _, vis := range visits {
-		u := sc.fvEdge[vis.v]
+		u := r.fvEdge[vis.v]
 		if u < 0 {
 			return nil, nil, fmt.Errorf("core: no entry edge reported for vertex %d", vis.v)
 		}

@@ -135,3 +135,29 @@ func TestFidelityPreparedWith(t *testing.T) {
 		checkExecutorsAgree(t, "prepared", charged, full)
 	}
 }
+
+// TestFidelityGoldenLasVegas checks the executors agree when phases extend
+// their walks (appendix §5.1): the exact variant with walk length 16 on
+// 3-regular graphs, where a 16-step walk often sees fewer than ⌊n^(2/3)⌋
+// distinct vertices, so later segments start from a walk's endpoint with
+// its vertices pre-seen.
+func TestFidelityGoldenLasVegas(t *testing.T) {
+	for _, n := range []int{32, 48} {
+		g, err := graph.RandomRegular(n, 3, prng.New(11).Split(uint64(n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		extensions := 0
+		for seed := uint64(1); seed <= 6; seed++ {
+			charged, full := onBothExecutors(t, func() (*spanning.Tree, *Stats, error) {
+				return SampleExact(g, Config{WalkLength: 16}, prng.New(seed))
+			})
+			checkExecutorsAgree(t, "las vegas", charged, full)
+			extensions += charged.stats.Extensions
+		}
+		t.Logf("n=%d: %d Las Vegas extensions", n, extensions)
+		if extensions == 0 {
+			t.Errorf("n=%d: no walk was extended", n)
+		}
+	}
+}

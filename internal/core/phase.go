@@ -26,35 +26,56 @@ type pairState struct {
 	seq     []int     // Π_{p,q}: the c_{p,q} sampled midpoints, in occurrence order
 }
 
-// phaseRunner executes one phase of the sampler: a truncated top-down walk
-// on the phase's transition matrix, then first-visit edge recovery.
+// phaseRunner is one draw's sampler state. sampleLoop builds it once per
+// draw from the draw's inputs; each phase begins with beginPhase and each of
+// its walk segments (one, or several under Las Vegas) with beginSegment. A
+// phase is a truncated top-down walk on the phase's transition matrix, then
+// first-visit edge recovery.
+//
+// It is also the draw's scratch arena: the per-level protocol steps — pair
+// assignment, midpoint generation, the O(log l) count collections of the
+// truncation search, and midpoint placement — reuse flat buffers instead of
+// allocating maps and slices a few thousand times per tree. Everything in
+// the arena is bookkeeping whose values are recomputed each use; nothing
+// observable (trees, Stats, traces) depends on the reuse.
+//
+// It is single-goroutine state: both clique executors call a declaration's
+// send and receive functions from the calling goroutine, and the protocol's
+// declarations (proto) act on this state directly.
 type phaseRunner struct {
-	sim *clique.Sim
-	g   *graph.Graph
-	cfg Config
+	// The draw's inputs.
+	sim    *clique.Sim
+	g      *graph.Graph
+	cfg    Config
+	warm   *Prepared // Prepare's phase-0 table; nil recomputes it
+	stats  *Stats
+	n      int // machine count; local indices and pair codes are < n and n²
+	maxExp int // log2 of the walk length: the power table's top exponent
+	proto  *protocol
 
-	sub    *schur.Subset
-	phase  int // phase index; phase 0 walks on G itself (see shortcut)
-	pd     *matrix.PowerDyadic
-	built  bool // pd was built for this phase, not taken from Prepared
-	leader int  // global machine id of leader (hosts start vertex)
-	start  int  // local index of phase start vertex
-	rho    int  // distinct-vertex budget this phase
-	// q holds the shortcut rows the first-visit step reads, one per
-	// distinct Schur-walk predecessor of a first visit (sc.qRow maps a
-	// global vertex to its row). firstVisitEdges builds them once the
-	// phase walk is known; nil before that and in phase 0.
-	q *matrix.Matrix
-	// preSeen holds local indices already visited by earlier Las Vegas
-	// segments of the same phase; they count toward the rho budget but a
-	// reappearance is never a "first occurrence" (appendix §5.1).
-	preSeen map[int]struct{}
-
+	// The phase, set by beginPhase.
+	sub   *schur.Subset
+	phase int // phase index; phase 0 walks on G itself (see shortcut)
+	rho   int // distinct-vertex budget this phase
 	// hosts maps a local subset index to the global machine hosting it
 	// (sub.Vertices(), fetched once — the protocol loops consult it per
 	// message charge).
 	hosts []int
+	// walked marks the local indices the phase's completed Las Vegas
+	// segments visited, walkedN of them. They count toward the rho budget,
+	// but a reappearance is never a "first occurrence" (appendix §5.1).
+	walked  stamp
+	walkedN int
+	// q holds the shortcut rows the first-visit step reads, one per
+	// distinct Schur-walk predecessor of a first visit (qRow maps a global
+	// vertex to its row). firstVisitEdges builds them once the phase walk is
+	// known; nil before that and in phase 0.
+	q *matrix.Matrix
 
+	// The segment, set by beginSegment.
+	pd     *matrix.PowerDyadic
+	built  bool // pd was built for this segment, not taken from Prepared
+	leader int  // global machine id of leader (hosts the segment's start)
 	// src seeds the per-machine randomness; rngs materializes machine
 	// streams lazily on first use. Stream derivation depends only on
 	// (src seed, machine id), so laziness is draw-for-draw identical to
@@ -62,153 +83,235 @@ type phaseRunner struct {
 	src  *prng.Source
 	rngs []*prng.Source
 
-	// sc is the per-sample scratch arena shared by all runners of one
-	// sampleLoop call (including Las Vegas segments).
-	sc *phaseScratch
-
 	// Leader-local walk state: dense dyadic grid in local indices.
 	walk    []int
 	spacing int64
+	// half is P^(δ/2) at the current level's spacing δ, the power the
+	// midpoint weights and the leader's submatrix read.
+	half *matrix.Matrix
+	// bsMf is the result of the most recent count collection besides the
+	// midpoint multiset in counts: the midpoint value at the queried slot,
+	// -1 if none.
+	bsMf int
 
 	// Leader-local slot bookkeeping for the current level: slot j (1-based)
-	// sits between walk[j-1] and walk[j]. The slices are views into the
-	// scratch arena.
+	// sits between walk[j-1] and walk[j].
 	slotPair []pairKey
 	slotOcc  []int // occurrence index (1-based) of the slot within its pair
 	slotIdx  []int // pair order index of the slot's pair
 
-	// half is P^(δ/2) at the current level's spacing δ, the power the
-	// midpoint weights and the leader's submatrix read.
-	half *matrix.Matrix
+	// Pair bookkeeping for the current level. pairIdx maps the dense pair
+	// code p*n+q to the pair's first-appearance index, epoch-stamped so a new
+	// level invalidates it in O(1).
+	pairIdx      []int32
+	pairIdxepoch []uint32
+	pairEpoch    uint32
+	pairOrder    []pairKey
+	pairCounts   []int // by order index
+	// pairMachine maps an order index k to its pair machine, k mod n. A
+	// machine owns several pairs when a level has more distinct pairs than
+	// machines (the appendix's exact variant does; the paper's main setting
+	// has at most n per the ρ = √n budget), and the simulator charges the
+	// extra per-machine bandwidth.
+	pairMachine []int
+	orderedPS   []*pairState
+	pairsOn     []int // by machine: pairs assigned to it so far this level
+	// The pair machines' current truncation candidate, by order index: the
+	// sequence prefix to tally and the mf occurrence to report (-1: none).
+	pairPrefix []int
+	pairOcc    []int
+	psPool     []*pairState
 
-	// Leader-local result of the most recent count collection: the midpoint
-	// multiset lives in sc.counts; bsMf is the midpoint value at the queried
-	// slot, -1 if none.
-	bsMf int
+	// The leader's current truncation candidate: prefix count by order
+	// index, and the mf slot's pair and occurrence (-1 when the prefix has
+	// no midpoint slot).
+	prefixCount []int
+	mfIdx       int
+	mfOcc       int
 
-	stats *Stats
+	counts dense // the leader's collected midpoint multiset
+	totals dense // per-collection tally aggregate
+	local  dense // per-pair prefix tally
+	seen   stamp // distinct-vertex marking (truncation check, need sets)
+
+	vertices  []int
+	rowsBuf   []int
+	needList  []int
+	subIdx    []int // needed vertex -> block index, valid under seen's epoch
+	needHosts []int // machine hosting each needed vertex
+	leaderTo  []int // the leader once per needed vertex: the block's receiving units
+	// block is the leader's fetched block of P^(δ/2) over needList (see
+	// subAt).
+	block     *matrix.Matrix
+	placedBuf []int // slot -> placed midpoint, one placement at a time
+	walkBuf   []int // spare walk buffer; swaps with the live walk each level
+
+	aliasB prng.AliasBuilder
+
+	// First-visit recovery (Algorithm 4): the phase's visits, and per
+	// machine (global id) the predecessor it was told, the requests it got,
+	// the replies it got, and the entry neighbor reported for it (-1: none).
+	visits    []fvVisit
+	fvPrev    []int
+	fvReqs    [][]fvReq
+	fvEntries [][]fvReply
+	fvEdge    []int
+	weights   []float64
+	// The phase's shortcut rows: qFrom lists their start vertices, and
+	// qRow maps a global vertex to its row (-1: none).
+	qFrom []int
+	qRow  []int
 }
 
-// newPhaseRunner prepares a phase: transition matrix of Schur(G, S), the
-// shortcut build's round charge (later phases only), dyadic power table
-// (with round charging), and the initial two-vertex partial walk. A non-nil
-// warm carries Prepare's cached phase-0 table: phase 0 always walks the full
-// vertex set, so its power table is a per-graph constant that only the
-// charging (not the numeric work) needs to be replayed for. Every later
-// phase walks on a subset that depends on the walk so far and is built
-// fresh.
-func newPhaseRunner(sim *clique.Sim, g *graph.Graph, cfg Config, sub *schur.Subset, startGlobal int, phaseIdx int, preSeen map[int]struct{}, src *prng.Source, stats *Stats, warm *Prepared, sc *phaseScratch) (*phaseRunner, error) {
-	startLocal, err := sub.LocalIndex(startGlobal)
-	if err != nil {
-		return nil, fmt.Errorf("core: phase start vertex: %w", err)
+// newPhaseRunner builds one draw's sampler state. A non-nil warm carries
+// Prepare's cached phase-0 table (see beginSegment).
+func newPhaseRunner(sim *clique.Sim, g *graph.Graph, cfg Config, warm *Prepared, stats *Stats) *phaseRunner {
+	n := g.N()
+	r := &phaseRunner{
+		sim:          sim,
+		g:            g,
+		cfg:          cfg,
+		warm:         warm,
+		stats:        stats,
+		n:            n,
+		maxExp:       int(math.Log2(float64(cfg.WalkLength)) + 0.5),
+		walked:       newStamp(n),
+		rngs:         make([]*prng.Source, n),
+		pairIdx:      make([]int32, n*n),
+		pairIdxepoch: make([]uint32, n*n),
+		pairsOn:      make([]int, n),
+		counts:       newDense(n),
+		totals:       newDense(n),
+		local:        newDense(n),
+		seen:         newStamp(n),
+		subIdx:       make([]int, n),
+		fvPrev:       make([]int, n),
+		fvReqs:       make([][]fvReq, n),
+		fvEntries:    make([][]fvReply, n),
+		fvEdge:       make([]int, n),
+		qRow:         make([]int, n),
 	}
-	maxExp := int(math.Log2(float64(cfg.WalkLength)) + 0.5)
-	var pd *matrix.PowerDyadic
-	built := false
+	for v := range r.qRow {
+		r.qRow[v] = -1
+	}
+	r.proto = newProtocol(r)
+	return r
+}
+
+// beginPhase starts a phase over the subset sub: the walk on Schur(G, S)
+// with S = sub, whose completed segments have visited nothing yet.
+func (r *phaseRunner) beginPhase(sub *schur.Subset, phase int) {
+	r.sub, r.phase = sub, phase
+	r.rho = min(r.cfg.Rho, sub.Size())
+	r.hosts = sub.Vertices()
+	r.walked.reset()
+	r.walkedN = 0
+}
+
+// beginSegment starts a walk segment of the current phase from the local
+// vertex start, with per-machine randomness split from src: the transition
+// matrix of Schur(G, S), the shortcut build's round charge (later phases
+// only), the dyadic power table (with round charging), and the initial
+// two-vertex partial walk. Each segment builds its table afresh, or replays
+// phase 0's: a non-nil warm carries Prepare's cached phase-0 table, since
+// phase 0 always walks the full vertex set, so its power table is a
+// per-graph constant that only the charging (not the numeric work) needs to
+// be replayed for. Every later phase walks on a subset that depends on the
+// walk so far and is built fresh.
+func (r *phaseRunner) beginSegment(start int, src *prng.Source) error {
+	r.releaseTable()
 	// The phase-0 state is usable only under the Fast backend, whose Mul is
 	// the same local matrix.Mul Prepare built it with and whose round charges
 	// ReplayDyadicTable reproduces exactly. The dataflow backends (naive,
 	// semiring3d) route real words through the simulator and may accumulate
 	// in a different order, so they always build in-simulation — identical
 	// numerics and accounting, no reuse benefit.
-	if _, fast := cfg.Backend.(mm.Fast); warm != nil && fast && phaseIdx == 0 && sub.Size() == g.N() {
-		pd = warm.pd0
-		if err := mm.ReplayDyadicTable(sim, cfg.Backend, pd); err != nil {
-			return nil, fmt.Errorf("core: replaying dyadic power table: %w", err)
+	if _, fast := r.cfg.Backend.(mm.Fast); r.warm != nil && fast && r.phase == 0 && r.sub.Size() == r.n {
+		r.pd = r.warm.pd0
+		if err := mm.ReplayDyadicTable(r.sim, r.cfg.Backend, r.pd); err != nil {
+			return fmt.Errorf("core: replaying dyadic power table: %w", err)
 		}
 	} else {
-		pd, err = buildPhaseState(sim, g, cfg, sub, phaseIdx, maxExp)
+		pd, err := buildPhaseState(r.sim, r.g, r.cfg, r.sub, r.phase, r.maxExp)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		built = true
+		r.pd, r.built = pd, true
 	}
-
-	rho := cfg.Rho
-	if rho > sub.Size() {
-		rho = sub.Size()
-	}
-	if preSeen == nil {
-		preSeen = map[int]struct{}{}
-	}
-	if sc == nil {
-		sc = newPhaseScratch(g.N())
-	}
-	clear(sc.rngs)
-	r := &phaseRunner{
-		sim:     sim,
-		g:       g,
-		cfg:     cfg,
-		sub:     sub,
-		phase:   phaseIdx,
-		pd:      pd,
-		built:   built,
-		leader:  startGlobal,
-		start:   startLocal,
-		rho:     rho,
-		preSeen: preSeen,
-		hosts:   sub.Vertices(),
-		src:     src,
-		rngs:    sc.rngs,
-		sc:      sc,
-	}
-	r.stats = stats
-	sc.r = r // the protocol's declarations act on the newest runner
+	r.leader = r.hostOf(start)
+	r.src = src
+	clear(r.rngs)
 
 	// Outline 3 steps 3-4: sample the endpoint from S^l[start, *]. The
 	// leader holds its own row of every power, so this is a local draw.
-	endPow, err := pd.Power(int(cfg.WalkLength))
+	endPow, err := r.pd.Power(int(r.cfg.WalkLength))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	end, err := r.rng(r.leader).WeightedIndex(endPow.Row(startLocal))
+	end, err := r.rng(r.leader).WeightedIndex(endPow.Row(start))
 	if err != nil {
-		return nil, fmt.Errorf("core: sampling phase endpoint: %w", err)
+		return fmt.Errorf("core: sampling phase endpoint: %w", err)
 	}
-	r.walk = []int{startLocal, end}
-	r.spacing = cfg.WalkLength
+	r.walk = []int{start, end}
+	r.spacing = r.cfg.WalkLength
 	r.truncateWalkLocal()
-	return r, nil
+	return nil
 }
 
-// release returns the phase state this runner built to the matrix scratch
-// pool once the phase is over (releasing a nil matrix is a no-op, and only
-// the runner that ran the first visits holds shortcut rows); the Prepared's
-// phase-0 table is shared and stays. Recycling keeps a sample's allocation,
-// and with it the garbage collector's work, to the walk's own state.
-func (r *phaseRunner) release() {
+// markWalked adds a completed segment's walk to the phase's walked set.
+func (r *phaseRunner) markWalked(walk []int) {
+	for _, v := range walk {
+		if r.walked.mark(v) {
+			r.walkedN++
+		}
+	}
+}
+
+// releaseTable returns a power table the current segment built to the
+// matrix scratch pool; the Prepared's phase-0 table is shared and stays.
+func (r *phaseRunner) releaseTable() {
 	if r.built {
 		r.pd.Release()
+		r.built = false
 	}
+	r.pd = nil
+}
+
+// endPhase returns the phase state the runner built — the last segment's
+// power table and the shortcut rows — to the matrix scratch pool once the
+// phase is over (releasing a nil matrix is a no-op). Recycling keeps a
+// sample's allocation, and with it the garbage collector's work, to the
+// walk's own state.
+func (r *phaseRunner) endPhase() {
+	r.releaseTable()
 	if r.q != nil {
 		r.q.Release()
 		r.q = nil
-		r.sc.resetShortcutRows()
+		r.resetShortcutRows()
 	}
 }
 
 // buildShortcutRows solves the shortcut rows the first-visit step reads:
 // Q[prev, *] for each distinct predecessor prev of the phase's first visits
-// (sc.visits), in first-appearance order. Phase 0 reads the identity and
-// builds none. A Las Vegas phase builds them once, on its last segment's
-// runner, over the whole extended walk: every segment walks the same
-// subset, so their rows are the same.
+// (r.visits), in first-appearance order. Phase 0 reads the identity and
+// builds none. A Las Vegas phase builds them once, after its last segment,
+// over the whole extended walk: every segment walks the same subset, so
+// their rows are the same.
 func (r *phaseRunner) buildShortcutRows() error {
 	if r.phase == 0 {
 		return nil
 	}
-	sc := r.sc
-	from := sc.qFrom[:0]
-	for _, vis := range sc.visits {
-		if sc.qRow[vis.prev] < 0 {
-			sc.qRow[vis.prev] = len(from)
+	from := r.qFrom[:0]
+	for _, vis := range r.visits {
+		if r.qRow[vis.prev] < 0 {
+			r.qRow[vis.prev] = len(from)
 			from = append(from, vis.prev)
 		}
 	}
-	sc.qFrom = from
+	r.qFrom = from
 	q, err := schur.ShortcutRows(r.g, r.sub, from)
 	if err != nil {
-		sc.resetShortcutRows()
+		r.resetShortcutRows()
 		return fmt.Errorf("core: shortcut rows: %w", err)
 	}
 	r.q = q
@@ -223,7 +326,7 @@ func (r *phaseRunner) buildShortcutRows() error {
 // rows for it.
 func (r *phaseRunner) shortcut(prev, u int) float64 {
 	if r.q != nil {
-		return r.q.At(r.sc.qRow[prev], u)
+		return r.q.At(r.qRow[prev], u)
 	}
 	if u == prev {
 		return 1
@@ -283,16 +386,11 @@ func (r *phaseRunner) hostOf(localIdx int) int {
 // prefix (together with vertices pre-seen by earlier segments) contains rho
 // distinct vertices.
 func (r *phaseRunner) truncateWalkLocal() {
-	seen := &r.sc.seen
+	seen := &r.seen
 	seen.reset()
-	distinct := 0
-	for v := range r.preSeen {
-		if seen.mark(v) {
-			distinct++
-		}
-	}
+	distinct := r.walkedN
 	for i, v := range r.walk {
-		if seen.mark(v) {
+		if !r.walked.has(v) && seen.mark(v) {
 			distinct++
 			if distinct == r.rho {
 				r.walk = r.walk[:i+1]
@@ -348,43 +446,39 @@ func (r *phaseRunner) runLevel() error {
 // machine k for the k-th distinct pair, and sends each its count.
 func (r *phaseRunner) assignPairs() error {
 	// Leader-local bookkeeping (the leader holds W_i).
-	sc := r.sc
-	n := r.sim.N()
 	k := len(r.walk) - 1
-	sc.resetLevel()
-	sc.slotPair = growPairKeys(sc.slotPair, k+1) // slots 1..k
-	sc.slotOcc = growInts(sc.slotOcc, k+1)
-	sc.slotIdx = growInts(sc.slotIdx, k+1)
-	r.slotPair, r.slotOcc, r.slotIdx = sc.slotPair, sc.slotOcc, sc.slotIdx
+	r.resetLevel()
+	r.slotPair = growPairKeys(r.slotPair, k+1) // slots 1..k
+	r.slotOcc = growInts(r.slotOcc, k+1)
+	r.slotIdx = growInts(r.slotIdx, k+1)
 	for j := 1; j <= k; j++ {
 		p, q := r.walk[j-1], r.walk[j]
-		oi := sc.pairLookup(p, q)
+		oi := r.pairLookup(p, q)
 		if oi < 0 {
-			oi = sc.pairInsert(p, q)
+			oi = r.pairInsert(p, q)
 		}
-		sc.pairCounts[oi]++
+		r.pairCounts[oi]++
 		r.slotPair[j] = pairKey{p: p, q: q}
-		r.slotOcc[j] = sc.pairCounts[oi]
+		r.slotOcc[j] = r.pairCounts[oi]
 		r.slotIdx[j] = oi
 	}
-	order := sc.pairOrder
-	sc.pairMachine = growInts(sc.pairMachine, len(order))
+	order := r.pairOrder
+	r.pairMachine = growInts(r.pairMachine, len(order))
 	for rank := range order {
-		sc.pairMachine[rank] = rank % n
+		r.pairMachine[rank] = rank % r.n
 	}
 
-	sc.readyPairs()
-	return clique.Run(r.sim, &sc.proto.assign)
+	r.readyPairs()
+	return clique.Run(r.sim, &r.proto.assign)
 }
 
 // generateMidpoints implements Algorithm 2 steps 4-5: each pair machine
 // acquires its midpoint distribution from the vertex machines and samples
 // its sequence Π_{p,q}.
 func (r *phaseRunner) generateMidpoints() error {
-	sc := r.sc
 	hosts := r.hosts[:r.sub.Size()]
-	machines := sc.pairMachine[:len(sc.pairOrder)]
-	req := &sc.proto.distreq
+	machines := r.pairMachine[:len(r.pairOrder)]
+	req := &r.proto.distreq
 	req.From, req.To = machines, hosts
 	if err := clique.RunDense(r.sim, req); err != nil {
 		return err
@@ -394,7 +488,7 @@ func (r *phaseRunner) generateMidpoints() error {
 		return err
 	}
 	r.half = half
-	reply := &sc.proto.distreply
+	reply := &r.proto.distreply
 	reply.From, reply.To = hosts, machines
 	if err := clique.RunDense(r.sim, reply); err != nil {
 		return err
@@ -403,8 +497,8 @@ func (r *phaseRunner) generateMidpoints() error {
 	// midpoint). Iterating pairs in order index consumes each machine's
 	// stream in its own pair order.
 	return clique.Local(r.sim, "core/generate", func() error {
-		for oi, ps := range sc.orderedPS {
-			alias, err := sc.aliasB.Build(ps.weights)
+		for oi, ps := range r.orderedPS {
+			alias, err := r.aliasB.Build(ps.weights)
 			if err != nil {
 				return fmt.Errorf("pair (%d,%d) at gap %d has empty midpoint distribution: %w", ps.key.p, ps.key.q, r.spacing, err)
 			}
@@ -428,26 +522,25 @@ func slotsInPrefix(ellPrime int64) int { return int((ellPrime + 1) / 2) }
 // midpoint slots).
 func (r *phaseRunner) collectCounts(ellPrime int64) error {
 	// Leader-local: per-pair prefix counts and the mf slot's owner.
-	sc := r.sc
 	sPrefix := slotsInPrefix(ellPrime)
-	pairs := len(sc.pairOrder)
-	sc.prefixCount = growInts(sc.prefixCount, pairs)
-	clear(sc.prefixCount)
+	pairs := len(r.pairOrder)
+	r.prefixCount = growInts(r.prefixCount, pairs)
+	clear(r.prefixCount)
 	for j := 1; j <= sPrefix; j++ {
-		sc.prefixCount[r.slotIdx[j]]++
+		r.prefixCount[r.slotIdx[j]]++
 	}
-	sc.mfIdx, sc.mfOcc = -1, -1
+	r.mfIdx, r.mfOcc = -1, -1
 	if sPrefix >= 1 {
-		sc.mfIdx, sc.mfOcc = r.slotIdx[sPrefix], r.slotOcc[sPrefix]
+		r.mfIdx, r.mfOcc = r.slotIdx[sPrefix], r.slotOcc[sPrefix]
 	}
-	sc.totals.reset()
-	if err := clique.Run(r.sim, &sc.proto.count); err != nil {
+	r.totals.reset()
+	if err := clique.Run(r.sim, &r.proto.count); err != nil {
 		return err
 	}
-	if err := clique.Run(r.sim, &sc.proto.tally); err != nil {
+	if err := clique.Run(r.sim, &r.proto.tally); err != nil {
 		return err
 	}
-	if err := clique.Run(r.sim, &sc.proto.report); err != nil {
+	if err := clique.Run(r.sim, &r.proto.report); err != nil {
 		return err
 	}
 	// The leader absorbed the reports as they arrived.
@@ -459,22 +552,17 @@ func (r *phaseRunner) collectCounts(ellPrime int64) error {
 // collectCounts(ellPrime).
 func (r *phaseRunner) checkTruncation(ellPrime int64) (bool, error) {
 	evenPrefix := int(ellPrime / 2) // walk indices 0..evenPrefix are in the prefix
-	counts := &r.sc.counts
-	seen := &r.sc.seen
+	counts := &r.counts
+	seen := &r.seen
 	seen.reset()
-	dist := 0
-	for v := range r.preSeen {
-		if seen.mark(v) {
-			dist++
-		}
-	}
+	dist := r.walkedN
 	for _, v := range r.walk[:evenPrefix+1] {
-		if seen.mark(v) {
+		if !r.walked.has(v) && seen.mark(v) {
 			dist++
 		}
 	}
 	for _, v := range counts.touched {
-		if counts.val[v] > 0 && seen.mark(v) {
+		if counts.val[v] > 0 && !r.walked.has(v) && seen.mark(v) {
 			dist++
 		}
 	}
@@ -494,8 +582,8 @@ func (r *phaseRunner) checkTruncation(ellPrime int64) (bool, error) {
 		}
 		last = r.bsMf
 	}
-	countLast := r.sc.counts.get(last)
-	if _, pre := r.preSeen[last]; pre {
+	countLast := r.counts.get(last)
+	if r.walked.has(last) {
 		countLast++ // seen in an earlier segment: not a first occurrence
 	}
 	for _, v := range r.walk[:evenPrefix+1] {
@@ -568,20 +656,19 @@ func (r *phaseRunner) placeMidpoints(ellStar int64) error {
 
 	// Expand the multiset minus one copy of mf into a deterministic row
 	// list.
-	sc := r.sc
-	counts := &sc.counts
+	counts := &r.counts
 	total := 0
-	vertices := sc.vertices[:0]
+	vertices := r.vertices[:0]
 	for _, v := range counts.touched {
 		total += counts.val[v]
 		vertices = append(vertices, v)
 	}
-	sc.vertices = vertices
+	r.vertices = vertices
 	if total != lastSlot {
 		return fmt.Errorf("core: multiset holds %d midpoints, prefix has %d slots", total, lastSlot)
 	}
 	sort.Ints(vertices)
-	rows := sc.rowsBuf[:0]
+	rows := r.rowsBuf[:0]
 	mfTaken := false
 	for _, v := range vertices {
 		c := counts.get(v)
@@ -593,7 +680,7 @@ func (r *phaseRunner) placeMidpoints(ellStar int64) error {
 			rows = append(rows, v)
 		}
 	}
-	sc.rowsBuf = rows
+	r.rowsBuf = rows
 	if !mfTaken {
 		return fmt.Errorf("core: final midpoint %d not present in collected multiset", r.bsMf)
 	}
@@ -601,9 +688,9 @@ func (r *phaseRunner) placeMidpoints(ellStar int64) error {
 	// The leader fetches the O(√n) x O(√n) submatrix of P^(δ/2) restricted
 	// to the vertices it needs: walk prefix vertices and midpoints
 	// (§2.1.3: broadcast S, receive the submatrix in O(1) rounds).
-	seen := &sc.seen
+	seen := &r.seen
 	seen.reset()
-	need := sc.needList[:0]
+	need := r.needList[:0]
 	for _, v := range r.walk[:evenPrefix+1] {
 		if seen.mark(v) {
 			need = append(need, v)
@@ -614,10 +701,9 @@ func (r *phaseRunner) placeMidpoints(ellStar int64) error {
 			need = append(need, v)
 		}
 	}
-	sc.needList = need
+	r.needList = need
 	sort.Ints(need)
-	sub, err := r.fetchSubmatrix()
-	if err != nil {
+	if err := r.fetchSubmatrix(); err != nil {
 		return err
 	}
 
@@ -631,8 +717,8 @@ func (r *phaseRunner) placeMidpoints(ellStar int64) error {
 	// positions and place directly from the Π sequences beyond it — the
 	// degenerate periodic-walk case where the instance grows toward Θ(l).
 	k := lastSlot - 1
-	sc.placedBuf = growInts(sc.placedBuf, lastSlot+1)
-	placed := sc.placedBuf // slot -> midpoint vertex (1-based); every read slot is written below
+	r.placedBuf = growInts(r.placedBuf, lastSlot+1)
+	placed := r.placedBuf // slot -> midpoint vertex (1-based); every read slot is written below
 	placed[lastSlot] = r.bsMf
 	switch {
 	case k == 0:
@@ -642,7 +728,7 @@ func (r *phaseRunner) placeMidpoints(ellStar int64) error {
 		for ri, x := range rows {
 			for j := 1; j <= k; j++ {
 				key := r.slotPair[j]
-				w.Set(ri, j-1, sub.at(key.p, x)*sub.at(x, key.q))
+				w.Set(ri, j-1, r.subAt(key.p, x)*r.subAt(x, key.q))
 			}
 		}
 		perm, err := matching.Exact{}.Sample(w, r.rng(r.leader))
@@ -659,7 +745,7 @@ func (r *phaseRunner) placeMidpoints(ellStar int64) error {
 	default:
 		// Direct Π-order placement (§5.3 equivalence).
 		for j := 1; j <= k; j++ {
-			ps := sc.orderedPS[r.slotIdx[j]]
+			ps := r.orderedPS[r.slotIdx[j]]
 			occ := r.slotOcc[j]
 			if occ > len(ps.seq) {
 				return fmt.Errorf("core: slot %d occurrence %d beyond sequence of %d", j, occ, len(ps.seq))
@@ -670,12 +756,12 @@ func (r *phaseRunner) placeMidpoints(ellStar int64) error {
 
 	// Assemble W_{i+1}: alternate walk vertices and placed midpoints up to
 	// grid index ellStar, at half the spacing. The next walk is built in the
-	// spare buffer and the outgoing walk becomes the new spare — only the
-	// phase's final walk escapes the runner (to sampleLoop), and that one is
-	// never recycled because the next runner starts from a fresh two-vertex
-	// slice.
-	sub.data.Release()
-	next := growInts(sc.walkBuf, int(ellStar)+1)[:0]
+	// spare buffer and the outgoing walk becomes the new spare — only a
+	// segment's final walk escapes the level loop (to runPhase), and that one
+	// is never recycled because the next segment starts from a fresh
+	// two-vertex slice.
+	r.block.Release()
+	next := growInts(r.walkBuf, int(ellStar)+1)[:0]
 	for g := int64(0); g <= ellStar; g++ {
 		if g%2 == 0 {
 			next = append(next, r.walk[g/2])
@@ -683,59 +769,53 @@ func (r *phaseRunner) placeMidpoints(ellStar int64) error {
 			next = append(next, placed[(g+1)/2])
 		}
 	}
-	sc.walkBuf = r.walk[:0]
+	r.walkBuf = r.walk[:0]
 	r.walk = next
 	r.spacing /= 2
 	return nil
 }
 
-// submat is the leader's fetched block of P^(δ/2) over the needed vertices,
-// keyed by local indices: the scratch arena's seen stamp (still marking
-// exactly the needed set from the caller's need-list construction) is the
-// membership test and subIdx the position. The block is stored transposed,
-// row b holding what every needed vertex sent for b.
-type submat struct {
-	sc   *phaseScratch
-	data *matrix.Matrix
-}
-
-func (s *submat) at(a, b int) float64 {
-	if !s.sc.seen.has(a) || !s.sc.seen.has(b) {
+// subAt reads P^(δ/2)[a, b] from the leader's fetched block over the needed
+// vertices, keyed by local indices, and 0 off that set: the seen stamp
+// (still marking exactly the needed set from placeMidpoints' need-list
+// construction) is the membership test and subIdx the position. The block
+// is stored transposed, row b holding what every needed vertex sent for b.
+func (r *phaseRunner) subAt(a, b int) float64 {
+	if !r.seen.has(a) || !r.seen.has(b) {
 		return 0
 	}
-	return s.data.At(s.sc.subIdx[b], s.sc.subIdx[a])
+	return r.block.At(r.subIdx[b], r.subIdx[a])
 }
 
-// fetchSubmatrix broadcasts the needed vertex set (sc.needList) and collects
-// the corresponding block of P^(δ/2) at the leader.
-func (r *phaseRunner) fetchSubmatrix() (*submat, error) {
-	sc := r.sc
-	need := sc.needList
+// fetchSubmatrix broadcasts the needed vertex set (r.needList) and collects
+// the corresponding block of P^(δ/2) at the leader, in r.block.
+func (r *phaseRunner) fetchSubmatrix() error {
+	need := r.needList
 	err := clique.RunBroadcast(r.sim, r.leader, len(need), func(dst []clique.Word) []clique.Word { return clique.AppendInts(dst, need...) })
 	if err != nil {
-		return nil, err
+		return err
 	}
 	half, err := r.pd.Power(int(r.spacing / 2))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.half = half
 	k := len(need)
-	sc.needHosts = growInts(sc.needHosts, k)
-	sc.leaderTo = growInts(sc.leaderTo, k)
+	r.needHosts = growInts(r.needHosts, k)
+	r.leaderTo = growInts(r.leaderTo, k)
 	for i, v := range need {
-		sc.subIdx[v] = i
-		sc.needHosts[i] = r.hostOf(v)
-		sc.leaderTo[i] = r.leader
+		r.subIdx[v] = i
+		r.needHosts[i] = r.hostOf(v)
+		r.leaderTo[i] = r.leader
 	}
-	sc.block = matrix.Scratch(k, k)
-	d := &sc.proto.submatrix
-	d.From, d.To = sc.needHosts, sc.leaderTo
+	r.block = matrix.Scratch(k, k)
+	d := &r.proto.submatrix
+	d.From, d.To = r.needHosts, r.leaderTo
 	if err := clique.RunDense(r.sim, d); err != nil {
-		return nil, err
+		return err
 	}
 	if err := clique.Local(r.sim, "core/submatrix-absorb", nil); err != nil {
-		return nil, err
+		return err
 	}
-	return &submat{sc: sc, data: sc.block}, nil
+	return nil
 }

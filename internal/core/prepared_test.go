@@ -2,9 +2,12 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/prng"
 	"repro/internal/spanning"
 )
@@ -127,5 +130,83 @@ func TestExactSharesPhaseTable(t *testing.T) {
 	}
 	if _, err := p.Exact(); err != nil {
 		t.Errorf("n=1 Exact: %v", err)
+	}
+}
+
+// TestFailedPhaseEndsItsSpan draws on a 200-cycle with walk length 2 and
+// rho = n under Las Vegas, so phase 0 runs out of extensions and the draw
+// fails. The failed phase's core/phase span must still end when the draw
+// returns, not stay open until the trace finishes: a span started after
+// the call must begin after every phase span has ended.
+func TestFailedPhaseEndsItsSpan(t *testing.T) {
+	g, err := graph.Cycle(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Prepare(g, Config{WalkLength: 2, Rho: 200, LasVegas: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := obs.NewTracer(1, 1)
+	tr := tracer.StartForced("core/test", "")
+	_, _, err = p.SampleWith(prng.New(1), SampleOpts{Trace: tr})
+	if err == nil || !strings.Contains(err.Error(), "Las Vegas extensions") {
+		t.Fatalf("draw error %v, want running out of Las Vegas extensions", err)
+	}
+	tr.StartSpan("marker").End()
+	time.Sleep(time.Millisecond) // the trace finishes strictly after the marker
+	tr.Finish()
+	snap := tracer.Snapshot(1)[0]
+	var marker float64
+	for _, sp := range snap.Spans {
+		if sp.Name == "marker" {
+			marker = sp.StartUS
+		}
+	}
+	phases := 0
+	for _, sp := range snap.Spans {
+		if sp.Name != "core/phase" {
+			continue
+		}
+		phases++
+		if end := sp.StartUS + sp.DurationUS; end > marker {
+			t.Errorf("phase %d span ends at %.1fµs, after the marker started at %.1fµs", sp.Attrs["phase"], end, marker)
+		}
+	}
+	if phases == 0 {
+		t.Error("no core/phase span recorded")
+	}
+}
+
+// BenchmarkPreparedSample times one warm draw, with its allocations, on the
+// serving benchmark's graph (3-regular, n = 96, graph seed 11) for the
+// phase sampler and for the appendix's exact variant. Draw i uses seed i,
+// so a fixed -benchtime Nx draws the same trees on every run.
+func BenchmarkPreparedSample(b *testing.B) {
+	const n = 96
+	g, err := graph.RandomRegular(n, 3, prng.New(11).Split(n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	phase, err := Prepare(g, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	exact, err := phase.Exact()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		p    *Prepared
+	}{{"phase", phase}, {"exact", exact}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := bc.p.Sample(prng.New(uint64(i))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -12,8 +12,8 @@ import (
 // names each sending unit's machine and emits its messages, and a receiving
 // function per message, which the simulator runs on its charged or its
 // materializing executor (clique/exec.go). The declarations are built once
-// per sample arena and act on the runner that is current
-// (phaseScratch.r); the runner sets a dense superstep's unit lists before
+// per draw, with the draw's sampler state, and act on that state's current
+// phase and segment; the runner sets a dense superstep's unit lists before
 // it runs it.
 type protocol struct {
 	assign    clique.Step[assignMsg]
@@ -52,7 +52,7 @@ type (
 	fvEdge struct{ u, v int }
 )
 
-func newProtocol(sc *phaseScratch) *protocol {
+func newProtocol(r *phaseRunner) *protocol {
 	return &protocol{
 		// Algorithm 2 steps 2-3: the leader designates machine k mod n for
 		// the k-th distinct pair and sends it the pair's count. Machine m's
@@ -61,20 +61,20 @@ func newProtocol(sc *phaseScratch) *protocol {
 		assign: clique.Step[assignMsg]{
 			Name: "core/assign",
 			Send: func(o *clique.Out[assignMsg]) error {
-				o.From(sc.r.leader)
-				for oi, key := range sc.pairOrder {
-					o.Send(sc.pairMachine[oi], 3, assignMsg{key.p, key.q, sc.pairCounts[oi]})
+				o.From(r.leader)
+				for oi, key := range r.pairOrder {
+					o.Send(r.pairMachine[oi], 3, assignMsg{key.p, key.q, r.pairCounts[oi]})
 				}
 				return nil
 			},
 			Recv: func(m int, a assignMsg) {
-				oi := sc.pairsOn[m]*sc.n + m
-				sc.pairsOn[m]++
-				ps := sc.psPool[oi]
+				oi := r.pairsOn[m]*r.n + m
+				r.pairsOn[m]++
+				ps := r.psPool[oi]
 				ps.key = pairKey{p: a.p, q: a.q}
-				ps.weights = growFloats(ps.weights, sc.r.sub.Size())
+				ps.weights = growFloats(ps.weights, r.sub.Size())
 				ps.seq = growInts(ps.seq, a.count)
-				sc.orderedPS[oi] = ps
+				r.orderedPS[oi] = ps
 			},
 			Encode: func(dst []clique.Word, a assignMsg) []clique.Word { return clique.AppendInts(dst, a.p, a.q, a.count) },
 			Decode: func(_ int, w []clique.Word) assignMsg { return assignMsg{w[0].Int(), w[1].Int(), w[2].Int()} },
@@ -90,13 +90,13 @@ func newProtocol(sc *phaseScratch) *protocol {
 		distreply: clique.Dense{
 			Name: "core/distreply", Words: 4,
 			Values: func(oi int, row []float64) {
-				key, half := sc.pairOrder[oi], sc.r.half
+				key, half := r.pairOrder[oi], r.half
 				rowP := half.Row(key.p)
 				for j := range row {
 					row[j] = rowP[j] * half.At(j, key.q)
 				}
 			},
-			Into: func(oi int) []float64 { return sc.orderedPS[oi].weights },
+			Into: func(oi int) []float64 { return r.orderedPS[oi].weights },
 		},
 		// Algorithm 3, one truncation candidate: the leader sends each pair
 		// machine its prefix count, plus the mf occurrence query for the
@@ -104,27 +104,27 @@ func newProtocol(sc *phaseScratch) *protocol {
 		count: clique.Step[countMsg]{
 			Name: "core/bs/count",
 			Send: func(o *clique.Out[countMsg]) error {
-				o.From(sc.r.leader)
-				sc.counts.reset()
-				sc.r.bsMf = -1
-				for oi, c := range sc.prefixCount {
+				o.From(r.leader)
+				r.counts.reset()
+				r.bsMf = -1
+				for oi, c := range r.prefixCount {
 					occ := -1
-					if oi == sc.mfIdx {
-						occ = sc.mfOcc
+					if oi == r.mfIdx {
+						occ = r.mfOcc
 					}
-					o.Send(sc.pairMachine[oi], 4, countMsg{oi, c, occ})
+					o.Send(r.pairMachine[oi], 4, countMsg{oi, c, occ})
 				}
 				return nil
 			},
-			Recv: func(_ int, c countMsg) { sc.pairPrefix[c.oi], sc.pairOcc[c.oi] = c.c, c.occ },
+			Recv: func(_ int, c countMsg) { r.pairPrefix[c.oi], r.pairOcc[c.oi] = c.c, c.occ },
 			// The receiving machine finds its pair (p, q) through the pair
 			// code table, which stands in for a search of its own pairs.
 			Encode: func(dst []clique.Word, c countMsg) []clique.Word {
-				key := sc.pairOrder[c.oi]
+				key := r.pairOrder[c.oi]
 				return clique.AppendInts(dst, key.p, key.q, c.c, c.occ+1)
 			},
 			Decode: func(_ int, w []clique.Word) countMsg {
-				return countMsg{sc.pairLookup(w[0].Int(), w[1].Int()), w[2].Int(), w[3].Int() - 1}
+				return countMsg{r.pairLookup(w[0].Int(), w[1].Int()), w[2].Int(), w[3].Int() - 1}
 			},
 		},
 		// Each pair machine tallies its sequence prefix and sends every
@@ -133,15 +133,14 @@ func newProtocol(sc *phaseScratch) *protocol {
 		tally: clique.Step[tallyMsg]{
 			Name: "core/bs/tally",
 			Send: func(o *clique.Out[tallyMsg]) error {
-				r := sc.r
-				for oi, ps := range sc.orderedPS {
-					machine := sc.pairMachine[oi]
+				for oi, ps := range r.orderedPS {
+					machine := r.pairMachine[oi]
 					o.From(machine)
-					prefix, occ := sc.pairPrefix[oi], sc.pairOcc[oi]
+					prefix, occ := r.pairPrefix[oi], r.pairOcc[oi]
 					if prefix > len(ps.seq) {
 						return fmt.Errorf("pair machine %d asked for prefix %d of %d midpoints", machine, prefix, len(ps.seq))
 					}
-					local := &sc.local
+					local := &r.local
 					local.reset()
 					for _, v := range ps.seq[:prefix] {
 						local.add(v, 1)
@@ -160,10 +159,10 @@ func newProtocol(sc *phaseScratch) *protocol {
 			},
 			Recv: func(_ int, t tallyMsg) {
 				if t.cnt < 0 {
-					sc.r.bsMf = t.v
+					r.bsMf = t.v
 					return
 				}
-				sc.totals.add(t.v, t.cnt)
+				r.totals.add(t.v, t.cnt)
 			},
 			Encode: func(dst []clique.Word, t tallyMsg) []clique.Word {
 				if t.cnt < 0 {
@@ -182,42 +181,42 @@ func newProtocol(sc *phaseScratch) *protocol {
 		report: clique.Step[tallyMsg]{
 			Name: "core/bs/report",
 			Send: func(o *clique.Out[tallyMsg]) error {
-				for _, v := range sc.totals.touched {
-					o.From(sc.r.hosts[v])
-					o.Send(sc.r.leader, 2, tallyMsg{v, sc.totals.val[v]})
+				for _, v := range r.totals.touched {
+					o.From(r.hosts[v])
+					o.Send(r.leader, 2, tallyMsg{v, r.totals.val[v]})
 				}
 				return nil
 			},
-			Recv:   func(_ int, t tallyMsg) { sc.counts.add(t.v, t.cnt) },
+			Recv:   func(_ int, t tallyMsg) { r.counts.add(t.v, t.cnt) },
 			Encode: func(dst []clique.Word, t tallyMsg) []clique.Word { return clique.AppendInts(dst, t.v, t.cnt) },
 			Decode: func(_ int, w []clique.Word) tallyMsg { return tallyMsg{w[0].Int(), w[1].Int()} },
 		},
 		// §2.1.3: after the leader broadcasts the vertex set it needs
-		// (sc.needList), each machine hosting one sends its row restricted
+		// (needList), each machine hosting one sends its row restricted
 		// to the set. Machine a's entry for b is received into row b of the
 		// leader's block.
 		submatrix: clique.Dense{
 			Name: "core/submatrix", Words: 3,
 			Values: func(b int, row []float64) {
-				half, vb := sc.r.half, sc.needList[b]
-				for a, va := range sc.needList {
+				half, vb := r.half, r.needList[b]
+				for a, va := range r.needList {
 					row[a] = half.At(va, vb)
 				}
 			},
-			Into: func(b int) []float64 { return sc.block.Row(b) },
+			Into: func(b int) []float64 { return r.block.Row(b) },
 		},
 		// Algorithm 4 step 4: the leader tells each newly visited vertex its
 		// predecessor in the Schur walk.
 		notify: clique.Step[int]{
 			Name: "core/fve/notify",
 			Send: func(o *clique.Out[int]) error {
-				o.From(sc.r.leader)
-				for _, vis := range sc.visits {
+				o.From(r.leader)
+				for _, vis := range r.visits {
 					o.Send(vis.v, 1, vis.prev)
 				}
 				return nil
 			},
-			Recv:   func(v, prev int) { sc.fvPrev[v] = prev },
+			Recv:   func(v, prev int) { r.fvPrev[v] = prev },
 			Encode: func(dst []clique.Word, prev int) []clique.Word { return clique.AppendInts(dst, prev) },
 			Decode: func(_ int, w []clique.Word) int { return w[0].Int() },
 		},
@@ -226,14 +225,14 @@ func newProtocol(sc *phaseScratch) *protocol {
 		request: clique.Step[fvReq]{
 			Name: "core/fve/request",
 			Send: func(o *clique.Out[fvReq]) error {
-				for _, vis := range sc.visits {
+				for _, vis := range r.visits {
 					o.From(vis.v)
-					req := fvReq{vis.v, sc.fvPrev[vis.v]}
-					sc.r.g.VisitNeighbors(vis.v, func(h graph.Half) { o.Send(h.To, 2, req) })
+					req := fvReq{vis.v, r.fvPrev[vis.v]}
+					r.g.VisitNeighbors(vis.v, func(h graph.Half) { o.Send(h.To, 2, req) })
 				}
 				return nil
 			},
-			Recv:   func(u int, q fvReq) { sc.fvReqs[u] = append(sc.fvReqs[u], q) },
+			Recv:   func(u int, q fvReq) { r.fvReqs[u] = append(r.fvReqs[u], q) },
 			Encode: func(dst []clique.Word, q fvReq) []clique.Word { return clique.AppendInts(dst, q.v, q.prev) },
 			Decode: func(_ int, w []clique.Word) fvReq { return fvReq{w[0].Int(), w[1].Int()} },
 		},
@@ -243,8 +242,7 @@ func newProtocol(sc *phaseScratch) *protocol {
 		reply: clique.Step[fvReply]{
 			Name: "core/fve/reply",
 			Send: func(o *clique.Out[fvReply]) error {
-				r := sc.r
-				for u, reqs := range sc.fvReqs {
+				for u, reqs := range r.fvReqs {
 					if len(reqs) == 0 {
 						continue
 					}
@@ -264,7 +262,7 @@ func newProtocol(sc *phaseScratch) *protocol {
 				}
 				return nil
 			},
-			Recv: func(v int, a fvReply) { sc.fvEntries[v] = append(sc.fvEntries[v], a) },
+			Recv: func(v int, a fvReply) { r.fvEntries[v] = append(r.fvEntries[v], a) },
 			Encode: func(dst []clique.Word, a fvReply) []clique.Word {
 				return append(clique.AppendInts(dst, a.u), clique.FloatWord(a.w))
 			},
@@ -275,24 +273,24 @@ func newProtocol(sc *phaseScratch) *protocol {
 		sample: clique.Step[fvEdge]{
 			Name: "core/fve/sample",
 			Send: func(o *clique.Out[fvEdge]) error {
-				for _, vis := range sc.visits {
+				for _, vis := range r.visits {
 					v := vis.v
 					o.From(v)
-					es := sc.fvEntries[v]
-					weights := growFloats(sc.weights, len(es))
-					sc.weights = weights
+					es := r.fvEntries[v]
+					weights := growFloats(r.weights, len(es))
+					r.weights = weights
 					for k, e := range es {
 						weights[k] = e.w
 					}
-					choice, err := sc.r.rng(v).WeightedIndex(weights)
+					choice, err := r.rng(v).WeightedIndex(weights)
 					if err != nil {
 						return fmt.Errorf("vertex %d has no mass on any entry edge: %w", v, err)
 					}
-					o.Send(sc.r.leader, 2, fvEdge{es[choice].u, v})
+					o.Send(r.leader, 2, fvEdge{es[choice].u, v})
 				}
 				return nil
 			},
-			Recv:   func(_ int, e fvEdge) { sc.fvEdge[e.v] = e.u },
+			Recv:   func(_ int, e fvEdge) { r.fvEdge[e.v] = e.u },
 			Encode: func(dst []clique.Word, e fvEdge) []clique.Word { return clique.AppendInts(dst, e.u, e.v) },
 			Decode: func(_ int, w []clique.Word) fvEdge { return fvEdge{w[0].Int(), w[1].Int()} },
 		},

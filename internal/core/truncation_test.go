@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/clique"
@@ -27,45 +28,105 @@ func TestDistributedTruncationMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		sub, err := schur.NewSubset(n, all)
+		sub, err := schur.NewSubset(n, allVertices(n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim := clique.MustNew(n)
-		r, err := newPhaseRunner(sim, g, cfg, sub, 0, 0, nil, src.Split(7), &Stats{}, nil, nil)
-		if err != nil {
+		r := newPhaseRunner(clique.MustNew(n), g, cfg, nil, &Stats{})
+		r.beginPhase(sub, 0)
+		if err := r.beginSegment(0, src.Split(7)); err != nil {
 			t.Fatal(err)
 		}
 		// Run a few levels; at each, compare the distributed search result
 		// against the brute-force reference before placing midpoints.
-		for level := 0; level < 4 && r.spacing > 1; level++ {
-			if len(r.walk) < 2 {
-				break
-			}
-			if err := r.assignPairs(); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.generateMidpoints(); err != nil {
-				t.Fatal(err)
-			}
-			want := bruteForceTruncation(r)
-			got, err := r.findTruncationPoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("seed %d level %d: distributed truncation %d, sequential reference %d (walk %v)",
-					seed, level, got, want, r.walk)
-			}
-			if err := r.placeMidpoints(got); err != nil {
-				t.Fatal(err)
-			}
+		checkTruncationLevels(t, r, 4, func() string { return fmt.Sprintf("seed %d", seed) })
+	}
+}
+
+// TestTruncationAfterPreSeenSegment is TestDistributedTruncationMatchesSequential
+// on a second Las Vegas segment, where the vertices the first segment
+// visited are pre-seen: they count toward rho, and their reappearance is
+// never a first occurrence (appendix §5.1). It runs one segment, marks its
+// walk as the phase's walked set, starts a second segment from its end, and
+// compares every level's search with the sequential reference.
+func TestTruncationAfterPreSeenSegment(t *testing.T) {
+	levels := 0
+	for seed := uint64(0); seed < 200; seed++ {
+		src := prng.New(seed)
+		n := 6 + src.Intn(6)
+		g, err := graph.ErdosRenyi(n, 0.5, src)
+		if err != nil {
+			continue
+		}
+		cfg, err := Config{WalkLength: 4, Rho: 3 + src.Intn(3)}.withDefaults(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := schur.NewSubset(n, allVertices(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := newPhaseRunner(clique.MustNew(n), g, cfg, nil, &Stats{})
+		r.beginPhase(sub, 0)
+		if err := r.beginSegment(0, src.Split(0)); err != nil {
+			t.Fatal(err)
+		}
+		first, err := r.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.markWalked(first)
+		if r.walkedN >= r.rho {
+			continue // the first segment met the budget: no extension
+		}
+		if err := r.beginSegment(first[len(first)-1], src.Split(1)); err != nil {
+			t.Fatal(err)
+		}
+		levels += checkTruncationLevels(t, r, 8, func() string { return fmt.Sprintf("seed %d segment 1", seed) })
+	}
+	t.Logf("%d second-segment levels checked", levels)
+	if levels < 100 {
+		t.Errorf("only %d second-segment levels checked, want at least 100", levels)
+	}
+}
+
+// allVertices returns 0, 1, ..., n-1: the members of phase 0's subset.
+func allVertices(n int) []int {
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+// checkTruncationLevels runs up to maxLevels filling levels of r's segment
+// and, at each, requires the distributed truncation search to agree with
+// bruteForceTruncation before placing the midpoints. It returns the number
+// of levels checked.
+func checkTruncationLevels(t *testing.T, r *phaseRunner, maxLevels int, what func() string) int {
+	t.Helper()
+	level := 0
+	for ; level < maxLevels && r.spacing > 1 && len(r.walk) >= 2; level++ {
+		if err := r.assignPairs(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.generateMidpoints(); err != nil {
+			t.Fatal(err)
+		}
+		want := bruteForceTruncation(r)
+		got, err := r.findTruncationPoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%s level %d: distributed truncation %d, sequential reference %d (walk %v)",
+				what(), level, got, want, r.walk)
+		}
+		if err := r.placeMidpoints(got); err != nil {
+			t.Fatal(err)
 		}
 	}
+	return level
 }
 
 // bruteForceTruncation computes the truncation point directly from the
@@ -78,19 +139,19 @@ func bruteForceTruncation(r *phaseRunner) int64 {
 	occ := make(map[pairKey]int)
 	for j := 1; j <= k; j++ {
 		key := r.slotPair[j]
-		ps := r.sc.orderedPS[r.slotIdx[j]]
+		ps := r.orderedPS[r.slotIdx[j]]
 		filled = append(filled, r.walk[j-1], ps.seq[occ[key]])
 		occ[key]++
 	}
 	filled = append(filled, r.walk[k])
 	seen := make(map[int]struct{})
 	for idx, v := range filled {
-		if _, ok := r.preSeen[v]; ok {
+		if r.walked.has(v) {
 			continue // pre-seen vertices never trigger a first occurrence
 		}
 		if _, ok := seen[v]; !ok {
 			seen[v] = struct{}{}
-			if len(seen)+len(r.preSeen) == r.rho {
+			if len(seen)+r.walkedN == r.rho {
 				return int64(idx)
 			}
 		}
@@ -111,15 +172,14 @@ func TestCheckTruncationMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	sub, err := schur.NewSubset(8, all)
+	sub, err := schur.NewSubset(8, allVertices(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 10; trial++ {
-		sim := clique.MustNew(8)
-		r, err := newPhaseRunner(sim, g, cfg, sub, 0, 0, nil, src.Split(uint64(trial)), &Stats{}, nil, nil)
-		if err != nil {
+		r := newPhaseRunner(clique.MustNew(8), g, cfg, nil, &Stats{})
+		r.beginPhase(sub, 0)
+		if err := r.beginSegment(0, src.Split(uint64(trial))); err != nil {
 			t.Fatal(err)
 		}
 		// Advance two levels so the walk has structure.
