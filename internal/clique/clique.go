@@ -127,10 +127,6 @@ func (s *Sim) SetTrace(tr *obs.Trace, tag int64) {
 	s.traceTag = tag
 }
 
-// Trace returns the attached observation trace (nil when untraced) — for
-// protocol layers that hang their own spans off the same trace.
-func (s *Sim) Trace() *obs.Trace { return s.trace }
-
 // TraceSpan opens a span on the attached trace, pre-tagged with the sample
 // tag; the inert zero Span when untraced.
 func (s *Sim) TraceSpan(name string) obs.Span {

@@ -86,6 +86,14 @@ func (c Config) withDefaults(n int) (Config, error) {
 	if c.TruncDelta < 0 {
 		return c, fmt.Errorf("core: negative truncation delta %g", c.TruncDelta)
 	}
+	// A phase's walk starts at one vertex and each of its at most
+	// maxExtensions segments adds at most WalkLength more, so a budget above
+	// 1 + maxExtensions*WalkLength could never be reached. The ceiling
+	// division keeps a huge WalkLength from overflowing.
+	if reach := int64(min(c.Rho, n) - 1); c.LasVegas && (reach+maxExtensions-1)/maxExtensions > c.WalkLength {
+		return c, fmt.Errorf("core: Las Vegas rho %d is out of reach: %d extensions of walk length %d see at most %d vertices",
+			c.Rho, maxExtensions, c.WalkLength, 1+maxExtensions*c.WalkLength)
+	}
 	return c, nil
 }
 
@@ -106,10 +114,11 @@ const (
 	// its target length before the final level resolves the other parity
 	// class.
 	matchingLimit = 12
-	// maxExtensions caps Las Vegas walk extensions per phase (a simulation
-	// guard — the true algorithm extends indefinitely, but each extension
-	// succeeds with constant probability, so 64 failures indicate a bug, not
-	// bad luck).
+	// maxExtensions caps Las Vegas walk segments per phase (a simulation
+	// guard — the true algorithm extends indefinitely). A phase sees at most
+	// 1 + maxExtensions*WalkLength vertices, and withDefaults rejects a rho
+	// above that; within it, running out of segments takes a WalkLength far
+	// below the paper's default.
 	maxExtensions = 64
 )
 

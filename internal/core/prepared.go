@@ -137,9 +137,6 @@ func (p *Prepared) SampleWith(src *prng.Source, opts SampleOpts) (*spanning.Tree
 	return p.sample(src, opts.Trace, opts.TraceTag)
 }
 
-// Graph returns the graph this state was prepared for.
-func (p *Prepared) Graph() *graph.Graph { return p.g }
-
 // Config returns the validated configuration (defaults applied).
 func (p *Prepared) Config() Config { return p.cfg }
 

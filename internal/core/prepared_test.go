@@ -133,17 +133,20 @@ func TestExactSharesPhaseTable(t *testing.T) {
 	}
 }
 
-// TestFailedPhaseEndsItsSpan draws on a 200-cycle with walk length 2 and
-// rho = n under Las Vegas, so phase 0 runs out of extensions and the draw
-// fails. The failed phase's core/phase span must still end when the draw
-// returns, not stay open until the trace finishes: a span started after
-// the call must begin after every phase span has ended.
+// TestFailedPhaseEndsItsSpan draws on a 128-cycle with walk length 2 and
+// rho = n under Las Vegas: 64 segments could reach 129 vertices, but a
+// 128-step walk on the cycle all but never covers it, so phase 0 runs out
+// of extensions and the draw fails. The failed phase's core/phase span must
+// still end when the draw returns, not stay open until the trace finishes:
+// a span started after the call must begin after every phase span has
+// ended. (The 200-cycle at walk length 4 fails the same way, but its 64
+// segments overflow the trace's span cap before the marker.)
 func TestFailedPhaseEndsItsSpan(t *testing.T) {
-	g, err := graph.Cycle(200)
+	g, err := graph.Cycle(128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Prepare(g, Config{WalkLength: 2, Rho: 200, LasVegas: true})
+	p, err := Prepare(g, Config{WalkLength: 2, Rho: 128, LasVegas: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,6 +178,21 @@ func TestFailedPhaseEndsItsSpan(t *testing.T) {
 	}
 	if phases == 0 {
 		t.Error("no core/phase span recorded")
+	}
+}
+
+// TestUnreachableLasVegasRhoRejected: with walk length 2, 64 Las Vegas
+// segments see at most 1 + 64*2 = 129 vertices, so rho = 200 on a 200-cycle
+// could never be reached and Prepare refuses the Config instead of letting
+// every draw fail.
+func TestUnreachableLasVegasRhoRejected(t *testing.T) {
+	g, err := graph.Cycle(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Prepare(g, Config{WalkLength: 2, Rho: 200, LasVegas: true})
+	if err == nil || !strings.Contains(err.Error(), "rho 200 is out of reach") {
+		t.Fatalf("Prepare error %v, want rho 200 out of reach", err)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package matrix implements the dense linear algebra substrate of the
 // reproduction: matrix products and powers (with the bounded-precision
-// truncation of the paper's Lemma 7), Gaussian elimination and Schur-style
-// block solves, and determinants (floating point and exact big-integer, the
-// latter powering Matrix-Tree ground truth).
+// truncation of the paper's Lemma 7), one in-place LU factorization with
+// batched solves for the absorbing-chain systems of Schur elimination, and
+// the exact big-integer determinant behind Matrix-Tree ground truth (there
+// is no floating-point determinant).
 //
 // Matrices are dense, row-major float64. The sizes in this repository are
 // n x n for graphs up to a few hundred vertices. Every dense kernel runs
@@ -26,5 +27,10 @@
 //     AVX512F) and XGETBV (the OS saves YMM and ZMM state). There is no
 //     flag, env var or option; off amd64, without AVX, or built with the
 //     purego tag the Go kernels are the only path, and Kernel reports which
-//     one runs. The LU factorization has one path.
+//     one runs.
+//
+// The LU factorization runs one elimination schedule, the reference's
+// right-looking one: pivot search, row swap, multipliers, then one row
+// update per nonzero multiplier, which the AVX paths run in 16- and 4-column
+// tiles with the same one multiply and one subtraction per element.
 package matrix

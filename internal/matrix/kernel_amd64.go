@@ -52,8 +52,8 @@ func solve16AVX(lu, x *float64, n, ldlu, ldx int)
 //go:noescape
 func finite4AVX(x *float64, n int) bool
 
-// updateAVX applies a row's m deferred elimination updates to w columns, w
-// a multiple of 4; see trailingUpdateRow.
+// subScaledAVX computes x[j] -= f*u[j] over w elements, w a multiple of 4;
+// see subScaled.
 //
 //go:noescape
-func updateAVX(x, f, u *float64, off *int, m, w int)
+func subScaledAVX(x, u *float64, f float64, w int)

@@ -164,7 +164,7 @@ mulloopz:
 // func solve16AVX(lu, x *float64, n, ldlu, ldx int)
 //
 // Forward then back substitution on the 16 columns starting at x, against
-// the packed unit-lower L and upper U in lu, with SolveInto's per-column
+// the packed unit-lower L and upper U in lu, with SolveBatchInto's per-column
 // operation sequence: forward s = sum_{k<i} L[i][k]*x[k] from +0 in
 // ascending k, then x[i] -= s; back s = x[i], s -= U[i][k]*x[k] for
 // ascending k > i, then x[i] = s / U[i][i].
@@ -325,43 +325,29 @@ done:
 	VZEROUPPER
 	RET
 
-// func updateAVX(x, f, u *float64, off *int, m, w int)
+// func subScaledAVX(x, u *float64, f float64, w int)
 //
-// x[j] = x[j] - f[t]*u[off[t]+j] for t in [0, m) ascending, j in [0, w), w
-// a multiple of 4 and m at least 1: the elimination's deferred row update
-// over the terms with a nonzero multiplier, one multiply and one
-// subtraction per term, each rounded, in 16-column then 4-column register
-// tiles.
-TEXT ·updateAVX(SB), NOSPLIT, $0-48
-	MOVQ x+0(FP), DI
-	MOVQ f+8(FP), SI
-	MOVQ u+16(FP), DX
-	MOVQ off+24(FP), R8
-	MOVQ m+32(FP), CX
-	MOVQ w+40(FP), R9
+// x[j] = x[j] - f*u[j] for j in [0, w), w a multiple of 4: one elimination
+// row update, one multiply and one subtraction per element, each rounded,
+// in 16-column then 4-column register tiles.
+TEXT ·subScaledAVX(SB), NOSPLIT, $0-32
+	MOVQ         x+0(FP), DI
+	MOVQ         u+8(FP), DX
+	VBROADCASTSD f+16(FP), Y4
+	MOVQ         w+24(FP), R9
 
 block16:
 	CMPQ    R9, $16
 	JLT     block4
+	MUL16(DX)
 	VMOVUPD (DI), Y0
 	VMOVUPD 32(DI), Y1
 	VMOVUPD 64(DI), Y2
 	VMOVUPD 96(DI), Y3
-	XORQ    BX, BX
-
-term16:
-	MOVQ         (R8)(BX*8), AX
-	LEAQ         (DX)(AX*8), R10
-	VBROADCASTSD (SI)(BX*8), Y4
-	MUL16(R10)
-	VSUBPD       Y5, Y0, Y0
-	VSUBPD       Y6, Y1, Y1
-	VSUBPD       Y7, Y2, Y2
-	VSUBPD       Y8, Y3, Y3
-	INCQ         BX
-	CMPQ         BX, CX
-	JLT          term16
-
+	VSUBPD  Y5, Y0, Y0
+	VSUBPD  Y6, Y1, Y1
+	VSUBPD  Y7, Y2, Y2
+	VSUBPD  Y8, Y3, Y3
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, 64(DI)
@@ -374,18 +360,9 @@ term16:
 block4:
 	CMPQ    R9, $4
 	JLT     done4
+	VMULPD  (DX), Y4, Y5
 	VMOVUPD (DI), Y0
-	XORQ    BX, BX
-
-term4:
-	MOVQ         (R8)(BX*8), AX
-	VBROADCASTSD (SI)(BX*8), Y4
-	VMULPD       (DX)(AX*8), Y4, Y5
-	VSUBPD       Y5, Y0, Y0
-	INCQ         BX
-	CMPQ         BX, CX
-	JLT          term4
-
+	VSUBPD  Y5, Y0, Y0
 	VMOVUPD Y0, (DI)
 	ADDQ    $32, DI
 	ADDQ    $32, DX

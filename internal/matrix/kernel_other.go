@@ -17,4 +17,4 @@ func solve16AVX(lu, x *float64, n, ldlu, ldx int) { panic("matrix: AVX kernel no
 
 func finite4AVX(x *float64, n int) bool { panic("matrix: AVX kernel not built") }
 
-func updateAVX(x, f, u *float64, off *int, m, w int) { panic("matrix: AVX kernel not built") }
+func subScaledAVX(x, u *float64, f float64, w int) { panic("matrix: AVX kernel not built") }

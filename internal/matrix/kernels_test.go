@@ -49,9 +49,9 @@ func TestMulIntoMatchesMul(t *testing.T) {
 	})
 }
 
-// TestSolveIntoMatchesSolve covers the in-place solve, including the
-// rhs-aliases-solution mode the Schur column sweeps use, and pins a
-// one-column SolveBatchInto on each kernel path to it bit for bit.
+// TestSolveIntoMatchesSolve covers the one-column reference solve,
+// including the rhs-aliases-solution mode, and pins a one-column
+// SolveBatchInto on each kernel path to it bit for bit.
 func TestSolveIntoMatchesSolve(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		src := prng.New(7)
@@ -69,24 +69,13 @@ func TestSolveIntoMatchesSolve(t *testing.T) {
 			for i := range b {
 				b[i] = src.Float64()
 			}
-			want, err := f.Solve(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := make([]float64, n)
-			if err := f.SolveInto(got, b); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d: SolveInto differs from Solve", trial)
-			}
+			want := make([]float64, n)
+			f.solveInto(want, b)
 			// Aliased: solve in place on a copy of b.
 			inPlace := append([]float64(nil), b...)
-			if err := f.SolveInto(inPlace, inPlace); err != nil {
-				t.Fatal(err)
-			}
+			f.solveInto(inPlace, inPlace)
 			if !reflect.DeepEqual(inPlace, want) {
-				t.Fatalf("trial %d: aliased SolveInto differs from Solve", trial)
+				t.Fatalf("trial %d: aliased solveInto differs", trial)
 			}
 			batch := MustNew(n, 1)
 			copy(batch.data, b)
@@ -94,52 +83,37 @@ func TestSolveIntoMatchesSolve(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(batch.data, want) {
-				t.Fatalf("trial %d: one-column SolveBatchInto differs from Solve", trial)
+				t.Fatalf("trial %d: one-column SolveBatchInto differs from solveInto", trial)
 			}
 		}
 	})
 }
 
-// TestFactorScratchMatchesFactor: pooled factorization is the same
-// elimination, and Release makes the buffer reusable without corrupting
-// still-live results.
-func TestFactorScratchMatchesFactor(t *testing.T) {
+// TestFactorInPlace pins Factor's ownership contract: the factorization
+// lives in its argument's backing array, and a singular argument is
+// released with the error.
+func TestFactorInPlace(t *testing.T) {
 	src := prng.New(3)
 	n := 8
 	a := randomMatrix(n, n, src)
 	for i := 0; i < n; i++ {
 		a.Add(i, i, float64(n))
 	}
-	plain, err := Factor(a)
+	f, err := Factor(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := FactorScratch(a)
-	if err != nil {
-		t.Fatal(err)
+	if !sameBacking(f.lu, a) {
+		t.Error("Factor copied its argument")
 	}
-	if d1, d2 := plain.Det(), pooled.Det(); d1 != d2 {
-		t.Fatalf("determinants differ: %g vs %g", d1, d2)
+	f.Release()
+	singular := MustNew(2, 2)
+	if f, err := Factor(singular); err == nil {
+		f.Release()
+		t.Fatal("singular matrix factored")
 	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = src.Float64()
-	}
-	want, err := plain.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := pooled.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("pooled factorization solves differently")
-	}
-	pooled.Release()
-	if singular, err := FactorScratch(MustNew(2, 2)); err == nil {
-		singular.Release()
-		t.Error("singular matrix factored")
+	if singular.data != nil {
+		t.Error("singular argument not released")
 	}
 }
 

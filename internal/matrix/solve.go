@@ -6,7 +6,8 @@ import (
 	"math/big"
 )
 
-// LU holds an LU factorization with partial pivoting: P*A = L*U.
+// LU holds an LU factorization with partial pivoting: P*A = L*U, with the
+// unit-lower L and the upper U packed into one matrix.
 type LU struct {
 	lu   *Matrix
 	perm []int
@@ -14,268 +15,108 @@ type LU struct {
 }
 
 // Factor computes the LU factorization with partial pivoting of a square
-// matrix. It returns an error if the matrix is not square or is singular to
-// working precision.
-func Factor(a *Matrix) (*LU, error) {
-	return newFactor(a, false)
-}
-
-// newFactor is the single entry point behind Factor and FactorScratch: it
-// validates squareness, materializes the working copy (heap clone or
-// scratch-pool draw), and runs the one shared elimination, factorInPlace.
-func newFactor(a *Matrix, scratch bool) (*LU, error) {
-	if a.rows != a.cols {
-		return nil, fmt.Errorf("matrix: LU of non-square %dx%d matrix", a.rows, a.cols)
-	}
-	var work *Matrix
-	if scratch {
-		work = Scratch(a.rows, a.cols)
-		copy(work.data, a.data)
-	} else {
-		work = a.Clone()
-	}
-	f, err := factorInPlace(work)
-	if err != nil && scratch {
-		work.Release()
-	}
-	return f, err
-}
-
-// luPanel is the column-panel width of the blocked elimination. 32 columns
-// keep a panel's U rows (32 x trailing) plus the 4-row multiplier stripes
-// comfortably inside L1 during the trailing update.
-const luPanel = 32
-
-// factorInPlace runs the pivoted elimination destructively on lu, which the
-// returned LU takes ownership of. Its operation order is the factorization's
-// bit-exactness contract, the one the differential tests pin against a
-// naive right-looking reference: at each column, pivot by first strict
-// maximum of |entry| scanning down, swap full rows, divide to form
-// multipliers, then subtract f*pivotRow from each lower row (skipping
-// f == 0), so per element the updates land in ascending column order.
+// matrix in place: the returned LU owns a's storage until Release, and the
+// caller must not use a afterwards (pass a.Clone() to keep it). It returns
+// an error, and releases a, if a is not square or is singular to working
+// precision.
 //
-// The elimination is blocked by column panel. Each panel is factored with
-// the unblocked algorithm restricted to its own columns (pivoting over full
-// rows, so swaps land at exactly the unblocked schedule's points), then the
-// deferred updates are applied to the trailing columns in ascending
-// panel-column order: first the panel rows (the U12 block, a
-// forward-substitution sweep), then the remaining rows (the A22 block),
-// register-tiled. Every element still receives its update terms in
-// ascending column order with the same multipliers and the same f == 0
-// skips — the deferral only reorders work across elements, never within
-// one.
-func factorInPlace(lu *Matrix) (*LU, error) {
-	n := lu.rows
+// The elimination's operation order is its bit-exactness contract, the one
+// the differential tests pin against a naive right-looking reference: at
+// each column, pivot by first strict maximum of |entry| scanning down, swap
+// full rows, divide to form multipliers, then subtract f*pivotRow from each
+// lower row (skipping f == 0), one multiply and one subtraction per element.
+// The absorbing-chain systems of a sparse graph leave most multipliers zero,
+// so most rows receive no update at all.
+func Factor(a *Matrix) (*LU, error) {
+	if a.rows != a.cols {
+		err := fmt.Errorf("matrix: LU of non-square %dx%d matrix", a.rows, a.cols)
+		a.Release()
+		return nil, err
+	}
+	n := a.rows
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
 	}
 	sign := 1.0
-	for c0 := 0; c0 < n; c0 += luPanel {
-		c1 := c0 + luPanel
-		if c1 > n {
-			c1 = n
-		}
-		// Panel factorization: unblocked elimination restricted to columns
-		// [c0, c1), full-row pivot swaps, updates deferred for j >= c1.
-		for col := c0; col < c1; col++ {
-			p := col
-			maxAbs := math.Abs(lu.At(col, col))
-			for r, i := col+1, (col+1)*n+col; r < n; r, i = r+1, i+n {
-				if a := math.Abs(lu.data[i]); a > maxAbs {
-					maxAbs = a
-					p = r
-				}
-			}
-			if maxAbs == 0 {
-				return nil, fmt.Errorf("matrix: singular matrix in LU at column %d", col)
-			}
-			if p != col {
-				rp, rc := lu.Row(p), lu.Row(col)
-				for j := 0; j < n; j++ {
-					rp[j], rc[j] = rc[j], rp[j]
-				}
-				perm[p], perm[col] = perm[col], perm[p]
-				sign = -sign
-			}
-			pivot := lu.At(col, col)
-			nanPivot := math.IsNaN(pivot)
-			rc := lu.Row(col)[col+1 : c1]
-			// Walk column col down from row col+1: i indexes (r, col).
-			for i := (col+1)*n + col; i < len(lu.data); i += n {
-				a := lu.data[i]
-				if a == 0 && !nanPivot {
-					// A zero over any pivot but NaN divides to the zero
-					// whose sign is the product of the two signs, and a
-					// zero multiplier updates nothing; skip the division.
-					if pivot < 0 {
-						lu.data[i] = -a
-					}
-					continue
-				}
-				f := a / pivot
-				lu.data[i] = f
-				if f == 0 {
-					continue
-				}
-				x := lu.data[i+1 : i+1+len(rc)]
-				for j, u := range rc {
-					x[j] -= f * u
-				}
+	for col := 0; col < n; col++ {
+		p := col
+		maxAbs := math.Abs(a.At(col, col))
+		for r, i := col+1, (col+1)*n+col; r < n; r, i = r+1, i+n {
+			if v := math.Abs(a.data[i]); v > maxAbs {
+				maxAbs = v
+				p = r
 			}
 		}
-		if c1 == n {
-			break
+		if maxAbs == 0 {
+			a.Release()
+			return nil, fmt.Errorf("matrix: singular matrix in LU at column %d", col)
 		}
-		// U12: the panel rows' trailing columns, updates applied in the
-		// ascending column order the unblocked schedule uses (row r receives
-		// columns c0..r-1, whose rows are final by the time r is reached).
-		for r := c0 + 1; r < c1; r++ {
-			trailingUpdateRow(lu, r, c0, r, c1)
+		if p != col {
+			rp, rc := a.Row(p), a.Row(col)
+			for j := 0; j < n; j++ {
+				rp[j], rc[j] = rc[j], rp[j]
+			}
+			perm[p], perm[col] = perm[col], perm[p]
+			sign = -sign
 		}
-		// A22: each remaining row accumulates all panel columns' updates in
-		// registers.
-		for r := c1; r < n; r++ {
-			trailingUpdateRow(lu, r, c0, c1, c1)
+		pivot := a.At(col, col)
+		nanPivot := math.IsNaN(pivot)
+		u := a.Row(col)[col+1:]
+		// Walk column col down from row col+1: i indexes (r, col).
+		for i := (col+1)*n + col; i < len(a.data); i += n {
+			v := a.data[i]
+			if v == 0 && !nanPivot {
+				// A zero over any pivot but NaN divides to the zero whose
+				// sign is the product of the two signs, and a zero
+				// multiplier updates nothing; skip the division.
+				if pivot < 0 {
+					a.data[i] = -v
+				}
+				continue
+			}
+			f := v / pivot
+			a.data[i] = f
+			if f != 0 {
+				subScaled(a.data[i+1:i+1+len(u)], u, f)
+			}
 		}
 	}
-	return &LU{lu: lu, perm: perm, sign: sign}, nil
+	return &LU{lu: a, perm: perm, sign: sign}, nil
 }
 
-// trailingUpdateRow applies the deferred updates of panel columns [c0, c1)
-// to row r's trailing columns [j0, n): acc -= f_c * U[c][j] for c in
-// ascending order, with f_c = lu[r][c]. Per element this is exactly the
-// unblocked schedule's update sequence for row r (steps c0..c1-1, f == 0
-// skipped), so the result is bit-identical. The terms with a nonzero
-// multiplier are listed first: the absorbing-chain systems of a sparse
-// graph leave most multipliers zero, and a row with none is done. With AVX
-// the columns go through updateAVX in 16- and 4-column register tiles, each
-// lane running that sequence; the Go loop takes the rest, four columns per
-// register tile.
-func trailingUpdateRow(lu *Matrix, r, c0, c1, j0 int) {
-	n := lu.cols
-	rr := lu.Row(r)
-	var fs [luPanel]float64
-	var offs [luPanel]int // U[c][j0]'s index in lu.data
-	m := 0
-	for c := c0; c < c1; c++ {
-		if f := rr[c]; f != 0 {
-			fs[m], offs[m] = f, c*n+j0
-			m++
-		}
-	}
-	if m == 0 {
-		return
-	}
-	x := rr[j0:]
+// subScaled computes x[j] -= f*u[j], one multiply and one subtraction per
+// element, each rounded. With AVX the whole groups of four go through
+// subScaledAVX; without it the Go loop takes them, four per iteration. The
+// Go loop takes the remainder on every path.
+func subScaled(x, u []float64, f float64) {
+	u = u[:len(x)]
 	j := 0
 	if w := len(x) &^ 3; useAVX && w > 0 {
-		updateAVX(&x[0], &fs[0], &lu.data[0], &offs[0], m, w)
+		subScaledAVX(&x[0], &u[0], f, w)
 		j = w
 	}
 	for ; j+4 <= len(x); j += 4 {
-		acc0, acc1, acc2, acc3 := x[j], x[j+1], x[j+2], x[j+3]
-		for t, f := range fs[:m] {
-			u := lu.data[offs[t]+j : offs[t]+j+4]
-			acc0 -= f * u[0]
-			acc1 -= f * u[1]
-			acc2 -= f * u[2]
-			acc3 -= f * u[3]
-		}
-		x[j], x[j+1], x[j+2], x[j+3] = acc0, acc1, acc2, acc3
+		x[j] -= f * u[j]
+		x[j+1] -= f * u[j+1]
+		x[j+2] -= f * u[j+2]
+		x[j+3] -= f * u[j+3]
 	}
 	for ; j < len(x); j++ {
-		acc := x[j]
-		for t, f := range fs[:m] {
-			acc -= f * lu.data[offs[t]+j]
-		}
-		x[j] = acc
+		x[j] -= f * u[j]
 	}
-}
-
-// Det returns the determinant from the factorization.
-func (f *LU) Det() float64 {
-	d := f.sign
-	for i := 0; i < f.lu.rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
-// Solve solves A*x = b for one right-hand side.
-func (f *LU) Solve(b []float64) ([]float64, error) {
-	x := make([]float64, f.lu.rows)
-	if err := f.SolveInto(x, b); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// SolveInto solves A*x = b into a caller-provided solution vector — Solve
-// without the per-call allocation, for repeated solves against one
-// factorization (column sweeps in Schur elimination). x and b must be the
-// identical slice (in-place solve) or fully disjoint; partially overlapping
-// slices are not detected and corrupt the permutation step.
-func (f *LU) SolveInto(x, b []float64) error {
-	n := f.lu.rows
-	if len(b) != n {
-		return fmt.Errorf("matrix: solve rhs length %d, want %d", len(b), n)
-	}
-	if len(x) != n {
-		return fmt.Errorf("matrix: solve destination length %d, want %d", len(x), n)
-	}
-	if &x[0] == &b[0] {
-		// Permute in place: applying perm to an aliased buffer needs a cycle
-		// walk; a scratch copy is simpler and still allocation-free for the
-		// caller's steady state.
-		tmp := Scratch(1, n)
-		copy(tmp.data, b)
-		for i := 0; i < n; i++ {
-			x[i] = tmp.data[f.perm[i]]
-		}
-		tmp.Release()
-	} else {
-		for i := 0; i < n; i++ {
-			x[i] = b[f.perm[i]]
-		}
-	}
-	// Forward substitution with unit-diagonal L.
-	for i := 1; i < n; i++ {
-		row := f.lu.Row(i)
-		var s float64
-		for j := 0; j < i; j++ {
-			s += row[j] * x[j]
-		}
-		x[i] -= s
-	}
-	// Back substitution with U.
-	for i := n - 1; i >= 0; i-- {
-		row := f.lu.Row(i)
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= row[j] * x[j]
-		}
-		x[i] = s / row[i]
-	}
-	return nil
-}
-
-// FactorScratch is Factor with the factorization's working matrix drawn from
-// the scratch pool; pair it with LU.Release when the factorization is
-// transient (one elimination pass, then discarded).
-func FactorScratch(a *Matrix) (*LU, error) {
-	return newFactor(a, true)
 }
 
 // SolveBatchInto solves A*X = B for a whole batch of right-hand sides at
 // once: the columns of b are independent systems and column j of x receives
-// the solution of A*x = b[:,j]. Per column the substitutions perform exactly
-// SolveInto's operation sequence (dot product accumulated in ascending index
-// order, then one subtraction / one division), so the batch solve is
-// bit-identical to column-by-column SolveInto calls — it amortizes the walk
-// over the factorization's rows across the batch instead. x and b must be
-// n x m with n the factored dimension; x may be b itself (in-place) but must
-// not partially overlap it, and must not alias the factorization.
+// the solution of A*x = b[:,j]. Per column the substitutions run one fixed
+// sequence: forward, s = sum of L[i][k]*x[k] from +0 over ascending k < i,
+// then x[i] -= s; back, s = x[i], s -= U[i][k]*x[k] over ascending k > i,
+// then x[i] = s / U[i][i]. So a batched column is bit-identical to solving
+// it alone, and the batch amortizes the walk over the factorization's rows.
+// x and b must be n x m with n the factored dimension; x may be b itself
+// (in-place) but must not partially overlap it, and must not alias the
+// factorization.
 func (f *LU) SolveBatchInto(x, b *Matrix) error {
 	n := f.lu.rows
 	if b.rows != n {
@@ -287,8 +128,7 @@ func (f *LU) SolveBatchInto(x, b *Matrix) error {
 	if sameBacking(x, f.lu) || sameBacking(b, f.lu) {
 		return fmt.Errorf("matrix: batch solve aliases the factorization")
 	}
-	// Row permutation: x[i] = b[perm[i]]. In place this needs a scratch copy,
-	// exactly like SolveInto's aliased path.
+	// Row permutation: x[i] = b[perm[i]]. In place this needs a scratch copy.
 	if sameBacking(x, b) {
 		tmp := Scratch(n, x.cols)
 		copy(tmp.data, b.data)
@@ -306,10 +146,10 @@ func (f *LU) SolveBatchInto(x, b *Matrix) error {
 }
 
 // solveColumns runs forward and back substitution on every column of the
-// already row-permuted x. Per column the arithmetic matches SolveInto
-// exactly: the dot product accumulates in a register over ascending indices
-// and is applied in one subtraction (forward) or folded into one division
-// (back) — never term-by-term into memory, which would round differently.
+// already row-permuted x, in SolveBatchInto's per-column sequence: the dot
+// product accumulates in a register over ascending indices and is applied in
+// one subtraction (forward) or folded into one division (back) — never
+// term-by-term into memory, which would round differently.
 func solveColumns(lu, x *Matrix) {
 	if useAVX {
 		solveColumnsAVX(lu, x)
@@ -323,7 +163,7 @@ func solveColumns(lu, x *Matrix) {
 const avxSolveTile = 16
 
 // solveColumnsAVX substitutes 16 columns per tile, one lane per column,
-// each lane running SolveInto's sequence. The remaining columns go through
+// each lane running SolveBatchInto's sequence. The remaining columns go through
 // one tile on a zero-padded scratch copy: the solve is in place, so a tile
 // shifted back over already-solved columns would solve them twice.
 func solveColumnsAVX(lu, x *Matrix) {
@@ -419,29 +259,6 @@ func (f *LU) Release() {
 	}
 	f.lu.Release()
 	f.lu = nil
-}
-
-// Det returns the determinant of a square matrix via LU factorization.
-// Singular matrices yield 0.
-func Det(a *Matrix) (float64, error) {
-	if a.rows != a.cols {
-		return 0, fmt.Errorf("matrix: Det of non-square %dx%d matrix", a.rows, a.cols)
-	}
-	f, err := Factor(a)
-	if err != nil {
-		// Exactly singular to working precision.
-		return 0, nil
-	}
-	return f.Det(), nil
-}
-
-// Solve solves A*x = b via LU factorization.
-func Solve(a *Matrix, b []float64) ([]float64, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
 }
 
 // BigDet computes the exact determinant of an integer matrix using

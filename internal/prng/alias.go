@@ -128,9 +128,6 @@ func growInts(s []int, n int) []int {
 	return s[:n]
 }
 
-// Len reports the support size of the table.
-func (a *Alias) Len() int { return len(a.prob) }
-
 // Sample draws one index from the table's distribution using src.
 func (a *Alias) Sample(src *Source) int {
 	i := src.Intn(len(a.prob))

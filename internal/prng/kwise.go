@@ -75,9 +75,6 @@ func (h *KWiseHash) Eval(x, y int) int {
 	return int(acc % uint64(h.m))
 }
 
-// T reports the independence parameter of the family member.
-func (h *KWiseHash) T() int { return len(h.coeff) }
-
 // mulMod61 multiplies two residues modulo 2^61 - 1 without overflow using
 // the identity 2^64 ≡ 8 (mod 2^61 - 1).
 func mulMod61(a, b uint64) uint64 {

@@ -32,9 +32,6 @@ func (s *Source) Split(label uint64) *Source {
 	return New(child)
 }
 
-// Seed reports the seed this Source was constructed with.
-func (s *Source) Seed() uint64 { return s.seed }
-
 // Uint64 returns a uniformly random 64-bit value.
 func (s *Source) Uint64() uint64 { return s.rng.Uint64() }
 

@@ -12,7 +12,7 @@ import (
 
 // ComplementGraph builds the weighted graph H = Schur(G, S) of Definition 1
 // by eliminating V \ S from the Laplacian: L(H) = L_SS - L_SC L_CC^{-1} L_CS,
-// with L_CC^{-1} L_CS taken one column at a time from a single LU of L_CC.
+// with L_CC^{-1} L_CS taken in one batched solve from a single LU of L_CC.
 // Vertices of H are indexed by the subset's local ordering. Weights below
 // tol are dropped as numerically zero.
 func ComplementGraph(g *graph.Graph, sub *Subset) (*graph.Graph, error) {
@@ -47,18 +47,8 @@ func ComplementGraph(g *graph.Graph, sub *Subset) (*graph.Graph, error) {
 			return nil, fmt.Errorf("schur: L[V\\S, V\\S] singular: %w", err)
 		}
 		x := matrix.MustNew(len(comp), k)
-		b := make([]float64, len(comp))
-		for j := 0; j < k; j++ {
-			for i := range b {
-				b[i] = lcs.At(i, j)
-			}
-			col, err := f.Solve(b)
-			if err != nil {
-				return nil, err
-			}
-			for i, v := range col {
-				x.Set(i, j, v)
-			}
+		if err := f.SolveBatchInto(x, lcs); err != nil {
+			return nil, err
 		}
 		corr, err := lsc.Mul(x)
 		if err != nil {

@@ -128,11 +128,12 @@ func checkGraph(g *graph.Graph, sub *Subset) error {
 	return nil
 }
 
-// factorAbsorbing builds and factors the absorbing-chain system I - T, with
-// T = P[S̄,S̄], or its transpose I - T^T, in scratch-pooled storage. The
-// entries of P come from graph.VisitTransitions: the system holds -0 where
-// P has a zero and -P on an edge, and then 1 is added to the diagonal. The
-// caller releases the returned LU; S̄ must not be empty.
+// factorAbsorbing builds the absorbing-chain system I - T, with
+// T = P[S̄,S̄], or its transpose I - T^T, in one scratch-pooled matrix and
+// factors it in place. The entries of P come from graph.VisitTransitions:
+// the system holds -0 where P has a zero and -P on an edge, and then 1 is
+// added to the diagonal. The caller releases the returned LU; S̄ must not be
+// empty.
 func factorAbsorbing(g *graph.Graph, sub *Subset, transpose bool) (*matrix.LU, error) {
 	comp := sub.complement
 	c := len(comp)
@@ -158,8 +159,7 @@ func factorAbsorbing(g *graph.Graph, sub *Subset, transpose bool) (*matrix.LU, e
 	for i := 0; i < c; i++ {
 		system.Add(i, i, 1)
 	}
-	lu, err := matrix.FactorScratch(system)
-	system.Release()
+	lu, err := matrix.Factor(system)
 	if err != nil {
 		return nil, fmt.Errorf("schur: absorbing chain system singular (is S reachable from all of V\\S?): %w", err)
 	}

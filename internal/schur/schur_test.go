@@ -911,3 +911,40 @@ func BenchmarkTransition(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFactorAbsorbing times the absorbing-chain LU alone, in both
+// orientations (I - T for Transition, I - T^T for the shortcut rows), over
+// the later-phase subsets of one sample on the 3-regular n = 96 graph
+// (graph seed 11).
+func BenchmarkFactorAbsorbing(b *testing.B) {
+	const n = 96
+	g, err := graph.RandomRegular(n, 3, prng.New(11).Split(n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var subs []*Subset
+	for _, members := range phaseSubsets(b, g, prng.New(1)) {
+		sub, err := NewSubset(n, members)
+		if err != nil {
+			b.Fatal(err)
+		}
+		subs = append(subs, sub)
+	}
+	for _, bc := range []struct {
+		name      string
+		transpose bool
+	}{{"system", false}, {"transpose", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, sub := range subs {
+					lu, err := factorAbsorbing(g, sub, bc.transpose)
+					if err != nil {
+						b.Fatal(err)
+					}
+					lu.Release()
+				}
+			}
+		})
+	}
+}
