@@ -493,18 +493,14 @@ func (r *phaseRunner) generateMidpoints() error {
 	if err := clique.RunDense(r.sim, reply); err != nil {
 		return err
 	}
-	// Pair machines sample their sequences locally (alias table: O(1) per
-	// midpoint). Iterating pairs in order index consumes each machine's
+	// Pair machines sample their sequences locally (Walker's alias method:
+	// a pair drawing once replays the table's construction only up to the
+	// drawn index). Iterating pairs in order index consumes each machine's
 	// stream in its own pair order.
 	return clique.Local(r.sim, "core/generate", func() error {
 		for oi, ps := range r.orderedPS {
-			alias, err := r.aliasB.Build(ps.weights)
-			if err != nil {
+			if err := r.aliasB.SampleInto(ps.weights, r.rng(machines[oi]), ps.seq); err != nil {
 				return fmt.Errorf("pair (%d,%d) at gap %d has empty midpoint distribution: %w", ps.key.p, ps.key.q, r.spacing, err)
-			}
-			src := r.rng(machines[oi])
-			for i := range ps.seq {
-				ps.seq[i] = alias.Sample(src)
 			}
 		}
 		return nil

@@ -36,6 +36,12 @@ type Graph struct {
 	// it; concurrent readers of a frozen graph may race to rebuild it, which
 	// is benign — every build produces identical arrays.
 	cum atomic.Pointer[cumWeights]
+
+	// connected records that IsConnected found the graph connected, so
+	// callers that check once per phase (the Schur builds) pay for one
+	// search per graph. Adding an edge or changing a weight cannot
+	// disconnect a graph; removeEdge, the one mutation that can, clears it.
+	connected atomic.Bool
 }
 
 // cumWeights holds, per vertex, the running prefix sums of incident edge
@@ -215,6 +221,7 @@ func (g *Graph) removeEdge(u, v int) {
 	}
 	g.m--
 	g.cum.Store(nil)
+	g.connected.Store(false)
 }
 
 // Degree returns the weighted degree of v (sum of incident edge weights).
@@ -305,9 +312,10 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// IsConnected reports whether the graph is connected (true for n = 1).
+// IsConnected reports whether the graph is connected (true for n = 1). A
+// connected answer is remembered until an edge is removed.
 func (g *Graph) IsConnected() bool {
-	if g.n == 1 {
+	if g.n == 1 || g.connected.Load() {
 		return true
 	}
 	seen := make([]bool, g.n)
@@ -326,7 +334,11 @@ func (g *Graph) IsConnected() bool {
 			}
 		}
 	}
-	return count == g.n
+	if count < g.n {
+		return false
+	}
+	g.connected.Store(true)
+	return true
 }
 
 // TotalWeight returns the sum of all edge weights.

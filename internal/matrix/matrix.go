@@ -9,6 +9,10 @@ import (
 type Matrix struct {
 	rows, cols int
 	data       []float64
+	// box is the scratch pool entry data was drawn in, reused when the
+	// storage goes back (see Release); nil when data did not come from the
+	// pool.
+	box *[]float64
 }
 
 // New returns a zero rows x cols matrix. It returns an error when either

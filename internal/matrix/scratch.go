@@ -15,9 +15,12 @@ import (
 // phase-0 table) simply keep theirs; the one rule is that a matrix is
 // released only by its last user.
 //
-// The pool stores bare float64 slices in power-of-two size classes: class c
+// The pool stores float64 slices in power-of-two size classes: class c
 // holds slices with capacity at least 1<<c, and a request for need floats is
 // served from class ceil(log2(need)), so every pooled slice it gets fits.
+// Each slice sits in a *[]float64 box that travels with the matrix drawn
+// from it and goes back with its storage, so a Release boxes nothing after
+// a buffer's first trip through the pool.
 // One pool across all sizes would hand a large request the small buffer a
 // previous phase released, over and over, and allocate fresh each time.
 var scratchPools [bits.UintSize]sync.Pool
@@ -77,7 +80,8 @@ func scratch(rows, cols int) (m *Matrix, reused bool) {
 	poolGets.Add(1)
 	if v := scratchPools[class].Get(); v != nil {
 		poolReuses.Add(1)
-		return &Matrix{rows: rows, cols: cols, data: v.([]float64)[:need]}, true
+		box := v.(*[]float64)
+		return &Matrix{rows: rows, cols: cols, data: (*box)[:need], box: box}, true
 	}
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, need, 1<<class)}, false
 }
@@ -91,8 +95,12 @@ func (m *Matrix) Release() {
 		return
 	}
 	poolPuts.Add(1)
-	buf := m.data[:cap(m.data)]
-	scratchPools[bits.Len(uint(len(buf)))-1].Put(buf) //nolint:staticcheck // slice, not pointer: sizes vary
-	m.data = nil
+	box := m.box
+	if box == nil {
+		box = new([]float64)
+	}
+	*box = m.data[:cap(m.data)]
+	scratchPools[bits.Len(uint(len(*box)))-1].Put(box)
+	m.data, m.box = nil, nil
 	m.rows, m.cols = 0, 0
 }

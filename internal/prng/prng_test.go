@@ -3,7 +3,6 @@ package prng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewDeterministic(t *testing.T) {
@@ -129,68 +128,6 @@ func TestWeightedIndexSingleton(t *testing.T) {
 	idx, err := s.WeightedIndex([]float64{5})
 	if err != nil || idx != 0 {
 		t.Fatalf("singleton sample = (%d, %v), want (0, nil)", idx, err)
-	}
-}
-
-func TestAliasMatchesLinearSampling(t *testing.T) {
-	w := []float64{0.5, 2, 0, 4, 1.5}
-	a, err := NewAlias(w)
-	if err != nil {
-		t.Fatalf("NewAlias: %v", err)
-	}
-	s := New(13)
-	counts := make([]int, len(w))
-	const trials = 200000
-	for i := 0; i < trials; i++ {
-		counts[a.Sample(s)]++
-	}
-	if counts[2] != 0 {
-		t.Errorf("zero-weight index sampled %d times", counts[2])
-	}
-	total := 8.0
-	for i, c := range counts {
-		want := w[i] / total
-		got := float64(c) / trials
-		if math.Abs(got-want) > 0.01 {
-			t.Errorf("index %d: frequency %.4f, want %.4f", i, got, want)
-		}
-	}
-}
-
-func TestAliasErrors(t *testing.T) {
-	if _, err := NewAlias(nil); err == nil {
-		t.Error("expected error for empty weights")
-	}
-	if _, err := NewAlias([]float64{-1, 2}); err == nil {
-		t.Error("expected error for negative weight")
-	}
-	if _, err := NewAlias([]float64{0}); err == nil {
-		t.Error("expected error for zero total")
-	}
-}
-
-func TestAliasUniformProperty(t *testing.T) {
-	// Property: for uniform weights, the alias table reduces to direct
-	// uniform sampling (every prob ~ 1).
-	f := func(nRaw uint8) bool {
-		n := int(nRaw%20) + 1
-		w := make([]float64, n)
-		for i := range w {
-			w[i] = 3.5
-		}
-		a, err := NewAlias(w)
-		if err != nil {
-			return false
-		}
-		for _, p := range a.prob {
-			if math.Abs(p-1) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -349,21 +286,5 @@ func BenchmarkKWiseHashEval(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = h.Eval(i, i&255)
-	}
-}
-
-func BenchmarkAliasSample(b *testing.B) {
-	w := make([]float64, 1024)
-	s := New(2)
-	for i := range w {
-		w[i] = s.Float64() + 0.01
-	}
-	a, err := NewAlias(w)
-	if err != nil {
-		b.Fatalf("NewAlias: %v", err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = a.Sample(s)
 	}
 }
