@@ -65,6 +65,15 @@ func (p *CostPlan) Add(from, to, words int) {
 	p.maxRecvMsg = max(p.maxRecvMsg, t.msgs)
 }
 
+// SetPeaks records a pattern by its extremes alone: the most words any
+// machine sends, the most words and the most messages any machine
+// receives, and the total words. A superstep charged from them costs what
+// adding its messages one by one would, so a protocol that derives them in
+// bulk (Bulk's charged form) calls it on a fresh plan instead of Add.
+func (p *CostPlan) SetPeaks(maxSend, maxRecv, maxRecvMsg int, total int64) {
+	p.maxSend, p.maxRecv, p.maxRecvMsg, p.total = maxSend, maxRecv, maxRecvMsg, total
+}
+
 // check reports the plan's first error, or the message Add refused.
 func (p *CostPlan) check() error {
 	from, to, words := p.bad[0], p.bad[1], p.bad[2]

@@ -1,6 +1,7 @@
 package clique
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -272,5 +273,50 @@ func TestCostPlanReuseMatchesFresh(t *testing.T) {
 		t.Errorf("counters differ: reused (%d,%d,%d) vs fresh (%d,%d,%d)",
 			reused.Rounds(), reused.Supersteps(), reused.TotalWords(),
 			fresh.Rounds(), fresh.Supersteps(), fresh.TotalWords())
+	}
+}
+
+// TestBulkRunsItsForms: RunBulk runs the charged form on the charged
+// executor and the declared messages on the materializing one, and a
+// Charge that sets the pattern's peaks charges what the messages do.
+// Machine 0 sends 3 words to each of machines 1..4 and 1 word to itself;
+// machine 2 sends 2 words to machine 1.
+func TestBulkRunsItsForms(t *testing.T) {
+	b := &Bulk[msg]{
+		Step: *testStep("bulk", func(o *Out[msg]) error {
+			for to := 1; to <= 4; to++ {
+				send(o, 0, to, 7, 8, 9)
+			}
+			send(o, 0, 0, 5)
+			send(o, 2, 1, 6, 6)
+			return nil
+		}, nil),
+		Charge: func(plan *CostPlan) error {
+			plan.SetPeaks(13, 5, 2, 15)
+			return nil
+		},
+	}
+	var stats [][]StepStat
+	for _, ex := range executors {
+		s := ex.new(6)
+		s.EnableTrace()
+		if err := RunBulk(s, b); err != nil {
+			t.Fatalf("%s: %v", ex.name, err)
+		}
+		stats = append(stats, s.Stats())
+	}
+	want := StepStat{Name: "bulk", Rounds: 3, MaxSend: 13, MaxRecv: 5, TotalWords: 15, MaxRecvMsg: 2}
+	for i, ex := range executors {
+		if !reflect.DeepEqual(stats[i], []StepStat{want}) {
+			t.Errorf("%s: %+v, want %+v", ex.name, stats[i], want)
+		}
+	}
+
+	b.Charge = func(*CostPlan) error { return errors.New("charged form ran") }
+	if err := RunBulk(MustNew(6), b); err == nil {
+		t.Error("charged executor did not run the charged form")
+	}
+	if err := RunBulk(NewMaterializing(6), b); err != nil {
+		t.Errorf("materializing executor ran the charged form: %v", err)
 	}
 }

@@ -75,9 +75,11 @@ type Sim struct {
 	// materialize selects the executor of declared supersteps (exec.go):
 	// false, the charged executor, for every Sim from New; true only for a
 	// Sim from NewMaterializing. plan is the reusable cost plan both
-	// executors charge a declared superstep from.
+	// executors charge a declared superstep from, and peaks the loadless
+	// one a Bulk step's charged form records its peaks in.
 	materialize bool
 	plan        *CostPlan
+	peaks       CostPlan
 	traceStats  bool
 
 	// trace, when non-nil, receives one span per superstep/broadcast/charge

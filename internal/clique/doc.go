@@ -59,4 +59,17 @@
 // machine, then sending machine; one sender's messages arrive in send order
 // on both). A receiver that must combine several senders' messages stores
 // each in a slot of its own and combines the slots in a fixed order.
+//
+// # Bulk-charged steps
+//
+// A Bulk declaration adds a charged form to a Step: instead of emitting
+// its messages, the charged executor calls Charge, which records the
+// pattern's peak loads (CostPlan.SetPeaks) and leaves the receivers what
+// the messages would. A protocol uses it when it can derive those peaks for
+// far less than a call per message; core's truncation search does, for a
+// superstep it repeats on nested prefixes. The materializing executor still
+// sends every declared message, so the executor goldens keep checking the
+// step's outcome and per-superstep trace, and the protocol's own
+// differential test (core's TestBulkChargesMatchDeclaredSteps) compares the
+// two forms on every prefix, not only on the ones a sample reaches.
 package clique

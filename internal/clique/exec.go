@@ -15,8 +15,10 @@ func NewMaterializing(n int) *Sim {
 	return s
 }
 
-// costPlan returns the simulator's reusable plan, reset for one superstep.
-func (s *Sim) costPlan() *CostPlan {
+// Plan returns the simulator's reusable plan, reset for one superstep
+// that the caller charges through ChargedSuperstep before it asks for the
+// plan again. Every declared superstep on either executor charges from it.
+func (s *Sim) Plan() *CostPlan {
 	if s.plan == nil {
 		s.plan = NewCostPlan(s.n)
 	}
@@ -98,7 +100,7 @@ func (st *Step[P]) send() error { return st.Send(&st.out) }
 // Run executes one declared superstep on s.
 func Run[P any](s *Sim, st *Step[P]) error {
 	if !s.materialize {
-		plan := s.costPlan()
+		plan := s.Plan()
 		st.out = Out[P]{plan: plan, recv: st.Recv}
 		return s.ChargedSuperstep(st.Name, plan, st.send)
 	}
@@ -124,7 +126,7 @@ func Run[P any](s *Sim, st *Step[P]) error {
 // machine, then send order. A message from or to an invalid machine is the
 // superstep's error, before anything is delivered.
 func (s *Sim) route(name string, msgs []packed, recv func(m packed)) error {
-	plan := s.costPlan()
+	plan := s.Plan()
 	for _, m := range msgs {
 		plan.Add(m.from, m.to, len(m.words))
 	}
@@ -141,6 +143,32 @@ func (s *Sim) route(name string, msgs []packed, recv func(m packed)) error {
 		recv(m)
 	}
 	return nil
+}
+
+// Bulk declares a sparse superstep in two forms, the way Dense is one
+// declaration with two: Step, the materializing form, emits every message;
+// Charge, the charged form, records the pattern's peak loads in plan with
+// CostPlan.SetPeaks and leaves the receivers the state Step's messages
+// would, without emitting a message. Its plan holds no per-machine loads,
+// so it costs nothing to reset, and Charge records through SetPeaks alone.
+// A protocol uses it where it can derive a superstep's loads for far less
+// than a call per message, such as a search that repeats the same
+// superstep on nested prefixes; its own differential test must then check
+// that both forms agree, since only the materializing one is checked
+// message by message.
+type Bulk[P any] struct {
+	Step[P]
+	Charge func(plan *CostPlan) error
+}
+
+// RunBulk executes one declared bulk superstep on s: the charged form on
+// the charged executor, Step on the materializing one.
+func RunBulk[P any](s *Sim, b *Bulk[P]) error {
+	if s.materialize {
+		return Run(s, &b.Step)
+	}
+	s.peaks = CostPlan{n: s.n}
+	return s.ChargedSuperstep(b.Name, &s.peaks, func() error { return b.Charge(&s.peaks) })
 }
 
 // Dense declares the dense bipartite superstep: every unit of From sends
@@ -168,7 +196,7 @@ type Dense struct {
 // RunDense executes one declared dense superstep on s.
 func RunDense(s *Sim, d *Dense) error {
 	if !s.materialize {
-		plan := s.costPlan()
+		plan := s.Plan()
 		plan.Exchange(d.From, d.To, d.Words)
 		return s.ChargedSuperstep(d.Name, plan, func() error {
 			if d.Into != nil {

@@ -20,6 +20,24 @@
 // documentation for the cost model and for the materializing executor the
 // tests check it against (through the newSim hook).
 //
+// The truncation search (Algorithm 3) is the exception to one call per
+// message: it tests O(log l) candidate prefixes per level, each with the
+// count, tally, report and absorb supersteps, and on the charged executor
+// those run as clique.Bulk steps. One pass over the level's slots, in slot
+// order, records for every slot prefix the leader's predicate inputs and
+// each superstep's peak loads (truncation.go), so a candidate is charged in
+// O(1) with the same rounds, words and per-superstep stats its messages
+// would cost. TestBulkChargesMatchDeclaredSteps pins this against the
+// materializing executor's messages at every candidate of every level, and
+// the executor goldens (the Fidelity tests) pin whole samples.
+//
+// A Prepared pools the sampler states its draws run on (sync.Pool, one
+// state per concurrent draw): a warm draw reuses the pair tables, the
+// first-visit buffers and the per-machine random sources of an earlier
+// one, reset by epoch, and TestPooledDrawsMatchFreshRunners pins that a
+// pooled state, concurrent or after a failed draw, draws what a fresh one
+// does.
+//
 // # Contract: precomputation split and byte-identical outputs
 //
 // Prepare/PrepareExact split the per-graph, sample-independent work (the

@@ -26,24 +26,26 @@ type pairState struct {
 	seq     []int     // Π_{p,q}: the c_{p,q} sampled midpoints, in occurrence order
 }
 
-// phaseRunner is one draw's sampler state. sampleLoop builds it once per
-// draw from the draw's inputs; each phase begins with beginPhase and each of
-// its walk segments (one, or several under Las Vegas) with beginSegment. A
-// phase is a truncated top-down walk on the phase's transition matrix, then
-// first-visit edge recovery.
+// phaseRunner is the sampler state of one draw at a time. A Prepared pools
+// its runners, and draw runs one draw's phases; each phase begins with
+// beginPhase and each of its walk segments (one, or several under Las
+// Vegas) with beginSegment. A phase is a truncated top-down walk on the
+// phase's transition matrix, then first-visit edge recovery.
 //
-// It is also the draw's scratch arena: the per-level protocol steps — pair
-// assignment, midpoint generation, the O(log l) count collections of the
-// truncation search, and midpoint placement — reuse flat buffers instead of
-// allocating maps and slices a few thousand times per tree. Everything in
-// the arena is bookkeeping whose values are recomputed each use; nothing
-// observable (trees, Stats, traces) depends on the reuse.
+// It is also the scratch arena of its draws: the per-level protocol steps —
+// pair assignment, midpoint generation, the count collections of the
+// truncation search, and midpoint placement — and first-visit recovery
+// reuse flat buffers and per-machine random sources instead of allocating
+// them a few thousand times per tree. Everything in the arena is
+// bookkeeping that is set, or reset by epoch, before it is read; nothing
+// observable (trees, Stats, traces) depends on the reuse, or on what an
+// earlier draw, failed or not, left behind.
 //
 // It is single-goroutine state: both clique executors call a declaration's
 // send and receive functions from the calling goroutine, and the protocol's
 // declarations (proto) act on this state directly.
 type phaseRunner struct {
-	// The draw's inputs.
+	// The sampler's inputs, and the draw's simulator and Stats.
 	sim    *clique.Sim
 	g      *graph.Graph
 	cfg    Config
@@ -52,6 +54,14 @@ type phaseRunner struct {
 	n      int // machine count; local indices and pair codes are < n and n²
 	maxExp int // log2 of the walk length: the power table's top exponent
 	proto  *protocol
+
+	// The draw's bookkeeping: the vertices visited so far, the next phase's
+	// subset members, and the tree's first-visit edges.
+	visited   stamp
+	members   []int
+	treeEdges []graph.Edge
+	// The phase's and the segment's random sources, split in place.
+	phaseSrc, segSrc prng.Source
 
 	// The phase, set by beginPhase.
 	sub   *schur.Subset
@@ -76,12 +86,14 @@ type phaseRunner struct {
 	pd     *matrix.PowerDyadic
 	built  bool // pd was built for this segment, not taken from Prepared
 	leader int  // global machine id of leader (hosts the segment's start)
-	// src seeds the per-machine randomness; rngs materializes machine
-	// streams lazily on first use. Stream derivation depends only on
-	// (src seed, machine id), so laziness is draw-for-draw identical to
-	// splitting every machine up front.
-	src  *prng.Source
-	rngs []*prng.Source
+	// src seeds the per-machine randomness; rngs[id] is machine id's
+	// stream, split in place from src on first use in the segment (split
+	// marks which). Stream derivation depends only on (src seed, machine
+	// id), so laziness is draw-for-draw identical to splitting every
+	// machine up front.
+	src   *prng.Source
+	rngs  []prng.Source
+	split stamp
 
 	// Leader-local walk state: dense dyadic grid in local indices.
 	walk    []int
@@ -89,10 +101,27 @@ type phaseRunner struct {
 	// half is P^(δ/2) at the current level's spacing δ, the power the
 	// midpoint weights and the leader's submatrix read.
 	half *matrix.Matrix
-	// bsMf is the result of the most recent count collection besides the
-	// midpoint multiset in counts: the midpoint value at the queried slot,
-	// -1 if none.
-	bsMf int
+	// The most recent count collection's candidate and result. bsSlots is
+	// the candidate's slot prefix. On the materializing executor the leader
+	// receives the prefix's midpoint multiset (counts) and bsMf, the
+	// midpoint value at the prefix's last slot (-1 if none). On the charged
+	// executor the collection's charged forms hand it the prefix's row of
+	// the level tables instead, and bsTabled is set (see truncation.go).
+	bsSlots  int
+	bsMf     int
+	bsTabled bool
+	// The level tables the charged collections read, built once per level
+	// by tabulatePrefixes: a row per slot prefix, the predicate's inputs
+	// per grid index, and the per-pair first-occurrence flags
+	// (pairFirst[pairOff[oi]+t]: midpoint t of pair oi is its first
+	// occurrence in the pair's sequence), with the per-machine loads the
+	// pass accumulates.
+	prefixRows []prefixRow
+	grid       []gridPoint
+	pairFirst  []bool
+	pairOff    []int
+	loads      []machineLoad
+	midSeen    stamp
 
 	// Leader-local slot bookkeeping for the current level: slot j (1-based)
 	// sits between walk[j-1] and walk[j].
@@ -122,12 +151,8 @@ type phaseRunner struct {
 	pairOcc    []int
 	psPool     []*pairState
 
-	// The leader's current truncation candidate: prefix count by order
-	// index, and the mf slot's pair and occurrence (-1 when the prefix has
-	// no midpoint slot).
+	// The materializing count step's prefix count by order index.
 	prefixCount []int
-	mfIdx       int
-	mfOcc       int
 
 	counts dense // the leader's collected midpoint multiset
 	totals dense // per-collection tally aggregate
@@ -151,20 +176,29 @@ type phaseRunner struct {
 	// First-visit recovery (Algorithm 4): the phase's visits, and per
 	// machine (global id) the predecessor it was told, the requests it got,
 	// the replies it got, and the entry neighbor reported for it (-1: none).
-	visits    []fvVisit
-	fvPrev    []int
-	fvReqs    [][]fvReq
-	fvEntries [][]fvReply
-	fvEdge    []int
-	weights   []float64
+	// Machine u's requests fill fvReqBuf[fvReqOff[u]:fvReqEnd[u]] and
+	// visited vertex v's replies fvEntBuf[fvEntOff[v]:fvEntEnd[v]], at
+	// offsets a counting pass sets before the requests go out.
+	visits   []fvVisit
+	fvPrev   []int
+	fvReqBuf []fvReq
+	fvReqOff []int
+	fvReqEnd []int
+	fvEntBuf []fvReply
+	fvEntOff []int
+	fvEntEnd []int
+	fvEdge   []int
+	newVerts []int // the phase's first visits, global ids
+	weights  []float64
 	// The phase's shortcut rows: qFrom lists their start vertices, and
 	// qRow maps a global vertex to its row (-1: none).
 	qFrom []int
 	qRow  []int
 }
 
-// newPhaseRunner builds one draw's sampler state. A non-nil warm carries
-// Prepare's cached phase-0 table (see beginSegment).
+// newPhaseRunner builds a sampler state, ready for a draw on sim whose
+// Stats it fills. A non-nil warm carries Prepare's cached phase-0 table
+// (see beginSegment).
 func newPhaseRunner(sim *clique.Sim, g *graph.Graph, cfg Config, warm *Prepared, stats *Stats) *phaseRunner {
 	n := g.N()
 	r := &phaseRunner{
@@ -175,19 +209,25 @@ func newPhaseRunner(sim *clique.Sim, g *graph.Graph, cfg Config, warm *Prepared,
 		stats:        stats,
 		n:            n,
 		maxExp:       int(math.Log2(float64(cfg.WalkLength)) + 0.5),
+		visited:      newStamp(n),
 		walked:       newStamp(n),
-		rngs:         make([]*prng.Source, n),
+		rngs:         make([]prng.Source, n),
+		split:        newStamp(n),
 		pairIdx:      make([]int32, n*n),
 		pairIdxepoch: make([]uint32, n*n),
 		pairsOn:      make([]int, n),
+		loads:        make([]machineLoad, n),
+		midSeen:      newStamp(n),
 		counts:       newDense(n),
 		totals:       newDense(n),
 		local:        newDense(n),
 		seen:         newStamp(n),
 		subIdx:       make([]int, n),
 		fvPrev:       make([]int, n),
-		fvReqs:       make([][]fvReq, n),
-		fvEntries:    make([][]fvReply, n),
+		fvReqOff:     make([]int, n),
+		fvReqEnd:     make([]int, n),
+		fvEntOff:     make([]int, n),
+		fvEntEnd:     make([]int, n),
 		fvEdge:       make([]int, n),
 		qRow:         make([]int, n),
 	}
@@ -240,7 +280,7 @@ func (r *phaseRunner) beginSegment(start int, src *prng.Source) error {
 	}
 	r.leader = r.hostOf(start)
 	r.src = src
-	clear(r.rngs)
+	r.split.reset()
 
 	// Outline 3 steps 3-4: sample the endpoint from S^l[start, *]. The
 	// leader holds its own row of every power, so this is a local draw.
@@ -279,11 +319,12 @@ func (r *phaseRunner) releaseTable() {
 
 // endPhase returns the phase state the runner built — the last segment's
 // power table and the shortcut rows — to the matrix scratch pool once the
-// phase is over (releasing a nil matrix is a no-op). Recycling keeps a
-// sample's allocation, and with it the garbage collector's work, to the
-// walk's own state.
+// phase is over (releasing a nil matrix is a no-op), and forgets the power
+// it last read from the table. Recycling keeps a sample's allocation, and
+// with it the garbage collector's work, to the walk's own state.
 func (r *phaseRunner) endPhase() {
 	r.releaseTable()
+	r.half = nil
 	if r.q != nil {
 		r.q.Release()
 		r.q = nil
@@ -334,14 +375,13 @@ func (r *phaseRunner) shortcut(prev, u int) float64 {
 	return 0
 }
 
-// rng returns machine id's random stream, splitting it from the segment
-// source on first use. Splitting is a pure function of (source seed, id), so
-// lazy creation yields the exact stream an eager split would.
+// rng returns machine id's random stream, splitting it in place from the
+// segment source on first use. Splitting is a pure function of (source
+// seed, id), so lazy creation yields the exact stream an eager split would.
 func (r *phaseRunner) rng(id int) *prng.Source {
-	s := r.rngs[id]
-	if s == nil {
-		s = r.src.Split(uint64(id))
-		r.rngs[id] = s
+	s := &r.rngs[id]
+	if r.split.mark(id) {
+		r.src.SplitInto(s, uint64(id))
 	}
 	return s
 }
@@ -448,9 +488,9 @@ func (r *phaseRunner) assignPairs() error {
 	// Leader-local bookkeeping (the leader holds W_i).
 	k := len(r.walk) - 1
 	r.resetLevel()
-	r.slotPair = growPairKeys(r.slotPair, k+1) // slots 1..k
-	r.slotOcc = growInts(r.slotOcc, k+1)
-	r.slotIdx = growInts(r.slotIdx, k+1)
+	r.slotPair = growSlice(r.slotPair, k+1) // slots 1..k
+	r.slotOcc = growSlice(r.slotOcc, k+1)
+	r.slotIdx = growSlice(r.slotIdx, k+1)
 	for j := 1; j <= k; j++ {
 		p, q := r.walk[j-1], r.walk[j]
 		oi := r.pairLookup(p, q)
@@ -463,7 +503,7 @@ func (r *phaseRunner) assignPairs() error {
 		r.slotIdx[j] = oi
 	}
 	order := r.pairOrder
-	r.pairMachine = growInts(r.pairMachine, len(order))
+	r.pairMachine = growSlice(r.pairMachine, len(order))
 	for rank := range order {
 		r.pairMachine[rank] = rank % r.n
 	}
@@ -507,127 +547,6 @@ func (r *phaseRunner) generateMidpoints() error {
 	})
 }
 
-// slotsInPrefix returns the number of midpoint slots with grid index
-// <= ellPrime: floor((ellPrime+1)/2).
-func slotsInPrefix(ellPrime int64) int { return int((ellPrime + 1) / 2) }
-
-// collectCounts runs the count/tally/report protocol of Algorithm 3 for the
-// truncation candidate ellPrime, filling the leader's count multiset
-// (midpoint multiset of the prefix, by vertex) and r.bsMf (the midpoint
-// value at the last slot of the prefix, or -1 when the prefix has no
-// midpoint slots).
-func (r *phaseRunner) collectCounts(ellPrime int64) error {
-	// Leader-local: per-pair prefix counts and the mf slot's owner.
-	sPrefix := slotsInPrefix(ellPrime)
-	pairs := len(r.pairOrder)
-	r.prefixCount = growInts(r.prefixCount, pairs)
-	clear(r.prefixCount)
-	for j := 1; j <= sPrefix; j++ {
-		r.prefixCount[r.slotIdx[j]]++
-	}
-	r.mfIdx, r.mfOcc = -1, -1
-	if sPrefix >= 1 {
-		r.mfIdx, r.mfOcc = r.slotIdx[sPrefix], r.slotOcc[sPrefix]
-	}
-	r.totals.reset()
-	if err := clique.Run(r.sim, &r.proto.count); err != nil {
-		return err
-	}
-	if err := clique.Run(r.sim, &r.proto.tally); err != nil {
-		return err
-	}
-	if err := clique.Run(r.sim, &r.proto.report); err != nil {
-		return err
-	}
-	// The leader absorbed the reports as they arrived.
-	return clique.Local(r.sim, "core/bs/absorb", nil)
-}
-
-// checkTruncation implements Algorithm 3's predicate: whether ellPrime is
-// at most the true truncation point ell_{i+1}. It must be called after
-// collectCounts(ellPrime).
-func (r *phaseRunner) checkTruncation(ellPrime int64) (bool, error) {
-	evenPrefix := int(ellPrime / 2) // walk indices 0..evenPrefix are in the prefix
-	counts := &r.counts
-	seen := &r.seen
-	seen.reset()
-	dist := r.walkedN
-	for _, v := range r.walk[:evenPrefix+1] {
-		if !r.walked.has(v) && seen.mark(v) {
-			dist++
-		}
-	}
-	for _, v := range counts.touched {
-		if counts.val[v] > 0 && !r.walked.has(v) && seen.mark(v) {
-			dist++
-		}
-	}
-	if dist > r.rho {
-		return false, nil
-	}
-	if dist < r.rho {
-		return true, nil
-	}
-	// Dist == rho: true iff the final prefix vertex occurs exactly once.
-	var last int
-	if ellPrime%2 == 0 {
-		last = r.walk[ellPrime/2]
-	} else {
-		if r.bsMf < 0 {
-			return false, fmt.Errorf("core: missing mf value for odd truncation candidate %d", ellPrime)
-		}
-		last = r.bsMf
-	}
-	countLast := r.counts.get(last)
-	if r.walked.has(last) {
-		countLast++ // seen in an earlier segment: not a first occurrence
-	}
-	for _, v := range r.walk[:evenPrefix+1] {
-		if v == last {
-			countLast++
-		}
-	}
-	if countLast < 1 {
-		return false, fmt.Errorf("core: final prefix vertex %d not found in prefix", last)
-	}
-	return countLast == 1, nil
-}
-
-// findTruncationPoint runs the distributed binary search (Algorithm 3) for
-// the largest grid index ell* of the filled walk W_i^+ such that the prefix
-// contains at most rho distinct vertices, ending at the first occurrence of
-// the rho-th.
-func (r *phaseRunner) findTruncationPoint() (int64, error) {
-	hi := int64(2 * (len(r.walk) - 1)) // full filled walk
-	if err := r.collectCounts(hi); err != nil {
-		return 0, err
-	}
-	ok, err := r.checkTruncation(hi)
-	if err != nil {
-		return 0, err
-	}
-	if ok {
-		return hi, nil
-	}
-	lo := int64(0) // prefix = [start]: always valid
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if err := r.collectCounts(mid); err != nil {
-			return 0, err
-		}
-		ok, err := r.checkTruncation(mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
-}
-
 // placeMidpoints implements the multiset collection and perfect matching
 // placement (§2.1.3, Lemmas 3-4) at the found truncation point, producing
 // the next level's partial walk.
@@ -637,6 +556,7 @@ func (r *phaseRunner) placeMidpoints(ellStar int64) error {
 	if err := r.collectCounts(ellStar); err != nil {
 		return err
 	}
+	r.expandRow()
 	lastSlot := slotsInPrefix(ellStar)
 	evenPrefix := int(ellStar / 2)
 
@@ -713,7 +633,7 @@ func (r *phaseRunner) placeMidpoints(ellStar int64) error {
 	// positions and place directly from the Π sequences beyond it — the
 	// degenerate periodic-walk case where the instance grows toward Θ(l).
 	k := lastSlot - 1
-	r.placedBuf = growInts(r.placedBuf, lastSlot+1)
+	r.placedBuf = growSlice(r.placedBuf, lastSlot+1)
 	placed := r.placedBuf // slot -> midpoint vertex (1-based); every read slot is written below
 	placed[lastSlot] = r.bsMf
 	switch {
@@ -757,7 +677,7 @@ func (r *phaseRunner) placeMidpoints(ellStar int64) error {
 	// is never recycled because the next segment starts from a fresh
 	// two-vertex slice.
 	r.block.Release()
-	next := growInts(r.walkBuf, int(ellStar)+1)[:0]
+	next := growSlice(r.walkBuf, int(ellStar)+1)[:0]
 	for g := int64(0); g <= ellStar; g++ {
 		if g%2 == 0 {
 			next = append(next, r.walk[g/2])
@@ -797,8 +717,8 @@ func (r *phaseRunner) fetchSubmatrix() error {
 	}
 	r.half = half
 	k := len(need)
-	r.needHosts = growInts(r.needHosts, k)
-	r.leaderTo = growInts(r.leaderTo, k)
+	r.needHosts = growSlice(r.needHosts, k)
+	r.leaderTo = growSlice(r.leaderTo, k)
 	for i, v := range need {
 		r.subIdx[v] = i
 		r.needHosts[i] = r.hostOf(v)

@@ -44,13 +44,30 @@ func (r *phaseRunner) pairInsert(p, q int) int {
 	return oi
 }
 
-// readyFirstVisits empties every machine's first-visit request and reply
-// lists.
+// readyFirstVisits lays out the flat first-visit buffers for the phase's
+// visits: every G-neighbor u of a visited vertex v gets one request from v
+// and answers it with one reply, so a counting pass over the visits' edges
+// gives each machine's request count and each visited vertex's reply
+// count, and prefix sums of them give the offsets the receive functions
+// fill from.
 func (r *phaseRunner) readyFirstVisits() {
-	for u := range r.fvReqs {
-		r.fvReqs[u] = r.fvReqs[u][:0]
-		r.fvEntries[u] = r.fvEntries[u][:0]
+	clear(r.fvReqEnd)
+	replies := 0
+	for _, vis := range r.visits {
+		deg := r.g.NeighborCount(vis.v)
+		r.fvEntOff[vis.v], r.fvEntEnd[vis.v] = replies, replies
+		replies += deg
+		for i := range deg {
+			r.fvReqEnd[r.g.NeighborAt(vis.v, i).To]++
+		}
 	}
+	requests := 0
+	for u, c := range r.fvReqEnd {
+		r.fvReqOff[u], r.fvReqEnd[u] = requests, requests
+		requests += c
+	}
+	r.fvReqBuf = growSlice(r.fvReqBuf, requests)
+	r.fvEntBuf = growSlice(r.fvEntBuf, replies)
 }
 
 // readyPairs sizes the pair tables for the level's pairs before the
@@ -65,8 +82,8 @@ func (r *phaseRunner) readyPairs() {
 		r.orderedPS = make([]*pairState, k)
 	}
 	r.orderedPS = r.orderedPS[:k]
-	r.pairPrefix = growInts(r.pairPrefix, k)
-	r.pairOcc = growInts(r.pairOcc, k)
+	r.pairPrefix = growSlice(r.pairPrefix, k)
+	r.pairOcc = growSlice(r.pairOcc, k)
 	clear(r.pairsOn)
 }
 
@@ -141,27 +158,11 @@ func (s *stamp) mark(i int) bool {
 	return true
 }
 
-// growFloats returns s resized to n without preserving contents,
+// growSlice returns s resized to n without preserving contents,
 // reallocating only when capacity is short.
-func growFloats(s []float64, n int) []float64 {
+func growSlice[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// growInts is growFloats for int slices.
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-// growPairKeys is growFloats for pairKey slices.
-func growPairKeys(s []pairKey, n int) []pairKey {
-	if cap(s) < n {
-		return make([]pairKey, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

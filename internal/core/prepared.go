@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
+	"repro/internal/clique"
 	"repro/internal/graph"
 	"repro/internal/matrix"
 	"repro/internal/mm"
@@ -23,7 +25,10 @@ import (
 //
 // A Prepared is immutable after Prepare returns and safe for concurrent use
 // by any number of Sample calls; each call still simulates its own clique, so
-// the reported Stats are per-run just like the cold path's.
+// the reported Stats are per-run just like the cold path's. It pools the
+// sampler states its draws run on, one per concurrent draw, so a warm draw
+// reuses the n² pair tables and every other scratch buffer of an earlier
+// one; what a draw computes never depends on which state it was given.
 //
 // Under the default Fast backend the cached table is bit-identical to the
 // one the cold path computes in-simulation (both square via matrix.Mul) and
@@ -39,6 +44,26 @@ type Prepared struct {
 	n   int
 
 	pd0 *matrix.PowerDyadic // phase-0 dyadic power table
+
+	runners sync.Pool // idle *phaseRunner for this graph and cfg
+}
+
+// runner takes a sampler state for one draw on sim from the pool, or
+// builds one when none is idle.
+func (p *Prepared) runner(sim *clique.Sim) *phaseRunner {
+	r, _ := p.runners.Get().(*phaseRunner)
+	if r == nil {
+		return newPhaseRunner(sim, p.g, p.cfg, p, &Stats{})
+	}
+	r.sim, r.stats = sim, &Stats{}
+	return r
+}
+
+// release returns a sampler state to the pool once its draw is over, with
+// or without an error, letting go of the draw's simulator and Stats.
+func (p *Prepared) release(r *phaseRunner) {
+	r.sim, r.stats = nil, nil
+	p.runners.Put(r)
 }
 
 // Prepare validates the graph and configuration once and precomputes the

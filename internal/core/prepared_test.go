@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -226,5 +228,151 @@ func BenchmarkPreparedSample(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestPreparedSampleAllocs bounds a warm draw's allocations on
+// BenchmarkPreparedSample's graph (3-regular, n = 96, graph seed 11). A
+// warm draw takes its sampler state from the Prepared's pool, so what it
+// allocates is its own output and the matrix headers the scratch pool
+// hands out, not the state.
+func TestPreparedSampleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	const n = 96
+	g, err := graph.RandomRegular(n, 3, prng.New(11).Split(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	phase, err := Prepare(g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := phase.Exact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		p     *Prepared
+		bound float64
+	}{{"phase", phase, 1300}, {"exact", exact, 600}} {
+		seed := uint64(0)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, _, err := c.p.Sample(prng.New(seed)); err != nil {
+				t.Fatal(err)
+			}
+			seed++
+		})
+		t.Logf("%s: %.0f allocations per draw", c.name, allocs)
+		if allocs > c.bound {
+			t.Errorf("%s: %.0f allocations per warm draw, want at most %.0f", c.name, allocs, c.bound)
+		}
+	}
+}
+
+// drawBytes is one draw's outcome as bytes: the encoded tree and JSON
+// Stats, or the error.
+func drawBytes(tree *spanning.Tree, st *Stats, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	js, _ := json.Marshal(st) // a Stats always marshals
+	return tree.Encode() + "\n" + string(js)
+}
+
+// freshDraw draws with src on a sampler state built for this draw alone.
+func freshDraw(p *Prepared, src *prng.Source) string {
+	return drawBytes(newPhaseRunner(newSim(p.n), p.g, p.cfg, p, &Stats{}).draw(src))
+}
+
+// TestPooledDrawsMatchFreshRunners is the sampler-state pool's hygiene
+// check. Phase, exact and Las Vegas (walk length 16) draws run at once,
+// three goroutines per Prepared, and each must equal the same draw on a
+// fresh sampler state byte for byte. Then one sampler state draws seed
+// after seed on the 128-cycle with walk length 2 under Las Vegas: at ρ =
+// 128 (TestFailedPhaseEndsItsSpan's configuration) every draw runs out of
+// extensions, and at ρ = 8 some draws do and the next ones succeed; each
+// draw, failed or not, must equal a fresh state's.
+func TestPooledDrawsMatchFreshRunners(t *testing.T) {
+	g, err := graph.RandomRegular(32, 3, prng.New(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	phase, err := Prepare(g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := phase.Exact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lasVegas, err := PrepareExact(g, Config{WalkLength: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const draws, workers = 12, 3
+	preps := []*Prepared{phase, exact, lasVegas}
+	want := make([][]string, len(preps))
+	got := make([][]string, len(preps))
+	for pi, p := range preps {
+		want[pi] = make([]string, draws)
+		got[pi] = make([]string, draws)
+		for i := range draws {
+			want[pi][i] = freshDraw(p, prng.New(uint64(i)))
+		}
+	}
+	var wg sync.WaitGroup
+	for pi, p := range preps {
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := w; i < draws; i += workers {
+					got[pi][i] = drawBytes(p.Sample(prng.New(uint64(i))))
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	for pi := range preps {
+		for i := range draws {
+			if got[pi][i] != want[pi][i] {
+				t.Errorf("Prepared %d draw %d: pooled concurrent draw differs from a fresh state's:\n%s\nwant\n%s", pi, i, got[pi][i], want[pi][i])
+			}
+		}
+	}
+
+	cycle, err := graph.Cycle(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered := 0
+	for _, rho := range []int{128, 8} {
+		p, err := Prepare(cycle, Config{WalkLength: 2, Rho: rho, LasVegas: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := newPhaseRunner(nil, p.g, p.cfg, p, nil)
+		failed := false
+		for seed := uint64(0); seed < 8; seed++ {
+			r.sim, r.stats = newSim(p.n), &Stats{}
+			tree, st, err := r.draw(prng.New(seed))
+			reused := drawBytes(tree, st, err)
+			if fresh := freshDraw(p, prng.New(seed)); reused != fresh {
+				t.Errorf("rho %d seed %d: reused state drew\n%s\nwant\n%s", rho, seed, reused, fresh)
+			}
+			if err == nil && failed {
+				recovered++
+			}
+			failed = err != nil
+			if rho == 128 && !failed {
+				t.Errorf("rho 128 seed %d: draw did not run out of Las Vegas extensions", seed)
+			}
+		}
+	}
+	if recovered == 0 {
+		t.Error("no draw succeeded right after a failed one")
 	}
 }

@@ -12,16 +12,17 @@ import (
 // names each sending unit's machine and emits its messages, and a receiving
 // function per message, which the simulator runs on its charged or its
 // materializing executor (clique/exec.go). The declarations are built once
-// per draw, with the draw's sampler state, and act on that state's current
-// phase and segment; the runner sets a dense superstep's unit lists before
-// it runs it.
+// per sampler state and act on that state's current draw, phase and
+// segment; the runner sets a dense superstep's unit lists before it runs
+// it. The truncation search's collection steps are clique.Bulk
+// declarations, whose charged forms read the level tables (truncation.go).
 type protocol struct {
 	assign    clique.Step[assignMsg]
 	distreq   clique.Dense
 	distreply clique.Dense
-	count     clique.Step[countMsg]
-	tally     clique.Step[tallyMsg]
-	report    clique.Step[tallyMsg]
+	count     clique.Bulk[countMsg]
+	tally     clique.Bulk[tallyMsg]
+	report    clique.Bulk[tallyMsg]
 	submatrix clique.Dense
 	notify    clique.Step[int]
 	request   clique.Step[fvReq]
@@ -72,8 +73,8 @@ func newProtocol(r *phaseRunner) *protocol {
 				r.pairsOn[m]++
 				ps := r.psPool[oi]
 				ps.key = pairKey{p: a.p, q: a.q}
-				ps.weights = growFloats(ps.weights, r.sub.Size())
-				ps.seq = growInts(ps.seq, a.count)
+				ps.weights = growSlice(ps.weights, r.sub.Size())
+				ps.seq = growSlice(ps.seq, a.count)
 				r.orderedPS[oi] = ps
 			},
 			Encode: func(dst []clique.Word, a assignMsg) []clique.Word { return clique.AppendInts(dst, a.p, a.q, a.count) },
@@ -100,17 +101,26 @@ func newProtocol(r *phaseRunner) *protocol {
 		},
 		// Algorithm 3, one truncation candidate: the leader sends each pair
 		// machine its prefix count, plus the mf occurrence query for the
-		// owner of the prefix's last slot.
-		count: clique.Step[countMsg]{
+		// owner of the prefix's last slot. The collection's three steps are
+		// also declared in charged forms, which read the level tables
+		// (truncation.go).
+		count: clique.Bulk[countMsg]{Charge: r.chargeCount, Step: clique.Step[countMsg]{
 			Name: "core/bs/count",
 			Send: func(o *clique.Out[countMsg]) error {
 				o.From(r.leader)
 				r.counts.reset()
 				r.bsMf = -1
-				for oi, c := range r.prefixCount {
+				s := r.bsSlots
+				counts := growSlice(r.prefixCount, len(r.pairOrder))
+				clear(counts)
+				for _, oi := range r.slotIdx[1 : s+1] {
+					counts[oi]++
+				}
+				r.prefixCount = counts
+				for oi, c := range counts {
 					occ := -1
-					if oi == r.mfIdx {
-						occ = r.mfOcc
+					if s >= 1 && oi == r.slotIdx[s] {
+						occ = r.slotOcc[s]
 					}
 					o.Send(r.pairMachine[oi], 4, countMsg{oi, c, occ})
 				}
@@ -126,11 +136,11 @@ func newProtocol(r *phaseRunner) *protocol {
 			Decode: func(_ int, w []clique.Word) countMsg {
 				return countMsg{r.pairLookup(w[0].Int(), w[1].Int()), w[2].Int(), w[3].Int() - 1}
 			},
-		},
+		}},
 		// Each pair machine tallies its sequence prefix and sends every
 		// vertex machine its count — the compressed multiset; the mf owner
 		// answers the leader.
-		tally: clique.Step[tallyMsg]{
+		tally: clique.Bulk[tallyMsg]{Charge: r.chargeTally, Step: clique.Step[tallyMsg]{
 			Name: "core/bs/tally",
 			Send: func(o *clique.Out[tallyMsg]) error {
 				for oi, ps := range r.orderedPS {
@@ -176,9 +186,9 @@ func newProtocol(r *phaseRunner) *protocol {
 				}
 				return tallyMsg{w[0].Int(), w[1].Int()}
 			},
-		},
+		}},
 		// Every vertex machine with a nonzero tally reports it to the leader.
-		report: clique.Step[tallyMsg]{
+		report: clique.Bulk[tallyMsg]{Charge: r.chargeReport, Step: clique.Step[tallyMsg]{
 			Name: "core/bs/report",
 			Send: func(o *clique.Out[tallyMsg]) error {
 				for _, v := range r.totals.touched {
@@ -190,7 +200,7 @@ func newProtocol(r *phaseRunner) *protocol {
 			Recv:   func(_ int, t tallyMsg) { r.counts.add(t.v, t.cnt) },
 			Encode: func(dst []clique.Word, t tallyMsg) []clique.Word { return clique.AppendInts(dst, t.v, t.cnt) },
 			Decode: func(_ int, w []clique.Word) tallyMsg { return tallyMsg{w[0].Int(), w[1].Int()} },
-		},
+		}},
 		// §2.1.3: after the leader broadcasts the vertex set it needs
 		// (needList), each machine hosting one sends its row restricted
 		// to the set. Machine a's entry for b is received into row b of the
@@ -232,7 +242,10 @@ func newProtocol(r *phaseRunner) *protocol {
 				}
 				return nil
 			},
-			Recv:   func(u int, q fvReq) { r.fvReqs[u] = append(r.fvReqs[u], q) },
+			Recv: func(u int, q fvReq) {
+				r.fvReqBuf[r.fvReqEnd[u]] = q
+				r.fvReqEnd[u]++
+			},
 			Encode: func(dst []clique.Word, q fvReq) []clique.Word { return clique.AppendInts(dst, q.v, q.prev) },
 			Decode: func(_ int, w []clique.Word) fvReq { return fvReq{w[0].Int(), w[1].Int()} },
 		},
@@ -242,7 +255,8 @@ func newProtocol(r *phaseRunner) *protocol {
 		reply: clique.Step[fvReply]{
 			Name: "core/fve/reply",
 			Send: func(o *clique.Out[fvReply]) error {
-				for u, reqs := range r.fvReqs {
+				for u, end := range r.fvReqEnd {
+					reqs := r.fvReqBuf[r.fvReqOff[u]:end]
 					if len(reqs) == 0 {
 						continue
 					}
@@ -262,7 +276,10 @@ func newProtocol(r *phaseRunner) *protocol {
 				}
 				return nil
 			},
-			Recv: func(v int, a fvReply) { r.fvEntries[v] = append(r.fvEntries[v], a) },
+			Recv: func(v int, a fvReply) {
+				r.fvEntBuf[r.fvEntEnd[v]] = a
+				r.fvEntEnd[v]++
+			},
 			Encode: func(dst []clique.Word, a fvReply) []clique.Word {
 				return append(clique.AppendInts(dst, a.u), clique.FloatWord(a.w))
 			},
@@ -276,8 +293,8 @@ func newProtocol(r *phaseRunner) *protocol {
 				for _, vis := range r.visits {
 					v := vis.v
 					o.From(v)
-					es := r.fvEntries[v]
-					weights := growFloats(r.weights, len(es))
+					es := r.fvEntBuf[r.fvEntOff[v]:r.fvEntEnd[v]]
+					weights := growSlice(r.weights, len(es))
 					r.weights = weights
 					for k, e := range es {
 						weights[k] = e.w

@@ -202,6 +202,7 @@ func TestCheckTruncationMonotone(t *testing.T) {
 			}
 			// Evaluate the predicate at every candidate and check the
 			// true-prefix/false-suffix structure.
+			r.tabulatePrefixes()
 			hi := int64(2 * (len(r.walk) - 1))
 			lastTrue := int64(-1)
 			firstFalse := int64(-1)

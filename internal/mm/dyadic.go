@@ -51,8 +51,7 @@ func DyadicTable(sim *clique.Sim, backend Backend, p *matrix.Matrix, maxExp int,
 		cur.TruncateDown(delta)
 	}
 	pows[0] = cur
-	plan := clique.NewCostPlan(sim.N()) // one plan serves every power
-	if err := distributeColumns(sim, cur, plan); err != nil {
+	if err := distributeColumns(sim, cur); err != nil {
 		return nil, err
 	}
 	for e := 1; e <= maxExp; e++ {
@@ -65,7 +64,7 @@ func DyadicTable(sim *clique.Sim, backend Backend, p *matrix.Matrix, maxExp int,
 		}
 		pows[e] = next
 		cur = next
-		if err := distributeColumns(sim, cur, plan); err != nil {
+		if err := distributeColumns(sim, cur); err != nil {
 			return nil, err
 		}
 	}
@@ -92,15 +91,14 @@ func ReplayDyadicTable(sim *clique.Sim, backend Backend, pd *matrix.PowerDyadic)
 		return fmt.Errorf("mm: replay of empty dyadic table")
 	}
 	d := pd.Pows[0].Rows()
-	plan := clique.NewCostPlan(sim.N())
-	if err := distributeColumns(sim, pd.Pows[0], plan); err != nil {
+	if err := distributeColumns(sim, pd.Pows[0]); err != nil {
 		return err
 	}
 	for e := 1; e < len(pd.Pows); e++ {
 		if err := sim.ChargeRounds(backend.CostRounds(d), clique.ChargeFastMatmul); err != nil {
 			return err
 		}
-		if err := distributeColumns(sim, pd.Pows[e], plan); err != nil {
+		if err := distributeColumns(sim, pd.Pows[e]); err != nil {
 			return err
 		}
 	}
@@ -127,9 +125,9 @@ func ChargeSchurShortcutBuild(sim *clique.Sim, backend Backend, n, maxExp int) e
 // column j in addition to row j — the property Algorithm 2 step 4 relies on
 // when machine M_{p,q} asks machine j for P^(δ/2)[p,j] * P^(δ/2)[j,q]. The
 // column is a view into the shared matrix, so the exchange is charged from
-// its pattern and nothing is routed.
-func distributeColumns(sim *clique.Sim, m *matrix.Matrix, plan *clique.CostPlan) error {
-	plan.Reset()
+// its pattern, on the simulator's own reusable plan, and nothing is routed.
+func distributeColumns(sim *clique.Sim, m *matrix.Matrix) error {
+	plan := sim.Plan()
 	plan.AllToAll(m.Rows(), 1)
 	return sim.ChargedSuperstep("mm/column-distribute", plan, nil)
 }

@@ -10,26 +10,48 @@ import (
 // A Source is NOT safe for concurrent use; concurrent consumers (for example
 // the per-machine programs of the congested clique simulator) must each own a
 // Source obtained via Split, which yields statistically independent streams.
+//
+// A Source holds its generator by value, so New and Split make one heap
+// object and SplitInto none. It must not be copied once seeded: its Rand
+// reads the PCG inside the same Source. The zero Source is unusable until
+// SplitInto seeds it.
 type Source struct {
-	rng  *rand.Rand
+	pcg  rand.PCG
+	rng  rand.Rand
 	seed uint64
 }
 
 // New returns a Source seeded with seed. Two Sources built from the same seed
 // produce identical streams.
 func New(seed uint64) *Source {
-	return &Source{
-		rng:  rand.New(rand.NewPCG(seed, splitMix64(seed+0x9e3779b97f4a7c15))),
-		seed: seed,
-	}
+	s := new(Source)
+	s.reseed(seed)
+	return s
+}
+
+// reseed restarts s as the stream New(seed) yields.
+func (s *Source) reseed(seed uint64) {
+	s.pcg.Seed(seed, splitMix64(seed+0x9e3779b97f4a7c15))
+	s.rng = *rand.New(&s.pcg)
+	s.seed = seed
 }
 
 // Split derives an independent child Source identified by label. Splitting is
 // deterministic: the same (parent seed, label) pair always yields the same
 // child stream, and distinct labels yield decorrelated streams.
 func (s *Source) Split(label uint64) *Source {
-	child := splitMix64(s.seed ^ splitMix64(label+0x632be59bd9b4e019))
-	return New(child)
+	return New(s.childSeed(label))
+}
+
+// SplitInto is Split into caller-owned storage: dst becomes the child
+// Source Split(label) returns, stream for stream, without allocating.
+func (s *Source) SplitInto(dst *Source, label uint64) {
+	dst.reseed(s.childSeed(label))
+}
+
+// childSeed is the seed of the child Split(label) returns.
+func (s *Source) childSeed(label uint64) uint64 {
+	return splitMix64(s.seed ^ splitMix64(label+0x632be59bd9b4e019))
 }
 
 // Uint64 returns a uniformly random 64-bit value.

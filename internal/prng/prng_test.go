@@ -288,3 +288,36 @@ func BenchmarkKWiseHashEval(b *testing.B) {
 		_ = h.Eval(i, i&255)
 	}
 }
+
+// TestSplitIntoMatchesSplit: the in-place split yields, for every label,
+// the stream Split yields, through Uint64, Intn and Float64 alike, and it
+// allocates nothing.
+func TestSplitIntoMatchesSplit(t *testing.T) {
+	parent := New(2024)
+	var dst Source
+	for label := uint64(0); label < 10000; label++ {
+		want := parent.Split(label)
+		parent.SplitInto(&dst, label)
+		for i := 0; i < 4; i++ {
+			if got, w := dst.Uint64(), want.Uint64(); got != w {
+				t.Fatalf("label %d Uint64 %d: got %d, want %d", label, i, got, w)
+			}
+			n := 1 + int(label)%97 + i
+			if got, w := dst.Intn(n), want.Intn(n); got != w {
+				t.Fatalf("label %d Intn(%d): got %d, want %d", label, n, got, w)
+			}
+			if got, w := dst.Float64(), want.Float64(); got != w {
+				t.Fatalf("label %d Float64: got %v, want %v", label, got, w)
+			}
+		}
+	}
+	label := uint64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		parent.SplitInto(&dst, label)
+		label++
+		_ = dst.Uint64() + uint64(dst.Intn(7)) + uint64(dst.Float64())
+	})
+	if allocs != 0 {
+		t.Errorf("SplitInto and draws made %v allocations, want 0", allocs)
+	}
+}
